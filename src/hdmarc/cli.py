@@ -28,6 +28,7 @@ from .sweep import (
     emit_csv,
     emit_plot_script,
     gaussian_point_from_dict,
+    no_relay_from_dict,
     run_sweep,
 )
 from .verify import DEFAULT_DRAWS, SUBJECTS, run_subject
@@ -164,11 +165,9 @@ def _cmd_region(args: argparse.Namespace) -> int:
                         "the NO_RELAY scheme needs a no_relay block with "
                         "baseline powers P1 and P2"
                     )
-                nr = doc["no_relay"]
-                if not isinstance(nr, dict) or set(nr) != {"P1", "P2"}:
-                    raise ConfigError("no_relay must be {'P1': ..., 'P2': ...}")
+                p1, p2 = no_relay_from_dict(doc["no_relay"])
                 regions[scheme.value] = _region_to_jsonable(
-                    no_relay_rates(params.h11, params.h21, nr["P1"], nr["P2"])
+                    no_relay_rates(params.h11, params.h21, p1, p2)
                 )
     else:
         if "no_relay" in doc:

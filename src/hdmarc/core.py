@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import numpy as np
+
 
 class HdmarcError(Exception):
     """Base class for every error raised by this package."""
@@ -135,3 +137,16 @@ def clamp_region(
     r2c = max(0.0, float(r2))
     sumc = min(max(0.0, float(rsum)), r1c + r2c)
     return RateRegion(r1c, r2c, sumc, bool(feasible), dict(terms or {}))
+
+
+def clamp_bounds(r1, r2, rsum):
+    """The clamp of :func:`clamp_region` on numpy arrays, elementwise.
+
+    Written with the same comparisons as the builtin ``max``/``min`` there
+    (NaN clamps to 0, -0.0 to 0.0), so both give the same bits.
+    """
+    r1c = np.where(r1 > 0.0, r1, 0.0)
+    r2c = np.where(r2 > 0.0, r2, 0.0)
+    sumc = np.where(rsum > 0.0, rsum, 0.0)
+    total = r1c + r2c
+    return r1c, r2c, np.where(total < sumc, total, sumc)

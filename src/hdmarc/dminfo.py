@@ -98,10 +98,11 @@ class JointPmf:
             raise DimensionMismatch(
                 f"tensor shape {probs.shape} does not match alphabet sizes {expected}"
             )
-        if probs.size and float(probs.min()) < 0.0:
-            raise InvalidParams("joint pmf has negative entries")
+        # Written so that NaN fails both checks, with no extra pass.
+        if probs.size and not float(probs.min()) >= 0.0:
+            raise InvalidParams("joint pmf has negative or NaN entries")
         total = float(probs.sum())
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise InvalidParams(
                 f"joint pmf sums to {total!r}; must equal 1 within {NORM_TOL}"
             )
@@ -182,21 +183,23 @@ def _check_pmf_vector(name: str, vec: np.ndarray) -> None:
         raise DimensionMismatch(f"{name} must be a 1-D probability vector")
     if vec.size < 1:
         raise DimensionMismatch(f"{name} must have at least one entry")
-    if float(vec.min()) < 0.0:
-        raise InvalidParams(f"{name} has negative entries")
+    # Written so that NaN fails both checks, with no extra pass.
+    if not float(vec.min()) >= 0.0:
+        raise InvalidParams(f"{name} has negative or NaN entries")
     total = float(vec.sum())
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise InvalidParams(f"{name} sums to {total!r}; must equal 1 within {NORM_TOL}")
 
 
 def _check_conditional(name: str, table: np.ndarray, cond_axes: int) -> None:
     """Check that ``table`` is a stochastic map from its first ``cond_axes`` axes."""
-    if float(table.min()) < 0.0:
-        raise InvalidParams(f"{name} has negative entries")
+    # Written so that NaN fails both checks, with no extra pass.
+    if not float(table.min()) >= 0.0:
+        raise InvalidParams(f"{name} has negative or NaN entries")
     out_axes = tuple(range(cond_axes, table.ndim))
     totals = table.sum(axis=out_axes)
     worst = float(np.abs(totals - 1.0).max())
-    if worst > NORM_TOL:
+    if not worst <= NORM_TOL:
         raise InvalidParams(
             f"{name} rows must each sum to 1 within {NORM_TOL}; "
             f"worst deviation is {worst!r}"

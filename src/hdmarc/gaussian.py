@@ -15,29 +15,31 @@ All rates are in bits per channel use.  Formula shape notes:
 * ``relay_view`` below is the determinant-like quantity coupling the two
   source-to-relay paths, and ``relay_link`` is the relay-to-destination
   received power.
+
+The formulas are written once, in :func:`rate_terms` and
+:func:`sigma_threshold`, over floats or numpy arrays of (beta, sigma_q2);
+scalar entry points and whole-grid sweeps share them, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Any, NamedTuple, Optional
+
+import numpy as np
 
 from .core import (
     DegenerateRelayLink,
     InvalidParams,
+    OutOfRange,
     RateRegion,
     SchemeId,
     SlotFraction,
+    clamp_bounds,
     clamp_region,
     validate_beta,
 )
-
-#: Initial bisection bracket for the quantization-variance crossing.
-SIGMA_BRACKET = (1e-9, 1e9)
-
-#: Bisection stops when the bracket is narrower than this.
-SIGMA_TOL = 1e-9
 
 #: Interval searched by the slot-fraction optimizer.
 BETA_RANGE = (0.01, 0.99)
@@ -51,6 +53,14 @@ BETA_SEEDS = 33
 #: Relative offset above the feasibility threshold used when a sweep needs a
 #: concrete CF operating point.
 CF_SIGMA_NUDGE = 1e-9
+
+#: Stand-in for sigma_q2 -> infinity when the relay link is dead: the GQF
+#: optimum and the CF fallback, where every branch equals its limit (the
+#: two-slot direct-link bounds) to float64 precision.
+DEAD_LINK_SIGMA = 1e30
+
+#: Smallest positive normal float64; a threshold below it has lost digits.
+_TINY = float(np.finfo(np.float64).tiny)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -132,55 +142,156 @@ def relay_link(params: GaussianMarcParams) -> float:
     return params.hr1**2 * params.pr
 
 
-def _source_view(params: GaussianMarcParams, i: int) -> tuple[float, float, float, float]:
-    """(direct gain, relay gain, slot-1 power, slot-2 power) of source ``i``."""
-    if i == 1:
-        return params.h11, params.h1r, params.p11, params.p12
-    if i == 2:
-        return params.h21, params.h2r, params.p21, params.p22
-    raise InvalidParams(f"source index must be 1 or 2, got {i!r}")
+def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
+    """The six unclamped GQF branches at slot fraction(s) ``beta`` and
+    quantization variance(s) ``sigma_q2``, floats or arrays that broadcast.
 
-
-def _indiv_branch_index_decoded(params: GaussianMarcParams, i: int) -> float:
-    """Source-i bound when the quantization index is recovered and helps."""
-    hi1, hir, pi1, pi2 = _source_view(params, i)
-    sigma = _require_sigma(params)
-    b = params.beta.beta
-    slot1 = 0.5 * b * math.log2(
-        1.0 + hi1**2 * pi1 + hir**2 * pi1 / (1.0 + sigma)
+    ``a(i)``/``b(i)`` bound source i with the quantization index recovered /
+    jointly explained, ``I1``/``I2`` the sum.  Only the gains and powers of
+    ``params`` are used.  A value leaving the float64 range raises
+    :class:`OutOfRange` instead of becoming inf.
+    """
+    # numpy scalars or arrays, so that every operation below obeys errstate.
+    beta, sigma_q2 = np.float64(beta), np.float64(sigma_q2)
+    inside = (beta > 0.0) & (beta < 1.0) & (sigma_q2 > 0.0) & (sigma_q2 < math.inf)
+    if not inside.all():  # NaN fails too
+        raise OutOfRange(
+            f"need 0 < beta < 1 and 0 < sigma_q2 < inf, got {beta}, {sigma_q2}"
+        )
+    s1, s2, link = slot1_signal(params), slot2_signal(params), relay_link(params)
+    sources = (
+        (1, params.h11, params.h1r, params.p11, params.p12),
+        (2, params.h21, params.h2r, params.p21, params.p22),
     )
-    slot2 = 0.5 * (1.0 - b) * math.log2(1.0 + hi1**2 * pi2)
-    return slot1 + slot2
+    terms = {}
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            w1 = 0.5 * beta
+            w2 = 0.5 * (1.0 - beta)
+            shrink = 1.0 + sigma_q2
+            for i, h_direct, h_relay, p_slot1, p_slot2 in sources:
+                direct = 1.0 + h_direct**2 * p_slot1
+                terms[f"a({i})"] = w1 * np.log2(
+                    direct + h_relay**2 * p_slot1 / shrink
+                ) + w2 * np.log2(1.0 + h_direct**2 * p_slot2)
+                terms[f"b({i})"] = w1 * np.log2(
+                    direct * sigma_q2 / shrink
+                ) + w2 * np.log2(1.0 + h_direct**2 * p_slot2 + link)
+            terms["I1"] = w1 * np.log2(
+                s1 + relay_view(params) / shrink
+            ) + w2 * np.log2(s2)
+            terms["I2"] = w1 * np.log2(
+                s1 * sigma_q2 / shrink
+            ) + w2 * np.log2(s2 + link)
+    except FloatingPointError as exc:
+        raise OutOfRange(
+            f"Gaussian closed forms leave the float64 range ({exc}) at "
+            f"beta={beta}, sigma_q2={sigma_q2}"
+        ) from None
+    return terms
 
 
-def _indiv_branch_index_as_noise(params: GaussianMarcParams, i: int) -> float:
-    """Source-i bound when the quantization index is jointly explained."""
-    hi1, _, pi1, pi2 = _source_view(params, i)
-    sigma = _require_sigma(params)
-    b = params.beta.beta
-    slot1 = 0.5 * b * math.log2((1.0 + hi1**2 * pi1) * sigma / (1.0 + sigma))
-    slot2 = 0.5 * (1.0 - b) * math.log2(1.0 + hi1**2 * pi2 + relay_link(params))
-    return slot1 + slot2
+def sigma_threshold(params: GaussianMarcParams, beta):
+    """CF binning threshold at slot fraction(s) ``beta`` (float or array).
+
+    Raises :class:`DegenerateRelayLink` for a dead relay link, and
+    :class:`OutOfRange` naming the first ``beta`` whose threshold leaves the
+    normal float64 range (small ``beta`` on a strong link, where the pipe
+    ``(1 + link/S2)**((1-beta)/beta)`` overflows).
+    """
+    link = relay_link(params)
+    if link <= 0.0:
+        raise DegenerateRelayLink(
+            "relay-to-destination link carries nothing (hr1**2 * pr == 0)"
+        )
+    beta = np.float64(beta)
+    with np.errstate(all="ignore"):
+        # (1 + link/S2)**((1-b)/b) - 1, via expm1/log1p: the plain pow loses
+        # the trailing digits that decide the threshold when the
+        # exponentiated base is close to 1, and thresholds grow like 1/pipe.
+        pipe = np.expm1((1.0 - beta) / beta * np.log1p(link / slot2_signal(params)))
+        sigma = (1.0 + relay_view(params) / slot1_signal(params)) / pipe
+    bad = ~((sigma >= _TINY) & (sigma < math.inf))
+    if np.any(bad):
+        first = np.flatnonzero(bad)[0]
+        raise OutOfRange(
+            f"CF binning threshold at beta={float(np.ravel(beta)[first])!r} is "
+            f"{float(np.ravel(sigma)[first])!r}, outside the normal float64 "
+            "range: the relay pipe (1 + link/S2)**((1-beta)/beta) over- or "
+            "underflows; use a larger beta"
+        )
+    return sigma
 
 
-def _sum_index_decoded(params: GaussianMarcParams) -> float:
-    """Sum bound when the quantization index is recovered and helps (I1)."""
-    sigma = _require_sigma(params)
-    b = params.beta.beta
-    slot1 = 0.5 * b * math.log2(
-        slot1_signal(params) + relay_view(params) / (1.0 + sigma)
+class Bounds(NamedTuple):
+    """Unclamped bounds of one scheme at one point or over a grid, with the
+    feasibility flag, the quantization variance asked for at each point
+    (swept, GQF-optimal or the CF operating point) and the named terms."""
+
+    r1: Any
+    r2: Any
+    rsum: Any
+    feasible: Any
+    sigma: Any
+    terms: dict
+
+
+def gqf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
+    """GQF bounds at each ``(beta, sigma_q2)``; always feasible.
+
+    ``sigma_q2=None`` takes the sum-optimal variance at each ``beta``: the
+    CF threshold (the paper's threshold identity), or
+    :data:`DEAD_LINK_SIGMA` when the relay link is dead.
+    """
+    if sigma_q2 is None:
+        if relay_link(params) > 0.0:
+            sigma_q2 = sigma_threshold(params, beta)
+        else:
+            sigma_q2 = np.full(np.shape(beta), DEAD_LINK_SIGMA)
+    terms = rate_terms(params, beta, sigma_q2)
+    return Bounds(
+        np.minimum(terms["a(1)"], terms["b(1)"]),
+        np.minimum(terms["a(2)"], terms["b(2)"]),
+        np.minimum(terms["I1"], terms["I2"]),
+        True,
+        sigma_q2,
+        terms,
     )
-    slot2 = 0.5 * (1.0 - b) * math.log2(slot2_signal(params))
-    return slot1 + slot2
 
 
-def _sum_index_as_noise(params: GaussianMarcParams) -> float:
-    """Sum bound when the quantization index is jointly explained (I2)."""
-    sigma = _require_sigma(params)
-    b = params.beta.beta
-    slot1 = 0.5 * b * math.log2(slot1_signal(params) * sigma / (1.0 + sigma))
-    slot2 = 0.5 * (1.0 - b) * math.log2(slot2_signal(params) + relay_link(params))
-    return slot1 + slot2
+def cf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
+    """CF bounds at each ``(beta, sigma_q2)``.
+
+    Where the binning constraint fails (``sigma_q2`` at or below the
+    threshold) the point is infeasible and the bounds are evaluated at the
+    threshold itself, the closure point of the CF region.  With a dead relay
+    link every point falls back to the two-slot no-relay region: the
+    index-as-noise branches b(1), b(2), I2 in the limit sigma_q2 -> infinity.
+    ``sigma_q2=None`` operates each ``beta`` just above its threshold, at
+    ``threshold * (1 + CF_SIGMA_NUDGE)``, or at 1 with a dead link.
+    """
+    try:
+        sigma_min = sigma_threshold(params, beta)
+    except DegenerateRelayLink:
+        if sigma_q2 is None:
+            sigma_q2 = np.ones(np.shape(beta))
+        t = rate_terms(params, beta, DEAD_LINK_SIGMA)
+        terms = {"sigma_min": math.inf, "degenerate_relay_link": 1.0}
+        return Bounds(t["b(1)"], t["b(2)"], t["I2"], False, sigma_q2, terms)
+    if sigma_q2 is None:
+        sigma_q2 = sigma_min * (1.0 + CF_SIGMA_NUDGE)
+    feasible = sigma_q2 > sigma_min
+    used = np.where(feasible, sigma_q2, sigma_min)
+    t = rate_terms(params, beta, used)
+    terms = {"a(1)": t["a(1)"], "a(2)": t["a(2)"], "I1": t["I1"]}
+    terms.update(sigma_min=sigma_min, sigma_used=used)
+    return Bounds(t["a(1)"], t["a(2)"], t["I1"], feasible, sigma_q2, terms)
+
+
+def _rate_region(bounds: Bounds) -> RateRegion:
+    """The :class:`RateRegion` of a single-point evaluation."""
+    terms = {name: float(value) for name, value in bounds.terms.items()}
+    return clamp_region(bounds.r1, bounds.r2, bounds.rsum, bool(bounds.feasible), terms)
 
 
 @dataclass(frozen=True)
@@ -197,47 +308,30 @@ class SumRateTerms:
 
 def gqf_individual_rate(params: GaussianMarcParams, i: int) -> float:
     """GQF bound on source ``i``'s rate at fixed (sigma_q2, beta), clamped at 0."""
-    return max(
-        0.0,
-        min(
-            _indiv_branch_index_decoded(params, i),
-            _indiv_branch_index_as_noise(params, i),
-        ),
-    )
+    if i not in (1, 2):
+        raise InvalidParams(f"source index must be 1 or 2, got {i!r}")
+    region = gqf_rates(params)
+    return region.r1_max if i == 1 else region.r2_max
 
 
 def gqf_sum_terms(params: GaussianMarcParams) -> SumRateTerms:
     """Both GQF sum-rate branches at fixed (sigma_q2, beta), unclamped."""
-    return SumRateTerms(_sum_index_decoded(params), _sum_index_as_noise(params))
+    terms = rate_terms(params, params.beta.beta, _require_sigma(params))
+    return SumRateTerms(float(terms["I1"]), float(terms["I2"]))
 
 
 def gqf_rates(params: GaussianMarcParams) -> RateRegion:
     """Full GQF region at fixed (sigma_q2, beta).  Always feasible."""
-    terms = {
-        "a(1)": _indiv_branch_index_decoded(params, 1),
-        "b(1)": _indiv_branch_index_as_noise(params, 1),
-        "a(2)": _indiv_branch_index_decoded(params, 2),
-        "b(2)": _indiv_branch_index_as_noise(params, 2),
-    }
-    sum_terms = gqf_sum_terms(params)
-    terms["I1"] = sum_terms.i1
-    terms["I2"] = sum_terms.i2
-    return clamp_region(
-        min(terms["a(1)"], terms["b(1)"]),
-        min(terms["a(2)"], terms["b(2)"]),
-        sum_terms.bound,
-        feasible=True,
-        terms=terms,
-    )
+    return _rate_region(gqf_bounds(params, params.beta.beta, _require_sigma(params)))
 
 
 @dataclass(frozen=True)
 class SigmaOptimum:
-    """Result of the quantization-variance search.
+    """The sum-optimal GQF quantization variance and the sum rate there.
 
-    ``crossing`` is True when the two sum branches actually intersect; when
-    they never do (e.g. the relay link is useless), ``sigma_q2`` is the
-    better bracket endpoint and ``sum_rate`` the bound there.
+    ``crossing`` is False for a dead relay link: the sum branches then meet
+    only as sigma_q2 -> infinity, reported as :data:`DEAD_LINK_SIGMA` with
+    the I2 value there (the two-slot direct-link sum bound).
     """
 
     sigma_q2: float
@@ -245,64 +339,24 @@ class SigmaOptimum:
     crossing: bool
 
 
-def gqf_optimize_sigma(
-    params: GaussianMarcParams,
-    bracket: tuple[float, float] = SIGMA_BRACKET,
-) -> SigmaOptimum:
+def _gqf_sum_rate(params: GaussianMarcParams, bounds: Bounds):
+    """The sum rate at the optimum: I1 at the crossing, else the I2 limit."""
+    return bounds.terms["I1" if relay_link(params) > 0.0 else "I2"]
+
+
+def gqf_optimize_sigma(params: GaussianMarcParams) -> SigmaOptimum:
     """Quantization variance maximizing the GQF sum bound min(I1, I2).
 
     I1 falls and I2 rises in sigma_q2, so the max-min sits where they
-    cross; bisection on the monotone difference I1 - I2 finds it.  The
-    initial ``bracket`` is expanded geometrically when the sign change
-    lies outside it, so the result does not depend on the bracket choice.
+    cross, and by the paper's threshold identity that is exactly the CF
+    binning threshold :func:`cf_sigma_min`: a closed form, no search.
     """
-    if not (0.0 < bracket[0] < bracket[1]) or not all(
-        math.isfinite(edge) for edge in bracket
-    ):
-        raise InvalidParams(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
-
-    s1 = slot1_signal(params)
-    view = relay_view(params)
-    link_gain = relay_link(params) / slot2_signal(params)
-    b = params.beta.beta
-
-    def gap(sigma: float) -> float:
-        # Algebraically identical to gqf_sum_terms(...).i1 - .i2, but with the
-        # shared log2(slot1_signal) cancelled symbolically: near the crossing
-        # the plain difference of O(1) logs loses enough precision to misplace
-        # the root by far more than SIGMA_TOL when the crossing is large.
-        return 0.5 * (
-            b * math.log1p((s1 + view) / (s1 * sigma))
-            - (1.0 - b) * math.log1p(link_gain)
-        ) / math.log(2.0)
-
-    lo, hi = bracket
-    gap_lo, gap_hi = gap(lo), gap(hi)
-    while gap_lo <= 0.0 and lo > 1e-30:
-        lo /= 10.0
-        gap_lo = gap(lo)
-    while gap_hi >= 0.0 and hi < 1e30:
-        hi *= 10.0
-        gap_hi = gap(hi)
-
-    if gap_lo <= 0.0 or gap_hi >= 0.0:
-        # The difference never changes sign: one branch dominates everywhere,
-        # so the supremum sits at an extreme of the search range.
-        edge = hi if gap_hi >= 0.0 else lo
-        terms = gqf_sum_terms(replace(params, sigma_q2=edge))
-        return SigmaOptimum(sigma_q2=edge, sum_rate=terms.bound, crossing=False)
-
-    while (hi - lo) > SIGMA_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket narrower than float spacing
-            break
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    sigma = 0.5 * (lo + hi)
-    terms = gqf_sum_terms(replace(params, sigma_q2=sigma))
-    return SigmaOptimum(sigma_q2=sigma, sum_rate=terms.i1, crossing=True)
+    bounds = gqf_bounds(params, params.beta.beta)
+    return SigmaOptimum(
+        sigma_q2=float(bounds.sigma),
+        sum_rate=float(_gqf_sum_rate(params, bounds)),
+        crossing=relay_link(params) > 0.0,
+    )
 
 
 def cf_sigma_min(params: GaussianMarcParams) -> float:
@@ -312,36 +366,7 @@ def cf_sigma_min(params: GaussianMarcParams) -> float:
     relay pipe" for sigma_q2.  Requires a live relay-to-destination link;
     otherwise the pipe has zero capacity and no variance is small enough.
     """
-    link = relay_link(params)
-    if link <= 0.0:
-        raise DegenerateRelayLink(
-            "relay-to-destination link carries nothing (hr1**2 * pr == 0)"
-        )
-    b = params.beta.beta
-    # (1 + link/S2)**((1-b)/b) - 1, via expm1/log1p: the plain pow loses the
-    # trailing digits that decide the threshold when the exponentiated base
-    # is close to 1, and thresholds grow like 1/pipe.
-    pipe = math.expm1(
-        (1.0 - b) / b * math.log1p(link / slot2_signal(params))
-    )
-    return (1.0 + relay_view(params) / slot1_signal(params)) / pipe
-
-
-def _two_slot_no_relay_bounds(
-    params: GaussianMarcParams,
-) -> tuple[float, float, float]:
-    """Two-slot MAC bounds with the relay silent in both slots."""
-    b = params.beta.beta
-    r1 = 0.5 * b * math.log2(1.0 + params.h11**2 * params.p11) + 0.5 * (
-        1.0 - b
-    ) * math.log2(1.0 + params.h11**2 * params.p12)
-    r2 = 0.5 * b * math.log2(1.0 + params.h21**2 * params.p21) + 0.5 * (
-        1.0 - b
-    ) * math.log2(1.0 + params.h21**2 * params.p22)
-    rsum = 0.5 * b * math.log2(slot1_signal(params)) + 0.5 * (1.0 - b) * math.log2(
-        slot2_signal(params)
-    )
-    return r1, r2, rsum
+    return float(sigma_threshold(params, params.beta.beta))
 
 
 def cf_rates(params: GaussianMarcParams) -> RateRegion:
@@ -352,27 +377,7 @@ def cf_rates(params: GaussianMarcParams) -> RateRegion:
     itself — the closure point of the CF region.  With a dead relay link
     the fallback is the plain two-slot no-relay region.
     """
-    sigma = _require_sigma(params)
-    try:
-        sigma_min = cf_sigma_min(params)
-    except DegenerateRelayLink:
-        r1, r2, rsum = _two_slot_no_relay_bounds(params)
-        terms = {"sigma_min": math.inf, "degenerate_relay_link": 1.0}
-        return clamp_region(r1, r2, rsum, feasible=False, terms=terms)
-
-    feasible = sigma > sigma_min
-    operating = replace(params, sigma_q2=sigma if feasible else sigma_min)
-    r1 = _indiv_branch_index_decoded(operating, 1)
-    r2 = _indiv_branch_index_decoded(operating, 2)
-    rsum = _sum_index_decoded(operating)
-    terms = {
-        "a(1)": r1,
-        "a(2)": r2,
-        "I1": rsum,
-        "sigma_min": sigma_min,
-        "sigma_used": operating.sigma_q2,
-    }
-    return clamp_region(r1, r2, rsum, feasible=feasible, terms=terms)
+    return _rate_region(cf_bounds(params, params.beta.beta, _require_sigma(params)))
 
 
 def no_relay_rates(h11: float, h21: float, p1: float, p2: float) -> RateRegion:
@@ -405,16 +410,17 @@ class BetaOptimum:
 
 
 def cf_operating_point(params: GaussianMarcParams) -> GaussianMarcParams:
-    """CF parameters with sigma_q2 pinned just above the binning threshold.
+    """CF parameters with sigma_q2 pinned just above the binning threshold
+    (at 1 with a dead relay link, where :func:`cf_rates` falls back)."""
+    return replace(params, sigma_q2=float(cf_bounds(params, params.beta.beta).sigma))
 
-    With a dead relay link there is no threshold; sigma_q2 is set to 1 and
-    :func:`cf_rates` will take its no-relay fallback.
-    """
-    try:
-        sigma = cf_sigma_min(params) * (1.0 + CF_SIGMA_NUDGE)
-    except DegenerateRelayLink:
-        sigma = 1.0
-    return replace(params, sigma_q2=sigma)
+
+def _smallest_beta(params: GaussianMarcParams) -> float:
+    """Slot fraction where the CF threshold A / expm1((1-beta)/beta * L) is
+    2**-1000, with L = log1p(link/S2), A = 1 + view/S1 (0 for a dead link)."""
+    pipe = math.log1p(relay_link(params) / slot2_signal(params))
+    reach = math.log1p(relay_view(params) / slot1_signal(params)) + 1000 * math.log(2.0)
+    return pipe / (pipe + reach)
 
 
 def optimize_beta(
@@ -424,43 +430,33 @@ def optimize_beta(
 ) -> BetaOptimum:
     """Slot fraction maximizing a rate bound for the given scheme.
 
-    For GQF the quantization variance is re-optimized at every candidate
-    beta; for CF it is pinned just above the binning threshold.  The
-    objective ("sum", "r1" or "r2") need not be unimodal in beta, so a
-    33-point grid picks the best neighborhood first and golden-section
-    refines inside it.
+    For GQF the quantization variance is the sum-optimal one at every
+    candidate beta; for CF it is pinned just above the binning threshold.
+    The objective ("sum", "r1" or "r2") need not be unimodal in beta, so a
+    33-point grid, evaluated in one pass, picks the best neighborhood first
+    and golden-section refines inside it.  The search covers
+    :data:`BETA_RANGE`, starting higher only on relay links so strong that
+    the threshold at its low end would leave the float64 range.
     """
     if scheme not in (SchemeId.GQF, SchemeId.CF):
-        raise InvalidParams(
-            f"slot-fraction search applies to GQF or CF, got {scheme!r}"
-        )
+        raise InvalidParams(f"slot-fraction search takes GQF or CF, got {scheme!r}")
     if objective not in ("sum", "r1", "r2"):
-        raise InvalidParams(
-            f"objective must be 'sum', 'r1' or 'r2', got {objective!r}"
-        )
+        raise InvalidParams(f"objective must be 'sum', 'r1' or 'r2', got {objective!r}")
+    evaluate = gqf_bounds if scheme is SchemeId.GQF else cf_bounds
 
-    def value(beta: float) -> float:
-        candidate = replace(params, beta=validate_beta(beta), sigma_q2=None)
-        if scheme is SchemeId.GQF:
-            optimum = gqf_optimize_sigma(candidate)
-            if objective == "sum":
-                return optimum.sum_rate
-            at_opt = replace(candidate, sigma_q2=optimum.sigma_q2)
-            return gqf_individual_rate(at_opt, 1 if objective == "r1" else 2)
-        region = cf_rates(cf_operating_point(candidate))
-        return {
-            "sum": region.sum_max,
-            "r1": region.r1_max,
-            "r2": region.r2_max,
-        }[objective]
+    def value(beta):
+        bounds = evaluate(params, beta)
+        if scheme is SchemeId.GQF and objective == "sum":
+            return _gqf_sum_rate(params, bounds)
+        r1, r2, rsum = clamp_bounds(bounds.r1, bounds.r2, bounds.rsum)
+        return {"sum": rsum, "r1": r1, "r2": r2}[objective]
 
-    lo_edge, hi_edge = BETA_RANGE
+    lo_edge, hi_edge = max(BETA_RANGE[0], _smallest_beta(params)), BETA_RANGE[1]
     step = (hi_edge - lo_edge) / (BETA_SEEDS - 1)
-    seeds = [lo_edge + step * index for index in range(BETA_SEEDS)]
-    values = [value(seed) for seed in seeds]
-    best = max(range(BETA_SEEDS), key=values.__getitem__)
-    lo = seeds[best - 1] if best > 0 else lo_edge
-    hi = seeds[best + 1] if best < BETA_SEEDS - 1 else hi_edge
+    seeds = lo_edge + step * np.arange(BETA_SEEDS)
+    best = int(np.argmax(value(seeds)))
+    lo = float(seeds[best - 1]) if best > 0 else lo_edge
+    hi = float(seeds[best + 1]) if best < BETA_SEEDS - 1 else hi_edge
 
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
@@ -475,4 +471,4 @@ def optimize_beta(
             x2 = lo + _INVPHI * (hi - lo)
             f2 = value(x2)
     beta = 0.5 * (lo + hi)
-    return BetaOptimum(beta=beta, rate=value(beta))
+    return BetaOptimum(beta=beta, rate=float(value(beta)))

@@ -16,13 +16,21 @@ schemes without a quantizer.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, HdmarcError, RateRegion, SchemeId, validate_beta
+from .core import (
+    ConfigError,
+    HdmarcError,
+    RateRegion,
+    SchemeId,
+    clamp_bounds,
+    validate_beta,
+)
 from .dminfo import DmChannelSpec, spec_from_dict
 from .dmregions import (
     cf_region_cmacr,
@@ -32,14 +40,7 @@ from .dmregions import (
     no_relay_region_cmacr,
     no_relay_region_marc,
 )
-from .gaussian import (
-    GaussianMarcParams,
-    cf_operating_point,
-    cf_rates,
-    gqf_optimize_sigma,
-    gqf_rates,
-    no_relay_rates,
-)
+from .gaussian import GaussianMarcParams, cf_bounds, gqf_bounds, no_relay_rates
 
 #: The only schema version this package reads.
 SCHEMA_VERSION = 1
@@ -67,6 +68,10 @@ class GridSpec:
         if self.spacing not in ("linear", "log"):
             raise ConfigError(
                 f"grid spacing must be 'linear' or 'log', got {self.spacing!r}"
+            )
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigError(
+                f"grid bounds must be finite, got min={self.lo!r} max={self.hi!r}"
             )
         if not self.lo < self.hi:
             raise ConfigError(
@@ -203,6 +208,19 @@ def gaussian_point_from_dict(doc: dict) -> GaussianMarcParams:
         raise ConfigError(f"invalid channel parameters: {exc}") from exc
 
 
+def no_relay_from_dict(doc: dict) -> tuple[float, float]:
+    """Parse a ``no_relay`` block: the baseline powers ``P1`` and ``P2``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"no_relay must be an object, got {type(doc).__name__}")
+    extra = sorted(set(doc) - {"P1", "P2"})
+    if extra:
+        raise ConfigError(f"no_relay has unknown fields {extra}")
+    return (
+        _require(doc, "P1", float, "no_relay"),
+        _require(doc, "P2", float, "no_relay"),
+    )
+
+
 def config_from_dict(doc: dict) -> SweepConfig:
     """Validate a sweep document and build a :class:`SweepConfig`.
 
@@ -260,6 +278,8 @@ def config_from_dict(doc: dict) -> SweepConfig:
             f"beta grid must lie strictly inside (0, 1), got "
             f"[{grid.lo!r}, {grid.hi!r}]"
         )
+    if swept == "sigma_q2" and not grid.lo > 0.0:
+        raise ConfigError(f"sigma_q2 grid needs min > 0, got {grid.lo!r}")
 
     schemes = _parse_schemes(doc.get("schemes"))
     channel_doc = _require(doc, "channel", dict, "config")
@@ -277,14 +297,7 @@ def config_from_dict(doc: dict) -> SweepConfig:
         params = _parse_gaussian_channel(channel_doc, swept)
         no_relay = None
         if "no_relay" in doc:
-            nr_doc = _require(doc, "no_relay", dict, "config")
-            extra = sorted(set(nr_doc) - {"P1", "P2"})
-            if extra:
-                raise ConfigError(f"no_relay has unknown fields {extra}")
-            no_relay = (
-                _require(nr_doc, "P1", float, "no_relay"),
-                _require(nr_doc, "P2", float, "no_relay"),
-            )
+            no_relay = no_relay_from_dict(_require(doc, "no_relay", dict, "config"))
         if SchemeId.NO_RELAY in schemes and no_relay is None:
             raise ConfigError(
                 "the NO_RELAY scheme needs a no_relay block with baseline "
@@ -356,32 +369,27 @@ def _gaussian_rows(
     config: SweepConfig, scheme: SchemeId, values: tuple[float, ...]
 ) -> tuple[RegionRow, ...]:
     params = config.gaussian
-    rows = []
-    for value in values:
-        if config.swept == "sigma_q2":
-            point = replace(params, sigma_q2=value)
-        else:
-            point = replace(params, beta=validate_beta(value), sigma_q2=None)
-
-        if scheme is SchemeId.NO_RELAY:
-            p1, p2 = config.no_relay
-            rows.append(_row(no_relay_rates(params.h11, params.h21, p1, p2), None))
-        elif scheme is SchemeId.GQF:
-            if config.swept == "sigma_q2":
-                rows.append(_row(gqf_rates(point), point.sigma_q2))
-            else:
-                optimum = gqf_optimize_sigma(point)
-                at_opt = replace(point, sigma_q2=optimum.sigma_q2)
-                rows.append(_row(gqf_rates(at_opt), optimum.sigma_q2))
-        else:  # CF
-            if config.swept == "sigma_q2":
-                region = cf_rates(point)
-                rows.append(_row(region, point.sigma_q2))
-            else:
-                at_threshold = cf_operating_point(point)
-                region = cf_rates(at_threshold)
-                rows.append(_row(region, at_threshold.sigma_q2))
-    return tuple(rows)
+    if scheme is SchemeId.NO_RELAY:
+        p1, p2 = config.no_relay
+        baseline = _row(no_relay_rates(params.h11, params.h21, p1, p2), None)
+        return (baseline,) * len(values)
+    # One closed-form evaluation over the whole grid.  On a beta sweep each
+    # scheme picks its own variance: GQF the sum optimum, CF just above the
+    # binning threshold.
+    grid = np.asarray(values)
+    if config.swept == "sigma_q2":
+        beta, sigma = params.beta.beta, grid
+    else:
+        beta, sigma = grid, None
+    evaluate = gqf_bounds if scheme is SchemeId.GQF else cf_bounds
+    bounds = evaluate(params, beta, sigma)
+    columns = (
+        *clamp_bounds(bounds.r1, bounds.r2, bounds.rsum),
+        bounds.feasible,
+        bounds.sigma,
+    )
+    lists = (np.broadcast_to(column, grid.shape).tolist() for column in columns)
+    return tuple(RegionRow(*row) for row in zip(*lists))
 
 
 def _dm_rows(

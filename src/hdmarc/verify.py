@@ -8,7 +8,8 @@ Subjects:
 
 * ``closed-forms`` — every closed-form Gaussian term against log-det
   mutual informations, plus the threshold identity (the sum-optimal
-  quantization variance equals the CF feasibility threshold).
+  quantization variance sits where the two sum branches cross, to 1e-9
+  relative, and there GQF and CF reach the same sum rate).
 * ``dm-regions`` — the simplified finite-alphabet bounds against the raw
   inequality system with the quantization-codebook rate eliminated.
 * ``reductions`` — single-source and silent-destination degenerations
@@ -17,6 +18,7 @@ Subjects:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -37,6 +39,10 @@ from .gaussian import (
     cf_sigma_min,
     gqf_optimize_sigma,
     gqf_rates,
+    relay_link,
+    relay_view,
+    slot1_signal,
+    slot2_signal,
 )
 from .oracle import build_covariance, gaussian_mi, gqf_region_via_ru_sweep
 
@@ -45,6 +51,9 @@ DEFAULT_DRAWS = {"closed-forms": 100, "dm-regions": 50, "reductions": 50}
 
 #: Absolute tolerance for the Gaussian closed-form checks.
 GAUSSIAN_TOL = 1e-9
+
+#: Relative tolerance on the sum-optimal quantization variance.
+SIGMA_REL_TOL = 1e-9
 
 #: Absolute tolerance for the finite-alphabet cross-checks.
 DM_TOL = 1e-10
@@ -251,6 +260,22 @@ def _oracle_gqf_terms(params: GaussianMarcParams) -> dict[str, float]:
     return values
 
 
+def _crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
+    """Distance from ``sigma`` to the crossing of the sum branches, relative
+    to ``sigma``: one Newton step in log(sigma) on the forward gap I1 - I2,
+    written as b*log1p(q) - (1-b)*log1p(link/S2) with q = (S1 + view) /
+    (S1 * sigma).  It shares no code with the expm1 closed form of the
+    threshold and stays accurate to a few ulps at any scale of sigma."""
+    b = params.beta.beta
+    s1 = slot1_signal(params)
+    q = (s1 + relay_view(params)) / (s1 * sigma)
+    gap = b * math.log1p(q) - (1.0 - b) * math.log1p(
+        relay_link(params) / slot2_signal(params)
+    )
+    slope = -b * q / (1.0 + q)  # sigma * d(gap)/d(sigma)
+    return gap / slope
+
+
 def verify_closed_forms(seed: int = 0, draws: int = 100) -> Report:
     """Gaussian closed forms vs log-det oracle, plus the threshold identity."""
     _check_draws(draws)
@@ -279,10 +304,13 @@ def verify_closed_forms(seed: int = 0, draws: int = 100) -> Report:
         rhs = (1.0 - b) * gaussian_mi(model2, {"XR"}, {"Y12"})
         worst.record("cf_threshold_balance", lhs - rhs, GAUSSIAN_TOL)
 
-        # Threshold identity: the sum-optimal GQF quantizer sits exactly at
-        # the CF threshold, and both schemes meet at the same sum rate.
+        # Threshold identity: the sum-optimal GQF quantizer sits exactly
+        # where the two sum branches cross, and there both schemes meet at
+        # the same sum rate.
         optimum = gqf_optimize_sigma(params)
-        worst.record("threshold_sigma", optimum.sigma_q2 - sigma_min, GAUSSIAN_TOL)
+        worst.record(
+            "threshold_sigma", _crossing_offset(params, optimum.sigma_q2), SIGMA_REL_TOL
+        )
         cf_at_threshold = cf_rates(at_min)
         worst.record(
             "threshold_sum_rate",

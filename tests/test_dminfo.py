@@ -6,6 +6,7 @@ the full joint tensors, independently of the vectorized implementations.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,6 +282,32 @@ def test_spec_rejects_unnormalized_conditional_rows():
             slot1=bad,
             slot2=spec.slot2,
         )
+
+
+@pytest.mark.parametrize(
+    "table",
+    ["px11", "px21", "px12", "px22", "pxr", "test_channel", "slot1", "slot2"],
+)
+def test_spec_rejects_nan_tables(table):
+    # NaN compares False both ways, so it must fail the checks rather than
+    # slip through them into entropies that drop it silently.
+    spec = _random_spec(np.random.default_rng(33))
+    nan_table = np.full_like(getattr(spec, table), np.nan)
+    with pytest.raises(InvalidParams):
+        replace(spec, **{table: nan_table})
+    one_nan = getattr(spec, table).copy()
+    one_nan.flat[0] = np.nan
+    with pytest.raises(InvalidParams):
+        replace(spec, **{table: one_nan})
+
+
+def test_joint_pmf_rejects_nan_and_infinite_entries():
+    with pytest.raises(InvalidParams):
+        JointPmf((Var("X11", 2),), np.array([np.nan, np.nan]))
+    with pytest.raises(InvalidParams):
+        JointPmf((Var("X11", 2),), np.array([1.0, np.nan]))
+    with pytest.raises(InvalidParams):
+        JointPmf((Var("X11", 2),), np.array([1.0, np.inf]))
 
 
 def test_spec_rejects_cross_table_size_mismatch():

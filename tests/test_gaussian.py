@@ -5,8 +5,10 @@ recomputed inside each test, so any regression in the closed forms shows up
 against independently assembled numbers.
 """
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +21,14 @@ from hdmarc import (
     SlotFraction,
     cf_rates,
     cf_sigma_min,
+    config_from_dict,
     gqf_individual_rate,
     gqf_optimize_sigma,
     gqf_rates,
     gqf_sum_terms,
     no_relay_rates,
     optimize_beta,
+    run_sweep,
 )
 from hdmarc.gaussian import (
     BETA_RANGE,
@@ -36,6 +40,8 @@ from hdmarc.gaussian import (
 )
 
 from _support import benchmark_params, random_gaussian_params as _random_params
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -157,27 +163,114 @@ def test_optimize_sigma_finds_the_benchmark_crossing():
     assert result.sum_rate == pytest.approx(terms.i1, abs=1e-12)
 
 
-def test_optimize_sigma_is_invariant_to_the_initial_bracket():
-    reference = gqf_optimize_sigma(benchmark_params())
-    for bracket in ((1e-4, 1e-3), (10.0, 100.0), (1.0, 2.0)):
-        shifted = gqf_optimize_sigma(benchmark_params(), bracket=bracket)
-        assert shifted.sigma_q2 == pytest.approx(reference.sigma_q2, abs=1e-8)
-        assert shifted.crossing is True
+def _exact_threshold(params):
+    """The CF threshold of ``params`` in 40-digit mpmath arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        h11, h21, h1r, h2r, hr1 = map(
+            mpmath.mpf, (params.h11, params.h21, params.h1r, params.h2r, params.hr1)
+        )
+        p11, p12, p21, p22, pr = map(
+            mpmath.mpf, (params.p11, params.p12, params.p21, params.p22, params.pr)
+        )
+        b = mpmath.mpf(params.beta.beta)
+        s1 = 1 + h11**2 * p11 + h21**2 * p21
+        s2 = 1 + h11**2 * p12 + h21**2 * p22
+        view = (h11 * h2r - h1r * h21) ** 2 * p11 * p21 + h1r**2 * p11 + h2r**2 * p21
+        pipe = mpmath.expm1((1 - b) / b * mpmath.log1p(hr1**2 * pr / s2))
+        return (1 + view / s1) / pipe
 
 
-def test_optimize_sigma_rejects_bad_brackets():
-    for bracket in ((0.0, 1.0), (2.0, 1.0), (-1.0, 3.0), (1.0, math.inf)):
-        with pytest.raises(InvalidParams):
-            gqf_optimize_sigma(benchmark_params(), bracket=bracket)
+def test_optimal_sigma_matches_the_exact_threshold_under_fuzz():
+    # The sum-optimal variance is the closed-form threshold (no search), so
+    # it holds to 1e-12 relative at any beta, down to where the threshold
+    # is far below any absolute tolerance a search could use.
+    rng = np.random.default_rng(63)
+    betas = [0.01, 0.05] + [float(b) for b in rng.uniform(0.1, 0.9, 30)]
+    for beta in betas:
+        params = _random_params(rng, beta=beta)
+        result = gqf_optimize_sigma(params)
+        exact = _exact_threshold(params)
+        assert result.crossing is True
+        assert abs(result.sigma_q2 / float(exact) - 1.0) <= 1e-12, (beta, result)
+        at_opt = gqf_sum_terms(replace(params, sigma_q2=result.sigma_q2))
+        assert result.sum_rate == at_opt.i1
+
+
+def _bits(*values):
+    return [float(value).hex() for value in values]
+
+
+@pytest.mark.parametrize(
+    "name", ["gaussian_sigma_sweep.json", "gaussian_beta_sweep.json"]
+)
+def test_shipped_sweep_rows_equal_scalar_evaluations_bit_for_bit(name):
+    # Sweeps evaluate each scheme on the whole grid at once; every row must
+    # be the scalar evaluation at that point, to the last bit.
+    config = config_from_dict(json.loads((CONFIG_DIR / name).read_text()))
+    result = run_sweep(config)
+    p1, p2 = config.no_relay
+    baseline = no_relay_rates(config.gaussian.h11, config.gaussian.h21, p1, p2)
+    for k, value in enumerate(result.values):
+        if config.swept == "sigma_q2":
+            gqf_point = cf_point = replace(config.gaussian, sigma_q2=value)
+        else:
+            point = replace(config.gaussian, beta=value)
+            gqf_point = replace(point, sigma_q2=gqf_optimize_sigma(point).sigma_q2)
+            cf_point = cf_operating_point(point)
+        for scheme, region, sigma in (
+            (SchemeId.GQF, gqf_rates(gqf_point), gqf_point.sigma_q2),
+            (SchemeId.CF, cf_rates(cf_point), cf_point.sigma_q2),
+            (SchemeId.NO_RELAY, baseline, None),
+        ):
+            row = result.rows[scheme][k]
+            assert row.feasible is region.feasible
+            assert row.diag_sigma == sigma
+            assert _bits(row.r1, row.r2, row.rsum) == _bits(
+                region.r1_max, region.r2_max, region.sum_max
+            ), (scheme, value)
 
 
 def test_optimize_sigma_reports_no_crossing_for_dead_relay_link():
     result = gqf_optimize_sigma(benchmark_params(hr1=0.0))
     assert result.crossing is False
     # Coarsening the quantizer costs nothing when the index cannot be
-    # delivered anyway; the supremum sits at the top of the search range.
+    # delivered anyway; the supremum is the limit sigma_q2 -> infinity,
+    # reported at DEAD_LINK_SIGMA.
     assert result.sigma_q2 >= 1e9
     assert result.sum_rate == pytest.approx(0.5 * math.log2(3.0), abs=1e-9)
+
+
+def test_small_beta_threshold_overflow_is_a_typed_error():
+    # (1 + link/S2)**((1-beta)/beta) overflows float64 at beta = 0.001 on
+    # the reference channel; the threshold must not become a silent 0.
+    params = benchmark_params(beta=0.001)
+    with pytest.raises(OutOfRange, match="beta=0.001"):
+        cf_sigma_min(params)
+    with pytest.raises(OutOfRange, match="beta=0.001"):
+        gqf_optimize_sigma(params)
+    with pytest.raises(OutOfRange, match="beta=0.001"):
+        cf_rates(replace(params, sigma_q2=1.0))
+    with pytest.raises(OutOfRange, match="beta=0.001"):
+        cf_operating_point(params)
+    # GQF at a fixed variance needs no threshold and stays finite.
+    assert math.isfinite(gqf_rates(replace(params, sigma_q2=1.0)).sum_max)
+
+
+def test_optimize_beta_on_a_strong_relay_link_skips_unrepresentable_thresholds():
+    # With hR1 = 100 the threshold at beta = 0.01 is far below 1e-308; the
+    # search starts where it is representable and still finds the optimum.
+    params = benchmark_params(hr1=100.0)
+    gqf = optimize_beta(params, SchemeId.GQF)
+    cf = optimize_beta(params, SchemeId.CF)
+    assert gqf.beta == pytest.approx(0.70325, abs=1e-4)
+    assert gqf.rate == pytest.approx(1.636321153, abs=1e-8)
+    assert cf.rate == pytest.approx(gqf.rate, abs=1e-8)
+
+
+def test_closed_form_overflow_is_a_typed_error():
+    with pytest.raises(OutOfRange, match="float64"):
+        gqf_rates(benchmark_params(sigma_q2=1e308))
 
 
 def test_optimize_sigma_maximizes_the_min_branch_under_fuzz():

@@ -24,9 +24,11 @@ from hdmarc import (
     cf_sigma_min,
     entropy,
     gaussian_mi,
+    gqf_optimize_sigma,
     gqf_rates,
     gqf_region_marc,
     gqf_region_via_ru_sweep,
+    run_subject,
     validate_beta,
 )
 from hdmarc.oracle import SLOT1_ORDER, SLOT2_ORDER
@@ -251,6 +253,29 @@ def test_binning_threshold_balances_the_oracle_rates():
         )
         pipe = (1.0 - b) * gaussian_mi(slot2, {"XR"}, {"Y12"})
         assert index_rate == pytest.approx(pipe, abs=1e-9)
+
+
+def _check(report, name):
+    return next(check for check in report.checks if check.name == name)
+
+
+def test_threshold_sigma_check_is_relative_at_large_thresholds():
+    # Draw 9 of seed 108004 has its crossing near 4e6, where an absolute
+    # 1e-9 tolerance on sigma is two float64 ulps.
+    report = run_subject("closed-forms", seed=108004)
+    assert _check(report, "threshold_sigma").ok
+
+
+def test_threshold_sigma_check_catches_a_misplaced_optimum(monkeypatch):
+    def off_by_a_millionth(params):
+        optimum = gqf_optimize_sigma(params)
+        return replace(optimum, sigma_q2=optimum.sigma_q2 * (1.0 + 1e-6))
+
+    monkeypatch.setattr("hdmarc.verify.gqf_optimize_sigma", off_by_a_millionth)
+    report = run_subject("closed-forms", seed=0, draws=5)
+    check = _check(report, "threshold_sigma")
+    assert not check.ok
+    assert check.max_dev == pytest.approx(1e-6, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

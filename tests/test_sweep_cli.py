@@ -5,12 +5,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hdmarc import (
     ConfigError,
+    HdmarcError,
     SchemeId,
     cf_rates,
     cf_sigma_min,
@@ -235,15 +237,35 @@ def test_beta_sweep_reoptimizes_sigma_per_point():
         assert row.diag_sigma == optimum.sigma_q2
         at_opt = gqf_rates(benchmark_params(beta=value, sigma_q2=optimum.sigma_q2))
         assert row.rsum == at_opt.sum_max
-        # The row reports min(I1, I2) at the bisected crossing, the
-        # optimizer reports the falling branch; they agree to the
-        # bisection tolerance.
-        assert row.rsum == pytest.approx(optimum.sum_rate, abs=1e-8)
+        # The row reports min(I1, I2) at the crossing, the optimizer the
+        # falling branch I1; at the closed-form crossing they agree to
+        # rounding.
+        assert row.rsum == pytest.approx(optimum.sum_rate, abs=1e-12)
     for value, row in zip(result.values, result.rows[SchemeId.CF]):
         threshold = cf_sigma_min(benchmark_params(beta=value))
         assert row.diag_sigma == pytest.approx(threshold, rel=1e-8)
         assert row.diag_sigma > threshold
         assert row.feasible is True
+
+
+def test_beta_sweep_names_the_beta_whose_threshold_overflows():
+    doc = _gaussian_sweep_doc()
+    doc["swept"] = "beta"
+    doc["grid"] = {"min": 0.001, "max": 0.5, "points": 3}
+    del doc["channel"]["beta"]
+    config = config_from_dict(doc)
+    for schemes in ((SchemeId.GQF,), (SchemeId.CF,)):
+        with pytest.raises(HdmarcError, match=r"beta=0\.001\b"):
+            run_sweep(replace(config, schemes=schemes))
+
+
+def test_sigma_grid_must_be_positive_and_finite():
+    doc = _gaussian_sweep_doc()
+    doc["grid"] = {"min": 0.0, "max": 4.0, "points": 5}  # linear from zero
+    with pytest.raises(ConfigError):
+        config_from_dict(doc)
+    with pytest.raises(ConfigError):
+        GridSpec(lo=0.5, hi=math.inf, points=5, spacing="log")
 
 
 def test_dm_sweep_runs_both_topologies():
@@ -392,6 +414,38 @@ def test_cli_region_rejects_misplaced_fields(tmp_path):
     assert main(["region", "--config", _write_json(tmp_path / "b.json", with_extra)]) == EXIT_CONFIG
     needs_baseline = dict(base, schemes=["NO_RELAY"])
     assert main(["region", "--config", _write_json(tmp_path / "c.json", needs_baseline)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("power", ["abc", True])
+def test_cli_region_type_checks_no_relay_powers(tmp_path, capsys, power):
+    doc = {
+        "model": "gaussian",
+        "schemes": ["NO_RELAY"],
+        "channel": dict(_gaussian_sweep_doc()["channel"], sigma_q2=3.0),
+        "no_relay": {"P1": power, "P2": 1.5},
+    }
+    config_path = _write_json(tmp_path / "region.json", doc)
+    assert main(["region", "--config", config_path]) == EXIT_CONFIG
+    assert "error: no_relay.P1 must be a number" in capsys.readouterr().err
+
+
+def test_cli_region_small_beta_is_a_config_error_not_a_traceback(tmp_path):
+    doc = {
+        "model": "gaussian",
+        "schemes": ["GQF", "CF"],
+        "channel": dict(_gaussian_sweep_doc()["channel"], beta=0.001, sigma_q2=1.0),
+    }
+    config_path = _write_json(tmp_path / "region.json", doc)
+    completed = subprocess.run(
+        [sys.executable, "-m", "hdmarc.cli", "region", "--config", config_path],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == EXIT_CONFIG
+    assert completed.stderr.startswith("error: ")
+    assert "beta=0.001" in completed.stderr
+    assert "Traceback" not in completed.stderr
 
 
 def test_cli_region_dm(tmp_path, capsys):
