@@ -14,14 +14,7 @@ from typing import Optional, Sequence
 
 from .core import ConfigError, HdmarcError, RateRegion, SchemeId, validate_beta
 from .dminfo import spec_from_dict
-from .dmregions import (
-    cf_region_cmacr,
-    cf_region_marc,
-    gqf_region_cmacr,
-    gqf_region_marc,
-    no_relay_region_cmacr,
-    no_relay_region_marc,
-)
+from .dmregions import dm_regions
 from .gaussian import cf_rates, gqf_rates, no_relay_rates
 from .sweep import (
     config_from_dict,
@@ -183,19 +176,9 @@ def _cmd_region(args: argparse.Namespace) -> int:
                 f"topology must be 'marc' or 'cmacr', got {topology!r}"
             )
         spec = spec_from_dict(doc["channel"])
-        slot = validate_beta(beta)
-        table = {
-            ("marc", SchemeId.GQF): gqf_region_marc,
-            ("marc", SchemeId.CF): cf_region_marc,
-            ("marc", SchemeId.NO_RELAY): no_relay_region_marc,
-            ("cmacr", SchemeId.GQF): gqf_region_cmacr,
-            ("cmacr", SchemeId.CF): cf_region_cmacr,
-            ("cmacr", SchemeId.NO_RELAY): no_relay_region_cmacr,
-        }
-        for scheme in scheme_ids:
-            regions[scheme.value] = _region_to_jsonable(
-                table[(topology, scheme)](spec, slot)
-            )
+        results = dm_regions(spec, topology, scheme_ids, (validate_beta(beta),))
+        for scheme, (region,) in results.items():
+            regions[scheme.value] = _region_to_jsonable(region)
 
     text = json.dumps(regions, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -135,17 +135,22 @@ def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
     return JointPmf(kept_vars, reduced)
 
 
+def _entropy_bits(probs: np.ndarray) -> float:
+    """Entropy in bits of the cells of ``probs`` (0 * log 0 = 0)."""
+    flat = probs.ravel()
+    positive = flat[flat > ZERO_EPS]
+    if positive.size == 0:
+        return 0.0
+    return float(-(positive * np.log2(positive)).sum())
+
+
 def entropy(pmf: JointPmf, names: Iterable[str]) -> float:
     """Joint entropy H of the marginal on ``names``, in bits.
 
     Uses the convention 0 * log 0 = 0; probabilities at or below
     :data:`ZERO_EPS` are treated as exact zeros.
     """
-    flat = marginalize(pmf, names).probs.ravel()
-    positive = flat[flat > ZERO_EPS]
-    if positive.size == 0:
-        return 0.0
-    return float(-(positive * np.log2(positive)).sum())
+    return _entropy_bits(marginalize(pmf, names).probs)
 
 
 def mutual_information(
@@ -176,6 +181,42 @@ def mutual_information(
         - entropy(pmf, c_set)
         - entropy(pmf, a_set | b_set | c_set)
     )
+
+
+class JointEntropies:
+    """Entropies of the marginals of one joint pmf, each computed once.
+
+    Internal fast path for evaluating many information terms on one joint:
+    a marginal is the plain ``probs.sum(axis=drop)`` over the full joint,
+    with no re-validation, and its entropy is memoized by the set of names.
+    Values equal :func:`entropy` and :func:`mutual_information` bit for
+    bit.  Names are not checked; callers pass known variable sets.
+    """
+
+    def __init__(self, pmf: JointPmf) -> None:
+        self._names = pmf.names()
+        self._probs = pmf.probs
+        self._memo: dict[frozenset, float] = {}
+
+    def entropy(self, names: Iterable[str]) -> float:
+        key = frozenset(names)
+        value = self._memo.get(key)
+        if value is None:
+            drop = tuple(i for i, name in enumerate(self._names) if name not in key)
+            value = _entropy_bits(self._probs.sum(axis=drop) if drop else self._probs)
+            self._memo[key] = value
+        return value
+
+    def mutual_information(
+        self, a: set[str], b: set[str], c: set[str] = frozenset()
+    ) -> float:
+        """I(A; B | C), in the term order of :func:`mutual_information`."""
+        return (
+            self.entropy(a | c)
+            + self.entropy(b | c)
+            - self.entropy(c)
+            - self.entropy(a | b | c)
+        )
 
 
 def _check_pmf_vector(name: str, vec: np.ndarray) -> None:

@@ -100,6 +100,22 @@ class GaussianMarcParams:
                     f"power {name} must be finite and non-negative, got {value!r}"
                 )
             object.__setattr__(self, name, value)
+        # Every closed form takes logs of parts of these two sums of
+        # non-negative powers, so finite sums keep every rate finite.
+        try:
+            totals = (
+                slot1_signal(self) + relay_view(self),
+                slot2_signal(self) + relay_link(self),
+            )
+        except OverflowError:  # float ** raises where float * gives inf
+            totals = (math.inf,)
+        if not all(math.isfinite(total) for total in totals):
+            gains = ("h11", "h21", "h1r", "h2r", "hr1")
+            gain = max(gains, key=lambda name: abs(getattr(self, name)))
+            raise InvalidParams(
+                f"received powers overflow float64; the largest gain is "
+                f"{gain}={getattr(self, gain)!r}"
+            )
         if not isinstance(self.beta, SlotFraction):
             object.__setattr__(self, "beta", validate_beta(self.beta))
         if self.sigma_q2 is not None:

@@ -32,14 +32,7 @@ from .core import (
     validate_beta,
 )
 from .dminfo import DmChannelSpec, spec_from_dict
-from .dmregions import (
-    cf_region_cmacr,
-    cf_region_marc,
-    gqf_region_cmacr,
-    gqf_region_marc,
-    no_relay_region_cmacr,
-    no_relay_region_marc,
-)
+from .dmregions import dm_regions
 from .gaussian import GaussianMarcParams, cf_bounds, gqf_bounds, no_relay_rates
 
 #: The only schema version this package reads.
@@ -50,6 +43,9 @@ CSV_DIGITS = 12
 
 #: Column header of every emitted CSV.
 CSV_HEADER = "swept,scheme,r1,r2,sum,feasible,diag_sigma"
+
+#: Most points a sweep grid may have; bounds the memory and time of a sweep.
+MAX_GRID_POINTS = 10**6
 
 _GAIN_KEYS = {"h11": "h11", "h21": "h21", "h1R": "h1r", "h2R": "h2r", "hR1": "hr1"}
 _POWER_KEYS = {"P11": "p11", "P12": "p12", "P21": "p21", "P22": "p22", "PR": "pr"}
@@ -77,8 +73,10 @@ class GridSpec:
             raise ConfigError(
                 f"grid needs min < max, got min={self.lo!r} max={self.hi!r}"
             )
-        if self.points < 2:
-            raise ConfigError(f"grid needs at least 2 points, got {self.points!r}")
+        if not 2 <= self.points <= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid needs 2 to {MAX_GRID_POINTS} points, got {self.points!r}"
+            )
         if self.spacing == "log" and self.lo <= 0.0:
             raise ConfigError("log-spaced grid needs min > 0")
 
@@ -393,44 +391,34 @@ def _gaussian_rows(
 
 
 def _dm_rows(
-    config: SweepConfig, scheme: SchemeId, values: tuple[float, ...]
-) -> tuple[RegionRow, ...]:
-    spec = config.dm_spec
-    if config.topology == "marc":
-        evaluate = {
-            SchemeId.GQF: gqf_region_marc,
-            SchemeId.CF: cf_region_marc,
-            SchemeId.NO_RELAY: no_relay_region_marc,
-        }[scheme]
-    else:
-        evaluate = {
-            SchemeId.GQF: gqf_region_cmacr,
-            SchemeId.CF: cf_region_cmacr,
-            SchemeId.NO_RELAY: no_relay_region_cmacr,
-        }[scheme]
-    return tuple(
-        _row(evaluate(spec, validate_beta(value)), None) for value in values
-    )
+    config: SweepConfig, values: tuple[float, ...]
+) -> dict[SchemeId, tuple[RegionRow, ...]]:
+    betas = tuple(validate_beta(value) for value in values)
+    regions = dm_regions(config.dm_spec, config.topology, config.schemes, betas)
+    return {
+        scheme: tuple(_row(region, None) for region in column)
+        for scheme, column in regions.items()
+    }
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every scheme at every grid point.
 
-    Backend errors are re-raised with the offending grid point prepended to
-    the message so a failing sweep names the value that broke it.
+    Backend errors are re-raised with the failing scheme (all schemes, for
+    the dm model, which evaluates them together) prepended to the message.
     """
     values = config.grid.values()
     rows: dict[SchemeId, tuple[RegionRow, ...]] = {}
-    for scheme in config.schemes:
-        try:
-            if config.model == "gaussian":
+    label = "schemes " + ", ".join(scheme.value for scheme in config.schemes)
+    try:
+        if config.model == "dm":
+            rows = _dm_rows(config, values)
+        else:
+            for scheme in config.schemes:
+                label = f"scheme {scheme.value}"
                 rows[scheme] = _gaussian_rows(config, scheme, values)
-            else:
-                rows[scheme] = _dm_rows(config, scheme, values)
-        except HdmarcError as exc:
-            raise type(exc)(
-                f"sweep failed for scheme {scheme.value}: {exc}"
-            ) from exc
+    except HdmarcError as exc:
+        raise type(exc)(f"sweep failed for {label}: {exc}") from exc
     return SweepResult(
         swept=config.swept,
         values=values,
@@ -440,28 +428,18 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     )
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), f".{CSV_DIGITS}g")
-
-
 def render_csv(result: SweepResult) -> str:
     """The CSV text of a sweep (deterministic; see the module docstring)."""
+    g = f".{CSV_DIGITS}g"
     lines = [CSV_HEADER]
     for scheme in result.schemes:
+        name = scheme.value
         for value, row in zip(result.values, result.rows[scheme]):
-            diag = "" if row.diag_sigma is None else _fmt(row.diag_sigma)
+            diag = "" if row.diag_sigma is None else f"{row.diag_sigma:{g}}"
+            feasible = "true" if row.feasible else "false"
             lines.append(
-                ",".join(
-                    (
-                        _fmt(value),
-                        scheme.value,
-                        _fmt(row.r1),
-                        _fmt(row.r2),
-                        _fmt(row.rsum),
-                        "true" if row.feasible else "false",
-                        diag,
-                    )
-                )
+                f"{value:{g}},{name},{row.r1:{g}},{row.r2:{g}},{row.rsum:{g}},"
+                f"{feasible},{diag}"
             )
     return "\n".join(lines) + "\n"
 

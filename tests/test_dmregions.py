@@ -8,15 +8,18 @@ being compared against the package's entropy-combination version.
 import numpy as np
 import pytest
 
+import hdmarc.dmregions
 from hdmarc import (
     DmChannelSpec,
     InvalidParams,
     RegionTerms,
+    SchemeId,
     build_slot1_joint,
     build_slot2_joint,
     cf_region_cmacr,
     cf_region_marc,
     degenerate_relay_spec,
+    entropy,
     gqf_region_cmacr,
     gqf_region_marc,
     gqf_terms,
@@ -24,7 +27,8 @@ from hdmarc import (
     no_relay_region_marc,
     validate_beta,
 )
-from hdmarc.dmregions import CF_MARGIN, active_destinations
+from hdmarc.dminfo import JointEntropies
+from hdmarc.dmregions import CF_MARGIN, active_destinations, dm_regions, slot_terms
 
 from _support import make_random_spec, mi_ratio
 
@@ -99,15 +103,36 @@ def test_gqf_terms_rejects_bad_destination():
         gqf_terms(spec, validate_beta(0.5), k=3)
 
 
-def test_region_terms_merge_and_destinations():
-    one = RegionTerms(a={(1, 1): 0.1, (1, 2): 0.2}, b={(1, 1): 0.3, (1, 2): 0.4},
-                      c={1: 0.5}, d={1: 0.6})
-    two = RegionTerms(a={(2, 1): 1.1, (2, 2): 1.2}, b={(2, 1): 1.3, (2, 2): 1.4},
-                      c={2: 1.5}, d={2: 1.6})
-    merged = one.merged_with(two)
-    assert merged.destinations() == (1, 2)
-    assert merged.a[(1, 1)] == 0.1
-    assert merged.c[2] == 1.5
+def test_region_terms_destinations():
+    terms = RegionTerms(a={(2, 1): 1.1, (2, 2): 1.2, (1, 1): 0.1, (1, 2): 0.2},
+                        b={(2, 1): 1.3, (2, 2): 1.4, (1, 1): 0.3, (1, 2): 0.4},
+                        c={2: 1.5, 1: 0.5}, d={2: 1.6, 1: 0.6})
+    assert terms.destinations() == (1, 2)
+
+
+def test_entropy_memo_matches_public_entropy_bit_for_bit(monkeypatch):
+    seen = []
+
+    class Recording(JointEntropies):
+        def __init__(self, pmf):
+            super().__init__(pmf)
+            self.pmf = pmf
+
+        def entropy(self, names):
+            value = super().entropy(names)
+            seen.append((self.pmf, frozenset(names), value))
+            return value
+
+    monkeypatch.setattr(hdmarc.dmregions, "JointEntropies", Recording)
+    rng = np.random.default_rng(53)
+    for sizes in ({}, {"yhr": 1}, {"y21": 1, "y22": 1}, {"yr": 4, "y12": 1}):
+        spec = make_random_spec(rng, sizes)
+        for source in (spec, degenerate_relay_spec(spec)):
+            slot_terms(source, (1, 2))
+    # Every variable set the slot terms use, on both joints of every spec.
+    assert len({(id(pmf), names) for pmf, names, _ in seen}) > 8 * 20
+    for pmf, names, value in seen:
+        assert repr(value) == repr(entropy(pmf, names)), sorted(names)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +214,12 @@ def test_compound_with_twin_destinations_matches_single():
     assert compound.r1_max == pytest.approx(marc.r1_max, abs=1e-12)
     assert compound.r2_max == pytest.approx(marc.r2_max, abs=1e-12)
     assert compound.sum_max == pytest.approx(marc.sum_max, abs=1e-12)
+
+
+def test_dm_regions_rejects_unknown_topology():
+    spec = make_random_spec(np.random.default_rng(54))
+    with pytest.raises(InvalidParams, match="topology"):
+        dm_regions(spec, "mesh", (SchemeId.GQF,), (validate_beta(0.5),))
 
 
 def test_active_destinations_variants():

@@ -61,6 +61,22 @@ def test_params_validation():
         benchmark_params(beta=1.0)
 
 
+@pytest.mark.parametrize(
+    "overrides, gain",
+    [
+        ({"h11": 1e200}, "h11"),  # h11**2 raises OverflowError in Python
+        ({"hr1": 1e200}, "hr1"),
+        ({"h1r": 1e155, "h2r": 1e155}, "h1r"),  # the cross term overflows
+        ({"h21": 1e154, "p21": 1e100}, "h21"),  # h**2 finite, h**2 * p is inf
+    ],
+)
+def test_params_reject_gains_whose_powers_overflow(overrides, gain):
+    with pytest.raises(InvalidParams, match=f"largest gain is {gain}="):
+        benchmark_params(sigma_q2=1.0, **overrides)
+    # Large gains whose powers stay finite are still accepted.
+    assert math.isfinite(gqf_rates(benchmark_params(sigma_q2=1.0, h11=1e100)).sum_max)
+
+
 def test_params_coerce_beta_to_slot_fraction():
     params = benchmark_params(beta=0.25)
     assert isinstance(params.beta, SlotFraction)

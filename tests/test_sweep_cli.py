@@ -1,30 +1,42 @@
 """Tests for sweep configuration, CSV/plot emission, and the command line."""
 
 import copy
+import hashlib
 import json
 import math
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdmarc.dmregions
 from hdmarc import (
     ConfigError,
     HdmarcError,
     SchemeId,
+    cf_region_cmacr,
+    cf_region_marc,
     cf_rates,
     cf_sigma_min,
     config_from_dict,
     gqf_optimize_sigma,
     gqf_rates,
+    gqf_region_cmacr,
+    gqf_region_marc,
+    no_relay_region_cmacr,
+    no_relay_region_marc,
     run_sweep,
+    validate_beta,
 )
 from hdmarc.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from hdmarc.sweep import (
     CSV_HEADER,
+    MAX_GRID_POINTS,
     GridSpec,
+    SweepConfig,
     gaussian_point_from_dict,
     render_csv,
     render_plot_script,
@@ -32,6 +44,29 @@ from hdmarc.sweep import (
 from hdmarc.verify import Check, Report
 
 from _support import benchmark_params, make_random_spec
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+#: SHA-256 of the CSV each shipped config writes (numpy 2.4.6, Python 3.11.7).
+SHIPPED_CSV_SHA256 = {
+    "dm_beta_sweep": "fa486577653120625d1f3363c93e4afba86e19008a51576a878b1279e8a00240",
+    "gaussian_beta_sweep": "53a537d4b4da71146cc87bd1c1f967476be4af676cf739f01a6b883ff0341104",
+    "gaussian_sigma_sweep": "071fb30ca7dee7a0739aa61e9eedcb406d014fff6236a9353b78ea908d75c480",
+}
+
+#: The public single-point DM region functions, by topology and scheme.
+DM_REGION_FUNCTIONS = {
+    ("marc", SchemeId.GQF): gqf_region_marc,
+    ("marc", SchemeId.CF): cf_region_marc,
+    ("marc", SchemeId.NO_RELAY): no_relay_region_marc,
+    ("cmacr", SchemeId.GQF): gqf_region_cmacr,
+    ("cmacr", SchemeId.CF): cf_region_cmacr,
+    ("cmacr", SchemeId.NO_RELAY): no_relay_region_cmacr,
+}
+
+#: Seed of a random spec whose CF points are feasible at some of the nine
+#: betas in [0.1, 0.9] and infeasible at the others, on both topologies.
+MIXED_CF_SEED = 93
 
 
 def _gaussian_sweep_doc():
@@ -85,6 +120,16 @@ def test_grid_values_linear_and_log():
     ratios = [log[i + 1] / log[i] for i in range(3)]
     assert max(ratios) == pytest.approx(min(ratios), rel=1e-9)
     assert all(a < b for a, b in zip(log, log[1:]))
+
+
+def test_grid_points_are_capped():
+    GridSpec(lo=0.1, hi=0.9, points=MAX_GRID_POINTS, spacing="linear")
+    with pytest.raises(ConfigError, match=f"2 to {MAX_GRID_POINTS} points"):
+        GridSpec(lo=0.1, hi=0.9, points=MAX_GRID_POINTS + 1, spacing="linear")
+    doc = _dm_sweep_doc()
+    doc["grid"]["points"] = 10**12
+    with pytest.raises(ConfigError, match="points"):
+        config_from_dict(doc)
 
 
 def test_grid_rejects_malformed_ranges():
@@ -279,6 +324,79 @@ def test_dm_sweep_runs_both_topologies():
             assert one.diag_sigma is None
 
 
+def _dm_sweep_configs():
+    """The shipped DM config and a spec with mixed CF feasibility, both topologies."""
+    shipped = config_from_dict(json.loads((CONFIG_DIR / "dm_beta_sweep.json").read_text()))
+    mixed = SweepConfig(
+        model="dm",
+        swept="beta",
+        grid=GridSpec(lo=0.1, hi=0.9, points=9, spacing="linear"),
+        schemes=tuple(SchemeId),
+        dm_spec=make_random_spec(np.random.default_rng(MIXED_CF_SEED)),
+    )
+    for config in (shipped, mixed):
+        for topology in ("marc", "cmacr"):
+            yield replace(config, topology=topology)
+
+
+def test_dm_sweep_rows_equal_scalar_regions_bit_for_bit():
+    feasible = set()
+    for config in _dm_sweep_configs():
+        result = run_sweep(config)
+        for scheme in config.schemes:
+            evaluate = DM_REGION_FUNCTIONS[(config.topology, scheme)]
+            for value, row in zip(result.values, result.rows[scheme]):
+                region = evaluate(config.dm_spec, validate_beta(value))
+                got = (row.r1, row.r2, row.rsum, row.feasible)
+                want = (region.r1_max, region.r2_max, region.sum_max, region.feasible)
+                assert repr(got) == repr(want), (config.topology, scheme, value)
+                if scheme is SchemeId.CF:
+                    feasible.add(row.feasible)
+    assert feasible == {True, False}  # both CF branches were exercised
+
+
+@pytest.mark.parametrize("points", [2, 9, 40])
+@pytest.mark.parametrize(
+    "schemes", [("GQF",), ("CF",), ("NO_RELAY",), ("GQF", "CF", "NO_RELAY")]
+)
+def test_dm_sweep_and_region_build_each_joint_once_per_spec(
+    monkeypatch, tmp_path, points, schemes
+):
+    calls = []
+    build = hdmarc.dmregions.build_slot1_joint
+
+    def counting(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(hdmarc.dmregions, "build_slot1_joint", counting)
+    channel = _dm_sweep_doc()["channel"]
+    for topology in ("marc", "cmacr"):
+        doc = dict(_dm_sweep_doc(), topology=topology, schemes=list(schemes))
+        doc["grid"] = {"min": 0.1, "max": 0.9, "points": points}
+        calls.clear()
+        run_sweep(config_from_dict(doc))
+        # The relay spec, plus the silenced spec for NO_RELAY or failed CF.
+        assert 1 <= len(calls) <= 2
+        if schemes == ("GQF",):
+            assert len(calls) == 1
+
+        region = {"model": "dm", "beta": 0.5, "topology": topology,
+                  "schemes": list(schemes), "channel": channel}
+        calls.clear()
+        config_path = _write_json(tmp_path / "region.json", region)
+        assert main(["region", "--config", config_path]) == EXIT_OK
+        assert 1 <= len(calls) <= 2
+
+
+def test_shipped_configs_write_the_pinned_csv_bytes(tmp_path, capsys):
+    for name, digest in SHIPPED_CSV_SHA256.items():
+        out = tmp_path / f"{name}.csv"
+        argv = ["sweep", "--config", str(CONFIG_DIR / f"{name}.json"), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+
 def test_csv_layout_and_formatting():
     config = config_from_dict(_gaussian_sweep_doc())
     result = run_sweep(config)
@@ -445,6 +563,28 @@ def test_cli_region_small_beta_is_a_config_error_not_a_traceback(tmp_path):
     assert completed.returncode == EXIT_CONFIG
     assert completed.stderr.startswith("error: ")
     assert "beta=0.001" in completed.stderr
+    assert "Traceback" not in completed.stderr
+
+
+def test_cli_region_overflowing_gain_is_a_config_error_not_a_traceback(tmp_path):
+    channel = _gaussian_sweep_doc()["channel"]
+    doc = {
+        "model": "gaussian",
+        "schemes": ["GQF", "CF"],
+        "channel": dict(
+            channel, gains=dict(channel["gains"], h11=1e200), sigma_q2=1.0
+        ),
+    }
+    config_path = _write_json(tmp_path / "region.json", doc)
+    completed = subprocess.run(
+        [sys.executable, "-m", "hdmarc.cli", "region", "--config", config_path],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == EXIT_CONFIG
+    assert completed.stderr.startswith("error: ")
+    assert "h11=1e+200" in completed.stderr
     assert "Traceback" not in completed.stderr
 
 
