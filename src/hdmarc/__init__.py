@@ -10,6 +10,7 @@ independent oracles, and drives parameter sweeps from the command line.
 """
 
 from .core import (
+    Bounds,
     ConfigError,
     DegenerateRelayLink,
     DimensionMismatch,
@@ -24,6 +25,7 @@ from .core import (
     TensorTooLarge,
     UnknownVariable,
     clamp_region,
+    rate_region,
     validate_beta,
 )
 from .dminfo import (
@@ -33,19 +35,16 @@ from .dminfo import (
     build_slot1_joint,
     build_slot2_joint,
     entropy,
-    load_dm_spec,
     marginalize,
     mutual_information,
     spec_from_dict,
 )
 from .dmregions import (
-    RegionTerms,
     cf_region_cmacr,
     cf_region_marc,
     degenerate_relay_spec,
     gqf_region_cmacr,
     gqf_region_marc,
-    gqf_terms,
     no_relay_region_cmacr,
     no_relay_region_marc,
 )
@@ -53,13 +52,10 @@ from .gaussian import (
     BetaOptimum,
     GaussianMarcParams,
     SigmaOptimum,
-    SumRateTerms,
     cf_rates,
     cf_sigma_min,
-    gqf_individual_rate,
     gqf_optimize_sigma,
     gqf_rates,
-    gqf_sum_terms,
     no_relay_rates,
     optimize_beta,
 )
@@ -83,6 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaOptimum",
+    "Bounds",
     "ConfigError",
     "DegenerateRelayLink",
     "DimensionMismatch",
@@ -95,13 +92,11 @@ __all__ = [
     "OutOfRange",
     "OverlappingSets",
     "RateRegion",
-    "RegionTerms",
     "Report",
     "SchemeId",
     "SigmaOptimum",
     "SingularCovariance",
     "SlotFraction",
-    "SumRateTerms",
     "SweepConfig",
     "SweepResult",
     "TensorTooLarge",
@@ -121,21 +116,18 @@ __all__ = [
     "emit_plot_script",
     "entropy",
     "gaussian_mi",
-    "gqf_individual_rate",
     "gqf_optimize_sigma",
     "gqf_rates",
     "gqf_region_cmacr",
     "gqf_region_marc",
     "gqf_region_via_ru_sweep",
-    "gqf_sum_terms",
-    "gqf_terms",
-    "load_dm_spec",
     "marginalize",
     "mutual_information",
     "no_relay_rates",
     "no_relay_region_cmacr",
     "no_relay_region_marc",
     "optimize_beta",
+    "rate_region",
     "run_subject",
     "run_sweep",
     "spec_from_dict",

@@ -7,21 +7,20 @@ Exit codes: 0 success, 1 configuration error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
 
-from .core import ConfigError, HdmarcError, RateRegion, SchemeId, validate_beta
-from .dminfo import spec_from_dict
-from .dmregions import dm_regions
-from .gaussian import cf_rates, gqf_rates, no_relay_rates
+from .core import ConfigError, HdmarcError, rate_region
 from .sweep import (
     config_from_dict,
     emit_csv,
     emit_plot_script,
-    gaussian_point_from_dict,
-    no_relay_from_dict,
+    evaluate,
+    region_config_from_dict,
     run_sweep,
 )
 from .verify import DEFAULT_DRAWS, SUBJECTS, run_subject
@@ -108,84 +107,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _region_to_jsonable(region: RateRegion) -> dict:
-    return {
-        "r1_max": region.r1_max,
-        "r2_max": region.r2_max,
-        "sum_max": region.sum_max,
-        "feasible": region.feasible,
-        "terms": dict(region.terms),
-    }
+def _write(path: str, text: str) -> None:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
-    doc = _load_json(args.config)
-    if not isinstance(doc, dict):
-        raise ConfigError("region config must be an object")
-    known = {"model", "channel", "schemes", "beta", "topology", "no_relay"}
-    extra = sorted(set(doc) - known)
-    if extra:
-        raise ConfigError(f"region config has unknown fields {extra}")
-    model = doc.get("model")
-    if model not in ("gaussian", "dm"):
-        raise ConfigError(f"model must be 'gaussian' or 'dm', got {model!r}")
-    schemes = doc.get("schemes", [s.value for s in SchemeId])
-    if not isinstance(schemes, list) or not schemes:
-        raise ConfigError("schemes must be a non-empty list")
-    try:
-        scheme_ids = [SchemeId(s) for s in schemes]
-    except ValueError as exc:
-        raise ConfigError(f"unknown scheme in {schemes}: {exc}") from None
-    if "channel" not in doc:
-        raise ConfigError("region config is missing 'channel'")
-
-    regions: dict[str, dict] = {}
-    if model == "gaussian":
-        if "topology" in doc or "beta" in doc:
-            raise ConfigError(
-                "gaussian region configs carry beta inside 'channel'; "
-                "'topology' applies to the dm model only"
-            )
-        params = gaussian_point_from_dict(doc["channel"])
-        for scheme in scheme_ids:
-            if scheme is SchemeId.GQF:
-                regions[scheme.value] = _region_to_jsonable(gqf_rates(params))
-            elif scheme is SchemeId.CF:
-                regions[scheme.value] = _region_to_jsonable(cf_rates(params))
-            else:
-                if "no_relay" not in doc:
-                    raise ConfigError(
-                        "the NO_RELAY scheme needs a no_relay block with "
-                        "baseline powers P1 and P2"
-                    )
-                p1, p2 = no_relay_from_dict(doc["no_relay"])
-                regions[scheme.value] = _region_to_jsonable(
-                    no_relay_rates(params.h11, params.h21, p1, p2)
-                )
-    else:
-        if "no_relay" in doc:
-            raise ConfigError("no_relay powers apply to the gaussian model only")
-        if "beta" not in doc:
-            raise ConfigError("dm region configs need a top-level beta")
-        beta = doc["beta"]
-        if isinstance(beta, bool) or not isinstance(beta, (int, float)):
-            raise ConfigError(f"beta must be a number, got {beta!r}")
-        topology = doc.get("topology", "marc")
-        if topology not in ("marc", "cmacr"):
-            raise ConfigError(
-                f"topology must be 'marc' or 'cmacr', got {topology!r}"
-            )
-        spec = spec_from_dict(doc["channel"])
-        results = dm_regions(spec, topology, scheme_ids, (validate_beta(beta),))
-        for scheme, (region,) in results.items():
-            regions[scheme.value] = _region_to_jsonable(region)
-
-    text = json.dumps(regions, indent=2, sort_keys=True) + "\n"
+    config = region_config_from_dict(_load_json(args.config))
+    regions = {}
+    for scheme, bounds in evaluate(config, config.beta, config.sigma_q2).items():
+        region = rate_region(bounds)
+        # JSON has no infinities: a non-finite term (the CF threshold of a
+        # dead relay link) is written as null.
+        terms = {k: v if math.isfinite(v) else None for k, v in region.terms.items()}
+        regions[scheme.value] = dict(dataclasses.asdict(region), terms=terms)
+    text = json.dumps(regions, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
-        directory = os.path.dirname(os.path.abspath(args.out))
-        os.makedirs(directory, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -196,10 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     text = report.render()
     sys.stdout.write(text)
     if args.out:
-        directory = os.path.dirname(os.path.abspath(args.out))
-        os.makedirs(directory, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.out, text)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -213,9 +149,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Any, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -133,20 +133,39 @@ def clamp_region(
     ``r1, r2 >= 0`` and ``0 <= sum <= r1 + r2``.  The raw values stay
     available through ``terms``.
     """
-    r1c = max(0.0, float(r1))
-    r2c = max(0.0, float(r2))
-    sumc = min(max(0.0, float(rsum)), r1c + r2c)
+    r1c, r2c, sumc = (float(v) for v in clamp_bounds(float(r1), float(r2), float(rsum)))
     return RateRegion(r1c, r2c, sumc, bool(feasible), dict(terms or {}))
 
 
 def clamp_bounds(r1, r2, rsum):
-    """The clamp of :func:`clamp_region` on numpy arrays, elementwise.
-
-    Written with the same comparisons as the builtin ``max``/``min`` there
-    (NaN clamps to 0, -0.0 to 0.0), so both give the same bits.
-    """
+    """The clamp of :func:`clamp_region`, elementwise on floats or numpy
+    arrays (NaN clamps to 0, -0.0 to 0.0)."""
     r1c = np.where(r1 > 0.0, r1, 0.0)
     r2c = np.where(r2 > 0.0, r2, 0.0)
     sumc = np.where(rsum > 0.0, rsum, 0.0)
     total = r1c + r2c
     return r1c, r2c, np.where(total < sumc, total, sumc)
+
+
+class Bounds(NamedTuple):
+    """Unclamped bounds of one scheme at one point or over a grid of points.
+
+    ``r1``, ``r2``, ``rsum`` and ``feasible`` are floats/bools or numpy
+    arrays over the grid; ``sigma`` is the quantization variance asked for at
+    each point (swept, GQF-optimal or the CF operating point; None for
+    schemes without a quantizer), and ``terms`` the named raw quantities the
+    bounds were assembled from.
+    """
+
+    r1: Any
+    r2: Any
+    rsum: Any
+    feasible: Any
+    sigma: Any
+    terms: dict
+
+
+def rate_region(bounds: Bounds) -> RateRegion:
+    """The :class:`RateRegion` of a single-point evaluation."""
+    terms = {name: float(value) for name, value in bounds.terms.items()}
+    return clamp_region(bounds.r1, bounds.r2, bounds.rsum, bool(bounds.feasible), terms)

@@ -14,7 +14,6 @@ into ``YhR`` and transmits ``XR`` in slot 2, and destination k observes
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -456,12 +455,3 @@ def spec_from_dict(doc: dict) -> DmChannelSpec:
             raise ConfigError(f"channel field {key!r} is not numeric: {exc}") from exc
     return DmChannelSpec(**kwargs)
 
-
-def load_dm_spec(path) -> DmChannelSpec:
-    """Load a :class:`DmChannelSpec` from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return spec_from_dict(doc)

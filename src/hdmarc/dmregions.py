@@ -23,18 +23,21 @@ Every bound, and both sides of the binning constraint, has the form
 beta * S1 + (1 - beta) * S2, where S1 is an information term of the slot-1
 joint and S2 one of the slot-2 joint.  :func:`slot_terms` computes the
 (S1, S2) pairs of a spec once, and :func:`dm_regions` evaluates every
-scheme at every beta from them, so a whole sweep builds each joint once
-per spec (plus once for the relay-silenced spec, when that is needed).
+scheme at every beta from them into a :class:`~hdmarc.core.Bounds` per
+scheme, like the Gaussian closed forms.  A whole sweep thus builds each
+joint once per spec (plus once for the relay-silenced spec, when that is
+needed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import replace
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidParams, RateRegion, SchemeId, SlotFraction, clamp_region
+from .core import Bounds, InvalidParams, RateRegion, SchemeId, SlotFraction, rate_region
 from .dminfo import (
     DmChannelSpec,
     JointEntropies,
@@ -46,94 +49,51 @@ from .dminfo import (
 #: equality (or worse) counts as infeasible.
 CF_MARGIN = 1e-12
 
-#: A slot-1 term and a slot-2 term; a bound is beta * S1 + (1 - beta) * S2.
-SlotPair = tuple[float, float]
+
+def two_slot(beta, s1, s2):
+    """A bound at slot fraction(s) ``beta`` (float or array) from its
+    slot-1 term ``s1`` and slot-2 term ``s2``: each weighted by its slot's
+    share of the block."""
+    return beta * s1 + (1.0 - beta) * s2
 
 
-@dataclass(frozen=True)
-class RegionTerms:
-    """Raw bound ingredients, unclamped, in bits per channel use.
+def slot_terms(
+    spec: DmChannelSpec, ks: tuple[int, ...]
+) -> dict[str, tuple[float, float]]:
+    """Build both joints of ``spec`` once and split every bound into its
+    slot-1 and slot-2 terms (S1, S2): the bound is beta * S1 + (1-beta) * S2.
 
-    ``a[(k, i)]``/``b[(k, i)]`` are the two decoding branches bounding
-    source ``i``'s rate at destination ``k``; ``c[k]``/``d[k]`` the two
-    branches bounding the sum rate.  Entries exist exactly for the
-    destinations that were evaluated.
+    Keys are the names of :class:`~hdmarc.core.RateRegion` terms:
+    ``a_k(i)``/``b_k(i)`` are the two decoding branches bounding source
+    ``i``'s rate at destination ``k``, ``c_k``/``d_k`` the two branches
+    bounding the sum rate.  ``cf_lhs_k`` and ``cf_rhs_k`` are the two sides
+    of the binning constraint at ``k``: the slot-1 description excess
+    I(YR; YhR) - I(Yk1; YhR) and the slot-2 pipe I(XR; Yk2).
     """
-
-    a: Mapping[tuple[int, int], float]
-    b: Mapping[tuple[int, int], float]
-    c: Mapping[int, float]
-    d: Mapping[int, float]
-
-    def destinations(self) -> tuple[int, ...]:
-        return tuple(sorted(self.c))
-
-
-@dataclass(frozen=True)
-class SlotTerms:
-    """The (S1, S2) pairs of every bound of one spec, per destination.
-
-    ``a``, ``b``, ``c`` and ``d`` are keyed like :class:`RegionTerms`.  The
-    binning constraint's ingredients are ``cf_excess[k]``, the slot-1
-    description excess I(YR; YhR) - I(Yk1; YhR), and ``cf_pipe[k]``, the
-    slot-2 pipe I(XR; Yk2).
-    """
-
-    a: Mapping[tuple[int, int], SlotPair]
-    b: Mapping[tuple[int, int], SlotPair]
-    c: Mapping[int, SlotPair]
-    d: Mapping[int, SlotPair]
-    cf_excess: Mapping[int, float]
-    cf_pipe: Mapping[int, float]
-
-    def at(self, beta: float) -> RegionTerms:
-        """The bounds at slot fraction ``beta``."""
-        comp = 1.0 - beta
-
-        def mix(terms):
-            return {key: beta * s1 + comp * s2 for key, (s1, s2) in terms.items()}
-
-        return RegionTerms(a=mix(self.a), b=mix(self.b), c=mix(self.c), d=mix(self.d))
-
-
-def _dest_outputs(k: int) -> tuple[str, str]:
-    """Slot-1 and slot-2 output names of destination ``k``."""
-    if k == 1:
-        return "Y11", "Y12"
-    if k == 2:
-        return "Y21", "Y22"
-    raise InvalidParams(f"destination index must be 1 or 2, got {k!r}")
-
-
-def slot_terms(spec: DmChannelSpec, ks: tuple[int, ...]) -> SlotTerms:
-    """Build both joints of ``spec`` once and split every bound into slots."""
     mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
     mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
     quant_rate = mi1({"YR"}, {"YhR"})
-    a: dict[tuple[int, int], SlotPair] = {}
-    b: dict[tuple[int, int], SlotPair] = {}
-    c: dict[int, SlotPair] = {}
-    d: dict[int, SlotPair] = {}
-    cf_excess: dict[int, float] = {}
-    cf_pipe: dict[int, float] = {}
+    terms = {}
     for k in ks:
-        yk1, yk2 = _dest_outputs(k)
+        if k not in (1, 2):
+            raise InvalidParams(f"destination index must be 1 or 2, got {k!r}")
+        yk1, yk2 = f"Y{k}1", f"Y{k}2"  # its slot-1 and slot-2 outputs
         for i, j in ((1, 2), (2, 1)):
             xi1, xj1 = f"X{i}1", f"X{j}1"
             xi2, xj2 = f"X{i}2", f"X{j}2"
-            a[(k, i)] = (
+            terms[f"a_{k}({i})"] = (
                 mi1({xi1}, {xj1, yk1, "YhR"}),
                 mi2({xi2}, {xj2, "XR", yk2}),
             )
-            b[(k, i)] = (
+            terms[f"b_{k}({i})"] = (
                 mi1({xi1}, {xj1, yk1}) - mi1({"YhR"}, {"YR"}, {xi1, xj1, yk1}),
                 mi2({xi2, "XR"}, {xj2, yk2}),
             )
-        c[k] = (
+        terms[f"c_{k}"] = (
             mi1({"X11", "X21"}, {yk1, "YhR"}),
             mi2({"X12", "X22"}, {"XR", yk2}),
         )
-        d[k] = (
+        terms[f"d_{k}"] = (
             mi1({"X11", "X21", "YhR"}, {yk1})
             + mi1({"X11", "X21"}, {"YhR"})
             - mi1({"YR"}, {"YhR"}),
@@ -142,16 +102,9 @@ def slot_terms(spec: DmChannelSpec, ks: tuple[int, ...]) -> SlotTerms:
         # Binning feasibility: the quantization-index description rate left
         # after side-information gains must fit through the relay's slot-2
         # pipe, at every destination.
-        cf_excess[k] = quant_rate - mi1({yk1}, {"YhR"})
-        cf_pipe[k] = mi2({"XR"}, {yk2})
-    return SlotTerms(a=a, b=b, c=c, d=d, cf_excess=cf_excess, cf_pipe=cf_pipe)
-
-
-def gqf_terms(spec: DmChannelSpec, beta: SlotFraction, k: int = 1) -> RegionTerms:
-    """Raw GQF bound ingredients at destination ``k``."""
-    if k not in (1, 2):
-        raise InvalidParams(f"destination index must be 1 or 2, got {k!r}")
-    return slot_terms(spec, (k,)).at(beta.beta)
+        terms[f"cf_lhs_{k}"] = (quant_rate - mi1({yk1}, {"YhR"}), 0.0)
+        terms[f"cf_rhs_{k}"] = (0.0, mi2({"XR"}, {yk2}))
+    return terms
 
 
 def active_destinations(spec: DmChannelSpec) -> tuple[int, ...]:
@@ -174,96 +127,84 @@ def active_destinations(spec: DmChannelSpec) -> tuple[int, ...]:
     return tuple(ks)
 
 
-def _flat_terms(terms: RegionTerms) -> dict[str, float]:
-    flat: dict[str, float] = {}
-    for k in terms.destinations():
-        for i in (1, 2):
-            flat[f"a_{k}({i})"] = terms.a[(k, i)]
-            flat[f"b_{k}({i})"] = terms.b[(k, i)]
-        flat[f"c_{k}"] = terms.c[k]
-        flat[f"d_{k}"] = terms.d[k]
-    return flat
+def _worst(terms: dict, ks: tuple[int, ...], *names: str):
+    """The smallest of the named terms (``{k}`` filled in) over ``ks``."""
+    return reduce(np.minimum, (terms[name.format(k=k)] for k in ks for name in names))
 
 
-def _gqf_bounds(terms: RegionTerms) -> tuple[float, float, float]:
-    ks = terms.destinations()
-    r1 = min(min(terms.a[(k, 1)], terms.b[(k, 1)]) for k in ks)
-    r2 = min(min(terms.a[(k, 2)], terms.b[(k, 2)]) for k in ks)
-    rsum = min(min(terms.c[k], terms.d[k]) for k in ks)
-    return r1, r2, rsum
+def _bound_terms(terms: dict) -> dict:
+    """The terms without the binning-test sides."""
+    return {name: value for name, value in terms.items() if not name.startswith("cf_")}
 
 
-def _gqf_region(terms: RegionTerms) -> RateRegion:
-    r1, r2, rsum = _gqf_bounds(terms)
-    return clamp_region(r1, r2, rsum, feasible=True, terms=_flat_terms(terms))
-
-
-def _cf_region(
-    relay: SlotTerms, beta: float, silenced: Callable[[], SlotTerms]
-) -> RateRegion:
-    terms = relay.at(beta)
-    # Worst cases over the destinations of both sides of the binning test.
-    lhs = max(beta * excess for excess in relay.cf_excess.values())
-    rhs = min((1.0 - beta) * pipe for pipe in relay.cf_pipe.values())
-    flat = _flat_terms(terms)
-    flat["cf_lhs"] = lhs
-    flat["cf_rhs"] = rhs
-
-    if (rhs - lhs) > CF_MARGIN:
-        ks = terms.destinations()
-        r1 = min(terms.a[(k, 1)] for k in ks)
-        r2 = min(terms.a[(k, 2)] for k in ks)
-        rsum = min(terms.c[k] for k in ks)
-        return clamp_region(r1, r2, rsum, feasible=True, terms=flat)
-
-    # Binning fails: the destinations cannot recover the quantization index,
-    # so the relay is silenced and the plain two-slot region is reported.
-    silenced_terms = silenced().at(beta)
-    r1, r2, rsum = _gqf_bounds(silenced_terms)
-    for key, value in _flat_terms(silenced_terms).items():
-        flat[f"no_relay_{key}"] = value
-    return clamp_region(r1, r2, rsum, feasible=False, terms=flat)
+def _gqf_bounds(terms: dict, ks: tuple[int, ...]) -> Bounds:
+    return Bounds(
+        _worst(terms, ks, "a_{k}(1)", "b_{k}(1)"),
+        _worst(terms, ks, "a_{k}(2)", "b_{k}(2)"),
+        _worst(terms, ks, "c_{k}", "d_{k}"),
+        True,
+        None,
+        _bound_terms(terms),
+    )
 
 
 def dm_regions(
     spec: DmChannelSpec,
     topology: str,
     schemes: Sequence[SchemeId],
-    betas: Sequence[SlotFraction],
-) -> dict[SchemeId, tuple[RateRegion, ...]]:
-    """Every requested scheme's region at every slot fraction, per scheme.
+    beta,
+) -> dict[SchemeId, Bounds]:
+    """Every requested scheme's bounds at slot fraction(s) ``beta``.
 
-    ``topology`` is "marc" (destination 1) or "cmacr" (worst case over the
-    active destinations).  The slot terms of ``spec`` are built once; those
-    of the relay-silenced spec at most once, and only when NO_RELAY is
-    requested or some CF point fails its binning constraint.
+    ``beta`` is a float or an array of floats in (0, 1).  ``topology`` is
+    "marc" (destination 1) or "cmacr" (worst case over the active
+    destinations).  The slot terms of ``spec`` are built once; those of the
+    relay-silenced spec at most once, and only when NO_RELAY is requested
+    or some CF point fails its binning constraint.
     """
     if topology not in ("marc", "cmacr"):
         raise InvalidParams(f"topology must be 'marc' or 'cmacr', got {topology!r}")
     ks = (1,) if topology == "marc" else active_destinations(spec)
-    built: dict[bool, SlotTerms] = {}  # keyed by "relay silenced"; this call only
+    built: dict[bool, dict] = {}  # keyed by "relay silenced"; this call only
 
-    def terms(silenced: bool) -> SlotTerms:
+    def terms(silenced: bool) -> dict:
         if silenced not in built:
             source = degenerate_relay_spec(spec) if silenced else spec
-            built[silenced] = slot_terms(source, ks)
+            pairs = slot_terms(source, ks)
+            built[silenced] = {
+                name: two_slot(beta, s1, s2) for name, (s1, s2) in pairs.items()
+            }
         return built[silenced]
 
-    evaluate = {
-        SchemeId.GQF: lambda beta: _gqf_region(terms(False).at(beta)),
-        SchemeId.CF: lambda beta: _cf_region(terms(False), beta, lambda: terms(True)),
-        SchemeId.NO_RELAY: lambda beta: _gqf_region(terms(True).at(beta)),
+    def cf() -> Bounds:
+        relay = terms(False)
+        # Worst cases over the destinations of both sides of the binning test.
+        lhs = reduce(np.maximum, (relay[f"cf_lhs_{k}"] for k in ks))
+        rhs = _worst(relay, ks, "cf_rhs_{k}")
+        feasible = (rhs - lhs) > CF_MARGIN
+        out = dict(_bound_terms(relay), cf_lhs=lhs, cf_rhs=rhs)
+        bounds = [_worst(relay, ks, name) for name in ("a_{k}(1)", "a_{k}(2)", "c_{k}")]
+        if not np.all(feasible):
+            # Binning fails: the destinations cannot recover the quantization
+            # index, so the relay is silenced and the plain two-slot region
+            # is reported there.
+            silenced = _gqf_bounds(terms(True), ks)
+            bounds = [np.where(feasible, *pair) for pair in zip(bounds, silenced[:3])]
+            out.update({f"no_relay_{name}": v for name, v in silenced.terms.items()})
+        return Bounds(*bounds, feasible, None, out)
+
+    table = {
+        SchemeId.GQF: lambda: _gqf_bounds(terms(False), ks),
+        SchemeId.CF: cf,
+        SchemeId.NO_RELAY: lambda: _gqf_bounds(terms(True), ks),
     }
-    return {
-        scheme: tuple(evaluate[scheme](beta.beta) for beta in betas)
-        for scheme in schemes
-    }
+    return {scheme: table[scheme]() for scheme in schemes}
 
 
 def _one_region(
     spec: DmChannelSpec, topology: str, scheme: SchemeId, beta: SlotFraction
 ) -> RateRegion:
-    return dm_regions(spec, topology, (scheme,), (beta,))[scheme][0]
+    return rate_region(dm_regions(spec, topology, (scheme,), beta.beta)[scheme])
 
 
 def gqf_region_marc(spec: DmChannelSpec, beta: SlotFraction) -> RateRegion:
@@ -287,17 +228,7 @@ def degenerate_relay_spec(spec: DmChannelSpec) -> DmChannelSpec:
     """
     pxr = np.zeros_like(spec.pxr)
     pxr[0] = 1.0
-    test_channel = np.ones((spec.n_yr, 1))
-    return DmChannelSpec(
-        px11=spec.px11,
-        px21=spec.px21,
-        px12=spec.px12,
-        px22=spec.px22,
-        pxr=pxr,
-        test_channel=test_channel,
-        slot1=spec.slot1,
-        slot2=spec.slot2,
-    )
+    return replace(spec, pxr=pxr, test_channel=np.ones((spec.n_yr, 1)))
 
 
 def no_relay_region_marc(spec: DmChannelSpec, beta: SlotFraction) -> RateRegion:

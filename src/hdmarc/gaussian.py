@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, NamedTuple, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import (
+    Bounds,
     DegenerateRelayLink,
     InvalidParams,
     OutOfRange,
@@ -37,7 +38,7 @@ from .core import (
     SchemeId,
     SlotFraction,
     clamp_bounds,
-    clamp_region,
+    rate_region,
     validate_beta,
 )
 
@@ -102,14 +103,9 @@ class GaussianMarcParams:
             object.__setattr__(self, name, value)
         # Every closed form takes logs of parts of these two sums of
         # non-negative powers, so finite sums keep every rate finite.
-        try:
-            totals = (
-                slot1_signal(self) + relay_view(self),
-                slot2_signal(self) + relay_link(self),
-            )
-        except OverflowError:  # float ** raises where float * gives inf
-            totals = (math.inf,)
-        if not all(math.isfinite(total) for total in totals):
+        if _overflows(lambda: slot1_signal(self) + relay_view(self)) or _overflows(
+            lambda: slot2_signal(self) + relay_link(self)
+        ):
             gains = ("h11", "h21", "h1r", "h2r", "hr1")
             gain = max(gains, key=lambda name: abs(getattr(self, name)))
             raise InvalidParams(
@@ -125,6 +121,15 @@ class GaussianMarcParams:
                     f"quantization variance must be finite and positive, got {sigma!r}"
                 )
             object.__setattr__(self, "sigma_q2", sigma)
+
+
+def _overflows(power: Callable[[], float]) -> bool:
+    """Whether a sum of received powers leaves the float64 range (float **
+    raises OverflowError where float * gives inf)."""
+    try:
+        return not math.isfinite(power())
+    except OverflowError:
+        return True
 
 
 def _require_sigma(params: GaussianMarcParams) -> float:
@@ -164,46 +169,49 @@ def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
 
     ``a(i)``/``b(i)`` bound source i with the quantization index recovered /
     jointly explained, ``I1``/``I2`` the sum.  Only the gains and powers of
-    ``params`` are used.  A value leaving the float64 range raises
-    :class:`OutOfRange` instead of becoming inf.
+    ``params`` are used.  A point outside 0 < beta < 1, 0 < sigma_q2 < inf,
+    or one where a value leaves the float64 range, raises
+    :class:`OutOfRange` naming the first such ``(beta, sigma_q2)``.
     """
     # numpy scalars or arrays, so that every operation below obeys errstate.
     beta, sigma_q2 = np.float64(beta), np.float64(sigma_q2)
-    inside = (beta > 0.0) & (beta < 1.0) & (sigma_q2 > 0.0) & (sigma_q2 < math.inf)
-    if not inside.all():  # NaN fails too
-        raise OutOfRange(
-            f"need 0 < beta < 1 and 0 < sigma_q2 < inf, got {beta}, {sigma_q2}"
-        )
     s1, s2, link = slot1_signal(params), slot2_signal(params), relay_link(params)
     sources = (
         (1, params.h11, params.h1r, params.p11, params.p12),
         (2, params.h21, params.h2r, params.p21, params.p22),
     )
     terms = {}
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            w1 = 0.5 * beta
-            w2 = 0.5 * (1.0 - beta)
-            shrink = 1.0 + sigma_q2
-            for i, h_direct, h_relay, p_slot1, p_slot2 in sources:
-                direct = 1.0 + h_direct**2 * p_slot1
-                terms[f"a({i})"] = w1 * np.log2(
-                    direct + h_relay**2 * p_slot1 / shrink
-                ) + w2 * np.log2(1.0 + h_direct**2 * p_slot2)
-                terms[f"b({i})"] = w1 * np.log2(
-                    direct * sigma_q2 / shrink
-                ) + w2 * np.log2(1.0 + h_direct**2 * p_slot2 + link)
-            terms["I1"] = w1 * np.log2(
-                s1 + relay_view(params) / shrink
-            ) + w2 * np.log2(s2)
-            terms["I2"] = w1 * np.log2(
-                s1 * sigma_q2 / shrink
-            ) + w2 * np.log2(s2 + link)
-    except FloatingPointError as exc:
+    with np.errstate(all="ignore"):  # an inf or NaN anywhere reaches the terms
+        w1 = 0.5 * beta
+        w2 = 0.5 * (1.0 - beta)
+        shrink = 1.0 + sigma_q2
+        for i, h_direct, h_relay, p_slot1, p_slot2 in sources:
+            direct = 1.0 + h_direct**2 * p_slot1
+            terms[f"a({i})"] = w1 * np.log2(
+                direct + h_relay**2 * p_slot1 / shrink
+            ) + w2 * np.log2(1.0 + h_direct**2 * p_slot2)
+            terms[f"b({i})"] = w1 * np.log2(
+                direct * sigma_q2 / shrink
+            ) + w2 * np.log2(1.0 + h_direct**2 * p_slot2 + link)
+        terms["I1"] = w1 * np.log2(
+            s1 + relay_view(params) / shrink
+        ) + w2 * np.log2(s2)
+        terms["I2"] = w1 * np.log2(
+            s1 * sigma_q2 / shrink
+        ) + w2 * np.log2(s2 + link)
+    ok = (beta > 0.0) & (beta < 1.0) & (sigma_q2 > 0.0) & (sigma_q2 < math.inf)
+    for term in terms.values():
+        ok = ok & np.isfinite(term)
+    if not ok.all():  # NaN fails too
+        first = np.flatnonzero(~ok)[0]
+        beta_at, sigma_at = (
+            float(np.broadcast_to(x, ok.shape).flat[first]) for x in (beta, sigma_q2)
+        )
         raise OutOfRange(
-            f"Gaussian closed forms leave the float64 range ({exc}) at "
-            f"beta={beta}, sigma_q2={sigma_q2}"
-        ) from None
+            f"Gaussian closed forms need 0 < beta < 1 and 0 < sigma_q2 < inf and "
+            f"must stay in the float64 range; they fail at beta={beta_at!r}, "
+            f"sigma_q2={sigma_at!r}"
+        )
     return terms
 
 
@@ -237,19 +245,6 @@ def sigma_threshold(params: GaussianMarcParams, beta):
             "underflows; use a larger beta"
         )
     return sigma
-
-
-class Bounds(NamedTuple):
-    """Unclamped bounds of one scheme at one point or over a grid, with the
-    feasibility flag, the quantization variance asked for at each point
-    (swept, GQF-optimal or the CF operating point) and the named terms."""
-
-    r1: Any
-    r2: Any
-    rsum: Any
-    feasible: Any
-    sigma: Any
-    terms: dict
 
 
 def gqf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
@@ -304,41 +299,9 @@ def cf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
     return Bounds(t["a(1)"], t["a(2)"], t["I1"], feasible, sigma_q2, terms)
 
 
-def _rate_region(bounds: Bounds) -> RateRegion:
-    """The :class:`RateRegion` of a single-point evaluation."""
-    terms = {name: float(value) for name, value in bounds.terms.items()}
-    return clamp_region(bounds.r1, bounds.r2, bounds.rsum, bool(bounds.feasible), terms)
-
-
-@dataclass(frozen=True)
-class SumRateTerms:
-    """The two sum-rate branches; the achievable sum bound is their minimum."""
-
-    i1: float
-    i2: float
-
-    @property
-    def bound(self) -> float:
-        return min(self.i1, self.i2)
-
-
-def gqf_individual_rate(params: GaussianMarcParams, i: int) -> float:
-    """GQF bound on source ``i``'s rate at fixed (sigma_q2, beta), clamped at 0."""
-    if i not in (1, 2):
-        raise InvalidParams(f"source index must be 1 or 2, got {i!r}")
-    region = gqf_rates(params)
-    return region.r1_max if i == 1 else region.r2_max
-
-
-def gqf_sum_terms(params: GaussianMarcParams) -> SumRateTerms:
-    """Both GQF sum-rate branches at fixed (sigma_q2, beta), unclamped."""
-    terms = rate_terms(params, params.beta.beta, _require_sigma(params))
-    return SumRateTerms(float(terms["I1"]), float(terms["I2"]))
-
-
 def gqf_rates(params: GaussianMarcParams) -> RateRegion:
     """Full GQF region at fixed (sigma_q2, beta).  Always feasible."""
-    return _rate_region(gqf_bounds(params, params.beta.beta, _require_sigma(params)))
+    return rate_region(gqf_bounds(params, params.beta.beta, _require_sigma(params)))
 
 
 @dataclass(frozen=True)
@@ -393,14 +356,15 @@ def cf_rates(params: GaussianMarcParams) -> RateRegion:
     itself — the closure point of the CF region.  With a dead relay link
     the fallback is the plain two-slot no-relay region.
     """
-    return _rate_region(cf_bounds(params, params.beta.beta, _require_sigma(params)))
+    return rate_region(cf_bounds(params, params.beta.beta, _require_sigma(params)))
 
 
-def no_relay_rates(h11: float, h21: float, p1: float, p2: float) -> RateRegion:
-    """Single-slot two-user MAC region (the no-relay baseline).
+def no_relay_bounds(h11: float, h21: float, p1: float, p2: float) -> Bounds:
+    """Bounds of the single-slot two-user MAC (the no-relay baseline).
 
     With no relay there is no slot structure; each source spends its whole
-    power budget in one full-length block.
+    power budget in one full-length block.  Gains and powers must be finite
+    (powers non-negative), and so must the received powers they give.
     """
     for name, value in (("h11", h11), ("h21", h21)):
         if not math.isfinite(float(value)):
@@ -410,11 +374,48 @@ def no_relay_rates(h11: float, h21: float, p1: float, p2: float) -> RateRegion:
             raise InvalidParams(
                 f"power {name} must be finite and non-negative, got {value!r}"
             )
+    if _overflows(lambda: 1.0 + h11**2 * p1 + h21**2 * p2):
+        raise InvalidParams(
+            f"no-relay received powers overflow float64 "
+            f"(h11={h11!r}, P1={p1!r}, h21={h21!r}, P2={p2!r})"
+        )
     r1 = 0.5 * math.log2(1.0 + h11**2 * p1)
     r2 = 0.5 * math.log2(1.0 + h21**2 * p2)
     rsum = 0.5 * math.log2(1.0 + h11**2 * p1 + h21**2 * p2)
-    terms = {"r1": r1, "r2": r2, "sum": rsum}
-    return clamp_region(r1, r2, rsum, feasible=True, terms=terms)
+    return Bounds(r1, r2, rsum, True, None, {"r1": r1, "r2": r2, "sum": rsum})
+
+
+def no_relay_rates(h11: float, h21: float, p1: float, p2: float) -> RateRegion:
+    """Single-slot two-user MAC region (the no-relay baseline)."""
+    return rate_region(no_relay_bounds(h11, h21, p1, p2))
+
+
+def gaussian_regions(
+    params: GaussianMarcParams,
+    schemes: Sequence[SchemeId],
+    beta,
+    sigma_q2=None,
+    no_relay: Optional[tuple[float, float]] = None,
+) -> dict[SchemeId, Bounds]:
+    """Every requested scheme's bounds at each ``(beta, sigma_q2)``.
+
+    ``beta`` and ``sigma_q2`` are floats or arrays (``sigma_q2=None``: each
+    scheme's own variance per ``beta``, see :func:`gqf_bounds` and
+    :func:`cf_bounds`).  NO_RELAY takes the baseline powers ``no_relay =
+    (P1, P2)`` and is the same at every point.
+    """
+
+    def baseline() -> Bounds:
+        if no_relay is None:
+            raise InvalidParams("NO_RELAY needs the baseline powers (P1, P2)")
+        return no_relay_bounds(params.h11, params.h21, *no_relay)
+
+    table = {
+        SchemeId.GQF: lambda: gqf_bounds(params, beta, sigma_q2),
+        SchemeId.CF: lambda: cf_bounds(params, beta, sigma_q2),
+        SchemeId.NO_RELAY: baseline,
+    }
+    return {scheme: table[scheme]() for scheme in schemes}
 
 
 @dataclass(frozen=True)
@@ -458,10 +459,9 @@ def optimize_beta(
         raise InvalidParams(f"slot-fraction search takes GQF or CF, got {scheme!r}")
     if objective not in ("sum", "r1", "r2"):
         raise InvalidParams(f"objective must be 'sum', 'r1' or 'r2', got {objective!r}")
-    evaluate = gqf_bounds if scheme is SchemeId.GQF else cf_bounds
 
     def value(beta):
-        bounds = evaluate(params, beta)
+        bounds = gaussian_regions(params, (scheme,), beta)[scheme]
         if scheme is SchemeId.GQF and objective == "sum":
             return _gqf_sum_rate(params, bounds)
         r1, r2, rsum = clamp_bounds(bounds.r1, bounds.r2, bounds.rsum)

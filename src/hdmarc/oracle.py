@@ -32,7 +32,8 @@ CF threshold          at ``sigma_q2 = cf_sigma_min``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -56,8 +57,9 @@ SYM_TOL = 1e-12
 #: Most negative admissible eigenvalue of a covariance matrix.
 PSD_TOL = 1e-9
 
-#: Eigenvalues at or below this are treated as singular in log-dets.
-PIVOT_TOL = 1e-12
+#: A conditional variance (squared pivot of the square-root factor) at or
+#: below this makes a covariance submatrix singular in log-dets.
+PIVOT_TOL = 1e-14
 
 #: Variables that are channel outputs and therefore carry unit noise.
 _OUTPUT_NAMES = frozenset({"YR", "YhR", "Y11", "Y21", "Y12", "Y22"})
@@ -75,11 +77,15 @@ class GaussianVectorModel:
 
     Construction validates symmetry, positive semidefiniteness (within
     :data:`PSD_TOL`), and that every output variable keeps at least unit
-    variance (the noise floor of the channel model).
+    variance (the noise floor of the channel model).  ``factor`` is a
+    square root ``A`` of the covariance (``cov = A A^T``), one row per
+    coordinate; log-dets are taken from it, never from ``cov``.  When it is
+    not given, it is built from the eigendecomposition of ``cov``.
     """
 
     names: tuple[str, ...]
     cov: np.ndarray
+    factor: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         names = tuple(self.names)
@@ -112,10 +118,22 @@ class GaussianVectorModel:
                     f"output {name} has variance {cov[index, index]!r} below "
                     f"the unit noise floor"
                 )
+        if self.factor is None:
+            eigs, vecs = np.linalg.eigh(cov)
+            factor = vecs * np.sqrt(np.clip(eigs, 0.0, None))
+        else:
+            factor = np.array(self.factor, dtype=np.float64)
+            variances = np.diag(cov)
+            if factor.ndim != 2 or factor.shape[0] != n or np.any(
+                np.abs((factor**2).sum(axis=1) - variances) > 1e-12 * variances
+            ):
+                raise InvalidParams("factor does not reproduce the variances")
         cov = cov.copy()
-        cov.flags.writeable = False
+        for array in (cov, factor):
+            array.flags.writeable = False
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "factor", factor)
 
 
 def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorModel:
@@ -123,7 +141,8 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
 
     Built as ``L D L^T`` from the channel equations, where the loading
     matrix ``L`` maps the independent primitives (inputs and unit noises)
-    to the observed vector:
+    to the observed vector, and kept with its square root
+    ``L diag(sqrt(D))`` as the model's ``factor``:
 
     * slot 1 (order :data:`SLOT1_ORDER`): primitives ``X11, X21, ZR, ZQ,
       Z11`` with variances ``p11, p21, 1, sigma_q2, 1``; the relay hears
@@ -147,9 +166,8 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
                 [params.h11, params.h21, 0.0, 0.0, 1.0],
             ]
         )
-        variances = np.array([params.p11, params.p21, 1.0, sigma, 1.0])
-        return GaussianVectorModel(SLOT1_ORDER, (loading * variances) @ loading.T)
-    if slot == 2:
+        order, variances = SLOT1_ORDER, [params.p11, params.p21, 1.0, sigma, 1.0]
+    elif slot == 2:
         loading = np.array(
             [
                 [1.0, 0.0, 0.0, 0.0],
@@ -158,31 +176,46 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
                 [params.h11, params.h21, params.hr1, 1.0],
             ]
         )
-        variances = np.array([params.p12, params.p22, params.pr, 1.0])
-        return GaussianVectorModel(SLOT2_ORDER, (loading * variances) @ loading.T)
-    raise InvalidParams(f"slot must be 1 or 2, got {slot!r}")
+        order, variances = SLOT2_ORDER, [params.p12, params.p22, params.pr, 1.0]
+    else:
+        raise InvalidParams(f"slot must be 1 or 2, got {slot!r}")
+    variances = np.array(variances)
+    cov = (loading * variances) @ loading.T
+    return GaussianVectorModel(order, cov, factor=loading * np.sqrt(variances))
 
 
-def _log2det(model: GaussianVectorModel, names: Iterable[str]) -> float:
-    """log2 determinant of the covariance submatrix on ``names`` (empty -> 0)."""
-    name_set = set(names)
-    if not name_set:
-        return 0.0
-    unknown = name_set - set(model.names)
+def _log2dets(model: GaussianVectorModel, *blocks: set) -> list[float]:
+    """log2 determinants of the covariance submatrices on the first one,
+    two, ... of the disjoint name sets ``blocks`` (an empty union gives 0).
+
+    With ``A`` the factor rows of the blocks, in order, and ``A^T = QR``,
+    the submatrix on the first j rows is ``R_j^T R_j`` for the leading
+    j x j block ``R_j`` of ``R``, so its log-det is ``2 * sum(log2 |R_ii|)``
+    over i < j.  This square-root form never forms a submatrix, whose
+    determinant cancels catastrophically when a quantizer variance is tiny
+    (Golub & Van Loan, *Matrix Computations*, ch. 5); ``R_ii**2`` is the
+    variance of a coordinate given the ones before it.
+    """
+    names = set().union(*blocks)
+    unknown = names - set(model.names)
     if unknown:
         raise UnknownVariable(
             f"variables {sorted(unknown)} are not part of this model over "
             f"{model.names}"
         )
-    idx = [i for i, name in enumerate(model.names) if name in name_set]
-    sub = model.cov[np.ix_(idx, idx)]
-    eigs = np.linalg.eigvalsh(sub)
-    if float(eigs.min()) <= PIVOT_TOL:
-        raise SingularCovariance(
-            f"covariance of {sorted(name_set)} is numerically singular "
-            f"(eigenvalue {float(eigs.min())!r})"
-        )
-    return float(np.log2(eigs).sum())
+    idx = [i for block in blocks for i, name in enumerate(model.names) if name in block]
+    logs = [0.0]
+    if idx:
+        # mode="raw" stores R transposed; its diagonal is R's.
+        pivots = np.abs(np.linalg.qr(model.factor[idx].T, mode="raw")[0].diagonal())
+        if float(pivots.min()) ** 2 <= PIVOT_TOL:
+            raise SingularCovariance(
+                f"covariance of {sorted(names)} is numerically singular "
+                f"(conditional variance {float(pivots.min()) ** 2!r})"
+            )
+        steps = (2.0 * log for log in np.log2(pivots).tolist())
+        logs = list(accumulate(steps, initial=0.0))
+    return [logs[end] for end in accumulate(map(len, blocks))]
 
 
 def gaussian_mi(
@@ -205,12 +238,11 @@ def gaussian_mi(
         shared = left & right
         if shared:
             raise OverlappingSets(f"{tag} share variables {sorted(shared)}")
-    return 0.5 * (
-        _log2det(model, a_set | c_set)
-        + _log2det(model, b_set | c_set)
-        - _log2det(model, c_set)
-        - _log2det(model, a_set | b_set | c_set)
-    )
+    if sorted(b_set) < sorted(a_set):  # I(A; B | C) = I(B; A | C): one order
+        a_set, b_set = b_set, a_set
+    log_c, log_ac, log_abc = _log2dets(model, c_set, a_set, b_set)
+    log_bc = _log2dets(model, c_set, b_set)[1]
+    return 0.5 * (log_ac + log_bc - log_c - log_abc)
 
 
 def gqf_region_via_ru_sweep(

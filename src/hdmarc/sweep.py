@@ -18,22 +18,22 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import (
+    Bounds,
     ConfigError,
     HdmarcError,
-    RateRegion,
     SchemeId,
     clamp_bounds,
     validate_beta,
 )
 from .dminfo import DmChannelSpec, spec_from_dict
 from .dmregions import dm_regions
-from .gaussian import GaussianMarcParams, cf_bounds, gqf_bounds, no_relay_rates
+from .gaussian import GaussianMarcParams, gaussian_regions
 
 #: The only schema version this package reads.
 SCHEMA_VERSION = 1
@@ -146,7 +146,9 @@ def _parse_schemes(raw) -> tuple[SchemeId, ...]:
     return tuple(schemes)
 
 
-def _parse_gaussian_channel(doc: dict, swept: str) -> GaussianMarcParams:
+def _parse_gaussian_channel(doc: dict, swept: Optional[str]) -> GaussianMarcParams:
+    """A Gaussian ``channel`` block of a sweep over ``swept``, or of a single
+    point (``swept=None``: ``beta`` and ``sigma_q2`` both fixed)."""
     gains_doc = _require(doc, "gains", dict, "channel")
     powers_doc = _require(doc, "powers", dict, "channel")
     for label, table, known in (
@@ -177,13 +179,16 @@ def _parse_gaussian_channel(doc: dict, swept: str) -> GaussianMarcParams:
         beta = 0.5  # placeholder; every evaluation replaces it with a grid value
     else:
         beta = _require(doc, "beta", float, "channel")
-    if "sigma_q2" in doc:
+    sigma = None
+    if swept is None:
+        sigma = _require(doc, "sigma_q2", float, "channel")
+    elif "sigma_q2" in doc:
         raise ConfigError(
             "channel.sigma_q2 must be omitted in sweeps: it is either the swept "
             "parameter or chosen per point by the scheme"
         )
     try:
-        return GaussianMarcParams(beta=validate_beta(beta), sigma_q2=None, **kwargs)
+        return GaussianMarcParams(beta=validate_beta(beta), sigma_q2=sigma, **kwargs)
     except HdmarcError as exc:
         raise ConfigError(f"invalid channel parameters: {exc}") from exc
 
@@ -197,13 +202,7 @@ def gaussian_point_from_dict(doc: dict) -> GaussianMarcParams:
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"channel must be an object, got {type(doc).__name__}")
-    sigma = _require(doc, "sigma_q2", float, "channel")
-    trimmed = {key: value for key, value in doc.items() if key != "sigma_q2"}
-    base = _parse_gaussian_channel(trimmed, swept="sigma_q2")
-    try:
-        return replace(base, sigma_q2=sigma)
-    except HdmarcError as exc:
-        raise ConfigError(f"invalid channel parameters: {exc}") from exc
+    return _parse_gaussian_channel(doc, swept=None)
 
 
 def no_relay_from_dict(doc: dict) -> tuple[float, float]:
@@ -213,10 +212,46 @@ def no_relay_from_dict(doc: dict) -> tuple[float, float]:
     extra = sorted(set(doc) - {"P1", "P2"})
     if extra:
         raise ConfigError(f"no_relay has unknown fields {extra}")
-    return (
-        _require(doc, "P1", float, "no_relay"),
-        _require(doc, "P2", float, "no_relay"),
-    )
+    return tuple(_require(doc, key, float, "no_relay") for key in ("P1", "P2"))
+
+
+def _model_fields(
+    doc: dict, schemes: tuple[SchemeId, ...], where: str, parse_gaussian
+) -> dict:
+    """The model and channel fields of a sweep or region document ``doc``, as
+    keywords of :class:`SweepConfig` and :class:`RegionConfig`.
+
+    ``parse_gaussian`` reads a Gaussian ``channel`` block: sweeps leave
+    ``sigma_q2`` (and a swept ``beta``) out of it, single points fix both.
+    """
+    model = _require(doc, "model", str, where)
+    if model not in ("gaussian", "dm"):
+        raise ConfigError(f"model must be 'gaussian' or 'dm', got {model!r}")
+    channel_doc = _require(doc, "channel", dict, where)
+    if model == "gaussian":
+        if "topology" in doc:
+            raise ConfigError("topology applies to the dm model only")
+        no_relay = no_relay_from_dict(doc["no_relay"]) if "no_relay" in doc else None
+        if SchemeId.NO_RELAY in schemes and no_relay is None:
+            raise ConfigError(
+                "the NO_RELAY scheme needs a no_relay block with baseline "
+                "powers P1 and P2"
+            )
+        params = parse_gaussian(channel_doc)
+        return {"model": model, "gaussian": params, "no_relay": no_relay}
+    if "no_relay" in doc:
+        raise ConfigError(
+            "no_relay powers apply to the gaussian model only; the dm "
+            "NO_RELAY baseline silences the relay of the same channel"
+        )
+    topology = doc.get("topology", "marc")
+    if topology not in ("marc", "cmacr"):
+        raise ConfigError(f"topology must be 'marc' or 'cmacr', got {topology!r}")
+    try:
+        dm_spec = spec_from_dict(channel_doc)
+    except HdmarcError as exc:
+        raise ConfigError(f"invalid dm channel: {exc}") from exc
+    return {"model": model, "dm_spec": dm_spec, "topology": topology}
 
 
 def config_from_dict(doc: dict) -> SweepConfig:
@@ -252,13 +287,10 @@ def config_from_dict(doc: dict) -> SweepConfig:
     if extra:
         raise ConfigError(f"config has unknown fields {extra}")
 
-    model = _require(doc, "model", str, "config")
-    if model not in ("gaussian", "dm"):
-        raise ConfigError(f"model must be 'gaussian' or 'dm', got {model!r}")
     swept = _require(doc, "swept", str, "config")
     if swept not in ("sigma_q2", "beta"):
         raise ConfigError(f"swept must be 'sigma_q2' or 'beta', got {swept!r}")
-    if model == "dm" and swept != "beta":
+    if doc.get("model") == "dm" and swept != "beta":
         raise ConfigError("the dm model has no sigma_q2 knob; sweep beta instead")
 
     grid_doc = _require(doc, "grid", dict, "config")
@@ -280,150 +312,116 @@ def config_from_dict(doc: dict) -> SweepConfig:
         raise ConfigError(f"sigma_q2 grid needs min > 0, got {grid.lo!r}")
 
     schemes = _parse_schemes(doc.get("schemes"))
-    channel_doc = _require(doc, "channel", dict, "config")
-
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output must be a path string, got {output!r}")
-    topology = doc.get("topology", "marc")
-    if topology not in ("marc", "cmacr"):
-        raise ConfigError(f"topology must be 'marc' or 'cmacr', got {topology!r}")
-
-    if model == "gaussian":
-        if "topology" in doc:
-            raise ConfigError("topology applies to the dm model only")
-        params = _parse_gaussian_channel(channel_doc, swept)
-        no_relay = None
-        if "no_relay" in doc:
-            no_relay = no_relay_from_dict(_require(doc, "no_relay", dict, "config"))
-        if SchemeId.NO_RELAY in schemes and no_relay is None:
-            raise ConfigError(
-                "the NO_RELAY scheme needs a no_relay block with baseline "
-                "powers P1 and P2"
-            )
-        return SweepConfig(
-            model=model,
-            swept=swept,
-            grid=grid,
-            schemes=schemes,
-            gaussian=params,
-            no_relay=no_relay,
-            output=output,
-        )
-
-    if "no_relay" in doc:
-        raise ConfigError(
-            "no_relay powers apply to the gaussian model only; the dm "
-            "NO_RELAY baseline silences the relay of the same channel"
-        )
-    try:
-        dm_spec = spec_from_dict(channel_doc)
-    except HdmarcError as exc:
-        raise ConfigError(f"invalid dm channel: {exc}") from exc
-    return SweepConfig(
-        model=model,
-        swept=swept,
-        grid=grid,
-        schemes=schemes,
-        dm_spec=dm_spec,
-        topology=topology,
-        output=output,
+    fields = _model_fields(
+        doc, schemes, "config", lambda channel: _parse_gaussian_channel(channel, swept)
     )
+    return SweepConfig(swept=swept, grid=grid, schemes=schemes, output=output, **fields)
 
 
 @dataclass(frozen=True)
-class RegionRow:
-    """One evaluated grid point for one scheme."""
+class RegionConfig:
+    """A validated single-point description: the model fields of a
+    :class:`SweepConfig`, plus the point's ``beta`` and, for the Gaussian
+    model, its ``sigma_q2`` (both also held by ``gaussian``)."""
 
-    r1: float
-    r2: float
-    rsum: float
-    feasible: bool
-    diag_sigma: Optional[float]
+    model: str  # "gaussian" | "dm"
+    schemes: tuple[SchemeId, ...]
+    beta: float
+    sigma_q2: Optional[float] = None
+    gaussian: Optional[GaussianMarcParams] = None
+    no_relay: Optional[tuple[float, float]] = None
+    dm_spec: Optional[DmChannelSpec] = None
+    topology: str = "marc"
+
+
+def region_config_from_dict(doc: dict) -> RegionConfig:
+    """Validate a region document and build a :class:`RegionConfig`.
+
+    Fields: ``model``, ``channel`` (a Gaussian channel carries ``beta`` and
+    ``sigma_q2``, see :func:`gaussian_point_from_dict`), optional
+    ``schemes`` (default: all, no duplicates), and as in a sweep optional
+    ``no_relay`` (Gaussian) or top-level ``beta`` and optional ``topology``
+    (dm).
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"region config must be an object, got {type(doc).__name__}")
+    known = {"model", "channel", "schemes", "beta", "topology", "no_relay"}
+    extra = sorted(set(doc) - known)
+    if extra:
+        raise ConfigError(f"region config has unknown fields {extra}")
+    schemes = _parse_schemes(doc.get("schemes", [scheme.value for scheme in SchemeId]))
+    fields = _model_fields(doc, schemes, "region config", gaussian_point_from_dict)
+    if fields["model"] == "dm":
+        beta = validate_beta(_require(doc, "beta", float, "region config")).beta
+        return RegionConfig(schemes=schemes, beta=beta, **fields)
+    if "beta" in doc:
+        raise ConfigError("gaussian region configs carry beta inside 'channel'")
+    params = fields["gaussian"]
+    return RegionConfig(
+        schemes=schemes, beta=params.beta.beta, sigma_q2=params.sigma_q2, **fields
+    )
+
+
+def evaluate(config, beta, sigma_q2=None) -> dict[SchemeId, Bounds]:
+    """Unclamped bounds of every scheme of ``config`` (a :class:`SweepConfig`
+    or :class:`RegionConfig`) at slot fraction(s) ``beta`` and, for the
+    Gaussian model, quantization variance(s) ``sigma_q2`` (None: each
+    scheme's own choice per ``beta``).  Floats give one point, arrays a grid.
+    """
+    models = {
+        "gaussian": lambda: gaussian_regions(
+            config.gaussian, config.schemes, beta, sigma_q2, config.no_relay
+        ),
+        "dm": lambda: dm_regions(config.dm_spec, config.topology, config.schemes, beta),
+    }
+    return models[config.model]()
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All rows of a finished sweep, grouped by scheme."""
+    """A finished sweep: per scheme, its :class:`Bounds` clamped and listed
+    column by column, one entry per grid value (``sigma`` is the
+    ``diag_sigma`` column)."""
 
     swept: str
     values: tuple[float, ...]
     schemes: tuple[SchemeId, ...]
-    rows: dict[SchemeId, tuple[RegionRow, ...]]
+    columns: dict[SchemeId, Bounds]
     log_axis: bool
-
-
-def _row(region: RateRegion, diag_sigma: Optional[float]) -> RegionRow:
-    return RegionRow(
-        r1=region.r1_max,
-        r2=region.r2_max,
-        rsum=region.sum_max,
-        feasible=region.feasible,
-        diag_sigma=diag_sigma,
-    )
-
-
-def _gaussian_rows(
-    config: SweepConfig, scheme: SchemeId, values: tuple[float, ...]
-) -> tuple[RegionRow, ...]:
-    params = config.gaussian
-    if scheme is SchemeId.NO_RELAY:
-        p1, p2 = config.no_relay
-        baseline = _row(no_relay_rates(params.h11, params.h21, p1, p2), None)
-        return (baseline,) * len(values)
-    # One closed-form evaluation over the whole grid.  On a beta sweep each
-    # scheme picks its own variance: GQF the sum optimum, CF just above the
-    # binning threshold.
-    grid = np.asarray(values)
-    if config.swept == "sigma_q2":
-        beta, sigma = params.beta.beta, grid
-    else:
-        beta, sigma = grid, None
-    evaluate = gqf_bounds if scheme is SchemeId.GQF else cf_bounds
-    bounds = evaluate(params, beta, sigma)
-    columns = (
-        *clamp_bounds(bounds.r1, bounds.r2, bounds.rsum),
-        bounds.feasible,
-        bounds.sigma,
-    )
-    lists = (np.broadcast_to(column, grid.shape).tolist() for column in columns)
-    return tuple(RegionRow(*row) for row in zip(*lists))
-
-
-def _dm_rows(
-    config: SweepConfig, values: tuple[float, ...]
-) -> dict[SchemeId, tuple[RegionRow, ...]]:
-    betas = tuple(validate_beta(value) for value in values)
-    regions = dm_regions(config.dm_spec, config.topology, config.schemes, betas)
-    return {
-        scheme: tuple(_row(region, None) for region in column)
-        for scheme, column in regions.items()
-    }
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every scheme at every grid point.
 
-    Backend errors are re-raised with the failing scheme (all schemes, for
-    the dm model, which evaluates them together) prepended to the message.
+    On a ``beta`` sweep each scheme picks its own variance per point: GQF
+    the sum optimum, CF just above the binning threshold.  Backend errors
+    are re-raised with the schemes prepended to the message.
     """
     values = config.grid.values()
-    rows: dict[SchemeId, tuple[RegionRow, ...]] = {}
-    label = "schemes " + ", ".join(scheme.value for scheme in config.schemes)
+    grid = np.asarray(values)
+    if config.swept == "sigma_q2":
+        beta, sigma = config.gaussian.beta.beta, grid
+    else:
+        beta, sigma = grid, None
     try:
-        if config.model == "dm":
-            rows = _dm_rows(config, values)
-        else:
-            for scheme in config.schemes:
-                label = f"scheme {scheme.value}"
-                rows[scheme] = _gaussian_rows(config, scheme, values)
+        evaluated = evaluate(config, beta, sigma)
     except HdmarcError as exc:
-        raise type(exc)(f"sweep failed for {label}: {exc}") from exc
+        label = ", ".join(scheme.value for scheme in config.schemes)
+        raise type(exc)(f"sweep failed for schemes {label}: {exc}") from exc
+    columns = {}
+    for scheme, bounds in evaluated.items():
+        r1, r2, rsum = clamp_bounds(bounds.r1, bounds.r2, bounds.rsum)
+        clamped = (r1, r2, rsum, bounds.feasible, bounds.sigma)
+        lists = (np.broadcast_to(column, grid.shape).tolist() for column in clamped)
+        columns[scheme] = Bounds(*lists, bounds.terms)
     return SweepResult(
         swept=config.swept,
         values=values,
         schemes=config.schemes,
-        rows=rows,
+        columns=columns,
         log_axis=config.grid.spacing == "log",
     )
 
@@ -434,12 +432,13 @@ def render_csv(result: SweepResult) -> str:
     lines = [CSV_HEADER]
     for scheme in result.schemes:
         name = scheme.value
-        for value, row in zip(result.values, result.rows[scheme]):
-            diag = "" if row.diag_sigma is None else f"{row.diag_sigma:{g}}"
-            feasible = "true" if row.feasible else "false"
+        for value, r1, r2, rsum, feasible, sigma in zip(
+            result.values, *result.columns[scheme][:5]
+        ):
+            diag = "" if sigma is None else f"{sigma:{g}}"
             lines.append(
-                f"{value:{g}},{name},{row.r1:{g}},{row.r2:{g}},{row.rsum:{g}},"
-                f"{feasible},{diag}"
+                f"{value:{g}},{name},{r1:{g}},{r2:{g}},{rsum:{g}},"
+                f"{'true' if feasible else 'false'},{diag}"
             )
     return "\n".join(lines) + "\n"
 

@@ -128,24 +128,11 @@ class _Worst:
 def draw_gaussian_params(rng: np.random.Generator) -> GaussianMarcParams:
     """A random Gaussian channel: gains and powers in [0.1, 5], beta in
     [0.1, 0.9], quantization variance in [0.01, 100]."""
-    h11, h21, h1r, h2r, hr1 = rng.uniform(0.1, 5.0, size=5)
-    p11, p12, p21, p22, pr = rng.uniform(0.1, 5.0, size=5)
+    gains = rng.uniform(0.1, 5.0, size=5)  # h11, h21, h1r, h2r, hr1
+    powers = rng.uniform(0.1, 5.0, size=5)  # p11, p12, p21, p22, pr
     beta = validate_beta(float(rng.uniform(0.1, 0.9)))
     sigma = float(rng.uniform(0.01, 100.0))
-    return GaussianMarcParams(
-        h11=float(h11),
-        h21=float(h21),
-        h1r=float(h1r),
-        h2r=float(h2r),
-        hr1=float(hr1),
-        p11=float(p11),
-        p12=float(p12),
-        p21=float(p21),
-        p22=float(p22),
-        pr=float(pr),
-        beta=beta,
-        sigma_q2=sigma,
-    )
+    return GaussianMarcParams(*gains, *powers, beta=beta, sigma_q2=sigma)
 
 
 _SIZE_NAMES = (
@@ -211,16 +198,7 @@ def draw_single_source_spec(
     for x12 in range(n_x12):
         for xr in range(n_xr):
             slot2[x12, 0, xr, x12 * n_xr + xr, 0] = 1.0
-    spec = DmChannelSpec(
-        px11=base.px11,
-        px21=base.px21,
-        px12=base.px12,
-        px22=base.px22,
-        pxr=np.full(n_xr, 1.0 / n_xr),
-        test_channel=base.test_channel,
-        slot1=base.slot1,
-        slot2=slot2,
-    )
+    spec = replace(base, pxr=np.full(n_xr, 1.0 / n_xr), slot2=slot2)
     beta = validate_beta(float(rng.uniform(0.2, 0.4)))
     return spec, beta
 

@@ -276,10 +276,10 @@ def test_shipped_sweep_configs_reproduce_quickly_and_deterministically():
 
     beta_doc = json.loads((CONFIG_DIR / "gaussian_beta_sweep.json").read_text())
     beta_result = run_sweep(config_from_dict(beta_doc))
-    gqf_rows = beta_result.rows[SchemeId.GQF]
-    cf_rows = beta_result.rows[SchemeId.CF]
+    gqf_sums = beta_result.columns[SchemeId.GQF].rsum
+    cf_sums = beta_result.columns[SchemeId.CF].rsum
     beta_gap = max(
-        abs(g.rsum - c.rsum) for g, c in zip(gqf_rows, cf_rows)
+        abs(g - c) for g, c in zip(gqf_sums, cf_sums)
     )
 
     slowest = max(timings.values())

@@ -24,11 +24,11 @@ from hdmarc import (
     build_slot1_joint,
     build_slot2_joint,
     entropy,
-    load_dm_spec,
     marginalize,
     mutual_information,
     spec_from_dict,
 )
+from hdmarc.cli import _load_json
 from hdmarc.dminfo import MAX_CELLS, SLOT1_VARS, SLOT2_VARS
 
 from _support import make_random_spec as _random_spec
@@ -365,19 +365,19 @@ def test_spec_from_dict_rejects_non_numeric_tables():
         spec_from_dict(doc)
 
 
-def test_load_dm_spec_round_trip(tmp_path):
+def test_dm_spec_json_round_trip(tmp_path):
     rng = np.random.default_rng(36)
     doc = _spec_doc(rng)
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(doc))
-    spec = load_dm_spec(path)
+    spec = spec_from_dict(json.loads(path.read_text()))
     np.testing.assert_allclose(spec.px11, doc["p_x11"], rtol=1e-15)
     np.testing.assert_allclose(spec.slot2, doc["slot2"], rtol=1e-15)
     assert spec.n_yr == len(doc["test_channel"])
 
 
-def test_load_dm_spec_rejects_invalid_json(tmp_path):
+def test_channel_file_with_invalid_json_is_a_config_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
-        load_dm_spec(path)
+        _load_json(path)

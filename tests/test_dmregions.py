@@ -12,7 +12,6 @@ import hdmarc.dmregions
 from hdmarc import (
     DmChannelSpec,
     InvalidParams,
-    RegionTerms,
     SchemeId,
     build_slot1_joint,
     build_slot2_joint,
@@ -22,7 +21,6 @@ from hdmarc import (
     entropy,
     gqf_region_cmacr,
     gqf_region_marc,
-    gqf_terms,
     no_relay_region_cmacr,
     no_relay_region_marc,
     validate_beta,
@@ -87,27 +85,30 @@ def test_gqf_terms_match_independent_evaluator():
         spec = make_random_spec(rng, {"yr": int(rng.integers(2, 4))})
         beta = float(rng.uniform(0.2, 0.8))
         for k in (1, 2):
-            terms = gqf_terms(spec, validate_beta(beta), k=k)
+            terms = gqf_region_cmacr(spec, validate_beta(beta)).terms
             local = _local_terms(spec, beta, k)
             for i in (1, 2):
-                assert terms.a[(k, i)] == pytest.approx(local[f"a({i})"], abs=1e-10)
-                assert terms.b[(k, i)] == pytest.approx(local[f"b({i})"], abs=1e-10)
-            assert terms.c[k] == pytest.approx(local["c"], abs=1e-10)
-            assert terms.d[k] == pytest.approx(local["d"], abs=1e-10)
+                assert terms[f"a_{k}({i})"] == pytest.approx(local[f"a({i})"], abs=1e-10)
+                assert terms[f"b_{k}({i})"] == pytest.approx(local[f"b({i})"], abs=1e-10)
+            assert terms[f"c_{k}"] == pytest.approx(local["c"], abs=1e-10)
+            assert terms[f"d_{k}"] == pytest.approx(local["d"], abs=1e-10)
 
 
 def test_gqf_terms_rejects_bad_destination():
     rng = np.random.default_rng(42)
     spec = make_random_spec(rng)
     with pytest.raises(InvalidParams):
-        gqf_terms(spec, validate_beta(0.5), k=3)
+        slot_terms(spec, (3,))
 
 
 def test_region_terms_destinations():
-    terms = RegionTerms(a={(2, 1): 1.1, (2, 2): 1.2, (1, 1): 0.1, (1, 2): 0.2},
-                        b={(2, 1): 1.3, (2, 2): 1.4, (1, 1): 0.3, (1, 2): 0.4},
-                        c={2: 1.5, 1: 0.5}, d={2: 1.6, 1: 0.6})
-    assert terms.destinations() == (1, 2)
+    # Terms exist exactly for the destinations that were evaluated.
+    def destinations(region):
+        return tuple(sorted({int(name[2]) for name in region.terms if name[0] in "abcd"}))
+
+    spec = make_random_spec(np.random.default_rng(42))
+    assert destinations(gqf_region_cmacr(spec, validate_beta(0.5))) == (1, 2)
+    assert destinations(gqf_region_marc(spec, validate_beta(0.5))) == (1,)
 
 
 def test_entropy_memo_matches_public_entropy_bit_for_bit(monkeypatch):
@@ -145,15 +146,15 @@ def test_gqf_region_is_min_of_branches():
         spec = make_random_spec(rng)
         beta = validate_beta(float(rng.uniform(0.2, 0.8)))
         region = gqf_region_marc(spec, beta)
-        terms = gqf_terms(spec, beta, k=1)
-        r1 = min(terms.a[(1, 1)], terms.b[(1, 1)])
-        r2 = min(terms.a[(1, 2)], terms.b[(1, 2)])
-        rsum = min(terms.c[1], terms.d[1])
+        terms = gqf_region_cmacr(spec, beta).terms  # destination 1's entries
+        r1 = min(terms["a_1(1)"], terms["b_1(1)"])
+        r2 = min(terms["a_1(2)"], terms["b_1(2)"])
+        rsum = min(terms["c_1"], terms["d_1"])
         assert region.r1_max == max(0.0, r1)
         assert region.r2_max == max(0.0, r2)
         assert region.sum_max == min(max(0.0, rsum), region.r1_max + region.r2_max)
         assert region.feasible is True
-        assert region.terms["a_1(1)"] == terms.a[(1, 1)]
+        assert region.terms["a_1(1)"] == terms["a_1(1)"]
 
 
 def test_compound_region_is_worst_case_over_destinations():
@@ -162,10 +163,10 @@ def test_compound_region_is_worst_case_over_destinations():
         spec = make_random_spec(rng)
         beta = validate_beta(0.5)
         compound = gqf_region_cmacr(spec, beta)
-        single = {k: gqf_terms(spec, beta, k=k) for k in (1, 2)}
-        r1 = min(min(t.a[(k, 1)], t.b[(k, 1)]) for k, t in single.items())
-        r2 = min(min(t.a[(k, 2)], t.b[(k, 2)]) for k, t in single.items())
-        rsum = min(min(t.c[k], t.d[k]) for k, t in single.items())
+        t = compound.terms
+        r1 = min(min(t[f"a_{k}(1)"], t[f"b_{k}(1)"]) for k in (1, 2))
+        r2 = min(min(t[f"a_{k}(2)"], t[f"b_{k}(2)"]) for k in (1, 2))
+        rsum = min(min(t[f"c_{k}"], t[f"d_{k}"]) for k in (1, 2))
         assert compound.r1_max == pytest.approx(max(0.0, r1), abs=1e-12)
         assert compound.r2_max == pytest.approx(max(0.0, r2), abs=1e-12)
         assert compound.r1_max <= gqf_region_marc(spec, beta).r1_max + 1e-12
@@ -219,7 +220,7 @@ def test_compound_with_twin_destinations_matches_single():
 def test_dm_regions_rejects_unknown_topology():
     spec = make_random_spec(np.random.default_rng(54))
     with pytest.raises(InvalidParams, match="topology"):
-        dm_regions(spec, "mesh", (SchemeId.GQF,), (validate_beta(0.5),))
+        dm_regions(spec, "mesh", (SchemeId.GQF,), 0.5)
 
 
 def test_active_destinations_variants():
@@ -242,7 +243,7 @@ def test_constant_quantizer_drops_all_index_terms():
     rng = np.random.default_rng(48)
     spec = make_random_spec(rng, {"yhr": 1})
     beta = 0.6
-    terms = gqf_terms(spec, validate_beta(beta), k=1)
+    terms = gqf_region_marc(spec, validate_beta(beta)).terms
     joint1 = build_slot1_joint(spec)
     joint2 = build_slot2_joint(spec)
     comp = 1.0 - beta
@@ -251,15 +252,15 @@ def test_constant_quantizer_drops_all_index_terms():
     a1 = beta * mi_ratio(joint1, ["X11"], ["X21", "Y11"]) + comp * mi_ratio(
         joint2, ["X12"], ["X22", "XR", "Y12"]
     )
-    assert terms.a[(1, 1)] == pytest.approx(a1, abs=1e-12)
+    assert terms["a_1(1)"] == pytest.approx(a1, abs=1e-12)
     b1 = beta * mi_ratio(joint1, ["X11"], ["X21", "Y11"]) + comp * mi_ratio(
         joint2, ["X12", "XR"], ["X22", "Y12"]
     )
-    assert terms.b[(1, 1)] == pytest.approx(b1, abs=1e-12)
+    assert terms["b_1(1)"] == pytest.approx(b1, abs=1e-12)
     c = beta * mi_ratio(joint1, ["X11", "X21"], ["Y11"]) + comp * mi_ratio(
         joint2, ["X12", "X22"], ["XR", "Y12"]
     )
-    assert terms.c[1] == pytest.approx(c, abs=1e-12)
+    assert terms["c_1"] == pytest.approx(c, abs=1e-12)
 
 
 def test_identity_quantizer_forwards_the_full_observation():
@@ -277,14 +278,14 @@ def test_identity_quantizer_forwards_the_full_observation():
         slot2=spec.slot2,
     )
     beta = 0.5
-    terms = gqf_terms(spec, validate_beta(beta), k=1)
+    terms = gqf_region_marc(spec, validate_beta(beta)).terms
     joint1 = build_slot1_joint(spec)
     joint2 = build_slot2_joint(spec)
     # The index-decoded branch now sees YR itself.
     a1 = beta * mi_ratio(joint1, ["X11"], ["X21", "Y11", "YR"]) + (
         1.0 - beta
     ) * mi_ratio(joint2, ["X12"], ["X22", "XR", "Y12"])
-    assert terms.a[(1, 1)] == pytest.approx(a1, abs=1e-12)
+    assert terms["a_1(1)"] == pytest.approx(a1, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +310,10 @@ def test_no_relay_region_branches_coincide():
     for _ in range(5):
         spec = make_random_spec(rng)
         beta = validate_beta(float(rng.uniform(0.2, 0.8)))
-        terms = gqf_terms(degenerate_relay_spec(spec), beta, k=1)
+        terms = gqf_region_marc(degenerate_relay_spec(spec), beta).terms
         for i in (1, 2):
-            assert terms.a[(1, i)] == pytest.approx(terms.b[(1, i)], abs=1e-12)
-        assert terms.c[1] == pytest.approx(terms.d[1], abs=1e-12)
+            assert terms[f"a_1({i})"] == pytest.approx(terms[f"b_1({i})"], abs=1e-12)
+        assert terms["c_1"] == pytest.approx(terms["d_1"], abs=1e-12)
 
 
 def test_no_relay_region_ignores_relay_tables():
@@ -377,10 +378,10 @@ def test_cf_feasible_region_uses_index_decoded_branches_only():
     beta = validate_beta(0.2)
     region = cf_region_marc(spec, beta)
     assert region.feasible is True
-    terms = gqf_terms(spec, beta, k=1)
-    assert region.r1_max == pytest.approx(max(0.0, terms.a[(1, 1)]), abs=1e-12)
-    assert region.r2_max == pytest.approx(max(0.0, terms.a[(1, 2)]), abs=1e-12)
-    expected_sum = min(max(0.0, terms.c[1]), region.r1_max + region.r2_max)
+    terms = gqf_region_marc(spec, beta).terms
+    assert region.r1_max == pytest.approx(max(0.0, terms["a_1(1)"]), abs=1e-12)
+    assert region.r2_max == pytest.approx(max(0.0, terms["a_1(2)"]), abs=1e-12)
+    expected_sum = min(max(0.0, terms["c_1"]), region.r1_max + region.r2_max)
     assert region.sum_max == pytest.approx(expected_sum, abs=1e-12)
 
 

@@ -22,10 +22,8 @@ from hdmarc import (
     cf_rates,
     cf_sigma_min,
     config_from_dict,
-    gqf_individual_rate,
     gqf_optimize_sigma,
     gqf_rates,
-    gqf_sum_terms,
     no_relay_rates,
     optimize_beta,
     run_sweep,
@@ -33,6 +31,7 @@ from hdmarc import (
 from hdmarc.gaussian import (
     BETA_RANGE,
     cf_operating_point,
+    gqf_bounds,
     relay_link,
     relay_view,
     slot1_signal,
@@ -100,7 +99,7 @@ def test_derived_powers_on_benchmark_channel():
 def test_rate_evaluation_requires_sigma():
     params = benchmark_params()  # sigma_q2 left unset
     with pytest.raises(InvalidParams):
-        gqf_individual_rate(params, 1)
+        gqf_rates(params).r1_max
     with pytest.raises(InvalidParams):
         gqf_rates(params)
     with pytest.raises(InvalidParams):
@@ -110,7 +109,7 @@ def test_rate_evaluation_requires_sigma():
 def test_source_index_is_validated():
     params = benchmark_params(sigma_q2=1.0)
     with pytest.raises(InvalidParams):
-        gqf_individual_rate(params, 3)
+        optimize_beta(params, SchemeId.GQF, objective="r3")
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +125,20 @@ def test_individual_rate_branches_on_benchmark_channel():
     # Index-as-noise branch: slot 1 degrades, slot 2 gains the relay power.
     b1 = 0.25 * math.log2(2.0 * 1.0 / 2.0) + 0.25 * math.log2(1.0 + 1.0 + 9.0)
     assert region.terms["b(1)"] == pytest.approx(b1, abs=1e-15)
-    assert gqf_individual_rate(params, 1) == pytest.approx(min(a1, b1), abs=1e-15)
+    assert region.r1_max == pytest.approx(min(a1, b1), abs=1e-15)
     # Source 2 couples to the relay through the weaker 0.5 gain.
     a2 = 0.25 * math.log2(1.0 + 1.0 + 0.25 / 2.0) + 0.25 * math.log2(2.0)
-    assert gqf_individual_rate(params, 2) == pytest.approx(a2, abs=1e-15)
+    assert region.r2_max == pytest.approx(a2, abs=1e-15)
 
 
 def test_sum_branches_on_benchmark_channel():
     params = benchmark_params(sigma_q2=1.0)
-    terms = gqf_sum_terms(params)
+    terms = gqf_rates(params).terms
     i1 = 0.25 * math.log2(3.0 + 15.5 / 2.0) + 0.25 * math.log2(3.0)
     i2 = 0.25 * math.log2(3.0 / 2.0) + 0.25 * math.log2(3.0 + 9.0)
-    assert terms.i1 == pytest.approx(i1, abs=1e-15)
-    assert terms.i2 == pytest.approx(i2, abs=1e-15)
-    assert terms.bound == min(terms.i1, terms.i2)
+    assert terms["I1"] == pytest.approx(i1, abs=1e-15)
+    assert terms["I2"] == pytest.approx(i2, abs=1e-15)
+    assert gqf_bounds(params, 0.5, 1.0).rsum == min(terms["I1"], terms["I2"])
     region = gqf_rates(params)
     assert region.sum_max == pytest.approx(min(i1, i2), abs=1e-15)
     assert region.feasible is True
@@ -158,8 +157,9 @@ def test_huge_quantization_noise_reduces_slot1_to_direct_links():
 
 def test_sum_branches_are_strictly_monotone_in_sigma():
     grid = np.logspace(-3.0, 3.0, 60)
-    i1 = np.array([gqf_sum_terms(benchmark_params(sigma_q2=s)).i1 for s in grid])
-    i2 = np.array([gqf_sum_terms(benchmark_params(sigma_q2=s)).i2 for s in grid])
+    terms = [gqf_rates(benchmark_params(sigma_q2=s)).terms for s in grid]
+    i1 = np.array([t["I1"] for t in terms])
+    i2 = np.array([t["I2"] for t in terms])
     assert np.all(np.diff(i1) < 0.0)
     assert np.all(np.diff(i2) > 0.0)
 
@@ -174,9 +174,9 @@ def test_optimize_sigma_finds_the_benchmark_crossing():
     assert result.crossing is True
     assert result.sigma_q2 == pytest.approx(55.5 / 27.0, abs=1e-8)
     at_opt = benchmark_params(sigma_q2=result.sigma_q2)
-    terms = gqf_sum_terms(at_opt)
-    assert abs(terms.i1 - terms.i2) <= 1e-8
-    assert result.sum_rate == pytest.approx(terms.i1, abs=1e-12)
+    terms = gqf_rates(at_opt).terms
+    assert abs(terms["I1"] - terms["I2"]) <= 1e-8
+    assert result.sum_rate == pytest.approx(terms["I1"], abs=1e-12)
 
 
 def _exact_threshold(params):
@@ -209,8 +209,8 @@ def test_optimal_sigma_matches_the_exact_threshold_under_fuzz():
         exact = _exact_threshold(params)
         assert result.crossing is True
         assert abs(result.sigma_q2 / float(exact) - 1.0) <= 1e-12, (beta, result)
-        at_opt = gqf_sum_terms(replace(params, sigma_q2=result.sigma_q2))
-        assert result.sum_rate == at_opt.i1
+        at_opt = gqf_rates(replace(params, sigma_q2=result.sigma_q2)).terms
+        assert result.sum_rate == at_opt["I1"]
 
 
 def _bits(*values):
@@ -239,10 +239,10 @@ def test_shipped_sweep_rows_equal_scalar_evaluations_bit_for_bit(name):
             (SchemeId.CF, cf_rates(cf_point), cf_point.sigma_q2),
             (SchemeId.NO_RELAY, baseline, None),
         ):
-            row = result.rows[scheme][k]
-            assert row.feasible is region.feasible
-            assert row.diag_sigma == sigma
-            assert _bits(row.r1, row.r2, row.rsum) == _bits(
+            column = result.columns[scheme]
+            assert column.feasible[k] is region.feasible
+            assert column.sigma[k] == sigma
+            assert _bits(column.r1[k], column.r2[k], column.rsum[k]) == _bits(
                 region.r1_max, region.r2_max, region.sum_max
             ), (scheme, value)
 
@@ -297,10 +297,10 @@ def test_optimize_sigma_maximizes_the_min_branch_under_fuzz():
         if not result.crossing:
             continue
         for factor in (0.5, 0.9, 1.1, 2.0):
-            nearby = gqf_sum_terms(
+            nearby = gqf_rates(
                 replace(params, sigma_q2=result.sigma_q2 * factor)
-            )
-            assert result.sum_rate >= nearby.bound - 1e-9
+            ).terms
+            assert result.sum_rate >= min(nearby["I1"], nearby["I2"]) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +400,14 @@ def test_no_relay_rates_degenerate_inputs():
         no_relay_rates(math.nan, 1.0, 1.0, 1.0)
     with pytest.raises(InvalidParams):
         no_relay_rates(1.0, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("h11, p1", [(1e10, 1e300), (1e200, 1.0)])
+def test_no_relay_rates_reject_received_powers_that_overflow(h11, p1):
+    # h11**2 * P1 is inf in the first case and an OverflowError in the
+    # second; neither may reach a rate.
+    with pytest.raises(InvalidParams, match="overflow float64"):
+        no_relay_rates(h11, 1.0, p1, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,36 @@ def test_gaussian_mi_detects_singular_submatrices():
         gaussian_mi(nearly_exact_quantizer, {"YR"}, {"YhR"})
 
 
+def test_gaussian_mi_resolves_tiny_quantizer_variances():
+    # YhR = YR + ZQ, so I(YR; YhR) = 1/2 log2((var(YR) + sigma) / sigma).
+    # Forming the covariance loses sigma against var(YR) = 10.25 well above
+    # 1e-13; the square-root factor keeps it as its own coordinate.
+    for sigma in (1e-13, 1e-10, 1e-6):
+        model = build_covariance(benchmark_params(sigma_q2=sigma), slot=1)
+        exact = 0.5 * math.log2((10.25 + sigma) / sigma)
+        assert gaussian_mi(model, {"YR"}, {"YhR"}) == pytest.approx(exact, abs=1e-12)
+
+
+def test_model_from_a_bare_covariance_matches_the_factored_model():
+    factored = build_covariance(benchmark_params(sigma_q2=0.5), slot=1)
+    bare = GaussianVectorModel(factored.names, factored.cov)
+    for a, b, c in (({"X11"}, {"Y11", "YhR"}, set()), ({"YhR"}, {"YR"}, {"X11", "Y11"})):
+        assert gaussian_mi(bare, a, b, c) == pytest.approx(
+            gaussian_mi(factored, a, b, c), abs=1e-12
+        )
+    with pytest.raises(InvalidParams):
+        GaussianVectorModel(factored.names, factored.cov, factor=2.0 * factored.factor)
+
+
+@pytest.mark.parametrize("seed", [5, 285, 2007])
+def test_closed_forms_pass_where_the_threshold_is_tiny(seed):
+    # These seeds draw CF thresholds down to 9e-9, 3e-12 and 3e-13; the
+    # eigenvalues of the formed covariance FAILed cf_threshold_balance at
+    # the first two and raised SingularCovariance at the third.
+    report = run_subject("closed-forms", seed=seed)
+    assert report.passed, report.render()
+
+
 def test_gaussian_mi_properties_under_fuzz():
     rng = np.random.default_rng(71)
     for _ in range(25):

@@ -15,6 +15,7 @@ import pytest
 import hdmarc.dmregions
 from hdmarc import (
     ConfigError,
+    DmChannelSpec,
     HdmarcError,
     SchemeId,
     cf_region_cmacr,
@@ -28,6 +29,7 @@ from hdmarc import (
     gqf_region_marc,
     no_relay_region_cmacr,
     no_relay_region_marc,
+    rate_region,
     run_sweep,
     validate_beta,
 )
@@ -37,7 +39,9 @@ from hdmarc.sweep import (
     MAX_GRID_POINTS,
     GridSpec,
     SweepConfig,
+    evaluate,
     gaussian_point_from_dict,
+    region_config_from_dict,
     render_csv,
     render_plot_script,
 )
@@ -85,25 +89,28 @@ def _gaussian_sweep_doc():
     }
 
 
+def _channel_doc(spec):
+    return {
+        "p_x11": spec.px11.tolist(),
+        "p_x21": spec.px21.tolist(),
+        "p_x12": spec.px12.tolist(),
+        "p_x22": spec.px22.tolist(),
+        "p_xr": spec.pxr.tolist(),
+        "test_channel": spec.test_channel.tolist(),
+        "slot1": spec.slot1.tolist(),
+        "slot2": spec.slot2.tolist(),
+    }
+
+
 def _dm_sweep_doc():
     rng = np.random.default_rng(81)
-    spec = make_random_spec(rng)
     return {
         "schema_version": 1,
         "model": "dm",
         "swept": "beta",
         "grid": {"min": 0.2, "max": 0.8, "points": 4},
         "schemes": ["GQF", "CF", "NO_RELAY"],
-        "channel": {
-            "p_x11": spec.px11.tolist(),
-            "p_x21": spec.px21.tolist(),
-            "p_x12": spec.px12.tolist(),
-            "p_x22": spec.px22.tolist(),
-            "p_xr": spec.pxr.tolist(),
-            "test_channel": spec.test_channel.tolist(),
-            "slot1": spec.slot1.tolist(),
-            "slot2": spec.slot2.tolist(),
-        },
+        "channel": _channel_doc(make_random_spec(rng)),
     }
 
 
@@ -255,20 +262,22 @@ def test_sigma_sweep_rows_match_single_point_evaluations():
     values = config.grid.values()
     assert result.values == values
     for scheme in config.schemes:
-        assert len(result.rows[scheme]) == len(values)
-    for value, row in zip(values, result.rows[SchemeId.GQF]):
+        assert len(result.columns[scheme].rsum) == len(values)
+    gqf = result.columns[SchemeId.GQF]
+    for value, rsum, sigma in zip(values, gqf.rsum, gqf.sigma):
         point = gqf_rates(benchmark_params(sigma_q2=value))
-        assert row.rsum == point.sum_max
-        assert row.diag_sigma == value
+        assert rsum == point.sum_max
+        assert sigma == value
     threshold = cf_sigma_min(benchmark_params())
-    for value, row in zip(values, result.rows[SchemeId.CF]):
+    cf = result.columns[SchemeId.CF]
+    for value, rsum, feasible in zip(values, cf.rsum, cf.feasible):
         point = cf_rates(benchmark_params(sigma_q2=value))
-        assert row.rsum == point.sum_max
-        assert row.feasible == (value > threshold)
-    baseline = result.rows[SchemeId.NO_RELAY]
-    assert len({(r.r1, r.r2, r.rsum) for r in baseline}) == 1
-    assert baseline[0].diag_sigma is None
-    assert baseline[0].rsum == pytest.approx(1.0, abs=1e-12)
+        assert rsum == point.sum_max
+        assert feasible == (value > threshold)
+    baseline = result.columns[SchemeId.NO_RELAY]
+    assert len(set(zip(baseline.r1, baseline.r2, baseline.rsum))) == 1
+    assert baseline.sigma[0] is None
+    assert baseline.rsum[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_beta_sweep_reoptimizes_sigma_per_point():
@@ -277,20 +286,22 @@ def test_beta_sweep_reoptimizes_sigma_per_point():
     doc["grid"] = {"min": 0.3, "max": 0.7, "points": 3}
     del doc["channel"]["beta"]
     result = run_sweep(config_from_dict(doc))
-    for value, row in zip(result.values, result.rows[SchemeId.GQF]):
+    gqf = result.columns[SchemeId.GQF]
+    for value, rsum, sigma in zip(result.values, gqf.rsum, gqf.sigma):
         optimum = gqf_optimize_sigma(benchmark_params(beta=value))
-        assert row.diag_sigma == optimum.sigma_q2
+        assert sigma == optimum.sigma_q2
         at_opt = gqf_rates(benchmark_params(beta=value, sigma_q2=optimum.sigma_q2))
-        assert row.rsum == at_opt.sum_max
+        assert rsum == at_opt.sum_max
         # The row reports min(I1, I2) at the crossing, the optimizer the
         # falling branch I1; at the closed-form crossing they agree to
         # rounding.
-        assert row.rsum == pytest.approx(optimum.sum_rate, abs=1e-12)
-    for value, row in zip(result.values, result.rows[SchemeId.CF]):
+        assert rsum == pytest.approx(optimum.sum_rate, abs=1e-12)
+    cf = result.columns[SchemeId.CF]
+    for value, sigma, feasible in zip(result.values, cf.sigma, cf.feasible):
         threshold = cf_sigma_min(benchmark_params(beta=value))
-        assert row.diag_sigma == pytest.approx(threshold, rel=1e-8)
-        assert row.diag_sigma > threshold
-        assert row.feasible is True
+        assert sigma == pytest.approx(threshold, rel=1e-8)
+        assert sigma > threshold
+        assert feasible is True
 
 
 def test_beta_sweep_names_the_beta_whose_threshold_overflows():
@@ -302,6 +313,60 @@ def test_beta_sweep_names_the_beta_whose_threshold_overflows():
     for schemes in ((SchemeId.GQF,), (SchemeId.CF,)):
         with pytest.raises(HdmarcError, match=r"beta=0\.001\b"):
             run_sweep(replace(config, schemes=schemes))
+
+
+def test_sweep_error_names_the_first_grid_point_that_overflows():
+    doc = _gaussian_sweep_doc()
+    doc["channel"]["gains"]["h11"] = 3.0
+    doc["grid"] = {"min": 1e-3, "max": 1e308, "points": 3, "spacing": "log"}
+    # 10 * sigma_q2 overflows at the last point only.
+    with pytest.raises(HdmarcError, match=r"at beta=0\.5, sigma_q2=1e\+308$"):
+        run_sweep(config_from_dict(doc))
+
+
+def _swap_sources(config):
+    """The same configuration with sources 1 and 2 exchanged."""
+    if config.model == "gaussian":
+        g = config.gaussian
+        params = replace(g, h11=g.h21, h21=g.h11, h1r=g.h2r, h2r=g.h1r,
+                         p11=g.p21, p21=g.p11, p12=g.p22, p22=g.p12)
+        return replace(config, gaussian=params, no_relay=config.no_relay[::-1])
+    s = config.dm_spec
+    spec = DmChannelSpec(
+        px11=s.px21, px21=s.px11, px12=s.px22, px22=s.px12, pxr=s.pxr,
+        test_channel=s.test_channel,
+        slot1=s.slot1.transpose(1, 0, 2, 3, 4),
+        slot2=s.slot2.transpose(1, 0, 2, 3, 4),
+    )
+    return replace(config, dm_spec=spec)
+
+
+def test_swapping_the_sources_swaps_their_rates_on_both_models():
+    rng = np.random.default_rng(97)
+    betas = np.linspace(0.1, 0.9, 9)
+    gaussian = config_from_dict(_gaussian_sweep_doc())
+    dm = config_from_dict(_dm_sweep_doc())
+    configs = []
+    for _ in range(10):
+        gains = dict(zip(("h11", "h21", "h1r", "h2r", "hr1"), rng.uniform(0.1, 5.0, 5)))
+        powers = dict(zip(("p11", "p12", "p21", "p22", "pr"), rng.uniform(0.1, 5.0, 5)))
+        params = replace(gaussian.gaussian, **gains, **powers)
+        configs.append(replace(gaussian, gaussian=params, no_relay=tuple(rng.uniform(0.1, 5.0, 2))))
+        spec = make_random_spec(rng, {"x11": 3, "y12": 2})
+        for topology in ("marc", "cmacr"):
+            configs.append(replace(dm, dm_spec=spec, topology=topology))
+    feasible = set()
+    for config in configs:
+        original = evaluate(config, betas)
+        swapped = evaluate(_swap_sources(config), betas)
+        for scheme in config.schemes:
+            one, two = original[scheme], swapped[scheme]
+            np.testing.assert_allclose(two.r1, one.r2, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(two.r2, one.r1, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(two.rsum, one.rsum, rtol=0.0, atol=1e-12)
+            assert np.array_equal(two.feasible, one.feasible)
+        feasible.update(np.ravel(original[SchemeId.CF].feasible).tolist())
+    assert feasible == {True, False}
 
 
 def test_sigma_grid_must_be_positive_and_finite():
@@ -319,9 +384,10 @@ def test_dm_sweep_runs_both_topologies():
     doc["topology"] = "cmacr"
     compound = run_sweep(config_from_dict(doc))
     for scheme in (SchemeId.GQF, SchemeId.NO_RELAY):
-        for one, both in zip(single.rows[scheme], compound.rows[scheme]):
-            assert both.rsum <= one.rsum + 1e-12
-            assert one.diag_sigma is None
+        one, both = single.columns[scheme], compound.columns[scheme]
+        for one_sum, both_sum, sigma in zip(one.rsum, both.rsum, one.sigma):
+            assert both_sum <= one_sum + 1e-12
+            assert sigma is None
 
 
 def _dm_sweep_configs():
@@ -345,13 +411,13 @@ def test_dm_sweep_rows_equal_scalar_regions_bit_for_bit():
         result = run_sweep(config)
         for scheme in config.schemes:
             evaluate = DM_REGION_FUNCTIONS[(config.topology, scheme)]
-            for value, row in zip(result.values, result.rows[scheme]):
+            rows = zip(result.values, *result.columns[scheme][:4])
+            for value, *got in rows:
                 region = evaluate(config.dm_spec, validate_beta(value))
-                got = (row.r1, row.r2, row.rsum, row.feasible)
-                want = (region.r1_max, region.r2_max, region.sum_max, region.feasible)
+                want = [region.r1_max, region.r2_max, region.sum_max, region.feasible]
                 assert repr(got) == repr(want), (config.topology, scheme, value)
                 if scheme is SchemeId.CF:
-                    feasible.add(row.feasible)
+                    feasible.add(got[3])
     assert feasible == {True, False}  # both CF branches were exercised
 
 
@@ -410,7 +476,7 @@ def test_csv_layout_and_formatting():
     assert [line.split(",")[1] for line in lines[11:16]] == ["NO_RELAY"] * 5
     first = lines[1].split(",")
     assert first[0] == format(result.values[0], ".12g")
-    assert first[2] == format(result.rows[SchemeId.GQF][0].r1, ".12g")
+    assert first[2] == format(result.columns[SchemeId.GQF].r1[0], ".12g")
     assert first[6] == format(result.values[0], ".12g")  # diagnostic sigma
     assert lines[11].split(",")[6] == ""  # no quantizer in the baseline
     feasibles = {line.split(",")[5] for line in lines[1:]}
@@ -603,6 +669,69 @@ def test_cli_region_dm(tmp_path, capsys):
     assert set(payload) == {"GQF", "CF"}
     assert payload["GQF"]["r1_max"] >= 0.0
     assert "terms" in payload["GQF"]
+
+
+def _region_docs():
+    """Region documents for both models and every scheme: Gaussian CF above
+    and below its threshold and on a dead relay link, DM CF feasible at some
+    of the slot fractions and not at others, on both topologies."""
+    channel = _gaussian_sweep_doc()["channel"]
+    for sigma, hr1 in ((3.0, 3.0), (1.0, 3.0), (1.0, 0.0)):
+        yield {
+            "model": "gaussian",
+            "channel": dict(channel, gains=dict(channel["gains"], hR1=hr1), sigma_q2=sigma),
+            "no_relay": {"P1": 1.5, "P2": 1.5},
+        }
+    spec = make_random_spec(np.random.default_rng(MIXED_CF_SEED))
+    for topology in ("marc", "cmacr"):
+        for beta in (0.1, 0.5, 0.9):
+            yield {"model": "dm", "beta": beta, "topology": topology,
+                   "channel": _channel_doc(spec)}
+
+
+def test_cli_region_prints_the_one_point_evaluation(tmp_path, capsys):
+    cf_feasible = set()
+    for doc in _region_docs():
+        config = region_config_from_dict(doc)
+        expected = {
+            scheme.value: rate_region(bounds)
+            for scheme, bounds in evaluate(config, config.beta, config.sigma_q2).items()
+        }
+        assert main(["region", "--config", _write_json(tmp_path / "r.json", doc)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"GQF", "CF", "NO_RELAY"}
+        for name, region in expected.items():
+            terms = {k: v if math.isfinite(v) else None for k, v in region.terms.items()}
+            assert payload[name] == {
+                "r1_max": region.r1_max,
+                "r2_max": region.r2_max,
+                "sum_max": region.sum_max,
+                "feasible": region.feasible,
+                "terms": terms,
+            }, (doc["model"], name)
+        cf_feasible.add((doc["model"], payload["CF"]["feasible"]))
+    assert cf_feasible == {(model, ok) for model in ("gaussian", "dm") for ok in (True, False)}
+
+
+def test_cli_region_rejects_duplicate_schemes(tmp_path, capsys):
+    for doc in _region_docs():
+        doc["schemes"] = ["GQF", "CF", "GQF"]
+        assert main(["region", "--config", _write_json(tmp_path / "r.json", doc)]) == EXIT_CONFIG
+        assert "duplicates" in capsys.readouterr().err
+
+
+def test_cli_region_no_relay_overflow_is_an_error_not_infinity(tmp_path, capsys):
+    channel = _gaussian_sweep_doc()["channel"]
+    doc = {
+        "model": "gaussian",
+        "schemes": ["NO_RELAY"],
+        "channel": dict(channel, gains=dict(channel["gains"], h11=1e10), sigma_q2=1.0),
+        "no_relay": {"P1": 1e300, "P2": 1.0},
+    }
+    assert main(["region", "--config", _write_json(tmp_path / "r.json", doc)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "overflow" in captured.err
 
 
 def test_cli_verify_passes_and_is_deterministic(tmp_path, capsys):
