@@ -31,7 +31,6 @@ from .core import (
 from .dminfo import (
     DmChannelSpec,
     JointPmf,
-    Var,
     build_slot1_joint,
     build_slot2_joint,
     entropy,
@@ -101,7 +100,6 @@ __all__ = [
     "SweepResult",
     "TensorTooLarge",
     "UnknownVariable",
-    "Var",
     "build_covariance",
     "build_slot1_joint",
     "build_slot2_joint",

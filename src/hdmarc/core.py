@@ -10,7 +10,6 @@ constraint.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple, Optional
 
@@ -82,10 +81,7 @@ class SlotFraction:
         if not isinstance(beta, (int, float)) or isinstance(beta, bool):
             raise OutOfRange(f"slot fraction must be a real number, got {beta!r}")
         beta = float(beta)
-        if not math.isfinite(beta) or not 0.0 < beta < 1.0:
-            raise OutOfRange(
-                f"slot fraction must lie strictly inside (0, 1), got {beta!r}"
-            )
+        check_slot_fractions(beta)
         object.__setattr__(self, "beta", beta)
 
     @property
@@ -97,6 +93,25 @@ class SlotFraction:
 def validate_beta(beta: float) -> SlotFraction:
     """Wrap ``beta`` as a :class:`SlotFraction`, rejecting values outside (0, 1)."""
     return SlotFraction(beta)
+
+
+def check_slot_fractions(beta) -> None:
+    """Reject a float or array of slot fractions unless every one lies
+    strictly inside (0, 1): :class:`OutOfRange` names the first that does
+    not (NaN included)."""
+    inside = (beta > 0.0) & (beta < 1.0)  # NaN fails both
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        first = np.ravel(beta)[~np.ravel(inside)][0]
+        raise OutOfRange(
+            f"slot fraction must lie strictly inside (0, 1), got {float(first)!r}"
+        )
+
+
+def two_slot(beta, s1, s2):
+    """A bound at slot fraction(s) ``beta`` (float or array) from its
+    slot-1 term ``s1`` and slot-2 term ``s2``, each weighted by its slot's
+    share of the block: the one place where the two slots are mixed."""
+    return beta * s1 + (1.0 - beta) * s2
 
 
 @dataclass(frozen=True)

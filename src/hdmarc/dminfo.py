@@ -50,69 +50,64 @@ SLOT1_VARS = ("X11", "X21", "YR", "Y11", "Y21", "YhR")
 SLOT2_VARS = ("X12", "X22", "XR", "Y12", "Y22")
 
 
-@dataclass(frozen=True)
-class Var:
-    """A named finite-alphabet random variable."""
-
-    name: str
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.name not in VAR_NAMES:
-            raise UnknownVariable(
-                f"unknown variable name {self.name!r}; expected one of "
-                f"{sorted(VAR_NAMES)}"
-            )
-        if not isinstance(self.size, (int, np.integer)) or isinstance(self.size, bool):
-            raise InvalidParams(f"alphabet size must be an integer, got {self.size!r}")
-        if self.size < 1:
-            raise InvalidParams(f"alphabet size must be at least 1, got {self.size}")
-        object.__setattr__(self, "size", int(self.size))
-
-
-@dataclass(frozen=True)
 class JointPmf:
-    """Dense joint pmf over an ordered tuple of variables.
+    """Dense joint pmf: a tuple of variable names and a probability array.
 
-    The probability tensor has ``vars[i].size`` entries along axis ``i``,
-    all entries non-negative, and sums to 1 within :data:`NORM_TOL`.  The
-    stored array is a read-only copy of the input.
+    ``probs`` has one axis per name, whose length is that variable's
+    alphabet size; its entries are non-negative and sum to 1 within
+    :data:`NORM_TOL`.  The stored array is a read-only copy of the input.
     """
 
-    vars: tuple[Var, ...]
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        variables = tuple(self.vars)
-        names = [v.name for v in variables]
+    def __init__(self, names: Iterable[str], probs) -> None:
+        names = tuple(names)
+        unknown = sorted(set(names) - VAR_NAMES)
+        if unknown:
+            raise UnknownVariable(
+                f"unknown variable names {unknown}; "
+                f"expected some of {sorted(VAR_NAMES)}"
+            )
         if len(set(names)) != len(names):
-            raise InvalidParams(f"duplicate variable names in joint pmf: {names}")
-        probs = np.asarray(self.probs, dtype=np.float64)
+            raise InvalidParams(f"duplicate variable names in joint pmf: {list(names)}")
+        probs = np.asarray(probs, dtype=np.float64)
         if probs.size > MAX_CELLS:
             raise TensorTooLarge(
                 f"joint pmf would hold {probs.size} cells; the cap is {MAX_CELLS}"
             )
-        expected = tuple(v.size for v in variables)
-        if probs.shape != expected:
+        if probs.ndim != len(names):
             raise DimensionMismatch(
-                f"tensor shape {probs.shape} does not match alphabet sizes {expected}"
+                f"tensor shape {probs.shape} has {probs.ndim} axes for {len(names)} "
+                f"variables {list(names)}"
             )
-        # Written so that NaN fails both checks, with no extra pass.
-        if probs.size and not float(probs.min()) >= 0.0:
-            raise InvalidParams("joint pmf has negative or NaN entries")
-        total = float(probs.sum())
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise InvalidParams(
-                f"joint pmf sums to {total!r}; must equal 1 within {NORM_TOL}"
-            )
-        probs = probs.copy()
-        probs.flags.writeable = False
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "probs", probs)
+        _check_stochastic("joint pmf", probs)
+        self._names = names
+        self.probs = probs.copy()
+        self.probs.flags.writeable = False
 
     def names(self) -> tuple[str, ...]:
         """Variable names in axis order."""
-        return tuple(v.name for v in self.vars)
+        return self._names
+
+
+def _marginal(pmf: JointPmf, keep: set) -> np.ndarray:
+    """The probabilities of ``pmf`` with every variable not in ``keep``
+    summed out, surviving axes in their original order."""
+    names = pmf.names()
+    unknown = keep.difference(names)
+    if unknown:
+        raise UnknownVariable(
+            f"variables {sorted(unknown)} are not part of this pmf over {names}"
+        )
+    drop = tuple(i for i, name in enumerate(names) if name not in keep)
+    return pmf.probs.sum(axis=drop) if drop else pmf.probs
+
+
+def _marginal_entropy(pmf: JointPmf, keep: set) -> float:
+    """Entropy in bits of the marginal of ``pmf`` on ``keep`` (0 * log 0 = 0)."""
+    flat = _marginal(pmf, keep).ravel()
+    positive = flat[flat > ZERO_EPS]
+    if positive.size == 0:
+        return 0.0
+    return float(-(positive * np.log2(positive)).sum())
 
 
 def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
@@ -121,26 +116,9 @@ def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
     Axis order of the surviving variables is preserved.  Names in ``keep``
     that are not part of ``pmf`` raise :class:`UnknownVariable`.
     """
-    keep_set = set(keep)
-    names = pmf.names()
-    unknown = keep_set - set(names)
-    if unknown:
-        raise UnknownVariable(
-            f"variables {sorted(unknown)} are not part of this pmf over {names}"
-        )
-    drop = tuple(i for i, name in enumerate(names) if name not in keep_set)
-    kept_vars = tuple(v for v in pmf.vars if v.name in keep_set)
-    reduced = pmf.probs.sum(axis=drop) if drop else pmf.probs
-    return JointPmf(kept_vars, reduced)
-
-
-def _entropy_bits(probs: np.ndarray) -> float:
-    """Entropy in bits of the cells of ``probs`` (0 * log 0 = 0)."""
-    flat = probs.ravel()
-    positive = flat[flat > ZERO_EPS]
-    if positive.size == 0:
-        return 0.0
-    return float(-(positive * np.log2(positive)).sum())
+    keep = set(keep)
+    probs = _marginal(pmf, keep)
+    return JointPmf(tuple(name for name in pmf.names() if name in keep), probs)
 
 
 def entropy(pmf: JointPmf, names: Iterable[str]) -> float:
@@ -149,7 +127,7 @@ def entropy(pmf: JointPmf, names: Iterable[str]) -> float:
     Uses the convention 0 * log 0 = 0; probabilities at or below
     :data:`ZERO_EPS` are treated as exact zeros.
     """
-    return _entropy_bits(marginalize(pmf, names).probs)
+    return _marginal_entropy(pmf, set(names))
 
 
 def mutual_information(
@@ -185,25 +163,20 @@ def mutual_information(
 class JointEntropies:
     """Entropies of the marginals of one joint pmf, each computed once.
 
-    Internal fast path for evaluating many information terms on one joint:
-    a marginal is the plain ``probs.sum(axis=drop)`` over the full joint,
-    with no re-validation, and its entropy is memoized by the set of names.
-    Values equal :func:`entropy` and :func:`mutual_information` bit for
-    bit.  Names are not checked; callers pass known variable sets.
+    Fast path for evaluating many information terms on one joint: each
+    entropy is memoized by its set of names.  Values equal :func:`entropy`
+    and :func:`mutual_information` bit for bit.
     """
 
     def __init__(self, pmf: JointPmf) -> None:
-        self._names = pmf.names()
-        self._probs = pmf.probs
+        self._pmf = pmf
         self._memo: dict[frozenset, float] = {}
 
     def entropy(self, names: Iterable[str]) -> float:
         key = frozenset(names)
         value = self._memo.get(key)
         if value is None:
-            drop = tuple(i for i, name in enumerate(self._names) if name not in key)
-            value = _entropy_bits(self._probs.sum(axis=drop) if drop else self._probs)
-            self._memo[key] = value
+            value = self._memo[key] = _marginal_entropy(self._pmf, key)
         return value
 
     def mutual_information(
@@ -218,30 +191,18 @@ class JointEntropies:
         )
 
 
-def _check_pmf_vector(name: str, vec: np.ndarray) -> None:
-    if vec.ndim != 1:
-        raise DimensionMismatch(f"{name} must be a 1-D probability vector")
-    if vec.size < 1:
-        raise DimensionMismatch(f"{name} must have at least one entry")
+def _check_stochastic(name: str, table: np.ndarray, cond_axes: int = 0) -> None:
+    """Check that ``table`` is a pmf over its axes after the first
+    ``cond_axes``, for each index of those (a plain pmf for 0)."""
     # Written so that NaN fails both checks, with no extra pass.
-    if not float(vec.min()) >= 0.0:
+    if table.size and not float(table.min()) >= 0.0:
         raise InvalidParams(f"{name} has negative or NaN entries")
-    total = float(vec.sum())
-    if not abs(total - 1.0) <= NORM_TOL:
-        raise InvalidParams(f"{name} sums to {total!r}; must equal 1 within {NORM_TOL}")
-
-
-def _check_conditional(name: str, table: np.ndarray, cond_axes: int) -> None:
-    """Check that ``table`` is a stochastic map from its first ``cond_axes`` axes."""
-    # Written so that NaN fails both checks, with no extra pass.
-    if not float(table.min()) >= 0.0:
-        raise InvalidParams(f"{name} has negative or NaN entries")
-    out_axes = tuple(range(cond_axes, table.ndim))
-    totals = table.sum(axis=out_axes)
-    worst = float(np.abs(totals - 1.0).max())
+    totals = table.sum(axis=tuple(range(cond_axes, table.ndim)))
+    worst = float(np.abs(totals - 1.0).max(initial=0.0))
     if not worst <= NORM_TOL:
         raise InvalidParams(
-            f"{name} rows must each sum to 1 within {NORM_TOL}; "
+            f"{name} must sum to 1 within {NORM_TOL} "
+            f"(per row, over its last {table.ndim - cond_axes} axes); "
             f"worst deviation is {worst!r}"
         )
 
@@ -258,10 +219,11 @@ class DmChannelSpec:
         * test_channel[yR, yhR]           = p(yhR | yR)
         * slot2[x12, x22, xR, y12, y22]   = p(y12, y22 | x12, x22, xR)
 
-    All tables are dense row-major arrays.  Construction validates
-    non-negativity, normalization of every conditional slice within
-    :data:`NORM_TOL` (rejected, not renormalized), and size consistency
-    across tables.
+    All tables are dense row-major arrays, and each alphabet size is the
+    length of its axes (``slot1.shape[3]`` is |Y11|, ...).  Construction
+    validates non-negativity, normalization of every conditional slice
+    within :data:`NORM_TOL` (rejected, not renormalized), and size
+    consistency across tables.
     """
 
     px11: np.ndarray
@@ -285,14 +247,17 @@ class DmChannelSpec:
             "slot1",
             "slot2",
         ):
-            arr = np.asarray(getattr(self, field), dtype=np.float64)
-            arr = arr.copy()
+            arr = np.array(getattr(self, field), dtype=np.float64)  # a copy
             arr.flags.writeable = False
             arrays[field] = arr
             object.__setattr__(self, field, arr)
 
         for name in ("px11", "px21", "px12", "px22", "pxr"):
-            _check_pmf_vector(name, arrays[name])
+            if arrays[name].ndim != 1 or arrays[name].size < 1:
+                raise DimensionMismatch(
+                    f"{name} must be a non-empty 1-D probability vector"
+                )
+            _check_stochastic(name, arrays[name])
         if arrays["test_channel"].ndim != 2:
             raise DimensionMismatch("test_channel must be a 2-D table [yR, yhR]")
         if arrays["slot1"].ndim != 5:
@@ -303,9 +268,9 @@ class DmChannelSpec:
             raise DimensionMismatch(
                 "slot2 must be a 5-D table [x12, x22, xR, y12, y22]"
             )
-        _check_conditional("test_channel", arrays["test_channel"], 1)
-        _check_conditional("slot1", arrays["slot1"], 2)
-        _check_conditional("slot2", arrays["slot2"], 3)
+        _check_stochastic("test_channel", arrays["test_channel"], 1)
+        _check_stochastic("slot1", arrays["slot1"], 2)
+        _check_stochastic("slot2", arrays["slot2"], 3)
 
         slot1, slot2 = arrays["slot1"], arrays["slot2"]
         checks = (
@@ -322,51 +287,6 @@ class DmChannelSpec:
                     f"{where} has size {got} but {other} has size {want}"
                 )
 
-    # Alphabet sizes, named for readability at call sites.
-    @property
-    def n_x11(self) -> int:
-        return self.px11.size
-
-    @property
-    def n_x21(self) -> int:
-        return self.px21.size
-
-    @property
-    def n_x12(self) -> int:
-        return self.px12.size
-
-    @property
-    def n_x22(self) -> int:
-        return self.px22.size
-
-    @property
-    def n_xr(self) -> int:
-        return self.pxr.size
-
-    @property
-    def n_yr(self) -> int:
-        return self.slot1.shape[2]
-
-    @property
-    def n_yhr(self) -> int:
-        return self.test_channel.shape[1]
-
-    @property
-    def n_y11(self) -> int:
-        return self.slot1.shape[3]
-
-    @property
-    def n_y21(self) -> int:
-        return self.slot1.shape[4]
-
-    @property
-    def n_y12(self) -> int:
-        return self.slot2.shape[3]
-
-    @property
-    def n_y22(self) -> int:
-        return self.slot2.shape[4]
-
 
 def build_slot1_joint(spec: DmChannelSpec) -> JointPmf:
     """Joint pmf of ``(X11, X21, YR, Y11, Y21, YhR)`` for slot 1.
@@ -375,9 +295,7 @@ def build_slot1_joint(spec: DmChannelSpec) -> JointPmf:
     relay quantizes based on YR alone, which is exactly the test-channel
     factorization above.
     """
-    cells = (
-        spec.n_x11 * spec.n_x21 * spec.n_yr * spec.n_y11 * spec.n_y21 * spec.n_yhr
-    )
+    cells = spec.slot1.size * spec.test_channel.shape[1]
     if cells > MAX_CELLS:
         raise TensorTooLarge(
             f"slot-1 joint would hold {cells} cells; the cap is {MAX_CELLS}"
@@ -390,9 +308,7 @@ def build_slot1_joint(spec: DmChannelSpec) -> JointPmf:
         spec.test_channel,
         optimize=True,
     )
-    sizes = (spec.n_x11, spec.n_x21, spec.n_yr, spec.n_y11, spec.n_y21, spec.n_yhr)
-    variables = tuple(Var(n, s) for n, s in zip(SLOT1_VARS, sizes))
-    return JointPmf(variables, tensor)
+    return JointPmf(SLOT1_VARS, tensor)
 
 
 def build_slot2_joint(spec: DmChannelSpec) -> JointPmf:
@@ -401,7 +317,7 @@ def build_slot2_joint(spec: DmChannelSpec) -> JointPmf:
     Assembled as p(x12) p(x22) p(xR) p(y12, y22 | x12, x22, xR); in slot 2
     the relay input XR is an independent codebook symbol.
     """
-    cells = spec.n_x12 * spec.n_x22 * spec.n_xr * spec.n_y12 * spec.n_y22
+    cells = spec.slot2.size
     if cells > MAX_CELLS:
         raise TensorTooLarge(
             f"slot-2 joint would hold {cells} cells; the cap is {MAX_CELLS}"
@@ -414,9 +330,7 @@ def build_slot2_joint(spec: DmChannelSpec) -> JointPmf:
         spec.slot2,
         optimize=True,
     )
-    sizes = (spec.n_x12, spec.n_x22, spec.n_xr, spec.n_y12, spec.n_y22)
-    variables = tuple(Var(n, s) for n, s in zip(SLOT2_VARS, sizes))
-    return JointPmf(variables, tensor)
+    return JointPmf(SLOT2_VARS, tensor)
 
 
 #: JSON keys of a channel document, mapped to constructor fields.
@@ -450,8 +364,15 @@ def spec_from_dict(doc: dict) -> DmChannelSpec:
     kwargs = {}
     for key, field in _JSON_FIELDS.items():
         try:
-            kwargs[field] = np.asarray(doc[key], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+            table = np.asarray(doc[key])
+        except (TypeError, ValueError) as exc:  # ragged nesting
             raise ConfigError(f"channel field {key!r} is not numeric: {exc}") from exc
+        # Strings and booleans convert to float64 but are not probabilities.
+        if table.dtype.kind not in "iuf":
+            raise ConfigError(
+                f"channel field {key!r} must hold numbers only, "
+                f"got {table.dtype} entries"
+            )
+        kwargs[field] = table.astype(np.float64, copy=False)
     return DmChannelSpec(**kwargs)
 

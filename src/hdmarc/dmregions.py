@@ -37,7 +37,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Bounds, InvalidParams, RateRegion, SchemeId, SlotFraction, rate_region
+from .core import (
+    Bounds,
+    InvalidParams,
+    RateRegion,
+    SchemeId,
+    SlotFraction,
+    check_slot_fractions,
+    rate_region,
+    two_slot,
+)
 from .dminfo import (
     DmChannelSpec,
     JointEntropies,
@@ -48,13 +57,6 @@ from .dminfo import (
 #: The binning constraint is a strict inequality; a margin this close to
 #: equality (or worse) counts as infeasible.
 CF_MARGIN = 1e-12
-
-
-def two_slot(beta, s1, s2):
-    """A bound at slot fraction(s) ``beta`` (float or array) from its
-    slot-1 term ``s1`` and slot-2 term ``s2``: each weighted by its slot's
-    share of the block."""
-    return beta * s1 + (1.0 - beta) * s2
 
 
 def slot_terms(
@@ -114,17 +116,16 @@ def active_destinations(spec: DmChannelSpec) -> tuple[int, ...]:
     zero information in either slot and is treated as absent from the
     compound model.  At least one destination must remain.
     """
-    ks = []
-    if spec.n_y11 > 1 or spec.n_y12 > 1:
-        ks.append(1)
-    if spec.n_y21 > 1 or spec.n_y22 > 1:
-        ks.append(2)
+    # Yk1 and Yk2 are axis 2 + k of slot1 and of slot2.
+    ks = tuple(
+        k for k in (1, 2) if spec.slot1.shape[2 + k] > 1 or spec.slot2.shape[2 + k] > 1
+    )
     if not ks:
         raise InvalidParams(
             "every destination output has a singleton alphabet; "
             "no destination can decode anything"
         )
-    return tuple(ks)
+    return ks
 
 
 def _worst(terms: dict, ks: tuple[int, ...], *names: str):
@@ -156,12 +157,14 @@ def dm_regions(
 ) -> dict[SchemeId, Bounds]:
     """Every requested scheme's bounds at slot fraction(s) ``beta``.
 
-    ``beta`` is a float or an array of floats in (0, 1).  ``topology`` is
+    ``beta`` is a float or an array of floats in (0, 1); any other value
+    raises :class:`~hdmarc.core.OutOfRange`.  ``topology`` is
     "marc" (destination 1) or "cmacr" (worst case over the active
     destinations).  The slot terms of ``spec`` are built once; those of the
     relay-silenced spec at most once, and only when NO_RELAY is requested
     or some CF point fails its binning constraint.
     """
+    check_slot_fractions(beta)
     if topology not in ("marc", "cmacr"):
         raise InvalidParams(f"topology must be 'marc' or 'cmacr', got {topology!r}")
     ks = (1,) if topology == "marc" else active_destinations(spec)
@@ -228,7 +231,7 @@ def degenerate_relay_spec(spec: DmChannelSpec) -> DmChannelSpec:
     """
     pxr = np.zeros_like(spec.pxr)
     pxr[0] = 1.0
-    return replace(spec, pxr=pxr, test_channel=np.ones((spec.n_yr, 1)))
+    return replace(spec, pxr=pxr, test_channel=np.ones((spec.test_channel.shape[0], 1)))
 
 
 def no_relay_region_marc(spec: DmChannelSpec, beta: SlotFraction) -> RateRegion:

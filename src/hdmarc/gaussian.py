@@ -37,8 +37,10 @@ from .core import (
     RateRegion,
     SchemeId,
     SlotFraction,
+    check_slot_fractions,
     clamp_bounds,
     rate_region,
+    two_slot,
     validate_beta,
 )
 
@@ -180,25 +182,25 @@ def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
         (1, params.h11, params.h1r, params.p11, params.p12),
         (2, params.h21, params.h2r, params.p21, params.p22),
     )
-    terms = {}
     with np.errstate(all="ignore"):  # an inf or NaN anywhere reaches the terms
-        w1 = 0.5 * beta
-        w2 = 0.5 * (1.0 - beta)
         shrink = 1.0 + sigma_q2
+        logs = {}  # each term's slot-1 and slot-2 arguments of 0.5 * log2
         for i, h_direct, h_relay, p_slot1, p_slot2 in sources:
             direct = 1.0 + h_direct**2 * p_slot1
-            terms[f"a({i})"] = w1 * np.log2(
-                direct + h_relay**2 * p_slot1 / shrink
-            ) + w2 * np.log2(1.0 + h_direct**2 * p_slot2)
-            terms[f"b({i})"] = w1 * np.log2(
-                direct * sigma_q2 / shrink
-            ) + w2 * np.log2(1.0 + h_direct**2 * p_slot2 + link)
-        terms["I1"] = w1 * np.log2(
-            s1 + relay_view(params) / shrink
-        ) + w2 * np.log2(s2)
-        terms["I2"] = w1 * np.log2(
-            s1 * sigma_q2 / shrink
-        ) + w2 * np.log2(s2 + link)
+            logs[f"a({i})"] = (
+                direct + h_relay**2 * p_slot1 / shrink,
+                1.0 + h_direct**2 * p_slot2,
+            )
+            logs[f"b({i})"] = (
+                direct * sigma_q2 / shrink,
+                1.0 + h_direct**2 * p_slot2 + link,
+            )
+        logs["I1"] = (s1 + relay_view(params) / shrink, s2)
+        logs["I2"] = (s1 * sigma_q2 / shrink, s2 + link)
+        terms = {
+            name: two_slot(beta, 0.5 * np.log2(x1), 0.5 * np.log2(x2))
+            for name, (x1, x2) in logs.items()
+        }
     ok = (beta > 0.0) & (beta < 1.0) & (sigma_q2 > 0.0) & (sigma_q2 < math.inf)
     for term in terms.values():
         ok = ok & np.isfinite(term)
@@ -402,8 +404,11 @@ def gaussian_regions(
     ``beta`` and ``sigma_q2`` are floats or arrays (``sigma_q2=None``: each
     scheme's own variance per ``beta``, see :func:`gqf_bounds` and
     :func:`cf_bounds`).  NO_RELAY takes the baseline powers ``no_relay =
-    (P1, P2)`` and is the same at every point.
+    (P1, P2)`` and is the same at every point.  Any ``beta`` outside
+    (0, 1) raises :class:`OutOfRange`, whichever schemes are asked for.
     """
+
+    check_slot_fractions(beta)
 
     def baseline() -> Bounds:
         if no_relay is None:

@@ -256,7 +256,7 @@ def _crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
 
 def verify_closed_forms(seed: int = 0, draws: int = 100) -> Report:
     """Gaussian closed forms vs log-det oracle, plus the threshold identity."""
-    _check_draws(draws)
+    _check_run(seed, draws)
     rng = np.random.default_rng(seed)
     worst = _Worst()
     for _ in range(draws):
@@ -303,7 +303,7 @@ def verify_closed_forms(seed: int = 0, draws: int = 100) -> Report:
 
 def verify_dm_regions(seed: int = 0, draws: int = 50) -> Report:
     """Simplified finite-alphabet bounds vs the raw inequality system."""
-    _check_draws(draws)
+    _check_run(seed, draws)
     rng = np.random.default_rng(seed)
     worst = _Worst()
     for _ in range(draws):
@@ -350,7 +350,7 @@ def verify_dm_regions(seed: int = 0, draws: int = 50) -> Report:
 
 def verify_reductions(seed: int = 0, draws: int = 50) -> Report:
     """Degenerate channels collapse to the expected smaller models."""
-    _check_draws(draws)
+    _check_run(seed, draws)
     rng = np.random.default_rng(seed)
     worst = _Worst()
     for _ in range(draws):
@@ -417,9 +417,13 @@ _RUNNERS: dict[str, Callable[[int, int], Report]] = {
 }
 
 
-def _check_draws(draws: int) -> None:
-    if draws < 1:
-        raise InvalidParams(f"draw count must be at least 1, got {draws!r}")
+def _check_run(seed: int, draws: int) -> None:
+    """Reject a seed that is not an integer >= 0 and a draw count that is
+    not an integer >= 1."""
+    for name, value, least in (("seed", seed, 0), ("draw count", draws, 1)):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not integer or value < least:
+            raise InvalidParams(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def run_subject(subject: str, seed: int = 0, draws: Optional[int] = None) -> Report:

@@ -20,7 +20,6 @@ from hdmarc import (
     OverlappingSets,
     TensorTooLarge,
     UnknownVariable,
-    Var,
     build_slot1_joint,
     build_slot2_joint,
     entropy,
@@ -35,39 +34,45 @@ from _support import make_random_spec as _random_spec
 
 
 # ---------------------------------------------------------------------------
-# Var / JointPmf construction
+# JointPmf construction
 
 
-def test_var_rejects_unknown_names():
+def test_joint_pmf_rejects_unknown_names():
     with pytest.raises(UnknownVariable):
-        Var("X99", 2)
+        JointPmf(("X99",), np.array([0.5, 0.5]))
+    with pytest.raises(UnknownVariable):
+        JointPmf(("X11", "X99"), np.full((2, 2), 0.25))
 
 
-def test_var_rejects_bad_sizes():
+def test_joint_pmf_rejects_empty_axes():
+    # An alphabet size is an axis length; a zero-length axis holds no
+    # probability mass, so it fails normalization.
     with pytest.raises(InvalidParams):
-        Var("X11", 0)
+        JointPmf(("X11",), np.zeros(0))
     with pytest.raises(InvalidParams):
-        Var("X11", True)
+        JointPmf(("X11", "Y11"), np.zeros((2, 0)))
     with pytest.raises(InvalidParams):
-        Var("X11", 2.0)
+        JointPmf(("X11", "Y11"), np.zeros((0, 3)))
 
 
 def test_joint_pmf_rejects_duplicate_names():
     probs = np.full((2, 2), 0.25)
     with pytest.raises(InvalidParams):
-        JointPmf((Var("X11", 2), Var("X11", 2)), probs)
+        JointPmf(("X11", "X11"), probs)
 
 
 def test_joint_pmf_rejects_shape_mismatch():
     with pytest.raises(DimensionMismatch):
-        JointPmf((Var("X11", 2), Var("Y11", 3)), np.full((2, 2), 0.25))
+        JointPmf(("X11", "Y11", "YR"), np.full((2, 2), 0.25))
+    with pytest.raises(DimensionMismatch):
+        JointPmf(("X11",), np.full((2, 2), 0.25))
 
 
 def test_joint_pmf_rejects_negative_and_unnormalized():
     with pytest.raises(InvalidParams):
-        JointPmf((Var("X11", 2),), np.array([1.2, -0.2]))
+        JointPmf(("X11",), np.array([1.2, -0.2]))
     with pytest.raises(InvalidParams):
-        JointPmf((Var("X11", 2),), np.array([0.6, 0.5]))
+        JointPmf(("X11",), np.array([0.6, 0.5]))
 
 
 def test_joint_pmf_rejects_oversized_tensors():
@@ -75,12 +80,12 @@ def test_joint_pmf_rejects_oversized_tensors():
     assert sizes[0] * sizes[1] > MAX_CELLS
     probs = np.full(sizes, 1.0 / (sizes[0] * sizes[1]))
     with pytest.raises(TensorTooLarge):
-        JointPmf((Var("YR", sizes[0]), Var("Y11", sizes[1])), probs)
+        JointPmf(("YR", "Y11"), probs)
 
 
 def test_joint_pmf_stores_readonly_copy():
     source = np.array([0.5, 0.5])
-    pmf = JointPmf((Var("X11", 2),), source)
+    pmf = JointPmf(("X11",), source)
     source[0] = 0.9
     assert pmf.probs[0] == 0.5
     with pytest.raises(ValueError):
@@ -92,7 +97,7 @@ def test_joint_pmf_stores_readonly_copy():
 
 
 def _pair_joint(matrix):
-    return JointPmf((Var("X11", matrix.shape[0]), Var("Y11", matrix.shape[1])), matrix)
+    return JointPmf(("X11", "Y11"), matrix)
 
 
 def test_marginalize_keep_all_is_identity():
@@ -133,7 +138,7 @@ def test_entropy_anchors():
 
 
 def test_entropy_of_biased_coin():
-    pmf = JointPmf((Var("X11", 2),), np.array([0.9, 0.1]))
+    pmf = JointPmf(("X11",), np.array([0.9, 0.1]))
     expected = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
     assert entropy(pmf, ("X11",)) == pytest.approx(expected, abs=1e-15)
 
@@ -211,7 +216,7 @@ def test_slot1_joint_matches_nested_loop_oracle():
     spec = _random_spec(rng, {"yr": 3, "yhr": 3, "y21": 3})
     joint = build_slot1_joint(spec)
     assert joint.names() == SLOT1_VARS
-    shape = (spec.n_x11, spec.n_x21, spec.n_yr, spec.n_y11, spec.n_y21, spec.n_yhr)
+    shape = spec.slot1.shape + spec.test_channel.shape[1:]
     oracle = np.zeros(shape)
     for a, b, r, u, v, h in np.ndindex(shape):
         oracle[a, b, r, u, v, h] = (
@@ -229,7 +234,7 @@ def test_slot2_joint_matches_nested_loop_oracle():
     spec = _random_spec(rng, {"xr": 3, "y12": 4})
     joint = build_slot2_joint(spec)
     assert joint.names() == SLOT2_VARS
-    shape = (spec.n_x12, spec.n_x22, spec.n_xr, spec.n_y12, spec.n_y22)
+    shape = spec.slot2.shape
     oracle = np.zeros(shape)
     for a, b, c, u, v in np.ndindex(shape):
         oracle[a, b, c, u, v] = (
@@ -282,6 +287,11 @@ def test_spec_rejects_unnormalized_conditional_rows():
             slot1=bad,
             slot2=spec.slot2,
         )
+    # Rows over an empty output alphabet hold no mass at all.
+    with pytest.raises(InvalidParams):
+        replace(spec, test_channel=np.zeros((spec.test_channel.shape[0], 0)))
+    with pytest.raises(InvalidParams):
+        replace(spec, slot2=np.zeros(spec.slot2.shape[:4] + (0,)))
 
 
 @pytest.mark.parametrize(
@@ -303,11 +313,11 @@ def test_spec_rejects_nan_tables(table):
 
 def test_joint_pmf_rejects_nan_and_infinite_entries():
     with pytest.raises(InvalidParams):
-        JointPmf((Var("X11", 2),), np.array([np.nan, np.nan]))
+        JointPmf(("X11",), np.array([np.nan, np.nan]))
     with pytest.raises(InvalidParams):
-        JointPmf((Var("X11", 2),), np.array([1.0, np.nan]))
+        JointPmf(("X11",), np.array([1.0, np.nan]))
     with pytest.raises(InvalidParams):
-        JointPmf((Var("X11", 2),), np.array([1.0, np.inf]))
+        JointPmf(("X11",), np.array([1.0, np.inf]))
 
 
 def test_spec_rejects_cross_table_size_mismatch():
@@ -360,9 +370,20 @@ def test_spec_from_dict_missing_and_extra_fields():
 def test_spec_from_dict_rejects_non_numeric_tables():
     rng = np.random.default_rng(35)
     doc = _spec_doc(rng)
-    doc["p_x11"] = ["a", "b"]
-    with pytest.raises(ConfigError):
-        spec_from_dict(doc)
+    for key, table in (
+        ("p_x11", ["a", "b"]),
+        ("p_x11", ["0.5", "0.5"]),  # strings that would parse as numbers
+        ("p_x21", [True, False]),
+        ("test_channel", [[True, False]] * len(doc["test_channel"])),
+        ("p_xr", [None, 1.0]),
+        ("p_x12", {"0": 0.5, "1": 0.5}),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            spec_from_dict(dict(doc, **{key: table}))
+    # Integer entries are numbers: they give the same tables as floats.
+    spec = spec_from_dict(dict(doc, p_x11=[1, 0], test_channel=np.eye(3, dtype=int).tolist()))
+    assert spec.px11.tolist() == [1.0, 0.0]
+    assert spec.test_channel.dtype == np.float64
 
 
 def test_dm_spec_json_round_trip(tmp_path):
@@ -373,7 +394,7 @@ def test_dm_spec_json_round_trip(tmp_path):
     spec = spec_from_dict(json.loads(path.read_text()))
     np.testing.assert_allclose(spec.px11, doc["p_x11"], rtol=1e-15)
     np.testing.assert_allclose(spec.slot2, doc["slot2"], rtol=1e-15)
-    assert spec.n_yr == len(doc["test_channel"])
+    assert spec.test_channel.shape[0] == len(doc["test_channel"])
 
 
 def test_channel_file_with_invalid_json_is_a_config_error(tmp_path):

@@ -192,11 +192,11 @@ def test_compound_with_twin_destinations_matches_single():
     # Destination 2 observes an exact copy of destination 1's outputs.
     rng = np.random.default_rng(46)
     base = make_random_spec(rng, {"y21": 1, "y22": 1})
-    n_y11, n_y12 = base.n_y11, base.n_y12
-    slot1 = np.zeros((base.n_x11, base.n_x21, base.n_yr, n_y11, n_y11))
+    n_y11, n_y12 = base.slot1.shape[3], base.slot2.shape[3]
+    slot1 = np.zeros(base.slot1.shape[:3] + (n_y11, n_y11))
     for u in range(n_y11):
         slot1[:, :, :, u, u] = base.slot1[:, :, :, u, 0]
-    slot2 = np.zeros((base.n_x12, base.n_x22, base.n_xr, n_y12, n_y12))
+    slot2 = np.zeros(base.slot2.shape[:3] + (n_y12, n_y12))
     for u in range(n_y12):
         slot2[:, :, :, u, u] = base.slot2[:, :, :, u, 0]
     twin = DmChannelSpec(
@@ -215,6 +215,69 @@ def test_compound_with_twin_destinations_matches_single():
     assert compound.r1_max == pytest.approx(marc.r1_max, abs=1e-12)
     assert compound.r2_max == pytest.approx(marc.r2_max, abs=1e-12)
     assert compound.sum_max == pytest.approx(marc.sum_max, abs=1e-12)
+
+
+#: The variable behind each axis of each spec table.
+_TABLE_AXES = {
+    "px11": ("x11",),
+    "px21": ("x21",),
+    "px12": ("x12",),
+    "px22": ("x22",),
+    "pxr": ("xr",),
+    "test_channel": ("yr", "yhr"),
+    "slot1": ("x11", "x21", "yr", "y11", "y21"),
+    "slot2": ("x12", "x22", "xr", "y12", "y22"),
+}
+
+
+def _relabel(spec, perms):
+    """``spec`` with the letters of each variable in ``perms`` permuted, the
+    same way in every table that has an axis for that variable."""
+    tables = {}
+    for field, axes in _TABLE_AXES.items():
+        table = getattr(spec, field)
+        for axis, var in enumerate(axes):
+            if var in perms:
+                table = table.take(perms[var], axis=axis)
+        tables[field] = table
+    return DmChannelSpec(**tables)
+
+
+def test_relabelling_letters_leaves_every_rate_unchanged():
+    # A different alphabet size per variable, so that a table axis mixed
+    # up with another one cannot go unnoticed.  The second spec drawn has
+    # CF feasible at the smallest slot fractions and infeasible at the rest.
+    sizes = dict(x11=4, x21=5, x12=6, x22=7, xr=12, yr=3, yhr=2, y11=8, y21=9, y12=11, y22=10)
+    betas = np.array([0.02, 0.05, 0.1, 0.3, 0.5, 0.7, 0.95])
+    rng = np.random.default_rng(61)
+    cf_feasible = set()
+    for _ in range(3):
+        spec = make_random_spec(rng, sizes)
+        perms = {var: rng.permutation(n) for var, n in sizes.items()}
+        # The first letter of XR is the silent relay of NO_RELAY and of the
+        # CF fallback, so only GQF sees XR relabelled.
+        fixed_xr = dict(perms, xr=np.arange(sizes["xr"]))
+        relabelled = {
+            SchemeId.GQF: _relabel(spec, perms),
+            SchemeId.CF: _relabel(spec, fixed_xr),
+            SchemeId.NO_RELAY: _relabel(spec, fixed_xr),
+        }
+        for topology in ("marc", "cmacr"):
+            want = dm_regions(spec, topology, tuple(SchemeId), betas)
+            for scheme, other in relabelled.items():
+                got = dm_regions(other, topology, (scheme,), betas)[scheme]
+                for field in ("r1", "r2", "rsum"):
+                    np.testing.assert_allclose(
+                        getattr(got, field), getattr(want[scheme], field), rtol=0.0, atol=1e-12
+                    )
+                assert np.array_equal(got.feasible, want[scheme].feasible)
+                assert got.terms.keys() == want[scheme].terms.keys()
+                for name, value in want[scheme].terms.items():
+                    np.testing.assert_allclose(
+                        got.terms[name], value, rtol=0.0, atol=1e-12, err_msg=name
+                    )
+            cf_feasible.update(want[SchemeId.CF].feasible.tolist())
+    assert cf_feasible == {True, False}
 
 
 def test_dm_regions_rejects_unknown_topology():
@@ -297,7 +360,7 @@ def test_degenerate_relay_spec_structure():
     spec = make_random_spec(rng, {"xr": 3, "yhr": 2})
     silenced = degenerate_relay_spec(spec)
     np.testing.assert_array_equal(silenced.pxr, [1.0, 0.0, 0.0])
-    assert silenced.test_channel.shape == (spec.n_yr, 1)
+    assert silenced.test_channel.shape == (spec.test_channel.shape[0], 1)
     np.testing.assert_array_equal(silenced.test_channel, 1.0)
     np.testing.assert_array_equal(silenced.slot1, spec.slot1)
     np.testing.assert_array_equal(silenced.slot2, spec.slot2)

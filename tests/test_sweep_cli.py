@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,6 +18,8 @@ from hdmarc import (
     ConfigError,
     DmChannelSpec,
     HdmarcError,
+    InvalidParams,
+    OutOfRange,
     SchemeId,
     cf_region_cmacr,
     cf_region_marc,
@@ -30,6 +33,7 @@ from hdmarc import (
     no_relay_region_cmacr,
     no_relay_region_marc,
     rate_region,
+    run_subject,
     run_sweep,
     validate_beta,
 )
@@ -45,6 +49,8 @@ from hdmarc.sweep import (
     render_csv,
     render_plot_script,
 )
+from hdmarc.dmregions import dm_regions
+from hdmarc.gaussian import gaussian_regions
 from hdmarc.verify import Check, Report
 
 from _support import benchmark_params, make_random_spec
@@ -367,6 +373,20 @@ def test_swapping_the_sources_swaps_their_rates_on_both_models():
             assert np.array_equal(two.feasible, one.feasible)
         feasible.update(np.ravel(original[SchemeId.CF].feasible).tolist())
     assert feasible == {True, False}
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, 0.0, -0.2, math.nan, math.inf])
+def test_model_entries_reject_slot_fractions_outside_the_unit_interval(bad):
+    params = benchmark_params()
+    spec = make_random_spec(np.random.default_rng(5))
+    named = re.escape(f"got {bad!r}")
+    for beta in (bad, np.array([0.3, bad, 0.7, -5.0])):
+        for schemes in ((SchemeId.NO_RELAY,), tuple(SchemeId)):
+            with pytest.raises(OutOfRange, match=named):
+                gaussian_regions(params, schemes, beta, no_relay=(1.5, 1.5))
+            for topology in ("marc", "cmacr"):
+                with pytest.raises(OutOfRange, match=named):
+                    dm_regions(spec, topology, schemes, beta)
 
 
 def test_sigma_grid_must_be_positive_and_finite():
@@ -768,10 +788,34 @@ def test_cli_module_entry_point_runs():
 
 
 def test_verify_rejects_bad_draw_counts():
-    from hdmarc import run_subject
-    from hdmarc import InvalidParams
-
     with pytest.raises(InvalidParams):
         run_subject("closed-forms", draws=0)
     with pytest.raises(InvalidParams):
         run_subject("everything")
+
+
+def test_verify_rejects_bad_seeds_and_non_integer_draws(capsys):
+    for kwargs in (
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": "1"},
+        {"draws": 2.5},
+        {"draws": "3"},
+    ):
+        with pytest.raises(InvalidParams):
+            run_subject("reductions", **kwargs)
+    assert main(["verify", "closed-forms", "--seed", "-1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed")
+
+
+def test_cli_region_rejects_non_numeric_dm_tables(tmp_path, capsys):
+    doc = {"model": "dm", "beta": 0.5, "channel": _dm_sweep_doc()["channel"]}
+    doc["channel"]["p_x11"] = ["0.5", "0.5"]
+    doc["channel"]["p_x21"] = [True, False]
+    assert main(["region", "--config", _write_json(tmp_path / "r.json", doc)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "p_x11" in captured.err
