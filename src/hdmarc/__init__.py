@@ -21,7 +21,6 @@ from .core import (
     RateRegion,
     SchemeId,
     SingularCovariance,
-    SlotFraction,
     TensorTooLarge,
     UnknownVariable,
     clamp_region,
@@ -95,7 +94,6 @@ __all__ = [
     "SchemeId",
     "SigmaOptimum",
     "SingularCovariance",
-    "SlotFraction",
     "SweepConfig",
     "SweepResult",
     "TensorTooLarge",

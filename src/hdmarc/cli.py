@@ -85,7 +85,8 @@ def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        # Bad JSON or UTF-8 is a ValueError, too deep a nesting a RecursionError.
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 

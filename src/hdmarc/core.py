@@ -64,47 +64,31 @@ class SchemeId(enum.Enum):
     NO_RELAY = "NO_RELAY"
 
 
-@dataclass(frozen=True)
-class SlotFraction:
-    """Fraction beta of the block in which the relay listens.
+def validate_beta(beta, allow_array: bool = True):
+    """The slot fraction(s) ``beta``: the share of the block in which the
+    relay listens, the rest being the slot in which it transmits.
 
-    The remaining fraction 1 - beta is the slot in which the relay
-    transmits.  Both endpoints are excluded: at beta = 0 the relay never
-    hears anything and at beta = 1 it never gets to talk, so each endpoint
-    collapses the two-slot model into a different single-slot channel.
+    A real number (Python or numpy, not a bool) comes back as a float; a
+    numpy array of integers or floats, when ``allow_array``, as a float64
+    array.  Every value must lie strictly inside (0, 1): at beta = 0 the
+    relay never hears anything and at beta = 1 it never gets to talk.
+    Anything else, NaN included, raises :class:`OutOfRange` naming it.
     """
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        beta = self.beta
-        if not isinstance(beta, (int, float)) or isinstance(beta, bool):
-            raise OutOfRange(f"slot fraction must be a real number, got {beta!r}")
+    if isinstance(beta, (float, int, np.floating, np.integer)) and type(beta) is not bool:
         beta = float(beta)
-        check_slot_fractions(beta)
-        object.__setattr__(self, "beta", beta)
-
-    @property
-    def complement(self) -> float:
-        """The transmit-slot fraction 1 - beta."""
-        return 1.0 - self.beta
-
-
-def validate_beta(beta: float) -> SlotFraction:
-    """Wrap ``beta`` as a :class:`SlotFraction`, rejecting values outside (0, 1)."""
-    return SlotFraction(beta)
-
-
-def check_slot_fractions(beta) -> None:
-    """Reject a float or array of slot fractions unless every one lies
-    strictly inside (0, 1): :class:`OutOfRange` names the first that does
-    not (NaN included)."""
-    inside = (beta > 0.0) & (beta < 1.0)  # NaN fails both
-    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
-        first = np.ravel(beta)[~np.ravel(inside)][0]
-        raise OutOfRange(
-            f"slot fraction must lie strictly inside (0, 1), got {float(first)!r}"
-        )
+        if 0.0 < beta < 1.0:  # NaN fails
+            return beta
+        first = beta
+    elif allow_array and isinstance(beta, np.ndarray) and beta.dtype.kind in "iuf":
+        beta = beta.astype(np.float64, copy=False)
+        inside = (beta > 0.0) & (beta < 1.0)
+        if inside.all():
+            return beta
+        first = float(np.ravel(beta)[~np.ravel(inside)][0])
+    else:
+        kind = "a real number or an array of them" if allow_array else "a real number"
+        raise OutOfRange(f"slot fraction must be {kind}, got {beta!r}")
+    raise OutOfRange(f"slot fraction must lie strictly inside (0, 1), got {first!r}")
 
 
 def two_slot(beta, s1, s2):
@@ -184,3 +168,11 @@ def rate_region(bounds: Bounds) -> RateRegion:
     """The :class:`RateRegion` of a single-point evaluation."""
     terms = {name: float(value) for name, value in bounds.terms.items()}
     return clamp_region(bounds.r1, bounds.r2, bounds.rsum, bool(bounds.feasible), terms)
+
+
+def reject_unknown_fields(doc: Mapping, known, where: str) -> None:
+    """Raise :class:`ConfigError` naming the keys of the config document
+    ``doc`` that are not in ``known``; ``where`` names the document."""
+    extra = sorted(set(doc) - set(known))
+    if extra:
+        raise ConfigError(f"{where} has unknown fields {extra}")

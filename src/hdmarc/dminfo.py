@@ -15,6 +15,7 @@ into ``YhR`` and transmits ``XR`` in slot 2, and destination k observes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -26,6 +27,7 @@ from .core import (
     OverlappingSets,
     TensorTooLarge,
     UnknownVariable,
+    reject_unknown_fields,
 )
 
 #: The only admissible variable names (see the module docstring).
@@ -346,6 +348,15 @@ _JSON_FIELDS = {
 }
 
 
+def _holds_bool(table, depth: int) -> bool:
+    """Whether the nested lists ``table``, regular to ``depth`` levels, hold
+    a bool among their numbers (numpy would promote it to 0 or 1)."""
+    leaves = [table]
+    for _ in range(depth):
+        leaves = list(chain.from_iterable(leaves))
+    return not {bool, np.bool_}.isdisjoint(map(type, leaves))
+
+
 def spec_from_dict(doc: dict) -> DmChannelSpec:
     """Build a :class:`DmChannelSpec` from its JSON document form.
 
@@ -358,9 +369,7 @@ def spec_from_dict(doc: dict) -> DmChannelSpec:
     missing = sorted(set(_JSON_FIELDS) - set(doc))
     if missing:
         raise ConfigError(f"channel document is missing fields {missing}")
-    extra = sorted(set(doc) - set(_JSON_FIELDS))
-    if extra:
-        raise ConfigError(f"channel document has unknown fields {extra}")
+    reject_unknown_fields(doc, _JSON_FIELDS, "channel document")
     kwargs = {}
     for key, field in _JSON_FIELDS.items():
         try:
@@ -373,6 +382,8 @@ def spec_from_dict(doc: dict) -> DmChannelSpec:
                 f"channel field {key!r} must hold numbers only, "
                 f"got {table.dtype} entries"
             )
+        if _holds_bool(doc[key], table.ndim):
+            raise ConfigError(f"channel field {key!r} must hold numbers only, got a bool")
         kwargs[field] = table.astype(np.float64, copy=False)
     return DmChannelSpec(**kwargs)
 

@@ -42,10 +42,9 @@ from .core import (
     InvalidParams,
     RateRegion,
     SchemeId,
-    SlotFraction,
-    check_slot_fractions,
     rate_region,
     two_slot,
+    validate_beta,
 )
 from .dminfo import (
     DmChannelSpec,
@@ -157,14 +156,14 @@ def dm_regions(
 ) -> dict[SchemeId, Bounds]:
     """Every requested scheme's bounds at slot fraction(s) ``beta``.
 
-    ``beta`` is a float or an array of floats in (0, 1); any other value
-    raises :class:`~hdmarc.core.OutOfRange`.  ``topology`` is
+    ``beta`` is a float or an array of floats in (0, 1), checked by
+    :func:`~hdmarc.core.validate_beta`.  ``topology`` is
     "marc" (destination 1) or "cmacr" (worst case over the active
     destinations).  The slot terms of ``spec`` are built once; those of the
     relay-silenced spec at most once, and only when NO_RELAY is requested
     or some CF point fails its binning constraint.
     """
-    check_slot_fractions(beta)
+    beta = validate_beta(beta)
     if topology not in ("marc", "cmacr"):
         raise InvalidParams(f"topology must be 'marc' or 'cmacr', got {topology!r}")
     ks = (1,) if topology == "marc" else active_destinations(spec)
@@ -205,17 +204,18 @@ def dm_regions(
 
 
 def _one_region(
-    spec: DmChannelSpec, topology: str, scheme: SchemeId, beta: SlotFraction
+    spec: DmChannelSpec, topology: str, scheme: SchemeId, beta: float
 ) -> RateRegion:
-    return rate_region(dm_regions(spec, topology, (scheme,), beta.beta)[scheme])
+    beta = validate_beta(beta, allow_array=False)
+    return rate_region(dm_regions(spec, topology, (scheme,), beta)[scheme])
 
 
-def gqf_region_marc(spec: DmChannelSpec, beta: SlotFraction) -> RateRegion:
+def gqf_region_marc(spec: DmChannelSpec, beta: float) -> RateRegion:
     """GQF region with a single destination (destination 1)."""
     return _one_region(spec, "marc", SchemeId.GQF, beta)
 
 
-def gqf_region_cmacr(spec: DmChannelSpec, beta: SlotFraction) -> RateRegion:
+def gqf_region_cmacr(spec: DmChannelSpec, beta: float) -> RateRegion:
     """GQF region of the compound model: worst case over active destinations."""
     return _one_region(spec, "cmacr", SchemeId.GQF, beta)
 
@@ -234,17 +234,17 @@ def degenerate_relay_spec(spec: DmChannelSpec) -> DmChannelSpec:
     return replace(spec, pxr=pxr, test_channel=np.ones((spec.test_channel.shape[0], 1)))
 
 
-def no_relay_region_marc(spec: DmChannelSpec, beta: SlotFraction) -> RateRegion:
+def no_relay_region_marc(spec: DmChannelSpec, beta: float) -> RateRegion:
     """Two-slot region of the single-destination channel with the relay silenced."""
     return _one_region(spec, "marc", SchemeId.NO_RELAY, beta)
 
 
-def no_relay_region_cmacr(spec: DmChannelSpec, beta: SlotFraction) -> RateRegion:
+def no_relay_region_cmacr(spec: DmChannelSpec, beta: float) -> RateRegion:
     """Two-slot compound region with the relay silenced."""
     return _one_region(spec, "cmacr", SchemeId.NO_RELAY, beta)
 
 
-def cf_region_marc(spec: DmChannelSpec, beta: SlotFraction) -> RateRegion:
+def cf_region_marc(spec: DmChannelSpec, beta: float) -> RateRegion:
     """CF region with a single destination (destination 1).
 
     ``feasible`` reports whether the binning constraint held; when it did
@@ -254,7 +254,7 @@ def cf_region_marc(spec: DmChannelSpec, beta: SlotFraction) -> RateRegion:
     return _one_region(spec, "marc", SchemeId.CF, beta)
 
 
-def cf_region_cmacr(spec: DmChannelSpec, beta: SlotFraction) -> RateRegion:
+def cf_region_cmacr(spec: DmChannelSpec, beta: float) -> RateRegion:
     """CF region of the compound model: worst case over active destinations.
 
     The binning constraint must hold at every active destination (the

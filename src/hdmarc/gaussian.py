@@ -36,8 +36,6 @@ from .core import (
     OutOfRange,
     RateRegion,
     SchemeId,
-    SlotFraction,
-    check_slot_fractions,
     clamp_bounds,
     rate_region,
     two_slot,
@@ -87,7 +85,7 @@ class GaussianMarcParams:
     p21: float
     p22: float
     pr: float
-    beta: SlotFraction
+    beta: float
     sigma_q2: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -114,8 +112,7 @@ class GaussianMarcParams:
                 f"received powers overflow float64; the largest gain is "
                 f"{gain}={getattr(self, gain)!r}"
             )
-        if not isinstance(self.beta, SlotFraction):
-            object.__setattr__(self, "beta", validate_beta(self.beta))
+        object.__setattr__(self, "beta", validate_beta(self.beta, allow_array=False))
         if self.sigma_q2 is not None:
             sigma = float(self.sigma_q2)
             if not math.isfinite(sigma) or sigma <= 0.0:
@@ -171,12 +168,13 @@ def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
 
     ``a(i)``/``b(i)`` bound source i with the quantization index recovered /
     jointly explained, ``I1``/``I2`` the sum.  Only the gains and powers of
-    ``params`` are used.  A point outside 0 < beta < 1, 0 < sigma_q2 < inf,
+    ``params`` are used.  ``beta`` is checked by
+    :func:`~hdmarc.core.validate_beta`; a point outside 0 < sigma_q2 < inf,
     or one where a value leaves the float64 range, raises
     :class:`OutOfRange` naming the first such ``(beta, sigma_q2)``.
     """
     # numpy scalars or arrays, so that every operation below obeys errstate.
-    beta, sigma_q2 = np.float64(beta), np.float64(sigma_q2)
+    beta, sigma_q2 = np.float64(validate_beta(beta)), np.float64(sigma_q2)
     s1, s2, link = slot1_signal(params), slot2_signal(params), relay_link(params)
     sources = (
         (1, params.h11, params.h1r, params.p11, params.p12),
@@ -201,7 +199,7 @@ def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
             name: two_slot(beta, 0.5 * np.log2(x1), 0.5 * np.log2(x2))
             for name, (x1, x2) in logs.items()
         }
-    ok = (beta > 0.0) & (beta < 1.0) & (sigma_q2 > 0.0) & (sigma_q2 < math.inf)
+    ok = (sigma_q2 > 0.0) & (sigma_q2 < math.inf)
     for term in terms.values():
         ok = ok & np.isfinite(term)
     if not ok.all():  # NaN fails too
@@ -210,7 +208,7 @@ def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
             float(np.broadcast_to(x, ok.shape).flat[first]) for x in (beta, sigma_q2)
         )
         raise OutOfRange(
-            f"Gaussian closed forms need 0 < beta < 1 and 0 < sigma_q2 < inf and "
+            f"Gaussian closed forms need 0 < sigma_q2 < inf and "
             f"must stay in the float64 range; they fail at beta={beta_at!r}, "
             f"sigma_q2={sigma_at!r}"
         )
@@ -218,19 +216,20 @@ def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
 
 
 def sigma_threshold(params: GaussianMarcParams, beta):
-    """CF binning threshold at slot fraction(s) ``beta`` (float or array).
+    """CF binning threshold at slot fraction(s) ``beta`` (float or array,
+    checked by :func:`~hdmarc.core.validate_beta`).
 
     Raises :class:`DegenerateRelayLink` for a dead relay link, and
     :class:`OutOfRange` naming the first ``beta`` whose threshold leaves the
     normal float64 range (small ``beta`` on a strong link, where the pipe
     ``(1 + link/S2)**((1-beta)/beta)`` overflows).
     """
+    beta = np.float64(validate_beta(beta))
     link = relay_link(params)
     if link <= 0.0:
         raise DegenerateRelayLink(
             "relay-to-destination link carries nothing (hr1**2 * pr == 0)"
         )
-    beta = np.float64(beta)
     with np.errstate(all="ignore"):
         # (1 + link/S2)**((1-b)/b) - 1, via expm1/log1p: the plain pow loses
         # the trailing digits that decide the threshold when the
@@ -303,7 +302,7 @@ def cf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
 
 def gqf_rates(params: GaussianMarcParams) -> RateRegion:
     """Full GQF region at fixed (sigma_q2, beta).  Always feasible."""
-    return rate_region(gqf_bounds(params, params.beta.beta, _require_sigma(params)))
+    return rate_region(gqf_bounds(params, params.beta, _require_sigma(params)))
 
 
 @dataclass(frozen=True)
@@ -332,7 +331,7 @@ def gqf_optimize_sigma(params: GaussianMarcParams) -> SigmaOptimum:
     cross, and by the paper's threshold identity that is exactly the CF
     binning threshold :func:`cf_sigma_min`: a closed form, no search.
     """
-    bounds = gqf_bounds(params, params.beta.beta)
+    bounds = gqf_bounds(params, params.beta)
     return SigmaOptimum(
         sigma_q2=float(bounds.sigma),
         sum_rate=float(_gqf_sum_rate(params, bounds)),
@@ -347,7 +346,7 @@ def cf_sigma_min(params: GaussianMarcParams) -> float:
     relay pipe" for sigma_q2.  Requires a live relay-to-destination link;
     otherwise the pipe has zero capacity and no variance is small enough.
     """
-    return float(sigma_threshold(params, params.beta.beta))
+    return float(sigma_threshold(params, params.beta))
 
 
 def cf_rates(params: GaussianMarcParams) -> RateRegion:
@@ -358,7 +357,7 @@ def cf_rates(params: GaussianMarcParams) -> RateRegion:
     itself — the closure point of the CF region.  With a dead relay link
     the fallback is the plain two-slot no-relay region.
     """
-    return rate_region(cf_bounds(params, params.beta.beta, _require_sigma(params)))
+    return rate_region(cf_bounds(params, params.beta, _require_sigma(params)))
 
 
 def no_relay_bounds(h11: float, h21: float, p1: float, p2: float) -> Bounds:
@@ -404,11 +403,10 @@ def gaussian_regions(
     ``beta`` and ``sigma_q2`` are floats or arrays (``sigma_q2=None``: each
     scheme's own variance per ``beta``, see :func:`gqf_bounds` and
     :func:`cf_bounds`).  NO_RELAY takes the baseline powers ``no_relay =
-    (P1, P2)`` and is the same at every point.  Any ``beta`` outside
-    (0, 1) raises :class:`OutOfRange`, whichever schemes are asked for.
+    (P1, P2)`` and is the same at every point.  ``beta`` is checked by
+    :func:`~hdmarc.core.validate_beta`, whichever schemes are asked for.
     """
-
-    check_slot_fractions(beta)
+    beta = validate_beta(beta)
 
     def baseline() -> Bounds:
         if no_relay is None:
@@ -434,7 +432,7 @@ class BetaOptimum:
 def cf_operating_point(params: GaussianMarcParams) -> GaussianMarcParams:
     """CF parameters with sigma_q2 pinned just above the binning threshold
     (at 1 with a dead relay link, where :func:`cf_rates` falls back)."""
-    return replace(params, sigma_q2=float(cf_bounds(params, params.beta.beta).sigma))
+    return replace(params, sigma_q2=float(cf_bounds(params, params.beta).sigma))
 
 
 def _smallest_beta(params: GaussianMarcParams) -> float:

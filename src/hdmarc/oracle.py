@@ -43,9 +43,9 @@ from .core import (
     OverlappingSets,
     RateRegion,
     SingularCovariance,
-    SlotFraction,
     UnknownVariable,
     clamp_region,
+    validate_beta,
 )
 from .dminfo import VAR_NAMES, DmChannelSpec, build_slot1_joint, build_slot2_joint
 from .dminfo import mutual_information as dm_mi
@@ -246,7 +246,7 @@ def gaussian_mi(
 
 
 def gqf_region_via_ru_sweep(
-    spec: DmChannelSpec, beta: SlotFraction, k: int = 1
+    spec: DmChannelSpec, beta: float, k: int = 1
 ) -> RateRegion:
     """GQF region from the raw inequality system, for cross-checking.
 
@@ -258,12 +258,12 @@ def gqf_region_via_ru_sweep(
     simplified bounds of :mod:`hdmarc.dmregions` — so agreement between the
     two is a real consistency check of that simplification.
     """
+    b = validate_beta(beta, allow_array=False)
     if k not in (1, 2):
         raise InvalidParams(f"destination index must be 1 or 2, got {k!r}")
     yk1, yk2 = ("Y11", "Y12") if k == 1 else ("Y21", "Y22")
     joint1 = build_slot1_joint(spec)
     joint2 = build_slot2_joint(spec)
-    b = beta.beta
     comp = 1.0 - b
 
     r_u = b * dm_mi(joint1, {"YR"}, {"YhR"})

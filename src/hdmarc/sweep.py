@@ -27,8 +27,10 @@ from .core import (
     Bounds,
     ConfigError,
     HdmarcError,
+    OutOfRange,
     SchemeId,
     clamp_bounds,
+    reject_unknown_fields,
     validate_beta,
 )
 from .dminfo import DmChannelSpec, spec_from_dict
@@ -155,9 +157,7 @@ def _parse_gaussian_channel(doc: dict, swept: Optional[str]) -> GaussianMarcPara
         ("gains", gains_doc, _GAIN_KEYS),
         ("powers", powers_doc, _POWER_KEYS),
     ):
-        extra = sorted(set(table) - set(known))
-        if extra:
-            raise ConfigError(f"channel.{label} has unknown fields {extra}")
+        reject_unknown_fields(table, known, f"channel.{label}")
         missing = sorted(set(known) - set(table))
         if missing:
             raise ConfigError(f"channel.{label} is missing fields {missing}")
@@ -168,10 +168,7 @@ def _parse_gaussian_channel(doc: dict, swept: Optional[str]) -> GaussianMarcPara
          for key, field in _POWER_KEYS.items()}
     )
 
-    known_top = {"gains", "powers", "beta", "sigma_q2"}
-    extra = sorted(set(doc) - known_top)
-    if extra:
-        raise ConfigError(f"channel has unknown fields {extra}")
+    reject_unknown_fields(doc, {"gains", "powers", "beta", "sigma_q2"}, "channel")
 
     if swept == "beta":
         if "beta" in doc:
@@ -188,7 +185,7 @@ def _parse_gaussian_channel(doc: dict, swept: Optional[str]) -> GaussianMarcPara
             "parameter or chosen per point by the scheme"
         )
     try:
-        return GaussianMarcParams(beta=validate_beta(beta), sigma_q2=sigma, **kwargs)
+        return GaussianMarcParams(beta=beta, sigma_q2=sigma, **kwargs)
     except HdmarcError as exc:
         raise ConfigError(f"invalid channel parameters: {exc}") from exc
 
@@ -209,9 +206,7 @@ def no_relay_from_dict(doc: dict) -> tuple[float, float]:
     """Parse a ``no_relay`` block: the baseline powers ``P1`` and ``P2``."""
     if not isinstance(doc, dict):
         raise ConfigError(f"no_relay must be an object, got {type(doc).__name__}")
-    extra = sorted(set(doc) - {"P1", "P2"})
-    if extra:
-        raise ConfigError(f"no_relay has unknown fields {extra}")
+    reject_unknown_fields(doc, {"P1", "P2"}, "no_relay")
     return tuple(_require(doc, key, float, "no_relay") for key in ("P1", "P2"))
 
 
@@ -283,9 +278,7 @@ def config_from_dict(doc: dict) -> SweepConfig:
         "topology",
         "output",
     }
-    extra = sorted(set(doc) - known)
-    if extra:
-        raise ConfigError(f"config has unknown fields {extra}")
+    reject_unknown_fields(doc, known, "config")
 
     swept = _require(doc, "swept", str, "config")
     if swept not in ("sigma_q2", "beta"):
@@ -294,20 +287,18 @@ def config_from_dict(doc: dict) -> SweepConfig:
         raise ConfigError("the dm model has no sigma_q2 knob; sweep beta instead")
 
     grid_doc = _require(doc, "grid", dict, "config")
-    extra = sorted(set(grid_doc) - {"min", "max", "points", "spacing"})
-    if extra:
-        raise ConfigError(f"grid has unknown fields {extra}")
+    reject_unknown_fields(grid_doc, {"min", "max", "points", "spacing"}, "grid")
     grid = GridSpec(
         lo=_require(grid_doc, "min", float, "grid"),
         hi=_require(grid_doc, "max", float, "grid"),
         points=_require(grid_doc, "points", int, "grid"),
         spacing=grid_doc.get("spacing", "linear"),
     )
-    if swept == "beta" and not (0.0 < grid.lo and grid.hi < 1.0):
-        raise ConfigError(
-            f"beta grid must lie strictly inside (0, 1), got "
-            f"[{grid.lo!r}, {grid.hi!r}]"
-        )
+    if swept == "beta":
+        try:
+            validate_beta(np.array([grid.lo, grid.hi]))
+        except OutOfRange as exc:
+            raise ConfigError(f"beta grid [{grid.lo!r}, {grid.hi!r}]: {exc}") from exc
     if swept == "sigma_q2" and not grid.lo > 0.0:
         raise ConfigError(f"sigma_q2 grid needs min > 0, got {grid.lo!r}")
 
@@ -349,19 +340,17 @@ def region_config_from_dict(doc: dict) -> RegionConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"region config must be an object, got {type(doc).__name__}")
     known = {"model", "channel", "schemes", "beta", "topology", "no_relay"}
-    extra = sorted(set(doc) - known)
-    if extra:
-        raise ConfigError(f"region config has unknown fields {extra}")
+    reject_unknown_fields(doc, known, "region config")
     schemes = _parse_schemes(doc.get("schemes", [scheme.value for scheme in SchemeId]))
     fields = _model_fields(doc, schemes, "region config", gaussian_point_from_dict)
     if fields["model"] == "dm":
-        beta = validate_beta(_require(doc, "beta", float, "region config")).beta
+        beta = validate_beta(_require(doc, "beta", float, "region config"))
         return RegionConfig(schemes=schemes, beta=beta, **fields)
     if "beta" in doc:
         raise ConfigError("gaussian region configs carry beta inside 'channel'")
     params = fields["gaussian"]
     return RegionConfig(
-        schemes=schemes, beta=params.beta.beta, sigma_q2=params.sigma_q2, **fields
+        schemes=schemes, beta=params.beta, sigma_q2=params.sigma_q2, **fields
     )
 
 
@@ -403,7 +392,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     values = config.grid.values()
     grid = np.asarray(values)
     if config.swept == "sigma_q2":
-        beta, sigma = config.gaussian.beta.beta, grid
+        beta, sigma = config.gaussian.beta, grid
     else:
         beta, sigma = grid, None
     try:

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import InvalidParams, SlotFraction, clamp_region, validate_beta
+from .core import InvalidParams, clamp_region
 from .dminfo import DmChannelSpec, build_slot1_joint, build_slot2_joint
 from .dminfo import mutual_information as dm_mi
 from .dmregions import (
@@ -130,7 +130,7 @@ def draw_gaussian_params(rng: np.random.Generator) -> GaussianMarcParams:
     [0.1, 0.9], quantization variance in [0.01, 100]."""
     gains = rng.uniform(0.1, 5.0, size=5)  # h11, h21, h1r, h2r, hr1
     powers = rng.uniform(0.1, 5.0, size=5)  # p11, p12, p21, p22, pr
-    beta = validate_beta(float(rng.uniform(0.1, 0.9)))
+    beta = float(rng.uniform(0.1, 0.9))
     sigma = float(rng.uniform(0.01, 100.0))
     return GaussianMarcParams(*gains, *powers, beta=beta, sigma_q2=sigma)
 
@@ -173,7 +173,7 @@ def draw_dm_spec(
 
 def draw_single_source_spec(
     rng: np.random.Generator,
-) -> tuple[DmChannelSpec, SlotFraction]:
+) -> tuple[DmChannelSpec, float]:
     """A random channel with source 2 and destination 2 degenerate.
 
     The slot-2 link is a noiseless map from (X12, XR) onto Y12 and XR is
@@ -199,8 +199,7 @@ def draw_single_source_spec(
         for xr in range(n_xr):
             slot2[x12, 0, xr, x12 * n_xr + xr, 0] = 1.0
     spec = replace(base, pxr=np.full(n_xr, 1.0 / n_xr), slot2=slot2)
-    beta = validate_beta(float(rng.uniform(0.2, 0.4)))
-    return spec, beta
+    return spec, float(rng.uniform(0.2, 0.4))
 
 
 def draw_silent_dest2_spec(rng: np.random.Generator) -> DmChannelSpec:
@@ -215,7 +214,7 @@ def _oracle_gqf_terms(params: GaussianMarcParams) -> dict[str, float]:
     """The six GQF terms via log-det mutual informations (see oracle docs)."""
     model1 = build_covariance(params, slot=1)
     model2 = build_covariance(params, slot=2)
-    b = params.beta.beta
+    b = params.beta
     comp = 1.0 - b
     values: dict[str, float] = {}
     for i, j in ((1, 2), (2, 1)):
@@ -244,7 +243,7 @@ def _crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
     written as b*log1p(q) - (1-b)*log1p(link/S2) with q = (S1 + view) /
     (S1 * sigma).  It shares no code with the expm1 closed form of the
     threshold and stays accurate to a few ulps at any scale of sigma."""
-    b = params.beta.beta
+    b = params.beta
     s1 = slot1_signal(params)
     q = (s1 + relay_view(params)) / (s1 * sigma)
     gap = b * math.log1p(q) - (1.0 - b) * math.log1p(
@@ -274,7 +273,7 @@ def verify_closed_forms(seed: int = 0, draws: int = 100) -> Report:
         at_min = replace(params, sigma_q2=sigma_min)
         model1 = build_covariance(at_min, slot=1)
         model2 = build_covariance(at_min, slot=2)
-        b = params.beta.beta
+        b = params.beta
         lhs = b * (
             gaussian_mi(model1, {"YR"}, {"YhR"})
             - gaussian_mi(model1, {"Y11"}, {"YhR"})
@@ -308,7 +307,7 @@ def verify_dm_regions(seed: int = 0, draws: int = 50) -> Report:
     worst = _Worst()
     for _ in range(draws):
         spec = draw_dm_spec(rng)
-        beta = validate_beta(float(rng.uniform(0.1, 0.9)))
+        beta = float(rng.uniform(0.1, 0.9))
 
         region = gqf_region_marc(spec, beta)
         sweep = gqf_region_via_ru_sweep(spec, beta, k=1)
@@ -354,14 +353,13 @@ def verify_reductions(seed: int = 0, draws: int = 50) -> Report:
     rng = np.random.default_rng(seed)
     worst = _Worst()
     for _ in range(draws):
-        spec, beta = draw_single_source_spec(rng)
-        b = beta.beta
+        spec, b = draw_single_source_spec(rng)
         joint1 = build_slot1_joint(spec)
         joint2 = build_slot2_joint(spec)
 
         # With source 2 degenerate the single-user and sum bounds coincide,
         # and each GQF branch collapses to its single-source form.
-        region = gqf_region_marc(spec, beta)
+        region = gqf_region_marc(spec, b)
         worst.record("gqf_r1_eq_sum", region.r1_max - region.sum_max, DM_TOL)
         plain = b * dm_mi(joint1, {"X11"}, {"Y11", "YhR"}) + (1.0 - b) * dm_mi(
             joint2, {"X12"}, {"Y12"}, {"XR"}
@@ -385,7 +383,7 @@ def verify_reductions(seed: int = 0, draws: int = 50) -> Report:
         # CF with one source: rate bound collapses to the classic
         # compress-and-forward expression, and the strong relay pipe of the
         # generator keeps every draw feasible.
-        cf = cf_region_marc(spec, beta)
+        cf = cf_region_marc(spec, b)
         worst.record("cf_feasible", 0.0 if cf.feasible else 1.0, 0.0)
         worst.record("cf_r1_eq_sum", cf.r1_max - cf.sum_max, DM_TOL)
         worst.record("cf_r1_eq_formula", cf.r1_max - max(0.0, plain), DM_TOL)
@@ -393,7 +391,7 @@ def verify_reductions(seed: int = 0, draws: int = 50) -> Report:
         # A destination that observes nothing drops out of the compound
         # region entirely: same code path, identical floats.
         silent = draw_silent_dest2_spec(rng)
-        silent_beta = validate_beta(float(rng.uniform(0.1, 0.9)))
+        silent_beta = float(rng.uniform(0.1, 0.9))
         for name, compound_fn, single_fn in (
             ("gqf_silent_dest2_exact", gqf_region_cmacr, gqf_region_marc),
             ("cf_silent_dest2_exact", cf_region_cmacr, cf_region_marc),

@@ -101,3 +101,19 @@ def benchmark_params(beta=0.5, sigma_q2=None, **overrides):
     )
     fields.update(overrides)
     return GaussianMarcParams(beta=beta, sigma_q2=sigma_q2, **fields)
+
+
+def assert_same_bits(got, want):
+    """Two :class:`hdmarc.Bounds` hold the same float64 bits, field by field
+    and term by term (``sigma`` may be None in both)."""
+    for name in ("r1", "r2", "rsum", "sigma"):
+        if getattr(want, name) is None:
+            assert getattr(got, name) is None
+            continue
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes(), name
+    assert np.array_equal(got.feasible, want.feasible)
+    assert got.terms.keys() == want.terms.keys()
+    for name, value in got.terms.items():
+        a, b = np.asarray(value), np.asarray(want.terms[name])
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes(), name

@@ -9,7 +9,6 @@ from hdmarc import (
     OutOfRange,
     RateRegion,
     SchemeId,
-    SlotFraction,
     clamp_region,
     validate_beta,
 )
@@ -17,41 +16,37 @@ from hdmarc import (
 
 def test_slot_fraction_accepts_interior_values():
     for beta in (1e-9, 0.25, 0.5, 0.99, 1 - 1e-12):
-        frac = SlotFraction(beta)
-        assert frac.beta == float(beta)
-
-
-def test_slot_fraction_complement():
-    assert SlotFraction(0.25).complement == 0.75
-    assert SlotFraction(0.5).complement == 0.5
-    frac = SlotFraction(0.3)
-    assert frac.beta + frac.complement == 1.0
+        assert validate_beta(beta) == float(beta)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, math.nan, math.inf, -math.inf])
 def test_slot_fraction_rejects_endpoints_and_nonfinite(bad):
     with pytest.raises(OutOfRange):
-        SlotFraction(bad)
+        validate_beta(bad)
 
 
 @pytest.mark.parametrize("bad", ["0.5", None, True, [0.5]])
 def test_slot_fraction_rejects_non_numbers(bad):
     with pytest.raises(OutOfRange):
-        SlotFraction(bad)
+        validate_beta(bad)
 
 
-def test_slot_fraction_is_immutable():
-    frac = SlotFraction(0.5)
-    with pytest.raises(Exception):
-        frac.beta = 0.7
-
-
-def test_validate_beta_wraps_floats():
-    frac = validate_beta(0.4)
-    assert isinstance(frac, SlotFraction)
-    assert frac.beta == 0.4
+def test_validate_beta_returns_floats():
+    beta = validate_beta(0.4)
+    assert type(beta) is float
+    assert beta == 0.4
     with pytest.raises(OutOfRange):
         validate_beta(1.0)
+
+
+def test_validate_beta_returns_float64_arrays():
+    grid = validate_beta(np.array([0.25, 0.5], dtype=np.float32))
+    assert grid.dtype == np.float64 and grid.tolist() == [0.25, 0.5]
+    assert type(validate_beta(np.float32(0.25))) is float
+    with pytest.raises(OutOfRange, match="inside \\(0, 1\\), got nan"):
+        validate_beta(np.array([0.5, np.nan, 2.0]))
+    with pytest.raises(OutOfRange, match="must be a real number, got array"):
+        validate_beta(np.array([0.5]), allow_array=False)
 
 
 def test_scheme_ids_round_trip_their_names():

@@ -4,6 +4,7 @@ Reference values are recomputed inside the tests by brute-force loops over
 the full joint tensors, independently of the vectorized implementations.
 """
 
+import copy
 import json
 import math
 from dataclasses import replace
@@ -386,6 +387,25 @@ def test_spec_from_dict_rejects_non_numeric_tables():
     assert spec.test_channel.dtype == np.float64
 
 
+def test_spec_from_dict_rejects_booleans_among_numbers():
+    rng = np.random.default_rng(35)
+    doc = _spec_doc(rng)
+    slot1 = copy.deepcopy(doc["slot1"])
+    slot1[-1][-1][-1][-1][-1] = True  # a 1.0 spelled as a bool, deep inside
+    for key, table in (
+        ("p_x11", [0.0, True]),
+        ("p_xr", [np.True_, 0.0]),
+        ("test_channel", [[False, *row[1:]] for row in doc["test_channel"]]),
+        ("slot1", slot1),
+    ):
+        with pytest.raises(ConfigError, match=f"{key}.*bool"):
+            spec_from_dict(dict(doc, **{key: table}))
+    # Numbers alone keep converting to the same float64 bits.
+    spec = spec_from_dict(json.loads(json.dumps(doc)))
+    for key, field in (("p_x11", "px11"), ("test_channel", "test_channel"), ("slot1", "slot1")):
+        assert getattr(spec, field).tobytes() == np.array(doc[key], dtype=np.float64).tobytes()
+
+
 def test_dm_spec_json_round_trip(tmp_path):
     rng = np.random.default_rng(36)
     doc = _spec_doc(rng)
@@ -402,3 +422,16 @@ def test_channel_file_with_invalid_json_is_a_config_error(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         _load_json(path)
+
+
+def test_garbling_the_test_channel_never_raises_the_quantizer_information():
+    # YR -> YhR -> YhR' is a Markov chain, so I(YR; YhR') <= I(YR; YhR).
+    rng = np.random.default_rng(89)
+    for _ in range(200):
+        yr, yhr, garbled_yhr = (int(n) for n in rng.integers([2, 2, 1], 5))
+        spec = _random_spec(rng, {"yr": yr, "yhr": yhr})
+        garble = rng.dirichlet(np.ones(garbled_yhr), size=yhr)  # row-stochastic
+        garbled = replace(spec, test_channel=spec.test_channel @ garble)
+        before = mutual_information(build_slot1_joint(spec), {"YR"}, {"YhR"})
+        after = mutual_information(build_slot1_joint(garbled), {"YR"}, {"YhR"})
+        assert after <= before + 1e-12

@@ -5,6 +5,8 @@ log-ratio mutual-information evaluator (see ``_support.mi_ratio``) before
 being compared against the package's entropy-combination version.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,10 @@ from hdmarc import (
     no_relay_region_marc,
     validate_beta,
 )
+from hdmarc.core import clamp_bounds
 from hdmarc.dminfo import JointEntropies
 from hdmarc.dmregions import CF_MARGIN, active_destinations, dm_regions, slot_terms
+from hdmarc.verify import draw_dm_spec
 
 from _support import make_random_spec, mi_ratio
 
@@ -534,3 +538,27 @@ def test_cf_compound_needs_every_destination_to_clear_the_constraint():
     assert active_destinations(spec) == (1, 2)
     compound = cf_region_cmacr(spec, beta)
     assert compound.feasible is False
+
+
+def test_compound_region_lies_inside_each_single_destination_region():
+    # CF is left out: where binning fails, the compound CF region falls back
+    # to the relay-silenced channel, which can exceed a single-destination
+    # CF region that still relays.
+    rng = np.random.default_rng(83)
+    betas = np.linspace(0.05, 0.95, 7)
+    schemes = (SchemeId.GQF, SchemeId.NO_RELAY)
+    for _ in range(100):
+        spec = draw_dm_spec(rng)
+        assert active_destinations(spec) == (1, 2)
+        # Destination 2 seen as destination 1: swap the Y11/Y21 and Y12/Y22 axes.
+        dest2 = replace(
+            spec, slot1=np.swapaxes(spec.slot1, 3, 4), slot2=np.swapaxes(spec.slot2, 3, 4)
+        )
+        compound = dm_regions(spec, "cmacr", schemes, betas)
+        for destination in (spec, dest2):
+            single = dm_regions(destination, "marc", schemes, betas)
+            for scheme in schemes:
+                inner = clamp_bounds(*compound[scheme][:3])
+                outer = clamp_bounds(*single[scheme][:3])
+                for a, b in zip(inner, outer):
+                    assert np.all(a <= b + 1e-12), scheme

@@ -18,7 +18,6 @@ from hdmarc import (
     InvalidParams,
     OutOfRange,
     SchemeId,
-    SlotFraction,
     cf_rates,
     cf_sigma_min,
     config_from_dict,
@@ -27,10 +26,12 @@ from hdmarc import (
     no_relay_rates,
     optimize_beta,
     run_sweep,
+    validate_beta,
 )
 from hdmarc.gaussian import (
     BETA_RANGE,
     cf_operating_point,
+    gaussian_regions,
     gqf_bounds,
     relay_link,
     relay_view,
@@ -38,7 +39,8 @@ from hdmarc.gaussian import (
     slot2_signal,
 )
 
-from _support import benchmark_params, random_gaussian_params as _random_params
+from _support import assert_same_bits, benchmark_params
+from _support import random_gaussian_params as _random_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -78,10 +80,10 @@ def test_params_reject_gains_whose_powers_overflow(overrides, gain):
 
 def test_params_coerce_beta_to_slot_fraction():
     params = benchmark_params(beta=0.25)
-    assert isinstance(params.beta, SlotFraction)
-    assert params.beta.beta == 0.25
-    wrapped = benchmark_params(beta=SlotFraction(0.25))
-    assert wrapped.beta.beta == 0.25
+    assert type(params.beta) is float
+    assert params.beta == 0.25
+    validated = benchmark_params(beta=validate_beta(0.25))
+    assert validated.beta == 0.25
 
 
 def test_derived_powers_on_benchmark_channel():
@@ -189,7 +191,7 @@ def _exact_threshold(params):
         p11, p12, p21, p22, pr = map(
             mpmath.mpf, (params.p11, params.p12, params.p21, params.p22, params.pr)
         )
-        b = mpmath.mpf(params.beta.beta)
+        b = mpmath.mpf(params.beta)
         s1 = 1 + h11**2 * p11 + h21**2 * p21
         s2 = 1 + h11**2 * p12 + h21**2 * p22
         view = (h11 * h2r - h1r * h21) ** 2 * p11 * p21 + h1r**2 * p11 + h2r**2 * p21
@@ -454,3 +456,19 @@ def test_optimize_beta_single_user_objective():
     assert silent.rate == 0.0
     active = optimize_beta(params, SchemeId.GQF, objective="r1")
     assert active.rate > 0.5  # relay lifts source 1 above its direct link
+
+
+def test_flipping_the_sign_of_a_source_gain_pair_leaves_every_bound_unchanged():
+    # The closed forms see a source's gains only through squares and the
+    # squared cross term (h11*h2R - h1R*h21)**2, whose sign flips exactly.
+    rng = np.random.default_rng(71)
+    betas = np.linspace(0.05, 0.95, 19)
+    for _ in range(100):
+        params = _random_params(rng)
+        no_relay = tuple(rng.uniform(0.1, 5.0, 2))
+        want = gaussian_regions(params, tuple(SchemeId), betas, no_relay=no_relay)
+        for pair in (("h11", "h1r"), ("h21", "h2r")):
+            flipped = replace(params, **{name: -getattr(params, name) for name in pair})
+            got = gaussian_regions(flipped, tuple(SchemeId), betas, no_relay=no_relay)
+            for scheme in SchemeId:
+                assert_same_bits(got[scheme], want[scheme])

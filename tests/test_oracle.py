@@ -235,7 +235,7 @@ def test_gaussian_mi_properties_under_fuzz():
 def _oracle_terms(params):
     slot1 = build_covariance(params, slot=1)
     slot2 = build_covariance(params, slot=2)
-    b = params.beta.beta
+    b = params.beta
     comp = 1.0 - b
     a1 = b * gaussian_mi(slot1, {"X11"}, {"X21", "Y11", "YhR"}) + comp * gaussian_mi(
         slot2, {"X12"}, {"X22", "XR", "Y12"}
@@ -276,7 +276,7 @@ def test_binning_threshold_balances_the_oracle_rates():
         at_threshold = replace(params, sigma_q2=cf_sigma_min(params))
         slot1 = build_covariance(at_threshold, slot=1)
         slot2 = build_covariance(at_threshold, slot=2)
-        b = params.beta.beta
+        b = params.beta
         index_rate = b * (
             gaussian_mi(slot1, {"YR"}, {"YhR"})
             - gaussian_mi(slot1, {"Y11"}, {"YhR"})

@@ -30,6 +30,7 @@ from hdmarc import (
     gqf_rates,
     gqf_region_cmacr,
     gqf_region_marc,
+    gqf_region_via_ru_sweep,
     no_relay_region_cmacr,
     no_relay_region_marc,
     rate_region,
@@ -50,10 +51,10 @@ from hdmarc.sweep import (
     render_plot_script,
 )
 from hdmarc.dmregions import dm_regions
-from hdmarc.gaussian import gaussian_regions
-from hdmarc.verify import Check, Report
+from hdmarc.gaussian import cf_bounds, gaussian_regions, gqf_bounds
+from hdmarc.verify import Check, Report, draw_dm_spec
 
-from _support import benchmark_params, make_random_spec
+from _support import assert_same_bits, benchmark_params, make_random_spec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -252,7 +253,7 @@ def test_gaussian_point_parser_requires_both_knobs():
     channel = dict(channel, sigma_q2=2.0)
     params = gaussian_point_from_dict(channel)
     assert params.sigma_q2 == 2.0
-    assert params.beta.beta == 0.5
+    assert params.beta == 0.5
     del channel["beta"]
     with pytest.raises(ConfigError):
         gaussian_point_from_dict(channel)
@@ -387,6 +388,107 @@ def test_model_entries_reject_slot_fractions_outside_the_unit_interval(bad):
             for topology in ("marc", "cmacr"):
                 with pytest.raises(OutOfRange, match=named):
                     dm_regions(spec, topology, schemes, beta)
+
+
+#: The six single-point DM functions and the (topology, scheme) each evaluates.
+DM_POINT_FUNCTIONS = {
+    gqf_region_marc: ("marc", SchemeId.GQF),
+    gqf_region_cmacr: ("cmacr", SchemeId.GQF),
+    cf_region_marc: ("marc", SchemeId.CF),
+    cf_region_cmacr: ("cmacr", SchemeId.CF),
+    no_relay_region_marc: ("marc", SchemeId.NO_RELAY),
+    no_relay_region_cmacr: ("cmacr", SchemeId.NO_RELAY),
+}
+
+
+def test_single_point_entries_take_a_plain_float():
+    spec = make_random_spec(np.random.default_rng(MIXED_CF_SEED))
+    for beta in (0.1, 0.4, 0.9):
+        for function, (topology, scheme) in DM_POINT_FUNCTIONS.items():
+            expected = rate_region(dm_regions(spec, topology, (scheme,), beta)[scheme])
+            assert function(spec, beta) == expected, (function.__name__, beta)
+        region = gqf_region_via_ru_sweep(spec, beta)
+        assert abs(region.sum_max - gqf_region_marc(spec, beta).sum_max) <= 1e-10
+
+
+def test_numpy_typed_slot_fractions_compute_in_float64():
+    params = benchmark_params()
+    spec = draw_dm_spec(np.random.default_rng(1))
+    single = np.float32(0.3)
+    grid = np.array([0.3, 0.55, 0.8], dtype=np.float32)
+    for typed, plain in ((single, float(single)), (grid, grid.astype(np.float64))):
+        got = gaussian_regions(params, tuple(SchemeId), typed, no_relay=(1.5, 1.5))
+        want = gaussian_regions(params, tuple(SchemeId), plain, no_relay=(1.5, 1.5))
+        for scheme in SchemeId:
+            assert_same_bits(got[scheme], want[scheme])
+        for topology in ("marc", "cmacr"):
+            got = dm_regions(spec, topology, tuple(SchemeId), typed)
+            want = dm_regions(spec, topology, tuple(SchemeId), plain)
+            for scheme in SchemeId:
+                assert_same_bits(got[scheme], want[scheme])
+    # A numpy float is a real number at the single-point entries too.
+    assert type(benchmark_params(beta=single).beta) is float
+    assert gqf_region_marc(spec, single) == gqf_region_marc(spec, float(single))
+    # An integer is a number: it is refused for its range, not its type.
+    for integer in (np.int64(1), np.array([0, 1], dtype=np.int64)):
+        with pytest.raises(OutOfRange, match="strictly inside"):
+            gaussian_regions(params, (SchemeId.GQF,), integer)
+        with pytest.raises(OutOfRange, match="strictly inside"):
+            dm_regions(spec, "marc", (SchemeId.GQF,), integer)
+
+
+def _beta_entries(spec, params):
+    """Every public entry that takes a slot fraction, as ``beta -> call``."""
+    entries = {
+        "GaussianMarcParams": lambda beta: benchmark_params(beta=beta),
+        "gqf_bounds": lambda beta: gqf_bounds(params, beta, 1.0),
+        "gqf_bounds(sigma_q2=None)": lambda beta: gqf_bounds(params, beta),
+        "cf_bounds": lambda beta: cf_bounds(params, beta, 1.0),
+        "cf_bounds(sigma_q2=None)": lambda beta: cf_bounds(params, beta),
+        "gqf_region_via_ru_sweep": lambda beta: gqf_region_via_ru_sweep(spec, beta),
+    }
+    for schemes in ((SchemeId.NO_RELAY,), tuple(SchemeId)):
+        entries[f"gaussian_regions{schemes}"] = lambda beta, schemes=schemes: (
+            gaussian_regions(params, schemes, beta, no_relay=(1.5, 1.5))
+        )
+        for topology in ("marc", "cmacr"):
+            entries[f"dm_regions{topology, schemes}"] = (
+                lambda beta, topology=topology, schemes=schemes: (
+                    dm_regions(spec, topology, schemes, beta)
+                )
+            )
+    for function in DM_POINT_FUNCTIONS:
+        entries[function.__name__] = lambda beta, function=function: function(spec, beta)
+    return entries
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["0.5", None, True, np.True_, [0.5], np.array(["0.5"]), np.array([True]),
+     np.array([0.5], dtype=object)],
+    ids=["str", "None", "bool", "numpy-bool", "list", "str-array", "bool-array",
+         "object-array"],
+)
+def test_every_beta_entry_rejects_non_numbers(bad):
+    spec = make_random_spec(np.random.default_rng(5))
+    entries = _beta_entries(spec, benchmark_params(sigma_q2=1.0))
+    entries["dead-link cf_bounds"] = lambda beta: cf_bounds(
+        benchmark_params(hr1=0.0), beta
+    )
+    for name, call in entries.items():
+        with pytest.raises(OutOfRange, match="slot fraction must be a real number"):
+            call(bad)
+            pytest.fail(name)
+
+
+def test_single_point_entries_reject_an_array_beta():
+    spec = make_random_spec(np.random.default_rng(5))
+    single_point = [benchmark_params, gqf_region_via_ru_sweep, *DM_POINT_FUNCTIONS]
+    for beta in (np.array([0.3, 0.4]), np.array(0.3), np.array([0.3])):
+        for function in single_point:
+            args = (beta,) if function is benchmark_params else (spec, beta)
+            with pytest.raises(OutOfRange, match="must be a real number, got array"):
+                function(*args)
 
 
 def test_sigma_grid_must_be_positive_and_finite():
@@ -578,6 +680,22 @@ def test_cli_reports_bad_json_and_missing_files(tmp_path):
     broken.write_text("{nope")
     assert main(["sweep", "--config", str(broken)]) == EXIT_CONFIG
     assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == EXIT_IO
+
+
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(_gaussian_sweep_doc()).encode("utf-16-le"))
+    assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_cli_config_nested_too_deeply_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["region", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_cli_usage_errors_exit_with_config_code():
