@@ -45,10 +45,10 @@ from .core import (
 #: Interval searched by the slot-fraction optimizer.
 BETA_RANGE = (0.01, 0.99)
 
-#: Golden-section stops when the bracket is narrower than this.
+#: The slot-fraction search stops once its interval is at most this wide.
 BETA_TOL = 1e-6
 
-#: Number of evenly spaced seeds evaluated before golden-section refinement.
+#: Evenly spaced points per grid of the slot-fraction search.
 BETA_SEEDS = 33
 
 #: Relative offset above the feasibility threshold used when a sweep needs a
@@ -62,8 +62,6 @@ DEAD_LINK_SIGMA = 1e30
 
 #: Smallest positive normal float64; a threshold below it has lost digits.
 _TINY = float(np.finfo(np.float64).tiny)
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -90,17 +88,10 @@ class GaussianMarcParams:
 
     def __post_init__(self) -> None:
         for name in ("h11", "h21", "h1r", "h2r", "hr1"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidParams(f"gain {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _real(f"gain {name}", getattr(self, name)))
         for name in ("p11", "p12", "p21", "p22", "pr"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise InvalidParams(
-                    f"power {name} must be finite and non-negative, got {value!r}"
-                )
-            object.__setattr__(self, name, value)
+            power = _real(f"power {name}", getattr(self, name), "finite and non-negative")
+            object.__setattr__(self, name, power)
         # Every closed form takes logs of parts of these two sums of
         # non-negative powers, so finite sums keep every rate finite.
         if _overflows(lambda: slot1_signal(self) + relay_view(self)) or _overflows(
@@ -114,12 +105,29 @@ class GaussianMarcParams:
             )
         object.__setattr__(self, "beta", validate_beta(self.beta, allow_array=False))
         if self.sigma_q2 is not None:
-            sigma = float(self.sigma_q2)
-            if not math.isfinite(sigma) or sigma <= 0.0:
-                raise InvalidParams(
-                    f"quantization variance must be finite and positive, got {sigma!r}"
-                )
+            sigma = _real("quantization variance", self.sigma_q2, "finite and positive")
             object.__setattr__(self, "sigma_q2", sigma)
+
+
+def _real(label: str, value, rule: Optional[str] = "finite") -> float:
+    """``value`` as a float if it is a real number (Python or numpy; a str,
+    bool or None is refused, not parsed) that is ``rule``: "finite",
+    "finite and non-negative", "finite and positive" or None (any number).
+    Otherwise raises :class:`InvalidParams` naming ``label``."""
+    if not isinstance(value, (float, int, np.floating, np.integer)) or type(value) is bool:
+        raise InvalidParams(f"{label} must be a real number, got {value!r}")
+    number = float(value)
+    signed = {"finite and non-negative": number >= 0.0, "finite and positive": number > 0.0}
+    if rule and not (math.isfinite(number) and signed.get(rule, True)):
+        raise InvalidParams(f"{label} must be {rule}, got {number!r}")
+    return number
+
+
+def _variances(sigma_q2):
+    """Quantization variance(s) as a float or a numeric numpy array, refusing
+    anything else (a str, bool or None) with :class:`InvalidParams`."""
+    numeric = isinstance(sigma_q2, np.ndarray) and sigma_q2.dtype.kind in "iuf"
+    return sigma_q2 if numeric else _real("quantization variance", sigma_q2, None)
 
 
 def _overflows(power: Callable[[], float]) -> bool:
@@ -174,7 +182,7 @@ def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
     :class:`OutOfRange` naming the first such ``(beta, sigma_q2)``.
     """
     # numpy scalars or arrays, so that every operation below obeys errstate.
-    beta, sigma_q2 = np.float64(validate_beta(beta)), np.float64(sigma_q2)
+    beta, sigma_q2 = np.float64(validate_beta(beta)), np.float64(_variances(sigma_q2))
     s1, s2, link = slot1_signal(params), slot2_signal(params), relay_link(params)
     sources = (
         (1, params.h11, params.h1r, params.p11, params.p12),
@@ -282,6 +290,7 @@ def cf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
     ``sigma_q2=None`` operates each ``beta`` just above its threshold, at
     ``threshold * (1 + CF_SIGMA_NUDGE)``, or at 1 with a dead link.
     """
+    sigma_q2 = None if sigma_q2 is None else _variances(sigma_q2)
     try:
         sigma_min = sigma_threshold(params, beta)
     except DegenerateRelayLink:
@@ -367,14 +376,9 @@ def no_relay_bounds(h11: float, h21: float, p1: float, p2: float) -> Bounds:
     power budget in one full-length block.  Gains and powers must be finite
     (powers non-negative), and so must the received powers they give.
     """
-    for name, value in (("h11", h11), ("h21", h21)):
-        if not math.isfinite(float(value)):
-            raise InvalidParams(f"gain {name} must be finite, got {value!r}")
-    for name, value in (("p1", p1), ("p2", p2)):
-        if not math.isfinite(float(value)) or float(value) < 0.0:
-            raise InvalidParams(
-                f"power {name} must be finite and non-negative, got {value!r}"
-            )
+    h11, h21 = _real("gain h11", h11), _real("gain h21", h21)
+    p1 = _real("power p1", p1, "finite and non-negative")
+    p2 = _real("power p2", p2, "finite and non-negative")
     if _overflows(lambda: 1.0 + h11**2 * p1 + h21**2 * p2):
         raise InvalidParams(
             f"no-relay received powers overflow float64 "
@@ -452,11 +456,15 @@ def optimize_beta(
 
     For GQF the quantization variance is the sum-optimal one at every
     candidate beta; for CF it is pinned just above the binning threshold.
-    The objective ("sum", "r1" or "r2") need not be unimodal in beta, so a
-    33-point grid, evaluated in one pass, picks the best neighborhood first
-    and golden-section refines inside it.  The search covers
-    :data:`BETA_RANGE`, starting higher only on relay links so strong that
-    the threshold at its low end would leave the float64 range.
+    The objective ("sum", "r1" or "r2") need not be unimodal in beta, so
+    the search is a grid refinement: each round evaluates
+    :data:`BETA_SEEDS` evenly spaced points in one array call and narrows
+    the interval to the best point's grid neighbours, until it is at most
+    :data:`BETA_TOL` wide.  The result is the last round's best grid point
+    and its rate from that same evaluation, so an optimum at an end of the
+    range is returned exactly.  The search covers :data:`BETA_RANGE`,
+    starting higher only on relay links so strong that the threshold at
+    its low end would leave the float64 range.
     """
     if scheme not in (SchemeId.GQF, SchemeId.CF):
         raise InvalidParams(f"slot-fraction search takes GQF or CF, got {scheme!r}")
@@ -470,24 +478,11 @@ def optimize_beta(
         r1, r2, rsum = clamp_bounds(bounds.r1, bounds.r2, bounds.rsum)
         return {"sum": rsum, "r1": r1, "r2": r2}[objective]
 
-    lo_edge, hi_edge = max(BETA_RANGE[0], _smallest_beta(params)), BETA_RANGE[1]
-    step = (hi_edge - lo_edge) / (BETA_SEEDS - 1)
-    seeds = lo_edge + step * np.arange(BETA_SEEDS)
-    best = int(np.argmax(value(seeds)))
-    lo = float(seeds[best - 1]) if best > 0 else lo_edge
-    hi = float(seeds[best + 1]) if best < BETA_SEEDS - 1 else hi_edge
-
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = value(x1), value(x2)
-    while (hi - lo) > BETA_TOL:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = value(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = value(x2)
-    beta = 0.5 * (lo + hi)
-    return BetaOptimum(beta=beta, rate=float(value(beta)))
+    lo, hi = max(BETA_RANGE[0], _smallest_beta(params)), BETA_RANGE[1]
+    while True:
+        grid = np.linspace(lo, hi, BETA_SEEDS)
+        rates = value(grid)
+        best = int(np.argmax(rates))
+        if hi - lo <= BETA_TOL:
+            return BetaOptimum(beta=float(grid[best]), rate=float(rates[best]))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, BETA_SEEDS - 1)]

@@ -344,7 +344,10 @@ def region_config_from_dict(doc: dict) -> RegionConfig:
     schemes = _parse_schemes(doc.get("schemes", [scheme.value for scheme in SchemeId]))
     fields = _model_fields(doc, schemes, "region config", gaussian_point_from_dict)
     if fields["model"] == "dm":
-        beta = validate_beta(_require(doc, "beta", float, "region config"))
+        try:
+            beta = validate_beta(_require(doc, "beta", float, "region config"))
+        except OutOfRange as exc:
+            raise ConfigError(f"region config beta: {exc}") from exc
         return RegionConfig(schemes=schemes, beta=beta, **fields)
     if "beta" in doc:
         raise ConfigError("gaussian region configs carry beta inside 'channel'")

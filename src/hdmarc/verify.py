@@ -46,9 +46,6 @@ from .gaussian import (
 )
 from .oracle import build_covariance, gaussian_mi, gqf_region_via_ru_sweep
 
-#: Default draw counts per subject.
-DEFAULT_DRAWS = {"closed-forms": 100, "dm-regions": 50, "reductions": 50}
-
 #: Absolute tolerance for the Gaussian closed-form checks.
 GAUSSIAN_TOL = 1e-9
 
@@ -57,8 +54,6 @@ SIGMA_REL_TOL = 1e-9
 
 #: Absolute tolerance for the finite-alphabet cross-checks.
 DM_TOL = 1e-10
-
-SUBJECTS = ("closed-forms", "dm-regions", "reductions")
 
 
 @dataclass(frozen=True)
@@ -253,7 +248,7 @@ def _crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
     return gap / slope
 
 
-def verify_closed_forms(seed: int = 0, draws: int = 100) -> Report:
+def verify_closed_forms(seed: int, draws: int) -> Report:
     """Gaussian closed forms vs log-det oracle, plus the threshold identity."""
     _check_run(seed, draws)
     rng = np.random.default_rng(seed)
@@ -300,7 +295,7 @@ def verify_closed_forms(seed: int = 0, draws: int = 100) -> Report:
 # ---------------------------------------------------------------------------
 # Subject: dm-regions.
 
-def verify_dm_regions(seed: int = 0, draws: int = 50) -> Report:
+def verify_dm_regions(seed: int, draws: int) -> Report:
     """Simplified finite-alphabet bounds vs the raw inequality system."""
     _check_run(seed, draws)
     rng = np.random.default_rng(seed)
@@ -347,7 +342,7 @@ def verify_dm_regions(seed: int = 0, draws: int = 50) -> Report:
 # ---------------------------------------------------------------------------
 # Subject: reductions.
 
-def verify_reductions(seed: int = 0, draws: int = 50) -> Report:
+def verify_reductions(seed: int, draws: int) -> Report:
     """Degenerate channels collapse to the expected smaller models."""
     _check_run(seed, draws)
     rng = np.random.default_rng(seed)
@@ -408,11 +403,17 @@ def verify_reductions(seed: int = 0, draws: int = 50) -> Report:
     return Report("reductions", seed, draws, worst.checks())
 
 
-_RUNNERS: dict[str, Callable[[int, int], Report]] = {
-    "closed-forms": verify_closed_forms,
-    "dm-regions": verify_dm_regions,
-    "reductions": verify_reductions,
+#: Each subject's runner and default draw count, in the order the CLI lists them.
+_SUBJECT_TABLE: dict[str, tuple[Callable[[int, int], Report], int]] = {
+    "closed-forms": (verify_closed_forms, 100),
+    "dm-regions": (verify_dm_regions, 50),
+    "reductions": (verify_reductions, 50),
 }
+
+SUBJECTS = tuple(_SUBJECT_TABLE)
+
+#: Default draw counts per subject.
+DEFAULT_DRAWS = {subject: draws for subject, (_, draws) in _SUBJECT_TABLE.items()}
 
 
 def _check_run(seed: int, draws: int) -> None:
@@ -426,10 +427,9 @@ def _check_run(seed: int, draws: int) -> None:
 
 def run_subject(subject: str, seed: int = 0, draws: Optional[int] = None) -> Report:
     """Run one verification subject by name."""
-    if subject not in _RUNNERS:
+    if subject not in _SUBJECT_TABLE:
         raise InvalidParams(
             f"unknown verification subject {subject!r}; expected one of {SUBJECTS}"
         )
-    if draws is None:
-        draws = DEFAULT_DRAWS[subject]
-    return _RUNNERS[subject](seed, draws)
+    runner, default_draws = _SUBJECT_TABLE[subject]
+    return runner(seed, default_draws if draws is None else draws)

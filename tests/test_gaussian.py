@@ -28,11 +28,15 @@ from hdmarc import (
     run_sweep,
     validate_beta,
 )
+from hdmarc.core import clamp_bounds
 from hdmarc.gaussian import (
     BETA_RANGE,
+    _smallest_beta,
+    cf_bounds,
     cf_operating_point,
     gaussian_regions,
     gqf_bounds,
+    rate_terms,
     relay_link,
     relay_view,
     slot1_signal,
@@ -60,6 +64,51 @@ def test_params_validation():
         benchmark_params(sigma_q2=-1.0)
     with pytest.raises(OutOfRange):
         benchmark_params(beta=1.0)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"h11": "1.5"}, {"h11": True}, {"sigma_q2": "2"}, {"h11": None}, {"h11": "x"}],
+)
+def test_params_refuse_strings_bools_and_none(overrides):
+    with pytest.raises(InvalidParams, match="must be a real number"):
+        benchmark_params(**overrides)
+
+
+@pytest.mark.parametrize("sigma_q2", ["1", True])
+def test_closed_forms_refuse_a_non_numeric_variance(sigma_q2):
+    params = benchmark_params()
+    for closed_form in (rate_terms, gqf_bounds, cf_bounds):
+        with pytest.raises(InvalidParams, match="variance must be a real number"):
+            closed_form(params, 0.5, sigma_q2)
+
+
+@pytest.mark.parametrize("h11", ["1", None, True])
+def test_no_relay_rates_refuse_strings_bools_and_none(h11):
+    with pytest.raises(InvalidParams, match="gain h11 must be a real number"):
+        no_relay_rates(h11, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: benchmark_params(h21=math.nan), "gain h21 must be finite, got nan"),
+        (lambda: benchmark_params(pr=-1.0), "power pr must be finite and non-negative, got -1.0"),
+        (
+            lambda: benchmark_params(sigma_q2=math.inf),
+            "quantization variance must be finite and positive, got inf",
+        ),
+        (lambda: no_relay_rates(1.0, math.inf, 1.0, 1.0), "gain h21 must be finite, got inf"),
+        (
+            lambda: no_relay_rates(1.0, 1.0, 1.0, -2.0),
+            "power p2 must be finite and non-negative, got -2.0",
+        ),
+    ],
+)
+def test_non_finite_and_negative_inputs_keep_their_messages(build, message):
+    with pytest.raises(InvalidParams) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
@@ -456,6 +505,69 @@ def test_optimize_beta_single_user_objective():
     assert silent.rate == 0.0
     active = optimize_beta(params, SchemeId.GQF, objective="r1")
     assert active.rate > 0.5  # relay lifts source 1 above its direct link
+
+
+def _beta_objective(params, scheme, objective, beta):
+    """optimize_beta's objective over a slot-fraction grid, from the grid
+    closed forms: the GQF sum is I1 at the crossing, the rest clamped."""
+    if scheme is SchemeId.GQF:
+        bounds = gqf_bounds(params, beta)
+        if objective == "sum":
+            return bounds.terms["I1"]  # the draws all have a live relay link
+    else:
+        bounds = cf_bounds(params, beta)
+    r1, r2, rsum = clamp_bounds(bounds.r1, bounds.r2, bounds.rsum)
+    return {"sum": rsum, "r1": r1, "r2": r2}[objective]
+
+
+def _scalar_beta_objective(params, scheme, objective, beta):
+    """The same objective at one slot fraction, through the scalar entries."""
+    at = replace(params, beta=beta)
+    if scheme is SchemeId.GQF:
+        optimum = gqf_optimize_sigma(at)
+        if objective == "sum":
+            return optimum.sum_rate
+        region = gqf_rates(replace(at, sigma_q2=optimum.sigma_q2))
+    else:
+        region = cf_rates(cf_operating_point(at))
+    return {"sum": region.sum_max, "r1": region.r1_max, "r2": region.r2_max}[objective]
+
+
+def _beta_searches(seed, draws=40):
+    """(params, scheme, objective, a 2001-point grid over the searched
+    interval, optimum) for every search over seeded draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        params = _random_params(rng)
+        dense = np.linspace(max(BETA_RANGE[0], _smallest_beta(params)), BETA_RANGE[1], 2001)
+        for scheme in (SchemeId.GQF, SchemeId.CF):
+            for objective in ("sum", "r1", "r2"):
+                optimum = optimize_beta(params, scheme, objective)
+                yield params, scheme, objective, dense, optimum
+
+
+def test_optimize_beta_never_loses_to_a_dense_grid():
+    for params, scheme, objective, dense, optimum in _beta_searches(seed=91):
+        best = _beta_objective(params, scheme, objective, dense).max()
+        assert optimum.rate >= best, (params, scheme, objective)
+
+
+def test_optimize_beta_rate_is_the_objective_at_its_beta_bit_for_bit():
+    for params, scheme, objective, _, optimum in _beta_searches(seed=92):
+        want = _scalar_beta_objective(params, scheme, objective, optimum.beta)
+        assert optimum.rate == want, (params, scheme, objective)
+
+
+def test_optimize_beta_returns_an_end_of_the_range_exactly():
+    tops = 0
+    for params, scheme, objective, dense, optimum in _beta_searches(seed=93):
+        peak = int(np.argmax(_beta_objective(params, scheme, objective, dense)))
+        if peak in (0, dense.size - 1):
+            tops += peak > 0
+            edge = BETA_RANGE[1] if peak else dense[0]
+            assert optimum.beta == edge, (params, scheme, objective)
+            assert optimum.rate == _beta_objective(params, scheme, objective, edge)
+    assert tops > 0
 
 
 def test_flipping_the_sign_of_a_source_gain_pair_leaves_every_bound_unchanged():

@@ -809,6 +809,18 @@ def test_cli_region_dm(tmp_path, capsys):
     assert "terms" in payload["GQF"]
 
 
+@pytest.mark.parametrize("beta", [1.5, 0.0, math.nan])
+def test_dm_region_beta_outside_the_open_interval_is_a_config_error(
+    tmp_path, capsys, beta
+):
+    doc = {"model": "dm", "beta": beta, "channel": _dm_sweep_doc()["channel"]}
+    with pytest.raises(ConfigError, match="region config beta: slot fraction"):
+        region_config_from_dict(doc)
+    config_path = _write_json(tmp_path / "region.json", doc)
+    assert main(["region", "--config", config_path]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: region config beta: ")
+
+
 def _region_docs():
     """Region documents for both models and every scheme: Gaussian CF above
     and below its threshold and on a dead relay link, DM CF feasible at some
