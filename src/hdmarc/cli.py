@@ -81,6 +81,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls, so every
+# main() call reuses it.
+_PARSER = _build_parser()
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -141,8 +146,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "sweep": _cmd_sweep,
         "region": _cmd_region,

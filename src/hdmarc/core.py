@@ -75,7 +75,13 @@ def validate_beta(beta, allow_array: bool = True):
     Anything else, NaN included, raises :class:`OutOfRange` naming it.
     """
     if isinstance(beta, (float, int, np.floating, np.integer)) and type(beta) is not bool:
-        beta = float(beta)
+        try:
+            beta = float(beta)
+        except OverflowError:  # an int beyond the float64 range
+            raise OutOfRange(
+                "slot fraction must lie strictly inside (0, 1), got an integer "
+                "too large for a float64"
+            ) from None
         if 0.0 < beta < 1.0:  # NaN fails
             return beta
         first = beta

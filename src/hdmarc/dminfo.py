@@ -302,13 +302,10 @@ def build_slot1_joint(spec: DmChannelSpec) -> JointPmf:
         raise TensorTooLarge(
             f"slot-1 joint would hold {cells} cells; the cap is {MAX_CELLS}"
         )
+    # One product per cell, no path search; the operand order is the one
+    # np.einsum(..., optimize=True) settles on, so the bits are the same.
     tensor = np.einsum(
-        "a,b,abruv,rh->abruvh",
-        spec.px11,
-        spec.px21,
-        spec.slot1,
-        spec.test_channel,
-        optimize=True,
+        "rh,abruv,b,a->abruvh", spec.test_channel, spec.slot1, spec.px21, spec.px11
     )
     return JointPmf(SLOT1_VARS, tensor)
 
@@ -324,14 +321,8 @@ def build_slot2_joint(spec: DmChannelSpec) -> JointPmf:
         raise TensorTooLarge(
             f"slot-2 joint would hold {cells} cells; the cap is {MAX_CELLS}"
         )
-    tensor = np.einsum(
-        "a,b,c,abcuv->abcuv",
-        spec.px12,
-        spec.px22,
-        spec.pxr,
-        spec.slot2,
-        optimize=True,
-    )
+    # As in build_slot1_joint: the optimizer's operand order, no path search.
+    tensor = np.einsum("abcuv,c,b,a->abcuv", spec.slot2, spec.pxr, spec.px22, spec.px12)
     return JointPmf(SLOT2_VARS, tensor)
 
 

@@ -116,7 +116,10 @@ def _real(label: str, value, rule: Optional[str] = "finite") -> float:
     Otherwise raises :class:`InvalidParams` naming ``label``."""
     if not isinstance(value, (float, int, np.floating, np.integer)) or type(value) is bool:
         raise InvalidParams(f"{label} must be a real number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float64 range
+        raise InvalidParams(f"{label} is an integer too large for a float64") from None
     signed = {"finite and non-negative": number >= 0.0, "finite and positive": number > 0.0}
     if rule and not (math.isfinite(number) and signed.get(rule, True)):
         raise InvalidParams(f"{label} must be {rule}, got {number!r}")

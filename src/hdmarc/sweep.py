@@ -119,7 +119,12 @@ def _require(doc: dict, key: str, kind, where: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float64 range
+            raise ConfigError(
+                f"{where}.{key} is an integer too large for a float64"
+            ) from None
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
@@ -418,20 +423,21 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     )
 
 
+#: One CSV number, and a CSV row up to its ``diag_sigma`` field.
+_CSV_NUMBER = f"%.{CSV_DIGITS}g"
+_CSV_ROW = f"{_CSV_NUMBER},%s,{_CSV_NUMBER},{_CSV_NUMBER},{_CSV_NUMBER},%s,"
+
+
 def render_csv(result: SweepResult) -> str:
     """The CSV text of a sweep (deterministic; see the module docstring)."""
-    g = f".{CSV_DIGITS}g"
     lines = [CSV_HEADER]
     for scheme in result.schemes:
         name = scheme.value
         for value, r1, r2, rsum, feasible, sigma in zip(
             result.values, *result.columns[scheme][:5]
         ):
-            diag = "" if sigma is None else f"{sigma:{g}}"
-            lines.append(
-                f"{value:{g}},{name},{r1:{g}},{r2:{g}},{rsum:{g}},"
-                f"{'true' if feasible else 'false'},{diag}"
-            )
+            row = _CSV_ROW % (value, name, r1, r2, rsum, "true" if feasible else "false")
+            lines.append(row if sigma is None else row + _CSV_NUMBER % sigma)
     return "\n".join(lines) + "\n"
 
 

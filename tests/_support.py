@@ -7,7 +7,7 @@ different computations of the same quantity.
 
 import numpy as np
 
-from hdmarc import DmChannelSpec, GaussianMarcParams
+from hdmarc import Bounds, DmChannelSpec, GaussianMarcParams
 
 _POS_EPS = 1e-15
 
@@ -104,8 +104,14 @@ def benchmark_params(beta=0.5, sigma_q2=None, **overrides):
 
 
 def assert_same_bits(got, want):
-    """Two :class:`hdmarc.Bounds` hold the same float64 bits, field by field
-    and term by term (``sigma`` may be None in both)."""
+    """Two float64 arrays of one shape, or two :class:`hdmarc.Bounds` field
+    by field and term by term (``sigma`` may be None in both), hold the same
+    bits."""
+    if not isinstance(want, Bounds):
+        a, b = np.asarray(got), np.asarray(want)
+        assert a.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+        return
     for name in ("r1", "r2", "rsum", "sigma"):
         if getattr(want, name) is None:
             assert getattr(got, name) is None

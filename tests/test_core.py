@@ -31,6 +31,12 @@ def test_slot_fraction_rejects_non_numbers(bad):
         validate_beta(bad)
 
 
+@pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+def test_slot_fraction_rejects_an_integer_beyond_float64(huge):
+    with pytest.raises(OutOfRange, match="integer too large for a float64"):
+        validate_beta(huge)
+
+
 def test_validate_beta_returns_floats():
     beta = validate_beta(0.4)
     assert type(beta) is float

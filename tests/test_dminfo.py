@@ -31,7 +31,7 @@ from hdmarc import (
 from hdmarc.cli import _load_json
 from hdmarc.dminfo import MAX_CELLS, SLOT1_VARS, SLOT2_VARS
 
-from _support import make_random_spec as _random_spec
+from _support import assert_same_bits, make_random_spec as _random_spec
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,37 @@ def test_slot2_joint_matches_nested_loop_oracle():
         )
     np.testing.assert_allclose(joint.probs, oracle, rtol=1e-13, atol=1e-300)
     assert joint.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _joints_by_optimized_einsum(spec):
+    """Both slot joints the way the builders computed them when they still
+    asked np.einsum for a contraction path: the reference for their bits."""
+    slot1 = np.einsum(
+        "a,b,abruv,rh->abruvh",
+        spec.px11, spec.px21, spec.slot1, spec.test_channel, optimize=True,
+    )
+    slot2 = np.einsum(
+        "a,b,c,abcuv->abcuv",
+        spec.px12, spec.px22, spec.pxr, spec.slot2, optimize=True,
+    )
+    return slot1, slot2
+
+
+def test_joint_builders_equal_the_optimized_einsum_bit_for_bit():
+    rng = np.random.default_rng(24)
+    names = ("x11", "x21", "x12", "x22", "xr", "yr", "yhr", "y11", "y21", "y12", "y22")
+    # Every alphabet size 1-6 on every axis, then mixed sizes.
+    draws = [dict.fromkeys(names, size) for size in range(1, 7)]
+    draws += [{name: int(rng.integers(1, 7)) for name in names} for _ in range(200)]
+    # The large dm-sweep channels: a slot-1 joint of 65536 cells.
+    draws.append(dict(x11=2, x21=2, yr=16, y11=32, y21=16, yhr=2,
+                      x12=2, x22=2, xr=2, y12=16, y22=16))
+    for sizes in draws:
+        spec = _random_spec(rng, sizes)
+        slot1, slot2 = _joints_by_optimized_einsum(spec)
+        assert_same_bits(build_slot1_joint(spec).probs, slot1)
+        assert_same_bits(build_slot2_joint(spec).probs, slot2)
+    assert slot1.size == 65536
 
 
 def test_slot_joint_builders_reject_oversized_results():

@@ -89,6 +89,13 @@ def test_no_relay_rates_refuse_strings_bools_and_none(h11):
         no_relay_rates(h11, 1.0, 1.0, 1.0)
 
 
+def test_an_integer_beyond_float64_is_invalid_params():
+    with pytest.raises(InvalidParams, match="gain h11 is an integer too large"):
+        no_relay_rates(10**400, 1.0, 1.0, 1.0)
+    with pytest.raises(InvalidParams, match="power pr is an integer too large"):
+        benchmark_params(pr=10**400)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [

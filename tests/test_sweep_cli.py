@@ -15,6 +15,7 @@ import pytest
 
 import hdmarc.dmregions
 from hdmarc import (
+    Bounds,
     ConfigError,
     DmChannelSpec,
     HdmarcError,
@@ -44,6 +45,7 @@ from hdmarc.sweep import (
     MAX_GRID_POINTS,
     GridSpec,
     SweepConfig,
+    SweepResult,
     evaluate,
     gaussian_point_from_dict,
     region_config_from_dict,
@@ -606,6 +608,45 @@ def test_csv_layout_and_formatting():
     assert text.endswith("\n")
 
 
+def _render_csv_by_fstring(result):
+    """The CSV text as render_csv once built it, one f-string with nested
+    format specs per row: the reference for its bytes."""
+    g = ".12g"
+    lines = [CSV_HEADER]
+    for scheme in result.schemes:
+        name = scheme.value
+        for value, r1, r2, rsum, feasible, sigma in zip(
+            result.values, *result.columns[scheme][:5]
+        ):
+            diag = "" if sigma is None else f"{sigma:{g}}"
+            lines.append(
+                f"{value:{g}},{name},{r1:{g}},{r2:{g}},{rsum:{g}},"
+                f"{'true' if feasible else 'false'},{diag}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def test_render_csv_bytes_equal_the_fstring_rendering():
+    specials = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e300, -1e300,
+                2.0, -7.0, 1e16, 123456789012.0, 1234567890123.0, 0.1, 1 / 3]
+    n = len(specials)
+    rotated = specials[3:] + specials[:3]
+    columns = {
+        SchemeId.GQF: Bounds(specials, rotated, specials[::-1], [True] * n, rotated, {}),
+        SchemeId.CF: Bounds(rotated, specials, rotated, [i % 2 == 0 for i in range(n)],
+                            [None if i % 3 else v for i, v in enumerate(specials)], {}),
+        SchemeId.NO_RELAY: Bounds(specials, specials, specials, [False] * n, [None] * n, {}),
+    }
+    result = SweepResult("beta", tuple(specials), tuple(columns), columns, False)
+    text = render_csv(result)
+    assert text.encode() == _render_csv_by_fstring(result).encode()
+    assert "\ninf,GQF,inf,-0," in text and ",nan," in text and "\n2,GQF,2," in text
+    assert "4.94065645841e-324" in text and "-1e+300" in text and "1e+16" in text
+    for doc in (_gaussian_sweep_doc(), _dm_sweep_doc()):
+        result = run_sweep(config_from_dict(doc))
+        assert render_csv(result) == _render_csv_by_fstring(result)
+
+
 def test_sweep_and_csv_are_deterministic():
     doc = _gaussian_sweep_doc()
     first = render_csv(run_sweep(config_from_dict(doc)))
@@ -792,6 +833,22 @@ def test_cli_region_overflowing_gain_is_a_config_error_not_a_traceback(tmp_path)
     assert "Traceback" not in completed.stderr
 
 
+def test_an_integer_too_large_for_a_float64_is_a_config_error(tmp_path, capsys):
+    channel = _gaussian_sweep_doc()["channel"]
+    gains = dict(channel["gains"], h11=10**400)
+    gaussian = {"model": "gaussian", "schemes": ["GQF", "CF"],
+                "channel": dict(channel, gains=gains, sigma_q2=1.0)}
+    dm = {"model": "dm", "beta": 10**400, "channel": _dm_sweep_doc()["channel"]}
+    for name, doc in (("gaussian", gaussian), ("dm", dm)):
+        config_path = _write_json(tmp_path / f"{name}.json", doc)
+        assert "1" + "0" * 400 + "," in Path(config_path).read_text()
+        assert main(["region", "--config", config_path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith("is an integer too large for a float64\n")
+
+
 def test_cli_region_dm(tmp_path, capsys):
     doc = {
         "model": "dm",
@@ -904,6 +961,59 @@ def test_cli_verify_maps_failures_to_their_own_exit_code(monkeypatch, capsys):
     monkeypatch.setattr("hdmarc.cli.run_subject", lambda *a, **k: failing)
     assert main(["verify", "closed-forms"]) == EXIT_VERIFY
     assert "RESULT: FAIL" in capsys.readouterr().out
+
+
+#: Runs each argv of the JSON list in sys.argv[1] through one main() in one
+#: process and prints [exit code, stdout, stderr] per call as JSON.
+_RUN_MAIN_CALLS = """
+import contextlib, io, json, sys
+from hdmarc.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _run_main_calls(calls):
+    completed = subprocess.run(
+        [sys.executable, "-c", _RUN_MAIN_CALLS, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(completed.stdout)
+
+
+def test_repeated_main_calls_in_one_process_match_first_calls(tmp_path):
+    # The parser is built once per process; a usage error or --help must
+    # leave nothing behind that changes a later call.
+    out = str(tmp_path / "rates.csv")
+    sweep = _write_json(tmp_path / "sweep.json", _gaussian_sweep_doc())
+    region = _write_json(tmp_path / "region.json", {
+        "model": "dm", "beta": 0.4, "channel": _dm_sweep_doc()["channel"]})
+    calls = [
+        ["sweep"],
+        ["sweep", "--help"],
+        ["sweep", "--config", sweep, "--out", out],
+        ["region", "--config", region],
+        ["verify", "reductions", "--draws", "2"],
+    ]
+    together = _run_main_calls(calls)
+    csv_together = Path(out).read_bytes()
+    alone = [_run_main_calls([argv])[0] for argv in calls]
+    assert together == alone
+    assert Path(out).read_bytes() == csv_together
+    assert [code for code, _, _ in together] == [EXIT_CONFIG, 0, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert "error: the following arguments are required: --config" in together[0][2]
+    assert together[1][1].startswith("usage: hdmarc sweep")
 
 
 def test_cli_module_entry_point_runs():
