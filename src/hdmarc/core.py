@@ -1,4 +1,5 @@
-"""Shared domain types: errors, slot fractions, scheme tags, rate regions.
+"""Shared domain types and input checks: errors, slot fractions, scheme tags,
+rate regions, and the gates for numbers, numeric arrays and config documents.
 
 Every quantity in this package is a rate in bits per channel use.  A
 "region" here is the triple of single-user bounds plus the sum bound that
@@ -10,7 +11,9 @@ constraint.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -64,37 +67,105 @@ class SchemeId(enum.Enum):
     NO_RELAY = "NO_RELAY"
 
 
+#: The Python and numpy types of a real number (a bool is refused apart).
+_REAL_TYPES = (float, int, np.floating, np.integer)
+
+
+def real_number(
+    value, label: str, error=InvalidParams, rule: Optional[str] = "finite"
+) -> float:
+    """``value`` as a float if it is a real number (Python or numpy; a str,
+    bool or None is refused, not parsed) that is ``rule``: "finite",
+    "finite and non-negative", "finite and positive" or None (any float).
+    Otherwise raises ``error`` naming ``label``.
+
+    This is the one check of a number from outside the program.
+    """
+    if not isinstance(value, _REAL_TYPES) or type(value) is bool:
+        # A JSON document has one kind of number; Python has others.
+        kind = "a number" if error is ConfigError else "a real number"
+        raise error(f"{label} must be {kind}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float64 range
+        raise error(f"{label} is an integer too large for a float64") from None
+    signed = {"finite and non-negative": number >= 0.0, "finite and positive": number > 0.0}
+    if rule and not (math.isfinite(number) and signed.get(rule, True)):
+        raise error(f"{label} must be {rule}, got {number!r}")
+    return number
+
+
+def real_array(value, label: str, error=InvalidParams) -> np.ndarray:
+    """``value``, an array or nested lists of real numbers, as a float64
+    array (not copied when it is one already).  Ragged nesting, strings,
+    None and objects, which numpy would convert or parse, and bools, even
+    one among numbers, raise ``error`` naming ``label``.
+
+    This is the one check of a numeric array from outside the program.
+    """
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise error(f"{label} is not numeric: {exc}") from None
+    if array.dtype.kind not in "iuf":
+        raise error(f"{label} must be a real number array, got {array.dtype} entries")
+    if not isinstance(value, np.ndarray):  # numpy reads a bool among numbers as 0 or 1
+        leaves = [value]
+        for _ in range(array.ndim):
+            leaves = list(chain.from_iterable(leaves))
+        if not {bool, np.bool_}.isdisjoint(map(type, leaves)):
+            raise error(f"{label} must be a real number array, got a bool")
+    return array.astype(np.float64, copy=False)
+
+
+def document(doc, where: str, required, optional=()) -> dict:
+    """``doc`` if it is a JSON object holding every key of ``required`` and
+    no key outside ``required`` and ``optional``.  Otherwise raises
+    :class:`ConfigError` naming the document ``where`` and the missing or
+    unknown keys.  This is the one check of a config document's shape."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
+    missing = sorted(set(required).difference(doc))
+    if missing:
+        raise ConfigError(f"{where} is missing fields {missing}")
+    extra = sorted(set(doc).difference(required, optional))
+    if extra:
+        raise ConfigError(f"{where} has unknown fields {extra}")
+    return doc
+
+
 def validate_beta(beta, allow_array: bool = True):
     """The slot fraction(s) ``beta``: the share of the block in which the
     relay listens, the rest being the slot in which it transmits.
 
-    A real number (Python or numpy, not a bool) comes back as a float; a
-    numpy array of integers or floats, when ``allow_array``, as a float64
-    array.  Every value must lie strictly inside (0, 1): at beta = 0 the
-    relay never hears anything and at beta = 1 it never gets to talk.
-    Anything else, NaN included, raises :class:`OutOfRange` naming it.
+    A real number (see :func:`real_number`) comes back as a float; a numpy
+    array of integers or floats (see :func:`real_array`), when
+    ``allow_array``, as a float64 array.  Every value must lie strictly
+    inside (0, 1): at beta = 0 the relay never hears anything and at
+    beta = 1 it never gets to talk.  Anything else, NaN included, raises
+    :class:`OutOfRange` naming it.
     """
-    if isinstance(beta, (float, int, np.floating, np.integer)) and type(beta) is not bool:
-        try:
-            beta = float(beta)
-        except OverflowError:  # an int beyond the float64 range
-            raise OutOfRange(
-                "slot fraction must lie strictly inside (0, 1), got an integer "
-                "too large for a float64"
-            ) from None
-        if 0.0 < beta < 1.0:  # NaN fails
-            return beta
-        first = beta
-    elif allow_array and isinstance(beta, np.ndarray) and beta.dtype.kind in "iuf":
-        beta = beta.astype(np.float64, copy=False)
+    if allow_array and isinstance(beta, np.ndarray):
+        beta = real_array(beta, "slot fraction", OutOfRange)
         inside = (beta > 0.0) & (beta < 1.0)
         if inside.all():
             return beta
         first = float(np.ravel(beta)[~np.ravel(inside)][0])
     else:
-        kind = "a real number or an array of them" if allow_array else "a real number"
-        raise OutOfRange(f"slot fraction must be {kind}, got {beta!r}")
+        first = beta = real_number(beta, "slot fraction", OutOfRange, None)
+        if 0.0 < beta < 1.0:  # NaN fails
+            return beta
     raise OutOfRange(f"slot fraction must lie strictly inside (0, 1), got {first!r}")
+
+
+def evaluate_schemes(table: Mapping, schemes) -> dict:
+    """``{scheme: table[scheme]()}`` for each of ``schemes``, in order: the
+    one dispatch of both models.  A scheme that is not a :class:`SchemeId`
+    (a str is refused, not parsed) raises :class:`InvalidParams`."""
+    for scheme in schemes:
+        if not isinstance(scheme, SchemeId):
+            raise InvalidParams(f"scheme must be a SchemeId, got {scheme!r}")
+    return {scheme: table[scheme]() for scheme in schemes}
 
 
 def two_slot(beta, s1, s2):
@@ -174,11 +245,3 @@ def rate_region(bounds: Bounds) -> RateRegion:
     """The :class:`RateRegion` of a single-point evaluation."""
     terms = {name: float(value) for name, value in bounds.terms.items()}
     return clamp_region(bounds.r1, bounds.r2, bounds.rsum, bool(bounds.feasible), terms)
-
-
-def reject_unknown_fields(doc: Mapping, known, where: str) -> None:
-    """Raise :class:`ConfigError` naming the keys of the config document
-    ``doc`` that are not in ``known``; ``where`` names the document."""
-    extra = sorted(set(doc) - set(known))
-    if extra:
-        raise ConfigError(f"{where} has unknown fields {extra}")

@@ -14,8 +14,7 @@ into ``YhR`` and transmits ``XR`` in slot 2, and destination k observes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -27,7 +26,8 @@ from .core import (
     OverlappingSets,
     TensorTooLarge,
     UnknownVariable,
-    reject_unknown_fields,
+    document,
+    real_array,
 )
 
 #: The only admissible variable names (see the module docstring).
@@ -70,7 +70,7 @@ class JointPmf:
             )
         if len(set(names)) != len(names):
             raise InvalidParams(f"duplicate variable names in joint pmf: {list(names)}")
-        probs = np.asarray(probs, dtype=np.float64)
+        probs = real_array(probs, "joint pmf")
         if probs.size > MAX_CELLS:
             raise TensorTooLarge(
                 f"joint pmf would hold {probs.size} cells; the cap is {MAX_CELLS}"
@@ -239,20 +239,11 @@ class DmChannelSpec:
 
     def __post_init__(self) -> None:
         arrays = {}
-        for field in (
-            "px11",
-            "px21",
-            "px12",
-            "px22",
-            "pxr",
-            "test_channel",
-            "slot1",
-            "slot2",
-        ):
-            arr = np.array(getattr(self, field), dtype=np.float64)  # a copy
+        for field in fields(self):
+            arr = real_array(getattr(self, field.name), field.name).copy()
             arr.flags.writeable = False
-            arrays[field] = arr
-            object.__setattr__(self, field, arr)
+            arrays[field.name] = arr
+            object.__setattr__(self, field.name, arr)
 
         for name in ("px11", "px21", "px12", "px22", "pxr"):
             if arrays[name].ndim != 1 or arrays[name].size < 1:
@@ -339,15 +330,6 @@ _JSON_FIELDS = {
 }
 
 
-def _holds_bool(table, depth: int) -> bool:
-    """Whether the nested lists ``table``, regular to ``depth`` levels, hold
-    a bool among their numbers (numpy would promote it to 0 or 1)."""
-    leaves = [table]
-    for _ in range(depth):
-        leaves = list(chain.from_iterable(leaves))
-    return not {bool, np.bool_}.isdisjoint(map(type, leaves))
-
-
 def spec_from_dict(doc: dict) -> DmChannelSpec:
     """Build a :class:`DmChannelSpec` from its JSON document form.
 
@@ -355,26 +337,9 @@ def spec_from_dict(doc: dict) -> DmChannelSpec:
     p_x22, p_xr`` (probability vectors), ``test_channel`` (2-D nested
     list), and ``slot1``/``slot2`` (5-D nested lists), all row-major.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"channel document must be an object, got {type(doc).__name__}")
-    missing = sorted(set(_JSON_FIELDS) - set(doc))
-    if missing:
-        raise ConfigError(f"channel document is missing fields {missing}")
-    reject_unknown_fields(doc, _JSON_FIELDS, "channel document")
-    kwargs = {}
-    for key, field in _JSON_FIELDS.items():
-        try:
-            table = np.asarray(doc[key])
-        except (TypeError, ValueError) as exc:  # ragged nesting
-            raise ConfigError(f"channel field {key!r} is not numeric: {exc}") from exc
-        # Strings and booleans convert to float64 but are not probabilities.
-        if table.dtype.kind not in "iuf":
-            raise ConfigError(
-                f"channel field {key!r} must hold numbers only, "
-                f"got {table.dtype} entries"
-            )
-        if _holds_bool(doc[key], table.ndim):
-            raise ConfigError(f"channel field {key!r} must hold numbers only, got a bool")
-        kwargs[field] = table.astype(np.float64, copy=False)
-    return DmChannelSpec(**kwargs)
+    document(doc, "channel document", _JSON_FIELDS)
+    return DmChannelSpec(**{
+        field: real_array(doc[key], f"channel field {key!r}", ConfigError)
+        for key, field in _JSON_FIELDS.items()
+    })
 

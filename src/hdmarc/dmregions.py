@@ -42,6 +42,7 @@ from .core import (
     InvalidParams,
     RateRegion,
     SchemeId,
+    evaluate_schemes,
     rate_region,
     two_slot,
     validate_beta,
@@ -200,7 +201,7 @@ def dm_regions(
         SchemeId.CF: cf,
         SchemeId.NO_RELAY: lambda: _gqf_bounds(terms(True), ks),
     }
-    return {scheme: table[scheme]() for scheme in schemes}
+    return evaluate_schemes(table, schemes)
 
 
 def _one_region(

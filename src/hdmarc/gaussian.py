@@ -37,7 +37,10 @@ from .core import (
     RateRegion,
     SchemeId,
     clamp_bounds,
+    evaluate_schemes,
     rate_region,
+    real_array,
+    real_number,
     two_slot,
     validate_beta,
 )
@@ -88,9 +91,12 @@ class GaussianMarcParams:
 
     def __post_init__(self) -> None:
         for name in ("h11", "h21", "h1r", "h2r", "hr1"):
-            object.__setattr__(self, name, _real(f"gain {name}", getattr(self, name)))
+            gain = real_number(getattr(self, name), f"gain {name}")
+            object.__setattr__(self, name, gain)
         for name in ("p11", "p12", "p21", "p22", "pr"):
-            power = _real(f"power {name}", getattr(self, name), "finite and non-negative")
+            power = real_number(
+                getattr(self, name), f"power {name}", rule="finite and non-negative"
+            )
             object.__setattr__(self, name, power)
         # Every closed form takes logs of parts of these two sums of
         # non-negative powers, so finite sums keep every rate finite.
@@ -105,32 +111,18 @@ class GaussianMarcParams:
             )
         object.__setattr__(self, "beta", validate_beta(self.beta, allow_array=False))
         if self.sigma_q2 is not None:
-            sigma = _real("quantization variance", self.sigma_q2, "finite and positive")
+            sigma = real_number(
+                self.sigma_q2, "quantization variance", rule="finite and positive"
+            )
             object.__setattr__(self, "sigma_q2", sigma)
 
 
-def _real(label: str, value, rule: Optional[str] = "finite") -> float:
-    """``value`` as a float if it is a real number (Python or numpy; a str,
-    bool or None is refused, not parsed) that is ``rule``: "finite",
-    "finite and non-negative", "finite and positive" or None (any number).
-    Otherwise raises :class:`InvalidParams` naming ``label``."""
-    if not isinstance(value, (float, int, np.floating, np.integer)) or type(value) is bool:
-        raise InvalidParams(f"{label} must be a real number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float64 range
-        raise InvalidParams(f"{label} is an integer too large for a float64") from None
-    signed = {"finite and non-negative": number >= 0.0, "finite and positive": number > 0.0}
-    if rule and not (math.isfinite(number) and signed.get(rule, True)):
-        raise InvalidParams(f"{label} must be {rule}, got {number!r}")
-    return number
-
-
 def _variances(sigma_q2):
-    """Quantization variance(s) as a float or a numeric numpy array, refusing
+    """Quantization variance(s) as a float or a float64 array, refusing
     anything else (a str, bool or None) with :class:`InvalidParams`."""
-    numeric = isinstance(sigma_q2, np.ndarray) and sigma_q2.dtype.kind in "iuf"
-    return sigma_q2 if numeric else _real("quantization variance", sigma_q2, None)
+    if isinstance(sigma_q2, np.ndarray):
+        return real_array(sigma_q2, "quantization variance")
+    return real_number(sigma_q2, "quantization variance", rule=None)
 
 
 def _overflows(power: Callable[[], float]) -> bool:
@@ -379,9 +371,9 @@ def no_relay_bounds(h11: float, h21: float, p1: float, p2: float) -> Bounds:
     power budget in one full-length block.  Gains and powers must be finite
     (powers non-negative), and so must the received powers they give.
     """
-    h11, h21 = _real("gain h11", h11), _real("gain h21", h21)
-    p1 = _real("power p1", p1, "finite and non-negative")
-    p2 = _real("power p2", p2, "finite and non-negative")
+    h11, h21 = real_number(h11, "gain h11"), real_number(h21, "gain h21")
+    p1 = real_number(p1, "power p1", rule="finite and non-negative")
+    p2 = real_number(p2, "power p2", rule="finite and non-negative")
     if _overflows(lambda: 1.0 + h11**2 * p1 + h21**2 * p2):
         raise InvalidParams(
             f"no-relay received powers overflow float64 "
@@ -425,7 +417,7 @@ def gaussian_regions(
         SchemeId.CF: lambda: cf_bounds(params, beta, sigma_q2),
         SchemeId.NO_RELAY: baseline,
     }
-    return {scheme: table[scheme]() for scheme in schemes}
+    return evaluate_schemes(table, schemes)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .core import (
     SingularCovariance,
     UnknownVariable,
     clamp_region,
+    real_array,
     validate_beta,
 )
 from .dminfo import VAR_NAMES, DmChannelSpec, build_slot1_joint, build_slot2_joint
@@ -75,7 +76,8 @@ SLOT2_ORDER = ("X12", "X22", "XR", "Y12")
 class GaussianVectorModel:
     """A zero-mean jointly Gaussian vector with named coordinates.
 
-    Construction validates symmetry, positive semidefiniteness (within
+    Construction validates finite real entries (strings, bools and NaN
+    raise :class:`InvalidParams`), symmetry, positive semidefiniteness (within
     :data:`PSD_TOL`), and that every output variable keeps at least unit
     variance (the noise floor of the channel model).  ``factor`` is a
     square root ``A`` of the covariance (``cov = A A^T``), one row per
@@ -97,12 +99,14 @@ class GaussianVectorModel:
                 )
         if len(set(names)) != len(names):
             raise InvalidParams(f"duplicate variable names: {names}")
-        cov = np.asarray(self.cov, dtype=np.float64)
+        cov = real_array(self.cov, "covariance matrix")
         n = len(names)
         if cov.shape != (n, n):
             raise DimensionMismatch(
                 f"covariance shape {cov.shape} does not match {n} variables"
             )
+        if not np.isfinite(cov).all():
+            raise InvalidParams("covariance matrix has non-finite entries")
         if n and float(np.abs(cov - cov.T).max()) > SYM_TOL:
             raise InvalidParams("covariance matrix is not symmetric")
         if n:
@@ -122,10 +126,11 @@ class GaussianVectorModel:
             eigs, vecs = np.linalg.eigh(cov)
             factor = vecs * np.sqrt(np.clip(eigs, 0.0, None))
         else:
-            factor = np.array(self.factor, dtype=np.float64)
+            factor = real_array(self.factor, "factor").copy()
             variances = np.diag(cov)
-            if factor.ndim != 2 or factor.shape[0] != n or np.any(
-                np.abs((factor**2).sum(axis=1) - variances) > 1e-12 * variances
+            # Written so that a NaN in the factor fails too.
+            if factor.ndim != 2 or factor.shape[0] != n or not np.all(
+                np.abs((factor**2).sum(axis=1) - variances) <= 1e-12 * variances
             ):
                 raise InvalidParams("factor does not reproduce the variances")
         cov = cov.copy()

@@ -17,6 +17,7 @@ schemes without a quantizer.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +31,8 @@ from .core import (
     OutOfRange,
     SchemeId,
     clamp_bounds,
-    reject_unknown_fields,
+    document,
+    real_number,
     validate_beta,
 )
 from .dminfo import DmChannelSpec, spec_from_dict
@@ -112,27 +114,16 @@ class SweepConfig:
     output: Optional[str] = None
 
 
-def _require(doc: dict, key: str, kind, where: str):
-    if key not in doc:
-        raise ConfigError(f"{where} is missing required field {key!r}")
+def _number(doc: dict, key: str, where: str) -> float:
+    """The number ``doc[key]`` of a document checked by :func:`document`."""
+    return real_number(doc[key], f"{where}.{key}", ConfigError, None)
+
+
+def _integer(doc: dict, key: str, where: str) -> int:
+    """The integer ``doc[key]`` of a document checked by :func:`document`."""
     value = doc[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-        try:
-            return float(value)
-        except OverflowError:  # an int beyond the float64 range
-            raise ConfigError(
-                f"{where}.{key} is an integer too large for a float64"
-            ) from None
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-        return value
-    if not isinstance(value, kind):
-        raise ConfigError(
-            f"{where}.{key} must be {kind.__name__}, got {type(value).__name__}"
-        )
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
     return value
 
 
@@ -156,39 +147,23 @@ def _parse_schemes(raw) -> tuple[SchemeId, ...]:
 def _parse_gaussian_channel(doc: dict, swept: Optional[str]) -> GaussianMarcParams:
     """A Gaussian ``channel`` block of a sweep over ``swept``, or of a single
     point (``swept=None``: ``beta`` and ``sigma_q2`` both fixed)."""
-    gains_doc = _require(doc, "gains", dict, "channel")
-    powers_doc = _require(doc, "powers", dict, "channel")
-    for label, table, known in (
-        ("gains", gains_doc, _GAIN_KEYS),
-        ("powers", powers_doc, _POWER_KEYS),
-    ):
-        reject_unknown_fields(table, known, f"channel.{label}")
-        missing = sorted(set(known) - set(table))
-        if missing:
-            raise ConfigError(f"channel.{label} is missing fields {missing}")
-    kwargs = {field: _require(gains_doc, key, float, "channel.gains")
-              for key, field in _GAIN_KEYS.items()}
-    kwargs.update(
-        {field: _require(powers_doc, key, float, "channel.powers")
-         for key, field in _POWER_KEYS.items()}
-    )
-
-    reject_unknown_fields(doc, {"gains", "powers", "beta", "sigma_q2"}, "channel")
-
-    if swept == "beta":
-        if "beta" in doc:
-            raise ConfigError("channel.beta must be omitted when sweeping beta")
-        beta = 0.5  # placeholder; every evaluation replaces it with a grid value
-    else:
-        beta = _require(doc, "beta", float, "channel")
-    sigma = None
-    if swept is None:
-        sigma = _require(doc, "sigma_q2", float, "channel")
-    elif "sigma_q2" in doc:
+    fixed = {None: ("beta", "sigma_q2"), "sigma_q2": ("beta",), "beta": ()}[swept]
+    document(doc, "channel", ("gains", "powers", *fixed), ("beta", "sigma_q2"))
+    if swept == "beta" and "beta" in doc:
+        raise ConfigError("channel.beta must be omitted when sweeping beta")
+    if swept is not None and "sigma_q2" in doc:
         raise ConfigError(
             "channel.sigma_q2 must be omitted in sweeps: it is either the swept "
             "parameter or chosen per point by the scheme"
         )
+    kwargs = {}
+    for label, keys in (("gains", _GAIN_KEYS), ("powers", _POWER_KEYS)):
+        where = f"channel.{label}"
+        table = document(doc[label], where, keys)
+        kwargs.update({field: _number(table, key, where) for key, field in keys.items()})
+    # A swept beta is a placeholder; every evaluation replaces it with a grid value.
+    beta = 0.5 if swept == "beta" else _number(doc, "beta", "channel")
+    sigma = _number(doc, "sigma_q2", "channel") if swept is None else None
     try:
         return GaussianMarcParams(beta=beta, sigma_q2=sigma, **kwargs)
     except HdmarcError as exc:
@@ -202,32 +177,24 @@ def gaussian_point_from_dict(doc: dict) -> GaussianMarcParams:
     evaluation: ``gains``, ``powers``, ``beta`` and ``sigma_q2`` are all
     required.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"channel must be an object, got {type(doc).__name__}")
     return _parse_gaussian_channel(doc, swept=None)
 
 
 def no_relay_from_dict(doc: dict) -> tuple[float, float]:
     """Parse a ``no_relay`` block: the baseline powers ``P1`` and ``P2``."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"no_relay must be an object, got {type(doc).__name__}")
-    reject_unknown_fields(doc, {"P1", "P2"}, "no_relay")
-    return tuple(_require(doc, key, float, "no_relay") for key in ("P1", "P2"))
+    document(doc, "no_relay", ("P1", "P2"))
+    return tuple(_number(doc, key, "no_relay") for key in ("P1", "P2"))
 
 
 def _model_fields(
-    doc: dict, schemes: tuple[SchemeId, ...], where: str, parse_gaussian
+    doc: dict, schemes: tuple[SchemeId, ...], swept: Optional[str]
 ) -> dict:
-    """The model and channel fields of a sweep or region document ``doc``, as
-    keywords of :class:`SweepConfig` and :class:`RegionConfig`.
-
-    ``parse_gaussian`` reads a Gaussian ``channel`` block: sweeps leave
-    ``sigma_q2`` (and a swept ``beta``) out of it, single points fix both.
-    """
-    model = _require(doc, "model", str, where)
+    """The model and channel fields of a sweep over ``swept`` or of a region
+    (``swept=None``) document ``doc``, as keywords of :class:`SweepConfig`
+    and :class:`RegionConfig`."""
+    model = doc["model"]
     if model not in ("gaussian", "dm"):
         raise ConfigError(f"model must be 'gaussian' or 'dm', got {model!r}")
-    channel_doc = _require(doc, "channel", dict, where)
     if model == "gaussian":
         if "topology" in doc:
             raise ConfigError("topology applies to the dm model only")
@@ -237,7 +204,10 @@ def _model_fields(
                 "the NO_RELAY scheme needs a no_relay block with baseline "
                 "powers P1 and P2"
             )
-        params = parse_gaussian(channel_doc)
+        if swept is None:  # a region: the public single-point parser
+            params = gaussian_point_from_dict(doc["channel"])
+        else:
+            params = _parse_gaussian_channel(doc["channel"], swept)
         return {"model": model, "gaussian": params, "no_relay": no_relay}
     if "no_relay" in doc:
         raise ConfigError(
@@ -248,7 +218,7 @@ def _model_fields(
     if topology not in ("marc", "cmacr"):
         raise ConfigError(f"topology must be 'marc' or 'cmacr', got {topology!r}")
     try:
-        dm_spec = spec_from_dict(channel_doc)
+        dm_spec = spec_from_dict(doc["channel"])
     except HdmarcError as exc:
         raise ConfigError(f"invalid dm channel: {exc}") from exc
     return {"model": model, "dm_spec": dm_spec, "topology": topology}
@@ -264,39 +234,25 @@ def config_from_dict(doc: dict) -> SweepConfig:
     optional ``topology`` ("marc" or "cmacr"; dm only), optional ``output``
     (CSV path).
     """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config must be an object, got {type(doc).__name__}")
-    version = _require(doc, "schema_version", int, "config")
+    required = ("schema_version", "model", "swept", "grid", "schemes", "channel")
+    document(doc, "config", required, ("no_relay", "topology", "output"))
+    version = _integer(doc, "schema_version", "config")
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {version}; this package reads "
             f"version {SCHEMA_VERSION}"
         )
-    known = {
-        "schema_version",
-        "model",
-        "swept",
-        "grid",
-        "schemes",
-        "channel",
-        "no_relay",
-        "topology",
-        "output",
-    }
-    reject_unknown_fields(doc, known, "config")
-
-    swept = _require(doc, "swept", str, "config")
+    swept = doc["swept"]
     if swept not in ("sigma_q2", "beta"):
         raise ConfigError(f"swept must be 'sigma_q2' or 'beta', got {swept!r}")
-    if doc.get("model") == "dm" and swept != "beta":
+    if doc["model"] == "dm" and swept != "beta":
         raise ConfigError("the dm model has no sigma_q2 knob; sweep beta instead")
 
-    grid_doc = _require(doc, "grid", dict, "config")
-    reject_unknown_fields(grid_doc, {"min", "max", "points", "spacing"}, "grid")
+    grid_doc = document(doc["grid"], "grid", ("min", "max", "points"), ("spacing",))
     grid = GridSpec(
-        lo=_require(grid_doc, "min", float, "grid"),
-        hi=_require(grid_doc, "max", float, "grid"),
-        points=_require(grid_doc, "points", int, "grid"),
+        lo=_number(grid_doc, "min", "grid"),
+        hi=_number(grid_doc, "max", "grid"),
+        points=_integer(grid_doc, "points", "grid"),
         spacing=grid_doc.get("spacing", "linear"),
     )
     if swept == "beta":
@@ -307,13 +263,11 @@ def config_from_dict(doc: dict) -> SweepConfig:
     if swept == "sigma_q2" and not grid.lo > 0.0:
         raise ConfigError(f"sigma_q2 grid needs min > 0, got {grid.lo!r}")
 
-    schemes = _parse_schemes(doc.get("schemes"))
+    schemes = _parse_schemes(doc["schemes"])
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output must be a path string, got {output!r}")
-    fields = _model_fields(
-        doc, schemes, "config", lambda channel: _parse_gaussian_channel(channel, swept)
-    )
+    fields = _model_fields(doc, schemes, swept)
     return SweepConfig(swept=swept, grid=grid, schemes=schemes, output=output, **fields)
 
 
@@ -342,15 +296,14 @@ def region_config_from_dict(doc: dict) -> RegionConfig:
     ``no_relay`` (Gaussian) or top-level ``beta`` and optional ``topology``
     (dm).
     """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"region config must be an object, got {type(doc).__name__}")
-    known = {"model", "channel", "schemes", "beta", "topology", "no_relay"}
-    reject_unknown_fields(doc, known, "region config")
+    known = ("model", "channel", "schemes", "beta", "topology", "no_relay")
+    document(doc, "region config", ("model", "channel"), known)
     schemes = _parse_schemes(doc.get("schemes", [scheme.value for scheme in SchemeId]))
-    fields = _model_fields(doc, schemes, "region config", gaussian_point_from_dict)
+    fields = _model_fields(doc, schemes, None)
     if fields["model"] == "dm":
+        document(doc, "region config", ("beta",), known)  # a dm region's beta
         try:
-            beta = validate_beta(_require(doc, "beta", float, "region config"))
+            beta = validate_beta(_number(doc, "beta", "region config"))
         except OutOfRange as exc:
             raise ConfigError(f"region config beta: {exc}") from exc
         return RegionConfig(schemes=schemes, beta=beta, **fields)
@@ -412,7 +365,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     for scheme, bounds in evaluated.items():
         r1, r2, rsum = clamp_bounds(bounds.r1, bounds.r2, bounds.rsum)
         clamped = (r1, r2, rsum, bounds.feasible, bounds.sigma)
-        lists = (np.broadcast_to(column, grid.shape).tolist() for column in clamped)
+        # A bound that is the same at every point is listed as one object.
+        lists = (
+            [np.asarray(column).item()] * grid.size
+            if np.ndim(column) == 0
+            else np.broadcast_to(column, grid.shape).tolist()
+            for column in clamped
+        )
         columns[scheme] = Bounds(*lists, bounds.terms)
     return SweepResult(
         swept=config.swept,
@@ -423,21 +382,29 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     )
 
 
-#: One CSV number, and a CSV row up to its ``diag_sigma`` field.
+#: One CSV number, and a CSV row from its ``scheme`` to its ``diag_sigma`` field.
 _CSV_NUMBER = f"%.{CSV_DIGITS}g"
-_CSV_ROW = f"{_CSV_NUMBER},%s,{_CSV_NUMBER},{_CSV_NUMBER},{_CSV_NUMBER},%s,"
+_CSV_TAIL = f",%s,{_CSV_NUMBER},{_CSV_NUMBER},{_CSV_NUMBER},%s,"
 
 
 def render_csv(result: SweepResult) -> str:
-    """The CSV text of a sweep (deterministic; see the module docstring)."""
+    """The CSV text of a sweep (deterministic; see the module docstring).
+
+    Each swept value is formatted once for all schemes, and a scheme's row
+    that is the same objects at every point once for the whole grid.
+    """
+    swept = [_CSV_NUMBER % value for value in result.values]
     lines = [CSV_HEADER]
     for scheme in result.schemes:
-        name = scheme.value
-        for value, r1, r2, rsum, feasible, sigma in zip(
-            result.values, *result.columns[scheme][:5]
-        ):
-            row = _CSV_ROW % (value, name, r1, r2, rsum, "true" if feasible else "false")
-            lines.append(row if sigma is None else row + _CSV_NUMBER % sigma)
+        name, columns, repeats = scheme.value, result.columns[scheme][:5], 1
+        # run_sweep lists a bound that is the same at every point as one object.
+        if all(all(entry is column[0] for entry in column) for column in columns):
+            columns, repeats = [column[:1] for column in columns], len(swept)
+        tails = []
+        for r1, r2, rsum, feasible, sigma in zip(*columns):
+            tail = _CSV_TAIL % (name, r1, r2, rsum, "true" if feasible else "false")
+            tails.append(tail if sigma is None else tail + _CSV_NUMBER % sigma)
+        lines.extend(map(operator.add, swept, tails * repeats))
     return "\n".join(lines) + "\n"
 
 

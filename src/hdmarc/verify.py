@@ -108,7 +108,9 @@ class _Worst:
         self._tols: dict[str, float] = {}
 
     def record(self, name: str, dev: float, tol: float) -> None:
-        self._devs[name] = max(self._devs.get(name, 0.0), abs(float(dev)))
+        # np.maximum keeps a NaN, which then fails the check; max(x, nan) is x.
+        worst = np.maximum(self._devs.get(name, 0.0), abs(float(dev)))
+        self._devs[name] = float(worst)
         self._tols[name] = tol
 
     def checks(self) -> tuple[Check, ...]:

@@ -352,6 +352,15 @@ def test_joint_pmf_rejects_nan_and_infinite_entries():
         JointPmf(("X11",), np.array([1.0, np.inf]))
 
 
+def test_python_tables_refuse_strings_and_ragged_nesting_with_typed_errors():
+    spec = _random_spec(np.random.default_rng(36))
+    for table in ("ab", ["0.5", "0.5"], [[0.5], 0.5], [None, 1.0]):
+        with pytest.raises(InvalidParams, match="px11"):
+            replace(spec, px11=table)
+        with pytest.raises(InvalidParams, match="joint pmf"):
+            JointPmf(("X11",), table)
+
+
 def test_spec_rejects_cross_table_size_mismatch():
     rng = np.random.default_rng(32)
     spec = _random_spec(rng)

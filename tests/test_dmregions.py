@@ -290,6 +290,13 @@ def test_dm_regions_rejects_unknown_topology():
         dm_regions(spec, "mesh", (SchemeId.GQF,), 0.5)
 
 
+@pytest.mark.parametrize("schemes", [["GQF"], "GQF", [SchemeId.GQF, None]])
+def test_dm_regions_refuse_a_scheme_that_is_not_a_scheme_id(schemes):
+    spec = make_random_spec(np.random.default_rng(55))
+    with pytest.raises(InvalidParams, match="scheme must be a SchemeId, got"):
+        dm_regions(spec, "marc", schemes, 0.5)
+
+
 def test_active_destinations_variants():
     rng = np.random.default_rng(47)
     assert active_destinations(make_random_spec(rng)) == (1, 2)

@@ -480,6 +480,12 @@ def test_optimize_beta_validates_inputs():
         optimize_beta(params, SchemeId.GQF, objective="throughput")
 
 
+@pytest.mark.parametrize("schemes", [["GQF"], "GQF", [SchemeId.GQF, None]])
+def test_gaussian_regions_refuse_a_scheme_that_is_not_a_scheme_id(schemes):
+    with pytest.raises(InvalidParams, match="scheme must be a SchemeId, got"):
+        gaussian_regions(benchmark_params(), schemes, 0.5)
+
+
 def test_optimize_beta_matches_across_schemes_on_benchmark_channel():
     params = benchmark_params()
     gqf = optimize_beta(params, SchemeId.GQF)

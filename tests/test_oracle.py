@@ -63,6 +63,23 @@ def test_model_rejects_malformed_covariances():
         GaussianVectorModel(("X11", "X21"), not_psd)
 
 
+@pytest.mark.parametrize(
+    "cov, factor",
+    [
+        ([[math.nan, 0.0], [0.0, 1.0]], None),
+        ([[1.0, math.inf], [math.inf, 1.0]], None),
+        ([["1", "0"], ["0", "1"]], None),
+        ([[1.0, 0.0], [0.0]], None),  # ragged
+        (np.eye(2), [[math.nan, 0.0], [0.0, 1.0]]),
+        (np.eye(2), [["1", "0"], ["0", "1"]]),
+    ],
+    ids=["nan", "inf", "strings", "ragged", "nan-factor", "string-factor"],
+)
+def test_model_refuses_non_finite_and_non_numeric_entries(cov, factor):
+    with pytest.raises(InvalidParams):
+        GaussianVectorModel(("X11", "Y11"), cov, factor)
+
+
 def test_model_enforces_unit_noise_floor_on_outputs():
     # An input may have tiny variance, but an observed output cannot drop
     # below the unit channel noise.

@@ -54,7 +54,7 @@ from hdmarc.sweep import (
 )
 from hdmarc.dmregions import dm_regions
 from hdmarc.gaussian import cf_bounds, gaussian_regions, gqf_bounds
-from hdmarc.verify import Check, Report, draw_dm_spec
+from hdmarc.verify import Check, Report, _Worst, draw_dm_spec
 
 from _support import assert_same_bits, benchmark_params, make_random_spec
 
@@ -200,6 +200,25 @@ def test_config_rejects_malformed_gaussian_documents(mutate):
     mutate(doc)
     with pytest.raises(ConfigError):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.pop("grid"), "config is missing fields ['grid']"),
+        (lambda d: [d.pop(k) for k in ("grid", "model")], "config is missing fields ['grid', 'model']"),
+        (lambda d: d["grid"].update(resolution=3), "grid has unknown fields ['resolution']"),
+        (lambda d: d["channel"].update(gains=[1.0]), "channel.gains must be an object, got list"),
+        (lambda d: d["no_relay"].clear(), "no_relay is missing fields ['P1', 'P2']"),
+        (lambda d: d["grid"].update(max="8"), "grid.max must be a number, got '8'"),
+    ],
+)
+def test_config_errors_name_the_document_and_its_keys(mutate, message):
+    doc = _gaussian_sweep_doc()
+    mutate(doc)
+    with pytest.raises(ConfigError) as caught:
+        config_from_dict(doc)
+    assert str(caught.value) == message
 
 
 def test_config_beta_sweep_forbids_fixed_beta_and_checks_grid():
@@ -961,6 +980,16 @@ def test_cli_verify_maps_failures_to_their_own_exit_code(monkeypatch, capsys):
     monkeypatch.setattr("hdmarc.cli.run_subject", lambda *a, **k: failing)
     assert main(["verify", "closed-forms"]) == EXIT_VERIFY
     assert "RESULT: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("devs", [(1e-12, math.nan), (math.nan, 1e-12)])
+def test_a_nan_deviation_fails_its_check(devs):
+    worst = _Worst()
+    for dev in devs:
+        worst.record("draw", dev, 1e-9)
+    report = Report("closed-forms", 0, len(devs), worst.checks())
+    assert not report.checks[0].ok and not report.passed
+    assert "max dev nan" in report.render() and "RESULT: FAIL" in report.render()
 
 
 #: Runs each argv of the JSON list in sys.argv[1] through one main() in one
