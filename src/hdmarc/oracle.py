@@ -32,7 +32,6 @@ CF threshold          at ``sigma_q2 = cf_sigma_min``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Optional
 
 import numpy as np
@@ -48,8 +47,13 @@ from .core import (
     real_array,
     validate_beta,
 )
-from .dminfo import VAR_NAMES, DmChannelSpec, build_slot1_joint, build_slot2_joint
-from .dminfo import mutual_information as dm_mi
+from .dminfo import (
+    VAR_NAMES,
+    DmChannelSpec,
+    JointEntropies,
+    build_slot1_joint,
+    build_slot2_joint,
+)
 from .gaussian import GaussianMarcParams
 
 #: Covariance matrices must be symmetric within this absolute tolerance.
@@ -189,38 +193,90 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
     return GaussianVectorModel(order, cov, factor=loading * np.sqrt(variances))
 
 
-def _log2dets(model: GaussianVectorModel, *blocks: set) -> list[float]:
-    """log2 determinants of the covariance submatrices on the first one,
-    two, ... of the disjoint name sets ``blocks`` (an empty union gives 0).
+def _log2dets(model: GaussianVectorModel, orders: list[list[int]]) -> np.ndarray:
+    """Log2 determinants of covariance submatrices along orders of the
+    model's coordinates: row ``o``, column ``j`` is the log-det on the first
+    ``j`` coordinates (model indices) of ``orders[o]``, and 0 for ``j = 0``.
 
-    With ``A`` the factor rows of the blocks, in order, and ``A^T = QR``,
-    the submatrix on the first j rows is ``R_j^T R_j`` for the leading
-    j x j block ``R_j`` of ``R``, so its log-det is ``2 * sum(log2 |R_ii|)``
-    over i < j.  This square-root form never forms a submatrix, whose
-    determinant cancels catastrophically when a quantizer variance is tiny
-    (Golub & Van Loan, *Matrix Computations*, ch. 5); ``R_ii**2`` is the
-    variance of a coordinate given the ones before it.
+    With ``A`` the factor rows of an order and ``A^T = QR``, the submatrix
+    on the first j rows is ``R_j^T R_j`` for the leading j x j block ``R_j``
+    of ``R``, so its log-det is ``2 * sum(log2 |R_ii|)`` over i < j.  This
+    square-root form never forms a submatrix, whose determinant cancels
+    catastrophically when a quantizer variance is tiny (Golub & Van Loan,
+    *Matrix Computations*, ch. 5); ``R_ii**2`` is the variance of a
+    coordinate given the ones before it.  Rows appended after the first j
+    do not change ``R_j``, so every order is padded with the model's other
+    coordinates and all orders share one stacked QR.
     """
-    names = set().union(*blocks)
-    unknown = names - set(model.names)
-    if unknown:
-        raise UnknownVariable(
-            f"variables {sorted(unknown)} are not part of this model over "
-            f"{model.names}"
-        )
-    idx = [i for block in blocks for i, name in enumerate(model.names) if name in block]
-    logs = [0.0]
-    if idx:
-        # mode="raw" stores R transposed; its diagonal is R's.
-        pivots = np.abs(np.linalg.qr(model.factor[idx].T, mode="raw")[0].diagonal())
-        if float(pivots.min()) ** 2 <= PIVOT_TOL:
+    n = len(model.names)
+    sizes = [len(order) for order in orders]
+    if not any(sizes):
+        return np.zeros((len(orders), 1))
+    factor = model.factor
+    if factor.shape[1] < n:  # a low-rank square root: its missing columns are 0
+        factor = np.hstack([factor, np.zeros((n, n - factor.shape[1]))])
+    rows = [order + [i for i in range(n) if i not in order] for order in orders]
+    # mode="raw" stores each R transposed; its diagonal is R's.
+    stack = factor[rows].transpose(0, 2, 1)
+    pivots = np.abs(np.linalg.qr(stack, mode="raw")[0].diagonal(axis1=1, axis2=2))
+    leading = np.arange(n) < np.array(sizes)[:, None]
+    smallest = np.where(leading, pivots, np.inf).min(axis=1).tolist()
+    for order, low in zip(orders, smallest):
+        if low**2 <= PIVOT_TOL:
             raise SingularCovariance(
-                f"covariance of {sorted(names)} is numerically singular "
-                f"(conditional variance {float(pivots.min()) ** 2!r})"
+                f"covariance of {sorted(model.names[i] for i in order)} is "
+                f"numerically singular (conditional variance {low**2!r})"
             )
-        steps = (2.0 * log for log in np.log2(pivots).tolist())
-        logs = list(accumulate(steps, initial=0.0))
-    return [logs[end] for end in accumulate(map(len, blocks))]
+    with np.errstate(divide="ignore"):  # a zero pivot past an order is never read
+        steps = 2.0 * np.log2(pivots)
+    return np.hstack([np.zeros((len(orders), 1)), np.cumsum(steps, axis=1)])
+
+
+def gaussian_mis(
+    model: GaussianVectorModel,
+    triples: Iterable[tuple[Iterable[str], Iterable[str], Iterable[str]]],
+) -> list[float]:
+    """Conditional mutual informations I(A; B | C) in bits, one per
+    ``(a, b, c)`` triple, by log-dets from one stacked QR.
+
+    Uses I(A; B | C) = (1/2) * [log2 det S_AC + log2 det S_BC
+    - log2 det S_C - log2 det S_ABC] on covariance submatrices, read along
+    the orders (C, A, B) and (C, B).
+    """
+    position = {name: i for i, name in enumerate(model.names)}
+    orders, ends = [], []
+    for a, b, c in triples:
+        a_set, b_set, c_set = set(a), set(b), set(c)
+        for left, right, tag in (
+            (a_set, b_set, "A and B"),
+            (a_set, c_set, "A and C"),
+            (b_set, c_set, "B and C"),
+        ):
+            shared = left & right
+            if shared:
+                raise OverlappingSets(f"{tag} share variables {sorted(shared)}")
+        unknown = (a_set | b_set | c_set).difference(position)
+        if unknown:
+            raise UnknownVariable(
+                f"variables {sorted(unknown)} are not part of this model over "
+                f"{model.names}"
+            )
+        if sorted(b_set) < sorted(a_set):  # I(A; B | C) = I(B; A | C): one order
+            a_set, b_set = b_set, a_set
+        ia, ib, ic = (
+            sorted(position[name] for name in s) for s in (a_set, b_set, c_set)
+        )
+        orders += [ic + ia + ib, ic + ib]
+        nc, na, nb = len(ic), len(ia), len(ib)
+        ends.append((nc, nc + na, nc + na + nb, nc + nb))
+    if not ends:
+        return []
+    logs = _log2dets(model, orders)
+    c_end, ac_end, abc_end, bc_end = np.array(ends).T
+    first = np.arange(0, len(orders), 2)  # the (C, A, B) order of each triple
+    log_c, log_ac, log_abc = (logs[first, end] for end in (c_end, ac_end, abc_end))
+    log_bc = logs[first + 1, bc_end]
+    return (0.5 * (log_ac + log_bc - log_c - log_abc)).tolist()
 
 
 def gaussian_mi(
@@ -229,25 +285,9 @@ def gaussian_mi(
     b: Iterable[str],
     c: Iterable[str] = (),
 ) -> float:
-    """Conditional mutual information I(A; B | C) in bits, by log-dets.
-
-    Uses I(A; B | C) = (1/2) * [log2 det S_AC + log2 det S_BC
-    - log2 det S_C - log2 det S_ABC] on covariance submatrices.
-    """
-    a_set, b_set, c_set = set(a), set(b), set(c)
-    for left, right, tag in (
-        (a_set, b_set, "A and B"),
-        (a_set, c_set, "A and C"),
-        (b_set, c_set, "B and C"),
-    ):
-        shared = left & right
-        if shared:
-            raise OverlappingSets(f"{tag} share variables {sorted(shared)}")
-    if sorted(b_set) < sorted(a_set):  # I(A; B | C) = I(B; A | C): one order
-        a_set, b_set = b_set, a_set
-    log_c, log_ac, log_abc = _log2dets(model, c_set, a_set, b_set)
-    log_bc = _log2dets(model, c_set, b_set)[1]
-    return 0.5 * (log_ac + log_bc - log_c - log_abc)
+    """Conditional mutual information I(A; B | C) in bits, by log-dets: the
+    one-triple case of :func:`gaussian_mis`."""
+    return gaussian_mis(model, [(a, b, c)])[0]
 
 
 def gqf_region_via_ru_sweep(
@@ -267,33 +307,30 @@ def gqf_region_via_ru_sweep(
     if k not in (1, 2):
         raise InvalidParams(f"destination index must be 1 or 2, got {k!r}")
     yk1, yk2 = ("Y11", "Y12") if k == 1 else ("Y21", "Y22")
-    joint1 = build_slot1_joint(spec)
-    joint2 = build_slot2_joint(spec)
+    mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
+    mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
     comp = 1.0 - b
 
-    r_u = b * dm_mi(joint1, {"YR"}, {"YhR"})
+    r_u = b * mi1({"YR"}, {"YhR"})
 
     def plain(i: int, j: int) -> float:
         """Bound on source i with the quantization index treated as known noise."""
         xi1, xj1, xi2, xj2 = f"X{i}1", f"X{j}1", f"X{i}2", f"X{j}2"
-        return b * dm_mi(joint1, {xi1}, {xj1, yk1, "YhR"}) + comp * dm_mi(
-            joint2, {xi2}, {xj2, "XR", yk2}
-        )
+        return b * mi1({xi1}, {xj1, yk1, "YhR"}) + comp * mi2({xi2}, {xj2, "XR", yk2})
 
     def with_index(i: int, j: int) -> float:
         """Bound on (source i, quantization index) decoded together."""
         xi1, xj1, xi2, xj2 = f"X{i}1", f"X{j}1", f"X{i}2", f"X{j}2"
-        return b * (
-            dm_mi(joint1, {xi1, "YhR"}, {xj1, yk1}) + dm_mi(joint1, {xi1}, {"YhR"})
-        ) + comp * dm_mi(joint2, {xi2, "XR"}, {xj2, yk2})
+        return b * (mi1({xi1, "YhR"}, {xj1, yk1}) + mi1({xi1}, {"YhR"})) + comp * mi2(
+            {xi2, "XR"}, {xj2, yk2}
+        )
 
-    sum_plain = b * dm_mi(joint1, {"X11", "X21"}, {yk1, "YhR"}) + comp * dm_mi(
-        joint2, {"X12", "X22"}, {"XR", yk2}
+    sum_plain = b * mi1({"X11", "X21"}, {yk1, "YhR"}) + comp * mi2(
+        {"X12", "X22"}, {"XR", yk2}
     )
     sum_with_index = b * (
-        dm_mi(joint1, {"X11", "X21", "YhR"}, {yk1})
-        + dm_mi(joint1, {"X11", "X21"}, {"YhR"})
-    ) + comp * dm_mi(joint2, {"X12", "X22", "XR"}, {yk2})
+        mi1({"X11", "X21", "YhR"}, {yk1}) + mi1({"X11", "X21"}, {"YhR"})
+    ) + comp * mi2({"X12", "X22", "XR"}, {yk2})
 
     terms = {
         "R_U": r_u,

@@ -16,7 +16,6 @@ schemes without a quantizer.
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 from dataclasses import dataclass
@@ -65,13 +64,13 @@ class GridSpec:
     spacing: str  # "linear" | "log"
 
     def __post_init__(self) -> None:
+        # The checks of a config document's grid, under the same labels.
+        real_number(self.lo, "grid.min", ConfigError)
+        real_number(self.hi, "grid.max", ConfigError)
+        _integer(self.points, "grid.points")
         if self.spacing not in ("linear", "log"):
             raise ConfigError(
                 f"grid spacing must be 'linear' or 'log', got {self.spacing!r}"
-            )
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ConfigError(
-                f"grid bounds must be finite, got min={self.lo!r} max={self.hi!r}"
             )
         if not self.lo < self.hi:
             raise ConfigError(
@@ -119,11 +118,10 @@ def _number(doc: dict, key: str, where: str) -> float:
     return real_number(doc[key], f"{where}.{key}", ConfigError, None)
 
 
-def _integer(doc: dict, key: str, where: str) -> int:
-    """The integer ``doc[key]`` of a document checked by :func:`document`."""
-    value = doc[key]
+def _integer(value, label: str) -> int:
+    """``value`` if it is an integer (a bool or a float is refused)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
     return value
 
 
@@ -236,7 +234,7 @@ def config_from_dict(doc: dict) -> SweepConfig:
     """
     required = ("schema_version", "model", "swept", "grid", "schemes", "channel")
     document(doc, "config", required, ("no_relay", "topology", "output"))
-    version = _integer(doc, "schema_version", "config")
+    version = _integer(doc["schema_version"], "config.schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {version}; this package reads "
@@ -250,9 +248,9 @@ def config_from_dict(doc: dict) -> SweepConfig:
 
     grid_doc = document(doc["grid"], "grid", ("min", "max", "points"), ("spacing",))
     grid = GridSpec(
-        lo=_number(grid_doc, "min", "grid"),
-        hi=_number(grid_doc, "max", "grid"),
-        points=_integer(grid_doc, "points", "grid"),
+        lo=grid_doc["min"],
+        hi=grid_doc["max"],
+        points=grid_doc["points"],
         spacing=grid_doc.get("spacing", "linear"),
     )
     if swept == "beta":

@@ -24,15 +24,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import InvalidParams, clamp_region
-from .dminfo import DmChannelSpec, build_slot1_joint, build_slot2_joint
-from .dminfo import mutual_information as dm_mi
-from .dmregions import (
-    cf_region_cmacr,
-    cf_region_marc,
-    gqf_region_cmacr,
-    gqf_region_marc,
+from .core import InvalidParams, RateRegion, SchemeId, clamp_region, rate_region
+from .dminfo import (
+    DmChannelSpec,
+    JointEntropies,
+    build_slot1_joint,
+    build_slot2_joint,
 )
+from .dmregions import dm_regions, gqf_region_cmacr, gqf_region_marc
 from .gaussian import (
     GaussianMarcParams,
     cf_rates,
@@ -44,7 +43,13 @@ from .gaussian import (
     slot1_signal,
     slot2_signal,
 )
-from .oracle import build_covariance, gaussian_mi, gqf_region_via_ru_sweep
+from .oracle import (
+    GaussianVectorModel,
+    build_covariance,
+    gaussian_mi,
+    gaussian_mis,
+    gqf_region_via_ru_sweep,
+)
 
 #: Absolute tolerance for the Gaussian closed-form checks.
 GAUSSIAN_TOL = 1e-9
@@ -54,6 +59,10 @@ SIGMA_REL_TOL = 1e-9
 
 #: Absolute tolerance for the finite-alphabet cross-checks.
 DM_TOL = 1e-10
+
+#: Most draws a subject run may take; bounds its time as MAX_GRID_POINTS
+#: bounds a sweep's.
+MAX_DRAWS = 10**5
 
 
 @dataclass(frozen=True)
@@ -207,30 +216,41 @@ def draw_silent_dest2_spec(rng: np.random.Generator) -> DmChannelSpec:
 # ---------------------------------------------------------------------------
 # Subject: closed-forms.
 
-def _oracle_gqf_terms(params: GaussianMarcParams) -> dict[str, float]:
-    """The six GQF terms via log-det mutual informations (see oracle docs)."""
+def _oracle_gqf_terms(
+    params: GaussianMarcParams, model2: GaussianVectorModel
+) -> dict[str, float]:
+    """The six GQF terms via log-det mutual informations (see oracle docs),
+    given the slot-2 model of ``params``."""
     model1 = build_covariance(params, slot=1)
-    model2 = build_covariance(params, slot=2)
-    b = params.beta
-    comp = 1.0 - b
-    values: dict[str, float] = {}
+    triples1, triples2 = [], []  # each term's triples, in the order it reads them
     for i, j in ((1, 2), (2, 1)):
         xi1, xj1 = f"X{i}1", f"X{j}1"
         xi2, xj2 = f"X{i}2", f"X{j}2"
-        values[f"a({i})"] = b * gaussian_mi(
-            model1, {xi1}, {xj1, "Y11", "YhR"}
-        ) + comp * gaussian_mi(model2, {xi2}, {xj2, "XR", "Y12"})
-        values[f"b({i})"] = b * (
-            gaussian_mi(model1, {xi1}, {xj1, "Y11"})
-            - gaussian_mi(model1, {"YhR"}, {"YR"}, {xi1, xj1, "Y11"})
-        ) + comp * gaussian_mi(model2, {xi2, "XR"}, {xj2, "Y12"})
-    values["I1"] = b * gaussian_mi(
-        model1, {"X11", "X21"}, {"Y11", "YhR"}
-    ) + comp * gaussian_mi(model2, {"X12", "X22"}, {"XR", "Y12"})
-    values["I2"] = b * (
-        gaussian_mi(model1, {"X11", "X21"}, {"Y11"})
-        - gaussian_mi(model1, {"YhR"}, {"YR"}, {"X11", "X21", "Y11"})
-    ) + comp * gaussian_mi(model2, {"X12", "X22", "XR"}, {"Y12"})
+        triples1 += [
+            ({xi1}, {xj1, "Y11", "YhR"}, ()),
+            ({xi1}, {xj1, "Y11"}, ()),
+            ({"YhR"}, {"YR"}, {xi1, xj1, "Y11"}),
+        ]
+        triples2 += [({xi2}, {xj2, "XR", "Y12"}, ()), ({xi2, "XR"}, {xj2, "Y12"}, ())]
+    triples1 += [
+        ({"X11", "X21"}, {"Y11", "YhR"}, ()),
+        ({"X11", "X21"}, {"Y11"}, ()),
+        ({"YhR"}, {"YR"}, {"X11", "X21", "Y11"}),
+    ]
+    triples2 += [
+        ({"X12", "X22"}, {"XR", "Y12"}, ()),
+        ({"X12", "X22", "XR"}, {"Y12"}, ()),
+    ]
+    mi1 = iter(gaussian_mis(model1, triples1))
+    mi2 = iter(gaussian_mis(model2, triples2))
+    b = params.beta
+    comp = 1.0 - b
+    values: dict[str, float] = {}
+    for i in (1, 2):
+        values[f"a({i})"] = b * next(mi1) + comp * next(mi2)
+        values[f"b({i})"] = b * (next(mi1) - next(mi1)) + comp * next(mi2)
+    values["I1"] = b * next(mi1) + comp * next(mi2)
+    values["I2"] = b * (next(mi1) - next(mi1)) + comp * next(mi2)
     return values
 
 
@@ -258,7 +278,9 @@ def verify_closed_forms(seed: int, draws: int) -> Report:
     for _ in range(draws):
         params = draw_gaussian_params(rng)
         region = gqf_rates(params)
-        oracle = _oracle_gqf_terms(params)
+        # The slot-2 model does not depend on sigma_q2: one serves both checks.
+        model2 = build_covariance(params, slot=2)
+        oracle = _oracle_gqf_terms(params, model2)
         for name in ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"):
             worst.record(
                 f"gqf_term_{name}", region.terms[name] - oracle[name], GAUSSIAN_TOL
@@ -268,13 +290,12 @@ def verify_closed_forms(seed: int, draws: int) -> Report:
         # description rate exactly fills the relay pipe.
         sigma_min = cf_sigma_min(params)
         at_min = replace(params, sigma_q2=sigma_min)
-        model1 = build_covariance(at_min, slot=1)
-        model2 = build_covariance(at_min, slot=2)
-        b = params.beta
-        lhs = b * (
-            gaussian_mi(model1, {"YR"}, {"YhR"})
-            - gaussian_mi(model1, {"Y11"}, {"YhR"})
+        quant_rate, side_info = gaussian_mis(
+            build_covariance(at_min, slot=1),
+            [({"YR"}, {"YhR"}, ()), ({"Y11"}, {"YhR"}, ())],
         )
+        b = params.beta
+        lhs = b * (quant_rate - side_info)
         rhs = (1.0 - b) * gaussian_mi(model2, {"XR"}, {"Y12"})
         worst.record("cf_threshold_balance", lhs - rhs, GAUSSIAN_TOL)
 
@@ -344,6 +365,14 @@ def verify_dm_regions(seed: int, draws: int) -> Report:
 # ---------------------------------------------------------------------------
 # Subject: reductions.
 
+def _rate_regions(
+    spec: DmChannelSpec, topology: str, beta: float
+) -> dict[SchemeId, RateRegion]:
+    """The GQF and CF regions of ``spec`` at ``beta``, from one evaluation."""
+    bounds = dm_regions(spec, topology, (SchemeId.GQF, SchemeId.CF), beta)
+    return {scheme: rate_region(value) for scheme, value in bounds.items()}
+
+
 def verify_reductions(seed: int, draws: int) -> Report:
     """Degenerate channels collapse to the expected smaller models."""
     _check_run(seed, draws)
@@ -351,20 +380,20 @@ def verify_reductions(seed: int, draws: int) -> Report:
     worst = _Worst()
     for _ in range(draws):
         spec, b = draw_single_source_spec(rng)
-        joint1 = build_slot1_joint(spec)
-        joint2 = build_slot2_joint(spec)
+        mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
+        mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
+        regions = _rate_regions(spec, "marc", b)
 
         # With source 2 degenerate the single-user and sum bounds coincide,
         # and each GQF branch collapses to its single-source form.
-        region = gqf_region_marc(spec, b)
+        region = regions[SchemeId.GQF]
         worst.record("gqf_r1_eq_sum", region.r1_max - region.sum_max, DM_TOL)
-        plain = b * dm_mi(joint1, {"X11"}, {"Y11", "YhR"}) + (1.0 - b) * dm_mi(
-            joint2, {"X12"}, {"Y12"}, {"XR"}
+        plain = b * mi1({"X11"}, {"Y11", "YhR"}) + (1.0 - b) * mi2(
+            {"X12"}, {"Y12"}, {"XR"}
         )
         with_index = b * (
-            dm_mi(joint1, {"X11"}, {"Y11"})
-            - dm_mi(joint1, {"YhR"}, {"YR"}, {"X11", "Y11"})
-        ) + (1.0 - b) * dm_mi(joint2, {"X12", "XR"}, {"Y12"})
+            mi1({"X11"}, {"Y11"}) - mi1({"YhR"}, {"YR"}, {"X11", "Y11"})
+        ) + (1.0 - b) * mi2({"X12", "XR"}, {"Y12"})
         worst.record(
             "gqf_branch_plain", region.terms["a_1(1)"] - plain, DM_TOL
         )
@@ -380,7 +409,7 @@ def verify_reductions(seed: int, draws: int) -> Report:
         # CF with one source: rate bound collapses to the classic
         # compress-and-forward expression, and the strong relay pipe of the
         # generator keeps every draw feasible.
-        cf = cf_region_marc(spec, b)
+        cf = regions[SchemeId.CF]
         worst.record("cf_feasible", 0.0 if cf.feasible else 1.0, 0.0)
         worst.record("cf_r1_eq_sum", cf.r1_max - cf.sum_max, DM_TOL)
         worst.record("cf_r1_eq_formula", cf.r1_max - max(0.0, plain), DM_TOL)
@@ -389,17 +418,18 @@ def verify_reductions(seed: int, draws: int) -> Report:
         # region entirely: same code path, identical floats.
         silent = draw_silent_dest2_spec(rng)
         silent_beta = float(rng.uniform(0.1, 0.9))
-        for name, compound_fn, single_fn in (
-            ("gqf_silent_dest2_exact", gqf_region_cmacr, gqf_region_marc),
-            ("cf_silent_dest2_exact", cf_region_cmacr, cf_region_marc),
+        compound = _rate_regions(silent, "cmacr", silent_beta)
+        single = _rate_regions(silent, "marc", silent_beta)
+        for name, scheme in (
+            ("gqf_silent_dest2_exact", SchemeId.GQF),
+            ("cf_silent_dest2_exact", SchemeId.CF),
         ):
-            compound = compound_fn(silent, silent_beta)
-            single = single_fn(silent, silent_beta)
+            both, alone = compound[scheme], single[scheme]
             dev = max(
-                abs(compound.r1_max - single.r1_max),
-                abs(compound.r2_max - single.r2_max),
-                abs(compound.sum_max - single.sum_max),
-                0.0 if compound.feasible == single.feasible else 1.0,
+                abs(both.r1_max - alone.r1_max),
+                abs(both.r2_max - alone.r2_max),
+                abs(both.sum_max - alone.sum_max),
+                0.0 if both.feasible == alone.feasible else 1.0,
             )
             worst.record(name, dev, 0.0)
     return Report("reductions", seed, draws, worst.checks())
@@ -420,11 +450,13 @@ DEFAULT_DRAWS = {subject: draws for subject, (_, draws) in _SUBJECT_TABLE.items(
 
 def _check_run(seed: int, draws: int) -> None:
     """Reject a seed that is not an integer >= 0 and a draw count that is
-    not an integer >= 1."""
+    not an integer from 1 to :data:`MAX_DRAWS`."""
     for name, value, least in (("seed", seed, 0), ("draw count", draws, 1)):
         integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
         if not integer or value < least:
             raise InvalidParams(f"{name} must be an integer >= {least}, got {value!r}")
+    if draws > MAX_DRAWS:
+        raise InvalidParams(f"draw count must be at most {MAX_DRAWS}, got {draws!r}")
 
 
 def run_subject(subject: str, seed: int = 0, draws: Optional[int] = None) -> Report:

@@ -7,6 +7,7 @@ cross-checked term by term against the oracle on random channels.
 
 import math
 from dataclasses import replace
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -31,9 +32,11 @@ from hdmarc import (
     run_subject,
     validate_beta,
 )
-from hdmarc.oracle import SLOT1_ORDER, SLOT2_ORDER
+from hdmarc.oracle import PIVOT_TOL, SLOT1_ORDER, SLOT2_ORDER, gaussian_mis
+from hdmarc.verify import draw_gaussian_params
 
 from _support import (
+    assert_same_bits,
     benchmark_params,
     make_random_spec,
     random_gaussian_params as _random_params,
@@ -243,6 +246,103 @@ def test_gaussian_mi_properties_under_fuzz():
         assert gaussian_mi(model, {"X11"}, {"YhR"}) <= (
             gaussian_mi(model, {"X11"}, {"YR"}) + 1e-9
         )
+
+
+def _one_qr_per_order_mi(model, a, b, c=()):
+    """I(A; B | C) by one QR per block order, the arithmetic that
+    :func:`gaussian_mis` stacks into a single QR."""
+    a, b, c = set(a), set(b), set(c)
+    if sorted(b) < sorted(a):
+        a, b = b, a
+
+    def log2dets(*blocks):
+        names = set().union(*blocks)
+        idx = [i for block in blocks for i, name in enumerate(model.names) if name in block]
+        logs = [0.0]
+        if idx:
+            pivots = np.abs(np.linalg.qr(model.factor[idx].T, mode="raw")[0].diagonal())
+            if float(pivots.min()) ** 2 <= PIVOT_TOL:
+                raise SingularCovariance(
+                    f"covariance of {sorted(names)} is numerically singular "
+                    f"(conditional variance {float(pivots.min()) ** 2!r})"
+                )
+            steps = (2.0 * log for log in np.log2(pivots).tolist())
+            logs = list(accumulate(steps, initial=0.0))
+        return [logs[end] for end in accumulate(map(len, blocks))]
+
+    log_c, log_ac, log_abc = log2dets(c, a, b)
+    log_bc = log2dets(c, b)[1]
+    return 0.5 * (log_ac + log_bc - log_c - log_abc)
+
+
+def _disjoint_triples(names):
+    """Every (A, B, C) of pairwise disjoint subsets of ``names`` with A and B
+    non-empty."""
+    triples = []
+    for roles in product(range(4), repeat=len(names)):  # A, B, C or unused
+        sets = [{n for n, role in zip(names, roles) if role == r} for r in range(3)]
+        if sets[0] and sets[1]:
+            triples.append(tuple(sets))
+    return triples
+
+
+@pytest.mark.parametrize("seed", [5, 285, 2007, 71])
+def test_stacked_log_dets_equal_one_qr_per_order_bit_for_bit(seed):
+    # The verify closed-forms draws of ``seed`` (5, 285 and 2007 reach CF
+    # thresholds of 9e-9, 3e-12 and 3e-13), at the drawn sigma_q2 and at the
+    # threshold.  Every model gets a random sample of all disjoint triples in
+    # one batch; the model with the smallest threshold gets all of them.
+    rng = np.random.default_rng(seed)
+    pick = np.random.default_rng(seed + 1)
+    all_triples = {1: _disjoint_triples(SLOT1_ORDER), 2: _disjoint_triples(SLOT2_ORDER)}
+    tiniest = None
+    for _ in range(100):
+        params = draw_gaussian_params(rng)
+        at_min = replace(params, sigma_q2=cf_sigma_min(params))
+        if tiniest is None or at_min.sigma_q2 < tiniest.sigma_q2:
+            tiniest = at_min
+        for model_params, slot in ((params, 1), (at_min, 1), (params, 2)):
+            model = build_covariance(model_params, slot)
+            candidates = all_triples[slot]
+            triples = [candidates[i] for i in pick.choice(len(candidates), 12)]
+            want = [_one_qr_per_order_mi(model, *triple) for triple in triples]
+            assert_same_bits(np.array(gaussian_mis(model, triples)), np.array(want))
+            assert_same_bits(np.array(gaussian_mi(model, *triples[0])), np.array(want[0]))
+    model = build_covariance(tiniest, 1)
+    want = [_one_qr_per_order_mi(model, *triple) for triple in all_triples[1]]
+    assert_same_bits(np.array(gaussian_mis(model, all_triples[1])), np.array(want))
+
+
+def test_stacked_log_dets_name_the_same_singular_submatrix():
+    silent = build_covariance(benchmark_params(p11=0.0, sigma_q2=1.0), slot=1)
+    fine = ({"X21"}, {"Y11"}, ())
+    first, second = ({"X11"}, {"Y11"}, {"X21"}), ({"YR"}, {"X11"}, ())
+    with pytest.raises(SingularCovariance) as want:
+        _one_qr_per_order_mi(silent, *first)
+    with pytest.raises(SingularCovariance) as got:
+        gaussian_mis(silent, [fine, first, second])
+    assert str(got.value) == str(want.value)
+    assert "['X11', 'X21', 'Y11']" in str(got.value)
+
+    tiny = build_covariance(benchmark_params(sigma_q2=1e-15), slot=1)
+    with pytest.raises(SingularCovariance) as want:
+        _one_qr_per_order_mi(tiny, {"YR"}, {"YhR"})
+    with pytest.raises(SingularCovariance) as got:
+        gaussian_mi(tiny, {"YR"}, {"YhR"})
+    assert str(got.value) == str(want.value)
+
+
+def test_stacked_log_dets_edge_cases():
+    model = build_covariance(benchmark_params(sigma_q2=1.0), slot=1)
+    assert gaussian_mis(model, []) == []
+    assert gaussian_mi(model, (), ()) == 0.0
+    # A square root with fewer columns than coordinates: a submatrix beyond
+    # its rank is singular, not an index error.
+    rank_one = GaussianVectorModel(
+        ("X11", "X21"), np.ones((2, 2)), factor=np.ones((2, 1))
+    )
+    with pytest.raises(SingularCovariance):
+        gaussian_mi(rank_one, {"X11"}, {"X21"})
 
 
 # ---------------------------------------------------------------------------

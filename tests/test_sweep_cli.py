@@ -54,7 +54,7 @@ from hdmarc.sweep import (
 )
 from hdmarc.dmregions import dm_regions
 from hdmarc.gaussian import cf_bounds, gaussian_regions, gqf_bounds
-from hdmarc.verify import Check, Report, _Worst, draw_dm_spec
+from hdmarc.verify import MAX_DRAWS, SUBJECTS, Check, Report, _check_run, _Worst, draw_dm_spec
 
 from _support import assert_same_bits, benchmark_params, make_random_spec
 
@@ -65,6 +65,17 @@ SHIPPED_CSV_SHA256 = {
     "dm_beta_sweep": "fa486577653120625d1f3363c93e4afba86e19008a51576a878b1279e8a00240",
     "gaussian_beta_sweep": "53a537d4b4da71146cc87bd1c1f967476be4af676cf739f01a6b883ff0341104",
     "gaussian_sigma_sweep": "071fb30ca7dee7a0739aa61e9eedcb406d014fff6236a9353b78ea908d75c480",
+}
+
+#: SHA-256 of each verify subject's report at seeds 0 and 2007 (numpy 2.4.6,
+#: Python 3.11.7).
+VERIFY_REPORT_SHA256 = {
+    ("closed-forms", 0): "1675720a3430921cb4a97cb6a8811fc5d7ded21641c11881e64f7188e8661a4a",
+    ("closed-forms", 2007): "14c283741cbed9397d0e015eec679f496aad9893a4633d2cebfae4c62c170963",
+    ("dm-regions", 0): "c4e005eba842534c838edc81d3fc569fd40ad557cffcf189477380ad6803e48e",
+    ("dm-regions", 2007): "9b315fab30cb5b0242fc6d5402bc181fcae995c035fc057539e6813089d742cc",
+    ("reductions", 0): "51bf6a9f5de8657ac9ef7681a75ea876464b1911480110f7c9d2d24db8ac4318",
+    ("reductions", 2007): "a9cb783fc6b141d664783570546cf0533078f55eca5123f818e48015f83a8828",
 }
 
 #: The public single-point DM region functions, by topology and scheme.
@@ -146,6 +157,24 @@ def test_grid_points_are_capped():
     doc["grid"]["points"] = 10**12
     with pytest.raises(ConfigError, match="points"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(points="5"), "grid.points must be an integer, got '5'"),
+        (dict(points=5.5), "grid.points must be an integer, got 5.5"),
+        (dict(points=True), "grid.points must be an integer, got True"),
+        (dict(lo="a"), "grid.min must be a number, got 'a'"),
+        (dict(hi=None), "grid.max must be a number, got None"),
+        (dict(hi=10**400), "grid.max is an integer too large for a float64"),
+        (dict(lo=math.nan), "grid.min must be finite, got nan"),
+    ],
+)
+def test_grid_rejects_non_numbers_with_a_config_error(kwargs, message):
+    fields = dict(dict(lo=0.1, hi=0.9, points=5, spacing="linear"), **kwargs)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        GridSpec(**fields)
 
 
 def test_grid_rejects_malformed_ranges():
@@ -606,6 +635,14 @@ def test_shipped_configs_write_the_pinned_csv_bytes(tmp_path, capsys):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
 
 
+def test_verify_reports_have_the_pinned_bytes(capsys):
+    assert {subject for subject, _ in VERIFY_REPORT_SHA256} == set(SUBJECTS)
+    for (subject, seed), digest in VERIFY_REPORT_SHA256.items():
+        assert main(["verify", subject, "--seed", str(seed)]) == EXIT_OK
+        report = capsys.readouterr().out
+        assert hashlib.sha256(report.encode()).hexdigest() == digest, (subject, seed)
+
+
 def test_csv_layout_and_formatting():
     config = config_from_dict(_gaussian_sweep_doc())
     result = run_sweep(config)
@@ -1061,6 +1098,17 @@ def test_verify_rejects_bad_draw_counts():
         run_subject("closed-forms", draws=0)
     with pytest.raises(InvalidParams):
         run_subject("everything")
+
+
+def test_verify_caps_the_draw_count(capsys):
+    _check_run(0, MAX_DRAWS)
+    for draws in (MAX_DRAWS + 1, 10**12):
+        with pytest.raises(InvalidParams, match=f"at most {MAX_DRAWS}"):
+            _check_run(0, draws)
+    assert main(["verify", "closed-forms", "--draws", str(10**12)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: draw count must be at most")
 
 
 def test_verify_rejects_bad_seeds_and_non_integer_draws(capsys):
