@@ -118,6 +118,16 @@ def real_array(value, label: str, error=InvalidParams) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
+def one_or_two(value, label: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer equal to 1 or
+    2: a slot or a destination index.  Anything else, a bool, a float such
+    as 1.0 or a str included, raises :class:`InvalidParams` naming
+    ``label``."""
+    if isinstance(value, (int, np.integer)) and type(value) is not bool and value in (1, 2):
+        return int(value)
+    raise InvalidParams(f"{label} must be 1 or 2, got {value!r}")
+
+
 def document(doc, where: str, required, optional=()) -> dict:
     """``doc`` if it is a JSON object holding every key of ``required`` and
     no key outside ``required`` and ``optional``.  Otherwise raises

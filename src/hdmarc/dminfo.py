@@ -35,6 +35,34 @@ VAR_NAMES = frozenset(
     {"X11", "X21", "X12", "X22", "XR", "YR", "YhR", "Y11", "Y21", "Y12", "Y22"}
 )
 
+
+def check_names(names: Iterable[str], where: str) -> tuple[str, ...]:
+    """``names`` as a tuple if each is one of :data:`VAR_NAMES` and none
+    repeats.  Otherwise raises :class:`UnknownVariable` or
+    :class:`InvalidParams` naming the model ``where``.  This is the one name
+    check of both information models."""
+    names = tuple(names)
+    unknown = sorted(set(names) - VAR_NAMES)
+    if unknown:
+        raise UnknownVariable(
+            f"unknown variable names {unknown}; expected some of {sorted(VAR_NAMES)}"
+        )
+    if len(set(names)) != len(names):
+        raise InvalidParams(f"duplicate variable names in {where}: {list(names)}")
+    return names
+
+
+def disjoint_sets(a: Iterable[str], b: Iterable[str], c: Iterable[str]):
+    """``a``, ``b`` and ``c`` as sets if they are pairwise disjoint, as the
+    sets of I(A; B | C) must be.  Otherwise raises :class:`OverlappingSets`
+    naming the first pair that shares variables."""
+    a, b, c = set(a), set(b), set(c)
+    for tag, shared in (("A and B", a & b), ("A and C", a & c), ("B and C", b & c)):
+        if shared:
+            raise OverlappingSets(f"{tag} share variables {sorted(shared)}")
+    return a, b, c
+
+
 #: Pmfs must sum to 1 within this tolerance; off-normalized input is
 #: rejected, never silently renormalized.
 NORM_TOL = 1e-12
@@ -61,15 +89,7 @@ class JointPmf:
     """
 
     def __init__(self, names: Iterable[str], probs) -> None:
-        names = tuple(names)
-        unknown = sorted(set(names) - VAR_NAMES)
-        if unknown:
-            raise UnknownVariable(
-                f"unknown variable names {unknown}; "
-                f"expected some of {sorted(VAR_NAMES)}"
-            )
-        if len(set(names)) != len(names):
-            raise InvalidParams(f"duplicate variable names in joint pmf: {list(names)}")
+        names = check_names(names, "joint pmf")
         probs = real_array(probs, "joint pmf")
         if probs.size > MAX_CELLS:
             raise TensorTooLarge(
@@ -140,26 +160,12 @@ def mutual_information(
 ) -> float:
     """Conditional mutual information I(A; B | C) in bits.
 
-    Evaluated as H(A,C) + H(B,C) - H(C) - H(A,B,C).  ``a``, ``b`` and ``c``
-    must be pairwise disjoint; an empty ``c`` gives the unconditional
-    I(A; B).  The value is non-negative up to float round-off (no clamping
-    is applied here).
+    Evaluated by :meth:`JointEntropies.mutual_information`.  ``a``, ``b``
+    and ``c`` must be pairwise disjoint; an empty ``c`` gives the
+    unconditional I(A; B).  The value is non-negative up to float round-off
+    (no clamping is applied here).
     """
-    a_set, b_set, c_set = set(a), set(b), set(c)
-    for left, right, tag in (
-        (a_set, b_set, "A and B"),
-        (a_set, c_set, "A and C"),
-        (b_set, c_set, "B and C"),
-    ):
-        shared = left & right
-        if shared:
-            raise OverlappingSets(f"{tag} share variables {sorted(shared)}")
-    return (
-        entropy(pmf, a_set | c_set)
-        + entropy(pmf, b_set | c_set)
-        - entropy(pmf, c_set)
-        - entropy(pmf, a_set | b_set | c_set)
-    )
+    return JointEntropies(pmf).mutual_information(*disjoint_sets(a, b, c))
 
 
 class JointEntropies:
@@ -167,7 +173,7 @@ class JointEntropies:
 
     Fast path for evaluating many information terms on one joint: each
     entropy is memoized by its set of names.  Values equal :func:`entropy`
-    and :func:`mutual_information` bit for bit.
+    bit for bit.
     """
 
     def __init__(self, pmf: JointPmf) -> None:
@@ -184,7 +190,8 @@ class JointEntropies:
     def mutual_information(
         self, a: set[str], b: set[str], c: set[str] = frozenset()
     ) -> float:
-        """I(A; B | C), in the term order of :func:`mutual_information`."""
+        """I(A; B | C) = H(A,C) + H(B,C) - H(C) - H(A,B,C) for pairwise
+        disjoint sets (not checked here; :func:`mutual_information` checks)."""
         return (
             self.entropy(a | c)
             + self.entropy(b | c)

@@ -43,6 +43,7 @@ from .core import (
     RateRegion,
     SchemeId,
     evaluate_schemes,
+    one_or_two,
     rate_region,
     two_slot,
     validate_beta,
@@ -72,13 +73,12 @@ def slot_terms(
     of the binning constraint at ``k``: the slot-1 description excess
     I(YR; YhR) - I(Yk1; YhR) and the slot-2 pipe I(XR; Yk2).
     """
+    ks = [one_or_two(k, "destination index") for k in ks]
     mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
     mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
     quant_rate = mi1({"YR"}, {"YhR"})
     terms = {}
     for k in ks:
-        if k not in (1, 2):
-            raise InvalidParams(f"destination index must be 1 or 2, got {k!r}")
         yk1, yk2 = f"Y{k}1", f"Y{k}2"  # its slot-1 and slot-2 outputs
         for i, j in ((1, 2), (2, 1)):
             xi1, xj1 = f"X{i}1", f"X{j}1"

@@ -4,8 +4,10 @@ Nothing here shares formula code with :mod:`hdmarc.gaussian` or
 :mod:`hdmarc.dmregions`.  Two checkers are provided:
 
 * a jointly-Gaussian vector model per slot, built straight from the channel
-  equations as loading matrices, with mutual informations evaluated through
-  log-determinants of covariance submatrices; and
+  equations as a square root of its covariance (the loading matrix times
+  the primitives' standard deviations), with mutual informations evaluated
+  through log-determinants of covariance submatrices, read off a QR of the
+  square root's rows so that no covariance is ever formed; and
 * an evaluator of the raw joint-decoding inequality system in which the
   quantization-codebook rate appears explicitly and is then eliminated at
   its covering-lemma minimum (``R_U = beta * I(YR; YhR)``).
@@ -32,126 +34,105 @@ CF threshold          at ``sigma_q2 = cf_sigma_min``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from .core import (
     DimensionMismatch,
     InvalidParams,
-    OverlappingSets,
     RateRegion,
     SingularCovariance,
     UnknownVariable,
     clamp_region,
+    one_or_two,
     real_array,
     validate_beta,
 )
 from .dminfo import (
-    VAR_NAMES,
     DmChannelSpec,
     JointEntropies,
     build_slot1_joint,
     build_slot2_joint,
+    check_names,
+    disjoint_sets,
 )
 from .gaussian import GaussianMarcParams
-
-#: Covariance matrices must be symmetric within this absolute tolerance.
-SYM_TOL = 1e-12
-
-#: Most negative admissible eigenvalue of a covariance matrix.
-PSD_TOL = 1e-9
 
 #: A conditional variance (squared pivot of the square-root factor) at or
 #: below this makes a covariance submatrix singular in log-dets.
 PIVOT_TOL = 1e-14
 
+#: Round-off slack below the unit noise floor that an output's variance may
+#: show and still pass.
+NOISE_FLOOR_SLACK = 1e-9
+
 #: Variables that are channel outputs and therefore carry unit noise.
 _OUTPUT_NAMES = frozenset({"YR", "YhR", "Y11", "Y21", "Y12", "Y22"})
 
-#: Variable order of the slot-1 covariance built by :func:`build_covariance`.
+#: Variable order of the slot-1 model built by :func:`build_covariance`.
 SLOT1_ORDER = ("X11", "X21", "YR", "YhR", "Y11")
 
-#: Variable order of the slot-2 covariance built by :func:`build_covariance`.
+#: Variable order of the slot-2 model built by :func:`build_covariance`.
 SLOT2_ORDER = ("X12", "X22", "XR", "Y12")
 
 
 @dataclass(frozen=True)
 class GaussianVectorModel:
-    """A zero-mean jointly Gaussian vector with named coordinates.
+    """A zero-mean jointly Gaussian vector with named coordinates, given by
+    a square root ``factor`` = ``A`` of its covariance: one row per name,
+    any number of columns, ``cov = A A^T``, which is positive semidefinite
+    by construction.  Log-dets are taken from ``A``; :attr:`cov` is derived.
 
-    Construction validates finite real entries (strings, bools and NaN
-    raise :class:`InvalidParams`), symmetry, positive semidefiniteness (within
-    :data:`PSD_TOL`), and that every output variable keeps at least unit
-    variance (the noise floor of the channel model).  ``factor`` is a
-    square root ``A`` of the covariance (``cov = A A^T``), one row per
-    coordinate; log-dets are taken from it, never from ``cov``.  When it is
-    not given, it is built from the eigendecomposition of ``cov``.
+    Construction checks that the names are known and distinct, that the
+    factor is a finite real matrix (strings, bools, ragged nesting, NaN and
+    inf raise :class:`InvalidParams`) with one row per name
+    (:class:`DimensionMismatch` otherwise), and that every output variable
+    keeps at least unit variance (the noise floor of the channel model,
+    within :data:`NOISE_FLOOR_SLACK`).  The stored factor is a read-only
+    copy.
     """
 
     names: tuple[str, ...]
-    cov: np.ndarray
-    factor: Optional[np.ndarray] = None
+    factor: np.ndarray
 
     def __post_init__(self) -> None:
-        names = tuple(self.names)
-        for name in names:
-            if name not in VAR_NAMES:
-                raise UnknownVariable(
-                    f"unknown variable name {name!r}; expected one of "
-                    f"{sorted(VAR_NAMES)}"
-                )
-        if len(set(names)) != len(names):
-            raise InvalidParams(f"duplicate variable names: {names}")
-        cov = real_array(self.cov, "covariance matrix")
-        n = len(names)
-        if cov.shape != (n, n):
+        names = check_names(self.names, "Gaussian model")
+        factor = real_array(self.factor, "factor").copy()
+        if factor.ndim != 2 or factor.shape[0] != len(names):
             raise DimensionMismatch(
-                f"covariance shape {cov.shape} does not match {n} variables"
+                f"factor shape {factor.shape} does not have one row for each of "
+                f"{len(names)} variables"
             )
-        if not np.isfinite(cov).all():
-            raise InvalidParams("covariance matrix has non-finite entries")
-        if n and float(np.abs(cov - cov.T).max()) > SYM_TOL:
-            raise InvalidParams("covariance matrix is not symmetric")
-        if n:
-            smallest = float(np.linalg.eigvalsh(cov).min())
-            if smallest < -PSD_TOL:
+        if not np.isfinite(factor).all():
+            raise InvalidParams("factor has non-finite entries")
+        with np.errstate(over="ignore"):  # an infinite variance clears the floor
+            variances = (factor**2).sum(axis=1).tolist()
+        for name, variance in zip(names, variances):
+            if name in _OUTPUT_NAMES and variance < 1.0 - NOISE_FLOOR_SLACK:
                 raise InvalidParams(
-                    f"covariance matrix is not positive semidefinite "
-                    f"(eigenvalue {smallest!r})"
+                    f"output {name} has variance {variance!r} below the unit "
+                    f"noise floor"
                 )
-        for index, name in enumerate(names):
-            if name in _OUTPUT_NAMES and cov[index, index] < 1.0 - PSD_TOL:
-                raise InvalidParams(
-                    f"output {name} has variance {cov[index, index]!r} below "
-                    f"the unit noise floor"
-                )
-        if self.factor is None:
-            eigs, vecs = np.linalg.eigh(cov)
-            factor = vecs * np.sqrt(np.clip(eigs, 0.0, None))
-        else:
-            factor = real_array(self.factor, "factor").copy()
-            variances = np.diag(cov)
-            # Written so that a NaN in the factor fails too.
-            if factor.ndim != 2 or factor.shape[0] != n or not np.all(
-                np.abs((factor**2).sum(axis=1) - variances) <= 1e-12 * variances
-            ):
-                raise InvalidParams("factor does not reproduce the variances")
-        cov = cov.copy()
-        for array in (cov, factor):
-            array.flags.writeable = False
+        factor.flags.writeable = False
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "factor", factor)
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The covariance ``factor @ factor.T``, read-only."""
+        cov = self.factor @ self.factor.T
+        cov.flags.writeable = False
+        return cov
 
 
 def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorModel:
-    """Joint covariance of one slot of the Gaussian channel.
+    """Jointly Gaussian model of one slot of the Gaussian channel.
 
-    Built as ``L D L^T`` from the channel equations, where the loading
-    matrix ``L`` maps the independent primitives (inputs and unit noises)
-    to the observed vector, and kept with its square root
-    ``L diag(sqrt(D))`` as the model's ``factor``:
+    The covariance is ``L D L^T`` from the channel equations, where the
+    loading matrix ``L`` maps the independent primitives (inputs and unit
+    noises) to the observed vector and ``D`` holds their variances; the
+    model keeps its square root ``L diag(sqrt(D))`` and never forms it:
 
     * slot 1 (order :data:`SLOT1_ORDER`): primitives ``X11, X21, ZR, ZQ,
       Z11`` with variances ``p11, p21, 1, sigma_q2, 1``; the relay hears
@@ -161,7 +142,10 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
     * slot 2 (order :data:`SLOT2_ORDER`): primitives ``X12, X22, XR, Z12``
       with variances ``p12, p22, pr, 1``; the destination hears
       ``Y12 = h11*X12 + h21*X22 + hr1*XR + Z12``.
+
+    ``slot`` must be the integer 1 or 2 (a bool or a float is refused).
     """
+    slot = one_or_two(slot, "slot")
     if slot == 1:
         sigma = params.sigma_q2
         if sigma is None:
@@ -176,7 +160,7 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
             ]
         )
         order, variances = SLOT1_ORDER, [params.p11, params.p21, 1.0, sigma, 1.0]
-    elif slot == 2:
+    else:
         loading = np.array(
             [
                 [1.0, 0.0, 0.0, 0.0],
@@ -186,11 +170,7 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
             ]
         )
         order, variances = SLOT2_ORDER, [params.p12, params.p22, params.pr, 1.0]
-    else:
-        raise InvalidParams(f"slot must be 1 or 2, got {slot!r}")
-    variances = np.array(variances)
-    cov = (loading * variances) @ loading.T
-    return GaussianVectorModel(order, cov, factor=loading * np.sqrt(variances))
+    return GaussianVectorModel(order, loading * np.sqrt(variances))
 
 
 def _log2dets(model: GaussianVectorModel, orders: list[list[int]]) -> np.ndarray:
@@ -246,15 +226,7 @@ def gaussian_mis(
     position = {name: i for i, name in enumerate(model.names)}
     orders, ends = [], []
     for a, b, c in triples:
-        a_set, b_set, c_set = set(a), set(b), set(c)
-        for left, right, tag in (
-            (a_set, b_set, "A and B"),
-            (a_set, c_set, "A and C"),
-            (b_set, c_set, "B and C"),
-        ):
-            shared = left & right
-            if shared:
-                raise OverlappingSets(f"{tag} share variables {sorted(shared)}")
+        a_set, b_set, c_set = disjoint_sets(a, b, c)
         unknown = (a_set | b_set | c_set).difference(position)
         if unknown:
             raise UnknownVariable(
@@ -304,8 +276,7 @@ def gqf_region_via_ru_sweep(
     two is a real consistency check of that simplification.
     """
     b = validate_beta(beta, allow_array=False)
-    if k not in (1, 2):
-        raise InvalidParams(f"destination index must be 1 or 2, got {k!r}")
+    k = one_or_two(k, "destination index")
     yk1, yk2 = ("Y11", "Y12") if k == 1 else ("Y21", "Y22")
     mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
     mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
