@@ -1,5 +1,6 @@
 """Shared domain types and input checks: errors, slot fractions, scheme tags,
-rate regions, and the gates for numbers, numeric arrays and config documents.
+rate regions, and the gates for numbers, numeric arrays, open intervals and
+config documents.
 
 Every quantity in this package is a rate in bits per channel use.  A
 "region" here is the triple of single-user bounds plus the sum bound that
@@ -144,28 +145,32 @@ def document(doc, where: str, required, optional=()) -> dict:
     return doc
 
 
-def validate_beta(beta, allow_array: bool = True):
-    """The slot fraction(s) ``beta``: the share of the block in which the
-    relay listens, the rest being the slot in which it transmits.
-
-    A real number (see :func:`real_number`) comes back as a float; a numpy
-    array of integers or floats (see :func:`real_array`), when
-    ``allow_array``, as a float64 array.  Every value must lie strictly
-    inside (0, 1): at beta = 0 the relay never hears anything and at
-    beta = 1 it never gets to talk.  Anything else, NaN included, raises
-    :class:`OutOfRange` naming it.
-    """
-    if allow_array and isinstance(beta, np.ndarray):
-        beta = real_array(beta, "slot fraction", OutOfRange)
-        inside = (beta > 0.0) & (beta < 1.0)
+def open_interval(value, label: str, hi: float, error, allow_array: bool = True):
+    """``value`` as a float if it is a real number (see :func:`real_number`),
+    or, when ``allow_array``, as a float64 array if it is a numpy array of
+    them (see :func:`real_array`), strictly inside (0, ``hi``).  Anything
+    that is not a number raises ``error``; a value outside the interval, NaN
+    included, raises :class:`OutOfRange` naming the first one."""
+    if allow_array and isinstance(value, np.ndarray):
+        value = real_array(value, label, error)
+        inside = (value > 0.0) & (value < hi)
         if inside.all():
-            return beta
-        first = float(np.ravel(beta)[~np.ravel(inside)][0])
+            return value
+        first = float(np.ravel(value)[~np.ravel(inside)][0])
     else:
-        first = beta = real_number(beta, "slot fraction", OutOfRange, None)
-        if 0.0 < beta < 1.0:  # NaN fails
-            return beta
-    raise OutOfRange(f"slot fraction must lie strictly inside (0, 1), got {first!r}")
+        first = value = real_number(value, label, error, None)
+        if 0.0 < value < hi:  # NaN fails
+            return value
+    raise OutOfRange(f"{label} must lie strictly inside (0, {hi:g}), got {first!r}")
+
+
+def validate_beta(beta, allow_array: bool = True):
+    """The slot fraction(s) ``beta``, the share of the block in which the
+    relay listens: a float, or a float64 array when ``allow_array``, each
+    value strictly inside (0, 1) (at 0 the relay never hears, at 1 it never
+    talks).  :func:`open_interval` checks it, with :class:`OutOfRange` for
+    anything else, NaN included."""
+    return open_interval(beta, "slot fraction", 1.0, OutOfRange, allow_array)
 
 
 def evaluate_schemes(table: Mapping, schemes) -> dict:
@@ -252,6 +257,8 @@ class Bounds(NamedTuple):
 
 
 def rate_region(bounds: Bounds) -> RateRegion:
-    """The :class:`RateRegion` of a single-point evaluation."""
+    """The :class:`RateRegion` of a single-point evaluation (not a grid)."""
+    if np.ndim(bounds.rsum):  # on a grid, rsum has the grid's shape
+        raise InvalidParams("rate_region takes a single-point evaluation, not a grid")
     terms = {name: float(value) for name, value in bounds.terms.items()}
     return clamp_region(bounds.r1, bounds.r2, bounds.rsum, bool(bounds.feasible), terms)

@@ -32,14 +32,15 @@ import numpy as np
 from .core import (
     Bounds,
     DegenerateRelayLink,
+    DimensionMismatch,
     InvalidParams,
     OutOfRange,
     RateRegion,
     SchemeId,
     clamp_bounds,
     evaluate_schemes,
+    open_interval,
     rate_region,
-    real_array,
     real_number,
     two_slot,
     validate_beta,
@@ -117,12 +118,21 @@ class GaussianMarcParams:
             object.__setattr__(self, "sigma_q2", sigma)
 
 
-def _variances(sigma_q2):
-    """Quantization variance(s) as a float or a float64 array, refusing
-    anything else (a str, bool or None) with :class:`InvalidParams`."""
-    if isinstance(sigma_q2, np.ndarray):
-        return real_array(sigma_q2, "quantization variance")
-    return real_number(sigma_q2, "quantization variance", rule=None)
+def _variances(sigma_q2, beta):
+    """``sigma_q2`` checked by :func:`~hdmarc.core.open_interval`: a float or
+    a float64 array strictly inside (0, inf), :class:`InvalidParams` for a
+    non-number.  Its shape must broadcast with that of the slot fraction(s)
+    ``beta`` (:class:`DimensionMismatch` otherwise)."""
+    sigma_q2 = open_interval(sigma_q2, "quantization variance", math.inf, InvalidParams)
+    if isinstance(sigma_q2, np.ndarray) and np.shape(beta) != sigma_q2.shape:
+        try:
+            np.broadcast_shapes(np.shape(beta), sigma_q2.shape)
+        except ValueError:
+            raise DimensionMismatch(
+                f"slot fractions {np.shape(beta)} and quantization variances "
+                f"{sigma_q2.shape} have shapes that do not broadcast"
+            ) from None
+    return sigma_q2
 
 
 def _overflows(power: Callable[[], float]) -> bool:
@@ -172,12 +182,12 @@ def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
     ``a(i)``/``b(i)`` bound source i with the quantization index recovered /
     jointly explained, ``I1``/``I2`` the sum.  Only the gains and powers of
     ``params`` are used.  ``beta`` is checked by
-    :func:`~hdmarc.core.validate_beta`; a point outside 0 < sigma_q2 < inf,
-    or one where a value leaves the float64 range, raises
-    :class:`OutOfRange` naming the first such ``(beta, sigma_q2)``.
+    :func:`~hdmarc.core.validate_beta` and ``sigma_q2`` by
+    :func:`_variances`; a point where a value leaves the float64 range
+    raises :class:`OutOfRange` naming the first such ``(beta, sigma_q2)``.
     """
-    # numpy scalars or arrays, so that every operation below obeys errstate.
-    beta, sigma_q2 = np.float64(validate_beta(beta)), np.float64(_variances(sigma_q2))
+    beta = np.float64(validate_beta(beta))  # numpy types obey the errstate below
+    sigma_q2 = np.float64(_variances(sigma_q2, beta))
     s1, s2, link = slot1_signal(params), slot2_signal(params), relay_link(params)
     sources = (
         (1, params.h11, params.h1r, params.p11, params.p12),
@@ -202,18 +212,17 @@ def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
             name: two_slot(beta, 0.5 * np.log2(x1), 0.5 * np.log2(x2))
             for name, (x1, x2) in logs.items()
         }
-    ok = (sigma_q2 > 0.0) & (sigma_q2 < math.inf)
-    for term in terms.values():
-        ok = ok & np.isfinite(term)
-    if not ok.all():  # NaN fails too
+    # A finite term is at most about 540 bits either way (half the log2 of a
+    # float64), so only a non-finite term (inf or NaN) makes the sum so.
+    ok = np.isfinite(sum(terms.values()))
+    if not ok.all():
         first = np.flatnonzero(~ok)[0]
         beta_at, sigma_at = (
             float(np.broadcast_to(x, ok.shape).flat[first]) for x in (beta, sigma_q2)
         )
         raise OutOfRange(
-            f"Gaussian closed forms need 0 < sigma_q2 < inf and "
-            f"must stay in the float64 range; they fail at beta={beta_at!r}, "
-            f"sigma_q2={sigma_at!r}"
+            f"Gaussian closed forms must stay in the float64 range; they fail "
+            f"at beta={beta_at!r}, sigma_q2={sigma_at!r}"
         )
     return terms
 
@@ -285,7 +294,8 @@ def cf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
     ``sigma_q2=None`` operates each ``beta`` just above its threshold, at
     ``threshold * (1 + CF_SIGMA_NUDGE)``, or at 1 with a dead link.
     """
-    sigma_q2 = None if sigma_q2 is None else _variances(sigma_q2)
+    beta = validate_beta(beta)
+    sigma_q2 = None if sigma_q2 is None else _variances(sigma_q2, beta)
     try:
         sigma_min = sigma_threshold(params, beta)
     except DegenerateRelayLink:
@@ -408,9 +418,13 @@ def gaussian_regions(
     beta = validate_beta(beta)
 
     def baseline() -> Bounds:
-        if no_relay is None:
-            raise InvalidParams("NO_RELAY needs the baseline powers (P1, P2)")
-        return no_relay_bounds(params.h11, params.h21, *no_relay)
+        try:
+            p1, p2 = no_relay
+        except (TypeError, ValueError):  # None, or not a pair
+            raise InvalidParams(
+                f"NO_RELAY needs the baseline powers (P1, P2), got {no_relay!r}"
+            ) from None
+        return no_relay_bounds(params.h11, params.h21, p1, p2)
 
     table = {
         SchemeId.GQF: lambda: gqf_bounds(params, beta, sigma_q2),

@@ -8,9 +8,9 @@ Nothing here shares formula code with :mod:`hdmarc.gaussian` or
   the primitives' standard deviations), with mutual informations evaluated
   through log-determinants of covariance submatrices, read off a QR of the
   square root's rows so that no covariance is ever formed; and
-* an evaluator of the raw joint-decoding inequality system in which the
-  quantization-codebook rate appears explicitly and is then eliminated at
-  its covering-lemma minimum (``R_U = beta * I(YR; YhR)``).
+* an evaluator of the raw joint-decoding inequality system of both
+  topologies, from one pair of joints, in which the codebook rate appears
+  explicitly and is eliminated at its minimum ``R_U = beta * I(YR; YhR)``.
 
 Mapping between the closed-form terms of :mod:`hdmarc.gaussian` and the
 log-det expressions used here (slot-1 model over ``X11, X21, YR, YhR,
@@ -262,57 +262,61 @@ def gaussian_mi(
     return gaussian_mis(model, [(a, b, c)])[0]
 
 
-def gqf_region_via_ru_sweep(
-    spec: DmChannelSpec, beta: float, k: int = 1
-) -> RateRegion:
-    """GQF region from the raw inequality system, for cross-checking.
+def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateRegion]:
+    """GQF regions ``{"marc": ..., "cmacr": ...}`` from the raw inequalities.
 
     The joint-decoding analysis yields six inequalities per destination in
     which the quantization-codebook rate ``R_U`` appears additively on the
     left of three of them; the covering lemma pins ``R_U = beta * I(YR;
-    YhR)``.  This helper evaluates all six right-hand sides directly and
-    subtracts ``R_U`` where it belongs, instead of using the algebraically
-    simplified bounds of :mod:`hdmarc.dmregions` — so agreement between the
-    two is a real consistency check of that simplification.
+    YhR)``.  This helper evaluates all six right-hand sides at each
+    destination, from one pair of joints, and subtracts ``R_U`` where it
+    belongs, instead of using the algebraically simplified bounds of
+    :mod:`hdmarc.dmregions` — so agreement between the two is a real
+    consistency check of that simplification.  "marc" is destination 1, its
+    raw quantities kept as ``terms``.  "cmacr" clamps the worst raw bounds
+    over the destinations that hear anything (not both outputs one-letter;
+    :class:`InvalidParams` if none does), their quantities suffixed ``_k``.
     """
     b = validate_beta(beta, allow_array=False)
-    k = one_or_two(k, "destination index")
-    yk1, yk2 = ("Y11", "Y12") if k == 1 else ("Y21", "Y22")
-    mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
-    mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
+    joint1, joint2 = build_slot1_joint(spec), build_slot2_joint(spec)
+    sizes = [dict(zip(joint.names(), joint.probs.shape)) for joint in (joint1, joint2)]
+    hearing = [k for k in (1, 2) if sizes[0][f"Y{k}1"] > 1 or sizes[1][f"Y{k}2"] > 1]
+    if not hearing:
+        raise InvalidParams("no destination output has more than one letter")
+    mi1 = JointEntropies(joint1).mutual_information
+    mi2 = JointEntropies(joint2).mutual_information
     comp = 1.0 - b
-
     r_u = b * mi1({"YR"}, {"YhR"})
 
-    def plain(i: int, j: int) -> float:
-        """Bound on source i with the quantization index treated as known noise."""
-        xi1, xj1, xi2, xj2 = f"X{i}1", f"X{j}1", f"X{i}2", f"X{j}2"
-        return b * mi1({xi1}, {xj1, yk1, "YhR"}) + comp * mi2({xi2}, {xj2, "XR", yk2})
-
-    def with_index(i: int, j: int) -> float:
-        """Bound on (source i, quantization index) decoded together."""
-        xi1, xj1, xi2, xj2 = f"X{i}1", f"X{j}1", f"X{i}2", f"X{j}2"
-        return b * (mi1({xi1, "YhR"}, {xj1, yk1}) + mi1({xi1}, {"YhR"})) + comp * mi2(
-            {xi2, "XR"}, {xj2, yk2}
+    def raw_terms(k: int) -> dict[str, float]:
+        """R_U and the right-hand sides at destination k: source i (or both)
+        with the quantization index as known noise, and with it decoded."""
+        yk1, yk2 = f"Y{k}1", f"Y{k}2"
+        terms = {"R_U": r_u}
+        for i, j in ((1, 2), (2, 1)):
+            xi1, xj1, xi2, xj2 = f"X{i}1", f"X{j}1", f"X{i}2", f"X{j}2"
+            terms[f"r{i}_plain"] = b * mi1({xi1}, {xj1, yk1, "YhR"}) + comp * mi2(
+                {xi2}, {xj2, "XR", yk2}
+            )
+            terms[f"r{i}_with_index"] = b * (
+                mi1({xi1, "YhR"}, {xj1, yk1}) + mi1({xi1}, {"YhR"})
+            ) + comp * mi2({xi2, "XR"}, {xj2, yk2})
+        terms["sum_plain"] = b * mi1({"X11", "X21"}, {yk1, "YhR"}) + comp * mi2(
+            {"X12", "X22"}, {"XR", yk2}
         )
+        terms["sum_with_index"] = b * (
+            mi1({"X11", "X21", "YhR"}, {yk1}) + mi1({"X11", "X21"}, {"YhR"})
+        ) + comp * mi2({"X12", "X22", "XR"}, {yk2})
+        return terms
 
-    sum_plain = b * mi1({"X11", "X21"}, {yk1, "YhR"}) + comp * mi2(
-        {"X12", "X22"}, {"XR", yk2}
-    )
-    sum_with_index = b * (
-        mi1({"X11", "X21", "YhR"}, {yk1}) + mi1({"X11", "X21"}, {"YhR"})
-    ) + comp * mi2({"X12", "X22", "XR"}, {yk2})
-
-    terms = {
-        "R_U": r_u,
-        "r1_plain": plain(1, 2),
-        "r1_with_index": with_index(1, 2),
-        "r2_plain": plain(2, 1),
-        "r2_with_index": with_index(2, 1),
-        "sum_plain": sum_plain,
-        "sum_with_index": sum_with_index,
+    raw = {k: raw_terms(k) for k in sorted({1, *hearing})}
+    bounds = {  # (r1, r2, sum) per destination, R_U eliminated
+        k: [min(t[f"{n}_plain"], t[f"{n}_with_index"] - r_u) for n in ("r1", "r2", "sum")]
+        for k, t in raw.items()
     }
-    r1 = min(terms["r1_plain"], terms["r1_with_index"] - r_u)
-    r2 = min(terms["r2_plain"], terms["r2_with_index"] - r_u)
-    rsum = min(terms["sum_plain"], terms["sum_with_index"] - r_u)
-    return clamp_region(r1, r2, rsum, feasible=True, terms=terms)
+    worst = [min(column) for column in zip(*(bounds[k] for k in hearing))]
+    suffixed = {f"{name}_{k}": raw[k][name] for k in hearing for name in raw[k]}
+    return {
+        "marc": clamp_region(*bounds[1], feasible=True, terms=raw[1]),
+        "cmacr": clamp_region(*worst, feasible=True, terms=suffixed),
+    }

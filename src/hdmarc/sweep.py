@@ -65,8 +65,8 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         # The checks of a config document's grid, under the same labels.
-        real_number(self.lo, "grid.min", ConfigError)
-        real_number(self.hi, "grid.max", ConfigError)
+        object.__setattr__(self, "lo", real_number(self.lo, "grid.min", ConfigError))
+        object.__setattr__(self, "hi", real_number(self.hi, "grid.max", ConfigError))
         _integer(self.points, "grid.points")
         if self.spacing not in ("linear", "log"):
             raise ConfigError(

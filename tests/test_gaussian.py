@@ -15,6 +15,7 @@ import pytest
 
 from hdmarc import (
     DegenerateRelayLink,
+    DimensionMismatch,
     InvalidParams,
     OutOfRange,
     SchemeId,
@@ -28,7 +29,7 @@ from hdmarc import (
     run_sweep,
     validate_beta,
 )
-from hdmarc.core import clamp_bounds
+from hdmarc.core import clamp_bounds, rate_region
 from hdmarc.gaussian import (
     BETA_RANGE,
     _smallest_beta,
@@ -597,3 +598,51 @@ def test_flipping_the_sign_of_a_source_gain_pair_leaves_every_bound_unchanged():
             got = gaussian_regions(flipped, tuple(SchemeId), betas, no_relay=no_relay)
             for scheme in SchemeId:
                 assert_same_bits(got[scheme], want[scheme])
+
+
+@pytest.mark.parametrize(
+    "sigma, first",
+    [(0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan"), (np.array([1.0, 2.0, -3.0, 0.0]), "-3.0")],
+    ids=["zero", "negative", "nan", "array"],
+)
+def test_every_scheme_refuses_a_quantization_variance_outside_zero_to_inf(sigma, first):
+    message = f"strictly inside \\(0, inf\\), got {first}"
+    for params in (benchmark_params(), benchmark_params(hr1=0.0)):  # live and dead link
+        calls = [
+            lambda: gqf_bounds(params, 0.5, sigma),
+            lambda: cf_bounds(params, 0.5, sigma),
+            lambda: gaussian_regions(params, (SchemeId.CF,), 0.5, sigma),
+            lambda: gaussian_regions(params, (SchemeId.GQF, SchemeId.CF), 0.5, sigma),
+        ]
+        for call in calls:
+            with pytest.raises(OutOfRange, match=message):
+                call()
+
+
+def test_slot_fractions_and_variances_that_do_not_broadcast_are_refused():
+    params = benchmark_params()
+    beta, sigma = np.array([0.3, 0.6]), np.array([0.5, 1.0, 2.0])
+    for schemes in ((SchemeId.GQF,), (SchemeId.CF,), tuple(SchemeId)):
+        with pytest.raises(DimensionMismatch, match=r"\(2,\) .* \(3,\)"):
+            gaussian_regions(params, schemes, beta, sigma, no_relay=(1.5, 1.5))
+    # Shapes that broadcast still give a grid.
+    grid = gaussian_regions(params, (SchemeId.GQF,), beta[:, None], sigma)
+    assert grid[SchemeId.GQF].rsum.shape == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "no_relay", [None, (1.0,), (1.0, 1.0, 1.0), 1.5], ids=["none", "one", "three", "float"]
+)
+def test_no_relay_needs_a_pair_of_powers(no_relay):
+    with pytest.raises(InvalidParams, match="baseline powers"):
+        gaussian_regions(benchmark_params(), (SchemeId.NO_RELAY,), 0.5, no_relay=no_relay)
+
+
+def test_rate_region_takes_a_single_point():
+    params = benchmark_params()
+    grid = gqf_bounds(params, np.array([0.3, 0.6]), 1.0)
+    with pytest.raises(InvalidParams, match="single-point evaluation"):
+        rate_region(grid)
+    assert rate_region(gqf_bounds(params, 0.3, 1.0)) == gqf_rates(
+        replace(params, beta=0.3, sigma_q2=1.0)
+    )

@@ -12,6 +12,7 @@ from itertools import accumulate, product
 import numpy as np
 import pytest
 
+import hdmarc
 from hdmarc import (
     DimensionMismatch,
     DmChannelSpec,
@@ -28,6 +29,7 @@ from hdmarc import (
     gaussian_mi,
     gqf_optimize_sigma,
     gqf_rates,
+    gqf_region_cmacr,
     gqf_region_marc,
     gqf_region_via_ru_sweep,
     run_subject,
@@ -35,7 +37,7 @@ from hdmarc import (
 )
 from hdmarc.dmregions import slot_terms
 from hdmarc.oracle import PIVOT_TOL, SLOT1_ORDER, SLOT2_ORDER, gaussian_mis
-from hdmarc.verify import _oracle_gqf_terms, draw_gaussian_params
+from hdmarc.verify import DM_TOL, _oracle_gqf_terms, draw_dm_spec, draw_gaussian_params
 
 from _support import (
     assert_same_bits,
@@ -461,17 +463,21 @@ def test_ru_sweep_matches_simplified_region():
     for _ in range(8):
         spec = make_random_spec(rng, {"yr": int(rng.integers(2, 4))})
         beta = validate_beta(float(rng.uniform(0.1, 0.9)))
-        swept = gqf_region_via_ru_sweep(spec, beta)
-        direct = gqf_region_marc(spec, beta)
-        assert swept.r1_max == pytest.approx(direct.r1_max, abs=1e-10)
-        assert swept.r2_max == pytest.approx(direct.r2_max, abs=1e-10)
-        assert swept.sum_max == pytest.approx(direct.sum_max, abs=1e-10)
+        regions = gqf_region_via_ru_sweep(spec, beta)
+        for topology, production in (
+            ("marc", gqf_region_marc),
+            ("cmacr", gqf_region_cmacr),
+        ):
+            swept, direct = regions[topology], production(spec, beta)
+            assert swept.r1_max == pytest.approx(direct.r1_max, abs=1e-10)
+            assert swept.r2_max == pytest.approx(direct.r2_max, abs=1e-10)
+            assert swept.sum_max == pytest.approx(direct.sum_max, abs=1e-10)
 
 
 def test_ru_sweep_exposes_its_raw_terms():
     rng = np.random.default_rng(75)
     spec = make_random_spec(rng)
-    region = gqf_region_via_ru_sweep(spec, validate_beta(0.5))
+    region = gqf_region_via_ru_sweep(spec, validate_beta(0.5))["marc"]
     for key in (
         "R_U",
         "r1_plain",
@@ -489,7 +495,7 @@ def test_ru_sweep_index_rate_for_degenerate_quantizers():
     rng = np.random.default_rng(76)
     constant = make_random_spec(rng, {"yhr": 1})
     beta = validate_beta(0.6)
-    assert gqf_region_via_ru_sweep(constant, beta).terms["R_U"] == pytest.approx(
+    assert gqf_region_via_ru_sweep(constant, beta)["marc"].terms["R_U"] == pytest.approx(
         0.0, abs=1e-12
     )
     # An identity quantizer describes YR exactly: R_U = beta * H(YR).
@@ -506,24 +512,58 @@ def test_ru_sweep_index_rate_for_degenerate_quantizers():
     )
     joint1 = build_slot1_joint(identity)
     expected = 0.6 * entropy(joint1, {"YR"})
-    assert gqf_region_via_ru_sweep(identity, beta).terms["R_U"] == pytest.approx(
+    assert gqf_region_via_ru_sweep(identity, beta)["marc"].terms["R_U"] == pytest.approx(
         expected, abs=1e-12
     )
 
 
-def test_ru_sweep_rejects_bad_destination():
-    rng = np.random.default_rng(77)
-    spec = make_random_spec(rng)
+@pytest.mark.parametrize(
+    "silent, hearing",
+    [((), {"1", "2"}), (("y11", "y12"), {"2"}), (("y21", "y22"), {"1"})],
+    ids=["both-hear", "silent-destination-1", "silent-destination-2"],
+)
+def test_ru_sweep_compound_matches_the_compound_region(silent, hearing):
+    rng = np.random.default_rng(79)
+    for _ in range(6):
+        spec = draw_dm_spec(rng, dict.fromkeys(silent, 1))
+        beta = float(rng.uniform(0.1, 0.9))
+        swept = gqf_region_via_ru_sweep(spec, beta)["cmacr"]
+        direct = gqf_region_cmacr(spec, beta)
+        for field in ("r1_max", "r2_max", "sum_max"):
+            assert abs(getattr(swept, field) - getattr(direct, field)) <= DM_TOL
+        # Only the destinations that hear anything leave raw terms.
+        assert {name.rsplit("_", 1)[1] for name in swept.terms} == hearing
+
+
+def test_ru_sweep_refuses_a_channel_where_no_destination_hears():
+    spec = draw_dm_spec(
+        np.random.default_rng(80), {"y11": 1, "y12": 1, "y21": 1, "y22": 1}
+    )
+    with pytest.raises(InvalidParams, match="no destination"):
+        gqf_region_via_ru_sweep(spec, 0.5)
     with pytest.raises(InvalidParams):
-        gqf_region_via_ru_sweep(spec, validate_beta(0.5), k=3)
+        gqf_region_cmacr(spec, 0.5)
+
+
+def test_dm_regions_draw_builds_each_slot_joint_three_times(monkeypatch):
+    calls = {"build_slot1_joint": 0, "build_slot2_joint": 0}
+    for name in calls:
+        build = getattr(hdmarc.dminfo, name)
+
+        def counting(spec, name=name, build=build):
+            calls[name] += 1
+            return build(spec)
+
+        for module in (hdmarc.dmregions, hdmarc.oracle, hdmarc.verify):
+            monkeypatch.setattr(module, name, counting)
+    # The marc and the cmacr production regions, and one oracle call.
+    assert run_subject("dm-regions", seed=0, draws=1).passed
+    assert calls == {"build_slot1_joint": 3, "build_slot2_joint": 3}
 
 
 _INDEXED = {
     "build_covariance": lambda spec, index: build_covariance(
         benchmark_params(sigma_q2=1.0), index
-    ),
-    "gqf_region_via_ru_sweep": lambda spec, index: gqf_region_via_ru_sweep(
-        spec, 0.5, k=index
     ),
     "slot_terms": lambda spec, index: slot_terms(spec, (index,)),
 }

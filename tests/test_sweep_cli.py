@@ -457,7 +457,7 @@ def test_single_point_entries_take_a_plain_float():
         for function, (topology, scheme) in DM_POINT_FUNCTIONS.items():
             expected = rate_region(dm_regions(spec, topology, (scheme,), beta)[scheme])
             assert function(spec, beta) == expected, (function.__name__, beta)
-        region = gqf_region_via_ru_sweep(spec, beta)
+        region = gqf_region_via_ru_sweep(spec, beta)["marc"]
         assert abs(region.sum_max - gqf_region_marc(spec, beta).sum_max) <= 1e-10
 
 
@@ -755,6 +755,19 @@ def test_cli_sweep_end_to_end(tmp_path, capsys):
     assert out.read_bytes() == first  # byte-identical rerun
     banner = capsys.readouterr().out
     assert "15 rows" in banner
+
+
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_grid_bounds_beyond_int64_are_floats(tmp_path, spacing):
+    grid = GridSpec(lo=1, hi=2**70, points=3, spacing=spacing)
+    assert (type(grid.lo), type(grid.hi)) == (float, float)
+    assert all(type(value) is float for value in grid.values())
+    assert grid.values()[-1] == float(2**70)
+    doc = _gaussian_sweep_doc()
+    doc["grid"] = {"min": 1, "max": 2**70, "points": 3, "spacing": spacing}
+    config_path = _write_json(tmp_path / "sweep.json", doc)
+    out = tmp_path / "rates.csv"
+    assert main(["sweep", "--config", config_path, "--out", str(out)]) == EXIT_OK
 
 
 def test_cli_sweep_uses_config_output_path(tmp_path, monkeypatch):
