@@ -102,10 +102,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(
             "no output path: pass --out or set 'output' in the config"
         )
-    result = run_sweep(config)
-    directory = os.path.dirname(os.path.abspath(out))
-    os.makedirs(directory, exist_ok=True)
     script = os.path.splitext(out)[0] + ".gp"
+    if script == out:
+        raise ConfigError(
+            f"CSV output path {out!r} ends in .gp, where the plot script would overwrite it"
+        )
+    result = run_sweep(config)
+    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     emit_csv(result, out)
     emit_plot_script(result, script, out)
     rows = len(result.values) * len(result.schemes)

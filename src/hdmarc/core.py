@@ -175,8 +175,15 @@ def validate_beta(beta, allow_array: bool = True):
 
 def evaluate_schemes(table: Mapping, schemes) -> dict:
     """``{scheme: table[scheme]()}`` for each of ``schemes``, in order: the
-    one dispatch of both models.  A scheme that is not a :class:`SchemeId`
-    (a str is refused, not parsed) raises :class:`InvalidParams`."""
+    one dispatch of both models.  ``schemes`` is read once, so a generator
+    works; one that is not iterable, or a scheme that is not a
+    :class:`SchemeId` (a str is refused, not parsed), raises
+    :class:`InvalidParams`."""
+    try:
+        iterator = iter(schemes)
+    except TypeError:
+        raise InvalidParams(f"schemes must be iterable, got {schemes!r}") from None
+    schemes = tuple(iterator)
     for scheme in schemes:
         if not isinstance(scheme, SchemeId):
             raise InvalidParams(f"scheme must be a SchemeId, got {scheme!r}")

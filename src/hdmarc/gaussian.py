@@ -16,9 +16,12 @@ All rates are in bits per channel use.  Formula shape notes:
   source-to-relay paths, and ``relay_link`` is the relay-to-destination
   received power.
 
-The formulas are written once, in :func:`rate_terms` and
-:func:`sigma_threshold`, over floats or numpy arrays of (beta, sigma_q2);
-scalar entry points and whole-grid sweeps share them, bit for bit.
+The formulas are written once, in the private ``_rate_terms`` and
+``_sigma_threshold``, over floats or numpy arrays of (beta, sigma_q2).
+:func:`gaussian_regions` is the one array entry: it checks ``beta`` and
+``sigma_q2`` once and the helpers behind it trust them.  The single-point
+entries reach the same formulas, so they and whole-grid sweeps agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -144,12 +147,6 @@ def _overflows(power: Callable[[], float]) -> bool:
         return True
 
 
-def _require_sigma(params: GaussianMarcParams) -> float:
-    if params.sigma_q2 is None:
-        raise InvalidParams("quantization variance is unset; fix sigma_q2 first")
-    return params.sigma_q2
-
-
 def slot1_signal(params: GaussianMarcParams) -> float:
     """Received power at the destination in slot 1 (incl. unit noise)."""
     return 1.0 + params.h11**2 * params.p11 + params.h21**2 * params.p21
@@ -175,19 +172,15 @@ def relay_link(params: GaussianMarcParams) -> float:
     return params.hr1**2 * params.pr
 
 
-def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
-    """The six unclamped GQF branches at slot fraction(s) ``beta`` and
-    quantization variance(s) ``sigma_q2``, floats or arrays that broadcast.
-
-    ``a(i)``/``b(i)`` bound source i with the quantization index recovered /
-    jointly explained, ``I1``/``I2`` the sum.  Only the gains and powers of
-    ``params`` are used.  ``beta`` is checked by
-    :func:`~hdmarc.core.validate_beta` and ``sigma_q2`` by
-    :func:`_variances`; a point where a value leaves the float64 range
-    raises :class:`OutOfRange` naming the first such ``(beta, sigma_q2)``.
-    """
-    beta = np.float64(validate_beta(beta))  # numpy types obey the errstate below
-    sigma_q2 = np.float64(_variances(sigma_q2, beta))
+def _rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
+    """The six unclamped GQF branches at checked slot fraction(s) ``beta``
+    and quantization variance(s) ``sigma_q2`` (floats or arrays that
+    broadcast): ``a(i)``/``b(i)`` bound source i with the quantization index
+    recovered / jointly explained, ``I1``/``I2`` the sum.  Only the gains and
+    powers of ``params`` are used.  A point where a value leaves the float64
+    range raises :class:`OutOfRange` naming the first such
+    ``(beta, sigma_q2)``."""
+    beta, sigma_q2 = np.float64(beta), np.float64(sigma_q2)  # obey the errstate below
     s1, s2, link = slot1_signal(params), slot2_signal(params), relay_link(params)
     sources = (
         (1, params.h11, params.h1r, params.p11, params.p12),
@@ -227,16 +220,13 @@ def rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
     return terms
 
 
-def sigma_threshold(params: GaussianMarcParams, beta):
-    """CF binning threshold at slot fraction(s) ``beta`` (float or array,
-    checked by :func:`~hdmarc.core.validate_beta`).
-
-    Raises :class:`DegenerateRelayLink` for a dead relay link, and
+def _sigma_threshold(params: GaussianMarcParams, beta):
+    """CF binning threshold at checked slot fraction(s) ``beta`` (float or
+    array).  Raises :class:`DegenerateRelayLink` for a dead relay link, and
     :class:`OutOfRange` naming the first ``beta`` whose threshold leaves the
     normal float64 range (small ``beta`` on a strong link, where the pipe
-    ``(1 + link/S2)**((1-beta)/beta)`` overflows).
-    """
-    beta = np.float64(validate_beta(beta))
+    ``(1 + link/S2)**((1-beta)/beta)`` overflows)."""
+    beta = np.float64(beta)
     link = relay_link(params)
     if link <= 0.0:
         raise DegenerateRelayLink(
@@ -260,19 +250,15 @@ def sigma_threshold(params: GaussianMarcParams, beta):
     return sigma
 
 
-def gqf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
-    """GQF bounds at each ``(beta, sigma_q2)``; always feasible.
-
-    ``sigma_q2=None`` takes the sum-optimal variance at each ``beta``: the
-    CF threshold (the paper's threshold identity), or
-    :data:`DEAD_LINK_SIGMA` when the relay link is dead.
-    """
+def _gqf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
+    """GQF bounds at each checked ``(beta, sigma_q2)``; always feasible.
+    ``sigma_q2=None`` is the sum-optimal variance (see :func:`gaussian_regions`)."""
     if sigma_q2 is None:
         if relay_link(params) > 0.0:
-            sigma_q2 = sigma_threshold(params, beta)
+            sigma_q2 = _sigma_threshold(params, beta)
         else:
             sigma_q2 = np.full(np.shape(beta), DEAD_LINK_SIGMA)
-    terms = rate_terms(params, beta, sigma_q2)
+    terms = _rate_terms(params, beta, sigma_q2)
     return Bounds(
         np.minimum(terms["a(1)"], terms["b(1)"]),
         np.minimum(terms["a(2)"], terms["b(2)"]),
@@ -283,40 +269,39 @@ def gqf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
     )
 
 
-def cf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
-    """CF bounds at each ``(beta, sigma_q2)``.
-
-    Where the binning constraint fails (``sigma_q2`` at or below the
-    threshold) the point is infeasible and the bounds are evaluated at the
-    threshold itself, the closure point of the CF region.  With a dead relay
-    link every point falls back to the two-slot no-relay region: the
-    index-as-noise branches b(1), b(2), I2 in the limit sigma_q2 -> infinity.
-    ``sigma_q2=None`` operates each ``beta`` just above its threshold, at
-    ``threshold * (1 + CF_SIGMA_NUDGE)``, or at 1 with a dead link.
-    """
-    beta = validate_beta(beta)
-    sigma_q2 = None if sigma_q2 is None else _variances(sigma_q2, beta)
+def _cf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
+    """CF bounds at each checked ``(beta, sigma_q2)``.  The dead-link
+    fallback is the index-as-noise branches b(1), b(2), I2 in the limit
+    sigma_q2 -> infinity."""
     try:
-        sigma_min = sigma_threshold(params, beta)
+        sigma_min = _sigma_threshold(params, beta)
     except DegenerateRelayLink:
         if sigma_q2 is None:
             sigma_q2 = np.ones(np.shape(beta))
-        t = rate_terms(params, beta, DEAD_LINK_SIGMA)
+        t = _rate_terms(params, beta, DEAD_LINK_SIGMA)
         terms = {"sigma_min": math.inf, "degenerate_relay_link": 1.0}
         return Bounds(t["b(1)"], t["b(2)"], t["I2"], False, sigma_q2, terms)
     if sigma_q2 is None:
         sigma_q2 = sigma_min * (1.0 + CF_SIGMA_NUDGE)
     feasible = sigma_q2 > sigma_min
     used = np.where(feasible, sigma_q2, sigma_min)
-    t = rate_terms(params, beta, used)
+    t = _rate_terms(params, beta, used)
     terms = {"a(1)": t["a(1)"], "a(2)": t["a(2)"], "I1": t["I1"]}
     terms.update(sigma_min=sigma_min, sigma_used=used)
     return Bounds(t["a(1)"], t["a(2)"], t["I1"], feasible, sigma_q2, terms)
 
 
+def _point(params: GaussianMarcParams, scheme: SchemeId) -> RateRegion:
+    """``scheme``'s region at the fixed (beta, sigma_q2) of ``params``."""
+    if params.sigma_q2 is None:
+        raise InvalidParams("quantization variance is unset; fix sigma_q2 first")
+    bounds = gaussian_regions(params, (scheme,), params.beta, params.sigma_q2)
+    return rate_region(bounds[scheme])
+
+
 def gqf_rates(params: GaussianMarcParams) -> RateRegion:
     """Full GQF region at fixed (sigma_q2, beta).  Always feasible."""
-    return rate_region(gqf_bounds(params, params.beta, _require_sigma(params)))
+    return _point(params, SchemeId.GQF)
 
 
 @dataclass(frozen=True)
@@ -345,7 +330,7 @@ def gqf_optimize_sigma(params: GaussianMarcParams) -> SigmaOptimum:
     cross, and by the paper's threshold identity that is exactly the CF
     binning threshold :func:`cf_sigma_min`: a closed form, no search.
     """
-    bounds = gqf_bounds(params, params.beta)
+    bounds = _gqf_bounds(params, params.beta)
     return SigmaOptimum(
         sigma_q2=float(bounds.sigma),
         sum_rate=float(_gqf_sum_rate(params, bounds)),
@@ -360,21 +345,16 @@ def cf_sigma_min(params: GaussianMarcParams) -> float:
     relay pipe" for sigma_q2.  Requires a live relay-to-destination link;
     otherwise the pipe has zero capacity and no variance is small enough.
     """
-    return float(sigma_threshold(params, params.beta))
+    return float(_sigma_threshold(params, params.beta))
 
 
 def cf_rates(params: GaussianMarcParams) -> RateRegion:
-    """CF region at fixed (sigma_q2, beta).
-
-    When the binning constraint fails (sigma_q2 at or below the threshold),
-    ``feasible`` is False and the bounds are evaluated at the threshold
-    itself — the closure point of the CF region.  With a dead relay link
-    the fallback is the plain two-slot no-relay region.
-    """
-    return rate_region(cf_bounds(params, params.beta, _require_sigma(params)))
+    """CF region at fixed (sigma_q2, beta); ``feasible`` is False at or
+    below the binning threshold (see :func:`gaussian_regions`)."""
+    return _point(params, SchemeId.CF)
 
 
-def no_relay_bounds(h11: float, h21: float, p1: float, p2: float) -> Bounds:
+def _no_relay_bounds(h11: float, h21: float, p1: float, p2: float) -> Bounds:
     """Bounds of the single-slot two-user MAC (the no-relay baseline).
 
     With no relay there is no slot structure; each source spends its whole
@@ -397,7 +377,7 @@ def no_relay_bounds(h11: float, h21: float, p1: float, p2: float) -> Bounds:
 
 def no_relay_rates(h11: float, h21: float, p1: float, p2: float) -> RateRegion:
     """Single-slot two-user MAC region (the no-relay baseline)."""
-    return rate_region(no_relay_bounds(h11, h21, p1, p2))
+    return rate_region(_no_relay_bounds(h11, h21, p1, p2))
 
 
 def gaussian_regions(
@@ -407,15 +387,23 @@ def gaussian_regions(
     sigma_q2=None,
     no_relay: Optional[tuple[float, float]] = None,
 ) -> dict[SchemeId, Bounds]:
-    """Every requested scheme's bounds at each ``(beta, sigma_q2)``.
+    """Every requested scheme's bounds at each ``(beta, sigma_q2)``, floats
+    or arrays that broadcast: the Gaussian model's one array entry.
 
-    ``beta`` and ``sigma_q2`` are floats or arrays (``sigma_q2=None``: each
-    scheme's own variance per ``beta``, see :func:`gqf_bounds` and
-    :func:`cf_bounds`).  NO_RELAY takes the baseline powers ``no_relay =
-    (P1, P2)`` and is the same at every point.  ``beta`` is checked by
-    :func:`~hdmarc.core.validate_beta`, whichever schemes are asked for.
+    ``sigma_q2=None`` gives GQF the sum-optimal variance at each ``beta``
+    (the CF threshold, or :data:`DEAD_LINK_SIGMA` on a dead relay link) and
+    operates CF at ``threshold * (1 + CF_SIGMA_NUDGE)`` (at 1 on a dead
+    link).  At or below the threshold a CF point is infeasible and takes
+    the bounds at the threshold, the closure point of its region; on a dead
+    link CF falls back to the two-slot no-relay bounds.  NO_RELAY takes the
+    baseline powers ``no_relay = (P1, P2)`` and is the same at every point.
+    ``beta`` (:func:`~hdmarc.core.validate_beta`) and a given ``sigma_q2``
+    (:func:`_variances`) are checked here once, whichever schemes are asked
+    for; the helpers behind this entry trust them.
     """
     beta = validate_beta(beta)
+    if sigma_q2 is not None:
+        sigma_q2 = _variances(sigma_q2, beta)
 
     def baseline() -> Bounds:
         try:
@@ -424,11 +412,11 @@ def gaussian_regions(
             raise InvalidParams(
                 f"NO_RELAY needs the baseline powers (P1, P2), got {no_relay!r}"
             ) from None
-        return no_relay_bounds(params.h11, params.h21, p1, p2)
+        return _no_relay_bounds(params.h11, params.h21, p1, p2)
 
     table = {
-        SchemeId.GQF: lambda: gqf_bounds(params, beta, sigma_q2),
-        SchemeId.CF: lambda: cf_bounds(params, beta, sigma_q2),
+        SchemeId.GQF: lambda: _gqf_bounds(params, beta, sigma_q2),
+        SchemeId.CF: lambda: _cf_bounds(params, beta, sigma_q2),
         SchemeId.NO_RELAY: baseline,
     }
     return evaluate_schemes(table, schemes)
@@ -445,7 +433,7 @@ class BetaOptimum:
 def cf_operating_point(params: GaussianMarcParams) -> GaussianMarcParams:
     """CF parameters with sigma_q2 pinned just above the binning threshold
     (at 1 with a dead relay link, where :func:`cf_rates` falls back)."""
-    return replace(params, sigma_q2=float(cf_bounds(params, params.beta).sigma))
+    return replace(params, sigma_q2=float(_cf_bounds(params, params.beta).sigma))
 
 
 def _smallest_beta(params: GaussianMarcParams) -> float:

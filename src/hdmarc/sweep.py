@@ -416,11 +416,12 @@ def render_plot_script(result: SweepResult, script_path: str, csv_path: str) -> 
     """The gnuplot script text plotting per-scheme sum rates from the CSV.
 
     The script refers to the CSV by a path relative to its own directory,
-    so the pair can be moved together.
+    so the pair can be moved together; a ``'`` in it is written ``''``,
+    gnuplot's escape inside single quotes.
     """
     rel_csv = os.path.relpath(
         os.path.abspath(csv_path), os.path.dirname(os.path.abspath(script_path))
-    )
+    ).replace("'", "''")
     lines = [
         "# Sum-rate curves from the sweep CSV emitted alongside this script.",
         "set datafile separator ','",

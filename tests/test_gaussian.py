@@ -7,12 +7,14 @@ against independently assembled numbers.
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdmarc.gaussian
 from hdmarc import (
     DegenerateRelayLink,
     DimensionMismatch,
@@ -33,11 +35,8 @@ from hdmarc.core import clamp_bounds, rate_region
 from hdmarc.gaussian import (
     BETA_RANGE,
     _smallest_beta,
-    cf_bounds,
     cf_operating_point,
     gaussian_regions,
-    gqf_bounds,
-    rate_terms,
     relay_link,
     relay_view,
     slot1_signal,
@@ -79,9 +78,9 @@ def test_params_refuse_strings_bools_and_none(overrides):
 @pytest.mark.parametrize("sigma_q2", ["1", True])
 def test_closed_forms_refuse_a_non_numeric_variance(sigma_q2):
     params = benchmark_params()
-    for closed_form in (rate_terms, gqf_bounds, cf_bounds):
+    for scheme in SchemeId:
         with pytest.raises(InvalidParams, match="variance must be a real number"):
-            closed_form(params, 0.5, sigma_q2)
+            gaussian_regions(params, (scheme,), 0.5, sigma_q2, no_relay=(1.5, 1.5))
 
 
 @pytest.mark.parametrize("h11", ["1", None, True])
@@ -197,7 +196,8 @@ def test_sum_branches_on_benchmark_channel():
     i2 = 0.25 * math.log2(3.0 / 2.0) + 0.25 * math.log2(3.0 + 9.0)
     assert terms["I1"] == pytest.approx(i1, abs=1e-15)
     assert terms["I2"] == pytest.approx(i2, abs=1e-15)
-    assert gqf_bounds(params, 0.5, 1.0).rsum == min(terms["I1"], terms["I2"])
+    gqf = gaussian_regions(params, (SchemeId.GQF,), 0.5, 1.0)[SchemeId.GQF]
+    assert gqf.rsum == min(terms["I1"], terms["I2"])
     region = gqf_rates(params)
     assert region.sum_max == pytest.approx(min(i1, i2), abs=1e-15)
     assert region.feasible is True
@@ -524,12 +524,9 @@ def test_optimize_beta_single_user_objective():
 def _beta_objective(params, scheme, objective, beta):
     """optimize_beta's objective over a slot-fraction grid, from the grid
     closed forms: the GQF sum is I1 at the crossing, the rest clamped."""
-    if scheme is SchemeId.GQF:
-        bounds = gqf_bounds(params, beta)
-        if objective == "sum":
-            return bounds.terms["I1"]  # the draws all have a live relay link
-    else:
-        bounds = cf_bounds(params, beta)
+    bounds = gaussian_regions(params, (scheme,), beta)[scheme]
+    if scheme is SchemeId.GQF and objective == "sum":
+        return bounds.terms["I1"]  # the draws all have a live relay link
     r1, r2, rsum = clamp_bounds(bounds.r1, bounds.r2, bounds.rsum)
     return {"sum": rsum, "r1": r1, "r2": r2}[objective]
 
@@ -608,15 +605,9 @@ def test_flipping_the_sign_of_a_source_gain_pair_leaves_every_bound_unchanged():
 def test_every_scheme_refuses_a_quantization_variance_outside_zero_to_inf(sigma, first):
     message = f"strictly inside \\(0, inf\\), got {first}"
     for params in (benchmark_params(), benchmark_params(hr1=0.0)):  # live and dead link
-        calls = [
-            lambda: gqf_bounds(params, 0.5, sigma),
-            lambda: cf_bounds(params, 0.5, sigma),
-            lambda: gaussian_regions(params, (SchemeId.CF,), 0.5, sigma),
-            lambda: gaussian_regions(params, (SchemeId.GQF, SchemeId.CF), 0.5, sigma),
-        ]
-        for call in calls:
+        for schemes in ((SchemeId.GQF,), (SchemeId.CF,), (SchemeId.GQF, SchemeId.CF)):
             with pytest.raises(OutOfRange, match=message):
-                call()
+                gaussian_regions(params, schemes, 0.5, sigma)
 
 
 def test_slot_fractions_and_variances_that_do_not_broadcast_are_refused():
@@ -631,6 +622,55 @@ def test_slot_fractions_and_variances_that_do_not_broadcast_are_refused():
 
 
 @pytest.mark.parametrize(
+    "sigma, error",
+    [(0.0, OutOfRange), (-1.0, OutOfRange), (math.nan, OutOfRange),
+     (np.array([0.5, 1.0, 2.0]), DimensionMismatch)],
+    ids=["zero", "negative", "nan", "shape"],
+)
+def test_no_relay_alone_refuses_a_bad_quantization_variance(sigma, error):
+    with pytest.raises(error):
+        gaussian_regions(
+            benchmark_params(), (SchemeId.NO_RELAY,), np.array([0.3, 0.6]), sigma,
+            no_relay=(1.5, 1.5),
+        )
+
+
+def _count_checks(monkeypatch) -> Counter:
+    """Count the calls of the gaussian module's beta and sigma_q2 checks."""
+    counts = Counter()
+    for name in ("validate_beta", "_variances"):
+        check = getattr(hdmarc.gaussian, name)
+
+        def counted(*args, _check=check, _name=name, **kwargs):
+            counts[_name] += 1
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(hdmarc.gaussian, name, counted)
+    return counts
+
+
+def test_gaussian_regions_checks_beta_and_sigma_once(monkeypatch):
+    live, dead = benchmark_params(sigma_q2=1.0), benchmark_params(hr1=0.0, sigma_q2=1.0)
+    counts = _count_checks(monkeypatch)
+    sigma_grid, beta_grid = np.geomspace(0.1, 10.0, 7), np.linspace(0.1, 0.9, 9)
+    for params in (live, dead):
+        for schemes in ((SchemeId.GQF,), (SchemeId.CF,), tuple(SchemeId)):
+            counts.clear()
+            gaussian_regions(params, schemes, 0.5, sigma_grid, no_relay=(1.5, 1.5))
+            assert counts == {"validate_beta": 1, "_variances": 1}, schemes
+            counts.clear()
+            gaussian_regions(params, schemes, beta_grid, no_relay=(1.5, 1.5))
+            assert counts == {"validate_beta": 1}, schemes
+        counts.clear()
+        gqf_rates(params), cf_rates(params)
+        assert counts == {"validate_beta": 2, "_variances": 2}
+    # The wrappers on the checked params.beta check nothing again.
+    counts.clear()
+    gqf_optimize_sigma(live), cf_sigma_min(live)
+    assert counts == {}
+
+
+@pytest.mark.parametrize(
     "no_relay", [None, (1.0,), (1.0, 1.0, 1.0), 1.5], ids=["none", "one", "three", "float"]
 )
 def test_no_relay_needs_a_pair_of_powers(no_relay):
@@ -640,9 +680,10 @@ def test_no_relay_needs_a_pair_of_powers(no_relay):
 
 def test_rate_region_takes_a_single_point():
     params = benchmark_params()
-    grid = gqf_bounds(params, np.array([0.3, 0.6]), 1.0)
+    grid = gaussian_regions(params, (SchemeId.GQF,), np.array([0.3, 0.6]), 1.0)
     with pytest.raises(InvalidParams, match="single-point evaluation"):
-        rate_region(grid)
-    assert rate_region(gqf_bounds(params, 0.3, 1.0)) == gqf_rates(
+        rate_region(grid[SchemeId.GQF])
+    point = gaussian_regions(params, (SchemeId.GQF,), 0.3, 1.0)[SchemeId.GQF]
+    assert rate_region(point) == gqf_rates(
         replace(params, beta=0.3, sigma_q2=1.0)
     )

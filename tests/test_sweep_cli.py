@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import importlib
 import json
 import math
 import re
@@ -53,7 +54,7 @@ from hdmarc.sweep import (
     render_plot_script,
 )
 from hdmarc.dmregions import dm_regions
-from hdmarc.gaussian import cf_bounds, gaussian_regions, gqf_bounds
+from hdmarc.gaussian import gaussian_regions
 from hdmarc.verify import MAX_DRAWS, SUBJECTS, Check, Report, _check_run, _Worst, draw_dm_spec
 
 from _support import assert_same_bits, benchmark_params, make_random_spec
@@ -487,14 +488,35 @@ def test_numpy_typed_slot_fractions_compute_in_float64():
             dm_regions(spec, "marc", (SchemeId.GQF,), integer)
 
 
+def test_model_entries_read_a_generator_of_schemes_once():
+    spec, params = make_random_spec(np.random.default_rng(5)), benchmark_params()
+    schemes = (SchemeId.GQF, SchemeId.CF)
+    entries = {
+        "gaussian_regions": lambda schemes: gaussian_regions(params, schemes, 0.5),
+        "dm_regions": lambda schemes: dm_regions(spec, "marc", schemes, 0.5),
+    }
+    for name, entry in entries.items():
+        want = entry(schemes)
+        got = entry(scheme for scheme in schemes)
+        assert list(got) == list(schemes), name
+        for scheme in schemes:
+            assert_same_bits(got[scheme], want[scheme])
+        assert list(entry(iter([SchemeId.GQF]))) == [SchemeId.GQF], name
+
+
+@pytest.mark.parametrize("schemes", [SchemeId.GQF, None, 3], ids=["scheme", "None", "int"])
+def test_model_entries_refuse_schemes_that_are_not_iterable(schemes):
+    spec, params = make_random_spec(np.random.default_rng(5)), benchmark_params()
+    with pytest.raises(InvalidParams, match="schemes must be iterable"):
+        gaussian_regions(params, schemes, 0.5)
+    with pytest.raises(InvalidParams, match="schemes must be iterable"):
+        dm_regions(spec, "marc", schemes, 0.5)
+
+
 def _beta_entries(spec, params):
     """Every public entry that takes a slot fraction, as ``beta -> call``."""
     entries = {
         "GaussianMarcParams": lambda beta: benchmark_params(beta=beta),
-        "gqf_bounds": lambda beta: gqf_bounds(params, beta, 1.0),
-        "gqf_bounds(sigma_q2=None)": lambda beta: gqf_bounds(params, beta),
-        "cf_bounds": lambda beta: cf_bounds(params, beta, 1.0),
-        "cf_bounds(sigma_q2=None)": lambda beta: cf_bounds(params, beta),
         "gqf_region_via_ru_sweep": lambda beta: gqf_region_via_ru_sweep(spec, beta),
     }
     for schemes in ((SchemeId.NO_RELAY,), tuple(SchemeId)):
@@ -522,8 +544,8 @@ def _beta_entries(spec, params):
 def test_every_beta_entry_rejects_non_numbers(bad):
     spec = make_random_spec(np.random.default_rng(5))
     entries = _beta_entries(spec, benchmark_params(sigma_q2=1.0))
-    entries["dead-link cf_bounds"] = lambda beta: cf_bounds(
-        benchmark_params(hr1=0.0), beta
+    entries["dead-link CF"] = lambda beta: gaussian_regions(
+        benchmark_params(hr1=0.0), (SchemeId.CF,), beta
     )
     for name, call in entries.items():
         with pytest.raises(OutOfRange, match="slot fraction must be a real number"):
@@ -734,6 +756,15 @@ def test_plot_script_structure(tmp_path):
     assert "set logscale x" not in no_log
 
 
+def test_plot_script_escapes_a_quote_in_the_csv_path(tmp_path, capsys):
+    config_path = _write_json(tmp_path / "sweep.json", _gaussian_sweep_doc())
+    out = tmp_path / "it's.csv"
+    assert main(["sweep", "--config", config_path, "--out", str(out)]) == EXIT_OK
+    script = (tmp_path / "it's.gp").read_text(encoding="utf-8")
+    assert "csv = 'it''s.csv'" in script  # gnuplot's escape inside single quotes
+    assert out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Command line
 
@@ -778,6 +809,22 @@ def test_cli_sweep_uses_config_output_path(tmp_path, monkeypatch):
     assert main(["sweep", "--config", config_path]) == EXIT_OK
     assert (tmp_path / "nested" / "rates.csv").exists()
     assert (tmp_path / "nested" / "rates.gp").exists()
+
+
+@pytest.mark.parametrize("where", ["--out", "output"])
+def test_cli_sweep_refuses_a_csv_path_the_plot_script_would_overwrite(
+    tmp_path, monkeypatch, capsys, where
+):
+    doc, argv = _gaussian_sweep_doc(), []
+    if where == "output":
+        doc["output"] = "rates.gp"
+    else:
+        argv = ["--out", "rates.gp"]
+    config_path = _write_json(tmp_path / "sweep.json", doc)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", config_path, *argv]) == EXIT_CONFIG
+    assert "'rates.gp' ends in .gp" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sweep.json"]
 
 
 def test_cli_sweep_without_output_is_a_config_error(tmp_path):
@@ -1104,6 +1151,19 @@ def test_cli_module_entry_point_runs():
     )
     assert completed.returncode == 0
     assert "RESULT: PASS" in completed.stdout
+
+
+def test_console_script_target_runs(monkeypatch, capsys):
+    # The [project.scripts] target that an install puts on PATH as hdmarc,
+    # called as its wrapper calls it: no arguments, the command line in argv.
+    tomllib = pytest.importorskip("tomllib")
+    with open(CONFIG_DIR.parent / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["hdmarc"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["hdmarc", "verify", "reductions", "--draws", "2"])
+    assert entry() == EXIT_OK
+    assert "RESULT: PASS" in capsys.readouterr().out
 
 
 def test_verify_rejects_bad_draw_counts():
