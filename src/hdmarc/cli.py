@@ -107,6 +107,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"CSV output path {out!r} ends in .gp, where the plot script would overwrite it"
         )
+    if out.splitlines() != [out]:
+        raise ConfigError(
+            f"CSV output path {out!r} has a line break, which the plot script "
+            "cannot quote"
+        )
     result = run_sweep(config)
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     emit_csv(result, out)

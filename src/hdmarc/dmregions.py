@@ -24,9 +24,9 @@ beta * S1 + (1 - beta) * S2, where S1 is an information term of the slot-1
 joint and S2 one of the slot-2 joint.  :func:`slot_terms` computes the
 (S1, S2) pairs of a spec once, and :func:`dm_regions` evaluates every
 scheme at every beta from them into a :class:`~hdmarc.core.Bounds` per
-scheme, like the Gaussian closed forms.  A whole sweep thus builds each
-joint once per spec (plus once for the relay-silenced spec, when that is
-needed).
+scheme, like the Gaussian closed forms, for one topology or both from the
+same pairs.  A whole sweep thus builds each joint once per spec (plus once
+for the relay-silenced spec, when that is needed).
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ from .dminfo import (
 #: The binning constraint is a strict inequality; a margin this close to
 #: equality (or worse) counts as infeasible.
 CF_MARGIN = 1e-12
+
+#: The topologies :func:`dm_regions` answers: "marc" is destination 1 alone,
+#: "cmacr" the compound of the destinations that hear anything.
+TOPOLOGIES = ("marc", "cmacr")
 
 
 def slot_terms(
@@ -133,9 +137,14 @@ def _worst(terms: dict, ks: tuple[int, ...], *names: str):
     return reduce(np.minimum, (terms[name.format(k=k)] for k in ks for name in names))
 
 
-def _bound_terms(terms: dict) -> dict:
-    """The terms without the binning-test sides."""
-    return {name: value for name, value in terms.items() if not name.startswith("cf_")}
+def _bound_terms(terms: dict, ks: tuple[int, ...]) -> dict:
+    """The terms of the destinations ``ks`` (``a_k(i)``, ``b_k(i)``, ``c_k``,
+    ``d_k``), without the binning-test sides."""
+    return {
+        name: value
+        for name, value in terms.items()
+        if not name.startswith("cf_") and int(name[2]) in ks
+    }
 
 
 def _gqf_bounds(terms: dict, ks: tuple[int, ...]) -> Bounds:
@@ -145,47 +154,71 @@ def _gqf_bounds(terms: dict, ks: tuple[int, ...]) -> Bounds:
         _worst(terms, ks, "c_{k}", "d_{k}"),
         True,
         None,
-        _bound_terms(terms),
+        _bound_terms(terms, ks),
     )
+
+
+def _topology_names(topologies) -> tuple[str, ...]:
+    """``topologies`` read once, as a tuple.  A lone name, a non-iterable
+    and an unknown name raise :class:`InvalidParams`."""
+    if isinstance(topologies, str):
+        raise InvalidParams(
+            f"topologies must be a collection of names such as ('marc',), "
+            f"got the str {topologies!r}"
+        )
+    try:
+        iterator = iter(topologies)
+    except TypeError:
+        raise InvalidParams(f"topologies must be iterable, got {topologies!r}") from None
+    topologies = tuple(iterator)
+    for topology in topologies:
+        if not (isinstance(topology, str) and topology in TOPOLOGIES):
+            raise InvalidParams(f"topology must be 'marc' or 'cmacr', got {topology!r}")
+    return topologies
 
 
 def dm_regions(
     spec: DmChannelSpec,
-    topology: str,
+    topologies: Sequence[str],
     schemes: Sequence[SchemeId],
     beta,
-) -> dict[SchemeId, Bounds]:
-    """Every requested scheme's bounds at slot fraction(s) ``beta``.
+) -> dict[str, dict[SchemeId, Bounds]]:
+    """Every requested scheme's bounds at slot fraction(s) ``beta``, for
+    each of ``topologies``: ``{topology: {scheme: Bounds}}``.
 
     ``beta`` is a float or an array of floats in (0, 1), checked by
-    :func:`~hdmarc.core.validate_beta`.  ``topology`` is
-    "marc" (destination 1) or "cmacr" (worst case over the active
-    destinations).  The slot terms of ``spec`` are built once; those of the
-    relay-silenced spec at most once, and only when NO_RELAY is requested
-    or some CF point fails its binning constraint.
+    :func:`~hdmarc.core.validate_beta`.  A topology is "marc" (destination
+    1) or "cmacr" (worst case over the active destinations).  Both reduce
+    the same slot terms, built once for the destinations the topologies
+    need; those of the relay-silenced spec are built at most once, and only
+    when NO_RELAY is requested or some CF point fails its binning
+    constraint.  Each topology's ``terms`` name its own destinations only.
     """
     beta = validate_beta(beta)
-    if topology not in ("marc", "cmacr"):
-        raise InvalidParams(f"topology must be 'marc' or 'cmacr', got {topology!r}")
-    ks = (1,) if topology == "marc" else active_destinations(spec)
+    # The destinations each topology takes the worst case over.
+    reach = {
+        topology: (1,) if topology == "marc" else active_destinations(spec)
+        for topology in _topology_names(topologies)
+    }
+    needed = tuple(sorted({k for ks in reach.values() for k in ks}))
     built: dict[bool, dict] = {}  # keyed by "relay silenced"; this call only
 
     def terms(silenced: bool) -> dict:
         if silenced not in built:
             source = degenerate_relay_spec(spec) if silenced else spec
-            pairs = slot_terms(source, ks)
+            pairs = slot_terms(source, needed)
             built[silenced] = {
                 name: two_slot(beta, s1, s2) for name, (s1, s2) in pairs.items()
             }
         return built[silenced]
 
-    def cf() -> Bounds:
+    def cf(ks: tuple[int, ...]) -> Bounds:
         relay = terms(False)
         # Worst cases over the destinations of both sides of the binning test.
         lhs = reduce(np.maximum, (relay[f"cf_lhs_{k}"] for k in ks))
         rhs = _worst(relay, ks, "cf_rhs_{k}")
         feasible = (rhs - lhs) > CF_MARGIN
-        out = dict(_bound_terms(relay), cf_lhs=lhs, cf_rhs=rhs)
+        out = dict(_bound_terms(relay, ks), cf_lhs=lhs, cf_rhs=rhs)
         bounds = [_worst(relay, ks, name) for name in ("a_{k}(1)", "a_{k}(2)", "c_{k}")]
         if not np.all(feasible):
             # Binning fails: the destinations cannot recover the quantization
@@ -196,19 +229,26 @@ def dm_regions(
             out.update({f"no_relay_{name}": v for name, v in silenced.terms.items()})
         return Bounds(*bounds, feasible, None, out)
 
+    def per_topology(bounds):
+        return lambda: {topology: bounds(ks) for topology, ks in reach.items()}
+
     table = {
-        SchemeId.GQF: lambda: _gqf_bounds(terms(False), ks),
-        SchemeId.CF: cf,
-        SchemeId.NO_RELAY: lambda: _gqf_bounds(terms(True), ks),
+        SchemeId.GQF: per_topology(lambda ks: _gqf_bounds(terms(False), ks)),
+        SchemeId.CF: per_topology(cf),
+        SchemeId.NO_RELAY: per_topology(lambda ks: _gqf_bounds(terms(True), ks)),
     }
-    return evaluate_schemes(table, schemes)
+    evaluated = evaluate_schemes(table, schemes)
+    return {
+        topology: {scheme: by_topology[topology] for scheme, by_topology in evaluated.items()}
+        for topology in reach
+    }
 
 
 def _one_region(
     spec: DmChannelSpec, topology: str, scheme: SchemeId, beta: float
 ) -> RateRegion:
     beta = validate_beta(beta, allow_array=False)
-    return rate_region(dm_regions(spec, topology, (scheme,), beta)[scheme])
+    return rate_region(dm_regions(spec, (topology,), (scheme,), beta)[topology][scheme])
 
 
 def gqf_region_marc(spec: DmChannelSpec, beta: float) -> RateRegion:

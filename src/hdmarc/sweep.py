@@ -35,7 +35,7 @@ from .core import (
     validate_beta,
 )
 from .dminfo import DmChannelSpec, spec_from_dict
-from .dmregions import dm_regions
+from .dmregions import TOPOLOGIES, dm_regions
 from .gaussian import GaussianMarcParams, gaussian_regions
 
 #: The only schema version this package reads.
@@ -213,7 +213,7 @@ def _model_fields(
             "NO_RELAY baseline silences the relay of the same channel"
         )
     topology = doc.get("topology", "marc")
-    if topology not in ("marc", "cmacr"):
+    if topology not in TOPOLOGIES:
         raise ConfigError(f"topology must be 'marc' or 'cmacr', got {topology!r}")
     try:
         dm_spec = spec_from_dict(doc["channel"])
@@ -323,7 +323,9 @@ def evaluate(config, beta, sigma_q2=None) -> dict[SchemeId, Bounds]:
         "gaussian": lambda: gaussian_regions(
             config.gaussian, config.schemes, beta, sigma_q2, config.no_relay
         ),
-        "dm": lambda: dm_regions(config.dm_spec, config.topology, config.schemes, beta),
+        "dm": lambda: dm_regions(
+            config.dm_spec, (config.topology,), config.schemes, beta
+        )[config.topology],
     }
     return models[config.model]()
 

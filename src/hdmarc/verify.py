@@ -31,13 +31,10 @@ from .dminfo import (
     build_slot1_joint,
     build_slot2_joint,
 )
-from .dmregions import dm_regions, gqf_region_cmacr, gqf_region_marc
+from .dmregions import TOPOLOGIES, dm_regions
 from .gaussian import (
     GaussianMarcParams,
-    cf_rates,
-    cf_sigma_min,
-    gqf_optimize_sigma,
-    gqf_rates,
+    gaussian_regions,
     relay_link,
     relay_view,
     slot1_signal,
@@ -275,41 +272,46 @@ def verify_closed_forms(seed: int, draws: int) -> Report:
     _check_run(seed, draws)
     rng = np.random.default_rng(seed)
     worst = _Worst()
+    gqf, cf = (SchemeId.GQF,), (SchemeId.CF,)
     for _ in range(draws):
         params = draw_gaussian_params(rng)
-        region = gqf_rates(params)
+        beta = params.beta
+        terms = gaussian_regions(params, gqf, beta, params.sigma_q2)[SchemeId.GQF].terms
         # The slot-2 model does not depend on sigma_q2: one serves both checks.
         model2 = build_covariance(params, slot=2)
         oracle = _oracle_gqf_terms(params, model2)
         for name in ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"):
-            worst.record(
-                f"gqf_term_{name}", region.terms[name] - oracle[name], GAUSSIAN_TOL
-            )
+            worst.record(f"gqf_term_{name}", terms[name] - oracle[name], GAUSSIAN_TOL)
 
-        # CF feasibility threshold: at sigma_q2 = cf_sigma_min the index
+        # The sum-optimal GQF variance, and CF operated there: at or below
+        # its binning threshold CF takes the bounds at the threshold.
+        optimum = gaussian_regions(params, gqf, beta)[SchemeId.GQF]
+        cf_at_optimum = gaussian_regions(params, cf, beta, optimum.sigma)[SchemeId.CF]
+
+        # CF feasibility threshold: at sigma_q2 = sigma_min the index
         # description rate exactly fills the relay pipe.
-        sigma_min = cf_sigma_min(params)
+        sigma_min = float(cf_at_optimum.terms["sigma_min"])
         at_min = replace(params, sigma_q2=sigma_min)
         quant_rate, side_info = gaussian_mis(
             build_covariance(at_min, slot=1),
             [({"YR"}, {"YhR"}, ()), ({"Y11"}, {"YhR"}, ())],
         )
-        b = params.beta
-        lhs = b * (quant_rate - side_info)
-        rhs = (1.0 - b) * gaussian_mi(model2, {"XR"}, {"Y12"})
+        lhs = beta * (quant_rate - side_info)
+        rhs = (1.0 - beta) * gaussian_mi(model2, {"XR"}, {"Y12"})
         worst.record("cf_threshold_balance", lhs - rhs, GAUSSIAN_TOL)
 
         # Threshold identity: the sum-optimal GQF quantizer sits exactly
         # where the two sum branches cross, and there both schemes meet at
-        # the same sum rate.
-        optimum = gqf_optimize_sigma(params)
+        # the same sum rate.  A drawn relay link is live, so the optimum is
+        # a crossing and its sum rate is I1.
         worst.record(
-            "threshold_sigma", _crossing_offset(params, optimum.sigma_q2), SIGMA_REL_TOL
+            "threshold_sigma",
+            _crossing_offset(params, float(optimum.sigma)),
+            SIGMA_REL_TOL,
         )
-        cf_at_threshold = cf_rates(at_min)
         worst.record(
             "threshold_sum_rate",
-            optimum.sum_rate - cf_at_threshold.sum_max,
+            float(optimum.terms["I1"]) - rate_region(cf_at_optimum).sum_max,
             GAUSSIAN_TOL,
         )
     return Report("closed-forms", seed, draws, worst.checks())
@@ -327,8 +329,9 @@ def verify_dm_regions(seed: int, draws: int) -> Report:
         spec = draw_dm_spec(rng)
         beta = float(rng.uniform(0.1, 0.9))
         oracle = gqf_region_via_ru_sweep(spec, beta)
-        for topology, production in (("marc", gqf_region_marc), ("cmacr", gqf_region_cmacr)):
-            region, raw = production(spec, beta), oracle[topology]
+        production = dm_regions(spec, TOPOLOGIES, (SchemeId.GQF,), beta)
+        for topology, bounds in production.items():
+            region, raw = rate_region(bounds[SchemeId.GQF]), oracle[topology]
             worst.record(f"{topology}_r1", region.r1_max - raw.r1_max, DM_TOL)
             worst.record(f"{topology}_r2", region.r2_max - raw.r2_max, DM_TOL)
             worst.record(f"{topology}_sum", region.sum_max - raw.sum_max, DM_TOL)
@@ -339,11 +342,15 @@ def verify_dm_regions(seed: int, draws: int) -> Report:
 # Subject: reductions.
 
 def _rate_regions(
-    spec: DmChannelSpec, topology: str, beta: float
-) -> dict[SchemeId, RateRegion]:
-    """The GQF and CF regions of ``spec`` at ``beta``, from one evaluation."""
-    bounds = dm_regions(spec, topology, (SchemeId.GQF, SchemeId.CF), beta)
-    return {scheme: rate_region(value) for scheme, value in bounds.items()}
+    spec: DmChannelSpec, topologies: tuple[str, ...], beta: float
+) -> dict[str, dict[SchemeId, RateRegion]]:
+    """The GQF and CF regions of ``spec`` at ``beta`` on each of
+    ``topologies``, from one evaluation."""
+    evaluated = dm_regions(spec, topologies, (SchemeId.GQF, SchemeId.CF), beta)
+    return {
+        topology: {scheme: rate_region(value) for scheme, value in bounds.items()}
+        for topology, bounds in evaluated.items()
+    }
 
 
 def verify_reductions(seed: int, draws: int) -> Report:
@@ -355,7 +362,7 @@ def verify_reductions(seed: int, draws: int) -> Report:
         spec, b = draw_single_source_spec(rng)
         mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
         mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
-        regions = _rate_regions(spec, "marc", b)
+        regions = _rate_regions(spec, ("marc",), b)["marc"]
 
         # With source 2 degenerate the single-user and sum bounds coincide,
         # and each GQF branch collapses to its single-source form.
@@ -391,8 +398,8 @@ def verify_reductions(seed: int, draws: int) -> Report:
         # region entirely: same code path, identical floats.
         silent = draw_silent_dest2_spec(rng)
         silent_beta = float(rng.uniform(0.1, 0.9))
-        compound = _rate_regions(silent, "cmacr", silent_beta)
-        single = _rate_regions(silent, "marc", silent_beta)
+        regions = _rate_regions(silent, ("cmacr", "marc"), silent_beta)
+        compound, single = regions["cmacr"], regions["marc"]
         for name, scheme in (
             ("gqf_silent_dest2_exact", SchemeId.GQF),
             ("cf_silent_dest2_exact", SchemeId.CF),

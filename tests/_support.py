@@ -7,9 +7,15 @@ different computations of the same quantity.
 
 import numpy as np
 
+import hdmarc.dminfo
 from hdmarc import Bounds, DmChannelSpec, GaussianMarcParams
 
 _POS_EPS = 1e-15
+
+#: Seed of a ``make_random_spec`` spec whose CF points are feasible at some
+#: of the nine betas in [0.1, 0.9] and infeasible at the others, on both
+#: topologies.
+MIXED_CF_SEED = 93
 
 
 def make_random_spec(rng, sizes=None):
@@ -123,3 +129,20 @@ def assert_same_bits(got, want):
     for name, value in got.terms.items():
         a, b = np.asarray(value), np.asarray(want.terms[name])
         assert a.dtype == np.float64 and a.tobytes() == b.tobytes(), name
+
+
+def count_joint_builds(monkeypatch, *modules):
+    """Record every slot-joint build that ``modules`` make: the returned
+    ``{"build_slot1_joint": [...], "build_slot2_joint": [...]}`` lists the
+    spec of each call, in order, as the calls happen."""
+    calls = {"build_slot1_joint": [], "build_slot2_joint": []}
+    for name, specs in calls.items():
+        build = getattr(hdmarc.dminfo, name)
+
+        def counting(spec, specs=specs, build=build):
+            specs.append(spec)
+            return build(spec)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+    return calls

@@ -32,7 +32,13 @@ from hdmarc.dminfo import JointEntropies
 from hdmarc.dmregions import CF_MARGIN, active_destinations, dm_regions, slot_terms
 from hdmarc.verify import draw_dm_spec
 
-from _support import make_random_spec, mi_ratio
+from _support import (
+    MIXED_CF_SEED,
+    assert_same_bits,
+    count_joint_builds,
+    make_random_spec,
+    mi_ratio,
+)
 
 
 def _local_terms(spec, beta, k):
@@ -267,9 +273,9 @@ def test_relabelling_letters_leaves_every_rate_unchanged():
             SchemeId.NO_RELAY: _relabel(spec, fixed_xr),
         }
         for topology in ("marc", "cmacr"):
-            want = dm_regions(spec, topology, tuple(SchemeId), betas)
+            want = dm_regions(spec, (topology,), tuple(SchemeId), betas)[topology]
             for scheme, other in relabelled.items():
-                got = dm_regions(other, topology, (scheme,), betas)[scheme]
+                got = dm_regions(other, (topology,), (scheme,), betas)[topology][scheme]
                 for field in ("r1", "r2", "rsum"):
                     np.testing.assert_allclose(
                         getattr(got, field), getattr(want[scheme], field), rtol=0.0, atol=1e-12
@@ -287,14 +293,102 @@ def test_relabelling_letters_leaves_every_rate_unchanged():
 def test_dm_regions_rejects_unknown_topology():
     spec = make_random_spec(np.random.default_rng(54))
     with pytest.raises(InvalidParams, match="topology"):
-        dm_regions(spec, "mesh", (SchemeId.GQF,), 0.5)
+        dm_regions(spec, ("mesh",), (SchemeId.GQF,), 0.5)
 
 
 @pytest.mark.parametrize("schemes", [["GQF"], "GQF", [SchemeId.GQF, None]])
 def test_dm_regions_refuse_a_scheme_that_is_not_a_scheme_id(schemes):
     spec = make_random_spec(np.random.default_rng(55))
     with pytest.raises(InvalidParams, match="scheme must be a SchemeId, got"):
-        dm_regions(spec, "marc", schemes, 0.5)
+        dm_regions(spec, ("marc",), schemes, 0.5)
+
+
+@pytest.mark.parametrize(
+    "topologies, message",
+    [
+        ("marc", "topologies must be a collection of names .* got the str 'marc'"),
+        ("cmacr", "topologies must be a collection of names .* got the str 'cmacr'"),
+        (None, "topologies must be iterable, got None"),
+        (3, "topologies must be iterable, got 3"),
+        (SchemeId.GQF, "topologies must be iterable"),
+        (("marc", "mesh"), "topology must be 'marc' or 'cmacr', got 'mesh'"),
+        (["m", "a", "r", "c"], "topology must be 'marc' or 'cmacr', got 'm'"),
+        ((("marc",),), r"topology must be 'marc' or 'cmacr', got \('marc',\)"),
+    ],
+    ids=["str-marc", "str-cmacr", "None", "int", "scheme", "unknown", "letters", "nested"],
+)
+def test_dm_regions_refuse_topologies_that_are_not_names(topologies, message):
+    spec = make_random_spec(np.random.default_rng(56))
+    with pytest.raises(InvalidParams, match=message):
+        dm_regions(spec, topologies, (SchemeId.GQF,), 0.5)
+
+
+def test_dm_regions_read_a_generator_of_topologies_once():
+    spec = make_random_spec(np.random.default_rng(56))
+    got = dm_regions(spec, (t for t in ("cmacr", "marc")), (SchemeId.GQF,), 0.5)
+    assert list(got) == ["cmacr", "marc"]
+    assert dm_regions(spec, (), (SchemeId.GQF,), 0.5) == {}
+
+
+def test_only_cmacr_needs_a_destination_that_hears():
+    deaf = make_random_spec(
+        np.random.default_rng(57), {"y11": 1, "y12": 1, "y21": 1, "y22": 1}
+    )
+    marc = dm_regions(deaf, ("marc",), tuple(SchemeId), 0.5)["marc"]
+    assert list(marc) == list(SchemeId)
+    for topologies in (("cmacr",), ("marc", "cmacr"), ("cmacr", "marc")):
+        with pytest.raises(InvalidParams, match="no destination"):
+            dm_regions(deaf, topologies, (SchemeId.GQF,), 0.5)
+
+
+def test_both_topologies_equal_each_topology_alone_bit_for_bit():
+    rng = np.random.default_rng(58)
+    specs = [
+        make_random_spec(np.random.default_rng(MIXED_CF_SEED)),
+        make_random_spec(rng, {"y21": 1, "y22": 1}),  # destination 2 silent
+        make_random_spec(rng, {"y11": 1, "y12": 1}),  # destination 1 silent
+        *(draw_dm_spec(rng) for _ in range(4)),
+    ]
+    scheme_sets = (tuple(SchemeId), (SchemeId.CF,), (SchemeId.NO_RELAY, SchemeId.GQF))
+    cf_feasible = set()
+    for spec in specs:
+        for beta in (np.linspace(0.1, 0.9, 9), 0.3):
+            for schemes in scheme_sets:
+                both = dm_regions(spec, ("marc", "cmacr"), schemes, beta)
+                assert list(both) == ["marc", "cmacr"]
+                for topology, evaluated in both.items():
+                    alone = dm_regions(spec, (topology,), schemes, beta)[topology]
+                    assert list(evaluated) == list(alone) == list(schemes)
+                    for scheme in schemes:
+                        got, want = evaluated[scheme], alone[scheme]
+                        assert list(got.terms) == list(want.terms), (topology, scheme)
+                        assert_same_bits(got, want)
+                if SchemeId.CF in schemes:
+                    cf_feasible.update(np.ravel(both["cmacr"][SchemeId.CF].feasible).tolist())
+    assert cf_feasible == {True, False}  # both CF branches were exercised
+
+
+def test_one_call_for_both_topologies_builds_each_joint_once(monkeypatch):
+    calls = count_joint_builds(monkeypatch, hdmarc.dmregions)
+    spec = make_random_spec(np.random.default_rng(MIXED_CF_SEED))
+    silenced = degenerate_relay_spec(spec)
+    betas = np.linspace(0.1, 0.9, 9)
+    # Silenced spec: none for GQF; one for NO_RELAY, and for CF, which fails
+    # its binning test at some of these betas on both topologies.
+    for schemes, silenced_builds in (
+        ((SchemeId.GQF,), 0),
+        ((SchemeId.CF,), 1),
+        (tuple(SchemeId), 1),
+    ):
+        for specs in calls.values():
+            specs.clear()
+        dm_regions(spec, ("marc", "cmacr"), schemes, betas)
+        for name, specs in calls.items():
+            assert len(specs) == 1 + silenced_builds, (name, schemes)
+            assert specs[0] is spec
+            for other in specs[1:]:
+                assert np.array_equal(other.pxr, silenced.pxr)
+                assert np.array_equal(other.test_channel, silenced.test_channel)
 
 
 def test_active_destinations_variants():
@@ -561,9 +655,9 @@ def test_compound_region_lies_inside_each_single_destination_region():
         dest2 = replace(
             spec, slot1=np.swapaxes(spec.slot1, 3, 4), slot2=np.swapaxes(spec.slot2, 3, 4)
         )
-        compound = dm_regions(spec, "cmacr", schemes, betas)
+        compound = dm_regions(spec, ("cmacr",), schemes, betas)["cmacr"]
         for destination in (spec, dest2):
-            single = dm_regions(destination, "marc", schemes, betas)
+            single = dm_regions(destination, ("marc",), schemes, betas)["marc"]
             for scheme in schemes:
                 inner = clamp_bounds(*compound[scheme][:3])
                 outer = clamp_bounds(*single[scheme][:3])

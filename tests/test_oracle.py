@@ -20,6 +20,7 @@ from hdmarc import (
     GaussianVectorModel,
     InvalidParams,
     OverlappingSets,
+    SchemeId,
     SingularCovariance,
     UnknownVariable,
     build_covariance,
@@ -27,7 +28,6 @@ from hdmarc import (
     cf_sigma_min,
     entropy,
     gaussian_mi,
-    gqf_optimize_sigma,
     gqf_rates,
     gqf_region_cmacr,
     gqf_region_marc,
@@ -36,12 +36,14 @@ from hdmarc import (
     validate_beta,
 )
 from hdmarc.dmregions import slot_terms
+from hdmarc.gaussian import gaussian_regions
 from hdmarc.oracle import PIVOT_TOL, SLOT1_ORDER, SLOT2_ORDER, gaussian_mis
 from hdmarc.verify import DM_TOL, _oracle_gqf_terms, draw_dm_spec, draw_gaussian_params
 
 from _support import (
     assert_same_bits,
     benchmark_params,
+    count_joint_builds,
     make_random_spec,
     random_gaussian_params as _random_params,
 )
@@ -443,11 +445,14 @@ def test_threshold_sigma_check_is_relative_at_large_thresholds():
 
 
 def test_threshold_sigma_check_catches_a_misplaced_optimum(monkeypatch):
-    def off_by_a_millionth(params):
-        optimum = gqf_optimize_sigma(params)
-        return replace(optimum, sigma_q2=optimum.sigma_q2 * (1.0 + 1e-6))
+    def off_by_a_millionth(params, schemes, beta, sigma_q2=None):
+        evaluated = gaussian_regions(params, schemes, beta, sigma_q2)
+        if sigma_q2 is None:  # the sum optimum
+            optimum = evaluated[SchemeId.GQF]
+            evaluated[SchemeId.GQF] = optimum._replace(sigma=optimum.sigma * (1.0 + 1e-6))
+        return evaluated
 
-    monkeypatch.setattr("hdmarc.verify.gqf_optimize_sigma", off_by_a_millionth)
+    monkeypatch.setattr("hdmarc.verify.gaussian_regions", off_by_a_millionth)
     report = run_subject("closed-forms", seed=0, draws=5)
     check = _check(report, "threshold_sigma")
     assert not check.ok
@@ -545,20 +550,14 @@ def test_ru_sweep_refuses_a_channel_where_no_destination_hears():
         gqf_region_cmacr(spec, 0.5)
 
 
-def test_dm_regions_draw_builds_each_slot_joint_three_times(monkeypatch):
-    calls = {"build_slot1_joint": 0, "build_slot2_joint": 0}
-    for name in calls:
-        build = getattr(hdmarc.dminfo, name)
-
-        def counting(spec, name=name, build=build):
-            calls[name] += 1
-            return build(spec)
-
-        for module in (hdmarc.dmregions, hdmarc.oracle, hdmarc.verify):
-            monkeypatch.setattr(module, name, counting)
-    # The marc and the cmacr production regions, and one oracle call.
+def test_dm_regions_draw_builds_each_slot_joint_twice(monkeypatch):
+    calls = count_joint_builds(monkeypatch, hdmarc.dmregions, hdmarc.oracle, hdmarc.verify)
+    # One production call for both topologies, and one oracle call.
     assert run_subject("dm-regions", seed=0, draws=1).passed
-    assert calls == {"build_slot1_joint": 3, "build_slot2_joint": 3}
+    assert {name: len(specs) for name, specs in calls.items()} == {
+        "build_slot1_joint": 2,
+        "build_slot2_joint": 2,
+    }
 
 
 _INDEXED = {

@@ -57,7 +57,13 @@ from hdmarc.dmregions import dm_regions
 from hdmarc.gaussian import gaussian_regions
 from hdmarc.verify import MAX_DRAWS, SUBJECTS, Check, Report, _check_run, _Worst, draw_dm_spec
 
-from _support import assert_same_bits, benchmark_params, make_random_spec
+from _support import (
+    MIXED_CF_SEED,
+    assert_same_bits,
+    benchmark_params,
+    count_joint_builds,
+    make_random_spec,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -79,6 +85,20 @@ VERIFY_REPORT_SHA256 = {
     ("reductions", 2007): "a9cb783fc6b141d664783570546cf0533078f55eca5123f818e48015f83a8828",
 }
 
+#: SHA-256 of ``hdmarc region`` on each of ``_region_docs()``, in order
+#: (numpy 2.4.6, Python 3.11.7).
+REGION_SHA256 = (
+    "0f07296fbb92689cdd9674bff255efa23517fcde829575c838405ecd924794dd",
+    "2ca4608f671b0a8e4ff5b6b6ac5e8c1eafd4d1d9028b11b79e02444758a7e2f6",
+    "340b5e401925993dd7cdc519a994793f682e03b9413c50808a86b252ee3e4a95",
+    "06300fc1a2fe7b10b96660961b3453fa8b27ba41de50e24fa3dc4481fbe30e3f",
+    "726682e09eb7ec13f5e6d1dc2425ca5c3f75368d4f41f04738b252c854ae352f",
+    "a6599d48744e5a722460a9b8e4798c4176d4bec820d302c01ec6c592abf50c53",
+    "c5fc1e1352a608a79da00d0209f10332ef0d0c2e0df349d5a4368bc4c7167004",
+    "82f45b7f27e450ecb1fa88ee51446368a643f8d4ebdc523d52cd7e534c117b9e",
+    "7ff4ca874342cfd0ce011df95d83a5d5770182fd8a16a3c356bcde6a132c81ad",
+)
+
 #: The public single-point DM region functions, by topology and scheme.
 DM_REGION_FUNCTIONS = {
     ("marc", SchemeId.GQF): gqf_region_marc,
@@ -88,11 +108,6 @@ DM_REGION_FUNCTIONS = {
     ("cmacr", SchemeId.CF): cf_region_cmacr,
     ("cmacr", SchemeId.NO_RELAY): no_relay_region_cmacr,
 }
-
-#: Seed of a random spec whose CF points are feasible at some of the nine
-#: betas in [0.1, 0.9] and infeasible at the others, on both topologies.
-MIXED_CF_SEED = 93
-
 
 def _gaussian_sweep_doc():
     return {
@@ -438,7 +453,7 @@ def test_model_entries_reject_slot_fractions_outside_the_unit_interval(bad):
                 gaussian_regions(params, schemes, beta, no_relay=(1.5, 1.5))
             for topology in ("marc", "cmacr"):
                 with pytest.raises(OutOfRange, match=named):
-                    dm_regions(spec, topology, schemes, beta)
+                    dm_regions(spec, (topology,), schemes, beta)
 
 
 #: The six single-point DM functions and the (topology, scheme) each evaluates.
@@ -456,7 +471,8 @@ def test_single_point_entries_take_a_plain_float():
     spec = make_random_spec(np.random.default_rng(MIXED_CF_SEED))
     for beta in (0.1, 0.4, 0.9):
         for function, (topology, scheme) in DM_POINT_FUNCTIONS.items():
-            expected = rate_region(dm_regions(spec, topology, (scheme,), beta)[scheme])
+            evaluated = dm_regions(spec, (topology,), (scheme,), beta)
+            expected = rate_region(evaluated[topology][scheme])
             assert function(spec, beta) == expected, (function.__name__, beta)
         region = gqf_region_via_ru_sweep(spec, beta)["marc"]
         assert abs(region.sum_max - gqf_region_marc(spec, beta).sum_max) <= 1e-10
@@ -472,11 +488,11 @@ def test_numpy_typed_slot_fractions_compute_in_float64():
         want = gaussian_regions(params, tuple(SchemeId), plain, no_relay=(1.5, 1.5))
         for scheme in SchemeId:
             assert_same_bits(got[scheme], want[scheme])
+        got = dm_regions(spec, ("marc", "cmacr"), tuple(SchemeId), typed)
+        want = dm_regions(spec, ("marc", "cmacr"), tuple(SchemeId), plain)
         for topology in ("marc", "cmacr"):
-            got = dm_regions(spec, topology, tuple(SchemeId), typed)
-            want = dm_regions(spec, topology, tuple(SchemeId), plain)
             for scheme in SchemeId:
-                assert_same_bits(got[scheme], want[scheme])
+                assert_same_bits(got[topology][scheme], want[topology][scheme])
     # A numpy float is a real number at the single-point entries too.
     assert type(benchmark_params(beta=single).beta) is float
     assert gqf_region_marc(spec, single) == gqf_region_marc(spec, float(single))
@@ -485,7 +501,7 @@ def test_numpy_typed_slot_fractions_compute_in_float64():
         with pytest.raises(OutOfRange, match="strictly inside"):
             gaussian_regions(params, (SchemeId.GQF,), integer)
         with pytest.raises(OutOfRange, match="strictly inside"):
-            dm_regions(spec, "marc", (SchemeId.GQF,), integer)
+            dm_regions(spec, ("marc",), (SchemeId.GQF,), integer)
 
 
 def test_model_entries_read_a_generator_of_schemes_once():
@@ -493,7 +509,7 @@ def test_model_entries_read_a_generator_of_schemes_once():
     schemes = (SchemeId.GQF, SchemeId.CF)
     entries = {
         "gaussian_regions": lambda schemes: gaussian_regions(params, schemes, 0.5),
-        "dm_regions": lambda schemes: dm_regions(spec, "marc", schemes, 0.5),
+        "dm_regions": lambda schemes: dm_regions(spec, ("marc",), schemes, 0.5)["marc"],
     }
     for name, entry in entries.items():
         want = entry(schemes)
@@ -510,7 +526,7 @@ def test_model_entries_refuse_schemes_that_are_not_iterable(schemes):
     with pytest.raises(InvalidParams, match="schemes must be iterable"):
         gaussian_regions(params, schemes, 0.5)
     with pytest.raises(InvalidParams, match="schemes must be iterable"):
-        dm_regions(spec, "marc", schemes, 0.5)
+        dm_regions(spec, ("marc",), schemes, 0.5)
 
 
 def _beta_entries(spec, params):
@@ -526,7 +542,7 @@ def _beta_entries(spec, params):
         for topology in ("marc", "cmacr"):
             entries[f"dm_regions{topology, schemes}"] = (
                 lambda beta, topology=topology, schemes=schemes: (
-                    dm_regions(spec, topology, schemes, beta)
+                    dm_regions(spec, (topology,), schemes, beta)
                 )
             )
     for function in DM_POINT_FUNCTIONS:
@@ -622,14 +638,7 @@ def test_dm_sweep_rows_equal_scalar_regions_bit_for_bit():
 def test_dm_sweep_and_region_build_each_joint_once_per_spec(
     monkeypatch, tmp_path, points, schemes
 ):
-    calls = []
-    build = hdmarc.dmregions.build_slot1_joint
-
-    def counting(spec):
-        calls.append(spec)
-        return build(spec)
-
-    monkeypatch.setattr(hdmarc.dmregions, "build_slot1_joint", counting)
+    calls = count_joint_builds(monkeypatch, hdmarc.dmregions)["build_slot1_joint"]
     channel = _dm_sweep_doc()["channel"]
     for topology in ("marc", "cmacr"):
         doc = dict(_dm_sweep_doc(), topology=topology, schemes=list(schemes))
@@ -825,6 +834,24 @@ def test_cli_sweep_refuses_a_csv_path_the_plot_script_would_overwrite(
     assert main(["sweep", "--config", config_path, *argv]) == EXIT_CONFIG
     assert "'rates.gp' ends in .gp" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["sweep.json"]
+
+
+@pytest.mark.parametrize("path", ["nl/a\nb.csv", "a.csv\n", "a\rb.csv"], ids=["lf", "end", "cr"])
+@pytest.mark.parametrize("where", ["--out", "output"])
+def test_cli_sweep_refuses_a_csv_path_with_a_line_break(
+    tmp_path, monkeypatch, capsys, where, path
+):
+    # The plot script quotes the CSV path in one line of gnuplot.
+    doc, argv = _gaussian_sweep_doc(), []
+    if where == "output":
+        doc["output"] = path
+    else:
+        argv = ["--out", path]
+    config_path = _write_json(tmp_path / "sweep.json", doc)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", config_path, *argv]) == EXIT_CONFIG
+    assert f"{path!r} has a line break" in capsys.readouterr().err
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == ["sweep.json"]
 
 
 def test_cli_sweep_without_output_is_a_config_error(tmp_path):
@@ -1034,6 +1061,18 @@ def test_cli_region_prints_the_one_point_evaluation(tmp_path, capsys):
             }, (doc["model"], name)
         cf_feasible.add((doc["model"], payload["CF"]["feasible"]))
     assert cf_feasible == {(model, ok) for model in ("gaussian", "dm") for ok in (True, False)}
+
+
+def test_cli_region_output_has_the_pinned_bytes(tmp_path, capsys):
+    # Unlike the test above, which compares the CLI with the same evaluation,
+    # this catches a change of the evaluation itself, such as a term of
+    # destination 2 in a "marc" region.
+    docs = list(_region_docs())
+    assert len(docs) == len(REGION_SHA256)
+    for doc, digest in zip(docs, REGION_SHA256):
+        assert main(["region", "--config", _write_json(tmp_path / "r.json", doc)]) == EXIT_OK
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == digest, (doc["model"], doc.get("topology"))
 
 
 def test_cli_region_rejects_duplicate_schemes(tmp_path, capsys):
