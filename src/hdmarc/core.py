@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -173,21 +173,32 @@ def validate_beta(beta, allow_array: bool = True):
     return open_interval(beta, "slot fraction", 1.0, OutOfRange, allow_array)
 
 
-def evaluate_schemes(table: Mapping, schemes) -> dict:
-    """``{scheme: table[scheme]()}`` for each of ``schemes``, in order: the
-    one dispatch of both models.  ``schemes`` is read once, so a generator
-    works; one that is not iterable, or a scheme that is not a
-    :class:`SchemeId` (a str is refused, not parsed), raises
-    :class:`InvalidParams`."""
+def read_collection(values, label: str, valid: Callable[[Any], bool], item: str) -> tuple:
+    """``values`` read once, as a tuple, so a generator works.  One that is
+    not iterable raises :class:`InvalidParams` naming the argument
+    ``label``; an element that is not ``valid`` raises it with ``item``,
+    the rule each element breaks."""
     try:
-        iterator = iter(schemes)
+        iterator = iter(values)
     except TypeError:
-        raise InvalidParams(f"schemes must be iterable, got {schemes!r}") from None
-    schemes = tuple(iterator)
-    for scheme in schemes:
-        if not isinstance(scheme, SchemeId):
-            raise InvalidParams(f"scheme must be a SchemeId, got {scheme!r}")
-    return {scheme: table[scheme]() for scheme in schemes}
+        raise InvalidParams(f"{label} must be iterable, got {values!r}") from None
+    values = tuple(iterator)
+    for value in values:
+        if not valid(value):
+            raise InvalidParams(f"{item}, got {value!r}")
+    return values
+
+
+def read_schemes(schemes) -> tuple:
+    """The schemes a model entry should evaluate, read once by
+    :func:`read_collection`: each must be a :class:`SchemeId` (a str is
+    refused, not parsed)."""
+    return read_collection(
+        schemes,
+        "schemes",
+        lambda scheme: isinstance(scheme, SchemeId),
+        "scheme must be a SchemeId",
+    )
 
 
 def two_slot(beta, s1, s2):

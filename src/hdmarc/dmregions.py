@@ -42,9 +42,10 @@ from .core import (
     InvalidParams,
     RateRegion,
     SchemeId,
-    evaluate_schemes,
     one_or_two,
     rate_region,
+    read_collection,
+    read_schemes,
     two_slot,
     validate_beta,
 )
@@ -137,14 +138,15 @@ def _worst(terms: dict, ks: tuple[int, ...], *names: str):
     return reduce(np.minimum, (terms[name.format(k=k)] for k in ks for name in names))
 
 
+#: The bound terms of destination ``{k}``, in the order :func:`slot_terms`
+#: makes them; the binning-test sides are not bounds.
+_BOUND_TERMS = ("a_{k}(1)", "b_{k}(1)", "a_{k}(2)", "b_{k}(2)", "c_{k}", "d_{k}")
+
+
 def _bound_terms(terms: dict, ks: tuple[int, ...]) -> dict:
-    """The terms of the destinations ``ks`` (``a_k(i)``, ``b_k(i)``, ``c_k``,
-    ``d_k``), without the binning-test sides."""
-    return {
-        name: value
-        for name, value in terms.items()
-        if not name.startswith("cf_") and int(name[2]) in ks
-    }
+    """The bound terms of the destinations ``ks``."""
+    names = [name.format(k=k) for k in ks for name in _BOUND_TERMS]
+    return {name: terms[name] for name in names}
 
 
 def _gqf_bounds(terms: dict, ks: tuple[int, ...]) -> Bounds:
@@ -156,25 +158,6 @@ def _gqf_bounds(terms: dict, ks: tuple[int, ...]) -> Bounds:
         None,
         _bound_terms(terms, ks),
     )
-
-
-def _topology_names(topologies) -> tuple[str, ...]:
-    """``topologies`` read once, as a tuple.  A lone name, a non-iterable
-    and an unknown name raise :class:`InvalidParams`."""
-    if isinstance(topologies, str):
-        raise InvalidParams(
-            f"topologies must be a collection of names such as ('marc',), "
-            f"got the str {topologies!r}"
-        )
-    try:
-        iterator = iter(topologies)
-    except TypeError:
-        raise InvalidParams(f"topologies must be iterable, got {topologies!r}") from None
-    topologies = tuple(iterator)
-    for topology in topologies:
-        if not (isinstance(topology, str) and topology in TOPOLOGIES):
-            raise InvalidParams(f"topology must be 'marc' or 'cmacr', got {topology!r}")
-    return topologies
 
 
 def dm_regions(
@@ -193,13 +176,28 @@ def dm_regions(
     need; those of the relay-silenced spec are built at most once, and only
     when NO_RELAY is requested or some CF point fails its binning
     constraint.  Each topology's ``terms`` name its own destinations only.
+    ``topologies`` and ``schemes`` are read once
+    (:func:`~hdmarc.core.read_collection`); a lone str for ``topologies``
+    is refused, not read letter by letter.
     """
     beta = validate_beta(beta)
+    if isinstance(topologies, str):
+        raise InvalidParams(
+            f"topologies must be a collection of names such as ('marc',), "
+            f"got the str {topologies!r}"
+        )
+    topologies = read_collection(
+        topologies,
+        "topologies",
+        lambda topology: isinstance(topology, str) and topology in TOPOLOGIES,
+        "topology must be 'marc' or 'cmacr'",
+    )
     # The destinations each topology takes the worst case over.
     reach = {
         topology: (1,) if topology == "marc" else active_destinations(spec)
-        for topology in _topology_names(topologies)
+        for topology in topologies
     }
+    schemes = read_schemes(schemes)
     needed = tuple(sorted({k for ks in reach.values() for k in ks}))
     built: dict[bool, dict] = {}  # keyed by "relay silenced"; this call only
 
@@ -229,18 +227,14 @@ def dm_regions(
             out.update({f"no_relay_{name}": v for name, v in silenced.terms.items()})
         return Bounds(*bounds, feasible, None, out)
 
-    def per_topology(bounds):
-        return lambda: {topology: bounds(ks) for topology, ks in reach.items()}
-
     table = {
-        SchemeId.GQF: per_topology(lambda ks: _gqf_bounds(terms(False), ks)),
-        SchemeId.CF: per_topology(cf),
-        SchemeId.NO_RELAY: per_topology(lambda ks: _gqf_bounds(terms(True), ks)),
+        SchemeId.GQF: lambda ks: _gqf_bounds(terms(False), ks),
+        SchemeId.CF: cf,
+        SchemeId.NO_RELAY: lambda ks: _gqf_bounds(terms(True), ks),
     }
-    evaluated = evaluate_schemes(table, schemes)
     return {
-        topology: {scheme: by_topology[topology] for scheme, by_topology in evaluated.items()}
-        for topology in reach
+        topology: {scheme: table[scheme](ks) for scheme in schemes}
+        for topology, ks in reach.items()
     }
 
 

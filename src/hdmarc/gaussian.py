@@ -41,9 +41,9 @@ from .core import (
     RateRegion,
     SchemeId,
     clamp_bounds,
-    evaluate_schemes,
     open_interval,
     rate_region,
+    read_schemes,
     real_number,
     two_slot,
     validate_beta,
@@ -419,7 +419,7 @@ def gaussian_regions(
         SchemeId.CF: lambda: _cf_bounds(params, beta, sigma_q2),
         SchemeId.NO_RELAY: baseline,
     }
-    return evaluate_schemes(table, schemes)
+    return {scheme: table[scheme]() for scheme in read_schemes(schemes)}
 
 
 @dataclass(frozen=True)

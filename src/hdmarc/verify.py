@@ -57,6 +57,11 @@ SIGMA_REL_TOL = 1e-9
 #: Absolute tolerance for the finite-alphabet cross-checks.
 DM_TOL = 1e-10
 
+#: A quantization variance below every CF binning threshold (a threshold
+#: under the smallest normal float64 is refused), so CF asked for it is
+#: infeasible and takes the bounds at the threshold it works out itself.
+_BELOW_EVERY_THRESHOLD = float(np.finfo(np.float64).tiny)
+
 #: Most draws a subject run may take; bounds its time as MAX_GRID_POINTS
 #: bounds a sweep's.
 MAX_DRAWS = 10**5
@@ -283,14 +288,16 @@ def verify_closed_forms(seed: int, draws: int) -> Report:
         for name in ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"):
             worst.record(f"gqf_term_{name}", terms[name] - oracle[name], GAUSSIAN_TOL)
 
-        # The sum-optimal GQF variance, and CF operated there: at or below
-        # its binning threshold CF takes the bounds at the threshold.
+        # The sum-optimal GQF variance, found by the GQF entry; and CF asked
+        # for a variance below its binning threshold, which it finds itself
+        # and takes the bounds at.
         optimum = gaussian_regions(params, gqf, beta)[SchemeId.GQF]
-        cf_at_optimum = gaussian_regions(params, cf, beta, optimum.sigma)[SchemeId.CF]
+        at_threshold = gaussian_regions(params, cf, beta, _BELOW_EVERY_THRESHOLD)
+        cf_at_threshold = at_threshold[SchemeId.CF]
 
         # CF feasibility threshold: at sigma_q2 = sigma_min the index
         # description rate exactly fills the relay pipe.
-        sigma_min = float(cf_at_optimum.terms["sigma_min"])
+        sigma_min = float(cf_at_threshold.terms["sigma_min"])
         at_min = replace(params, sigma_q2=sigma_min)
         quant_rate, side_info = gaussian_mis(
             build_covariance(at_min, slot=1),
@@ -311,7 +318,7 @@ def verify_closed_forms(seed: int, draws: int) -> Report:
         )
         worst.record(
             "threshold_sum_rate",
-            float(optimum.terms["I1"]) - rate_region(cf_at_optimum).sum_max,
+            float(optimum.terms["I1"]) - rate_region(cf_at_threshold).sum_max,
             GAUSSIAN_TOL,
         )
     return Report("closed-forms", seed, draws, worst.checks())

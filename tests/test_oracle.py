@@ -459,6 +459,24 @@ def test_threshold_sigma_check_catches_a_misplaced_optimum(monkeypatch):
     assert check.max_dev == pytest.approx(1e-6, rel=1e-3)
 
 
+def test_threshold_checks_catch_an_optimum_evaluated_off_the_crossing(monkeypatch):
+    # The GQF optimum is moved off the crossing and evaluated there, so its
+    # terms match its sigma.  The CF side works out its threshold itself,
+    # so the sum rates no longer meet either.
+    def off_by_a_thousandth(params, schemes, beta, sigma_q2=None):
+        if sigma_q2 is None:  # the sum optimum
+            sigma = gaussian_regions(params, schemes, beta)[SchemeId.GQF].sigma
+            sigma_q2 = sigma * (1.0 + 1e-3)
+        return gaussian_regions(params, schemes, beta, sigma_q2)
+
+    monkeypatch.setattr("hdmarc.verify.gaussian_regions", off_by_a_thousandth)
+    report = run_subject("closed-forms", seed=0, draws=5)
+    sigma_check = _check(report, "threshold_sigma")
+    assert not sigma_check.ok
+    assert sigma_check.max_dev == pytest.approx(1e-3, rel=1e-2)
+    assert not _check(report, "threshold_sum_rate").ok
+
+
 # ---------------------------------------------------------------------------
 # Raw-inequality sweep against the simplified finite-alphabet region
 
