@@ -86,8 +86,21 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
+def _path(path) -> str:
+    """``path`` (a str or path-like) as a str, if it can name a file: one
+    with a NUL character, or a character the file system encoding cannot
+    write, raises :class:`ConfigError` before any file is opened."""
+    path = os.fspath(path)
+    try:
+        if b"\0" not in os.fsencode(path):
+            return path
+    except UnicodeEncodeError:
+        pass
+    raise ConfigError(f"path {path!r} cannot name a file")
+
+
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(_path(path), "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
         # Bad JSON or UTF-8 is a ValueError, too deep a nesting a RecursionError.
@@ -102,7 +115,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(
             "no output path: pass --out or set 'output' in the config"
         )
-    script = os.path.splitext(out)[0] + ".gp"
+    script = os.path.splitext(_path(out))[0] + ".gp"
     if script == out:
         raise ConfigError(
             f"CSV output path {out!r} ends in .gp, where the plot script would overwrite it"
@@ -161,6 +174,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        if args.out is not None:  # every command has --out
+            _path(args.out)
         return handlers[args.command](args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

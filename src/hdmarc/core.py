@@ -1,6 +1,6 @@
 """Shared domain types and input checks: errors, slot fractions, scheme tags,
-rate regions, and the gates for numbers, numeric arrays, open intervals and
-config documents.
+rate regions, and the gates for numbers, numeric arrays, open intervals,
+config documents, fixed choices and counts.
 
 Every quantity in this package is a rate in bits per channel use.  A
 "region" here is the triple of single-user bounds plus the sum bound that
@@ -68,8 +68,10 @@ class SchemeId(enum.Enum):
     NO_RELAY = "NO_RELAY"
 
 
-#: The Python and numpy types of a real number (a bool is refused apart).
+#: The Python and numpy types of a real number and of an integer (a bool
+#: is refused apart).
 _REAL_TYPES = (float, int, np.floating, np.integer)
+_INTEGER_TYPES = (int, np.integer)
 
 
 def real_number(
@@ -119,14 +121,34 @@ def real_array(value, label: str, error=InvalidParams) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
-def one_or_two(value, label: str) -> int:
-    """``value`` as an int if it is a Python or numpy integer equal to 1 or
-    2: a slot or a destination index.  Anything else, a bool, a float such
-    as 1.0 or a str included, raises :class:`InvalidParams` naming
-    ``label``."""
-    if isinstance(value, (int, np.integer)) and type(value) is not bool and value in (1, 2):
-        return int(value)
-    raise InvalidParams(f"{label} must be 1 or 2, got {value!r}")
+def one_of(value, label: str, choices: tuple, error=InvalidParams):
+    """The one of ``choices`` that ``value`` equals, if it is of that
+    choice's kind: a Python or numpy integer (not a bool) for an int choice,
+    an instance of the choice's own type for any other, so ``np.int64(2)``
+    gives ``2`` and a list, array or None is refused before any comparison.
+    Otherwise raises ``error`` naming ``label``: the one check of a fixed
+    choice (a slot, a destination, a topology, a scheme, a grid spacing)."""
+    for choice in choices:
+        kind = _INTEGER_TYPES if type(choice) is int else type(choice)
+        if isinstance(value, kind) and type(value) is not bool and value == choice:
+            return choice
+    shown = [str(c) if isinstance(c, enum.Enum) else repr(c) for c in choices]
+    listed = " or ".join(filter(None, (", ".join(shown[:-1]), shown[-1])))
+    raise error(f"{label} must be {listed}, got {value!r}")
+
+
+def integer(value, label: str, lo: int, hi: Optional[int] = None, error=InvalidParams) -> int:
+    """``value`` as an int if it is a Python or numpy integer (not a bool,
+    a float such as 5.0 or a str) from ``lo`` to ``hi`` (None: unbounded).
+    Otherwise raises ``error`` naming ``label``: the one check of a count
+    (grid points, a seed, a draw count)."""
+    if not isinstance(value, _INTEGER_TYPES) or type(value) is bool:
+        raise error(f"{label} must be an integer, got {value!r}")
+    if value < lo:
+        raise error(f"{label} must be an integer >= {lo}, got {value!r}")
+    if hi is not None and value > hi:
+        raise error(f"{label} must be at most {hi}, got {value!r}")
+    return int(value)
 
 
 def document(doc, where: str, required, optional=()) -> dict:
@@ -173,32 +195,29 @@ def validate_beta(beta, allow_array: bool = True):
     return open_interval(beta, "slot fraction", 1.0, OutOfRange, allow_array)
 
 
-def read_collection(values, label: str, valid: Callable[[Any], bool], item: str) -> tuple:
-    """``values`` read once, as a tuple, so a generator works.  One that is
-    not iterable raises :class:`InvalidParams` naming the argument
-    ``label``; an element that is not ``valid`` raises it with ``item``,
-    the rule each element breaks."""
+def read_collection(values, label: str, check: Callable[[Any], Any]) -> tuple:
+    """``values`` read once, as a tuple of what the gate ``check`` returns
+    for each element, so a generator works.  One that is not iterable
+    raises :class:`InvalidParams` naming the argument ``label``; ``check``
+    raises for an element it refuses."""
     try:
         iterator = iter(values)
     except TypeError:
         raise InvalidParams(f"{label} must be iterable, got {values!r}") from None
-    values = tuple(iterator)
-    for value in values:
-        if not valid(value):
-            raise InvalidParams(f"{item}, got {value!r}")
-    return values
+    return tuple(map(check, iterator))
+
+
+def _scheme(value) -> SchemeId:
+    """``value`` if it is a :class:`SchemeId` (a str is refused, not parsed)."""
+    if isinstance(value, SchemeId):
+        return value
+    raise InvalidParams(f"scheme must be a SchemeId, got {value!r}")
 
 
 def read_schemes(schemes) -> tuple:
     """The schemes a model entry should evaluate, read once by
-    :func:`read_collection`: each must be a :class:`SchemeId` (a str is
-    refused, not parsed)."""
-    return read_collection(
-        schemes,
-        "schemes",
-        lambda scheme: isinstance(scheme, SchemeId),
-        "scheme must be a SchemeId",
-    )
+    :func:`read_collection`: each must be a :class:`SchemeId`."""
+    return read_collection(schemes, "schemes", _scheme)
 
 
 def two_slot(beta, s1, s2):

@@ -42,7 +42,7 @@ from .core import (
     InvalidParams,
     RateRegion,
     SchemeId,
-    one_or_two,
+    one_of,
     rate_region,
     read_collection,
     read_schemes,
@@ -78,7 +78,7 @@ def slot_terms(
     of the binning constraint at ``k``: the slot-1 description excess
     I(YR; YhR) - I(Yk1; YhR) and the slot-2 pipe I(XR; Yk2).
     """
-    ks = [one_or_two(k, "destination index") for k in ks]
+    ks = [one_of(k, "destination index", (1, 2)) for k in ks]
     mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
     mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
     quant_rate = mi1({"YR"}, {"YhR"})
@@ -187,10 +187,7 @@ def dm_regions(
             f"got the str {topologies!r}"
         )
     topologies = read_collection(
-        topologies,
-        "topologies",
-        lambda topology: isinstance(topology, str) and topology in TOPOLOGIES,
-        "topology must be 'marc' or 'cmacr'",
+        topologies, "topologies", lambda topology: one_of(topology, "topology", TOPOLOGIES)
     )
     # The destinations each topology takes the worst case over.
     reach = {

@@ -41,6 +41,7 @@ from .core import (
     RateRegion,
     SchemeId,
     clamp_bounds,
+    one_of,
     open_interval,
     rate_region,
     read_schemes,
@@ -463,10 +464,8 @@ def optimize_beta(
     starting higher only on relay links so strong that the threshold at
     its low end would leave the float64 range.
     """
-    if scheme not in (SchemeId.GQF, SchemeId.CF):
-        raise InvalidParams(f"slot-fraction search takes GQF or CF, got {scheme!r}")
-    if objective not in ("sum", "r1", "r2"):
-        raise InvalidParams(f"objective must be 'sum', 'r1' or 'r2', got {objective!r}")
+    scheme = one_of(scheme, "slot-fraction search scheme", (SchemeId.GQF, SchemeId.CF))
+    objective = one_of(objective, "objective", ("sum", "r1", "r2"))
 
     def value(beta):
         bounds = gaussian_regions(params, (scheme,), beta)[scheme]

@@ -45,7 +45,7 @@ from .core import (
     SingularCovariance,
     UnknownVariable,
     clamp_region,
-    one_or_two,
+    one_of,
     real_array,
     validate_beta,
 )
@@ -145,7 +145,7 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
 
     ``slot`` must be the integer 1 or 2 (a bool or a float is refused).
     """
-    slot = one_or_two(slot, "slot")
+    slot = one_of(slot, "slot", (1, 2))
     if slot == 1:
         sigma = params.sigma_q2
         if sigma is None:

@@ -31,6 +31,8 @@ from .core import (
     SchemeId,
     clamp_bounds,
     document,
+    integer,
+    one_of,
     real_number,
     validate_beta,
 )
@@ -67,18 +69,13 @@ class GridSpec:
         # The checks of a config document's grid, under the same labels.
         object.__setattr__(self, "lo", real_number(self.lo, "grid.min", ConfigError))
         object.__setattr__(self, "hi", real_number(self.hi, "grid.max", ConfigError))
-        _integer(self.points, "grid.points")
-        if self.spacing not in ("linear", "log"):
-            raise ConfigError(
-                f"grid spacing must be 'linear' or 'log', got {self.spacing!r}"
-            )
+        points = integer(self.points, "grid.points", 2, MAX_GRID_POINTS, ConfigError)
+        object.__setattr__(self, "points", points)
+        spacing = one_of(self.spacing, "grid.spacing", ("linear", "log"), ConfigError)
+        object.__setattr__(self, "spacing", spacing)
         if not self.lo < self.hi:
             raise ConfigError(
                 f"grid needs min < max, got min={self.lo!r} max={self.hi!r}"
-            )
-        if not 2 <= self.points <= MAX_GRID_POINTS:
-            raise ConfigError(
-                f"grid needs 2 to {MAX_GRID_POINTS} points, got {self.points!r}"
             )
         if self.spacing == "log" and self.lo <= 0.0:
             raise ConfigError("log-spaced grid needs min > 0")
@@ -118,25 +115,11 @@ def _number(doc: dict, key: str, where: str) -> float:
     return real_number(doc[key], f"{where}.{key}", ConfigError, None)
 
 
-def _integer(value, label: str) -> int:
-    """``value`` if it is an integer (a bool or a float is refused)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{label} must be an integer, got {value!r}")
-    return value
-
-
 def _parse_schemes(raw) -> tuple[SchemeId, ...]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("schemes must be a non-empty list")
-    schemes = []
-    for name in raw:
-        try:
-            schemes.append(SchemeId(name))
-        except ValueError:
-            raise ConfigError(
-                f"unknown scheme {name!r}; expected one of "
-                f"{[s.value for s in SchemeId]}"
-            ) from None
+    names = tuple(scheme.value for scheme in SchemeId)
+    schemes = [SchemeId(one_of(name, "scheme", names, ConfigError)) for name in raw]
     if len(set(schemes)) != len(schemes):
         raise ConfigError(f"schemes list has duplicates: {raw}")
     return tuple(schemes)
@@ -190,9 +173,7 @@ def _model_fields(
     """The model and channel fields of a sweep over ``swept`` or of a region
     (``swept=None``) document ``doc``, as keywords of :class:`SweepConfig`
     and :class:`RegionConfig`."""
-    model = doc["model"]
-    if model not in ("gaussian", "dm"):
-        raise ConfigError(f"model must be 'gaussian' or 'dm', got {model!r}")
+    model = one_of(doc["model"], "model", ("gaussian", "dm"), ConfigError)
     if model == "gaussian":
         if "topology" in doc:
             raise ConfigError("topology applies to the dm model only")
@@ -212,9 +193,9 @@ def _model_fields(
             "no_relay powers apply to the gaussian model only; the dm "
             "NO_RELAY baseline silences the relay of the same channel"
         )
-    topology = doc.get("topology", "marc")
-    if topology not in TOPOLOGIES:
-        raise ConfigError(f"topology must be 'marc' or 'cmacr', got {topology!r}")
+    if swept == "sigma_q2":
+        raise ConfigError("the dm model has no sigma_q2 knob; sweep beta instead")
+    topology = one_of(doc.get("topology", "marc"), "topology", TOPOLOGIES, ConfigError)
     try:
         dm_spec = spec_from_dict(doc["channel"])
     except HdmarcError as exc:
@@ -234,17 +215,8 @@ def config_from_dict(doc: dict) -> SweepConfig:
     """
     required = ("schema_version", "model", "swept", "grid", "schemes", "channel")
     document(doc, "config", required, ("no_relay", "topology", "output"))
-    version = _integer(doc["schema_version"], "config.schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported schema_version {version}; this package reads "
-            f"version {SCHEMA_VERSION}"
-        )
-    swept = doc["swept"]
-    if swept not in ("sigma_q2", "beta"):
-        raise ConfigError(f"swept must be 'sigma_q2' or 'beta', got {swept!r}")
-    if doc["model"] == "dm" and swept != "beta":
-        raise ConfigError("the dm model has no sigma_q2 knob; sweep beta instead")
+    one_of(doc["schema_version"], "config.schema_version", (SCHEMA_VERSION,), ConfigError)
+    swept = one_of(doc["swept"], "swept", ("sigma_q2", "beta"), ConfigError)
 
     grid_doc = document(doc["grid"], "grid", ("min", "max", "points"), ("spacing",))
     grid = GridSpec(

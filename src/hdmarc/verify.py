@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import InvalidParams, RateRegion, SchemeId, rate_region
+from .core import RateRegion, SchemeId, integer, one_of, rate_region
 from .dminfo import (
     DmChannelSpec,
     JointEntropies,
@@ -438,19 +438,11 @@ DEFAULT_DRAWS = {subject: draws for subject, (_, draws) in _SUBJECT_TABLE.items(
 def _check_run(seed: int, draws: int) -> None:
     """Reject a seed that is not an integer >= 0 and a draw count that is
     not an integer from 1 to :data:`MAX_DRAWS`."""
-    for name, value, least in (("seed", seed, 0), ("draw count", draws, 1)):
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not integer or value < least:
-            raise InvalidParams(f"{name} must be an integer >= {least}, got {value!r}")
-    if draws > MAX_DRAWS:
-        raise InvalidParams(f"draw count must be at most {MAX_DRAWS}, got {draws!r}")
+    integer(seed, "seed", 0)
+    integer(draws, "draw count", 1, MAX_DRAWS)
 
 
 def run_subject(subject: str, seed: int = 0, draws: Optional[int] = None) -> Report:
     """Run one verification subject by name."""
-    if subject not in _SUBJECT_TABLE:
-        raise InvalidParams(
-            f"unknown verification subject {subject!r}; expected one of {SUBJECTS}"
-        )
-    runner, default_draws = _SUBJECT_TABLE[subject]
+    runner, default_draws = _SUBJECT_TABLE[one_of(subject, "verification subject", SUBJECTS)]
     return runner(seed, default_draws if draws is None else draws)

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from hdmarc import (
+    ConfigError,
+    InvalidParams,
     OutOfRange,
     RateRegion,
     SchemeId,
     clamp_region,
     validate_beta,
 )
+from hdmarc.core import integer, one_of
 
 
 def test_slot_fraction_accepts_interior_values():
@@ -108,3 +111,88 @@ def test_clamp_region_is_idempotent_under_fuzz():
         assert region.r1_max >= 0.0
         assert region.r2_max >= 0.0
         assert 0.0 <= region.sum_max <= region.r1_max + region.r2_max
+
+
+# ---------------------------------------------------------------------------
+# The gates of fixed choices and counts
+
+#: One value of each kind an entry may be handed, all reading "1".
+_KINDS = {
+    "bool": True,
+    "float": 1.0,
+    "str": "1",
+    "None": None,
+    "list": [1],
+    "array-0d": np.array(1),
+    "array-1d": np.array([1]),
+    "np.int64": np.int64(1),
+    "np.str_": np.str_("1"),
+}
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_an_int_choice_takes_python_and_numpy_integers_only(kind):
+    value = _KINDS[kind]
+    if kind == "np.int64":
+        chosen = one_of(value, "slot", (1, 2))
+        assert chosen == 1 and type(chosen) is int
+    else:
+        with pytest.raises(InvalidParams) as caught:
+            one_of(value, "slot", (1, 2))
+        assert str(caught.value) == f"slot must be 1 or 2, got {value!r}"
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_a_str_choice_takes_strs_only(kind):
+    value = _KINDS[kind]
+    if kind in ("str", "np.str_"):
+        chosen = one_of(value, "name", ("1", "2"), ConfigError)
+        assert chosen == "1" and type(chosen) is str
+    else:
+        with pytest.raises(ConfigError) as caught:
+            one_of(value, "name", ("1", "2"), ConfigError)
+        assert str(caught.value) == f"name must be '1' or '2', got {value!r}"
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_integer_takes_python_and_numpy_integers_only(kind):
+    value = _KINDS[kind]
+    if kind == "np.int64":
+        count = integer(value, "count", 0)
+        assert count == 1 and type(count) is int
+    else:
+        with pytest.raises(InvalidParams) as caught:
+            integer(value, "count", 0)
+        assert str(caught.value) == f"count must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "choices, message",
+    [
+        ((1,), "label must be 1, got 3"),
+        ((1, 2), "label must be 1 or 2, got 3"),
+        (("a", "b", "c"), "label must be 'a', 'b' or 'c', got 3"),
+        ((SchemeId.GQF, SchemeId.CF), "label must be SchemeId.GQF or SchemeId.CF, got 3"),
+    ],
+)
+def test_one_of_lists_every_choice(choices, message):
+    with pytest.raises(InvalidParams) as caught:
+        one_of(3, "label", choices)
+    assert str(caught.value) == message
+
+
+def test_one_of_returns_the_choice_itself():
+    assert one_of(SchemeId.CF, "scheme", (SchemeId.GQF, SchemeId.CF)) is SchemeId.CF
+    with pytest.raises(InvalidParams):
+        one_of("CF", "scheme", (SchemeId.GQF, SchemeId.CF))
+
+
+def test_integer_names_the_bound_it_breaks():
+    assert integer(10**6, "grid.points", 2, 10**6, ConfigError) == 10**6
+    with pytest.raises(ConfigError) as caught:
+        integer(1, "grid.points", 2, 10**6, ConfigError)
+    assert str(caught.value) == "grid.points must be an integer >= 2, got 1"
+    above = np.int64(10**6 + 1)
+    with pytest.raises(ConfigError) as caught:
+        integer(above, "grid.points", 2, 10**6, ConfigError)
+    assert str(caught.value) == f"grid.points must be at most 1000000, got {above!r}"

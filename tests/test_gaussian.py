@@ -481,6 +481,21 @@ def test_optimize_beta_validates_inputs():
         optimize_beta(params, SchemeId.GQF, objective="throughput")
 
 
+@pytest.mark.parametrize(
+    "scheme, objective",
+    [
+        (SchemeId.GQF, np.array(["sum", "r1"])),
+        (np.array([SchemeId.GQF, SchemeId.CF]), "sum"),
+        ([SchemeId.GQF], "sum"),
+    ],
+    ids=["objective-array", "scheme-array", "scheme-list"],
+)
+def test_optimize_beta_refuses_collections_with_a_typed_error(scheme, objective):
+    # An array compared with == is an array, whose truth value numpy refuses.
+    with pytest.raises(InvalidParams, match="must be"):
+        optimize_beta(benchmark_params(), scheme, objective)
+
+
 @pytest.mark.parametrize("schemes", [["GQF"], "GQF", [SchemeId.GQF, None]])
 def test_gaussian_regions_refuse_a_scheme_that_is_not_a_scheme_id(schemes):
     with pytest.raises(InvalidParams, match="scheme must be a SchemeId, got"):

@@ -167,7 +167,7 @@ def test_grid_values_linear_and_log():
 
 def test_grid_points_are_capped():
     GridSpec(lo=0.1, hi=0.9, points=MAX_GRID_POINTS, spacing="linear")
-    with pytest.raises(ConfigError, match=f"2 to {MAX_GRID_POINTS} points"):
+    with pytest.raises(ConfigError, match=f"grid.points must be at most {MAX_GRID_POINTS}"):
         GridSpec(lo=0.1, hi=0.9, points=MAX_GRID_POINTS + 1, spacing="linear")
     doc = _dm_sweep_doc()
     doc["grid"]["points"] = 10**12
@@ -191,6 +191,16 @@ def test_grid_rejects_non_numbers_with_a_config_error(kwargs, message):
     fields = dict(dict(lo=0.1, hi=0.9, points=5, spacing="linear"), **kwargs)
     with pytest.raises(ConfigError, match=re.escape(message)):
         GridSpec(**fields)
+
+
+def test_grid_takes_numpy_integers_and_strs_and_refuses_arrays():
+    grid = GridSpec(lo=0.1, hi=0.9, points=np.int64(5), spacing=np.str_("log"))
+    assert (type(grid.points), type(grid.spacing)) == (int, str)
+    assert grid == GridSpec(lo=0.1, hi=0.9, points=5, spacing="log")
+    with pytest.raises(ConfigError, match="grid.spacing must be 'linear' or 'log', got array"):
+        GridSpec(lo=0.1, hi=0.9, points=5, spacing=np.array(["log", "linear"]))
+    with pytest.raises(ConfigError, match="grid.points must be an integer, got array"):
+        GridSpec(lo=0.1, hi=0.9, points=np.array([5]), spacing="linear")
 
 
 def test_grid_rejects_malformed_ranges():
@@ -854,6 +864,50 @@ def test_cli_sweep_refuses_a_csv_path_with_a_line_break(
     assert sorted(entry.name for entry in tmp_path.iterdir()) == ["sweep.json"]
 
 
+#: Paths no file can have: a NUL character, and a lone surrogate that the
+#: file system encoding cannot write (JSON can carry one as "\ud800").
+_UNNAMEABLE = {"nul": "out/a\0.csv", "surrogate": "out/a\ud800.csv"}
+
+
+@pytest.mark.parametrize("name", _UNNAMEABLE)
+@pytest.mark.parametrize("where", ["--out", "output"])
+def test_cli_sweep_refuses_a_path_that_cannot_name_a_file(
+    tmp_path, monkeypatch, capsys, where, name
+):
+    path = _UNNAMEABLE[name]
+    doc, argv = _gaussian_sweep_doc(), []
+    if where == "output":
+        doc["output"] = path
+    else:
+        argv = ["--out", path]
+    config_path = _write_json(tmp_path / "sweep.json", doc)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", config_path, *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: path {path!r} cannot name a file\n"
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == ["sweep.json"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "region"])
+def test_cli_refuses_a_config_path_with_a_nul(capsys, command):
+    assert main([command, "--config", "sweep\0.json"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: path 'sweep\\x00.json' cannot name a file\n"
+
+
+def test_cli_region_and_verify_refuse_an_out_path_with_a_nul(tmp_path, monkeypatch, capsys):
+    doc = next(_region_docs())
+    config_path = _write_json(tmp_path / "region.json", doc)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["region", "--config", config_path, "--out", "x\0.json"],
+        ["verify", "reductions", "--draws", "2", "--out", "v\0.txt"],
+    ):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""  # verify prints no report
+        assert captured.err.startswith("error: path ") and "cannot name a file" in captured.err
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == ["region.json"]
+
+
 def test_cli_sweep_without_output_is_a_config_error(tmp_path):
     config_path = _write_json(tmp_path / "sweep.json", _gaussian_sweep_doc())
     assert main(["sweep", "--config", config_path]) == EXIT_CONFIG
@@ -1210,6 +1264,12 @@ def test_verify_rejects_bad_draw_counts():
         run_subject("closed-forms", draws=0)
     with pytest.raises(InvalidParams):
         run_subject("everything")
+
+
+@pytest.mark.parametrize("subject", [["closed-forms"], np.array(["reductions"])], ids=["list", "array"])
+def test_verify_refuses_a_subject_that_is_not_a_name(subject):
+    with pytest.raises(InvalidParams, match="verification subject must be 'closed-forms', "):
+        run_subject(subject)
 
 
 def test_verify_caps_the_draw_count(capsys):
