@@ -1,6 +1,6 @@
 """Shared domain types and input checks: errors, slot fractions, scheme tags,
 rate regions, and the gates for numbers, numeric arrays, open intervals,
-config documents, fixed choices and counts.
+config documents, fixed choices, counts, collections and model objects.
 
 Every quantity in this package is a rate in bits per channel use.  A
 "region" here is the triple of single-user bounds plus the sum bound that
@@ -195,16 +195,37 @@ def validate_beta(beta, allow_array: bool = True):
     return open_interval(beta, "slot fraction", 1.0, OutOfRange, allow_array)
 
 
-def read_collection(values, label: str, check: Callable[[Any], Any]) -> tuple:
-    """``values`` read once, as a tuple of what the gate ``check`` returns
-    for each element, so a generator works.  One that is not iterable
-    raises :class:`InvalidParams` naming the argument ``label``; ``check``
-    raises for an element it refuses."""
+def read_collection(values, label: str, check: Optional[Callable] = None, kind: type = tuple):
+    """``values`` read once, as a ``kind`` of what the gate ``check``
+    returns for each element (of the elements themselves for None), so a
+    generator works.  One that is not iterable raises :class:`InvalidParams`
+    naming the argument ``label``; ``check`` raises for an element it
+    refuses."""
     try:
         iterator = iter(values)
     except TypeError:
         raise InvalidParams(f"{label} must be iterable, got {values!r}") from None
-    return tuple(map(check, iterator))
+    return kind(iterator if check is None else map(check, iterator))
+
+
+def read_names(values, label: str, kind: type = set):
+    """:func:`read_collection` of a collection of names into a ``kind`` (a
+    set, or a tuple to keep their order).  A lone str, which it would read
+    letter by letter, raises :class:`InvalidParams` naming ``label``."""
+    if isinstance(values, str):
+        raise InvalidParams(
+            f"{label} must be a collection of names (not one str), got the str {values!r}"
+        )
+    return read_collection(values, label, kind=kind)
+
+
+def instance_of(value, kind: type, label: str):
+    """``value`` if it is a ``kind``.  Otherwise raises :class:`InvalidParams`
+    naming ``label``, ``kind`` and the type it got (not its repr, which for
+    an array can be huge): the one check of a model object."""
+    if isinstance(value, kind):
+        return value
+    raise InvalidParams(f"{label} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _scheme(value) -> SchemeId:

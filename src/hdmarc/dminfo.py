@@ -27,6 +27,8 @@ from .core import (
     TensorTooLarge,
     UnknownVariable,
     document,
+    instance_of,
+    read_names,
     real_array,
 )
 
@@ -37,11 +39,11 @@ VAR_NAMES = frozenset(
 
 
 def check_names(names: Iterable[str], where: str) -> tuple[str, ...]:
-    """``names`` as a tuple if each is one of :data:`VAR_NAMES` and none
-    repeats.  Otherwise raises :class:`UnknownVariable` or
-    :class:`InvalidParams` naming the model ``where``.  This is the one name
-    check of both information models."""
-    names = tuple(names)
+    """``names``, read by :func:`~hdmarc.core.read_names`, as a tuple if
+    each is one of :data:`VAR_NAMES` and none repeats.  Otherwise raises
+    :class:`UnknownVariable` or :class:`InvalidParams` naming the model
+    ``where``.  This is the one name check of both information models."""
+    names = read_names(names, f"variable names of the {where}", tuple)
     unknown = sorted(set(names) - VAR_NAMES)
     if unknown:
         raise UnknownVariable(
@@ -55,8 +57,9 @@ def check_names(names: Iterable[str], where: str) -> tuple[str, ...]:
 def disjoint_sets(a: Iterable[str], b: Iterable[str], c: Iterable[str]):
     """``a``, ``b`` and ``c`` as sets if they are pairwise disjoint, as the
     sets of I(A; B | C) must be.  Otherwise raises :class:`OverlappingSets`
-    naming the first pair that shares variables."""
-    a, b, c = set(a), set(b), set(c)
+    naming the first pair that shares variables; each is read by
+    :func:`~hdmarc.core.read_names`."""
+    a, b, c = read_names(a, "set A"), read_names(b, "set B"), read_names(c, "set C")
     for tag, shared in (("A and B", a & b), ("A and C", a & c), ("B and C", b & c)):
         if shared:
             raise OverlappingSets(f"{tag} share variables {sorted(shared)}")
@@ -138,8 +141,8 @@ def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
     Axis order of the surviving variables is preserved.  Names in ``keep``
     that are not part of ``pmf`` raise :class:`UnknownVariable`.
     """
-    keep = set(keep)
-    probs = _marginal(pmf, keep)
+    keep = read_names(keep, "keep")
+    probs = _marginal(instance_of(pmf, JointPmf, "pmf"), keep)
     return JointPmf(tuple(name for name in pmf.names() if name in keep), probs)
 
 
@@ -149,7 +152,8 @@ def entropy(pmf: JointPmf, names: Iterable[str]) -> float:
     Uses the convention 0 * log 0 = 0; probabilities at or below
     :data:`ZERO_EPS` are treated as exact zeros.
     """
-    return _marginal_entropy(pmf, set(names))
+    names = read_names(names, "names")
+    return _marginal_entropy(instance_of(pmf, JointPmf, "pmf"), names)
 
 
 def mutual_information(
@@ -177,7 +181,7 @@ class JointEntropies:
     """
 
     def __init__(self, pmf: JointPmf) -> None:
-        self._pmf = pmf
+        self._pmf = instance_of(pmf, JointPmf, "pmf")
         self._memo: dict[frozenset, float] = {}
 
     def entropy(self, names: Iterable[str]) -> float:
@@ -295,7 +299,7 @@ def build_slot1_joint(spec: DmChannelSpec) -> JointPmf:
     relay quantizes based on YR alone, which is exactly the test-channel
     factorization above.
     """
-    cells = spec.slot1.size * spec.test_channel.shape[1]
+    cells = instance_of(spec, DmChannelSpec, "spec").slot1.size * spec.test_channel.shape[1]
     if cells > MAX_CELLS:
         raise TensorTooLarge(
             f"slot-1 joint would hold {cells} cells; the cap is {MAX_CELLS}"
@@ -314,7 +318,7 @@ def build_slot2_joint(spec: DmChannelSpec) -> JointPmf:
     Assembled as p(x12) p(x22) p(xR) p(y12, y22 | x12, x22, xR); in slot 2
     the relay input XR is an independent codebook symbol.
     """
-    cells = spec.slot2.size
+    cells = instance_of(spec, DmChannelSpec, "spec").slot2.size
     if cells > MAX_CELLS:
         raise TensorTooLarge(
             f"slot-2 joint would hold {cells} cells; the cap is {MAX_CELLS}"

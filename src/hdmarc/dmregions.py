@@ -42,9 +42,10 @@ from .core import (
     InvalidParams,
     RateRegion,
     SchemeId,
+    instance_of,
     one_of,
     rate_region,
-    read_collection,
+    read_names,
     read_schemes,
     two_slot,
     validate_beta,
@@ -121,6 +122,7 @@ def active_destinations(spec: DmChannelSpec) -> tuple[int, ...]:
     zero information in either slot and is treated as absent from the
     compound model.  At least one destination must remain.
     """
+    instance_of(spec, DmChannelSpec, "spec")
     # Yk1 and Yk2 are axis 2 + k of slot1 and of slot2.
     ks = tuple(
         k for k in (1, 2) if spec.slot1.shape[2 + k] > 1 or spec.slot2.shape[2 + k] > 1
@@ -176,19 +178,13 @@ def dm_regions(
     need; those of the relay-silenced spec are built at most once, and only
     when NO_RELAY is requested or some CF point fails its binning
     constraint.  Each topology's ``terms`` name its own destinations only.
-    ``topologies`` and ``schemes`` are read once
-    (:func:`~hdmarc.core.read_collection`); a lone str for ``topologies``
-    is refused, not read letter by letter.
+    ``topologies`` (:func:`~hdmarc.core.read_names`, so a lone str is
+    refused) and ``schemes`` are read once.
     """
+    instance_of(spec, DmChannelSpec, "spec")
     beta = validate_beta(beta)
-    if isinstance(topologies, str):
-        raise InvalidParams(
-            f"topologies must be a collection of names such as ('marc',), "
-            f"got the str {topologies!r}"
-        )
-    topologies = read_collection(
-        topologies, "topologies", lambda topology: one_of(topology, "topology", TOPOLOGIES)
-    )
+    topologies = read_names(topologies, "topologies", tuple)
+    topologies = tuple(one_of(topology, "topology", TOPOLOGIES) for topology in topologies)
     # The destinations each topology takes the worst case over.
     reach = {
         topology: (1,) if topology == "marc" else active_destinations(spec)
@@ -261,7 +257,7 @@ def degenerate_relay_spec(spec: DmChannelSpec) -> DmChannelSpec:
     slot.  Evaluating GQF on the result gives the plain two-slot
     no-relay region of the channel.
     """
-    pxr = np.zeros_like(spec.pxr)
+    pxr = np.zeros_like(instance_of(spec, DmChannelSpec, "spec").pxr)
     pxr[0] = 1.0
     return replace(spec, pxr=pxr, test_channel=np.ones((spec.test_channel.shape[0], 1)))
 

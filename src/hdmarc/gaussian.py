@@ -41,6 +41,7 @@ from .core import (
     RateRegion,
     SchemeId,
     clamp_bounds,
+    instance_of,
     one_of,
     open_interval,
     rate_region,
@@ -294,7 +295,7 @@ def _cf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
 
 def _point(params: GaussianMarcParams, scheme: SchemeId) -> RateRegion:
     """``scheme``'s region at the fixed (beta, sigma_q2) of ``params``."""
-    if params.sigma_q2 is None:
+    if instance_of(params, GaussianMarcParams, "params").sigma_q2 is None:
         raise InvalidParams("quantization variance is unset; fix sigma_q2 first")
     bounds = gaussian_regions(params, (scheme,), params.beta, params.sigma_q2)
     return rate_region(bounds[scheme])
@@ -331,7 +332,7 @@ def gqf_optimize_sigma(params: GaussianMarcParams) -> SigmaOptimum:
     cross, and by the paper's threshold identity that is exactly the CF
     binning threshold :func:`cf_sigma_min`: a closed form, no search.
     """
-    bounds = _gqf_bounds(params, params.beta)
+    bounds = _gqf_bounds(params, instance_of(params, GaussianMarcParams, "params").beta)
     return SigmaOptimum(
         sigma_q2=float(bounds.sigma),
         sum_rate=float(_gqf_sum_rate(params, bounds)),
@@ -346,7 +347,8 @@ def cf_sigma_min(params: GaussianMarcParams) -> float:
     relay pipe" for sigma_q2.  Requires a live relay-to-destination link;
     otherwise the pipe has zero capacity and no variance is small enough.
     """
-    return float(_sigma_threshold(params, params.beta))
+    beta = instance_of(params, GaussianMarcParams, "params").beta
+    return float(_sigma_threshold(params, beta))
 
 
 def cf_rates(params: GaussianMarcParams) -> RateRegion:
@@ -402,6 +404,7 @@ def gaussian_regions(
     (:func:`_variances`) are checked here once, whichever schemes are asked
     for; the helpers behind this entry trust them.
     """
+    instance_of(params, GaussianMarcParams, "params")
     beta = validate_beta(beta)
     if sigma_q2 is not None:
         sigma_q2 = _variances(sigma_q2, beta)
@@ -434,7 +437,8 @@ class BetaOptimum:
 def cf_operating_point(params: GaussianMarcParams) -> GaussianMarcParams:
     """CF parameters with sigma_q2 pinned just above the binning threshold
     (at 1 with a dead relay link, where :func:`cf_rates` falls back)."""
-    return replace(params, sigma_q2=float(_cf_bounds(params, params.beta).sigma))
+    beta = instance_of(params, GaussianMarcParams, "params").beta
+    return replace(params, sigma_q2=float(_cf_bounds(params, beta).sigma))
 
 
 def _smallest_beta(params: GaussianMarcParams) -> float:
@@ -466,6 +470,7 @@ def optimize_beta(
     """
     scheme = one_of(scheme, "slot-fraction search scheme", (SchemeId.GQF, SchemeId.CF))
     objective = one_of(objective, "objective", ("sum", "r1", "r2"))
+    instance_of(params, GaussianMarcParams, "params")
 
     def value(beta):
         bounds = gaussian_regions(params, (scheme,), beta)[scheme]

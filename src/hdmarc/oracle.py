@@ -1,16 +1,20 @@
-"""Independent verification paths for the production rate formulas.
+"""Independent reference values for the production rate formulas.
 
 Nothing here shares formula code with :mod:`hdmarc.gaussian` or
-:mod:`hdmarc.dmregions`.  Two checkers are provided:
+:mod:`hdmarc.dmregions`, and every value ``hdmarc verify`` compares a
+model entry against is computed here.  Two checkers are provided:
 
 * a jointly-Gaussian vector model per slot, built straight from the channel
   equations as a square root of its covariance (the loading matrix times
   the primitives' standard deviations), with mutual informations evaluated
   through log-determinants of covariance submatrices, read off a QR of the
-  square root's rows so that no covariance is ever formed; and
+  square root's rows so that no covariance is ever formed;
+  :func:`closed_forms_via_log_dets` evaluates the table below with it; and
 * an evaluator of the raw joint-decoding inequality system of both
   topologies, from one pair of joints, in which the codebook rate appears
-  explicitly and is eliminated at its minimum ``R_U = beta * I(YR; YhR)``.
+  explicitly and is eliminated at its minimum ``R_U = beta * I(YR; YhR)``
+  (:func:`gqf_region_via_ru_sweep`), with the single-source forms of the
+  GQF branches beside it (:func:`single_source_gqf_branches`).
 
 Mapping between the closed-form terms of :mod:`hdmarc.gaussian` and the
 log-det expressions used here (slot-1 model over ``X11, X21, YR, YhR,
@@ -33,7 +37,7 @@ CF threshold          at ``sigma_q2 = cf_sigma_min``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -45,6 +49,7 @@ from .core import (
     SingularCovariance,
     UnknownVariable,
     clamp_region,
+    instance_of,
     one_of,
     real_array,
     validate_beta,
@@ -145,6 +150,7 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
 
     ``slot`` must be the integer 1 or 2 (a bool or a float is refused).
     """
+    instance_of(params, GaussianMarcParams, "params")
     slot = one_of(slot, "slot", (1, 2))
     if slot == 1:
         sigma = params.sigma_q2
@@ -223,6 +229,7 @@ def gaussian_mis(
     - log2 det S_C - log2 det S_ABC] on covariance submatrices, read along
     the orders (C, A, B) and (C, B).
     """
+    instance_of(model, GaussianVectorModel, "model")
     position = {name: i for i, name in enumerate(model.names)}
     orders, ends = [], []
     for a, b, c in triples:
@@ -260,6 +267,41 @@ def gaussian_mi(
     """Conditional mutual information I(A; B | C) in bits, by log-dets: the
     one-triple case of :func:`gaussian_mis`."""
     return gaussian_mis(model, [(a, b, c)])[0]
+
+
+def closed_forms_via_log_dets(
+    params: GaussianMarcParams, sigma_min: float
+) -> tuple[dict[str, float], float]:
+    """The six GQF terms of the table above at ``params.sigma_q2``, and the
+    CF binning excess ``b*[I(YR; YhR) - I(Y11; YhR)] - (1-b)*I(XR; Y12)`` at
+    ``sigma_q2 = sigma_min`` (zero at the threshold), by log-dets: three
+    models, one stacked QR each."""
+    # Each term's slot-1 triples (a difference if two) and slot-2 triple; x are
+    # the inputs of the sources whose rate it bounds, w those of the other.
+    layout = {}
+    for plain, indexed, own, other in (
+        ("a(1)", "b(1)", "1", "2"), ("a(2)", "b(2)", "2", "1"), ("I1", "I2", "12", "")
+    ):
+        x1, w1 = {f"X{i}1" for i in own}, {f"X{i}1" for i in other}
+        x2, w2 = {f"X{i}2" for i in own}, {f"X{i}2" for i in other}
+        layout[plain] = [(x1, w1 | {"Y11", "YhR"}, ())], (x2, w2 | {"XR", "Y12"}, ())
+        layout[indexed] = (
+            [(x1, w1 | {"Y11"}, ()), ({"YhR"}, {"YR"}, x1 | w1 | {"Y11"})],
+            (x2 | {"XR"}, w2 | {"Y12"}, ()),
+        )
+    triples1 = [triple for slot1, _ in layout.values() for triple in slot1]
+    triples2 = [slot2 for _, slot2 in layout.values()] + [({"XR"}, {"Y12"}, ())]
+    mi1 = iter(gaussian_mis(build_covariance(params, slot=1), triples1))
+    mi2 = iter(gaussian_mis(build_covariance(params, slot=2), triples2))
+    b = params.beta
+    comp = 1.0 - b
+    terms = {}
+    for name, (slot1, _) in layout.items():
+        s1 = next(mi1) if len(slot1) == 1 else next(mi1) - next(mi1)
+        terms[name] = b * s1 + comp * next(mi2)
+    at_min = build_covariance(replace(params, sigma_q2=sigma_min), slot=1)
+    quant, side = gaussian_mis(at_min, [({"YR"}, {"YhR"}, ()), ({"Y11"}, {"YhR"}, ())])
+    return terms, b * (quant - side) - comp * next(mi2)
 
 
 def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateRegion]:
@@ -320,3 +362,20 @@ def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateR
         "marc": clamp_region(*bounds[1], feasible=True, terms=raw[1]),
         "cmacr": clamp_region(*worst, feasible=True, terms=suffixed),
     }
+
+
+def single_source_gqf_branches(spec: DmChannelSpec, beta: float) -> tuple[float, float]:
+    """Source 1's two GQF branches at destination 1 of a channel whose
+    source 2 is degenerate, in their single-source forms: ``(plain,
+    with_index)``, the quantization index as noise and decoded,
+    ``b*I(X11; Y11,YhR) + (1-b)*I(X12; Y12 | XR)`` and ``b*[I(X11; Y11) -
+    I(YhR; YR | X11,Y11)] + (1-b)*I(X12,XR; Y12)``, from the entropies of
+    one pair of joints."""
+    b = validate_beta(beta, allow_array=False)
+    mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
+    mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
+    plain = b * mi1({"X11"}, {"Y11", "YhR"}) + (1.0 - b) * mi2({"X12"}, {"Y12"}, {"XR"})
+    with_index = b * (
+        mi1({"X11"}, {"Y11"}) - mi1({"YhR"}, {"YR"}, {"X11", "Y11"})
+    ) + (1.0 - b) * mi2({"X12", "XR"}, {"Y12"})
+    return plain, with_index

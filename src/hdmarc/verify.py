@@ -1,8 +1,10 @@
 """Seeded self-verification suites.
 
-Each subject draws random instances, evaluates the production formulas and
-an independent oracle path side by side, and reports the worst deviation
-per check.  Reports are deterministic for a given (seed, draws).
+Each subject is a per-draw check: it draws a random instance, evaluates it
+with a production entry and with the reference values of
+:mod:`hdmarc.oracle`, and records the deviations.  :func:`run_subject`
+drives one and reports the worst deviation per check, deterministically
+for a given (seed, draws).
 
 Subjects:
 
@@ -25,12 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import RateRegion, SchemeId, integer, one_of, rate_region
-from .dminfo import (
-    DmChannelSpec,
-    JointEntropies,
-    build_slot1_joint,
-    build_slot2_joint,
-)
+from .dminfo import DmChannelSpec
 from .dmregions import TOPOLOGIES, dm_regions
 from .gaussian import (
     GaussianMarcParams,
@@ -41,11 +38,9 @@ from .gaussian import (
     slot2_signal,
 )
 from .oracle import (
-    GaussianVectorModel,
-    build_covariance,
-    gaussian_mi,
-    gaussian_mis,
+    closed_forms_via_log_dets,
     gqf_region_via_ru_sweep,
+    single_source_gqf_branches,
 )
 
 #: Absolute tolerance for the Gaussian closed-form checks.
@@ -115,19 +110,16 @@ class _Worst:
     """Accumulates the worst deviation per named check, preserving order."""
 
     def __init__(self) -> None:
-        self._devs: dict[str, float] = {}
-        self._tols: dict[str, float] = {}
+        self._checks: dict[str, Check] = {}
 
     def record(self, name: str, dev: float, tol: float) -> None:
+        previous = self._checks.get(name)
         # np.maximum keeps a NaN, which then fails the check; max(x, nan) is x.
-        worst = np.maximum(self._devs.get(name, 0.0), abs(float(dev)))
-        self._devs[name] = float(worst)
-        self._tols[name] = tol
+        worst = np.maximum(previous.max_dev if previous else 0.0, abs(float(dev)))
+        self._checks[name] = Check(name, float(worst), tol)
 
     def checks(self) -> tuple[Check, ...]:
-        return tuple(
-            Check(name, self._devs[name], self._tols[name]) for name in self._devs
-        )
+        return tuple(self._checks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -216,45 +208,7 @@ def draw_silent_dest2_spec(rng: np.random.Generator) -> DmChannelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Subject: closed-forms.
-
-def _oracle_gqf_terms(
-    params: GaussianMarcParams, model2: GaussianVectorModel
-) -> dict[str, float]:
-    """The six GQF terms via log-det mutual informations (see oracle docs),
-    given the slot-2 model of ``params``."""
-    model1 = build_covariance(params, slot=1)
-    triples1, triples2 = [], []  # each term's triples, in the order it reads them
-    for i, j in ((1, 2), (2, 1)):
-        xi1, xj1 = f"X{i}1", f"X{j}1"
-        xi2, xj2 = f"X{i}2", f"X{j}2"
-        triples1 += [
-            ({xi1}, {xj1, "Y11", "YhR"}, ()),
-            ({xi1}, {xj1, "Y11"}, ()),
-            ({"YhR"}, {"YR"}, {xi1, xj1, "Y11"}),
-        ]
-        triples2 += [({xi2}, {xj2, "XR", "Y12"}, ()), ({xi2, "XR"}, {xj2, "Y12"}, ())]
-    triples1 += [
-        ({"X11", "X21"}, {"Y11", "YhR"}, ()),
-        ({"X11", "X21"}, {"Y11"}, ()),
-        ({"YhR"}, {"YR"}, {"X11", "X21", "Y11"}),
-    ]
-    triples2 += [
-        ({"X12", "X22"}, {"XR", "Y12"}, ()),
-        ({"X12", "X22", "XR"}, {"Y12"}, ()),
-    ]
-    mi1 = iter(gaussian_mis(model1, triples1))
-    mi2 = iter(gaussian_mis(model2, triples2))
-    b = params.beta
-    comp = 1.0 - b
-    values: dict[str, float] = {}
-    for i in (1, 2):
-        values[f"a({i})"] = b * next(mi1) + comp * next(mi2)
-        values[f"b({i})"] = b * (next(mi1) - next(mi1)) + comp * next(mi2)
-    values["I1"] = b * next(mi1) + comp * next(mi2)
-    values["I2"] = b * (next(mi1) - next(mi1)) + comp * next(mi2)
-    return values
-
+# Per-draw checks, one per subject: (rng, worst) -> None.
 
 def _crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
     """Distance from ``sigma`` to the crossing of the sum branches, relative
@@ -272,81 +226,51 @@ def _crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
     return gap / slope
 
 
-def verify_closed_forms(seed: int, draws: int) -> Report:
+def closed_forms_draw(rng: np.random.Generator, worst: _Worst) -> None:
     """Gaussian closed forms vs log-det oracle, plus the threshold identity."""
-    _check_run(seed, draws)
-    rng = np.random.default_rng(seed)
-    worst = _Worst()
+    params = draw_gaussian_params(rng)
+    beta = params.beta
     gqf, cf = (SchemeId.GQF,), (SchemeId.CF,)
-    for _ in range(draws):
-        params = draw_gaussian_params(rng)
-        beta = params.beta
-        terms = gaussian_regions(params, gqf, beta, params.sigma_q2)[SchemeId.GQF].terms
-        # The slot-2 model does not depend on sigma_q2: one serves both checks.
-        model2 = build_covariance(params, slot=2)
-        oracle = _oracle_gqf_terms(params, model2)
-        for name in ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"):
-            worst.record(f"gqf_term_{name}", terms[name] - oracle[name], GAUSSIAN_TOL)
+    terms = gaussian_regions(params, gqf, beta, params.sigma_q2)[SchemeId.GQF].terms
+    # The sum-optimal GQF variance, found by the GQF entry; and CF asked for
+    # a variance below its binning threshold, which it finds itself and
+    # takes the bounds at.
+    optimum = gaussian_regions(params, gqf, beta)[SchemeId.GQF]
+    cf_at_threshold = gaussian_regions(params, cf, beta, _BELOW_EVERY_THRESHOLD)[SchemeId.CF]
+    # CF feasibility threshold: at sigma_q2 = sigma_min the index
+    # description rate exactly fills the relay pipe.
+    sigma_min = float(cf_at_threshold.terms["sigma_min"])
+    oracle, excess = closed_forms_via_log_dets(params, sigma_min)
+    for name in ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"):
+        worst.record(f"gqf_term_{name}", terms[name] - oracle[name], GAUSSIAN_TOL)
+    worst.record("cf_threshold_balance", excess, GAUSSIAN_TOL)
 
-        # The sum-optimal GQF variance, found by the GQF entry; and CF asked
-        # for a variance below its binning threshold, which it finds itself
-        # and takes the bounds at.
-        optimum = gaussian_regions(params, gqf, beta)[SchemeId.GQF]
-        at_threshold = gaussian_regions(params, cf, beta, _BELOW_EVERY_THRESHOLD)
-        cf_at_threshold = at_threshold[SchemeId.CF]
-
-        # CF feasibility threshold: at sigma_q2 = sigma_min the index
-        # description rate exactly fills the relay pipe.
-        sigma_min = float(cf_at_threshold.terms["sigma_min"])
-        at_min = replace(params, sigma_q2=sigma_min)
-        quant_rate, side_info = gaussian_mis(
-            build_covariance(at_min, slot=1),
-            [({"YR"}, {"YhR"}, ()), ({"Y11"}, {"YhR"}, ())],
-        )
-        lhs = beta * (quant_rate - side_info)
-        rhs = (1.0 - beta) * gaussian_mi(model2, {"XR"}, {"Y12"})
-        worst.record("cf_threshold_balance", lhs - rhs, GAUSSIAN_TOL)
-
-        # Threshold identity: the sum-optimal GQF quantizer sits exactly
-        # where the two sum branches cross, and there both schemes meet at
-        # the same sum rate.  A drawn relay link is live, so the optimum is
-        # a crossing and its sum rate is I1.
-        worst.record(
-            "threshold_sigma",
-            _crossing_offset(params, float(optimum.sigma)),
-            SIGMA_REL_TOL,
-        )
-        worst.record(
-            "threshold_sum_rate",
-            float(optimum.terms["I1"]) - rate_region(cf_at_threshold).sum_max,
-            GAUSSIAN_TOL,
-        )
-    return Report("closed-forms", seed, draws, worst.checks())
+    # Threshold identity: the sum-optimal GQF quantizer sits exactly where
+    # the two sum branches cross, and there both schemes meet at the same
+    # sum rate.  A drawn relay link is live, so the optimum is a crossing
+    # and its sum rate is I1.
+    worst.record(
+        "threshold_sigma", _crossing_offset(params, float(optimum.sigma)), SIGMA_REL_TOL
+    )
+    worst.record(
+        "threshold_sum_rate",
+        float(optimum.terms["I1"]) - rate_region(cf_at_threshold).sum_max,
+        GAUSSIAN_TOL,
+    )
 
 
-# ---------------------------------------------------------------------------
-# Subject: dm-regions.
-
-def verify_dm_regions(seed: int, draws: int) -> Report:
+def dm_regions_draw(rng: np.random.Generator, worst: _Worst) -> None:
     """Simplified finite-alphabet bounds vs the raw inequality system."""
-    _check_run(seed, draws)
-    rng = np.random.default_rng(seed)
-    worst = _Worst()
-    for _ in range(draws):
-        spec = draw_dm_spec(rng)
-        beta = float(rng.uniform(0.1, 0.9))
-        oracle = gqf_region_via_ru_sweep(spec, beta)
-        production = dm_regions(spec, TOPOLOGIES, (SchemeId.GQF,), beta)
-        for topology, bounds in production.items():
-            region, raw = rate_region(bounds[SchemeId.GQF]), oracle[topology]
-            worst.record(f"{topology}_r1", region.r1_max - raw.r1_max, DM_TOL)
-            worst.record(f"{topology}_r2", region.r2_max - raw.r2_max, DM_TOL)
-            worst.record(f"{topology}_sum", region.sum_max - raw.sum_max, DM_TOL)
-    return Report("dm-regions", seed, draws, worst.checks())
+    spec = draw_dm_spec(rng)
+    beta = float(rng.uniform(0.1, 0.9))
+    oracle = gqf_region_via_ru_sweep(spec, beta)
+    production = dm_regions(spec, TOPOLOGIES, (SchemeId.GQF,), beta)
+    for topology, bounds in production.items():
+        region, raw = rate_region(bounds[SchemeId.GQF]), oracle[topology]
+        worst.record(f"{topology}_r1", region.r1_max - raw.r1_max, DM_TOL)
+        worst.record(f"{topology}_r2", region.r2_max - raw.r2_max, DM_TOL)
+        worst.record(f"{topology}_sum", region.sum_max - raw.sum_max, DM_TOL)
 
-
-# ---------------------------------------------------------------------------
-# Subject: reductions.
 
 def _rate_regions(
     spec: DmChannelSpec, topologies: tuple[str, ...], beta: float
@@ -360,73 +284,56 @@ def _rate_regions(
     }
 
 
-def verify_reductions(seed: int, draws: int) -> Report:
+def reductions_draw(rng: np.random.Generator, worst: _Worst) -> None:
     """Degenerate channels collapse to the expected smaller models."""
-    _check_run(seed, draws)
-    rng = np.random.default_rng(seed)
-    worst = _Worst()
-    for _ in range(draws):
-        spec, b = draw_single_source_spec(rng)
-        mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
-        mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
-        regions = _rate_regions(spec, ("marc",), b)["marc"]
+    spec, b = draw_single_source_spec(rng)
+    plain, with_index = single_source_gqf_branches(spec, b)
+    regions = _rate_regions(spec, ("marc",), b)["marc"]
 
-        # With source 2 degenerate the single-user and sum bounds coincide,
-        # and each GQF branch collapses to its single-source form.
-        region = regions[SchemeId.GQF]
-        worst.record("gqf_r1_eq_sum", region.r1_max - region.sum_max, DM_TOL)
-        plain = b * mi1({"X11"}, {"Y11", "YhR"}) + (1.0 - b) * mi2(
-            {"X12"}, {"Y12"}, {"XR"}
+    # With source 2 degenerate the single-user and sum bounds coincide,
+    # and each GQF branch collapses to its single-source form.
+    region = regions[SchemeId.GQF]
+    worst.record("gqf_r1_eq_sum", region.r1_max - region.sum_max, DM_TOL)
+    worst.record("gqf_branch_plain", region.terms["a_1(1)"] - plain, DM_TOL)
+    worst.record("gqf_branch_with_index", region.terms["b_1(1)"] - with_index, DM_TOL)
+    worst.record(
+        "gqf_r1_eq_min_branches", region.r1_max - max(0.0, min(plain, with_index)), DM_TOL
+    )
+
+    # CF with one source: rate bound collapses to the classic
+    # compress-and-forward expression, and the strong relay pipe of the
+    # generator keeps every draw feasible.
+    cf = regions[SchemeId.CF]
+    worst.record("cf_feasible", 0.0 if cf.feasible else 1.0, 0.0)
+    worst.record("cf_r1_eq_sum", cf.r1_max - cf.sum_max, DM_TOL)
+    worst.record("cf_r1_eq_formula", cf.r1_max - max(0.0, plain), DM_TOL)
+
+    # A destination that observes nothing drops out of the compound
+    # region entirely: same code path, identical floats.
+    silent = draw_silent_dest2_spec(rng)
+    silent_beta = float(rng.uniform(0.1, 0.9))
+    regions = _rate_regions(silent, ("cmacr", "marc"), silent_beta)
+    compound, single = regions["cmacr"], regions["marc"]
+    for name, scheme in (
+        ("gqf_silent_dest2_exact", SchemeId.GQF),
+        ("cf_silent_dest2_exact", SchemeId.CF),
+    ):
+        both, alone = compound[scheme], single[scheme]
+        dev = max(
+            abs(both.r1_max - alone.r1_max),
+            abs(both.r2_max - alone.r2_max),
+            abs(both.sum_max - alone.sum_max),
+            0.0 if both.feasible == alone.feasible else 1.0,
         )
-        with_index = b * (
-            mi1({"X11"}, {"Y11"}) - mi1({"YhR"}, {"YR"}, {"X11", "Y11"})
-        ) + (1.0 - b) * mi2({"X12", "XR"}, {"Y12"})
-        worst.record(
-            "gqf_branch_plain", region.terms["a_1(1)"] - plain, DM_TOL
-        )
-        worst.record(
-            "gqf_branch_with_index", region.terms["b_1(1)"] - with_index, DM_TOL
-        )
-        worst.record(
-            "gqf_r1_eq_min_branches",
-            region.r1_max - max(0.0, min(plain, with_index)),
-            DM_TOL,
-        )
-
-        # CF with one source: rate bound collapses to the classic
-        # compress-and-forward expression, and the strong relay pipe of the
-        # generator keeps every draw feasible.
-        cf = regions[SchemeId.CF]
-        worst.record("cf_feasible", 0.0 if cf.feasible else 1.0, 0.0)
-        worst.record("cf_r1_eq_sum", cf.r1_max - cf.sum_max, DM_TOL)
-        worst.record("cf_r1_eq_formula", cf.r1_max - max(0.0, plain), DM_TOL)
-
-        # A destination that observes nothing drops out of the compound
-        # region entirely: same code path, identical floats.
-        silent = draw_silent_dest2_spec(rng)
-        silent_beta = float(rng.uniform(0.1, 0.9))
-        regions = _rate_regions(silent, ("cmacr", "marc"), silent_beta)
-        compound, single = regions["cmacr"], regions["marc"]
-        for name, scheme in (
-            ("gqf_silent_dest2_exact", SchemeId.GQF),
-            ("cf_silent_dest2_exact", SchemeId.CF),
-        ):
-            both, alone = compound[scheme], single[scheme]
-            dev = max(
-                abs(both.r1_max - alone.r1_max),
-                abs(both.r2_max - alone.r2_max),
-                abs(both.sum_max - alone.sum_max),
-                0.0 if both.feasible == alone.feasible else 1.0,
-            )
-            worst.record(name, dev, 0.0)
-    return Report("reductions", seed, draws, worst.checks())
+        worst.record(name, dev, 0.0)
 
 
-#: Each subject's runner and default draw count, in the order the CLI lists them.
-_SUBJECT_TABLE: dict[str, tuple[Callable[[int, int], Report], int]] = {
-    "closed-forms": (verify_closed_forms, 100),
-    "dm-regions": (verify_dm_regions, 50),
-    "reductions": (verify_reductions, 50),
+#: Each subject's per-draw check and default draw count, in the order the
+#: CLI lists them.
+_SUBJECT_TABLE: dict[str, tuple[Callable[[np.random.Generator, _Worst], None], int]] = {
+    "closed-forms": (closed_forms_draw, 100),
+    "dm-regions": (dm_regions_draw, 50),
+    "reductions": (reductions_draw, 50),
 }
 
 SUBJECTS = tuple(_SUBJECT_TABLE)
@@ -443,6 +350,13 @@ def _check_run(seed: int, draws: int) -> None:
 
 
 def run_subject(subject: str, seed: int = 0, draws: Optional[int] = None) -> Report:
-    """Run one verification subject by name."""
-    runner, default_draws = _SUBJECT_TABLE[one_of(subject, "verification subject", SUBJECTS)]
-    return runner(seed, default_draws if draws is None else draws)
+    """Run one verification subject by name: ``draws`` (default
+    :data:`DEFAULT_DRAWS`) of its per-draw check on one ``seed``."""
+    check, default_draws = _SUBJECT_TABLE[one_of(subject, "verification subject", SUBJECTS)]
+    draws = default_draws if draws is None else draws
+    _check_run(seed, draws)
+    rng = np.random.default_rng(seed)
+    worst = _Worst()
+    for _ in range(draws):
+        check(rng, worst)
+    return Report(subject, seed, draws, worst.checks())

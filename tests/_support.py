@@ -131,18 +131,28 @@ def assert_same_bits(got, want):
         assert a.dtype == np.float64 and a.tobytes() == b.tobytes(), name
 
 
+def count_calls(monkeypatch, source, names, *modules):
+    """Record every call that ``modules`` make to the functions ``names`` of
+    the module ``source``: the returned ``{name: [...]}`` lists the first
+    argument of each call, in order, as the calls happen.  A module that
+    does not import a function makes no call to it."""
+    calls = {name: [] for name in names}
+    for name, args in calls.items():
+        function = getattr(source, name)
+
+        def counting(first, *rest, args=args, function=function, **kwargs):
+            args.append(first)
+            return function(first, *rest, **kwargs)
+
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def count_joint_builds(monkeypatch, *modules):
     """Record every slot-joint build that ``modules`` make: the returned
     ``{"build_slot1_joint": [...], "build_slot2_joint": [...]}`` lists the
     spec of each call, in order, as the calls happen."""
-    calls = {"build_slot1_joint": [], "build_slot2_joint": []}
-    for name, specs in calls.items():
-        build = getattr(hdmarc.dminfo, name)
-
-        def counting(spec, specs=specs, build=build):
-            specs.append(spec)
-            return build(spec)
-
-        for module in modules:
-            monkeypatch.setattr(module, name, counting)
-    return calls
+    names = ("build_slot1_joint", "build_slot2_joint")
+    return count_calls(monkeypatch, hdmarc.dminfo, names, *modules)

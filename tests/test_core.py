@@ -1,10 +1,12 @@
-"""Tests for shared domain types: slot fractions, scheme tags, region clamping."""
+"""Tests for shared domain types: slot fractions, scheme tags, region
+clamping, and the gates for fixed choices, counts and model objects."""
 
 import math
 
 import numpy as np
 import pytest
 
+import hdmarc
 from hdmarc import (
     ConfigError,
     InvalidParams,
@@ -14,7 +16,12 @@ from hdmarc import (
     clamp_region,
     validate_beta,
 )
-from hdmarc.core import integer, one_of
+from hdmarc.core import instance_of, integer, one_of
+from hdmarc.dmregions import active_destinations, dm_regions, slot_terms
+from hdmarc.gaussian import cf_operating_point, gaussian_regions
+from hdmarc.oracle import closed_forms_via_log_dets, single_source_gqf_branches
+
+from _support import benchmark_params, make_random_spec
 
 
 def test_slot_fraction_accepts_interior_values():
@@ -196,3 +203,83 @@ def test_integer_names_the_bound_it_breaks():
     with pytest.raises(ConfigError) as caught:
         integer(above, "grid.points", 2, 10**6, ConfigError)
     assert str(caught.value) == f"grid.points must be at most 1000000, got {above!r}"
+
+
+#: Every entry that takes a model object, called with ``model`` in its place.
+_MODEL_ENTRIES = {
+    "gaussian_regions": lambda model: gaussian_regions(model, (SchemeId.GQF,), 0.5),
+    "gqf_rates": hdmarc.gqf_rates,
+    "cf_rates": hdmarc.cf_rates,
+    "gqf_optimize_sigma": hdmarc.gqf_optimize_sigma,
+    "cf_sigma_min": hdmarc.cf_sigma_min,
+    "cf_operating_point": cf_operating_point,
+    "optimize_beta": lambda model: hdmarc.optimize_beta(model, SchemeId.GQF),
+    "dm_regions": lambda model: dm_regions(model, ("marc",), (SchemeId.GQF,), 0.5),
+    "dm_regions no scheme": lambda model: dm_regions(model, ("marc",), (), 0.5),
+    **{
+        name: lambda model, name=name: getattr(hdmarc, name)(model, 0.5)
+        for name in (
+            "gqf_region_marc",
+            "gqf_region_cmacr",
+            "cf_region_marc",
+            "cf_region_cmacr",
+            "no_relay_region_marc",
+            "no_relay_region_cmacr",
+        )
+    },
+    "slot_terms": lambda model: slot_terms(model, (1,)),
+    "active_destinations": active_destinations,
+    "degenerate_relay_spec": hdmarc.degenerate_relay_spec,
+    "build_slot1_joint": hdmarc.build_slot1_joint,
+    "build_slot2_joint": hdmarc.build_slot2_joint,
+    "entropy": lambda model: hdmarc.entropy(model, ("X11",)),
+    "marginalize": lambda model: hdmarc.marginalize(model, ("X11",)),
+    "mutual_information": lambda model: hdmarc.mutual_information(model, ("X11",), ("Y11",)),
+    "build_covariance": lambda model: hdmarc.build_covariance(model, 1),
+    "gaussian_mi": lambda model: hdmarc.gaussian_mi(model, ("XR",), ("Y12",)),
+    "gqf_region_via_ru_sweep": lambda model: hdmarc.gqf_region_via_ru_sweep(model, 0.5),
+    "closed_forms_via_log_dets": lambda model: closed_forms_via_log_dets(model, 1.0),
+    "single_source_gqf_branches": lambda model: single_source_gqf_branches(model, 0.3),
+}
+
+#: Wrong model objects: none, a huge array, and each right object in the
+#: wrong place (every entry above takes exactly one of these kinds).
+_WRONG_MODELS = {
+    "None": None,
+    "array": np.zeros((500, 500)),
+    "Gaussian channel": benchmark_params(sigma_q2=1.0),
+    "channel spec": make_random_spec(np.random.default_rng(0)),
+}
+
+
+#: The entries above that take a Gaussian channel; the others (but the
+#: information measures of a joint or a Gaussian model) take a channel spec.
+_GAUSSIAN_ENTRIES = {
+    "gaussian_regions", "gqf_rates", "cf_rates", "gqf_optimize_sigma", "cf_sigma_min",
+    "cf_operating_point", "optimize_beta", "build_covariance", "closed_forms_via_log_dets",
+}
+_MODEL_MEASURES = {"entropy", "marginalize", "mutual_information", "gaussian_mi"}
+
+
+@pytest.mark.parametrize("wrong", _WRONG_MODELS)
+@pytest.mark.parametrize("entry", _MODEL_ENTRIES)
+def test_a_wrong_model_object_is_refused_by_type(entry, wrong):
+    value = _WRONG_MODELS[wrong]
+    takes = None if entry in _MODEL_MEASURES else (
+        "Gaussian channel" if entry in _GAUSSIAN_ENTRIES else "channel spec"
+    )
+    if wrong == takes:
+        _MODEL_ENTRIES[entry](value)
+        return
+    with pytest.raises(InvalidParams) as caught:
+        _MODEL_ENTRIES[entry](value)
+    message = str(caught.value)
+    assert message.endswith(f", got {type(value).__name__}"), message
+    assert " must be a " in message and len(message) < 80
+
+
+def test_instance_of_names_the_label_and_both_types():
+    assert instance_of(3, int, "count") == 3
+    with pytest.raises(InvalidParams) as caught:
+        instance_of(np.ones(10**4), RateRegion, "region")
+    assert str(caught.value) == "region must be a RateRegion, got ndarray"

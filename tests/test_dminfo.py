@@ -23,7 +23,9 @@ from hdmarc import (
     UnknownVariable,
     build_slot1_joint,
     build_slot2_joint,
+    build_covariance,
     entropy,
+    gaussian_mi,
     marginalize,
     mutual_information,
     spec_from_dict,
@@ -31,7 +33,7 @@ from hdmarc import (
 from hdmarc.cli import _load_json
 from hdmarc.dminfo import MAX_CELLS, SLOT1_VARS, SLOT2_VARS
 
-from _support import assert_same_bits, make_random_spec as _random_spec
+from _support import assert_same_bits, benchmark_params, make_random_spec as _random_spec
 
 
 # ---------------------------------------------------------------------------
@@ -475,3 +477,34 @@ def test_garbling_the_test_channel_never_raises_the_quantizer_information():
         before = mutual_information(build_slot1_joint(spec), {"YR"}, {"YhR"})
         after = mutual_information(build_slot1_joint(garbled), {"YR"}, {"YhR"})
         assert after <= before + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Sets of variable names
+
+
+def _name_set_calls():
+    joint = build_slot1_joint(_random_spec(np.random.default_rng(5)))
+    model = build_covariance(benchmark_params(), slot=2)
+    return {
+        "mutual_information a": (lambda v: mutual_information(joint, v, {"Y11"}), "set A"),
+        "mutual_information b": (lambda v: mutual_information(joint, {"X11"}, v), "set B"),
+        "mutual_information c": (
+            lambda v: mutual_information(joint, {"X11"}, {"Y11"}, v), "set C"
+        ),
+        "entropy": (lambda v: entropy(joint, v), "names"),
+        "marginalize": (lambda v: marginalize(joint, v), "keep"),
+        "gaussian_mi": (lambda v: gaussian_mi(model, {"XR"}, v), "set B"),
+        "JointPmf": (lambda v: JointPmf(v, np.ones(3) / 3), "variable names of the joint pmf"),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_name_set_calls()))
+def test_a_lone_str_is_refused_as_a_set_of_names(call):
+    function, label = _name_set_calls()[call]
+    for name in ("YR", "Y12", "X11"):  # "X11" would read as {"X", "1"}
+        with pytest.raises(InvalidParams, match=f"^{label} must be a collection of names"):
+            function(name)
+    with pytest.raises(InvalidParams, match=f"^{label} must be iterable, got 5"):
+        function(5)
+

@@ -35,14 +35,28 @@ from hdmarc import (
     run_subject,
     validate_beta,
 )
+from hdmarc.dminfo import JointEntropies, build_slot2_joint
 from hdmarc.dmregions import slot_terms
 from hdmarc.gaussian import gaussian_regions
-from hdmarc.oracle import PIVOT_TOL, SLOT1_ORDER, SLOT2_ORDER, gaussian_mis
-from hdmarc.verify import DM_TOL, _oracle_gqf_terms, draw_dm_spec, draw_gaussian_params
+from hdmarc.oracle import (
+    PIVOT_TOL,
+    SLOT1_ORDER,
+    SLOT2_ORDER,
+    closed_forms_via_log_dets,
+    gaussian_mis,
+    single_source_gqf_branches,
+)
+from hdmarc.verify import (
+    DM_TOL,
+    draw_dm_spec,
+    draw_gaussian_params,
+    draw_single_source_spec,
+)
 
 from _support import (
     assert_same_bits,
     benchmark_params,
+    count_calls,
     count_joint_builds,
     make_random_spec,
     random_gaussian_params as _random_params,
@@ -400,7 +414,7 @@ def test_closed_forms_match_log_det_oracle_at_extreme_channels():
             beta=0.5,
             sigma_q2=_log_uniform(rng, 1e-8, 1e12),
         )
-        oracle = _oracle_gqf_terms(params, build_covariance(params, slot=2))
+        oracle, _ = closed_forms_via_log_dets(params, params.sigma_q2)
         closed = gqf_rates(params).terms
         assert len(oracle) == 6
         for key, value in oracle.items():
@@ -594,3 +608,97 @@ def test_slot_and_destination_indices_are_integers_1_or_2(function, index):
         _INDEXED[function](spec, index)
     # A numpy integer is an integer.
     _INDEXED[function](spec, np.int64(2))
+
+
+# ---------------------------------------------------------------------------
+# The reference values verify compares against, as verify assembled them
+# itself before they moved into hdmarc.oracle.
+
+
+def _closed_forms_as_verify_assembled(params, sigma_min):
+    """The six GQF terms from one slot-1 and one slot-2 batch, and the CF
+    binning balance from a slot-1 batch at ``sigma_min`` and a lone slot-2
+    mutual information, in the operation order verify used."""
+    model1, model2 = build_covariance(params, slot=1), build_covariance(params, slot=2)
+    triples1, triples2 = [], []
+    for i, j in ((1, 2), (2, 1)):
+        xi1, xj1 = f"X{i}1", f"X{j}1"
+        xi2, xj2 = f"X{i}2", f"X{j}2"
+        triples1 += [
+            ({xi1}, {xj1, "Y11", "YhR"}, ()),
+            ({xi1}, {xj1, "Y11"}, ()),
+            ({"YhR"}, {"YR"}, {xi1, xj1, "Y11"}),
+        ]
+        triples2 += [({xi2}, {xj2, "XR", "Y12"}, ()), ({xi2, "XR"}, {xj2, "Y12"}, ())]
+    triples1 += [
+        ({"X11", "X21"}, {"Y11", "YhR"}, ()),
+        ({"X11", "X21"}, {"Y11"}, ()),
+        ({"YhR"}, {"YR"}, {"X11", "X21", "Y11"}),
+    ]
+    triples2 += [
+        ({"X12", "X22"}, {"XR", "Y12"}, ()),
+        ({"X12", "X22", "XR"}, {"Y12"}, ()),
+    ]
+    mi1 = iter(gaussian_mis(model1, triples1))
+    mi2 = iter(gaussian_mis(model2, triples2))
+    b = params.beta
+    comp = 1.0 - b
+    values = {}
+    for i in (1, 2):
+        values[f"a({i})"] = b * next(mi1) + comp * next(mi2)
+        values[f"b({i})"] = b * (next(mi1) - next(mi1)) + comp * next(mi2)
+    values["I1"] = b * next(mi1) + comp * next(mi2)
+    values["I2"] = b * (next(mi1) - next(mi1)) + comp * next(mi2)
+    quant_rate, side_info = gaussian_mis(
+        build_covariance(replace(params, sigma_q2=sigma_min), slot=1),
+        [({"YR"}, {"YhR"}, ()), ({"Y11"}, {"YhR"}, ())],
+    )
+    lhs = b * (quant_rate - side_info)
+    rhs = (1.0 - b) * gaussian_mi(model2, {"XR"}, {"Y12"})
+    return values, lhs - rhs
+
+
+def _single_source_as_verify_assembled(spec, b):
+    mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
+    mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
+    plain = b * mi1({"X11"}, {"Y11", "YhR"}) + (1.0 - b) * mi2(
+        {"X12"}, {"Y12"}, {"XR"}
+    )
+    with_index = b * (
+        mi1({"X11"}, {"Y11"}) - mi1({"YhR"}, {"YR"}, {"X11", "Y11"})
+    ) + (1.0 - b) * mi2({"X12", "XR"}, {"Y12"})
+    return plain, with_index
+
+
+@pytest.mark.parametrize("seed", [0, 2007])
+def test_closed_forms_oracle_keeps_the_bits_of_the_old_assembly(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        params = draw_gaussian_params(rng)
+        sigma_min = cf_sigma_min(params)
+        terms, excess = closed_forms_via_log_dets(params, sigma_min)
+        want_terms, want_excess = _closed_forms_as_verify_assembled(params, sigma_min)
+        assert list(terms) == list(want_terms) == ["a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"]
+        assert_same_bits(list(terms.values()), list(want_terms.values()))
+        assert_same_bits(excess, want_excess)
+
+
+@pytest.mark.parametrize("seed", [0, 2007])
+def test_single_source_oracle_keeps_the_bits_of_the_old_assembly(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        spec, b = draw_single_source_spec(rng)
+        assert_same_bits(
+            single_source_gqf_branches(spec, b), _single_source_as_verify_assembled(spec, b)
+        )
+
+
+def test_a_closed_forms_draw_builds_three_models_and_at_most_four_qrs(monkeypatch):
+    names = ("build_covariance", "_log2dets")
+    calls = count_calls(monkeypatch, hdmarc.oracle, names, hdmarc.oracle, hdmarc.verify)
+    for draws in (1, 5):
+        for args in calls.values():
+            args.clear()
+        assert run_subject("closed-forms", seed=3, draws=draws).passed
+        assert len(calls["build_covariance"]) == 3 * draws
+        assert len(calls["_log2dets"]) <= 4 * draws
