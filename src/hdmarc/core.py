@@ -208,15 +208,25 @@ def read_collection(values, label: str, check: Optional[Callable] = None, kind: 
     return kind(iterator if check is None else map(check, iterator))
 
 
-def read_names(values, label: str, kind: type = set):
+def read_names(values, label: str, kind: type = set, check: Optional[Callable] = None):
     """:func:`read_collection` of a collection of names into a ``kind`` (a
-    set, or a tuple to keep their order).  A lone str, which it would read
-    letter by letter, raises :class:`InvalidParams` naming ``label``."""
+    set, or a tuple to keep their order), each element read by the gate
+    ``check``.  The default gate refuses an element that is not a str
+    (a list, which a set could not hold, or a number) with
+    :class:`InvalidParams` naming ``label``.  A lone str, which it would
+    read letter by letter, raises :class:`InvalidParams` naming ``label``."""
     if isinstance(values, str):
         raise InvalidParams(
             f"{label} must be a collection of names (not one str), got the str {values!r}"
         )
-    return read_collection(values, label, kind=kind)
+    if check is None:
+
+        def check(value):
+            if isinstance(value, str):
+                return value
+            raise InvalidParams(f"{label} must hold str names, got a {type(value).__name__}")
+
+    return read_collection(values, label, check, kind)
 
 
 def instance_of(value, kind: type, label: str):

@@ -15,6 +15,7 @@ into ``YhR`` and transmits ``XR`` in slot 2, and destination k observes
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -177,18 +178,18 @@ class JointEntropies:
 
     Fast path for evaluating many information terms on one joint: each
     entropy is memoized by its set of names.  Values equal :func:`entropy`
-    bit for bit.
+    bit for bit.  ``pmf`` is the joint.
     """
 
     def __init__(self, pmf: JointPmf) -> None:
-        self._pmf = instance_of(pmf, JointPmf, "pmf")
+        self.pmf = instance_of(pmf, JointPmf, "pmf")
         self._memo: dict[frozenset, float] = {}
 
     def entropy(self, names: Iterable[str]) -> float:
         key = frozenset(names)
         value = self._memo.get(key)
         if value is None:
-            value = self._memo[key] = _marginal_entropy(self._pmf, key)
+            value = self._memo[key] = _marginal_entropy(self.pmf, key)
         return value
 
     def mutual_information(
@@ -237,6 +238,11 @@ class DmChannelSpec:
     validates non-negativity, normalization of every conditional slice
     within :data:`NORM_TOL` (rejected, not renormalized), and size
     consistency across tables.
+
+    The tables are read-only, so a spec's joints never change:
+    :attr:`entropies` builds them on first use and keeps them with the
+    spec.  A spec made by :func:`dataclasses.replace` is a new spec and
+    builds its own.
     """
 
     px11: np.ndarray
@@ -290,6 +296,14 @@ class DmChannelSpec:
                 raise DimensionMismatch(
                     f"{where} has size {got} but {other} has size {want}"
                 )
+
+    @cached_property
+    def entropies(self) -> tuple[JointEntropies, JointEntropies]:
+        """The entropy tables of this spec's slot-1 and slot-2 joints
+        (:func:`build_slot1_joint`, then :func:`build_slot2_joint`), built on
+        first use.  Every information term of the spec reads them, so each
+        joint is built once and each marginal entropy is summed out once."""
+        return JointEntropies(build_slot1_joint(self)), JointEntropies(build_slot2_joint(self))
 
 
 def build_slot1_joint(spec: DmChannelSpec) -> JointPmf:

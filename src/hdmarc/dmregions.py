@@ -50,12 +50,7 @@ from .core import (
     two_slot,
     validate_beta,
 )
-from .dminfo import (
-    DmChannelSpec,
-    JointEntropies,
-    build_slot1_joint,
-    build_slot2_joint,
-)
+from .dminfo import DmChannelSpec
 
 #: The binning constraint is a strict inequality; a margin this close to
 #: equality (or worse) counts as infeasible.
@@ -69,8 +64,9 @@ TOPOLOGIES = ("marc", "cmacr")
 def slot_terms(
     spec: DmChannelSpec, ks: tuple[int, ...]
 ) -> dict[str, tuple[float, float]]:
-    """Build both joints of ``spec`` once and split every bound into its
-    slot-1 and slot-2 terms (S1, S2): the bound is beta * S1 + (1-beta) * S2.
+    """Split every bound into its slot-1 and slot-2 terms (S1, S2), read
+    from the entropy tables of ``spec`` (:attr:`DmChannelSpec.entropies`):
+    the bound is beta * S1 + (1-beta) * S2.
 
     Keys are the names of :class:`~hdmarc.core.RateRegion` terms:
     ``a_k(i)``/``b_k(i)`` are the two decoding branches bounding source
@@ -80,8 +76,8 @@ def slot_terms(
     I(YR; YhR) - I(Yk1; YhR) and the slot-2 pipe I(XR; Yk2).
     """
     ks = [one_of(k, "destination index", (1, 2)) for k in ks]
-    mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
-    mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
+    tables = instance_of(spec, DmChannelSpec, "spec").entropies
+    mi1, mi2 = (table.mutual_information for table in tables)
     quant_rate = mi1({"YR"}, {"YhR"})
     terms = {}
     for k in ks:
@@ -183,8 +179,9 @@ def dm_regions(
     """
     instance_of(spec, DmChannelSpec, "spec")
     beta = validate_beta(beta)
-    topologies = read_names(topologies, "topologies", tuple)
-    topologies = tuple(one_of(topology, "topology", TOPOLOGIES) for topology in topologies)
+    topologies = read_names(
+        topologies, "topologies", tuple, lambda topology: one_of(topology, "topology", TOPOLOGIES)
+    )
     # The destinations each topology takes the worst case over.
     reach = {
         topology: (1,) if topology == "marc" else active_destinations(spec)

@@ -9,12 +9,13 @@ model entry against is computed here.  Two checkers are provided:
   the primitives' standard deviations), with mutual informations evaluated
   through log-determinants of covariance submatrices, read off a QR of the
   square root's rows so that no covariance is ever formed;
-  :func:`closed_forms_via_log_dets` evaluates the table below with it; and
+  :func:`closed_forms_via_log_dets` evaluates the table below with it, for
+  many channels at once; and
 * an evaluator of the raw joint-decoding inequality system of both
-  topologies, from one pair of joints, in which the codebook rate appears
-  explicitly and is eliminated at its minimum ``R_U = beta * I(YR; YhR)``
-  (:func:`gqf_region_via_ru_sweep`), with the single-source forms of the
-  GQF branches beside it (:func:`single_source_gqf_branches`).
+  topologies, from the entropy tables of one spec, in which the codebook
+  rate appears explicitly and is eliminated at its minimum ``R_U = beta *
+  I(YR; YhR)`` (:func:`gqf_region_via_ru_sweep`), with the single-source
+  forms of the GQF branches beside it (:func:`single_source_gqf_branches`).
 
 Mapping between the closed-form terms of :mod:`hdmarc.gaussian` and the
 log-det expressions used here (slot-1 model over ``X11, X21, YR, YhR,
@@ -37,13 +38,14 @@ CF threshold          at ``sigma_q2 = cf_sigma_min``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import (
     DimensionMismatch,
+    HdmarcError,
     InvalidParams,
     RateRegion,
     SingularCovariance,
@@ -51,17 +53,12 @@ from .core import (
     clamp_region,
     instance_of,
     one_of,
+    read_collection,
     real_array,
+    real_number,
     validate_beta,
 )
-from .dminfo import (
-    DmChannelSpec,
-    JointEntropies,
-    build_slot1_joint,
-    build_slot2_joint,
-    check_names,
-    disjoint_sets,
-)
+from .dminfo import DmChannelSpec, check_names, disjoint_sets
 from .gaussian import GaussianMarcParams
 
 #: A conditional variance (squared pivot of the square-root factor) at or
@@ -71,6 +68,11 @@ PIVOT_TOL = 1e-14
 #: Round-off slack below the unit noise floor that an output's variance may
 #: show and still pass.
 NOISE_FLOOR_SLACK = 1e-9
+
+#: Most channels :func:`closed_forms_via_log_dets` stacks into one QR per
+#: model; a longer sequence is cut into chunks of this many, so the stacks of
+#: a run of any length stay a few MB.
+BATCH_DRAWS = 256
 
 #: Variables that are channel outputs and therefore carry unit noise.
 _OUTPUT_NAMES = frozenset({"YR", "YhR", "Y11", "Y21", "Y12", "Y22"})
@@ -109,16 +111,7 @@ class GaussianVectorModel:
                 f"factor shape {factor.shape} does not have one row for each of "
                 f"{len(names)} variables"
             )
-        if not np.isfinite(factor).all():
-            raise InvalidParams("factor has non-finite entries")
-        with np.errstate(over="ignore"):  # an infinite variance clears the floor
-            variances = (factor**2).sum(axis=1).tolist()
-        for name, variance in zip(names, variances):
-            if name in _OUTPUT_NAMES and variance < 1.0 - NOISE_FLOOR_SLACK:
-                raise InvalidParams(
-                    f"output {name} has variance {variance!r} below the unit "
-                    f"noise floor"
-                )
+        _check_factors(names, factor[None])
         factor.flags.writeable = False
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "factor", factor)
@@ -129,6 +122,61 @@ class GaussianVectorModel:
         cov = self.factor @ self.factor.T
         cov.flags.writeable = False
         return cov
+
+
+def _check_factors(names: tuple[str, ...], factors: np.ndarray) -> np.ndarray:
+    """``factors``, a stack of square roots over ``names`` (models, rows,
+    columns), if each passes the value checks of
+    :class:`GaussianVectorModel`: finite, and every output at the unit noise
+    floor.  Raises :class:`InvalidParams` for the first model that fails."""
+    finite = np.isfinite(factors).all(axis=(1, 2))
+    with np.errstate(over="ignore"):  # an infinite variance clears the floor
+        variances = (factors**2).sum(axis=2)
+    outputs = np.array([name in _OUTPUT_NAMES for name in names], dtype=bool)
+    low = outputs & (variances < 1.0 - NOISE_FLOOR_SLACK)
+    failing = ~finite | low.any(axis=1)
+    if not failing.any():
+        return factors
+    first = int(failing.argmax())
+    if not finite[first]:
+        raise InvalidParams("factor has non-finite entries")
+    row = int(low[first].argmax())
+    raise InvalidParams(
+        f"output {names[row]} has variance {variances[first, row].item()!r} below "
+        f"the unit noise floor"
+    )
+
+
+def _slot_factors(
+    slot: int, channels: Sequence[GaussianMarcParams], sigma_q2: Sequence[float]
+) -> np.ndarray:
+    """The square root of one slot's model (see :func:`build_covariance`)
+    of each of ``channels``, stacked as (channels, rows, columns), with the
+    slot-1 quantization variances ``sigma_q2``."""
+    h11, h21, h1r, h2r, hr1, p11, p12, p21, p22, pr = np.array(
+        [(c.h11, c.h21, c.h1r, c.h2r, c.hr1, c.p11, c.p12, c.p21, c.p22, c.pr) for c in channels]
+    ).T
+    one, zero = np.ones_like(h11), np.zeros_like(h11)
+    if slot == 1:
+        loading = [
+            [one, zero, zero, zero, zero],
+            [zero, one, zero, zero, zero],
+            [h1r, h2r, one, zero, zero],
+            [h1r, h2r, one, one, zero],
+            [h11, h21, zero, zero, one],
+        ]
+        variances = [p11, p21, one, sigma_q2, one]
+    else:
+        loading = [
+            [one, zero, zero, zero],
+            [zero, one, zero, zero],
+            [zero, zero, one, zero],
+            [h11, h21, hr1, one],
+        ]
+        variances = [p12, p22, pr, one]
+    # (rows, columns, channels) -> (channels, rows, columns), row-major.
+    loading = np.moveaxis(np.array(loading), -1, 0)
+    return np.ascontiguousarray(loading * np.sqrt(np.array(variances).T)[:, None, :])
 
 
 def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorModel:
@@ -152,93 +200,27 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
     """
     instance_of(params, GaussianMarcParams, "params")
     slot = one_of(slot, "slot", (1, 2))
-    if slot == 1:
-        sigma = params.sigma_q2
-        if sigma is None:
-            raise InvalidParams("slot-1 covariance needs sigma_q2 to be set")
-        loading = np.array(
-            [
-                [1.0, 0.0, 0.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0, 0.0, 0.0],
-                [params.h1r, params.h2r, 1.0, 0.0, 0.0],
-                [params.h1r, params.h2r, 1.0, 1.0, 0.0],
-                [params.h11, params.h21, 0.0, 0.0, 1.0],
-            ]
-        )
-        order, variances = SLOT1_ORDER, [params.p11, params.p21, 1.0, sigma, 1.0]
-    else:
-        loading = np.array(
-            [
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0, 0.0],
-                [0.0, 0.0, 1.0, 0.0],
-                [params.h11, params.h21, params.hr1, 1.0],
-            ]
-        )
-        order, variances = SLOT2_ORDER, [params.p12, params.p22, params.pr, 1.0]
-    return GaussianVectorModel(order, loading * np.sqrt(variances))
+    if slot == 1 and params.sigma_q2 is None:
+        raise InvalidParams("slot-1 covariance needs sigma_q2 to be set")
+    factors = _slot_factors(slot, [params], [params.sigma_q2])
+    return GaussianVectorModel(SLOT1_ORDER if slot == 1 else SLOT2_ORDER, factors[0])
 
 
-def _log2dets(model: GaussianVectorModel, orders: list[list[int]]) -> np.ndarray:
-    """Log2 determinants of covariance submatrices along orders of the
-    model's coordinates: row ``o``, column ``j`` is the log-det on the first
-    ``j`` coordinates (model indices) of ``orders[o]``, and 0 for ``j = 0``.
-
-    With ``A`` the factor rows of an order and ``A^T = QR``, the submatrix
-    on the first j rows is ``R_j^T R_j`` for the leading j x j block ``R_j``
-    of ``R``, so its log-det is ``2 * sum(log2 |R_ii|)`` over i < j.  This
-    square-root form never forms a submatrix, whose determinant cancels
-    catastrophically when a quantizer variance is tiny (Golub & Van Loan,
-    *Matrix Computations*, ch. 5); ``R_ii**2`` is the variance of a
-    coordinate given the ones before it.  Rows appended after the first j
-    do not change ``R_j``, so every order is padded with the model's other
-    coordinates and all orders share one stacked QR.
-    """
-    n = len(model.names)
-    sizes = [len(order) for order in orders]
-    if not any(sizes):
-        return np.zeros((len(orders), 1))
-    factor = model.factor
-    if factor.shape[1] < n:  # a low-rank square root: its missing columns are 0
-        factor = np.hstack([factor, np.zeros((n, n - factor.shape[1]))])
-    rows = [order + [i for i in range(n) if i not in order] for order in orders]
-    # mode="raw" stores each R transposed; its diagonal is R's.
-    stack = factor[rows].transpose(0, 2, 1)
-    pivots = np.abs(np.linalg.qr(stack, mode="raw")[0].diagonal(axis1=1, axis2=2))
-    leading = np.arange(n) < np.array(sizes)[:, None]
-    smallest = np.where(leading, pivots, np.inf).min(axis=1).tolist()
-    for order, low in zip(orders, smallest):
-        if low**2 <= PIVOT_TOL:
-            raise SingularCovariance(
-                f"covariance of {sorted(model.names[i] for i in order)} is "
-                f"numerically singular (conditional variance {low**2!r})"
-            )
-    with np.errstate(divide="ignore"):  # a zero pivot past an order is never read
-        steps = 2.0 * np.log2(pivots)
-    return np.hstack([np.zeros((len(orders), 1)), np.cumsum(steps, axis=1)])
-
-
-def gaussian_mis(
-    model: GaussianVectorModel,
+def _read_triples(
+    names: tuple[str, ...],
     triples: Iterable[tuple[Iterable[str], Iterable[str], Iterable[str]]],
-) -> list[float]:
-    """Conditional mutual informations I(A; B | C) in bits, one per
-    ``(a, b, c)`` triple, by log-dets from one stacked QR.
-
-    Uses I(A; B | C) = (1/2) * [log2 det S_AC + log2 det S_BC
-    - log2 det S_C - log2 det S_ABC] on covariance submatrices, read along
-    the orders (C, A, B) and (C, B).
-    """
-    instance_of(model, GaussianVectorModel, "model")
-    position = {name: i for i, name in enumerate(model.names)}
+) -> tuple[list[list[int]], np.ndarray]:
+    """Triples (A, B, C) of the coordinates ``names``, read once: the block
+    orders (C, A, B) and (C, B) of each, as coordinate indices, and the
+    ends of the blocks C, (C, A), (C, A, B) and (C, B), one row each."""
+    position = {name: i for i, name in enumerate(names)}
     orders, ends = [], []
     for a, b, c in triples:
         a_set, b_set, c_set = disjoint_sets(a, b, c)
         unknown = (a_set | b_set | c_set).difference(position)
         if unknown:
             raise UnknownVariable(
-                f"variables {sorted(unknown)} are not part of this model over "
-                f"{model.names}"
+                f"variables {sorted(unknown)} are not part of this model over {names}"
             )
         if sorted(b_set) < sorted(a_set):  # I(A; B | C) = I(B; A | C): one order
             a_set, b_set = b_set, a_set
@@ -248,14 +230,80 @@ def gaussian_mis(
         orders += [ic + ia + ib, ic + ib]
         nc, na, nb = len(ic), len(ia), len(ib)
         ends.append((nc, nc + na, nc + na + nb, nc + nb))
-    if not ends:
-        return []
-    logs = _log2dets(model, orders)
-    c_end, ac_end, abc_end, bc_end = np.array(ends).T
+    return orders, np.array(ends, dtype=int).reshape(-1, 4).T
+
+
+def _log2dets(
+    factors: np.ndarray, names: tuple[str, ...], orders: list[list[int]]
+) -> np.ndarray:
+    """Log2 determinants of covariance submatrices along orders of the
+    coordinates, for a stack of square roots over ``names`` (models, rows,
+    columns): entry ``[m, o, j]`` is the log-det of model ``m`` on the
+    first ``j`` coordinates (indices) of ``orders[o]``, and 0 for ``j = 0``.
+
+    With ``A`` the factor rows of an order and ``A^T = QR``, the submatrix
+    on the first j rows is ``R_j^T R_j`` for the leading j x j block ``R_j``
+    of ``R``, so its log-det is ``2 * sum(log2 |R_ii|)`` over i < j.  This
+    square-root form never forms a submatrix, whose determinant cancels
+    catastrophically when a quantizer variance is tiny (Golub & Van Loan,
+    *Matrix Computations*, ch. 5); ``R_ii**2`` is the variance of a
+    coordinate given the ones before it.  Rows appended after the first j
+    do not change ``R_j``, so every order is padded with the model's other
+    coordinates, and all orders of all models share one stacked QR.  The
+    first model, then the first order, with a singular leading block raises
+    :class:`SingularCovariance`.
+    """
+    count, n, columns = factors.shape
+    sizes = [len(order) for order in orders]
+    if not any(sizes):
+        return np.zeros((count, len(orders), 1))
+    if columns < n:  # a low-rank square root: its missing columns are 0
+        factors = np.concatenate([factors, np.zeros((count, n, n - columns))], axis=2)
+    rows = [order + [i for i in range(n) if i not in order] for order in orders]
+    # mode="raw" stores each R transposed; its diagonal is R's.
+    stack = factors[:, rows].swapaxes(2, 3)
+    pivots = np.abs(np.linalg.qr(stack, mode="raw")[0].diagonal(axis1=2, axis2=3))
+    leading = np.arange(n) < np.array(sizes)[:, None]
+    smallest = np.where(leading, pivots, np.inf).min(axis=2)
+    singular = np.argwhere(smallest**2 <= PIVOT_TOL)
+    if len(singular):
+        model, order = singular[0]
+        low = smallest[model, order].item()
+        raise SingularCovariance(
+            f"covariance of {sorted(names[i] for i in orders[order])} is "
+            f"numerically singular (conditional variance {low**2!r})"
+        )
+    with np.errstate(divide="ignore"):  # a zero pivot past an order is never read
+        steps = 2.0 * np.log2(pivots)
+    return np.concatenate([np.zeros((count, len(orders), 1)), np.cumsum(steps, axis=2)], axis=2)
+
+
+def _mis(factors: np.ndarray, names: tuple[str, ...], triples: tuple) -> np.ndarray:
+    """I(A; B | C) in bits for each model of a stack of square roots over
+    ``names`` and each of ``triples`` (:func:`_read_triples`), as (models,
+    triples), from one stacked QR: (1/2) * [log2 det S_AC + log2 det S_BC -
+    log2 det S_C - log2 det S_ABC] on covariance submatrices, read along the
+    orders (C, A, B) and (C, B)."""
+    orders, (c_end, ac_end, abc_end, bc_end) = triples
+    logs = _log2dets(factors, names, orders)
     first = np.arange(0, len(orders), 2)  # the (C, A, B) order of each triple
-    log_c, log_ac, log_abc = (logs[first, end] for end in (c_end, ac_end, abc_end))
-    log_bc = logs[first + 1, bc_end]
-    return (0.5 * (log_ac + log_bc - log_c - log_abc)).tolist()
+    log_c, log_ac, log_abc = (logs[:, first, end] for end in (c_end, ac_end, abc_end))
+    log_bc = logs[:, first + 1, bc_end]
+    return 0.5 * (log_ac + log_bc - log_c - log_abc)
+
+
+def gaussian_mis(
+    model: GaussianVectorModel,
+    triples: Iterable[tuple[Iterable[str], Iterable[str], Iterable[str]]],
+) -> list[float]:
+    """Conditional mutual informations I(A; B | C) in bits, one per
+    ``(a, b, c)`` triple, by log-dets from one stacked QR: the one-model
+    case of the arithmetic :func:`closed_forms_via_log_dets` stacks."""
+    instance_of(model, GaussianVectorModel, "model")
+    triples = _read_triples(model.names, triples)
+    if not triples[0]:
+        return []
+    return _mis(model.factor[None], model.names, triples)[0].tolist()
 
 
 def gaussian_mi(
@@ -269,15 +317,10 @@ def gaussian_mi(
     return gaussian_mis(model, [(a, b, c)])[0]
 
 
-def closed_forms_via_log_dets(
-    params: GaussianMarcParams, sigma_min: float
-) -> tuple[dict[str, float], float]:
-    """The six GQF terms of the table above at ``params.sigma_q2``, and the
-    CF binning excess ``b*[I(YR; YhR) - I(Y11; YhR)] - (1-b)*I(XR; Y12)`` at
-    ``sigma_q2 = sigma_min`` (zero at the threshold), by log-dets: three
-    models, one stacked QR each."""
-    # Each term's slot-1 triples (a difference if two) and slot-2 triple; x are
-    # the inputs of the sources whose rate it bounds, w those of the other.
+def _term_triples() -> dict[str, tuple[list, tuple]]:
+    """Each GQF term's slot-1 triples (a difference if two) and slot-2
+    triple, as in the table above; x are the inputs of the sources whose
+    rate it bounds, w those of the other."""
     layout = {}
     for plain, indexed, own, other in (
         ("a(1)", "b(1)", "1", "2"), ("a(2)", "b(2)", "2", "1"), ("I1", "I2", "12", "")
@@ -289,19 +332,93 @@ def closed_forms_via_log_dets(
             [(x1, w1 | {"Y11"}, ()), ({"YhR"}, {"YR"}, x1 | w1 | {"Y11"})],
             (x2 | {"XR"}, w2 | {"Y12"}, ()),
         )
-    triples1 = [triple for slot1, _ in layout.values() for triple in slot1]
-    triples2 = [slot2 for _, slot2 in layout.values()] + [({"XR"}, {"Y12"}, ())]
-    mi1 = iter(gaussian_mis(build_covariance(params, slot=1), triples1))
-    mi2 = iter(gaussian_mis(build_covariance(params, slot=2), triples2))
-    b = params.beta
+    return layout
+
+
+_TERM_TRIPLES = _term_triples()
+
+#: The three models of :func:`closed_forms_via_log_dets` and their triples,
+#: read once: slot 1 at the drawn sigma_q2, slot 2 (with I(XR; Y12) last),
+#: and slot 1 at the CF threshold.
+_SLOT1_TRIPLES = _read_triples(
+    SLOT1_ORDER, [triple for slot1, _ in _TERM_TRIPLES.values() for triple in slot1]
+)
+_SLOT2_TRIPLES = _read_triples(
+    SLOT2_ORDER, [slot2 for _, slot2 in _TERM_TRIPLES.values()] + [({"XR"}, {"Y12"}, ())]
+)
+_THRESHOLD_TRIPLES = _read_triples(
+    SLOT1_ORDER, [({"YR"}, {"YhR"}, ()), ({"Y11"}, {"YhR"}, ())]
+)
+
+
+def _closed_forms(draws: list[tuple]) -> list[tuple[dict[str, float], float]]:
+    """:func:`closed_forms_via_log_dets` on one chunk, one stacked QR per
+    model.  Its checks run in the order one draw's would (the channel, the
+    slot-1 and slot-2 factors, their QRs, the threshold, its factors and
+    QR), each over all draws of the chunk."""
+    channels = [instance_of(params, GaussianMarcParams, "params") for params, _ in draws]
+    sigma_q2 = [params.sigma_q2 for params in channels]
+    if None in sigma_q2:
+        raise InvalidParams("slot-1 covariance needs sigma_q2 to be set")
+    slot1 = _check_factors(SLOT1_ORDER, _slot_factors(1, channels, sigma_q2))
+    slot2 = _check_factors(SLOT2_ORDER, _slot_factors(2, channels, sigma_q2))
+    mi1 = iter(_mis(slot1, SLOT1_ORDER, _SLOT1_TRIPLES).T)
+    mi2 = iter(_mis(slot2, SLOT2_ORDER, _SLOT2_TRIPLES).T)
+    sigma_min = [
+        real_number(sigma, "quantization variance", rule="finite and positive")
+        for _, sigma in draws
+    ]
+    at_min = _check_factors(SLOT1_ORDER, _slot_factors(1, channels, sigma_min))
+    quant, side = _mis(at_min, SLOT1_ORDER, _THRESHOLD_TRIPLES).T
+    b = np.array([params.beta for params in channels])
     comp = 1.0 - b
     terms = {}
-    for name, (slot1, _) in layout.items():
-        s1 = next(mi1) if len(slot1) == 1 else next(mi1) - next(mi1)
+    for name, (slot1_triples, _) in _TERM_TRIPLES.items():
+        s1 = next(mi1) if len(slot1_triples) == 1 else next(mi1) - next(mi1)
         terms[name] = b * s1 + comp * next(mi2)
-    at_min = build_covariance(replace(params, sigma_q2=sigma_min), slot=1)
-    quant, side = gaussian_mis(at_min, [({"YR"}, {"YhR"}, ()), ({"Y11"}, {"YhR"}, ())])
-    return terms, b * (quant - side) - comp * next(mi2)
+    excess = b * (quant - side) - comp * next(mi2)
+    return [
+        (dict(zip(terms, row)), value)
+        for row, value in zip(np.array(list(terms.values())).T.tolist(), excess.tolist())
+    ]
+
+
+def _draw(value) -> tuple:
+    """``value`` if it is a pair ``(params, sigma_min)``."""
+    if isinstance(value, tuple) and len(value) == 2:
+        return value
+    raise InvalidParams(f"a draw must be a pair (params, sigma_min), got {type(value).__name__}")
+
+
+def closed_forms_via_log_dets(
+    draws: Iterable[tuple[GaussianMarcParams, float]],
+) -> list[tuple[dict[str, float], float]]:
+    """For each draw ``(params, sigma_min)``: the six GQF terms of the table
+    above at ``params.sigma_q2``, and the CF binning excess ``b*[I(YR; YhR)
+    - I(Y11; YhR)] - (1-b)*I(XR; Y12)`` at ``sigma_q2 = sigma_min`` (zero at
+    the threshold), by log-dets, as ``(terms, excess)``.
+
+    The draws are evaluated in chunks of at most :data:`BATCH_DRAWS`, each
+    with three stacked QRs (slot 1 at ``sigma_q2``, slot 2, slot 1 at
+    ``sigma_min``), and every value has the same bits as a chunk of one
+    draw.  A draw that fails raises the error it raises alone, and the
+    first such draw in order is the one reported.
+    """
+    draws = read_collection(draws, "draws", _draw, list)
+    evaluated = []
+    for start in range(0, len(draws), BATCH_DRAWS):
+        chunk = draws[start : start + BATCH_DRAWS]
+        try:
+            evaluated += _closed_forms(chunk)
+        except HdmarcError:
+            # The checks ran stage by stage over the chunk, so this may be a
+            # later draw's error: the first draw that fails alone raises its
+            # own.  If none before the last does, the last draw is the only
+            # one that fails, and this is its error.
+            for draw in chunk[:-1]:
+                _closed_forms([draw])
+            raise
+    return evaluated
 
 
 def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateRegion]:
@@ -311,8 +428,9 @@ def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateR
     which the quantization-codebook rate ``R_U`` appears additively on the
     left of three of them; the covering lemma pins ``R_U = beta * I(YR;
     YhR)``.  This helper evaluates all six right-hand sides at each
-    destination, from one pair of joints, and subtracts ``R_U`` where it
-    belongs, instead of using the algebraically simplified bounds of
+    destination, from the entropy tables of the spec
+    (:attr:`~hdmarc.dminfo.DmChannelSpec.entropies`), and subtracts ``R_U``
+    where it belongs, instead of using the algebraically simplified bounds of
     :mod:`hdmarc.dmregions` — so agreement between the two is a real
     consistency check of that simplification.  "marc" is destination 1, its
     raw quantities kept as ``terms``.  "cmacr" clamps the worst raw bounds
@@ -320,13 +438,12 @@ def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateR
     :class:`InvalidParams` if none does), their quantities suffixed ``_k``.
     """
     b = validate_beta(beta, allow_array=False)
-    joint1, joint2 = build_slot1_joint(spec), build_slot2_joint(spec)
-    sizes = [dict(zip(joint.names(), joint.probs.shape)) for joint in (joint1, joint2)]
+    tables = instance_of(spec, DmChannelSpec, "spec").entropies
+    sizes = [dict(zip(table.pmf.names(), table.pmf.probs.shape)) for table in tables]
     hearing = [k for k in (1, 2) if sizes[0][f"Y{k}1"] > 1 or sizes[1][f"Y{k}2"] > 1]
     if not hearing:
         raise InvalidParams("no destination output has more than one letter")
-    mi1 = JointEntropies(joint1).mutual_information
-    mi2 = JointEntropies(joint2).mutual_information
+    mi1, mi2 = (table.mutual_information for table in tables)
     comp = 1.0 - b
     r_u = b * mi1({"YR"}, {"YhR"})
 
@@ -369,11 +486,11 @@ def single_source_gqf_branches(spec: DmChannelSpec, beta: float) -> tuple[float,
     source 2 is degenerate, in their single-source forms: ``(plain,
     with_index)``, the quantization index as noise and decoded,
     ``b*I(X11; Y11,YhR) + (1-b)*I(X12; Y12 | XR)`` and ``b*[I(X11; Y11) -
-    I(YhR; YR | X11,Y11)] + (1-b)*I(X12,XR; Y12)``, from the entropies of
-    one pair of joints."""
+    I(YhR; YR | X11,Y11)] + (1-b)*I(X12,XR; Y12)``, from the entropy tables
+    of the spec."""
     b = validate_beta(beta, allow_array=False)
-    mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
-    mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
+    tables = instance_of(spec, DmChannelSpec, "spec").entropies
+    mi1, mi2 = (table.mutual_information for table in tables)
     plain = b * mi1({"X11"}, {"Y11", "YhR"}) + (1.0 - b) * mi2({"X12"}, {"Y12"}, {"XR"})
     with_index = b * (
         mi1({"X11"}, {"Y11"}) - mi1({"YhR"}, {"YR"}, {"X11", "Y11"})

@@ -1,10 +1,11 @@
 """Seeded self-verification suites.
 
-Each subject is a per-draw check: it draws a random instance, evaluates it
-with a production entry and with the reference values of
+Each subject is a check of a run of draws: it draws random instances,
+evaluates each with a production entry and with the reference values of
 :mod:`hdmarc.oracle`, and records the deviations.  :func:`run_subject`
-drives one and reports the worst deviation per check, deterministically
-for a given (seed, draws).
+drives one over chunks of at most :data:`~hdmarc.oracle.BATCH_DRAWS`
+draws and reports the worst deviation per check, deterministically for a
+given (seed, draws).
 
 Subjects:
 
@@ -38,6 +39,7 @@ from .gaussian import (
     slot2_signal,
 )
 from .oracle import (
+    BATCH_DRAWS,
     closed_forms_via_log_dets,
     gqf_region_via_ru_sweep,
     single_source_gqf_branches,
@@ -208,7 +210,7 @@ def draw_silent_dest2_spec(rng: np.random.Generator) -> DmChannelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Per-draw checks, one per subject: (rng, worst) -> None.
+# Checks, one per subject: (rng, count, worst) -> None.
 
 def _crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
     """Distance from ``sigma`` to the crossing of the sum branches, relative
@@ -226,37 +228,54 @@ def _crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
     return gap / slope
 
 
-def closed_forms_draw(rng: np.random.Generator, worst: _Worst) -> None:
-    """Gaussian closed forms vs log-det oracle, plus the threshold identity."""
-    params = draw_gaussian_params(rng)
+def _closed_forms_production(params: GaussianMarcParams) -> tuple:
+    """The GQF terms at the drawn variance, the sum-optimal GQF bounds
+    (the optimum found by the GQF entry), and CF asked for a variance below
+    its binning threshold, which it finds itself and takes the bounds at."""
     beta = params.beta
     gqf, cf = (SchemeId.GQF,), (SchemeId.CF,)
     terms = gaussian_regions(params, gqf, beta, params.sigma_q2)[SchemeId.GQF].terms
-    # The sum-optimal GQF variance, found by the GQF entry; and CF asked for
-    # a variance below its binning threshold, which it finds itself and
-    # takes the bounds at.
     optimum = gaussian_regions(params, gqf, beta)[SchemeId.GQF]
     cf_at_threshold = gaussian_regions(params, cf, beta, _BELOW_EVERY_THRESHOLD)[SchemeId.CF]
-    # CF feasibility threshold: at sigma_q2 = sigma_min the index
-    # description rate exactly fills the relay pipe.
-    sigma_min = float(cf_at_threshold.terms["sigma_min"])
-    oracle, excess = closed_forms_via_log_dets(params, sigma_min)
-    for name in ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"):
-        worst.record(f"gqf_term_{name}", terms[name] - oracle[name], GAUSSIAN_TOL)
-    worst.record("cf_threshold_balance", excess, GAUSSIAN_TOL)
+    return terms, optimum, cf_at_threshold
 
-    # Threshold identity: the sum-optimal GQF quantizer sits exactly where
-    # the two sum branches cross, and there both schemes meet at the same
-    # sum rate.  A drawn relay link is live, so the optimum is a crossing
-    # and its sum rate is I1.
-    worst.record(
-        "threshold_sigma", _crossing_offset(params, float(optimum.sigma)), SIGMA_REL_TOL
-    )
-    worst.record(
-        "threshold_sum_rate",
-        float(optimum.terms["I1"]) - rate_region(cf_at_threshold).sum_max,
-        GAUSSIAN_TOL,
-    )
+
+def closed_forms_draws(rng: np.random.Generator, count: int, worst: _Worst) -> None:
+    """Gaussian closed forms vs log-det oracle, plus the threshold identity,
+    on ``count`` draws: the production entry draw by draw, then the oracle
+    on all of them in one batch."""
+    drawn = [draw_gaussian_params(rng) for _ in range(count)]
+    answers = []
+    try:
+        for params in drawn:
+            answers.append(_closed_forms_production(params))
+    finally:
+        # CF feasibility threshold: at sigma_q2 = sigma_min the index
+        # description rate exactly fills the relay pipe.  The oracle takes
+        # the draws answered so far, so that an error of one of them comes
+        # before a production error of a later draw, as draw by draw.
+        references = closed_forms_via_log_dets(
+            [(params, float(cf.terms["sigma_min"])) for params, (_, _, cf) in zip(drawn, answers)]
+        )
+    for params, (terms, optimum, cf_at_threshold), (oracle, excess) in zip(
+        drawn, answers, references
+    ):
+        for name in ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"):
+            worst.record(f"gqf_term_{name}", terms[name] - oracle[name], GAUSSIAN_TOL)
+        worst.record("cf_threshold_balance", excess, GAUSSIAN_TOL)
+
+        # Threshold identity: the sum-optimal GQF quantizer sits exactly where
+        # the two sum branches cross, and there both schemes meet at the same
+        # sum rate.  A drawn relay link is live, so the optimum is a crossing
+        # and its sum rate is I1.
+        worst.record(
+            "threshold_sigma", _crossing_offset(params, float(optimum.sigma)), SIGMA_REL_TOL
+        )
+        worst.record(
+            "threshold_sum_rate",
+            float(optimum.terms["I1"]) - rate_region(cf_at_threshold).sum_max,
+            GAUSSIAN_TOL,
+        )
 
 
 def dm_regions_draw(rng: np.random.Generator, worst: _Worst) -> None:
@@ -328,12 +347,22 @@ def reductions_draw(rng: np.random.Generator, worst: _Worst) -> None:
         worst.record(name, dev, 0.0)
 
 
-#: Each subject's per-draw check and default draw count, in the order the
-#: CLI lists them.
-_SUBJECT_TABLE: dict[str, tuple[Callable[[np.random.Generator, _Worst], None], int]] = {
-    "closed-forms": (closed_forms_draw, 100),
-    "dm-regions": (dm_regions_draw, 50),
-    "reductions": (reductions_draw, 50),
+def _each_draw(check: Callable[[np.random.Generator, _Worst], None]):
+    """The check of ``count`` draws that runs the one-draw ``check`` on each."""
+
+    def run(rng: np.random.Generator, count: int, worst: _Worst) -> None:
+        for _ in range(count):
+            check(rng, worst)
+
+    return run
+
+
+#: Each subject's check and default draw count, in the order the CLI lists
+#: them.
+_SUBJECT_TABLE: dict[str, tuple[Callable[[np.random.Generator, int, _Worst], None], int]] = {
+    "closed-forms": (closed_forms_draws, 100),
+    "dm-regions": (_each_draw(dm_regions_draw), 50),
+    "reductions": (_each_draw(reductions_draw), 50),
 }
 
 SUBJECTS = tuple(_SUBJECT_TABLE)
@@ -351,12 +380,13 @@ def _check_run(seed: int, draws: int) -> None:
 
 def run_subject(subject: str, seed: int = 0, draws: Optional[int] = None) -> Report:
     """Run one verification subject by name: ``draws`` (default
-    :data:`DEFAULT_DRAWS`) of its per-draw check on one ``seed``."""
+    :data:`DEFAULT_DRAWS`) of its check on one ``seed``, in chunks of at
+    most :data:`~hdmarc.oracle.BATCH_DRAWS` draws."""
     check, default_draws = _SUBJECT_TABLE[one_of(subject, "verification subject", SUBJECTS)]
     draws = default_draws if draws is None else draws
     _check_run(seed, draws)
     rng = np.random.default_rng(seed)
     worst = _Worst()
-    for _ in range(draws):
-        check(rng, worst)
+    for start in range(0, draws, BATCH_DRAWS):
+        check(rng, min(BATCH_DRAWS, draws - start), worst)
     return Report(subject, seed, draws, worst.checks())

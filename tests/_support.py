@@ -150,9 +150,12 @@ def count_calls(monkeypatch, source, names, *modules):
     return calls
 
 
-def count_joint_builds(monkeypatch, *modules):
-    """Record every slot-joint build that ``modules`` make: the returned
-    ``{"build_slot1_joint": [...], "build_slot2_joint": [...]}`` lists the
-    spec of each call, in order, as the calls happen."""
+def count_joint_builds(monkeypatch):
+    """Record every slot-joint build that the program makes (a spec's
+    entropy tables in ``dminfo``, or any other module that would import a
+    builder): the returned ``{"build_slot1_joint": [...],
+    "build_slot2_joint": [...]}`` lists the spec of each call, in order, as
+    the calls happen."""
     names = ("build_slot1_joint", "build_slot2_joint")
+    modules = (hdmarc.dminfo, hdmarc.dmregions, hdmarc.oracle, hdmarc.verify)
     return count_calls(monkeypatch, hdmarc.dminfo, names, *modules)

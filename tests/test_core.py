@@ -238,7 +238,7 @@ _MODEL_ENTRIES = {
     "build_covariance": lambda model: hdmarc.build_covariance(model, 1),
     "gaussian_mi": lambda model: hdmarc.gaussian_mi(model, ("XR",), ("Y12",)),
     "gqf_region_via_ru_sweep": lambda model: hdmarc.gqf_region_via_ru_sweep(model, 0.5),
-    "closed_forms_via_log_dets": lambda model: closed_forms_via_log_dets(model, 1.0),
+    "closed_forms_via_log_dets": lambda model: closed_forms_via_log_dets([(model, 1.0)]),
     "single_source_gqf_branches": lambda model: single_source_gqf_branches(model, 0.3),
 }
 

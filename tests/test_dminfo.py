@@ -508,3 +508,13 @@ def test_a_lone_str_is_refused_as_a_set_of_names(call):
     with pytest.raises(InvalidParams, match=f"^{label} must be iterable, got 5"):
         function(5)
 
+
+@pytest.mark.parametrize("call", sorted(_name_set_calls()))
+def test_a_name_that_is_not_a_str_is_refused_naming_the_set(call):
+    # A list inside the names cannot go into a set; a number or None is no
+    # name.  Each is refused by type, not left to a bare TypeError.
+    function, label = _name_set_calls()[call]
+    for names, kind in (([["X11"]], "list"), ([1], "int"), (["X11", None], "NoneType")):
+        with pytest.raises(InvalidParams, match=f"^{label} must hold str names, got a {kind}$"):
+            function(names)
+

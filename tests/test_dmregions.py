@@ -5,12 +5,12 @@ log-ratio mutual-information evaluator (see ``_support.mi_ratio``) before
 being compared against the package's entropy-combination version.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-import hdmarc.dmregions
+import hdmarc.dminfo
 from hdmarc import (
     DmChannelSpec,
     InvalidParams,
@@ -23,13 +23,14 @@ from hdmarc import (
     entropy,
     gqf_region_cmacr,
     gqf_region_marc,
+    gqf_region_via_ru_sweep,
     no_relay_region_cmacr,
     no_relay_region_marc,
     validate_beta,
 )
 from hdmarc.core import clamp_bounds
 from hdmarc.dminfo import JointEntropies
-from hdmarc.dmregions import CF_MARGIN, active_destinations, dm_regions, slot_terms
+from hdmarc.dmregions import CF_MARGIN, TOPOLOGIES, active_destinations, dm_regions, slot_terms
 from hdmarc.verify import draw_dm_spec
 
 from _support import (
@@ -134,7 +135,7 @@ def test_entropy_memo_matches_public_entropy_bit_for_bit(monkeypatch):
             seen.append((self.pmf, frozenset(names), value))
             return value
 
-    monkeypatch.setattr(hdmarc.dmregions, "JointEntropies", Recording)
+    monkeypatch.setattr(hdmarc.dminfo, "JointEntropies", Recording)
     rng = np.random.default_rng(53)
     for sizes in ({}, {"yhr": 1}, {"y21": 1, "y22": 1}, {"yr": 4, "y12": 1}):
         spec = make_random_spec(rng, sizes)
@@ -369,7 +370,7 @@ def test_both_topologies_equal_each_topology_alone_bit_for_bit():
 
 
 def test_one_call_for_both_topologies_builds_each_joint_once(monkeypatch):
-    calls = count_joint_builds(monkeypatch, hdmarc.dmregions)
+    calls = count_joint_builds(monkeypatch)
     spec = make_random_spec(np.random.default_rng(MIXED_CF_SEED))
     silenced = degenerate_relay_spec(spec)
     betas = np.linspace(0.1, 0.9, 9)
@@ -380,15 +381,49 @@ def test_one_call_for_both_topologies_builds_each_joint_once(monkeypatch):
         ((SchemeId.CF,), 1),
         (tuple(SchemeId), 1),
     ):
+        fresh = replace(spec)  # the same channel, with no table built yet
         for specs in calls.values():
             specs.clear()
-        dm_regions(spec, ("marc", "cmacr"), schemes, betas)
+        dm_regions(fresh, ("marc", "cmacr"), schemes, betas)
         for name, specs in calls.items():
             assert len(specs) == 1 + silenced_builds, (name, schemes)
-            assert specs[0] is spec
+            assert specs[0] is fresh
             for other in specs[1:]:
                 assert np.array_equal(other.pxr, silenced.pxr)
                 assert np.array_equal(other.test_channel, silenced.test_channel)
+
+
+def test_a_spec_made_from_another_reads_only_its_own_tables():
+    # A spec keeps the entropy tables of its joints.  One made by replace or
+    # degenerate_relay_spec is a new channel: it must build its own tables,
+    # never read those its parent filled.
+    rng = np.random.default_rng(MIXED_CF_SEED)
+    spec, other = make_random_spec(rng), make_random_spec(rng)
+    betas = np.linspace(0.1, 0.9, 9)
+    schemes = tuple(SchemeId)
+    parent = dm_regions(spec, TOPOLOGIES, schemes, betas)  # fills the parent's tables
+    children = [
+        replace(spec),
+        replace(spec, pxr=other.pxr),
+        replace(spec, test_channel=other.test_channel),
+        replace(spec, slot1=other.slot1),
+        replace(spec, slot2=other.slot2),
+        degenerate_relay_spec(spec),
+    ]
+    for child in children:
+        fresh = DmChannelSpec(**{field.name: getattr(child, field.name) for field in fields(child)})
+        got = dm_regions(child, TOPOLOGIES, schemes, betas)
+        want = dm_regions(fresh, TOPOLOGIES, schemes, betas)
+        for topology in TOPOLOGIES:
+            for scheme in schemes:
+                assert_same_bits(got[topology][scheme], want[topology][scheme])
+        assert gqf_region_via_ru_sweep(child, 0.3) == gqf_region_via_ru_sweep(fresh, 0.3)
+        for mine, parents in zip(child.entropies, spec.entropies):
+            assert mine is not parents
+    again = dm_regions(spec, TOPOLOGIES, schemes, betas)
+    for topology in TOPOLOGIES:
+        for scheme in schemes:
+            assert_same_bits(again[topology][scheme], parent[topology][scheme])
 
 
 def test_active_destinations_variants():

@@ -14,10 +14,12 @@ import pytest
 
 import hdmarc
 from hdmarc import (
+    DegenerateRelayLink,
     DimensionMismatch,
     DmChannelSpec,
     GaussianMarcParams,
     GaussianVectorModel,
+    HdmarcError,
     InvalidParams,
     OverlappingSets,
     SchemeId,
@@ -39,6 +41,7 @@ from hdmarc.dminfo import JointEntropies, build_slot2_joint
 from hdmarc.dmregions import slot_terms
 from hdmarc.gaussian import gaussian_regions
 from hdmarc.oracle import (
+    BATCH_DRAWS,
     PIVOT_TOL,
     SLOT1_ORDER,
     SLOT2_ORDER,
@@ -400,13 +403,14 @@ def _log_uniform(rng, lo, hi):
     return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
 
 
-def test_closed_forms_match_log_det_oracle_at_extreme_channels():
-    # Gains 1e-6..1e6, powers 1e-3..1e3 and sigma_q2 1e-8..1e12: a formed
-    # covariance loses positive semidefiniteness and symmetry to round-off
-    # here (about a third of these draws), while its square root stays exact.
+def _extreme_channels():
+    """Gains 1e-6..1e6, powers 1e-3..1e3 and sigma_q2 1e-8..1e12: a formed
+    covariance loses positive semidefiniteness and symmetry to round-off
+    here (about a third of these 300 draws), while its square root stays
+    exact."""
     rng = np.random.default_rng(1)
-    for _ in range(300):
-        params = GaussianMarcParams(
+    return [
+        GaussianMarcParams(
             **{name: _log_uniform(rng, 1e-6, 1e6)
                for name in ("h11", "h21", "h1r", "h2r", "hr1")},
             **{name: _log_uniform(rng, 1e-3, 1e3)
@@ -414,11 +418,44 @@ def test_closed_forms_match_log_det_oracle_at_extreme_channels():
             beta=0.5,
             sigma_q2=_log_uniform(rng, 1e-8, 1e12),
         )
-        oracle, _ = closed_forms_via_log_dets(params, params.sigma_q2)
+        for _ in range(300)
+    ]
+
+
+def test_closed_forms_match_log_det_oracle_at_extreme_channels():
+    channels = _extreme_channels()
+    evaluated = closed_forms_via_log_dets([(params, params.sigma_q2) for params in channels])
+    for params, (oracle, _) in zip(channels, evaluated):
         closed = gqf_rates(params).terms
         assert len(oracle) == 6
         for key, value in oracle.items():
             assert closed[key] == pytest.approx(value, abs=1e-8), (key, params)
+
+
+def _assert_each_draw_alone_gives_the_same_bits(draws):
+    evaluated = closed_forms_via_log_dets(draws)
+    assert len(evaluated) == len(draws)
+    for draw, (terms, excess) in zip(draws, evaluated):
+        [(want_terms, want_excess)] = closed_forms_via_log_dets([draw])
+        assert list(terms) == list(want_terms) == ["a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"]
+        assert_same_bits(list(terms.values()), list(want_terms.values()))
+        assert_same_bits(excess, want_excess)
+
+
+def test_batched_closed_forms_equal_one_draw_batches_at_extreme_channels():
+    channels = _extreme_channels()
+    # Every draw's threshold is another draw's variance, so the threshold
+    # model is not the slot-1 model of the same draw.
+    sigmas = [params.sigma_q2 for params in channels]
+    _assert_each_draw_alone_gives_the_same_bits(list(zip(channels, sigmas[1:] + sigmas[:1])))
+
+
+def test_batched_closed_forms_equal_one_draw_batches_across_a_chunk_boundary():
+    rng = np.random.default_rng(2007)
+    channels = [draw_gaussian_params(rng) for _ in range(BATCH_DRAWS + 1)]
+    _assert_each_draw_alone_gives_the_same_bits(
+        [(params, cf_sigma_min(params)) for params in channels]
+    )
 
 
 def test_oracle_resolves_a_huge_interferer_gain():
@@ -582,14 +619,25 @@ def test_ru_sweep_refuses_a_channel_where_no_destination_hears():
         gqf_region_cmacr(spec, 0.5)
 
 
-def test_dm_regions_draw_builds_each_slot_joint_twice(monkeypatch):
-    calls = count_joint_builds(monkeypatch, hdmarc.dmregions, hdmarc.oracle, hdmarc.verify)
-    # One production call for both topologies, and one oracle call.
+def test_dm_regions_draw_builds_each_slot_joint_once(monkeypatch):
+    calls = count_joint_builds(monkeypatch)
+    summed = []
+
+    def recording(pmf, keep):
+        summed.append((id(pmf), frozenset(keep)))
+        return marginal_entropy(pmf, keep)
+
+    marginal_entropy = hdmarc.dminfo._marginal_entropy
+    monkeypatch.setattr(hdmarc.dminfo, "_marginal_entropy", recording)
+    # One production call for both topologies and one oracle call, both
+    # reading the spec's tables.
     assert run_subject("dm-regions", seed=0, draws=1).passed
     assert {name: len(specs) for name, specs in calls.items()} == {
-        "build_slot1_joint": 2,
-        "build_slot2_joint": 2,
+        "build_slot1_joint": 1,
+        "build_slot2_joint": 1,
     }
+    # Each marginal entropy of the draw is summed out once.
+    assert len(summed) == len(set(summed)) > 40
 
 
 _INDEXED = {
@@ -673,10 +721,9 @@ def _single_source_as_verify_assembled(spec, b):
 @pytest.mark.parametrize("seed", [0, 2007])
 def test_closed_forms_oracle_keeps_the_bits_of_the_old_assembly(seed):
     rng = np.random.default_rng(seed)
-    for _ in range(50):
-        params = draw_gaussian_params(rng)
-        sigma_min = cf_sigma_min(params)
-        terms, excess = closed_forms_via_log_dets(params, sigma_min)
+    channels = [draw_gaussian_params(rng) for _ in range(50)]
+    draws = [(params, cf_sigma_min(params)) for params in channels]
+    for (params, sigma_min), (terms, excess) in zip(draws, closed_forms_via_log_dets(draws)):
         want_terms, want_excess = _closed_forms_as_verify_assembled(params, sigma_min)
         assert list(terms) == list(want_terms) == ["a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"]
         assert_same_bits(list(terms.values()), list(want_terms.values()))
@@ -693,12 +740,69 @@ def test_single_source_oracle_keeps_the_bits_of_the_old_assembly(seed):
         )
 
 
-def test_a_closed_forms_draw_builds_three_models_and_at_most_four_qrs(monkeypatch):
-    names = ("build_covariance", "_log2dets")
+def test_a_closed_forms_chunk_builds_three_factor_stacks_and_three_qrs(monkeypatch):
+    names = ("build_covariance", "_slot_factors", "_log2dets")
     calls = count_calls(monkeypatch, hdmarc.oracle, names, hdmarc.oracle, hdmarc.verify)
-    for draws in (1, 5):
+    for draws, chunks in ((1, [1]), (5, [5]), (BATCH_DRAWS + 1, [BATCH_DRAWS, 1])):
         for args in calls.values():
             args.clear()
         assert run_subject("closed-forms", seed=3, draws=draws).passed
-        assert len(calls["build_covariance"]) == 3 * draws
-        assert len(calls["_log2dets"]) <= 4 * draws
+        # No model object per draw: per chunk, the square roots of slot 1,
+        # slot 2 and slot 1 at the threshold, each stacked over the chunk's
+        # draws and factored by one stacked QR.
+        assert calls["build_covariance"] == []
+        assert calls["_slot_factors"] == [1, 2, 1] * len(chunks)
+        assert [len(stack) for stack in calls["_log2dets"]] == [
+            size for size in chunks for _ in range(3)
+        ]
+
+
+_FAULTS = {
+    "oracle first": (8, {3: "singular", 6: "production"}),
+    "production first": (8, {2: "production", 5: "singular"}),
+    # Draw 6 fails the slot-1 QR, which the chunk runs before it checks
+    # draw 4's threshold.
+    "later stage first": (8, {4: "threshold", 6: "singular"}),
+    "two of one stage": (8, {5: "singular", 6: "singular"}),
+    "last draw": (8, {7: "threshold"}),
+    "second chunk": (BATCH_DRAWS + 3, {BATCH_DRAWS + 1: "singular", BATCH_DRAWS + 2: "production"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAULTS))
+def test_a_failing_closed_forms_draw_raises_what_it_raises_draw_by_draw(monkeypatch, case):
+    count, faults = _FAULTS[case]
+    rng = np.random.default_rng(31)
+    drawn = [draw_gaussian_params(rng) for _ in range(count)]
+    for index, fault in faults.items():
+        if fault == "singular":  # the oracle's quantizer pivot is below PIVOT_TOL
+            drawn[index] = replace(drawn[index], sigma_q2=1e-16 / (index + 1))
+    fault_of = {id(drawn[index]): (index, fault) for index, fault in faults.items()}
+
+    def production(params, schemes, beta, sigma_q2=None):
+        index, fault = fault_of.get(id(params), (None, None))
+        if fault == "production":
+            raise DegenerateRelayLink(f"injected at draw {index}")
+        evaluated = gaussian_regions(params, schemes, beta, sigma_q2)
+        if fault == "threshold" and SchemeId.CF in evaluated:
+            evaluated[SchemeId.CF].terms["sigma_min"] = -float(index)
+        return evaluated
+
+    def first_error_draw_by_draw():
+        for params in drawn:
+            try:
+                production(params, (SchemeId.GQF,), params.beta, params.sigma_q2)
+                production(params, (SchemeId.GQF,), params.beta)
+                cf = production(params, (SchemeId.CF,), params.beta, 1e-300)[SchemeId.CF]
+                _closed_forms_as_verify_assembled(params, float(cf.terms["sigma_min"]))
+            except HdmarcError as error:
+                return error
+        raise AssertionError("no draw fails")
+
+    want = first_error_draw_by_draw()
+    draws = iter(drawn)
+    monkeypatch.setattr("hdmarc.verify.draw_gaussian_params", lambda rng: next(draws))
+    monkeypatch.setattr("hdmarc.verify.gaussian_regions", production)
+    with pytest.raises(HdmarcError) as got:
+        run_subject("closed-forms", seed=0, draws=count)
+    assert (type(got.value), str(got.value)) == (type(want), str(want))

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import hdmarc.dmregions
 from hdmarc import (
     Bounds,
     ConfigError,
@@ -648,7 +647,7 @@ def test_dm_sweep_rows_equal_scalar_regions_bit_for_bit():
 def test_dm_sweep_and_region_build_each_joint_once_per_spec(
     monkeypatch, tmp_path, points, schemes
 ):
-    calls = count_joint_builds(monkeypatch, hdmarc.dmregions)["build_slot1_joint"]
+    calls = count_joint_builds(monkeypatch)["build_slot1_joint"]
     channel = _dm_sweep_doc()["channel"]
     for topology in ("marc", "cmacr"):
         doc = dict(_dm_sweep_doc(), topology=topology, schemes=list(schemes))
