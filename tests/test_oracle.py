@@ -442,6 +442,17 @@ def _assert_each_draw_alone_gives_the_same_bits(draws):
         assert_same_bits(excess, want_excess)
 
 
+@pytest.mark.parametrize(
+    "draws",
+    [None, 3, [benchmark_params(sigma_q2=1.0)], [(benchmark_params(sigma_q2=1.0),)]],
+    ids=["None", "int", "bare-channel", "one-tuple"],
+)
+def test_closed_forms_oracle_refuses_draws_that_are_not_pairs(draws):
+    with pytest.raises(InvalidParams):
+        closed_forms_via_log_dets(draws)
+    assert closed_forms_via_log_dets([]) == []
+
+
 def test_batched_closed_forms_equal_one_draw_batches_at_extreme_channels():
     channels = _extreme_channels()
     # Every draw's threshold is another draw's variance, so the threshold
