@@ -195,17 +195,16 @@ def validate_beta(beta, allow_array: bool = True):
     return open_interval(beta, "slot fraction", 1.0, OutOfRange, allow_array)
 
 
-def read_collection(values, label: str, check: Optional[Callable] = None, kind: type = tuple):
+def read_collection(values, label: str, check: Callable, kind: type = tuple):
     """``values`` read once, as a ``kind`` of what the gate ``check``
-    returns for each element (of the elements themselves for None), so a
-    generator works.  One that is not iterable raises :class:`InvalidParams`
-    naming the argument ``label``; ``check`` raises for an element it
-    refuses."""
+    returns for each element, so a generator works.  One that is not
+    iterable raises :class:`InvalidParams` naming the argument ``label``;
+    ``check`` raises for an element it refuses."""
     try:
         iterator = iter(values)
     except TypeError:
         raise InvalidParams(f"{label} must be iterable, got {values!r}") from None
-    return kind(iterator if check is None else map(check, iterator))
+    return kind(map(check, iterator))
 
 
 def read_names(values, label: str, kind: type = set, check: Optional[Callable] = None):
@@ -229,26 +228,21 @@ def read_names(values, label: str, kind: type = set, check: Optional[Callable] =
     return read_collection(values, label, check, kind)
 
 
-def instance_of(value, kind: type, label: str):
-    """``value`` if it is a ``kind``.  Otherwise raises :class:`InvalidParams`
-    naming ``label``, ``kind`` and the type it got (not its repr, which for
-    an array can be huge): the one check of a model object."""
+def instance_of(value, kind, label: str):
+    """``value`` if it is a ``kind`` (a type, or a tuple of types it may be
+    any of).  Otherwise raises :class:`InvalidParams` naming ``label``,
+    ``kind`` and the type it got (not its repr, which for an array can be
+    huge): the one check of a model object or of a scheme."""
     if isinstance(value, kind):
         return value
-    raise InvalidParams(f"{label} must be a {kind.__name__}, got {type(value).__name__}")
-
-
-def _scheme(value) -> SchemeId:
-    """``value`` if it is a :class:`SchemeId` (a str is refused, not parsed)."""
-    if isinstance(value, SchemeId):
-        return value
-    raise InvalidParams(f"scheme must be a SchemeId, got {value!r}")
+    names = " or a ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+    raise InvalidParams(f"{label} must be a {names}, got {type(value).__name__}")
 
 
 def read_schemes(schemes) -> tuple:
     """The schemes a model entry should evaluate, read once by
-    :func:`read_collection`: each must be a :class:`SchemeId`."""
-    return read_collection(schemes, "schemes", _scheme)
+    :func:`read_collection`: each must be a :class:`SchemeId`, not a str."""
+    return read_collection(schemes, "schemes", lambda s: instance_of(s, SchemeId, "scheme"))
 
 
 def two_slot(beta, s1, s2):

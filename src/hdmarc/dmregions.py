@@ -45,6 +45,7 @@ from .core import (
     instance_of,
     one_of,
     rate_region,
+    read_collection,
     read_names,
     read_schemes,
     two_slot,
@@ -75,7 +76,7 @@ def slot_terms(
     of the binning constraint at ``k``: the slot-1 description excess
     I(YR; YhR) - I(Yk1; YhR) and the slot-2 pipe I(XR; Yk2).
     """
-    ks = [one_of(k, "destination index", (1, 2)) for k in ks]
+    ks = read_collection(ks, "destination indices", lambda k: one_of(k, "destination index", (1, 2)))
     tables = instance_of(spec, DmChannelSpec, "spec").entropies
     mi1, mi2 = (table.mutual_information for table in tables)
     quant_rate = mi1({"YR"}, {"YhR"})

@@ -206,16 +206,24 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
     return GaussianVectorModel(SLOT1_ORDER if slot == 1 else SLOT2_ORDER, factors[0])
 
 
+def _triple(value) -> tuple:
+    """``value`` if it is a triple ``(a, b, c)``."""
+    if isinstance(value, tuple) and len(value) == 3:
+        return value
+    raise InvalidParams(f"triples must hold (a, b, c) tuples, got {value!r}")
+
+
 def _read_triples(
     names: tuple[str, ...],
     triples: Iterable[tuple[Iterable[str], Iterable[str], Iterable[str]]],
 ) -> tuple[list[list[int]], np.ndarray]:
-    """Triples (A, B, C) of the coordinates ``names``, read once: the block
-    orders (C, A, B) and (C, B) of each, as coordinate indices, and the
-    ends of the blocks C, (C, A), (C, A, B) and (C, B), one row each."""
+    """Triples (A, B, C) of the coordinates ``names``, read once by
+    :func:`~hdmarc.core.read_collection`: the block orders (C, A, B) and
+    (C, B) of each, as coordinate indices, and the ends of the blocks C,
+    (C, A), (C, A, B) and (C, B), one row each."""
     position = {name: i for i, name in enumerate(names)}
     orders, ends = [], []
-    for a, b, c in triples:
+    for a, b, c in read_collection(triples, "triples", _triple):
         a_set, b_set, c_set = disjoint_sets(a, b, c)
         unknown = (a_set | b_set | c_set).difference(position)
         if unknown:

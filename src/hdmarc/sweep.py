@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .core import (
     SchemeId,
     clamp_bounds,
     document,
+    instance_of,
     integer,
     one_of,
     real_number,
@@ -92,27 +93,25 @@ class GridSpec:
 class SweepConfig:
     """A validated sweep description.
 
-    Exactly one of ``gaussian``/``dm_spec`` is set, matching ``model``.
-    For the Gaussian model, ``no_relay`` holds the single-slot baseline
-    powers (required only when NO_RELAY is among the schemes).  For the
-    finite-alphabet model, ``topology`` selects the single-destination or
-    compound region.
+    The type of ``channel`` is the model: a :class:`GaussianMarcParams` or
+    a finite-alphabet :class:`DmChannelSpec`.  For a Gaussian channel,
+    ``no_relay`` holds the single-slot baseline powers (required only when
+    NO_RELAY is among the schemes).  For a finite-alphabet channel,
+    ``topology`` selects the single-destination or compound region.
     """
 
-    model: str  # "gaussian" | "dm"
     swept: str  # "sigma_q2" | "beta"
     grid: GridSpec
     schemes: tuple[SchemeId, ...]
-    gaussian: Optional[GaussianMarcParams] = None
+    channel: Union[GaussianMarcParams, DmChannelSpec]
     no_relay: Optional[tuple[float, float]] = None
-    dm_spec: Optional[DmChannelSpec] = None
     topology: str = "marc"  # "marc" | "cmacr" (dm only)
     output: Optional[str] = None
 
 
-def _number(doc: dict, key: str, where: str) -> float:
-    """The number ``doc[key]`` of a document checked by :func:`document`."""
-    return real_number(doc[key], f"{where}.{key}", ConfigError, None)
+def _number(doc: dict, key: str, where: str, rule: Optional[str] = None) -> float:
+    """The number ``doc[key]`` of a document checked by :func:`document`, if ``rule``."""
+    return real_number(doc[key], f"{where}.{key}", ConfigError, rule)
 
 
 def _parse_schemes(raw) -> tuple[SchemeId, ...]:
@@ -162,17 +161,18 @@ def gaussian_point_from_dict(doc: dict) -> GaussianMarcParams:
 
 
 def no_relay_from_dict(doc: dict) -> tuple[float, float]:
-    """Parse a ``no_relay`` block: the baseline powers ``P1`` and ``P2``."""
+    """Parse a ``no_relay`` block: the baseline powers ``P1`` and ``P2``,
+    each finite and non-negative."""
     document(doc, "no_relay", ("P1", "P2"))
-    return tuple(_number(doc, key, "no_relay") for key in ("P1", "P2"))
+    return tuple(_number(doc, k, "no_relay", "finite and non-negative") for k in ("P1", "P2"))
 
 
 def _model_fields(
     doc: dict, schemes: tuple[SchemeId, ...], swept: Optional[str]
 ) -> dict:
-    """The model and channel fields of a sweep over ``swept`` or of a region
-    (``swept=None``) document ``doc``, as keywords of :class:`SweepConfig`
-    and :class:`RegionConfig`."""
+    """The ``channel`` its ``model`` names, and ``no_relay`` or ``topology``, of
+    a sweep over ``swept`` or a region (``swept=None``) document ``doc``, as
+    keywords of :class:`SweepConfig` and :class:`RegionConfig`."""
     model = one_of(doc["model"], "model", ("gaussian", "dm"), ConfigError)
     if model == "gaussian":
         if "topology" in doc:
@@ -187,7 +187,7 @@ def _model_fields(
             params = gaussian_point_from_dict(doc["channel"])
         else:
             params = _parse_gaussian_channel(doc["channel"], swept)
-        return {"model": model, "gaussian": params, "no_relay": no_relay}
+        return {"channel": params, "no_relay": no_relay}
     if "no_relay" in doc:
         raise ConfigError(
             "no_relay powers apply to the gaussian model only; the dm "
@@ -197,10 +197,10 @@ def _model_fields(
         raise ConfigError("the dm model has no sigma_q2 knob; sweep beta instead")
     topology = one_of(doc.get("topology", "marc"), "topology", TOPOLOGIES, ConfigError)
     try:
-        dm_spec = spec_from_dict(doc["channel"])
+        spec = spec_from_dict(doc["channel"])
     except HdmarcError as exc:
         raise ConfigError(f"invalid dm channel: {exc}") from exc
-    return {"model": model, "dm_spec": dm_spec, "topology": topology}
+    return {"channel": spec, "topology": topology}
 
 
 def config_from_dict(doc: dict) -> SweepConfig:
@@ -243,17 +243,15 @@ def config_from_dict(doc: dict) -> SweepConfig:
 
 @dataclass(frozen=True)
 class RegionConfig:
-    """A validated single-point description: the model fields of a
-    :class:`SweepConfig`, plus the point's ``beta`` and, for the Gaussian
-    model, its ``sigma_q2`` (both also held by ``gaussian``)."""
+    """A validated single-point description: the channel fields of a
+    :class:`SweepConfig`, plus the point's ``beta`` and, for a Gaussian
+    channel, its ``sigma_q2`` (both also held by the channel)."""
 
-    model: str  # "gaussian" | "dm"
     schemes: tuple[SchemeId, ...]
     beta: float
+    channel: Union[GaussianMarcParams, DmChannelSpec]
     sigma_q2: Optional[float] = None
-    gaussian: Optional[GaussianMarcParams] = None
     no_relay: Optional[tuple[float, float]] = None
-    dm_spec: Optional[DmChannelSpec] = None
     topology: str = "marc"
 
 
@@ -270,7 +268,8 @@ def region_config_from_dict(doc: dict) -> RegionConfig:
     document(doc, "region config", ("model", "channel"), known)
     schemes = _parse_schemes(doc.get("schemes", [scheme.value for scheme in SchemeId]))
     fields = _model_fields(doc, schemes, None)
-    if fields["model"] == "dm":
+    channel = fields["channel"]
+    if isinstance(channel, DmChannelSpec):
         document(doc, "region config", ("beta",), known)  # a dm region's beta
         try:
             beta = validate_beta(_number(doc, "beta", "region config"))
@@ -279,27 +278,20 @@ def region_config_from_dict(doc: dict) -> RegionConfig:
         return RegionConfig(schemes=schemes, beta=beta, **fields)
     if "beta" in doc:
         raise ConfigError("gaussian region configs carry beta inside 'channel'")
-    params = fields["gaussian"]
-    return RegionConfig(
-        schemes=schemes, beta=params.beta, sigma_q2=params.sigma_q2, **fields
-    )
+    return RegionConfig(schemes=schemes, beta=channel.beta, sigma_q2=channel.sigma_q2, **fields)
 
 
 def evaluate(config, beta, sigma_q2=None) -> dict[SchemeId, Bounds]:
     """Unclamped bounds of every scheme of ``config`` (a :class:`SweepConfig`
-    or :class:`RegionConfig`) at slot fraction(s) ``beta`` and, for the
-    Gaussian model, quantization variance(s) ``sigma_q2`` (None: each
+    or :class:`RegionConfig`) at slot fraction(s) ``beta`` and, for a
+    Gaussian channel, quantization variance(s) ``sigma_q2`` (None: each
     scheme's own choice per ``beta``).  Floats give one point, arrays a grid.
+    The channel's type picks the model entry (neither: ``InvalidParams``).
     """
-    models = {
-        "gaussian": lambda: gaussian_regions(
-            config.gaussian, config.schemes, beta, sigma_q2, config.no_relay
-        ),
-        "dm": lambda: dm_regions(
-            config.dm_spec, (config.topology,), config.schemes, beta
-        )[config.topology],
-    }
-    return models[config.model]()
+    channel = instance_of(config.channel, (GaussianMarcParams, DmChannelSpec), "channel")
+    if isinstance(channel, DmChannelSpec):
+        return dm_regions(channel, (config.topology,), config.schemes, beta)[config.topology]
+    return gaussian_regions(channel, config.schemes, beta, sigma_q2, config.no_relay)
 
 
 @dataclass(frozen=True)
@@ -324,11 +316,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     values = config.grid.values()
     grid = np.asarray(values)
-    if config.swept == "sigma_q2":
-        beta, sigma = config.gaussian.beta, grid
-    else:
-        beta, sigma = grid, None
     try:
+        if config.swept == "sigma_q2":  # at the Gaussian channel's own beta
+            beta, sigma = instance_of(config.channel, GaussianMarcParams, "channel").beta, grid
+        else:
+            beta, sigma = grid, None
         evaluated = evaluate(config, beta, sigma)
     except HdmarcError as exc:
         label = ", ".join(scheme.value for scheme in config.schemes)

@@ -22,7 +22,7 @@ Subjects:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -142,14 +142,10 @@ _SIZE_NAMES = (
 )
 
 
-def draw_dm_spec(
-    rng: np.random.Generator, sizes: Optional[dict[str, int]] = None
-) -> DmChannelSpec:
-    """A random small channel with alphabet sizes 2-3 (overridable)."""
-    chosen = {name: int(rng.integers(2, 4)) for name in _SIZE_NAMES}
-    if sizes:
-        chosen.update(sizes)
-    s = chosen
+def _draw_tables(rng: np.random.Generator, sizes: Optional[dict[str, int]]) -> dict:
+    """The eight tables of a random small channel with alphabet sizes 2-3
+    (overridable), as keywords of :class:`DmChannelSpec`, unchecked."""
+    s = {name: int(rng.integers(2, 4)) for name in _SIZE_NAMES} | (sizes or {})
 
     def conditional(rows: tuple[int, ...], cols: int) -> np.ndarray:
         return rng.dirichlet(np.ones(cols), size=rows)
@@ -161,7 +157,7 @@ def draw_dm_spec(
     slot2 = conditional(
         (s["x12"], s["x22"], s["xr"]), s["y12"] * s["y22"]
     ).reshape(s["x12"], s["x22"], s["xr"], s["y12"], s["y22"])
-    return DmChannelSpec(
+    return dict(
         px11=rng.dirichlet(np.ones(s["x11"])),
         px21=rng.dirichlet(np.ones(s["x21"])),
         px12=rng.dirichlet(np.ones(s["x12"])),
@@ -171,6 +167,13 @@ def draw_dm_spec(
         slot1=slot1,
         slot2=slot2,
     )
+
+
+def draw_dm_spec(
+    rng: np.random.Generator, sizes: Optional[dict[str, int]] = None
+) -> DmChannelSpec:
+    """A random small channel with alphabet sizes 2-3 (overridable)."""
+    return DmChannelSpec(**_draw_tables(rng, sizes))
 
 
 def draw_single_source_spec(
@@ -195,12 +198,12 @@ def draw_single_source_spec(
         "y12": n_x12 * n_xr,
         "yhr": 2,
     }
-    base = draw_dm_spec(rng, sizes)
-    slot2 = np.zeros_like(base.slot2)
+    tables = _draw_tables(rng, sizes)
+    slot2 = np.zeros_like(tables["slot2"])
     for x12 in range(n_x12):
         for xr in range(n_xr):
             slot2[x12, 0, xr, x12 * n_xr + xr, 0] = 1.0
-    spec = replace(base, pxr=np.full(n_xr, 1.0 / n_xr), slot2=slot2)
+    spec = DmChannelSpec(**dict(tables, pxr=np.full(n_xr, 1.0 / n_xr), slot2=slot2))
     return spec, float(rng.uniform(0.2, 0.4))
 
 

@@ -112,6 +112,20 @@ def test_gqf_terms_rejects_bad_destination():
         slot_terms(spec, (3,))
 
 
+@pytest.mark.parametrize(
+    "ks, message",
+    [
+        (None, "destination indices must be iterable, got None"),
+        (1, "destination indices must be iterable, got 1"),
+        ((1, None), "destination index must be 1 or 2, got None"),
+    ],
+)
+def test_slot_terms_refuse_destinations_that_are_not_indices(ks, message):
+    spec = make_random_spec(np.random.default_rng(42))
+    with pytest.raises(InvalidParams, match=f"^{message}$"):
+        slot_terms(spec, ks)
+
+
 def test_region_terms_destinations():
     # Terms exist exactly for the destinations that were evaluated.
     def destinations(region):

@@ -285,12 +285,12 @@ def test_shipped_sweep_rows_equal_scalar_evaluations_bit_for_bit(name):
     config = config_from_dict(json.loads((CONFIG_DIR / name).read_text()))
     result = run_sweep(config)
     p1, p2 = config.no_relay
-    baseline = no_relay_rates(config.gaussian.h11, config.gaussian.h21, p1, p2)
+    baseline = no_relay_rates(config.channel.h11, config.channel.h21, p1, p2)
     for k, value in enumerate(result.values):
         if config.swept == "sigma_q2":
-            gqf_point = cf_point = replace(config.gaussian, sigma_q2=value)
+            gqf_point = cf_point = replace(config.channel, sigma_q2=value)
         else:
-            point = replace(config.gaussian, beta=value)
+            point = replace(config.channel, beta=value)
             gqf_point = replace(point, sigma_q2=gqf_optimize_sigma(point).sigma_q2)
             cf_point = cf_operating_point(point)
         for scheme, region, sigma in (

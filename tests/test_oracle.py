@@ -347,6 +347,21 @@ def test_stacked_log_dets_name_the_same_singular_submatrix():
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize(
+    "triples, message",
+    [
+        (None, "triples must be iterable, got None"),
+        ([("X11",)], r"triples must hold \(a, b, c\) tuples, got \('X11',\)"),
+        ([None], r"triples must hold \(a, b, c\) tuples, got None"),
+        ([({"X11"}, {"Y11"}, ()), 5], r"triples must hold \(a, b, c\) tuples, got 5"),
+    ],
+)
+def test_gaussian_mis_refuses_triples_that_are_not_triples(triples, message):
+    model = build_covariance(benchmark_params(sigma_q2=1.0), slot=1)
+    with pytest.raises(InvalidParams, match=f"^{message}$"):
+        gaussian_mis(model, triples)
+
+
 def test_stacked_log_dets_edge_cases():
     model = build_covariance(benchmark_params(sigma_q2=1.0), slot=1)
     assert gaussian_mis(model, []) == []
@@ -749,6 +764,19 @@ def test_single_source_oracle_keeps_the_bits_of_the_old_assembly(seed):
         assert_same_bits(
             single_source_gqf_branches(spec, b), _single_source_as_verify_assembled(spec, b)
         )
+
+
+def test_a_single_source_draw_checks_one_channel(monkeypatch):
+    checked = []
+    check = DmChannelSpec.__post_init__
+    monkeypatch.setattr(
+        DmChannelSpec, "__post_init__", lambda spec: checked.append(spec) or check(spec)
+    )
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        checked.clear()
+        spec, _ = draw_single_source_spec(rng)
+        assert len(checked) == 1 and checked[0] is spec
 
 
 def test_a_closed_forms_chunk_builds_three_factor_stacks_and_three_qrs(monkeypatch):

@@ -8,7 +8,7 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from hdmarc import (
     Bounds,
     ConfigError,
     DmChannelSpec,
+    GaussianMarcParams,
     HdmarcError,
     InvalidParams,
     OutOfRange,
@@ -44,6 +45,7 @@ from hdmarc.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
     GridSpec,
+    RegionConfig,
     SweepConfig,
     SweepResult,
     evaluate,
@@ -215,12 +217,12 @@ def test_grid_rejects_malformed_ranges():
 
 def test_config_accepts_the_reference_document():
     config = config_from_dict(_gaussian_sweep_doc())
-    assert config.model == "gaussian"
+    assert type(config.channel) is GaussianMarcParams
     assert config.swept == "sigma_q2"
     assert config.schemes == (SchemeId.GQF, SchemeId.CF, SchemeId.NO_RELAY)
     assert config.no_relay == (1.5, 1.5)
-    assert config.gaussian.h1r == 3.0
-    assert config.gaussian.sigma_q2 is None  # set per grid point
+    assert config.channel.h1r == 3.0
+    assert config.channel.sigma_q2 is None  # set per grid point
 
 
 @pytest.mark.parametrize(
@@ -312,6 +314,49 @@ def test_config_rejects_malformed_dm_documents():
     broken_channel["channel"]["p_x11"] = [0.7, 0.7]
     with pytest.raises(ConfigError):
         config_from_dict(broken_channel)
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("schemes", [["GQF", "CF"], ["GQF", "CF", "NO_RELAY"]])
+def test_no_relay_powers_are_checked_when_parsed(tmp_path, value, schemes):
+    # Whether or not NO_RELAY is asked for, a baseline power that is not
+    # finite and non-negative is an error of the document, not of a sweep.
+    sweep = dict(_gaussian_sweep_doc(), schemes=schemes, no_relay={"P1": value, "P2": 1.5})
+    region = dict(next(_region_docs()), schemes=schemes, no_relay={"P1": value, "P2": 1.5})
+    message = r"^no_relay\.P1 must be finite and non-negative, got"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(sweep)
+    with pytest.raises(ConfigError, match=message):
+        region_config_from_dict(region)
+    sweep_path = _write_json(tmp_path / "s.json", sweep)
+    assert main(["sweep", "--config", sweep_path, "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
+    assert main(["region", "--config", _write_json(tmp_path / "r.json", region)]) == EXIT_CONFIG
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_a_config_holds_its_model_as_the_type_of_its_channel():
+    assert [field.name for field in fields(SweepConfig)] == [
+        "swept", "grid", "schemes", "channel", "no_relay", "topology", "output"
+    ]
+    assert [field.name for field in fields(RegionConfig)] == [
+        "schemes", "beta", "channel", "sigma_q2", "no_relay", "topology"
+    ]
+    assert type(config_from_dict(_dm_sweep_doc()).channel) is DmChannelSpec
+    regions = [region_config_from_dict(doc) for doc in _region_docs()]
+    assert {type(config.channel) for config in regions} == {GaussianMarcParams, DmChannelSpec}
+    # A hand-built config with a channel of neither type is refused, typed.
+    sweep = config_from_dict(_dm_sweep_doc())
+    neither = "channel must be a GaussianMarcParams or a DmChannelSpec, got"
+    for channel in ("dm", None, _gaussian_sweep_doc()["channel"]):
+        with pytest.raises(InvalidParams, match=f"{neither} {type(channel).__name__}$"):
+            evaluate(replace(sweep, channel=channel), 0.5)
+        with pytest.raises(InvalidParams, match=f"^sweep failed .*: {neither}"):
+            run_sweep(replace(sweep, channel=channel))
+        with pytest.raises(InvalidParams, match=neither):
+            evaluate(replace(regions[0], channel=channel), 0.5, 1.0)
+    # A sigma_q2 sweep runs at the beta of a Gaussian channel.
+    with pytest.raises(InvalidParams, match="channel must be a GaussianMarcParams, got Dm"):
+        run_sweep(replace(sweep, swept="sigma_q2"))
 
 
 def test_dm_config_accepts_both_topologies():
@@ -408,19 +453,19 @@ def test_sweep_error_names_the_first_grid_point_that_overflows():
 
 def _swap_sources(config):
     """The same configuration with sources 1 and 2 exchanged."""
-    if config.model == "gaussian":
-        g = config.gaussian
+    if isinstance(config.channel, GaussianMarcParams):
+        g = config.channel
         params = replace(g, h11=g.h21, h21=g.h11, h1r=g.h2r, h2r=g.h1r,
                          p11=g.p21, p21=g.p11, p12=g.p22, p22=g.p12)
-        return replace(config, gaussian=params, no_relay=config.no_relay[::-1])
-    s = config.dm_spec
+        return replace(config, channel=params, no_relay=config.no_relay[::-1])
+    s = config.channel
     spec = DmChannelSpec(
         px11=s.px21, px21=s.px11, px12=s.px22, px22=s.px12, pxr=s.pxr,
         test_channel=s.test_channel,
         slot1=s.slot1.transpose(1, 0, 2, 3, 4),
         slot2=s.slot2.transpose(1, 0, 2, 3, 4),
     )
-    return replace(config, dm_spec=spec)
+    return replace(config, channel=spec)
 
 
 def test_swapping_the_sources_swaps_their_rates_on_both_models():
@@ -432,11 +477,11 @@ def test_swapping_the_sources_swaps_their_rates_on_both_models():
     for _ in range(10):
         gains = dict(zip(("h11", "h21", "h1r", "h2r", "hr1"), rng.uniform(0.1, 5.0, 5)))
         powers = dict(zip(("p11", "p12", "p21", "p22", "pr"), rng.uniform(0.1, 5.0, 5)))
-        params = replace(gaussian.gaussian, **gains, **powers)
-        configs.append(replace(gaussian, gaussian=params, no_relay=tuple(rng.uniform(0.1, 5.0, 2))))
+        params = replace(gaussian.channel, **gains, **powers)
+        configs.append(replace(gaussian, channel=params, no_relay=tuple(rng.uniform(0.1, 5.0, 2))))
         spec = make_random_spec(rng, {"x11": 3, "y12": 2})
         for topology in ("marc", "cmacr"):
-            configs.append(replace(dm, dm_spec=spec, topology=topology))
+            configs.append(replace(dm, channel=spec, topology=topology))
     feasible = set()
     for config in configs:
         original = evaluate(config, betas)
@@ -613,11 +658,10 @@ def _dm_sweep_configs():
     """The shipped DM config and a spec with mixed CF feasibility, both topologies."""
     shipped = config_from_dict(json.loads((CONFIG_DIR / "dm_beta_sweep.json").read_text()))
     mixed = SweepConfig(
-        model="dm",
         swept="beta",
         grid=GridSpec(lo=0.1, hi=0.9, points=9, spacing="linear"),
         schemes=tuple(SchemeId),
-        dm_spec=make_random_spec(np.random.default_rng(MIXED_CF_SEED)),
+        channel=make_random_spec(np.random.default_rng(MIXED_CF_SEED)),
     )
     for config in (shipped, mixed):
         for topology in ("marc", "cmacr"):
@@ -632,7 +676,7 @@ def test_dm_sweep_rows_equal_scalar_regions_bit_for_bit():
             evaluate = DM_REGION_FUNCTIONS[(config.topology, scheme)]
             rows = zip(result.values, *result.columns[scheme][:4])
             for value, *got in rows:
-                region = evaluate(config.dm_spec, validate_beta(value))
+                region = evaluate(config.channel, validate_beta(value))
                 want = [region.r1_max, region.r2_max, region.sum_max, region.feasible]
                 assert repr(got) == repr(want), (config.topology, scheme, value)
                 if scheme is SchemeId.CF:
