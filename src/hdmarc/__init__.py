@@ -7,6 +7,13 @@ classic compress-and-forward with binning (CF) — on exact finite-alphabet
 channels and on the closed-form Gaussian model, optimizes the scheme knobs
 (quantization variance, slot fraction), cross-checks every formula against
 independent oracles, and drives parameter sweeps from the command line.
+
+This namespace holds the product: the two model entries
+(:func:`gaussian_regions`, :func:`dm_regions`), their inputs and results,
+the config parsers, sweeps and their writers, the self-checks, and the
+error types.  Single-point wrappers, information measures and oracle
+internals live in their own modules (``hdmarc.gaussian``,
+``hdmarc.dmregions``, ``hdmarc.dminfo``, ``hdmarc.oracle``, ``hdmarc.core``).
 """
 
 from .core import (
@@ -23,57 +30,23 @@ from .core import (
     SingularCovariance,
     TensorTooLarge,
     UnknownVariable,
-    clamp_region,
     rate_region,
-    validate_beta,
 )
-from .dminfo import (
-    DmChannelSpec,
-    JointPmf,
-    build_slot1_joint,
-    build_slot2_joint,
-    entropy,
-    marginalize,
-    mutual_information,
-    spec_from_dict,
-)
-from .dmregions import (
-    cf_region_cmacr,
-    cf_region_marc,
-    degenerate_relay_spec,
-    gqf_region_cmacr,
-    gqf_region_marc,
-    no_relay_region_cmacr,
-    no_relay_region_marc,
-)
-from .gaussian import (
-    BetaOptimum,
-    GaussianMarcParams,
-    SigmaOptimum,
-    cf_rates,
-    cf_sigma_min,
-    gqf_optimize_sigma,
-    gqf_rates,
-    no_relay_rates,
-    optimize_beta,
-)
-from .oracle import (
-    GaussianVectorModel,
-    build_covariance,
-    gaussian_mi,
-    gqf_region_via_ru_sweep,
-)
+from .dminfo import DmChannelSpec, spec_from_dict
+from .dmregions import dm_regions
+from .gaussian import BetaOptimum, GaussianMarcParams, gaussian_regions, optimize_beta
 from .sweep import (
     SweepConfig,
     SweepResult,
     config_from_dict,
     emit_csv,
     emit_plot_script,
+    region_config_from_dict,
     run_sweep,
 )
 from .verify import Report, run_subject
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BetaOptimum",
@@ -83,49 +56,27 @@ __all__ = [
     "DimensionMismatch",
     "DmChannelSpec",
     "GaussianMarcParams",
-    "GaussianVectorModel",
     "HdmarcError",
     "InvalidParams",
-    "JointPmf",
     "OutOfRange",
     "OverlappingSets",
     "RateRegion",
     "Report",
     "SchemeId",
-    "SigmaOptimum",
     "SingularCovariance",
     "SweepConfig",
     "SweepResult",
     "TensorTooLarge",
     "UnknownVariable",
-    "build_covariance",
-    "build_slot1_joint",
-    "build_slot2_joint",
-    "cf_rates",
-    "cf_region_cmacr",
-    "cf_region_marc",
-    "cf_sigma_min",
-    "clamp_region",
     "config_from_dict",
-    "degenerate_relay_spec",
+    "dm_regions",
     "emit_csv",
     "emit_plot_script",
-    "entropy",
-    "gaussian_mi",
-    "gqf_optimize_sigma",
-    "gqf_rates",
-    "gqf_region_cmacr",
-    "gqf_region_marc",
-    "gqf_region_via_ru_sweep",
-    "marginalize",
-    "mutual_information",
-    "no_relay_rates",
-    "no_relay_region_cmacr",
-    "no_relay_region_marc",
+    "gaussian_regions",
     "optimize_beta",
     "rate_region",
+    "region_config_from_dict",
     "run_subject",
     "run_sweep",
     "spec_from_dict",
-    "validate_beta",
 ]

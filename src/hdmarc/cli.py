@@ -14,12 +14,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .core import ConfigError, HdmarcError, rate_region
+from .core import ConfigError, HdmarcError, file_path, rate_region
 from .sweep import (
     config_from_dict,
     emit_csv,
     emit_plot_script,
     evaluate,
+    plot_csv_path,
     region_config_from_dict,
     run_sweep,
 )
@@ -86,21 +87,8 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _path(path) -> str:
-    """``path`` (a str or path-like) as a str, if it can name a file: one
-    with a NUL character, or a character the file system encoding cannot
-    write, raises :class:`ConfigError` before any file is opened."""
-    path = os.fspath(path)
-    try:
-        if b"\0" not in os.fsencode(path):
-            return path
-    except UnicodeEncodeError:
-        pass
-    raise ConfigError(f"path {path!r} cannot name a file")
-
-
 def _load_json(path: str) -> dict:
-    with open(_path(path), "r", encoding="utf-8") as handle:
+    with open(file_path(path), "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
         # Bad JSON or UTF-8 is a ValueError, too deep a nesting a RecursionError.
@@ -115,16 +103,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(
             "no output path: pass --out or set 'output' in the config"
         )
-    script = os.path.splitext(_path(out))[0] + ".gp"
+    script = os.path.splitext(file_path(out))[0] + ".gp"
     if script == out:
         raise ConfigError(
             f"CSV output path {out!r} ends in .gp, where the plot script would overwrite it"
         )
-    if out.splitlines() != [out]:
-        raise ConfigError(
-            f"CSV output path {out!r} has a line break, which the plot script "
-            "cannot quote"
-        )
+    plot_csv_path(out)
     result = run_sweep(config)
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     emit_csv(result, out)
@@ -174,8 +158,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        if args.out is not None:  # every command has --out
-            _path(args.out)
+        if args.out:  # every command has --out; an empty one is no path
+            file_path(args.out)
         return handlers[args.command](args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

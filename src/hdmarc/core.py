@@ -1,6 +1,7 @@
 """Shared domain types and input checks: errors, slot fractions, scheme tags,
 rate regions, and the gates for numbers, numeric arrays, open intervals,
-config documents, fixed choices, counts, collections and model objects.
+config documents, fixed choices, counts, collections, model objects and
+file paths.
 
 Every quantity in this package is a rate in bits per channel use.  A
 "region" here is the triple of single-user bounds plus the sum bound that
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Mapping, NamedTuple, Optional
@@ -239,6 +241,27 @@ def instance_of(value, kind, label: str):
     raise InvalidParams(f"{label} must be a {names}, got {type(value).__name__}")
 
 
+def file_path(path) -> str:
+    """``path`` (a str or a path-like of one) as a str, if it can name a
+    file.  Anything else (an int, which ``open`` would take for a file
+    descriptor, a bool, None, bytes), an empty path, one with a NUL
+    character and one with a character the file system encoding cannot
+    write raise :class:`ConfigError` before any file is opened: the one
+    check of a file path."""
+    try:
+        text = os.fspath(path)
+    except TypeError:
+        text = None
+    if not isinstance(text, str):
+        raise ConfigError(f"path must be a str or path-like, got {type(path).__name__}")
+    try:
+        if text and b"\0" not in os.fsencode(text):
+            return text
+    except UnicodeEncodeError:
+        pass
+    raise ConfigError(f"path {text!r} cannot name a file")
+
+
 def read_schemes(schemes) -> tuple:
     """The schemes a model entry should evaluate, read once by
     :func:`read_collection`: each must be a :class:`SchemeId`, not a str."""
@@ -320,6 +343,7 @@ class Bounds(NamedTuple):
 
 def rate_region(bounds: Bounds) -> RateRegion:
     """The :class:`RateRegion` of a single-point evaluation (not a grid)."""
+    instance_of(bounds, Bounds, "bounds")
     if np.ndim(bounds.rsum):  # on a grid, rsum has the grid's shape
         raise InvalidParams("rate_region takes a single-point evaluation, not a grid")
     terms = {name: float(value) for name, value in bounds.terms.items()}

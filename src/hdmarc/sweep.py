@@ -31,9 +31,11 @@ from .core import (
     SchemeId,
     clamp_bounds,
     document,
+    file_path,
     instance_of,
     integer,
     one_of,
+    read_schemes,
     real_number,
     validate_beta,
 )
@@ -312,18 +314,24 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     On a ``beta`` sweep each scheme picks its own variance per point: GQF
     the sum optimum, CF just above the binning threshold.  Backend errors
-    are re-raised with the schemes prepended to the message.
+    are re-raised with the schemes prepended to the message.  A config
+    that is not a :class:`SweepConfig` with a :class:`GridSpec`, sweeps
+    neither "sigma_q2" nor "beta" or lists a scheme that is not a
+    :class:`SchemeId` raises :class:`InvalidParams`.
     """
-    values = config.grid.values()
+    instance_of(config, SweepConfig, "config")
+    swept = one_of(config.swept, "swept", ("sigma_q2", "beta"))
+    values = instance_of(config.grid, GridSpec, "grid").values()
+    schemes = read_schemes(config.schemes)
     grid = np.asarray(values)
     try:
-        if config.swept == "sigma_q2":  # at the Gaussian channel's own beta
+        if swept == "sigma_q2":  # at the Gaussian channel's own beta
             beta, sigma = instance_of(config.channel, GaussianMarcParams, "channel").beta, grid
         else:
             beta, sigma = grid, None
         evaluated = evaluate(config, beta, sigma)
     except HdmarcError as exc:
-        label = ", ".join(scheme.value for scheme in config.schemes)
+        label = ", ".join(scheme.value for scheme in schemes)
         raise type(exc)(f"sweep failed for schemes {label}: {exc}") from exc
     columns = {}
     for scheme, bounds in evaluated.items():
@@ -338,9 +346,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         )
         columns[scheme] = Bounds(*lists, bounds.terms)
     return SweepResult(
-        swept=config.swept,
+        swept=swept,
         values=values,
-        schemes=config.schemes,
+        schemes=schemes,
         columns=columns,
         log_axis=config.grid.spacing == "log",
     )
@@ -357,6 +365,7 @@ def render_csv(result: SweepResult) -> str:
     Each swept value is formatted once for all schemes, and a scheme's row
     that is the same objects at every point once for the whole grid.
     """
+    instance_of(result, SweepResult, "result")
     swept = [_CSV_NUMBER % value for value in result.values]
     lines = [CSV_HEADER]
     for scheme in result.schemes:
@@ -373,9 +382,23 @@ def render_csv(result: SweepResult) -> str:
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
-    """Write the sweep CSV to ``path`` (UTF-8)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_csv(result))
+    """Write the sweep CSV to ``path`` (UTF-8; see :func:`~hdmarc.core.file_path`)."""
+    text = render_csv(result)
+    with open(file_path(path), "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
+def plot_csv_path(csv_path) -> str:
+    """``csv_path`` (see :func:`~hdmarc.core.file_path`) if a plot script
+    can name it; a line break, which the script's one-line quoted string
+    cannot hold, raises :class:`ConfigError`."""
+    csv_path = file_path(csv_path)
+    if csv_path.splitlines() != [csv_path]:
+        raise ConfigError(
+            f"CSV output path {csv_path!r} has a line break, which the plot script "
+            "cannot quote"
+        )
+    return csv_path
 
 
 def render_plot_script(result: SweepResult, script_path: str, csv_path: str) -> str:
@@ -383,10 +406,13 @@ def render_plot_script(result: SweepResult, script_path: str, csv_path: str) -> 
 
     The script refers to the CSV by a path relative to its own directory,
     so the pair can be moved together; a ``'`` in it is written ``''``,
-    gnuplot's escape inside single quotes.
+    gnuplot's escape inside single quotes, and a line break is refused
+    (:func:`plot_csv_path`).
     """
+    instance_of(result, SweepResult, "result")
     rel_csv = os.path.relpath(
-        os.path.abspath(csv_path), os.path.dirname(os.path.abspath(script_path))
+        os.path.abspath(plot_csv_path(csv_path)),
+        os.path.dirname(os.path.abspath(file_path(script_path))),
     ).replace("'", "''")
     lines = [
         "# Sum-rate curves from the sweep CSV emitted alongside this script.",
@@ -410,6 +436,8 @@ def render_plot_script(result: SweepResult, script_path: str, csv_path: str) -> 
 
 
 def emit_plot_script(result: SweepResult, script_path: str, csv_path: str) -> None:
-    """Write the gnuplot script to ``script_path`` (UTF-8)."""
+    """Write the gnuplot script to ``script_path`` (UTF-8), or refuse
+    before writing (see :func:`render_plot_script`)."""
+    text = render_plot_script(result, script_path, csv_path)
     with open(script_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_plot_script(result, script_path, csv_path))
+        handle.write(text)

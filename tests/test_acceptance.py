@@ -14,21 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from hdmarc import (
-    SchemeId,
+from hdmarc import SchemeId, optimize_beta
+from hdmarc.core import validate_beta
+from hdmarc.dmregions import cf_region_cmacr, cf_region_marc, gqf_region_cmacr, gqf_region_marc
+from hdmarc.gaussian import (
+    cf_operating_point,
     cf_rates,
-    cf_region_cmacr,
-    cf_region_marc,
     cf_sigma_min,
     gqf_optimize_sigma,
     gqf_rates,
-    gqf_region_cmacr,
-    gqf_region_marc,
     no_relay_rates,
-    optimize_beta,
-    validate_beta,
 )
-from hdmarc.gaussian import cf_operating_point
 from hdmarc.sweep import config_from_dict, render_csv, render_plot_script, run_sweep
 from hdmarc.verify import (
     draw_dm_spec,

@@ -6,17 +6,18 @@ import math
 import numpy as np
 import pytest
 
-import hdmarc
+import hdmarc.dminfo
+import hdmarc.dmregions
+import hdmarc.gaussian
+import hdmarc.oracle
 from hdmarc import (
     ConfigError,
     InvalidParams,
     OutOfRange,
     RateRegion,
     SchemeId,
-    clamp_region,
-    validate_beta,
 )
-from hdmarc.core import instance_of, integer, one_of
+from hdmarc.core import clamp_region, instance_of, integer, one_of, validate_beta
 from hdmarc.dmregions import active_destinations, dm_regions, slot_terms
 from hdmarc.gaussian import cf_operating_point, gaussian_regions
 from hdmarc.oracle import closed_forms_via_log_dets, single_source_gqf_branches
@@ -208,16 +209,16 @@ def test_integer_names_the_bound_it_breaks():
 #: Every entry that takes a model object, called with ``model`` in its place.
 _MODEL_ENTRIES = {
     "gaussian_regions": lambda model: gaussian_regions(model, (SchemeId.GQF,), 0.5),
-    "gqf_rates": hdmarc.gqf_rates,
-    "cf_rates": hdmarc.cf_rates,
-    "gqf_optimize_sigma": hdmarc.gqf_optimize_sigma,
-    "cf_sigma_min": hdmarc.cf_sigma_min,
+    "gqf_rates": hdmarc.gaussian.gqf_rates,
+    "cf_rates": hdmarc.gaussian.cf_rates,
+    "gqf_optimize_sigma": hdmarc.gaussian.gqf_optimize_sigma,
+    "cf_sigma_min": hdmarc.gaussian.cf_sigma_min,
     "cf_operating_point": cf_operating_point,
     "optimize_beta": lambda model: hdmarc.optimize_beta(model, SchemeId.GQF),
     "dm_regions": lambda model: dm_regions(model, ("marc",), (SchemeId.GQF,), 0.5),
     "dm_regions no scheme": lambda model: dm_regions(model, ("marc",), (), 0.5),
     **{
-        name: lambda model, name=name: getattr(hdmarc, name)(model, 0.5)
+        name: lambda model, name=name: getattr(hdmarc.dmregions, name)(model, 0.5)
         for name in (
             "gqf_region_marc",
             "gqf_region_cmacr",
@@ -229,15 +230,15 @@ _MODEL_ENTRIES = {
     },
     "slot_terms": lambda model: slot_terms(model, (1,)),
     "active_destinations": active_destinations,
-    "degenerate_relay_spec": hdmarc.degenerate_relay_spec,
-    "build_slot1_joint": hdmarc.build_slot1_joint,
-    "build_slot2_joint": hdmarc.build_slot2_joint,
-    "entropy": lambda model: hdmarc.entropy(model, ("X11",)),
-    "marginalize": lambda model: hdmarc.marginalize(model, ("X11",)),
-    "mutual_information": lambda model: hdmarc.mutual_information(model, ("X11",), ("Y11",)),
-    "build_covariance": lambda model: hdmarc.build_covariance(model, 1),
-    "gaussian_mi": lambda model: hdmarc.gaussian_mi(model, ("XR",), ("Y12",)),
-    "gqf_region_via_ru_sweep": lambda model: hdmarc.gqf_region_via_ru_sweep(model, 0.5),
+    "degenerate_relay_spec": hdmarc.dmregions.degenerate_relay_spec,
+    "build_slot1_joint": hdmarc.dminfo.build_slot1_joint,
+    "build_slot2_joint": hdmarc.dminfo.build_slot2_joint,
+    "entropy": lambda model: hdmarc.dminfo.entropy(model, ("X11",)),
+    "marginalize": lambda model: hdmarc.dminfo.marginalize(model, ("X11",)),
+    "mutual_information": lambda model: hdmarc.dminfo.mutual_information(model, ("X11",), ("Y11",)),
+    "build_covariance": lambda model: hdmarc.oracle.build_covariance(model, 1),
+    "gaussian_mi": lambda model: hdmarc.oracle.gaussian_mi(model, ("XR",), ("Y12",)),
+    "gqf_region_via_ru_sweep": lambda model: hdmarc.oracle.gqf_region_via_ru_sweep(model, 0.5),
     "closed_forms_via_log_dets": lambda model: closed_forms_via_log_dets([(model, 1.0)]),
     "single_source_gqf_branches": lambda model: single_source_gqf_branches(model, 0.3),
 }

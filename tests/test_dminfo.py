@@ -17,21 +17,24 @@ from hdmarc import (
     DimensionMismatch,
     DmChannelSpec,
     InvalidParams,
-    JointPmf,
     OverlappingSets,
     TensorTooLarge,
     UnknownVariable,
-    build_slot1_joint,
-    build_slot2_joint,
-    build_covariance,
-    entropy,
-    gaussian_mi,
-    marginalize,
-    mutual_information,
     spec_from_dict,
 )
 from hdmarc.cli import _load_json
-from hdmarc.dminfo import MAX_CELLS, SLOT1_VARS, SLOT2_VARS
+from hdmarc.dminfo import (
+    MAX_CELLS,
+    SLOT1_VARS,
+    SLOT2_VARS,
+    JointPmf,
+    build_slot1_joint,
+    build_slot2_joint,
+    entropy,
+    marginalize,
+    mutual_information,
+)
+from hdmarc.oracle import build_covariance, gaussian_mi
 
 from _support import assert_same_bits, benchmark_params, make_random_spec as _random_spec
 

@@ -11,26 +11,24 @@ import numpy as np
 import pytest
 
 import hdmarc.dminfo
-from hdmarc import (
-    DmChannelSpec,
-    InvalidParams,
-    SchemeId,
-    build_slot1_joint,
-    build_slot2_joint,
+from hdmarc import DmChannelSpec, InvalidParams, SchemeId
+from hdmarc.core import clamp_bounds, validate_beta
+from hdmarc.dminfo import JointEntropies, build_slot1_joint, build_slot2_joint, entropy
+from hdmarc.dmregions import (
+    CF_MARGIN,
+    TOPOLOGIES,
+    active_destinations,
     cf_region_cmacr,
     cf_region_marc,
     degenerate_relay_spec,
-    entropy,
+    dm_regions,
     gqf_region_cmacr,
     gqf_region_marc,
-    gqf_region_via_ru_sweep,
     no_relay_region_cmacr,
     no_relay_region_marc,
-    validate_beta,
+    slot_terms,
 )
-from hdmarc.core import clamp_bounds
-from hdmarc.dminfo import JointEntropies
-from hdmarc.dmregions import CF_MARGIN, TOPOLOGIES, active_destinations, dm_regions, slot_terms
+from hdmarc.oracle import gqf_region_via_ru_sweep
 from hdmarc.verify import draw_dm_spec
 
 from _support import (
@@ -302,6 +300,30 @@ def test_relabelling_letters_leaves_every_rate_unchanged():
                         got.terms[name], value, rtol=0.0, atol=1e-12, err_msg=name
                     )
             cf_feasible.update(want[SchemeId.CF].feasible.tolist())
+    assert cf_feasible == {True, False}
+
+
+def test_compound_region_does_not_depend_on_which_destination_is_which():
+    # Axes 3 and 4 of both slot tables are the outputs of destinations 1
+    # and 2; swapping them swaps the destinations.
+    betas = np.array([0.05, 0.2, 0.4, 0.6, 0.8, 0.95])
+    rng = np.random.default_rng(67)
+    cf_feasible = set()
+    for _ in range(50):
+        spec = draw_dm_spec(rng)
+        swapped = replace(
+            spec, slot1=spec.slot1.swapaxes(3, 4), slot2=spec.slot2.swapaxes(3, 4)
+        )
+        want = dm_regions(spec, ("cmacr",), tuple(SchemeId), betas)["cmacr"]
+        got = dm_regions(swapped, ("cmacr",), tuple(SchemeId), betas)["cmacr"]
+        for scheme in SchemeId:
+            for field in ("r1", "r2", "rsum"):
+                np.testing.assert_allclose(
+                    getattr(got[scheme], field), getattr(want[scheme], field),
+                    rtol=0.0, atol=1e-14, err_msg=f"{scheme} {field}",
+                )
+            assert np.array_equal(got[scheme].feasible, want[scheme].feasible)
+        cf_feasible.update(want[SchemeId.CF].feasible.tolist())
     assert cf_feasible == {True, False}
 
 

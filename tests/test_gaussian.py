@@ -21,22 +21,21 @@ from hdmarc import (
     InvalidParams,
     OutOfRange,
     SchemeId,
-    cf_rates,
-    cf_sigma_min,
     config_from_dict,
-    gqf_optimize_sigma,
-    gqf_rates,
-    no_relay_rates,
     optimize_beta,
     run_sweep,
-    validate_beta,
 )
-from hdmarc.core import clamp_bounds, rate_region
+from hdmarc.core import clamp_bounds, rate_region, validate_beta
 from hdmarc.gaussian import (
     BETA_RANGE,
     _smallest_beta,
     cf_operating_point,
+    cf_rates,
+    cf_sigma_min,
     gaussian_regions,
+    gqf_optimize_sigma,
+    gqf_rates,
+    no_relay_rates,
     relay_link,
     relay_view,
     slot1_signal,

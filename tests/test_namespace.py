@@ -1,0 +1,250 @@
+"""Tests for the package namespace: its exact names, the names that live in
+their own modules, the version, the README's Python blocks, and an entry
+table that feeds every exported callable wrong values."""
+
+import importlib
+import math
+import re
+import warnings
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hdmarc
+from hdmarc import DmChannelSpec, GaussianMarcParams, HdmarcError, SchemeId
+
+from _support import make_random_spec
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The product: what ``from hdmarc import *`` gives.
+NAMESPACE = [
+    "BetaOptimum",
+    "Bounds",
+    "ConfigError",
+    "DegenerateRelayLink",
+    "DimensionMismatch",
+    "DmChannelSpec",
+    "GaussianMarcParams",
+    "HdmarcError",
+    "InvalidParams",
+    "OutOfRange",
+    "OverlappingSets",
+    "RateRegion",
+    "Report",
+    "SchemeId",
+    "SingularCovariance",
+    "SweepConfig",
+    "SweepResult",
+    "TensorTooLarge",
+    "UnknownVariable",
+    "config_from_dict",
+    "dm_regions",
+    "emit_csv",
+    "emit_plot_script",
+    "gaussian_regions",
+    "optimize_beta",
+    "rate_region",
+    "region_config_from_dict",
+    "run_subject",
+    "run_sweep",
+    "spec_from_dict",
+]
+
+#: Names that live only in their own module, not in the namespace.
+MODULE_NAMES = {
+    "core": ("clamp_region", "validate_beta"),
+    "dminfo": (
+        "JointPmf",
+        "build_slot1_joint",
+        "build_slot2_joint",
+        "entropy",
+        "marginalize",
+        "mutual_information",
+    ),
+    "dmregions": (
+        "cf_region_cmacr",
+        "cf_region_marc",
+        "degenerate_relay_spec",
+        "gqf_region_cmacr",
+        "gqf_region_marc",
+        "no_relay_region_cmacr",
+        "no_relay_region_marc",
+    ),
+    "gaussian": (
+        "SigmaOptimum",
+        "cf_rates",
+        "cf_sigma_min",
+        "gqf_optimize_sigma",
+        "gqf_rates",
+        "no_relay_rates",
+    ),
+    "oracle": ("GaussianVectorModel", "build_covariance", "gaussian_mi", "gqf_region_via_ru_sweep"),
+}
+
+
+def test_the_namespace_is_exactly_the_product():
+    assert sorted(hdmarc.__all__) == NAMESPACE
+    assert all(hasattr(hdmarc, name) for name in NAMESPACE)
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in MODULE_NAMES.items() for name in names]
+)
+def test_a_module_name_imports_from_its_module_only(module, name):
+    assert hasattr(importlib.import_module(f"hdmarc.{module}"), name)
+    assert not hasattr(hdmarc, name)
+
+
+def test_the_version_is_the_one_pyproject_declares():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == hdmarc.__version__
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def _readme_blocks() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+
+
+def _tree() -> set[Path]:
+    """Every file and directory of the checkout but caches and git's own."""
+    skip = {".git", "__pycache__", ".pytest_cache"}
+    return {path for path in ROOT.rglob("*") if skip.isdisjoint(path.relative_to(ROOT).parts)}
+
+
+def test_the_readme_has_python_blocks():
+    assert len(_readme_blocks()) >= 3
+
+
+@pytest.mark.parametrize("index", range(len(_readme_blocks())))
+def test_a_readme_python_block_runs_on_its_own(index, monkeypatch):
+    block = _readme_blocks()[index]
+    monkeypatch.chdir(ROOT)
+    before = _tree()
+    exec(compile(block, f"README.md python block {index + 1}", "exec"), {"__name__": "__readme__"})
+    assert _tree() == before
+
+
+# ---------------------------------------------------------------------------
+# Entry table: every exported callable, from a valid cheap call, with each
+# argument in turn replaced by each wrong value, returns or raises an
+# HdmarcError.
+
+#: Exported callables that only hold values (no checks to feed), and the errors.
+PLAIN = {
+    "BetaOptimum",
+    "Bounds",
+    "RateRegion",
+    "Report",
+    "SchemeId",
+    "SweepConfig",
+    "SweepResult",
+}
+ERRORS = {
+    "ConfigError",
+    "DegenerateRelayLink",
+    "DimensionMismatch",
+    "HdmarcError",
+    "InvalidParams",
+    "OutOfRange",
+    "OverlappingSets",
+    "SingularCovariance",
+    "TensorTooLarge",
+    "UnknownVariable",
+}
+
+_GAINS_POWERS = (1.0, 1.0, 3.0, 0.5, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+_SWEEP_DOC = {
+    "schema_version": 1,
+    "model": "gaussian",
+    "swept": "sigma_q2",
+    "grid": {"min": 0.5, "max": 5.0, "points": 3, "spacing": "log"},
+    "schemes": ["GQF", "CF", "NO_RELAY"],
+    "channel": {
+        "gains": {"h11": 1.0, "h21": 1.0, "h1R": 3.0, "h2R": 0.5, "hR1": 3.0},
+        "powers": {"P11": 1.0, "P12": 1.0, "P21": 1.0, "P22": 1.0, "PR": 1.0},
+        "beta": 0.5,
+    },
+    "no_relay": {"P1": 1.5, "P2": 1.5},
+}
+
+
+def _region_doc() -> dict:
+    channel = dict(_SWEEP_DOC["channel"], sigma_q2=1.0)
+    return {"model": "gaussian", "channel": channel, "no_relay": _SWEEP_DOC["no_relay"]}
+
+
+def _valid_calls() -> dict[str, tuple]:
+    """A valid, cheap call of every checked export, as its arguments."""
+    params = GaussianMarcParams(*_GAINS_POWERS, 0.5, 1.0)
+    spec = make_random_spec(np.random.default_rng(3))
+    tables = tuple(getattr(spec, field.name) for field in fields(DmChannelSpec))
+    keys = ("p_x11", "p_x21", "p_x12", "p_x22", "p_xr", "test_channel", "slot1", "slot2")
+    config = hdmarc.config_from_dict(_SWEEP_DOC)
+    result = hdmarc.run_sweep(config)
+    return {
+        "rate_region": (hdmarc.gaussian_regions(params, (SchemeId.GQF,), 0.5)[SchemeId.GQF],),
+        "GaussianMarcParams": (*_GAINS_POWERS, 0.5, 1.0),
+        "DmChannelSpec": tables,
+        "gaussian_regions": (params, tuple(SchemeId), 0.5, 1.0, (1.5, 1.5)),
+        "dm_regions": (spec, ("marc", "cmacr"), tuple(SchemeId), 0.5),
+        "optimize_beta": (params, SchemeId.CF, "sum"),
+        "config_from_dict": (_SWEEP_DOC,),
+        "region_config_from_dict": (_region_doc(),),
+        "spec_from_dict": ({key: table.tolist() for key, table in zip(keys, tables)},),
+        "run_sweep": (config,),
+        "emit_csv": (result, "rates.csv"),
+        "emit_plot_script": (result, "rates.gp", "rates.csv"),
+        "run_subject": ("closed-forms", 0, 1),
+    }
+
+
+def _wrong_values() -> dict[str, object]:
+    return {
+        "None": None,
+        "True": True,
+        "''": "",
+        "'0.5'": "0.5",
+        "[]": [],
+        "{}": {},
+        "nan": math.nan,
+        "inf": math.inf,
+        "10**400": 10**400,
+        "2**63": 2**63,
+        "object()": object(),
+        "np.array([0.5])": np.array([0.5]),
+        "str with NUL": "rates\0.csv",
+    }
+
+
+def test_every_export_is_in_the_entry_table_or_plain():
+    callables = {name for name in NAMESPACE if callable(getattr(hdmarc, name))}
+    assert callables == set(_valid_calls()) | PLAIN | ERRORS
+    assert all(issubclass(getattr(hdmarc, name), HdmarcError) for name in ERRORS)
+
+
+@pytest.mark.parametrize("name", sorted(set(NAMESPACE) - PLAIN - ERRORS))
+def test_an_export_returns_or_refuses_each_wrong_argument(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the writers' relative paths land here
+    entry, args = getattr(hdmarc, name), _valid_calls()[name]
+    faults = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entry(*args)
+        for position in range(len(args)):
+            for label, value in _wrong_values().items():
+                try:
+                    entry(*args[:position], value, *args[position + 1:])
+                except HdmarcError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - any other type is the fault
+                    faults.append(f"argument {position} = {label}: {type(exc).__name__}: {exc}")
+    assert not faults, "\n".join(faults)

@@ -18,35 +18,29 @@ from hdmarc import (
     DimensionMismatch,
     DmChannelSpec,
     GaussianMarcParams,
-    GaussianVectorModel,
     HdmarcError,
     InvalidParams,
     OverlappingSets,
     SchemeId,
     SingularCovariance,
     UnknownVariable,
-    build_covariance,
-    build_slot1_joint,
-    cf_sigma_min,
-    entropy,
-    gaussian_mi,
-    gqf_rates,
-    gqf_region_cmacr,
-    gqf_region_marc,
-    gqf_region_via_ru_sweep,
     run_subject,
-    validate_beta,
 )
-from hdmarc.dminfo import JointEntropies, build_slot2_joint
-from hdmarc.dmregions import slot_terms
-from hdmarc.gaussian import gaussian_regions
+from hdmarc.core import validate_beta
+from hdmarc.dminfo import JointEntropies, build_slot1_joint, build_slot2_joint, entropy
+from hdmarc.dmregions import gqf_region_cmacr, gqf_region_marc, slot_terms
+from hdmarc.gaussian import cf_sigma_min, gaussian_regions, gqf_rates
 from hdmarc.oracle import (
     BATCH_DRAWS,
     PIVOT_TOL,
     SLOT1_ORDER,
     SLOT2_ORDER,
+    GaussianVectorModel,
+    build_covariance,
     closed_forms_via_log_dets,
+    gaussian_mi,
     gaussian_mis,
+    gqf_region_via_ru_sweep,
     single_source_gqf_branches,
 )
 from hdmarc.verify import (

@@ -23,24 +23,25 @@ from hdmarc import (
     InvalidParams,
     OutOfRange,
     SchemeId,
-    cf_region_cmacr,
-    cf_region_marc,
-    cf_rates,
-    cf_sigma_min,
     config_from_dict,
-    gqf_optimize_sigma,
-    gqf_rates,
-    gqf_region_cmacr,
-    gqf_region_marc,
-    gqf_region_via_ru_sweep,
-    no_relay_region_cmacr,
-    no_relay_region_marc,
+    emit_csv,
+    emit_plot_script,
     rate_region,
     run_subject,
     run_sweep,
-    validate_beta,
 )
 from hdmarc.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
+from hdmarc.core import validate_beta
+from hdmarc.dmregions import (
+    cf_region_cmacr,
+    cf_region_marc,
+    gqf_region_cmacr,
+    gqf_region_marc,
+    no_relay_region_cmacr,
+    no_relay_region_marc,
+)
+from hdmarc.gaussian import cf_rates, cf_sigma_min, gqf_optimize_sigma, gqf_rates
+from hdmarc.oracle import gqf_region_via_ru_sweep
 from hdmarc.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
@@ -949,6 +950,56 @@ def test_cli_region_and_verify_refuse_an_out_path_with_a_nul(tmp_path, monkeypat
         assert captured.out == ""  # verify prints no report
         assert captured.err.startswith("error: path ") and "cannot name a file" in captured.err
     assert sorted(entry.name for entry in tmp_path.iterdir()) == ["region.json"]
+
+
+def test_an_empty_config_path_is_a_config_error_and_an_empty_out_is_none(
+    tmp_path, monkeypatch, capsys
+):
+    assert main(["sweep", "--config", ""]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: path '' cannot name a file\n"
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "reductions", "--draws", "2", "--out", ""]) == EXIT_OK
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("path", [True, 1, None, b"rates.csv", "", "rates\0.csv"])
+def test_the_writers_refuse_a_path_that_cannot_name_a_file(tmp_path, monkeypatch, capsys, path):
+    # open(True) would write to file descriptor 1 and then close it.
+    monkeypatch.chdir(tmp_path)
+    result = run_sweep(config_from_dict(_gaussian_sweep_doc()))
+    with pytest.raises(ConfigError, match="path"):
+        emit_csv(result, path)
+    with pytest.raises(ConfigError, match="path"):
+        emit_plot_script(result, path, "rates.csv")
+    with pytest.raises(ConfigError, match="path"):
+        emit_plot_script(result, "rates.gp", path)
+    print("stdout still open")
+    assert capsys.readouterr().out == "stdout still open\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_plot_script_writer_refuses_a_csv_path_with_a_line_break(tmp_path):
+    result = run_sweep(config_from_dict(_gaussian_sweep_doc()))
+    script, path = tmp_path / "rates.gp", "a\nb.csv"
+    with pytest.raises(ConfigError, match=re.escape(f"{path!r} has a line break")):
+        emit_plot_script(result, script, path)
+    assert not script.exists()
+
+
+def test_sweep_entries_refuse_objects_of_the_wrong_kind():
+    config = config_from_dict(_gaussian_sweep_doc())
+    with pytest.raises(InvalidParams, match="bounds must be a Bounds, got NoneType"):
+        rate_region(None)
+    with pytest.raises(InvalidParams, match="config must be a SweepConfig, got NoneType"):
+        run_sweep(None)
+    with pytest.raises(InvalidParams, match="swept must be 'sigma_q2' or 'beta', got 'bogus'"):
+        run_sweep(replace(config, swept="bogus"))
+    with pytest.raises(InvalidParams, match="grid must be a GridSpec, got tuple"):
+        run_sweep(replace(config, grid=(0.1, 1.0, 5, "linear")))
+    with pytest.raises(InvalidParams, match="scheme must be a SchemeId, got str"):
+        run_sweep(replace(config, schemes=("GQF",)))
+    with pytest.raises(InvalidParams, match="result must be a SweepResult, got NoneType"):
+        render_csv(None)
 
 
 def test_cli_sweep_without_output_is_a_config_error(tmp_path):
