@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .core import ConfigError, HdmarcError, file_path, rate_region
+from .core import ConfigError, HdmarcError, file_path, rate_region, write_text
 from .sweep import (
     config_from_dict,
     emit_csv,
@@ -110,18 +110,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     plot_csv_path(out)
     result = run_sweep(config)
-    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     emit_csv(result, out)
     emit_plot_script(result, script, out)
-    rows = len(result.values) * len(result.schemes)
+    rows = len(result.values) * len(result.columns)
     print(f"wrote {rows} rows to {out} and plot script {script}")
     return EXIT_OK
-
-
-def _write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
@@ -135,7 +128,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
         regions[scheme.value] = dict(dataclasses.asdict(region), terms=terms)
     text = json.dumps(regions, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
-        _write(args.out, text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -146,7 +139,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     text = report.render()
     sys.stdout.write(text)
     if args.out:
-        _write(args.out, text)
+        write_text(args.out, text)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 

@@ -1,7 +1,7 @@
 """Shared domain types and input checks: errors, slot fractions, scheme tags,
 rate regions, and the gates for numbers, numeric arrays, open intervals,
 config documents, fixed choices, counts, collections, model objects and
-file paths.
+file paths, and the one writer of an output file.
 
 Every quantity in this package is a rate in bits per channel use.  A
 "region" here is the triple of single-user bounds plus the sum bound that
@@ -260,6 +260,16 @@ def file_path(path) -> str:
     except UnicodeEncodeError:
         pass
     raise ConfigError(f"path {text!r} cannot name a file")
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file ``path`` (see :func:`file_path`) as UTF-8
+    with ``\\n`` line ends, creating a missing parent directory: the one
+    writer of an output file."""
+    path = file_path(path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
 
 
 def read_schemes(schemes) -> tuple:

@@ -38,6 +38,7 @@ from .core import (
     read_schemes,
     real_number,
     validate_beta,
+    write_text,
 )
 from .dminfo import DmChannelSpec, spec_from_dict
 from .dmregions import TOPOLOGIES, dm_regions
@@ -298,15 +299,13 @@ def evaluate(config, beta, sigma_q2=None) -> dict[SchemeId, Bounds]:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """A finished sweep: per scheme, its :class:`Bounds` clamped and listed
-    column by column, one entry per grid value (``sigma`` is the
-    ``diag_sigma`` column)."""
+    """A finished sweep of ``config``: its grid ``values`` and, per scheme
+    in config order, its :class:`Bounds` clamped and listed column by
+    column, one entry per value (``sigma`` is the ``diag_sigma`` column)."""
 
-    swept: str
+    config: SweepConfig
     values: tuple[float, ...]
-    schemes: tuple[SchemeId, ...]
     columns: dict[SchemeId, Bounds]
-    log_axis: bool
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -345,13 +344,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             for column in clamped
         )
         columns[scheme] = Bounds(*lists, bounds.terms)
-    return SweepResult(
-        swept=swept,
-        values=values,
-        schemes=schemes,
-        columns=columns,
-        log_axis=config.grid.spacing == "log",
-    )
+    return SweepResult(config, values, columns)
 
 
 #: One CSV number, and a CSV row from its ``scheme`` to its ``diag_sigma`` field.
@@ -368,8 +361,8 @@ def render_csv(result: SweepResult) -> str:
     instance_of(result, SweepResult, "result")
     swept = [_CSV_NUMBER % value for value in result.values]
     lines = [CSV_HEADER]
-    for scheme in result.schemes:
-        name, columns, repeats = scheme.value, result.columns[scheme][:5], 1
+    for scheme, bounds in result.columns.items():
+        name, columns, repeats = scheme.value, bounds[:5], 1
         # run_sweep lists a bound that is the same at every point as one object.
         if all(all(entry is column[0] for entry in column) for column in columns):
             columns, repeats = [column[:1] for column in columns], len(swept)
@@ -382,10 +375,8 @@ def render_csv(result: SweepResult) -> str:
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
-    """Write the sweep CSV to ``path`` (UTF-8; see :func:`~hdmarc.core.file_path`)."""
-    text = render_csv(result)
-    with open(file_path(path), "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    """Write the sweep CSV to ``path`` (see :func:`~hdmarc.core.write_text`)."""
+    write_text(path, render_csv(result))
 
 
 def plot_csv_path(csv_path) -> str:
@@ -409,7 +400,7 @@ def render_plot_script(result: SweepResult, script_path: str, csv_path: str) -> 
     gnuplot's escape inside single quotes, and a line break is refused
     (:func:`plot_csv_path`).
     """
-    instance_of(result, SweepResult, "result")
+    config = instance_of(result, SweepResult, "result").config
     rel_csv = os.path.relpath(
         os.path.abspath(plot_csv_path(csv_path)),
         os.path.dirname(os.path.abspath(file_path(script_path))),
@@ -417,18 +408,18 @@ def render_plot_script(result: SweepResult, script_path: str, csv_path: str) -> 
     lines = [
         "# Sum-rate curves from the sweep CSV emitted alongside this script.",
         "set datafile separator ','",
-        f"set xlabel '{result.swept}'",
+        f"set xlabel '{config.swept}'",
         "set ylabel 'sum rate (bits/channel use)'",
         "set key bottom right",
         "set grid",
     ]
-    if result.log_axis:
+    if config.grid.spacing == "log":
         lines.append("set logscale x")
     lines.append(f"csv = '{rel_csv}'")
     plots = [
         f"    csv skip 1 using 1:(strcol(2) eq '{scheme.value}' ? column(5) : NaN) "
         f"with lines title '{scheme.value}'"
-        for scheme in result.schemes
+        for scheme in result.columns
     ]
     lines.append("plot \\")
     lines.append(", \\\n".join(plots))
@@ -436,8 +427,7 @@ def render_plot_script(result: SweepResult, script_path: str, csv_path: str) -> 
 
 
 def emit_plot_script(result: SweepResult, script_path: str, csv_path: str) -> None:
-    """Write the gnuplot script to ``script_path`` (UTF-8), or refuse
-    before writing (see :func:`render_plot_script`)."""
-    text = render_plot_script(result, script_path, csv_path)
-    with open(script_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    """Write the gnuplot script to ``script_path`` (see
+    :func:`~hdmarc.core.write_text`), or refuse before writing (see
+    :func:`render_plot_script`)."""
+    write_text(script_path, render_plot_script(result, script_path, csv_path))

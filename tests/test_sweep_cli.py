@@ -754,11 +754,9 @@ def _render_csv_by_fstring(result):
     format specs per row: the reference for its bytes."""
     g = ".12g"
     lines = [CSV_HEADER]
-    for scheme in result.schemes:
+    for scheme, bounds in result.columns.items():
         name = scheme.value
-        for value, r1, r2, rsum, feasible, sigma in zip(
-            result.values, *result.columns[scheme][:5]
-        ):
+        for value, r1, r2, rsum, feasible, sigma in zip(result.values, *bounds[:5]):
             diag = "" if sigma is None else f"{sigma:{g}}"
             lines.append(
                 f"{value:{g}},{name},{r1:{g}},{r2:{g}},{rsum:{g}},"
@@ -778,7 +776,7 @@ def test_render_csv_bytes_equal_the_fstring_rendering():
                             [None if i % 3 else v for i, v in enumerate(specials)], {}),
         SchemeId.NO_RELAY: Bounds(specials, specials, specials, [False] * n, [None] * n, {}),
     }
-    result = SweepResult("beta", tuple(specials), tuple(columns), columns, False)
+    result = SweepResult(config_from_dict(_gaussian_sweep_doc()), tuple(specials), columns)
     text = render_csv(result)
     assert text.encode() == _render_csv_by_fstring(result).encode()
     assert "\ninf,GQF,inf,-0," in text and ",nan," in text and "\n2,GQF,2," in text
