@@ -274,8 +274,13 @@ def write_text(path, text: str) -> None:
 
 def read_schemes(schemes) -> tuple:
     """The schemes a model entry should evaluate, read once by
-    :func:`read_collection`: each must be a :class:`SchemeId`, not a str."""
-    return read_collection(schemes, "schemes", lambda s: instance_of(s, SchemeId, "scheme"))
+    :func:`read_collection`: each must be a :class:`SchemeId`, not a str,
+    and a repeated one raises :class:`InvalidParams` naming it."""
+    schemes = read_collection(schemes, "schemes", lambda s: instance_of(s, SchemeId, "scheme"))
+    repeated = [scheme.value for scheme in SchemeId if schemes.count(scheme) > 1]
+    if repeated:
+        raise InvalidParams(f"schemes lists {', '.join(repeated)} more than once")
+    return schemes
 
 
 def two_slot(beta, s1, s2):

@@ -17,6 +17,9 @@ model entry against is computed here.  Two checkers are provided:
   I(YR; YhR)`` (:func:`gqf_region_via_ru_sweep`), with the single-source
   forms of the GQF branches beside it (:func:`single_source_gqf_branches`).
 
+:func:`crossing_offset` gives how far a quantization variance sits from the
+crossing of the two GQF sum branches, from the channel's gains and powers.
+
 Mapping between the closed-form terms of :mod:`hdmarc.gaussian` and the
 log-det expressions used here (slot-1 model over ``X11, X21, YR, YhR,
 Y11``; slot-2 model over ``X12, X22, XR, Y12``; ``i`` is the source, ``j``
@@ -38,6 +41,7 @@ CF threshold          at ``sigma_q2 = cf_sigma_min``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -427,6 +431,25 @@ def closed_forms_via_log_dets(
                 _closed_forms([draw])
             raise
     return evaluated
+
+
+def crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
+    """Distance from ``sigma`` to the crossing of the GQF sum branches,
+    relative to ``sigma``: one Newton step in log(sigma) on the forward gap
+    I1 - I2, written as b*log1p(q) - (1-b)*log1p(link/S2) with q = (S1 +
+    view) / (S1 * sigma), from the gains and powers of ``params``.  It
+    shares no code with the expm1 closed form of the threshold and stays
+    accurate to a few ulps at any scale of sigma."""
+    p, b = params, params.beta
+    s1 = 1.0 + p.h11**2 * p.p11 + p.h21**2 * p.p21  # slot-1 destination power
+    s2 = 1.0 + p.h11**2 * p.p12 + p.h21**2 * p.p22  # slot 2, relay excluded
+    # The source pair's power as the relay's slot-1 observation sees it.
+    cross = (p.h11 * p.h2r - p.h1r * p.h21) ** 2
+    view = cross * p.p11 * p.p21 + p.h1r**2 * p.p11 + p.h2r**2 * p.p21
+    q = (s1 + view) / (s1 * sigma)
+    gap = b * math.log1p(q) - (1.0 - b) * math.log1p(p.hr1**2 * p.pr / s2)
+    slope = -b * q / (1.0 + q)  # sigma * d(gap)/d(sigma)
+    return gap / slope
 
 
 def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateRegion]:

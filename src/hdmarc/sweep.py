@@ -27,6 +27,7 @@ from .core import (
     Bounds,
     ConfigError,
     HdmarcError,
+    InvalidParams,
     OutOfRange,
     SchemeId,
     clamp_bounds,
@@ -36,6 +37,7 @@ from .core import (
     integer,
     one_of,
     read_schemes,
+    real_array,
     real_number,
     validate_beta,
     write_text,
@@ -289,11 +291,16 @@ def evaluate(config, beta, sigma_q2=None) -> dict[SchemeId, Bounds]:
     or :class:`RegionConfig`) at slot fraction(s) ``beta`` and, for a
     Gaussian channel, quantization variance(s) ``sigma_q2`` (None: each
     scheme's own choice per ``beta``).  Floats give one point, arrays a grid.
-    The channel's type picks the model entry (neither: ``InvalidParams``).
+    The channel's type picks the model entry.  A channel of neither type, a
+    Gaussian one with a ``topology`` other than "marc" and a finite-alphabet
+    one with ``no_relay`` powers raise ``InvalidParams``.
     """
     channel = instance_of(config.channel, (GaussianMarcParams, DmChannelSpec), "channel")
     if isinstance(channel, DmChannelSpec):
+        if config.no_relay is not None:
+            raise InvalidParams("no_relay powers apply to a Gaussian channel only")
         return dm_regions(channel, (config.topology,), config.schemes, beta)[config.topology]
+    one_of(config.topology, "the topology of a Gaussian channel", ("marc",))
     return gaussian_regions(channel, config.schemes, beta, sigma_q2, config.no_relay)
 
 
@@ -315,13 +322,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     the sum optimum, CF just above the binning threshold.  Backend errors
     are re-raised with the schemes prepended to the message.  A config
     that is not a :class:`SweepConfig` with a :class:`GridSpec`, sweeps
-    neither "sigma_q2" nor "beta" or lists a scheme that is not a
-    :class:`SchemeId` raises :class:`InvalidParams`.
+    neither "sigma_q2" nor "beta", or lists no scheme, a repeated one or
+    one that is not a :class:`SchemeId` raises :class:`InvalidParams`, as
+    does a channel :func:`evaluate` refuses.
     """
     instance_of(config, SweepConfig, "config")
     swept = one_of(config.swept, "swept", ("sigma_q2", "beta"))
     values = instance_of(config.grid, GridSpec, "grid").values()
     schemes = read_schemes(config.schemes)
+    if not schemes:
+        raise InvalidParams("a sweep needs at least one scheme")
     grid = np.asarray(values)
     try:
         if swept == "sigma_q2":  # at the Gaussian channel's own beta
@@ -352,25 +362,57 @@ _CSV_NUMBER = f"%.{CSV_DIGITS}g"
 _CSV_TAIL = f",%s,{_CSV_NUMBER},{_CSV_NUMBER},{_CSV_NUMBER},%s,"
 
 
+def _checked_columns(result: SweepResult) -> dict[SchemeId, Bounds]:
+    """The columns of ``result`` if it is a :class:`SweepResult` of a
+    :class:`SweepConfig` whose ``values`` are a sequence of real numbers,
+    and which has at least one column, each a :class:`Bounds` of a
+    :class:`SchemeId` listing one entry per value in every field but
+    ``terms``.  Otherwise raises :class:`InvalidParams`.  Types and lengths
+    are checked once per column, not entry by entry."""
+    instance_of(result, SweepResult, "result")
+    instance_of(result.config, SweepConfig, "result config")
+    size = real_array(result.values, "values").shape
+    columns = instance_of(result.columns, dict, "columns")
+    if len(size) != 1 or not columns:
+        raise InvalidParams("a sweep result needs a sequence of values and at least one column")
+    for scheme, bounds in columns.items():
+        name = instance_of(scheme, SchemeId, "scheme").value
+        try:
+            sizes = tuple(len(field) for field in instance_of(bounds, Bounds, name)[:5])
+        except TypeError:  # a field that is a single object
+            sizes = None
+        if sizes != size * 5:
+            raise InvalidParams(
+                f"column {name} must list one entry per value ({size[0]}) in each "
+                f"of r1, r2, rsum, feasible and sigma, got lengths {sizes}"
+            )
+    return columns
+
+
 def render_csv(result: SweepResult) -> str:
-    """The CSV text of a sweep (deterministic; see the module docstring).
+    """The CSV text of a sweep (deterministic; see the module docstring),
+    or :class:`InvalidParams` for a result :func:`_checked_columns` refuses
+    or an entry that is not a number.
 
     Each swept value is formatted once for all schemes, and a scheme's row
     that is the same objects at every point once for the whole grid.
     """
-    instance_of(result, SweepResult, "result")
+    columns = _checked_columns(result)
     swept = [_CSV_NUMBER % value for value in result.values]
     lines = [CSV_HEADER]
-    for scheme, bounds in result.columns.items():
-        name, columns, repeats = scheme.value, bounds[:5], 1
-        # run_sweep lists a bound that is the same at every point as one object.
-        if all(all(entry is column[0] for entry in column) for column in columns):
-            columns, repeats = [column[:1] for column in columns], len(swept)
-        tails = []
-        for r1, r2, rsum, feasible, sigma in zip(*columns):
-            tail = _CSV_TAIL % (name, r1, r2, rsum, "true" if feasible else "false")
-            tails.append(tail if sigma is None else tail + _CSV_NUMBER % sigma)
-        lines.extend(map(operator.add, swept, tails * repeats))
+    try:
+        for scheme, bounds in columns.items():
+            name, fields, repeats = scheme.value, bounds[:5], 1
+            # run_sweep lists a bound that is the same at every point as one object.
+            if all(all(entry is field[0] for entry in field) for field in fields):
+                fields, repeats = [field[:1] for field in fields], len(swept)
+            tails = []
+            for r1, r2, rsum, feasible, sigma in zip(*fields):
+                tail = _CSV_TAIL % (name, r1, r2, rsum, "true" if feasible else "false")
+                tails.append(tail if sigma is None else tail + _CSV_NUMBER % sigma)
+            lines.extend(map(operator.add, swept, tails * repeats))
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"a sweep result entry is not a number: {exc}") from None
     return "\n".join(lines) + "\n"
 
 
@@ -398,9 +440,13 @@ def render_plot_script(result: SweepResult, script_path: str, csv_path: str) -> 
     The script refers to the CSV by a path relative to its own directory,
     so the pair can be moved together; a ``'`` in it is written ``''``,
     gnuplot's escape inside single quotes, and a line break is refused
-    (:func:`plot_csv_path`).
+    (:func:`plot_csv_path`).  A result :func:`_checked_columns` refuses, or
+    whose config sweeps neither "sigma_q2" nor "beta" or has no
+    :class:`GridSpec`, raises :class:`InvalidParams`.
     """
-    config = instance_of(result, SweepResult, "result").config
+    columns = _checked_columns(result)
+    swept = one_of(result.config.swept, "swept", ("sigma_q2", "beta"))
+    log_axis = instance_of(result.config.grid, GridSpec, "grid").spacing == "log"
     rel_csv = os.path.relpath(
         os.path.abspath(plot_csv_path(csv_path)),
         os.path.dirname(os.path.abspath(file_path(script_path))),
@@ -408,18 +454,18 @@ def render_plot_script(result: SweepResult, script_path: str, csv_path: str) -> 
     lines = [
         "# Sum-rate curves from the sweep CSV emitted alongside this script.",
         "set datafile separator ','",
-        f"set xlabel '{config.swept}'",
+        f"set xlabel '{swept}'",
         "set ylabel 'sum rate (bits/channel use)'",
         "set key bottom right",
         "set grid",
     ]
-    if config.grid.spacing == "log":
+    if log_axis:
         lines.append("set logscale x")
     lines.append(f"csv = '{rel_csv}'")
     plots = [
         f"    csv skip 1 using 1:(strcol(2) eq '{scheme.value}' ? column(5) : NaN) "
         f"with lines title '{scheme.value}'"
-        for scheme in result.columns
+        for scheme in columns
     ]
     lines.append("plot \\")
     lines.append(", \\\n".join(plots))

@@ -21,7 +21,6 @@ Subjects:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,17 +29,11 @@ import numpy as np
 from .core import RateRegion, SchemeId, integer, one_of, rate_region
 from .dminfo import DmChannelSpec
 from .dmregions import TOPOLOGIES, dm_regions
-from .gaussian import (
-    GaussianMarcParams,
-    gaussian_regions,
-    relay_link,
-    relay_view,
-    slot1_signal,
-    slot2_signal,
-)
+from .gaussian import GaussianMarcParams, gaussian_regions
 from .oracle import (
     BATCH_DRAWS,
     closed_forms_via_log_dets,
+    crossing_offset,
     gqf_region_via_ru_sweep,
     single_source_gqf_branches,
 )
@@ -215,22 +208,6 @@ def draw_silent_dest2_spec(rng: np.random.Generator) -> DmChannelSpec:
 # ---------------------------------------------------------------------------
 # Checks, one per subject: (rng, count, worst) -> None.
 
-def _crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
-    """Distance from ``sigma`` to the crossing of the sum branches, relative
-    to ``sigma``: one Newton step in log(sigma) on the forward gap I1 - I2,
-    written as b*log1p(q) - (1-b)*log1p(link/S2) with q = (S1 + view) /
-    (S1 * sigma).  It shares no code with the expm1 closed form of the
-    threshold and stays accurate to a few ulps at any scale of sigma."""
-    b = params.beta
-    s1 = slot1_signal(params)
-    q = (s1 + relay_view(params)) / (s1 * sigma)
-    gap = b * math.log1p(q) - (1.0 - b) * math.log1p(
-        relay_link(params) / slot2_signal(params)
-    )
-    slope = -b * q / (1.0 + q)  # sigma * d(gap)/d(sigma)
-    return gap / slope
-
-
 def _closed_forms_production(params: GaussianMarcParams) -> tuple:
     """The GQF terms at the drawn variance, the sum-optimal GQF bounds
     (the optimum found by the GQF entry), and CF asked for a variance below
@@ -272,7 +249,7 @@ def closed_forms_draws(rng: np.random.Generator, count: int, worst: _Worst) -> N
         # sum rate.  A drawn relay link is live, so the optimum is a crossing
         # and its sum rate is I1.
         worst.record(
-            "threshold_sigma", _crossing_offset(params, float(optimum.sigma)), SIGMA_REL_TOL
+            "threshold_sigma", crossing_offset(params, float(optimum.sigma)), SIGMA_REL_TOL
         )
         worst.record(
             "threshold_sum_rate",

@@ -66,3 +66,9 @@ def test_verify_does_no_log_det_or_entropy_arithmetic():
     tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not attributes & {"linalg", "log2", "det", "slogdet", "qr"}
+
+
+def test_verify_takes_only_the_channel_and_the_model_entry_from_gaussian():
+    # A reference formula in verify that called production's helpers would
+    # share any error of theirs, which its check would then not see.
+    assert _imports("verify")["gaussian"] == {"GaussianMarcParams", "gaussian_regions"}

@@ -231,10 +231,10 @@ def test_every_export_is_in_the_entry_table_or_plain():
     assert all(issubclass(getattr(hdmarc, name), HdmarcError) for name in ERRORS)
 
 
-@pytest.mark.parametrize("name", sorted(set(NAMESPACE) - PLAIN - ERRORS))
-def test_an_export_returns_or_refuses_each_wrong_argument(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the writers' relative paths land here
-    entry, args = getattr(hdmarc, name), _valid_calls()[name]
+def _faults(entry, args: tuple) -> list[str]:
+    """What ``entry`` does, under warnings-as-errors, with each argument of
+    the valid call ``args`` in turn replaced by each wrong value, other
+    than to return or to raise an ``HdmarcError``."""
     faults = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -247,4 +247,31 @@ def test_an_export_returns_or_refuses_each_wrong_argument(name, tmp_path, monkey
                     pass
                 except Exception as exc:  # noqa: BLE001 - any other type is the fault
                     faults.append(f"argument {position} = {label}: {type(exc).__name__}: {exc}")
+    return faults
+
+
+@pytest.mark.parametrize("name", sorted(set(NAMESPACE) - PLAIN - ERRORS))
+def test_an_export_returns_or_refuses_each_wrong_argument(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the writers' relative paths land here
+    faults = _faults(getattr(hdmarc, name), _valid_calls()[name])
+    assert not faults, "\n".join(faults)
+
+
+def _module_calls() -> dict[str, tuple]:
+    """A valid, cheap call of each public entry that lives in its own
+    module, by ``module.name``."""
+    spec = make_random_spec(np.random.default_rng(3))
+    joint = importlib.import_module("hdmarc.dminfo").build_slot1_joint(spec)
+    return {
+        "dmregions.slot_terms": (spec, (1, 2)),
+        "gaussian.no_relay_rates": (1.0, 1.0, 1.5, 1.5),
+        "dminfo.mutual_information": (joint, ("X11",), ("Y11", "YhR"), ("X21",)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_module_calls()))
+def test_a_module_entry_returns_or_refuses_each_wrong_argument(name):
+    module, function = name.split(".")
+    entry = getattr(importlib.import_module(f"hdmarc.{module}"), function)
+    faults = _faults(entry, _module_calls()[name])
     assert not faults, "\n".join(faults)

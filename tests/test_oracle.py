@@ -38,6 +38,7 @@ from hdmarc.oracle import (
     GaussianVectorModel,
     build_covariance,
     closed_forms_via_log_dets,
+    crossing_offset,
     gaussian_mi,
     gaussian_mis,
     gqf_region_via_ru_sweep,
@@ -839,3 +840,10 @@ def test_a_failing_closed_forms_draw_raises_what_it_raises_draw_by_draw(monkeypa
     with pytest.raises(HdmarcError) as got:
         run_subject("closed-forms", seed=0, draws=count)
     assert (type(got.value), str(got.value)) == (type(want), str(want))
+
+
+def test_crossing_offset_is_zero_at_the_reference_threshold_and_signed_off_it():
+    params = benchmark_params()
+    threshold = 55.5 / 27  # the reference channel's sum-optimal variance
+    assert abs(crossing_offset(params, threshold)) < 1e-15
+    assert crossing_offset(params, 2 * threshold) > 0.0 > crossing_offset(params, threshold / 2)

@@ -31,7 +31,7 @@ from hdmarc import (
     run_sweep,
 )
 from hdmarc.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
-from hdmarc.core import validate_beta
+from hdmarc.core import read_schemes, validate_beta
 from hdmarc.dmregions import (
     cf_region_cmacr,
     cf_region_marc,
@@ -74,6 +74,13 @@ SHIPPED_CSV_SHA256 = {
     "dm_beta_sweep": "fa486577653120625d1f3363c93e4afba86e19008a51576a878b1279e8a00240",
     "gaussian_beta_sweep": "53a537d4b4da71146cc87bd1c1f967476be4af676cf739f01a6b883ff0341104",
     "gaussian_sigma_sweep": "071fb30ca7dee7a0739aa61e9eedcb406d014fff6236a9353b78ea908d75c480",
+}
+
+#: SHA-256 of the gnuplot script each shipped config writes beside its CSV.
+SHIPPED_GP_SHA256 = {
+    "dm_beta_sweep": "fc6b2504e1011ed0ba76da485f700b8cbdab554eee3c4cba7816614b687c8dd2",
+    "gaussian_beta_sweep": "198842854292f81faa19f6502572f23ce0826ec1cce1e3338d9d198d42d1cc72",
+    "gaussian_sigma_sweep": "2a2a3091b9512f5918b5d9c29945672ff2a687d868cbdd41b17a1933e8e30f22",
 }
 
 #: SHA-256 of each verify subject's report at seeds 0 and 2007 (numpy 2.4.6,
@@ -720,6 +727,16 @@ def test_shipped_configs_write_the_pinned_csv_bytes(tmp_path, capsys):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
 
 
+def test_shipped_configs_write_the_pinned_plot_script_bytes(tmp_path, capsys):
+    assert set(SHIPPED_GP_SHA256) == set(SHIPPED_CSV_SHA256)
+    for name, digest in SHIPPED_GP_SHA256.items():
+        argv = ["sweep", "--config", str(CONFIG_DIR / f"{name}.json"),
+                "--out", str(tmp_path / f"{name}.csv")]
+        assert main(argv) == EXIT_OK
+        script = (tmp_path / f"{name}.gp").read_bytes()
+        assert hashlib.sha256(script).hexdigest() == digest, name
+
+
 def test_verify_reports_have_the_pinned_bytes(capsys):
     assert {subject for subject, _ in VERIFY_REPORT_SHA256} == set(SUBJECTS)
     for (subject, seed), digest in VERIFY_REPORT_SHA256.items():
@@ -998,6 +1015,103 @@ def test_sweep_entries_refuse_objects_of_the_wrong_kind():
         run_sweep(replace(config, schemes=("GQF",)))
     with pytest.raises(InvalidParams, match="result must be a SweepResult, got NoneType"):
         render_csv(None)
+
+
+def test_every_entry_refuses_a_repeated_scheme():
+    gqf, cf = SchemeId.GQF, SchemeId.CF
+    params = GaussianMarcParams(1.0, 1.0, 3.0, 0.5, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, beta=0.5)
+    spec = make_random_spec(np.random.default_rng(5))
+    config = config_from_dict(_gaussian_sweep_doc())
+    for call in (
+        lambda: read_schemes([gqf, cf, gqf]),
+        lambda: gaussian_regions(params, [gqf, gqf], 0.5),
+        lambda: dm_regions(spec, ("marc",), (gqf, cf, gqf), 0.5),
+        lambda: run_sweep(replace(config, schemes=(gqf, gqf))),
+    ):
+        with pytest.raises(InvalidParams, match="schemes lists GQF more than once"):
+            call()
+
+
+def test_run_sweep_refuses_an_empty_scheme_list():
+    for doc in (_gaussian_sweep_doc(), _dm_sweep_doc()):
+        config = config_from_dict(doc)
+        with pytest.raises(InvalidParams, match="a sweep needs at least one scheme"):
+            run_sweep(replace(config, schemes=()))
+
+
+@pytest.mark.parametrize("topology", ["cmacr", "bogus", None])
+def test_a_gaussian_channel_has_the_marc_topology_only(topology):
+    sweep = config_from_dict(_gaussian_sweep_doc())
+    region = region_config_from_dict(next(_region_docs()))
+    match = "the topology of a Gaussian channel must be 'marc'"
+    with pytest.raises(InvalidParams, match=match):
+        run_sweep(replace(sweep, topology=topology))
+    with pytest.raises(InvalidParams, match=match):
+        evaluate(replace(region, topology=topology), region.beta, region.sigma_q2)
+
+
+def test_a_dm_channel_takes_no_no_relay_powers():
+    sweep = config_from_dict(_dm_sweep_doc())
+    region = region_config_from_dict(next(doc for doc in _region_docs() if doc["model"] == "dm"))
+    match = "no_relay powers apply to a Gaussian channel only"
+    with pytest.raises(InvalidParams, match=match):
+        run_sweep(replace(sweep, no_relay=(1.0, 1.0)))
+    with pytest.raises(InvalidParams, match=match):
+        evaluate(replace(region, no_relay=(1.0, 1.0)), region.beta)
+
+
+def _bad_results(result):
+    """Sweep results the writers cannot render, built from the good ``result``
+    of two grid values, by what is wrong with them."""
+    gqf = result.columns[SchemeId.GQF]
+    one_entry = Bounds(*(field[:1] for field in gqf[:5]), gqf.terms)
+    return {
+        "config None": replace(result, config=None),
+        "config a dict": replace(result, config={"swept": "beta"}),
+        "values str": replace(result, values=("0.1", "0.2")),
+        "values bool": replace(result, values=(True, False)),
+        "values one number": replace(result, values=0.1),
+        "values nested": replace(result, values=((0.1, 0.2),)),
+        "columns empty": replace(result, columns={}),
+        "columns a list": replace(result, columns=[gqf]),
+        "column None": replace(result, columns={SchemeId.GQF: None}),
+        "column a tuple": replace(result, columns={SchemeId.GQF: tuple(gqf)}),
+        "column keyed by str": replace(result, columns={"GQF": gqf}),
+        "column of one entry": replace(result, columns={SchemeId.GQF: one_entry}),
+        "column field a float": replace(result, columns={SchemeId.GQF: gqf._replace(r1=0.5)}),
+        "column field too long": replace(
+            result, columns={SchemeId.GQF: gqf._replace(sigma=[*gqf.sigma, 1.0])}
+        ),
+    }
+
+
+def test_the_sweep_writers_refuse_a_result_they_cannot_render():
+    doc = dict(_gaussian_sweep_doc(), swept="beta", grid={"min": 0.1, "max": 0.2, "points": 2})
+    doc["channel"] = {key: doc["channel"][key] for key in ("gains", "powers")}
+    writers = {
+        "render_csv": render_csv,
+        "render_plot_script": lambda result: render_plot_script(result, "r.gp", "r.csv"),
+    }
+    faults = []
+    for case, result in _bad_results(run_sweep(config_from_dict(doc))).items():
+        for name, writer in writers.items():
+            try:
+                writer(result)
+            except InvalidParams:
+                continue
+            except Exception as exc:  # noqa: BLE001 - any other type is the fault
+                faults.append(f"{name}, {case}: {type(exc).__name__}: {exc}")
+            else:
+                faults.append(f"{name}, {case}: rendered")
+    assert not faults, "\n".join(faults)
+
+
+def test_render_csv_refuses_an_entry_that_is_not_a_number():
+    result = run_sweep(config_from_dict(_gaussian_sweep_doc()))
+    gqf = result.columns[SchemeId.GQF]
+    for bad in (gqf._replace(r1=["0.5"] * 5), gqf._replace(feasible=[np.ones(2)] * 5)):
+        with pytest.raises(InvalidParams, match="a sweep result entry is not a number"):
+            render_csv(replace(result, columns={SchemeId.GQF: bad}))
 
 
 def test_cli_sweep_without_output_is_a_config_error(tmp_path):
