@@ -106,12 +106,46 @@ class JointPmf:
             )
         _check_stochastic("joint pmf", probs)
         self._names = names
-        self.probs = probs.copy()
-        self.probs.flags.writeable = False
+        self._probs = probs.copy()
+        self._probs.flags.writeable = False
+        self._entropies: dict[frozenset, float] = {}
 
     def names(self) -> tuple[str, ...]:
         """Variable names in axis order."""
         return self._names
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The read-only probability array; it cannot be rebound either."""
+        return self._probs
+
+    def entropy(self, names: set[str]) -> float:
+        """Entropy in bits of the marginal on the set ``names`` (0 * log 0 =
+        0; probabilities at or below :data:`ZERO_EPS` count as zeros).  Each
+        set is summed out once: the table is read-only, so the memo cannot
+        go stale.  A name not in the pmf raises :class:`UnknownVariable`;
+        :func:`entropy` reads ``names`` first."""
+        key = frozenset(names)
+        value = self._entropies.get(key)
+        if value is None:
+            flat = _marginal(self, key).ravel()
+            positive = flat[flat > ZERO_EPS]
+            value = float(-(positive * np.log2(positive)).sum()) if positive.size else 0.0
+            self._entropies[key] = value
+        return value
+
+    def mutual_information(
+        self, a: set[str], b: set[str], c: set[str] = frozenset()
+    ) -> float:
+        """I(A; B | C) = H(A,C) + H(B,C) - H(C) - H(A,B,C) in bits, from
+        :meth:`entropy`, for pairwise disjoint sets (not checked here;
+        :func:`mutual_information` checks)."""
+        return (
+            self.entropy(a | c)
+            + self.entropy(b | c)
+            - self.entropy(c)
+            - self.entropy(a | b | c)
+        )
 
 
 def _marginal(pmf: JointPmf, keep: set) -> np.ndarray:
@@ -125,15 +159,6 @@ def _marginal(pmf: JointPmf, keep: set) -> np.ndarray:
         )
     drop = tuple(i for i, name in enumerate(names) if name not in keep)
     return pmf.probs.sum(axis=drop) if drop else pmf.probs
-
-
-def _marginal_entropy(pmf: JointPmf, keep: set) -> float:
-    """Entropy in bits of the marginal of ``pmf`` on ``keep`` (0 * log 0 = 0)."""
-    flat = _marginal(pmf, keep).ravel()
-    positive = flat[flat > ZERO_EPS]
-    if positive.size == 0:
-        return 0.0
-    return float(-(positive * np.log2(positive)).sum())
 
 
 def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
@@ -154,7 +179,7 @@ def entropy(pmf: JointPmf, names: Iterable[str]) -> float:
     :data:`ZERO_EPS` are treated as exact zeros.
     """
     names = read_names(names, "names")
-    return _marginal_entropy(instance_of(pmf, JointPmf, "pmf"), names)
+    return instance_of(pmf, JointPmf, "pmf").entropy(names)
 
 
 def mutual_information(
@@ -165,44 +190,12 @@ def mutual_information(
 ) -> float:
     """Conditional mutual information I(A; B | C) in bits.
 
-    Evaluated by :meth:`JointEntropies.mutual_information`.  ``a``, ``b``
-    and ``c`` must be pairwise disjoint; an empty ``c`` gives the
-    unconditional I(A; B).  The value is non-negative up to float round-off
-    (no clamping is applied here).
+    Evaluated by :meth:`JointPmf.mutual_information`.  ``a``, ``b`` and
+    ``c`` must be pairwise disjoint; an empty ``c`` gives the unconditional
+    I(A; B).  The value is non-negative up to float round-off (no clamping
+    is applied here).
     """
-    return JointEntropies(pmf).mutual_information(*disjoint_sets(a, b, c))
-
-
-class JointEntropies:
-    """Entropies of the marginals of one joint pmf, each computed once.
-
-    Fast path for evaluating many information terms on one joint: each
-    entropy is memoized by its set of names.  Values equal :func:`entropy`
-    bit for bit.  ``pmf`` is the joint.
-    """
-
-    def __init__(self, pmf: JointPmf) -> None:
-        self.pmf = instance_of(pmf, JointPmf, "pmf")
-        self._memo: dict[frozenset, float] = {}
-
-    def entropy(self, names: Iterable[str]) -> float:
-        key = frozenset(names)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = _marginal_entropy(self.pmf, key)
-        return value
-
-    def mutual_information(
-        self, a: set[str], b: set[str], c: set[str] = frozenset()
-    ) -> float:
-        """I(A; B | C) = H(A,C) + H(B,C) - H(C) - H(A,B,C) for pairwise
-        disjoint sets (not checked here; :func:`mutual_information` checks)."""
-        return (
-            self.entropy(a | c)
-            + self.entropy(b | c)
-            - self.entropy(c)
-            - self.entropy(a | b | c)
-        )
+    return instance_of(pmf, JointPmf, "pmf").mutual_information(*disjoint_sets(a, b, c))
 
 
 def _check_stochastic(name: str, table: np.ndarray, cond_axes: int = 0) -> None:
@@ -240,7 +233,7 @@ class DmChannelSpec:
     consistency across tables.
 
     The tables are read-only, so a spec's joints never change:
-    :attr:`entropies` builds them on first use and keeps them with the
+    :attr:`joints` builds them on first use and keeps them with the
     spec.  A spec made by :func:`dataclasses.replace` is a new spec and
     builds its own.
     """
@@ -298,12 +291,13 @@ class DmChannelSpec:
                 )
 
     @cached_property
-    def entropies(self) -> tuple[JointEntropies, JointEntropies]:
-        """The entropy tables of this spec's slot-1 and slot-2 joints
-        (:func:`build_slot1_joint`, then :func:`build_slot2_joint`), built on
-        first use.  Every information term of the spec reads them, so each
-        joint is built once and each marginal entropy is summed out once."""
-        return JointEntropies(build_slot1_joint(self)), JointEntropies(build_slot2_joint(self))
+    def joints(self) -> tuple[JointPmf, JointPmf]:
+        """This spec's slot-1 and slot-2 joints (:func:`build_slot1_joint`,
+        then :func:`build_slot2_joint`), built on first use.  Every
+        information term of the spec reads them, so each joint is built
+        once and each marginal entropy is summed out once
+        (:meth:`JointPmf.entropy`)."""
+        return build_slot1_joint(self), build_slot2_joint(self)
 
 
 def build_slot1_joint(spec: DmChannelSpec) -> JointPmf:

@@ -66,8 +66,8 @@ def slot_terms(
     spec: DmChannelSpec, ks: tuple[int, ...]
 ) -> dict[str, tuple[float, float]]:
     """Split every bound into its slot-1 and slot-2 terms (S1, S2), read
-    from the entropy tables of ``spec`` (:attr:`DmChannelSpec.entropies`):
-    the bound is beta * S1 + (1-beta) * S2.
+    from the joints of ``spec`` (:attr:`DmChannelSpec.joints`): the bound
+    is beta * S1 + (1-beta) * S2.
 
     Keys are the names of :class:`~hdmarc.core.RateRegion` terms:
     ``a_k(i)``/``b_k(i)`` are the two decoding branches bounding source
@@ -77,8 +77,8 @@ def slot_terms(
     I(YR; YhR) - I(Yk1; YhR) and the slot-2 pipe I(XR; Yk2).
     """
     ks = read_collection(ks, "destination indices", lambda k: one_of(k, "destination index", (1, 2)))
-    tables = instance_of(spec, DmChannelSpec, "spec").entropies
-    mi1, mi2 = (table.mutual_information for table in tables)
+    joints = instance_of(spec, DmChannelSpec, "spec").joints
+    mi1, mi2 = (joint.mutual_information for joint in joints)
     quant_rate = mi1({"YR"}, {"YhR"})
     terms = {}
     for k in ks:

@@ -12,7 +12,7 @@ model entry against is computed here.  Two checkers are provided:
   :func:`closed_forms_via_log_dets` evaluates the table below with it, for
   many channels at once; and
 * an evaluator of the raw joint-decoding inequality system of both
-  topologies, from the entropy tables of one spec, in which the codebook
+  topologies, from the joints of one spec, in which the codebook
   rate appears explicitly and is eliminated at its minimum ``R_U = beta *
   I(YR; YhR)`` (:func:`gqf_region_via_ru_sweep`), with the single-source
   forms of the GQF branches beside it (:func:`single_source_gqf_branches`).
@@ -459,8 +459,8 @@ def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateR
     which the quantization-codebook rate ``R_U`` appears additively on the
     left of three of them; the covering lemma pins ``R_U = beta * I(YR;
     YhR)``.  This helper evaluates all six right-hand sides at each
-    destination, from the entropy tables of the spec
-    (:attr:`~hdmarc.dminfo.DmChannelSpec.entropies`), and subtracts ``R_U``
+    destination, from the joints of the spec
+    (:attr:`~hdmarc.dminfo.DmChannelSpec.joints`), and subtracts ``R_U``
     where it belongs, instead of using the algebraically simplified bounds of
     :mod:`hdmarc.dmregions` — so agreement between the two is a real
     consistency check of that simplification.  "marc" is destination 1, its
@@ -469,12 +469,12 @@ def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateR
     :class:`InvalidParams` if none does), their quantities suffixed ``_k``.
     """
     b = validate_beta(beta, allow_array=False)
-    tables = instance_of(spec, DmChannelSpec, "spec").entropies
-    sizes = [dict(zip(table.pmf.names(), table.pmf.probs.shape)) for table in tables]
+    joints = instance_of(spec, DmChannelSpec, "spec").joints
+    sizes = [dict(zip(joint.names(), joint.probs.shape)) for joint in joints]
     hearing = [k for k in (1, 2) if sizes[0][f"Y{k}1"] > 1 or sizes[1][f"Y{k}2"] > 1]
     if not hearing:
         raise InvalidParams("no destination output has more than one letter")
-    mi1, mi2 = (table.mutual_information for table in tables)
+    mi1, mi2 = (joint.mutual_information for joint in joints)
     comp = 1.0 - b
     r_u = b * mi1({"YR"}, {"YhR"})
 
@@ -517,11 +517,11 @@ def single_source_gqf_branches(spec: DmChannelSpec, beta: float) -> tuple[float,
     source 2 is degenerate, in their single-source forms: ``(plain,
     with_index)``, the quantization index as noise and decoded,
     ``b*I(X11; Y11,YhR) + (1-b)*I(X12; Y12 | XR)`` and ``b*[I(X11; Y11) -
-    I(YhR; YR | X11,Y11)] + (1-b)*I(X12,XR; Y12)``, from the entropy tables
-    of the spec."""
+    I(YhR; YR | X11,Y11)] + (1-b)*I(X12,XR; Y12)``, from the joints of the
+    spec."""
     b = validate_beta(beta, allow_array=False)
-    tables = instance_of(spec, DmChannelSpec, "spec").entropies
-    mi1, mi2 = (table.mutual_information for table in tables)
+    joints = instance_of(spec, DmChannelSpec, "spec").joints
+    mi1, mi2 = (joint.mutual_information for joint in joints)
     plain = b * mi1({"X11"}, {"Y11", "YhR"}) + (1.0 - b) * mi2({"X12"}, {"Y12"}, {"XR"})
     with_index = b * (
         mi1({"X11"}, {"Y11"}) - mi1({"YhR"}, {"YR"}, {"X11", "Y11"})

@@ -152,7 +152,7 @@ def count_calls(monkeypatch, source, names, *modules):
 
 def count_joint_builds(monkeypatch):
     """Record every slot-joint build that the program makes (a spec's
-    entropy tables in ``dminfo``, or any other module that would import a
+    joints in ``dminfo``, or any other module that would import a
     builder): the returned ``{"build_slot1_joint": [...],
     "build_slot2_joint": [...]}`` lists the spec of each call, in order, as
     the calls happen."""

@@ -8,10 +8,12 @@ import copy
 import json
 import math
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import hdmarc.dminfo
 from hdmarc import (
     ConfigError,
     DimensionMismatch,
@@ -27,6 +29,7 @@ from hdmarc.dminfo import (
     MAX_CELLS,
     SLOT1_VARS,
     SLOT2_VARS,
+    ZERO_EPS,
     JointPmf,
     build_slot1_joint,
     build_slot2_joint,
@@ -34,7 +37,9 @@ from hdmarc.dminfo import (
     marginalize,
     mutual_information,
 )
+from hdmarc.dmregions import degenerate_relay_spec
 from hdmarc.oracle import build_covariance, gaussian_mi
+from hdmarc.verify import draw_dm_spec
 
 from _support import assert_same_bits, benchmark_params, make_random_spec as _random_spec
 
@@ -96,6 +101,10 @@ def test_joint_pmf_stores_readonly_copy():
     assert pmf.probs[0] == 0.5
     with pytest.raises(ValueError):
         pmf.probs[0] = 0.1
+    # Nor can the array be swapped under the pmf's entropy memo.
+    with pytest.raises(AttributeError):
+        pmf.probs = np.array([0.9, 0.1])
+    assert entropy(pmf, ("X11",)) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +204,100 @@ def test_mutual_information_properties_under_fuzz():
             joint, ("X11",), ("Y11",), ("YR",)
         )
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_repeated_mutual_informations_on_one_pmf_sum_each_marginal_once(monkeypatch):
+    summed = []
+
+    def recording(pmf, keep):
+        summed.append(frozenset(keep))
+        return marginal(pmf, keep)
+
+    marginal = hdmarc.dminfo._marginal
+    monkeypatch.setattr(hdmarc.dminfo, "_marginal", recording)
+    joint = build_slot1_joint(_random_spec(np.random.default_rng(12)))
+    # The first two need 8 distinct entropies; I(X11, X21; Y11) reads only
+    # sets they summed: H(X11, X21), H(Y11), H() and H(X11, X21, Y11).
+    triples = [
+        (("X11",), ("Y11",), ()),
+        (("X11",), ("Y11",), ("X21",)),
+        (("X11", "X21"), ("Y11",), ()),
+    ]
+    first = [mutual_information(joint, *triple) for triple in triples]
+    once = len(summed)
+    again = [mutual_information(joint, *triple) for triple in triples]
+    assert_same_bits(again, first)
+    assert len(summed) == once == len(set(summed)) == 8
+    # A fresh pmf of the same table sums its own marginals, to the same bits.
+    fresh = JointPmf(joint.names(), joint.probs)
+    assert_same_bits([mutual_information(fresh, *triple) for triple in triples], first)
+    assert len(summed) == 2 * once
+
+
+def _exact_entropies(pmf, mpmath):
+    """``{names: (entropy, dropped)}`` for every marginal of ``pmf``: its
+    entropy in bits in 50-digit mpmath arithmetic, with no cell dropped,
+    and how many of its float64 cells are at or below ZERO_EPS.  Each
+    float64 cell is an integer over a power of two, so over one common
+    denominator the marginals sum exactly, as Python integers."""
+    ratios = [cell.as_integer_ratio() for cell in pmf.probs.ravel().tolist()]
+    denominator = max(d for _, d in ratios)
+    counts = np.array([n * (denominator // d) for n, d in ratios], dtype=object)
+    counts = counts.reshape(pmf.probs.shape)
+    names = pmf.names()
+    exact = {}
+    with mpmath.workdps(50):
+        log_total = mpmath.log(denominator)
+        for size in range(len(names) + 1):
+            for keep in combinations(range(len(names)), size):
+                drop = tuple(axis for axis in range(len(names)) if axis not in keep)
+                marginal = np.ravel(counts.sum(axis=drop) if drop else counts).tolist()
+                # -sum p log2 p with p = n / denominator, over n > 0.
+                nats = sum(n * (log_total - mpmath.log(n)) for n in marginal if n)
+                floats = pmf.probs.sum(axis=drop) if drop else pmf.probs
+                exact[frozenset(names[axis] for axis in keep)] = (
+                    nats / denominator / mpmath.log(2),
+                    int((floats <= ZERO_EPS).sum()),
+                )
+    return exact
+
+
+def test_every_marginal_entropy_is_within_1e_14_bits_of_the_exact_entropy():
+    # The absolute accuracy contract of the DM entropies, on both joints of
+    # eight drawn channels and of one with its relay silenced, whose slot-2
+    # joint holds exact zeros.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2014)
+    specs = [draw_dm_spec(rng) for _ in range(8)]
+    specs.append(degenerate_relay_spec(specs[0]))
+    checked = 0
+    for spec in specs:
+        for joint in spec.joints:
+            for names, (value, _) in _exact_entropies(joint, mpmath).items():
+                error = abs(joint.entropy(names) - value)
+                assert error <= 1e-14, (sorted(names), float(error))
+                checked += 1
+    assert checked == len(specs) * (2**6 + 2**5)  # every subset of 6 and of 5 names
+
+
+def test_each_cell_dropped_at_zero_eps_costs_at_most_5e_14_bits():
+    # A cell at or below ZERO_EPS counts as zero; the most one can carry is
+    # -ZERO_EPS * log2(ZERO_EPS), under 5e-14 bits.  Tiny cells of several
+    # sizes are moved off the largest cell of a drawn slot-1 joint.
+    mpmath = pytest.importorskip("mpmath")
+    probs = draw_dm_spec(np.random.default_rng(2015)).joints[0].probs.copy()
+    flat = probs.reshape(-1)
+    tiny = [ZERO_EPS, 7e-16, 1e-16, 3e-18, 1e-30]
+    smallest = np.argsort(flat)[: len(tiny)]
+    flat[np.argmax(flat)] += flat[smallest].sum() - sum(tiny)
+    flat[smallest] = tiny
+    joint = JointPmf(SLOT1_VARS, probs)
+    worst = 0.0
+    for names, (value, dropped) in _exact_entropies(joint, mpmath).items():
+        error = value - joint.entropy(names)  # a dropped cell lowers the entropy
+        assert -1e-14 <= error <= 1e-14 + 5e-14 * dropped, (sorted(names), float(error))
+        worst = max(worst, float(error))
+    assert worst > 1e-14  # the drop shows: the cell at ZERO_EPS alone costs 5e-14
 
 
 def test_quantizer_output_is_a_degraded_view_of_the_relay_input():

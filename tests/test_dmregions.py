@@ -10,10 +10,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-import hdmarc.dminfo
 from hdmarc import DmChannelSpec, InvalidParams, SchemeId
 from hdmarc.core import clamp_bounds, validate_beta
-from hdmarc.dminfo import JointEntropies, build_slot1_joint, build_slot2_joint, entropy
+from hdmarc.dminfo import ZERO_EPS, JointPmf, build_slot1_joint, build_slot2_joint, entropy
 from hdmarc.dmregions import (
     CF_MARGIN,
     TOPOLOGIES,
@@ -134,29 +133,36 @@ def test_region_terms_destinations():
     assert destinations(gqf_region_marc(spec, validate_beta(0.5))) == (1,)
 
 
+def _entropy_as_summed_before_the_memo(pmf, names):
+    """The entropy arithmetic the memo replaced: numpy's sum over the
+    dropped axes, the entries above ZERO_EPS, -(p * log2 p).sum()."""
+    drop = tuple(i for i, name in enumerate(pmf.names()) if name not in names)
+    flat = (pmf.probs.sum(axis=drop) if drop else pmf.probs).ravel()
+    positive = flat[flat > ZERO_EPS]
+    return float(-(positive * np.log2(positive)).sum()) if positive.size else 0.0
+
+
 def test_entropy_memo_matches_public_entropy_bit_for_bit(monkeypatch):
     seen = []
+    memoized = JointPmf.entropy
 
-    class Recording(JointEntropies):
-        def __init__(self, pmf):
-            super().__init__(pmf)
-            self.pmf = pmf
+    def recording(pmf, names):
+        value = memoized(pmf, names)
+        seen.append((pmf, frozenset(names), value))
+        return value
 
-        def entropy(self, names):
-            value = super().entropy(names)
-            seen.append((self.pmf, frozenset(names), value))
-            return value
-
-    monkeypatch.setattr(hdmarc.dminfo, "JointEntropies", Recording)
+    monkeypatch.setattr(JointPmf, "entropy", recording)
     rng = np.random.default_rng(53)
     for sizes in ({}, {"yhr": 1}, {"y21": 1, "y22": 1}, {"yr": 4, "y12": 1}):
         spec = make_random_spec(rng, sizes)
         for source in (spec, degenerate_relay_spec(spec)):
             slot_terms(source, (1, 2))
+    monkeypatch.undo()
     # Every variable set the slot terms use, on both joints of every spec.
     assert len({(id(pmf), names) for pmf, names, _ in seen}) > 8 * 20
     for pmf, names, value in seen:
-        assert repr(value) == repr(entropy(pmf, names)), sorted(names)
+        want = repr(_entropy_as_summed_before_the_memo(pmf, names))
+        assert repr(value) == repr(entropy(pmf, names)) == want, sorted(names)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +436,14 @@ def test_one_call_for_both_topologies_builds_each_joint_once(monkeypatch):
 
 
 def test_a_spec_made_from_another_reads_only_its_own_tables():
-    # A spec keeps the entropy tables of its joints.  One made by replace or
-    # degenerate_relay_spec is a new channel: it must build its own tables,
+    # A spec keeps its joints and their entropies.  One made by replace or
+    # degenerate_relay_spec is a new channel: it must build its own joints,
     # never read those its parent filled.
     rng = np.random.default_rng(MIXED_CF_SEED)
     spec, other = make_random_spec(rng), make_random_spec(rng)
     betas = np.linspace(0.1, 0.9, 9)
     schemes = tuple(SchemeId)
-    parent = dm_regions(spec, TOPOLOGIES, schemes, betas)  # fills the parent's tables
+    parent = dm_regions(spec, TOPOLOGIES, schemes, betas)  # fills the parent's joints
     children = [
         replace(spec),
         replace(spec, pxr=other.pxr),
@@ -454,7 +460,7 @@ def test_a_spec_made_from_another_reads_only_its_own_tables():
             for scheme in schemes:
                 assert_same_bits(got[topology][scheme], want[topology][scheme])
         assert gqf_region_via_ru_sweep(child, 0.3) == gqf_region_via_ru_sweep(fresh, 0.3)
-        for mine, parents in zip(child.entropies, spec.entropies):
+        for mine, parents in zip(child.joints, spec.joints):
             assert mine is not parents
     again = dm_regions(spec, TOPOLOGIES, schemes, betas)
     for topology in TOPOLOGIES:

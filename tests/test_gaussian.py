@@ -18,6 +18,7 @@ import hdmarc.gaussian
 from hdmarc import (
     DegenerateRelayLink,
     DimensionMismatch,
+    GaussianMarcParams,
     InvalidParams,
     OutOfRange,
     SchemeId,
@@ -269,6 +270,86 @@ def test_optimal_sigma_matches_the_exact_threshold_under_fuzz():
         assert abs(result.sigma_q2 / float(exact) - 1.0) <= 1e-12, (beta, result)
         at_opt = gqf_rates(replace(params, sigma_q2=result.sigma_q2)).terms
         assert result.sum_rate == at_opt["I1"]
+
+
+def _exact_gqf_terms(params, mpmath):
+    """The six GQF terms of ``params`` in 50-digit mpmath arithmetic,
+    written from the channel equations: in slot 1 Yk1 = h11 X11 + h21 X21
+    + Z, YR = h1R X11 + h2R X21 + ZR and YhR = YR + Q with Var Q =
+    sigma_q2; in slot 2 Y12 = h11 X12 + h21 X22 + hR1 XR + Z; unit noises,
+    independent Gaussian inputs.  Each term is beta * (slot 1) + (1 - beta)
+    * (slot 2) of the mutual informations that ``dmregions.slot_terms``
+    takes of a finite-alphabet channel."""
+    with mpmath.workdps(50):
+        h11, h21, h1r, h2r, hr1, p11, p12, p21, p22, pr, b, q = map(mpmath.mpf, (
+            params.h11, params.h21, params.h1r, params.h2r, params.hr1,
+            params.p11, params.p12, params.p21, params.p22, params.pr,
+            params.beta, params.sigma_q2,
+        ))
+
+        def half_log2(x):
+            return mpmath.log(x, 2) / 2
+
+        def mi_two_looks(k):
+            """I(X; Y11, YhR) for inputs of covariance diag(k) and gains
+            (direct, relay) per input: log det of the looks' covariance
+            over that of their noises, diag(1, 1 + q)."""
+            direct = sum(k[x] * g[0] ** 2 for x, g in enumerate(gains))
+            relay = sum(k[x] * g[1] ** 2 for x, g in enumerate(gains))
+            both = sum(k[x] * g[0] * g[1] for x, g in enumerate(gains))
+            return half_log2(((1 + direct) * (1 + q + relay) - both**2) / (1 + q))
+
+        gains = ((h11, h1r), (h21, h2r))
+        heard = 1 + h1r**2 * p11 + h2r**2 * p21  # Var YR
+        index_noise = half_log2((1 + q) / q)  # I(YhR; YR | X11, X21, Y11)
+        slot2 = 1 + h11**2 * p12 + h21**2 * p22  # Var Y12 given XR
+        slot1_terms, slot2_terms = {}, {}
+        for i, (h_direct, p1, p2) in ((1, (h11, p11, p12)), (2, (h21, p21, p22))):
+            alone = [p1, 0] if i == 1 else [0, p1]  # Xj1 known
+            slot1_terms[f"a({i})"] = mi_two_looks(alone)
+            slot2_terms[f"a({i})"] = half_log2(1 + h_direct**2 * p2)
+            slot1_terms[f"b({i})"] = half_log2(1 + h_direct**2 * p1) - index_noise
+            slot2_terms[f"b({i})"] = half_log2(1 + h_direct**2 * p2 + hr1**2 * pr)
+        slot1_terms["I1"] = mi_two_looks([p11, p21])
+        slot2_terms["I1"] = half_log2(slot2)
+        # I(X; Y11) + I(X; YhR) - I(YR; YhR), with I(YhR; Y11 | X) = 0.
+        slot1_terms["I2"] = (
+            half_log2(1 + h11**2 * p11 + h21**2 * p21)
+            + half_log2((q + heard) / (1 + q))
+            - half_log2((q + heard) / q)
+        )
+        slot2_terms["I2"] = half_log2(slot2 + hr1**2 * pr)
+        return {name: b * slot1_terms[name] + (1 - b) * slot2_terms[name] for name in slot1_terms}
+
+
+def test_gqf_terms_are_within_1e_14_bits_of_the_exact_terms_at_extreme_channels():
+    # The absolute accuracy contract of the Gaussian closed forms, over
+    # gains 1e-6..1e6, powers 1e-3..1e3, beta 1e-3..0.999 and sigma_q2
+    # 1e-8..1e12, all log-uniform.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2014)
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+    worst = 0.0
+    for _ in range(300):
+        params = GaussianMarcParams(
+            *(log_uniform(1e-6, 1e6) for _ in range(5)),
+            *(log_uniform(1e-3, 1e3) for _ in range(5)),
+            beta=log_uniform(1e-3, 0.999),
+            sigma_q2=log_uniform(1e-8, 1e12),
+        )
+        terms = gaussian_regions(
+            params, (SchemeId.GQF,), params.beta, params.sigma_q2
+        )[SchemeId.GQF].terms
+        exact = _exact_gqf_terms(params, mpmath)
+        assert sorted(terms) == sorted(exact)
+        for name, value in exact.items():
+            error = abs(float(terms[name]) - value)
+            worst = max(worst, error)
+            assert error <= 1e-14, (name, params, float(error))
+    assert worst > 0.0  # the float64 forms are compared, not echoed
 
 
 def _bits(*values):

@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hdmarc"
 
 #: Names that compute information measures: ``verify`` leaves them to ``oracle``.
 _MEASURES = {
-    "JointEntropies",
     "JointPmf",
     "entropy",
     "mutual_information",

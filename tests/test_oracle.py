@@ -27,7 +27,7 @@ from hdmarc import (
     run_subject,
 )
 from hdmarc.core import validate_beta
-from hdmarc.dminfo import JointEntropies, build_slot1_joint, build_slot2_joint, entropy
+from hdmarc.dminfo import build_slot1_joint, build_slot2_joint, entropy
 from hdmarc.dmregions import gqf_region_cmacr, gqf_region_marc, slot_terms
 from hdmarc.gaussian import cf_sigma_min, gaussian_regions, gqf_rates
 from hdmarc.oracle import (
@@ -646,12 +646,12 @@ def test_dm_regions_draw_builds_each_slot_joint_once(monkeypatch):
 
     def recording(pmf, keep):
         summed.append((id(pmf), frozenset(keep)))
-        return marginal_entropy(pmf, keep)
+        return marginal(pmf, keep)
 
-    marginal_entropy = hdmarc.dminfo._marginal_entropy
-    monkeypatch.setattr(hdmarc.dminfo, "_marginal_entropy", recording)
+    marginal = hdmarc.dminfo._marginal
+    monkeypatch.setattr(hdmarc.dminfo, "_marginal", recording)
     # One production call for both topologies and one oracle call, both
-    # reading the spec's tables.
+    # reading the spec's joints.
     assert run_subject("dm-regions", seed=0, draws=1).passed
     assert {name: len(specs) for name, specs in calls.items()} == {
         "build_slot1_joint": 1,
@@ -728,8 +728,8 @@ def _closed_forms_as_verify_assembled(params, sigma_min):
 
 
 def _single_source_as_verify_assembled(spec, b):
-    mi1 = JointEntropies(build_slot1_joint(spec)).mutual_information
-    mi2 = JointEntropies(build_slot2_joint(spec)).mutual_information
+    mi1 = build_slot1_joint(spec).mutual_information
+    mi2 = build_slot2_joint(spec).mutual_information
     plain = b * mi1({"X11"}, {"Y11", "YhR"}) + (1.0 - b) * mi2(
         {"X12"}, {"Y12"}, {"XR"}
     )
