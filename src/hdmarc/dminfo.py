@@ -119,27 +119,37 @@ class JointPmf:
         """The read-only probability array; it cannot be rebound either."""
         return self._probs
 
-    def entropy(self, names: set[str]) -> float:
-        """Entropy in bits of the marginal on the set ``names`` (0 * log 0 =
-        0; probabilities at or below :data:`ZERO_EPS` count as zeros).  Each
-        set is summed out once: the table is read-only, so the memo cannot
-        go stale.  A name not in the pmf raises :class:`UnknownVariable`;
-        :func:`entropy` reads ``names`` first."""
-        key = frozenset(names)
+    def entropy(self, names: Iterable[str]) -> float:
+        """Entropy in bits of the marginal on ``names`` (0 * log 0 = 0;
+        probabilities at or below :data:`ZERO_EPS` count as zeros).  Each set
+        is summed out once: the table is read-only, so the memo cannot go
+        stale.  ``names`` is read by :func:`~hdmarc.core.read_names`, a set's
+        only if it holds a name the pmf lacks (every name of the pmf is a
+        str); a str name not in the pmf raises :class:`UnknownVariable`."""
+        plain = isinstance(names, (set, frozenset))
+        key = frozenset(names if plain else read_names(names, "names"))
         value = self._entropies.get(key)
         if value is None:
             flat = _marginal(self, key).ravel()
             positive = flat[flat > ZERO_EPS]
-            value = float(-(positive * np.log2(positive)).sum()) if positive.size else 0.0
+            # 0.0 - s: a lone positive cell sums to 0.0, which -s makes -0.0.
+            value = float(0.0 - (positive * np.log2(positive)).sum()) if positive.size else 0.0
             self._entropies[key] = value
         return value
 
     def mutual_information(
-        self, a: set[str], b: set[str], c: set[str] = frozenset()
+        self, a: Iterable[str], b: Iterable[str], c: Iterable[str] = frozenset()
     ) -> float:
         """I(A; B | C) = H(A,C) + H(B,C) - H(C) - H(A,B,C) in bits, from
-        :meth:`entropy`, for pairwise disjoint sets (not checked here;
-        :func:`mutual_information` checks)."""
+        :meth:`entropy`.  ``a``, ``b`` and ``c`` must be pairwise disjoint
+        (:class:`OverlappingSets` otherwise); an empty ``c`` gives the
+        unconditional I(A; B).  Sets are tested for overlap as they are;
+        any other collection is read by :func:`disjoint_sets`.  The value is
+        non-negative up to float round-off (no clamping is applied here)."""
+        sets = (set, frozenset)
+        plain = isinstance(a, sets) and isinstance(b, sets) and isinstance(c, sets)
+        if not plain or a & b or a & c or b & c:
+            a, b, c = disjoint_sets(a, b, c)
         return (
             self.entropy(a | c)
             + self.entropy(b | c)
@@ -154,6 +164,7 @@ def _marginal(pmf: JointPmf, keep: set) -> np.ndarray:
     names = pmf.names()
     unknown = keep.difference(names)
     if unknown:
+        read_names(unknown, "names")  # a name that is not a str is refused as such
         raise UnknownVariable(
             f"variables {sorted(unknown)} are not part of this pmf over {names}"
         )
@@ -173,12 +184,8 @@ def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
 
 
 def entropy(pmf: JointPmf, names: Iterable[str]) -> float:
-    """Joint entropy H of the marginal on ``names``, in bits.
-
-    Uses the convention 0 * log 0 = 0; probabilities at or below
-    :data:`ZERO_EPS` are treated as exact zeros.
-    """
-    names = read_names(names, "names")
+    """Joint entropy H of the marginal on ``names``, in bits:
+    :meth:`JointPmf.entropy`, which checks ``names``."""
     return instance_of(pmf, JointPmf, "pmf").entropy(names)
 
 
@@ -188,14 +195,9 @@ def mutual_information(
     b: Iterable[str],
     c: Iterable[str] = (),
 ) -> float:
-    """Conditional mutual information I(A; B | C) in bits.
-
-    Evaluated by :meth:`JointPmf.mutual_information`.  ``a``, ``b`` and
-    ``c`` must be pairwise disjoint; an empty ``c`` gives the unconditional
-    I(A; B).  The value is non-negative up to float round-off (no clamping
-    is applied here).
-    """
-    return instance_of(pmf, JointPmf, "pmf").mutual_information(*disjoint_sets(a, b, c))
+    """Conditional mutual information I(A; B | C) in bits:
+    :meth:`JointPmf.mutual_information`, which checks the sets."""
+    return instance_of(pmf, JointPmf, "pmf").mutual_information(a, b, c)
 
 
 def _check_stochastic(name: str, table: np.ndarray, cond_axes: int = 0) -> None:

@@ -210,24 +210,17 @@ def build_covariance(params: GaussianMarcParams, slot: int) -> GaussianVectorMod
     return GaussianVectorModel(SLOT1_ORDER if slot == 1 else SLOT2_ORDER, factors[0])
 
 
-def _triple(value) -> tuple:
-    """``value`` if it is a triple ``(a, b, c)``."""
-    if isinstance(value, tuple) and len(value) == 3:
-        return value
-    raise InvalidParams(f"triples must hold (a, b, c) tuples, got {value!r}")
-
-
 def _read_triples(
     names: tuple[str, ...],
     triples: Iterable[tuple[Iterable[str], Iterable[str], Iterable[str]]],
 ) -> tuple[list[list[int]], np.ndarray]:
-    """Triples (A, B, C) of the coordinates ``names``, read once by
-    :func:`~hdmarc.core.read_collection`: the block orders (C, A, B) and
+    """Triples (A, B, C) of the coordinates ``names``, each read by
+    :func:`~hdmarc.dminfo.disjoint_sets`: the block orders (C, A, B) and
     (C, B) of each, as coordinate indices, and the ends of the blocks C,
     (C, A), (C, A, B) and (C, B), one row each."""
     position = {name: i for i, name in enumerate(names)}
     orders, ends = [], []
-    for a, b, c in read_collection(triples, "triples", _triple):
+    for a, b, c in triples:
         a_set, b_set, c_set = disjoint_sets(a, b, c)
         unknown = (a_set | b_set | c_set).difference(position)
         if unknown:
@@ -304,20 +297,6 @@ def _mis(factors: np.ndarray, names: tuple[str, ...], triples: tuple) -> np.ndar
     return 0.5 * (log_ac + log_bc - log_c - log_abc)
 
 
-def gaussian_mis(
-    model: GaussianVectorModel,
-    triples: Iterable[tuple[Iterable[str], Iterable[str], Iterable[str]]],
-) -> list[float]:
-    """Conditional mutual informations I(A; B | C) in bits, one per
-    ``(a, b, c)`` triple, by log-dets from one stacked QR: the one-model
-    case of the arithmetic :func:`closed_forms_via_log_dets` stacks."""
-    instance_of(model, GaussianVectorModel, "model")
-    triples = _read_triples(model.names, triples)
-    if not triples[0]:
-        return []
-    return _mis(model.factor[None], model.names, triples)[0].tolist()
-
-
 def gaussian_mi(
     model: GaussianVectorModel,
     a: Iterable[str],
@@ -325,8 +304,11 @@ def gaussian_mi(
     c: Iterable[str] = (),
 ) -> float:
     """Conditional mutual information I(A; B | C) in bits, by log-dets: the
-    one-triple case of :func:`gaussian_mis`."""
-    return gaussian_mis(model, [(a, b, c)])[0]
+    one-model, one-triple case of the arithmetic
+    :func:`closed_forms_via_log_dets` stacks."""
+    instance_of(model, GaussianVectorModel, "model")
+    triples = _read_triples(model.names, [(a, b, c)])
+    return _mis(model.factor[None], model.names, triples).item()
 
 
 def _term_triples() -> dict[str, tuple[list, tuple]]:

@@ -293,14 +293,27 @@ def evaluate(config, beta, sigma_q2=None) -> dict[SchemeId, Bounds]:
     scheme's own choice per ``beta``).  Floats give one point, arrays a grid.
     The channel's type picks the model entry.  A channel of neither type, a
     Gaussian one with a ``topology`` other than "marc" and a finite-alphabet
-    one with ``no_relay`` powers raise ``InvalidParams``.
+    one with ``no_relay`` powers raise ``InvalidParams``, as do a
+    :class:`RegionConfig` whose ``beta`` and ``sigma_q2`` are not its
+    Gaussian channel's and a finite-alphabet one with a ``sigma_q2``.
     """
     channel = instance_of(config.channel, (GaussianMarcParams, DmChannelSpec), "channel")
+    point = (config.beta, config.sigma_q2) if isinstance(config, RegionConfig) else None
     if isinstance(channel, DmChannelSpec):
         if config.no_relay is not None:
             raise InvalidParams("no_relay powers apply to a Gaussian channel only")
+        if point is not None and point[1] is not None:
+            raise InvalidParams("sigma_q2 applies to a Gaussian channel only")
         return dm_regions(channel, (config.topology,), config.schemes, beta)[config.topology]
     one_of(config.topology, "the topology of a Gaussian channel", ("marc",))
+    if point is not None and (
+        not all(isinstance(value, (float, int, type(None))) for value in point)
+        or point != (channel.beta, channel.sigma_q2)
+    ):
+        raise InvalidParams(
+            f"a region's beta and sigma_q2 must be its channel's "
+            f"({channel.beta!r}, {channel.sigma_q2!r}), got {point!r}"
+        )
     return gaussian_regions(channel, config.schemes, beta, sigma_q2, config.no_relay)
 
 

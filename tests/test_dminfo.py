@@ -152,6 +152,20 @@ def test_entropy_anchors():
     assert entropy(uniform_pair, ()) == 0.0
 
 
+def test_the_entropy_of_a_lone_positive_cell_is_positive_zero():
+    # -(1.0 * log2 1.0) is -0.0; the entropy is +0.0 on every path to it.
+    point_mass = _pair_joint(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    values = [
+        entropy(point_mass, {"X11"}),
+        point_mass.entropy(["Y11"]),
+        point_mass.entropy({"X11", "Y11"}),
+        entropy(_pair_joint(np.full((2, 2), 0.25)), set()),
+        mutual_information(point_mass, {"X11"}, {"Y11"}),
+    ]
+    assert [math.copysign(1.0, value) for value in values] == [1.0] * len(values)
+    assert values == [0.0] * len(values)
+
+
 def test_entropy_of_biased_coin():
     pmf = JointPmf(("X11",), np.array([0.9, 0.1]))
     expected = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
@@ -185,6 +199,51 @@ def test_mutual_information_rejects_overlapping_sets():
         mutual_information(pmf, ("X11",), ("X11",))
     with pytest.raises(OverlappingSets):
         mutual_information(pmf, ("X11",), ("Y11",), ("Y11",))
+
+
+def test_the_methods_refuse_what_the_functions_refuse():
+    joint = build_slot1_joint(_random_spec(np.random.default_rng(5)))
+    overlapping = [(["X11"], ["X11"], []), ({"X11"}, {"X11"}, set()), ({"X11"}, {"Y11"}, {"Y11"})]
+    for a, b, c in overlapping:
+        with pytest.raises(OverlappingSets):
+            joint.mutual_information(a, b, c)
+    for names in ([3, "Z"], [["X11"]], "X11", {3, "Z"}, 5):
+        with pytest.raises(InvalidParams):
+            joint.entropy(names)
+    with pytest.raises(InvalidParams, match="^names must hold str names, got a int$"):
+        joint.mutual_information({3}, {"Y11"})
+    for names in (["X12"], {"X12", "Y11"}):
+        with pytest.raises(UnknownVariable, match=r"^variables \['X12'\] are not part"):
+            joint.entropy(names)
+    # Any iterable of names is read, to the bits of the set.
+    triple = ({"X11"}, {"Y11", "YhR"}, {"X21"})
+    want = joint.mutual_information(*triple)
+    assert_same_bits(joint.mutual_information(*(sorted(s) for s in triple)), want)
+    assert_same_bits(joint.mutual_information(*(iter(s) for s in triple)), want)
+    assert_same_bits(joint.entropy(name for name in ("X11", "Y11")), joint.entropy({"X11", "Y11"}))
+
+
+def test_a_set_of_names_of_the_pmf_is_not_read_name_by_name(monkeypatch):
+    reads = []
+
+    def recording(values, label, *args):
+        reads.append(label)
+        return read_names(values, label, *args)
+
+    joint = build_slot1_joint(_random_spec(np.random.default_rng(12)))
+    read_names = hdmarc.dminfo.read_names
+    monkeypatch.setattr(hdmarc.dminfo, "read_names", recording)
+    first = joint.mutual_information({"X11"}, {"Y11"}, {"X21"})
+    again = joint.mutual_information({"X11"}, {"Y11"}, {"X21"})
+    assert reads == []
+    assert_same_bits(again, first)
+    # Another collection is read on every call, and a set once it holds a
+    # name the pmf lacks.
+    joint.mutual_information(("X11",), {"Y11"}, {"X21"})
+    assert reads == ["set A", "set B", "set C"]
+    with pytest.raises(UnknownVariable):
+        joint.entropy({"X11", "X12"})
+    assert reads == ["set A", "set B", "set C", "names"]
 
 
 def test_mutual_information_properties_under_fuzz():
@@ -599,6 +658,16 @@ def _name_set_calls():
             lambda v: mutual_information(joint, {"X11"}, {"Y11"}, v), "set C"
         ),
         "entropy": (lambda v: entropy(joint, v), "names"),
+        "JointPmf.mutual_information a": (
+            lambda v: joint.mutual_information(v, {"Y11"}), "set A"
+        ),
+        "JointPmf.mutual_information b": (
+            lambda v: joint.mutual_information({"X11"}, v), "set B"
+        ),
+        "JointPmf.mutual_information c": (
+            lambda v: joint.mutual_information({"X11"}, {"Y11"}, v), "set C"
+        ),
+        "JointPmf.entropy": (lambda v: joint.entropy(v), "names"),
         "marginalize": (lambda v: marginalize(joint, v), "keep"),
         "gaussian_mi": (lambda v: gaussian_mi(model, {"XR"}, v), "set B"),
         "JointPmf": (lambda v: JointPmf(v, np.ones(3) / 3), "variable names of the joint pmf"),

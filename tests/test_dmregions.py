@@ -135,11 +135,12 @@ def test_region_terms_destinations():
 
 def _entropy_as_summed_before_the_memo(pmf, names):
     """The entropy arithmetic the memo replaced: numpy's sum over the
-    dropped axes, the entries above ZERO_EPS, -(p * log2 p).sum()."""
+    dropped axes, the entries above ZERO_EPS, 0.0 - (p * log2 p).sum()
+    (the 0.0 makes the entropy of a lone positive cell +0.0, not -0.0)."""
     drop = tuple(i for i, name in enumerate(pmf.names()) if name not in names)
     flat = (pmf.probs.sum(axis=drop) if drop else pmf.probs).ravel()
     positive = flat[flat > ZERO_EPS]
-    return float(-(positive * np.log2(positive)).sum()) if positive.size else 0.0
+    return float(0.0 - (positive * np.log2(positive)).sum()) if positive.size else 0.0
 
 
 def test_entropy_memo_matches_public_entropy_bit_for_bit(monkeypatch):

@@ -22,7 +22,6 @@ _MEASURES = {
     "build_slot2_joint",
     "build_covariance",
     "gaussian_mi",
-    "gaussian_mis",
     "GaussianVectorModel",
 }
 

@@ -14,6 +14,7 @@ import pytest
 
 import hdmarc
 from hdmarc import DmChannelSpec, GaussianMarcParams, HdmarcError, SchemeId
+from hdmarc import dminfo, dmregions, gaussian
 
 from _support import make_random_spec
 
@@ -259,19 +260,42 @@ def test_an_export_returns_or_refuses_each_wrong_argument(name, tmp_path, monkey
 
 def _module_calls() -> dict[str, tuple]:
     """A valid, cheap call of each public entry that lives in its own
-    module, by ``module.name``."""
+    module, by ``module.name``, as the entry and its arguments; the
+    ``JointPmf`` methods are bound to the seeded joint."""
     spec = make_random_spec(np.random.default_rng(3))
-    joint = importlib.import_module("hdmarc.dminfo").build_slot1_joint(spec)
+    joint = dminfo.build_slot1_joint(spec)
+    mi_sets = (("X11",), ("Y11", "YhR"), ("X21",))
     return {
-        "dmregions.slot_terms": (spec, (1, 2)),
-        "gaussian.no_relay_rates": (1.0, 1.0, 1.5, 1.5),
-        "dminfo.mutual_information": (joint, ("X11",), ("Y11", "YhR"), ("X21",)),
+        "dmregions.slot_terms": (dmregions.slot_terms, (spec, (1, 2))),
+        "gaussian.no_relay_rates": (gaussian.no_relay_rates, (1.0, 1.0, 1.5, 1.5)),
+        "dminfo.mutual_information": (dminfo.mutual_information, (joint, *mi_sets)),
+        "JointPmf.entropy": (joint.entropy, (("X11", "Y11"),)),
+        "JointPmf.mutual_information": (joint.mutual_information, mi_sets),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_module_calls()))
 def test_a_module_entry_returns_or_refuses_each_wrong_argument(name):
-    module, function = name.split(".")
-    entry = getattr(importlib.import_module(f"hdmarc.{module}"), function)
-    faults = _faults(entry, _module_calls()[name])
+    entry, args = _module_calls()[name]
+    faults = _faults(entry, args)
     assert not faults, "\n".join(faults)
+
+
+def _outcome(entry, args: tuple):
+    """The value ``entry(*args)`` returns, or the type of error it raises."""
+    try:
+        return entry(*args)
+    except HdmarcError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("measure", ["entropy", "mutual_information"])
+def test_a_joint_pmf_method_and_its_dminfo_function_agree_on_each_wrong_argument(measure):
+    method, valid = _module_calls()[f"JointPmf.{measure}"]
+    function = getattr(dminfo, measure)
+    for position in range(len(valid)):
+        for label, value in _wrong_values().items():
+            wrong = (*valid[:position], value, *valid[position + 1:])
+            got = _outcome(method, wrong)
+            want = _outcome(function, (method.__self__, *wrong))
+            assert repr(got) == repr(want), f"argument {position} = {label}"

@@ -40,7 +40,6 @@ from hdmarc.oracle import (
     closed_forms_via_log_dets,
     crossing_offset,
     gaussian_mi,
-    gaussian_mis,
     gqf_region_via_ru_sweep,
     single_source_gqf_branches,
 )
@@ -260,7 +259,7 @@ def test_gaussian_mi_properties_under_fuzz():
 
 def _one_qr_per_order_mi(model, a, b, c=()):
     """I(A; B | C) by one QR per block order, the arithmetic that
-    :func:`gaussian_mis` stacks into a single QR."""
+    :func:`gaussian_mi` stacks into a single QR."""
     a, b, c = set(a), set(b), set(c)
     if sorted(b) < sorted(a):
         a, b = b, a
@@ -316,21 +315,23 @@ def test_stacked_log_dets_equal_one_qr_per_order_bit_for_bit(seed):
             candidates = all_triples[slot]
             triples = [candidates[i] for i in pick.choice(len(candidates), 12)]
             want = [_one_qr_per_order_mi(model, *triple) for triple in triples]
-            assert_same_bits(np.array(gaussian_mis(model, triples)), np.array(want))
-            assert_same_bits(np.array(gaussian_mi(model, *triples[0])), np.array(want[0]))
+            got = [gaussian_mi(model, *triple) for triple in triples]
+            assert_same_bits(np.array(got), np.array(want))
     model = build_covariance(tiniest, 1)
     want = [_one_qr_per_order_mi(model, *triple) for triple in all_triples[1]]
-    assert_same_bits(np.array(gaussian_mis(model, all_triples[1])), np.array(want))
+    got = [gaussian_mi(model, *triple) for triple in all_triples[1]]
+    assert_same_bits(np.array(got), np.array(want))
 
 
 def test_stacked_log_dets_name_the_same_singular_submatrix():
     silent = build_covariance(benchmark_params(p11=0.0, sigma_q2=1.0), slot=1)
     fine = ({"X21"}, {"Y11"}, ())
-    first, second = ({"X11"}, {"Y11"}, {"X21"}), ({"YR"}, {"X11"}, ())
+    first = ({"X11"}, {"Y11"}, {"X21"})
     with pytest.raises(SingularCovariance) as want:
         _one_qr_per_order_mi(silent, *first)
+    gaussian_mi(silent, *fine)
     with pytest.raises(SingularCovariance) as got:
-        gaussian_mis(silent, [fine, first, second])
+        gaussian_mi(silent, *first)
     assert str(got.value) == str(want.value)
     assert "['X11', 'X21', 'Y11']" in str(got.value)
 
@@ -342,25 +343,10 @@ def test_stacked_log_dets_name_the_same_singular_submatrix():
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize(
-    "triples, message",
-    [
-        (None, "triples must be iterable, got None"),
-        ([("X11",)], r"triples must hold \(a, b, c\) tuples, got \('X11',\)"),
-        ([None], r"triples must hold \(a, b, c\) tuples, got None"),
-        ([({"X11"}, {"Y11"}, ()), 5], r"triples must hold \(a, b, c\) tuples, got 5"),
-    ],
-)
-def test_gaussian_mis_refuses_triples_that_are_not_triples(triples, message):
-    model = build_covariance(benchmark_params(sigma_q2=1.0), slot=1)
-    with pytest.raises(InvalidParams, match=f"^{message}$"):
-        gaussian_mis(model, triples)
-
-
 def test_stacked_log_dets_edge_cases():
     model = build_covariance(benchmark_params(sigma_q2=1.0), slot=1)
-    assert gaussian_mis(model, []) == []
     assert gaussian_mi(model, (), ()) == 0.0
+    assert gaussian_mi(model, (), {"X11"}, {"YR"}) == 0.0
     # A square root with fewer columns than coordinates: a submatrix beyond
     # its rank is singular, not an index error.
     rank_one = GaussianVectorModel(("X11", "X21"), np.ones((2, 1)))
@@ -708,8 +694,8 @@ def _closed_forms_as_verify_assembled(params, sigma_min):
         ({"X12", "X22"}, {"XR", "Y12"}, ()),
         ({"X12", "X22", "XR"}, {"Y12"}, ()),
     ]
-    mi1 = iter(gaussian_mis(model1, triples1))
-    mi2 = iter(gaussian_mis(model2, triples2))
+    mi1 = iter([gaussian_mi(model1, *triple) for triple in triples1])
+    mi2 = iter([gaussian_mi(model2, *triple) for triple in triples2])
     b = params.beta
     comp = 1.0 - b
     values = {}
@@ -718,10 +704,9 @@ def _closed_forms_as_verify_assembled(params, sigma_min):
         values[f"b({i})"] = b * (next(mi1) - next(mi1)) + comp * next(mi2)
     values["I1"] = b * next(mi1) + comp * next(mi2)
     values["I2"] = b * (next(mi1) - next(mi1)) + comp * next(mi2)
-    quant_rate, side_info = gaussian_mis(
-        build_covariance(replace(params, sigma_q2=sigma_min), slot=1),
-        [({"YR"}, {"YhR"}, ()), ({"Y11"}, {"YhR"}, ())],
-    )
+    at_min = build_covariance(replace(params, sigma_q2=sigma_min), slot=1)
+    quant_rate = gaussian_mi(at_min, {"YR"}, {"YhR"})
+    side_info = gaussian_mi(at_min, {"Y11"}, {"YhR"})
     lhs = b * (quant_rate - side_info)
     rhs = (1.0 - b) * gaussian_mi(model2, {"XR"}, {"Y12"})
     return values, lhs - rhs

@@ -1060,6 +1060,25 @@ def test_a_dm_channel_takes_no_no_relay_powers():
         evaluate(replace(region, no_relay=(1.0, 1.0)), region.beta)
 
 
+def test_a_gaussian_region_is_evaluated_at_its_channel_point_only():
+    region = region_config_from_dict(next(_region_docs()))
+    assert (region.beta, region.sigma_q2) == (region.channel.beta, region.channel.sigma_q2)
+    evaluate(region, region.beta, region.sigma_q2)
+    match = r"^a region's beta and sigma_q2 must be its channel's \(0\.5, 3\.0\), got "
+    for beta, sigma in ((0.3, 7.0), (0.3, 3.0), (0.5, 7.0), (0.5, None), (math.nan, 3.0)):
+        with pytest.raises(InvalidParams, match=match):
+            evaluate(replace(region, beta=beta, sigma_q2=sigma), beta, sigma)
+    with pytest.raises(InvalidParams, match=match):
+        evaluate(replace(region, beta=np.array([0.5, 0.5])), 0.5, 3.0)
+
+
+def test_a_dm_region_takes_no_sigma_q2():
+    region = region_config_from_dict(next(doc for doc in _region_docs() if doc["model"] == "dm"))
+    assert region.sigma_q2 is None
+    with pytest.raises(InvalidParams, match="^sigma_q2 applies to a Gaussian channel only$"):
+        evaluate(replace(region, sigma_q2=5.0), region.beta, 5.0)
+
+
 def _bad_results(result):
     """Sweep results the writers cannot render, built from the good ``result``
     of two grid values, by what is wrong with them."""
