@@ -46,7 +46,7 @@ from .sweep import (
 )
 from .verify import Report, run_subject
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "BetaOptimum",

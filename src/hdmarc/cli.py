@@ -120,7 +120,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_region(args: argparse.Namespace) -> int:
     config = region_config_from_dict(_load_json(args.config))
     regions = {}
-    for scheme, bounds in evaluate(config, config.beta, config.sigma_q2).items():
+    for scheme, bounds in evaluate(config).items():
         region = rate_region(bounds)
         # JSON has no infinities: a non-finite term (the CF threshold of a
         # dead relay link) is written as null.

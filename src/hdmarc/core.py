@@ -200,8 +200,12 @@ def validate_beta(beta, allow_array: bool = True):
 def read_collection(values, label: str, check: Callable, kind: type = tuple):
     """``values`` read once, as a ``kind`` of what the gate ``check``
     returns for each element, so a generator works.  One that is not
-    iterable raises :class:`InvalidParams` naming the argument ``label``;
-    ``check`` raises for an element it refuses."""
+    iterable, and a set read into an ordered ``kind`` (a tuple or list:
+    a set's order changes with the hash seed), raise :class:`InvalidParams`
+    naming the argument ``label``; ``check`` raises for an element it
+    refuses."""
+    if kind is not set and isinstance(values, (set, frozenset)):
+        raise InvalidParams(f"{label} must be in order, got a {type(values).__name__}")
     try:
         iterator = iter(values)
     except TypeError:
@@ -356,10 +360,38 @@ class Bounds(NamedTuple):
     terms: dict
 
 
+def _scalar(value):
+    """``value``, or the one element of it if it is a 0-d array (``np.where``
+    makes those)."""
+    return value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+
+
 def rate_region(bounds: Bounds) -> RateRegion:
-    """The :class:`RateRegion` of a single-point evaluation (not a grid)."""
+    """The :class:`RateRegion` of a single-point evaluation (not a grid).
+
+    ``r1``, ``r2`` and ``rsum`` must be finite real numbers, ``feasible`` a
+    bool, and ``terms`` a dict of str names to real numbers (inf is the CF
+    threshold of a dead relay link), each of them or a 0-d array of it;
+    anything else raises :class:`InvalidParams` naming the field.
+    """
     instance_of(bounds, Bounds, "bounds")
     if np.ndim(bounds.rsum):  # on a grid, rsum has the grid's shape
         raise InvalidParams("rate_region takes a single-point evaluation, not a grid")
-    terms = {name: float(value) for name, value in bounds.terms.items()}
-    return clamp_region(bounds.r1, bounds.r2, bounds.rsum, bool(bounds.feasible), terms)
+    r1, r2, rsum = (
+        real_number(_scalar(bounds[i]), f"bounds {bounds._fields[i]}") for i in range(3)
+    )
+    feasible = _scalar(bounds.feasible)
+    if not isinstance(feasible, (bool, np.bool_)):
+        raise InvalidParams(f"bounds feasible must be a bool, got {type(feasible).__name__}")
+    terms = {}
+    try:
+        for name, value in instance_of(bounds.terms, dict, "bounds terms").items():
+            value = _scalar(value)
+            if type(name) is not str or type(value) is bool or not isinstance(value, _REAL_TYPES):
+                raise TypeError
+            terms[name] = float(value)
+    except (TypeError, OverflowError):
+        raise InvalidParams(
+            f"bounds terms must map str names to real numbers, got {name!r}: {value!r}"
+        ) from None
+    return clamp_region(r1, r2, rsum, bool(feasible), terms)

@@ -175,14 +175,18 @@ def dm_regions(
     need; those of the relay-silenced spec are built at most once, and only
     when NO_RELAY is requested or some CF point fails its binning
     constraint.  Each topology's ``terms`` name its own destinations only.
-    ``topologies`` (:func:`~hdmarc.core.read_names`, so a lone str is
-    refused) and ``schemes`` are read once.
+    ``topologies`` (:func:`~hdmarc.core.read_names`, so a lone str or a
+    set is refused, as is a repeated topology) and ``schemes`` are read
+    once.
     """
     instance_of(spec, DmChannelSpec, "spec")
     beta = validate_beta(beta)
     topologies = read_names(
         topologies, "topologies", tuple, lambda topology: one_of(topology, "topology", TOPOLOGIES)
     )
+    repeated = [topology for topology in TOPOLOGIES if topologies.count(topology) > 1]
+    if repeated:
+        raise InvalidParams(f"topologies lists {', '.join(repeated)} more than once")
     # The destinations each topology takes the worst case over.
     reach = {
         topology: (1,) if topology == "marc" else active_destinations(spec)

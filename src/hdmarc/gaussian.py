@@ -45,6 +45,7 @@ from .core import (
     one_of,
     open_interval,
     rate_region,
+    read_collection,
     read_schemes,
     real_number,
     two_slot,
@@ -410,13 +411,13 @@ def gaussian_regions(
         sigma_q2 = _variances(sigma_q2, beta)
 
     def baseline() -> Bounds:
-        try:
-            p1, p2 = no_relay
-        except (TypeError, ValueError):  # None, or not a pair
+        powers = () if no_relay is None else no_relay
+        powers = read_collection(powers, "the NO_RELAY baseline powers", lambda p: p)
+        if len(powers) != 2:
             raise InvalidParams(
                 f"NO_RELAY needs the baseline powers (P1, P2), got {no_relay!r}"
-            ) from None
-        return _no_relay_bounds(params.h11, params.h21, p1, p2)
+            )
+        return _no_relay_bounds(params.h11, params.h21, *powers)
 
     table = {
         SchemeId.GQF: lambda: _gqf_bounds(params, beta, sigma_q2),

@@ -249,13 +249,12 @@ def config_from_dict(doc: dict) -> SweepConfig:
 @dataclass(frozen=True)
 class RegionConfig:
     """A validated single-point description: the channel fields of a
-    :class:`SweepConfig`, plus the point's ``beta`` and, for a Gaussian
-    channel, its ``sigma_q2`` (both also held by the channel)."""
+    :class:`SweepConfig`, plus a finite-alphabet channel's slot fraction
+    ``beta``.  A Gaussian channel holds its own ``beta`` and ``sigma_q2``."""
 
     schemes: tuple[SchemeId, ...]
-    beta: float
     channel: Union[GaussianMarcParams, DmChannelSpec]
-    sigma_q2: Optional[float] = None
+    beta: Optional[float] = None  # dm only
     no_relay: Optional[tuple[float, float]] = None
     topology: str = "marc"
 
@@ -273,47 +272,50 @@ def region_config_from_dict(doc: dict) -> RegionConfig:
     document(doc, "region config", ("model", "channel"), known)
     schemes = _parse_schemes(doc.get("schemes", [scheme.value for scheme in SchemeId]))
     fields = _model_fields(doc, schemes, None)
-    channel = fields["channel"]
-    if isinstance(channel, DmChannelSpec):
-        document(doc, "region config", ("beta",), known)  # a dm region's beta
-        try:
-            beta = validate_beta(_number(doc, "beta", "region config"))
-        except OutOfRange as exc:
-            raise ConfigError(f"region config beta: {exc}") from exc
-        return RegionConfig(schemes=schemes, beta=beta, **fields)
-    if "beta" in doc:
-        raise ConfigError("gaussian region configs carry beta inside 'channel'")
-    return RegionConfig(schemes=schemes, beta=channel.beta, sigma_q2=channel.sigma_q2, **fields)
+    if isinstance(fields["channel"], GaussianMarcParams):
+        if "beta" in doc:
+            raise ConfigError("gaussian region configs carry beta inside 'channel'")
+        return RegionConfig(schemes=schemes, **fields)
+    document(doc, "region config", ("beta",), known)  # a dm region's beta
+    try:
+        beta = validate_beta(_number(doc, "beta", "region config"))
+    except OutOfRange as exc:
+        raise ConfigError(f"region config beta: {exc}") from exc
+    return RegionConfig(schemes=schemes, beta=beta, **fields)
 
 
-def evaluate(config, beta, sigma_q2=None) -> dict[SchemeId, Bounds]:
-    """Unclamped bounds of every scheme of ``config`` (a :class:`SweepConfig`
-    or :class:`RegionConfig`) at slot fraction(s) ``beta`` and, for a
-    Gaussian channel, quantization variance(s) ``sigma_q2`` (None: each
-    scheme's own choice per ``beta``).  Floats give one point, arrays a grid.
-    The channel's type picks the model entry.  A channel of neither type, a
-    Gaussian one with a ``topology`` other than "marc" and a finite-alphabet
-    one with ``no_relay`` powers raise ``InvalidParams``, as do a
-    :class:`RegionConfig` whose ``beta`` and ``sigma_q2`` are not its
-    Gaussian channel's and a finite-alphabet one with a ``sigma_q2``.
+def evaluate(config: Union[SweepConfig, RegionConfig]) -> dict[SchemeId, Bounds]:
+    """Unclamped bounds of every scheme of ``config`` at the point(s) it
+    holds.  A :class:`SweepConfig` is evaluated over its grid: of slot
+    fractions, where each scheme picks its own variance per point, or of
+    variances at its Gaussian channel's ``beta``.  A :class:`RegionConfig`
+    is evaluated at its one point: a Gaussian channel's ``beta`` and
+    ``sigma_q2`` (None: each scheme's own choice), or a finite-alphabet
+    channel at the config's ``beta``.  The channel's type picks the model
+    entry.  A channel of neither type, a Gaussian one with a ``topology``
+    other than "marc" or in a region with its own ``beta``, and a
+    finite-alphabet one with ``no_relay`` powers raise ``InvalidParams``.
     """
+    instance_of(config, (SweepConfig, RegionConfig), "config")
     channel = instance_of(config.channel, (GaussianMarcParams, DmChannelSpec), "channel")
-    point = (config.beta, config.sigma_q2) if isinstance(config, RegionConfig) else None
+    if isinstance(config, SweepConfig):
+        grid = np.asarray(instance_of(config.grid, GridSpec, "grid").values())
+        if one_of(config.swept, "swept", ("sigma_q2", "beta")) == "beta":
+            beta, sigma_q2 = grid, None
+        else:  # at the Gaussian channel's own beta
+            beta = instance_of(channel, GaussianMarcParams, "channel").beta
+            sigma_q2 = grid
+    elif isinstance(channel, GaussianMarcParams):
+        if config.beta is not None:
+            raise InvalidParams("a Gaussian region's beta is its channel's, not the config's")
+        beta, sigma_q2 = channel.beta, channel.sigma_q2
+    else:  # a finite-alphabet region
+        beta = config.beta
     if isinstance(channel, DmChannelSpec):
         if config.no_relay is not None:
             raise InvalidParams("no_relay powers apply to a Gaussian channel only")
-        if point is not None and point[1] is not None:
-            raise InvalidParams("sigma_q2 applies to a Gaussian channel only")
         return dm_regions(channel, (config.topology,), config.schemes, beta)[config.topology]
     one_of(config.topology, "the topology of a Gaussian channel", ("marc",))
-    if point is not None and (
-        not all(isinstance(value, (float, int, type(None))) for value in point)
-        or point != (channel.beta, channel.sigma_q2)
-    ):
-        raise InvalidParams(
-            f"a region's beta and sigma_q2 must be its channel's "
-            f"({channel.beta!r}, {channel.sigma_q2!r}), got {point!r}"
-        )
     return gaussian_regions(channel, config.schemes, beta, sigma_q2, config.no_relay)
 
 
@@ -329,29 +331,23 @@ class SweepResult:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Evaluate every scheme at every grid point.
-
-    On a ``beta`` sweep each scheme picks its own variance per point: GQF
-    the sum optimum, CF just above the binning threshold.  Backend errors
-    are re-raised with the schemes prepended to the message.  A config
-    that is not a :class:`SweepConfig` with a :class:`GridSpec`, sweeps
-    neither "sigma_q2" nor "beta", or lists no scheme, a repeated one or
-    one that is not a :class:`SchemeId` raises :class:`InvalidParams`, as
-    does a channel :func:`evaluate` refuses.
+    """Evaluate every scheme at every grid point (:func:`evaluate`), on a
+    ``beta`` sweep GQF at its sum optimum and CF just above its binning
+    threshold.  Backend errors are re-raised with the schemes prepended to
+    the message.  A config that is not a :class:`SweepConfig` with a
+    :class:`GridSpec`, sweeps neither "sigma_q2" nor "beta", or lists no
+    scheme, a repeated one or one that is not a :class:`SchemeId` raises
+    :class:`InvalidParams`, as does a channel :func:`evaluate` refuses.
     """
     instance_of(config, SweepConfig, "config")
-    swept = one_of(config.swept, "swept", ("sigma_q2", "beta"))
+    one_of(config.swept, "swept", ("sigma_q2", "beta"))
     values = instance_of(config.grid, GridSpec, "grid").values()
     schemes = read_schemes(config.schemes)
     if not schemes:
         raise InvalidParams("a sweep needs at least one scheme")
     grid = np.asarray(values)
     try:
-        if swept == "sigma_q2":  # at the Gaussian channel's own beta
-            beta, sigma = instance_of(config.channel, GaussianMarcParams, "channel").beta, grid
-        else:
-            beta, sigma = grid, None
-        evaluated = evaluate(config, beta, sigma)
+        evaluated = evaluate(config)
     except HdmarcError as exc:
         label = ", ".join(scheme.value for scheme in schemes)
         raise type(exc)(f"sweep failed for schemes {label}: {exc}") from exc

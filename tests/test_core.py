@@ -11,13 +11,24 @@ import hdmarc.dmregions
 import hdmarc.gaussian
 import hdmarc.oracle
 from hdmarc import (
+    Bounds,
     ConfigError,
     InvalidParams,
     OutOfRange,
     RateRegion,
     SchemeId,
+    rate_region,
 )
-from hdmarc.core import clamp_region, instance_of, integer, one_of, validate_beta
+from hdmarc.core import (
+    clamp_region,
+    instance_of,
+    integer,
+    one_of,
+    read_collection,
+    read_names,
+    validate_beta,
+)
+from hdmarc.dminfo import JointPmf
 from hdmarc.dmregions import active_destinations, dm_regions, slot_terms
 from hdmarc.gaussian import cf_operating_point, gaussian_regions
 from hdmarc.oracle import closed_forms_via_log_dets, single_source_gqf_branches
@@ -284,3 +295,84 @@ def test_instance_of_names_the_label_and_both_types():
     with pytest.raises(InvalidParams) as caught:
         instance_of(np.ones(10**4), RateRegion, "region")
     assert str(caught.value) == "region must be a RateRegion, got ndarray"
+
+
+def _bad_bounds():
+    """Single-point bounds :func:`rate_region` cannot read, by what is wrong
+    with them, each with the field its error must name."""
+    good = Bounds(0.1, 0.2, 0.3, True, None, {"I1": 0.3})
+    return {
+        "r1 nan": ("r1", good._replace(r1=math.nan)),
+        "r1 inf": ("r1", good._replace(r1=math.inf)),
+        "r1 a 0-d nan": ("r1", good._replace(r1=np.array(math.nan))),
+        "r1 a str": ("r1", good._replace(r1="0.1")),
+        "r1 None": ("r1", good._replace(r1=None)),
+        "r1 a bool": ("r1", good._replace(r1=True)),
+        "r1 two entries": ("r1", good._replace(r1=np.array([0.1, 0.2]))),
+        "r2 -inf": ("r2", good._replace(r2=-math.inf)),
+        "r2 a list": ("r2", good._replace(r2=[0.2])),
+        "rsum nan": ("rsum", good._replace(rsum=math.nan)),
+        "rsum a str": ("rsum", good._replace(rsum="abc")),
+        "feasible two entries": ("feasible", good._replace(feasible=np.array([True, False]))),
+        "feasible None": ("feasible", good._replace(feasible=None)),
+        "feasible a float": ("feasible", good._replace(feasible=1.0)),
+        "feasible a str": ("feasible", good._replace(feasible="true")),
+        "terms None": ("terms", good._replace(terms=None)),
+        "terms a list": ("terms", good._replace(terms=[("I1", 0.3)])),
+        "term a str": ("'I1'", good._replace(terms={"I1": "abc"})),
+        "term None": ("'I1'", good._replace(terms={"I1": None})),
+        "term two entries": ("'I1'", good._replace(terms={"I1": np.array([0.1, 0.2])})),
+        "term named by an int": ("terms", good._replace(terms={1: 0.3})),
+    }
+
+
+def test_rate_region_refuses_malformed_bounds_naming_the_field():
+    faults = []
+    for case, (field, bounds) in _bad_bounds().items():
+        try:
+            rate_region(bounds)
+        except InvalidParams as exc:
+            if field not in str(exc):
+                faults.append(f"{case}: the error does not name {field}: {exc}")
+        except Exception as exc:  # noqa: BLE001 - any other type is the fault
+            faults.append(f"{case}: {type(exc).__name__}: {exc}")
+        else:
+            faults.append(f"{case}: read")
+    assert not faults, "\n".join(faults)
+
+
+def test_rate_region_reads_0d_arrays_and_an_infinite_term():
+    # The CF fallback of dm_regions gives 0-d arrays, and a dead relay link
+    # an infinite CF threshold.
+    want = RateRegion(0.1, 0.2, 0.25, False, {"I1": 0.25, "sigma_min": math.inf})
+    plain = Bounds(0.1, 0.2, 0.25, False, None, dict(want.terms))
+    arrays = Bounds(
+        np.array(0.1), np.float64(0.2), np.array(0.25), np.array(False), None,
+        {"I1": np.array(0.25), "sigma_min": np.float64(math.inf)},
+    )
+    for bounds in (plain, arrays, arrays._replace(feasible=np.False_)):
+        region = rate_region(bounds)
+        assert region == want
+        assert {type(value) for value in (region.r1_max, region.r2_max, region.sum_max)} == {float}
+        assert type(region.feasible) is bool
+        assert {type(value) for value in region.terms.values()} == {float}
+
+
+def test_a_read_into_an_ordered_collection_refuses_a_set():
+    # A set's order changes with the hash seed, so where order carries
+    # meaning no set is read; a read into a set still takes one.
+    params = benchmark_params(sigma_q2=1.0)
+    spec = make_random_spec(np.random.default_rng(5))
+    calls = {
+        "schemes": lambda: gaussian_regions(params, {SchemeId.GQF}, 0.5),
+        "topologies": lambda: dm_regions(spec, frozenset({"marc"}), (SchemeId.GQF,), 0.5),
+        "destination indices": lambda: slot_terms(spec, {1, 2}),
+        "draws": lambda: closed_forms_via_log_dets({(params, 1.0)}),
+        "variable names of the joint pmf": lambda: JointPmf({"X11"}, [0.5, 0.5]),
+    }
+    for label, call in calls.items():
+        with pytest.raises(InvalidParams, match=f"^{label} must be in order, got a (frozen)?set$"):
+            call()
+    assert read_collection([2, 1], "values", int, list) == [2, 1]
+    assert read_collection({2, 1}, "values", int, set) == {1, 2}
+    assert read_names(frozenset({"X11"}), "names") == {"X11"}

@@ -693,3 +693,18 @@ def test_a_name_that_is_not_a_str_is_refused_naming_the_set(call):
         with pytest.raises(InvalidParams, match=f"^{label} must hold str names, got a {kind}$"):
             function(names)
 
+
+
+def test_a_joint_pmf_refuses_a_set_of_names():
+    # The names give the axes in order; a set's order changes with the hash
+    # seed, which read these probabilities as H(X11) = 0.971 or 0.722 bits.
+    probs = [[0.5, 0.3], [0.1, 0.1]]
+    for names in ({"Y11", "X11"}, frozenset({"Y11", "X11"})):
+        with pytest.raises(InvalidParams, match="names of the joint pmf must be in order"):
+            JointPmf(names, probs)
+    pmf = JointPmf(("X11", "Y11"), probs)
+    assert pmf.entropy({"X11"}) == pytest.approx(-0.8 * math.log2(0.8) - 0.2 * math.log2(0.2))
+    # A set of names to sum over carries no order, and is still read.
+    assert entropy(pmf, frozenset({"X11"})) == pmf.entropy(("X11",))
+    assert mutual_information(pmf, {"X11"}, {"Y11"}) == pmf.mutual_information(["X11"], ["Y11"])
+    assert marginalize(pmf, {"Y11"}).names() == ("Y11",)

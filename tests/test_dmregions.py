@@ -741,3 +741,11 @@ def test_compound_region_lies_inside_each_single_destination_region():
                 outer = clamp_bounds(*single[scheme][:3])
                 for a, b in zip(inner, outer):
                     assert np.all(a <= b + 1e-12), scheme
+
+
+def test_dm_regions_refuses_a_repeated_topology():
+    # As a repeated scheme is: the answer has one entry per topology.
+    spec = make_random_spec(np.random.default_rng(5))
+    for topologies, named in ((("marc", "marc"), "marc"), (["cmacr", "marc", "cmacr"], "cmacr")):
+        with pytest.raises(InvalidParams, match=f"^topologies lists {named} more than once$"):
+            dm_regions(spec, topologies, (SchemeId.GQF,), 0.5)

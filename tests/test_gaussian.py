@@ -773,6 +773,18 @@ def test_no_relay_needs_a_pair_of_powers(no_relay):
         gaussian_regions(benchmark_params(), (SchemeId.NO_RELAY,), 0.5, no_relay=no_relay)
 
 
+def test_no_relay_powers_are_a_pair_in_order():
+    # P1 then P2: a set of the two would pair them by hash order.
+    params = benchmark_params()
+    for no_relay in ({2.0, 1.0}, frozenset({2.0, 1.0})):
+        with pytest.raises(InvalidParams, match="baseline powers must be in order"):
+            gaussian_regions(params, (SchemeId.NO_RELAY,), 0.5, no_relay=no_relay)
+    pair = gaussian_regions(params, (SchemeId.NO_RELAY,), 0.5, no_relay=(2.0, 1.0))
+    listed = gaussian_regions(params, (SchemeId.NO_RELAY,), 0.5, no_relay=[2.0, 1.0])
+    assert pair == listed
+    assert pair[SchemeId.NO_RELAY].terms["r1"] == 0.5 * math.log2(1.0 + params.h11**2 * 2.0)
+
+
 def test_rate_region_takes_a_single_point():
     params = benchmark_params()
     grid = gaussian_regions(params, (SchemeId.GQF,), np.array([0.3, 0.6]), 1.0)

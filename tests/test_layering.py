@@ -1,10 +1,12 @@
-"""Which program modules ``oracle`` and ``verify`` may import.
+"""Which modules ``oracle``, ``verify`` and the known-answer references may
+import.
 
 ``oracle`` computes every reference value that ``hdmarc verify`` compares
 against, independently of the formula code it checks.  ``verify`` draws
 channels, asks a model entry and the oracle, and records deviations; it
-holds no entropy or log-det arithmetic of its own.  Both are read from
-source with ``ast``, so a name that is imported but not yet used fails too.
+holds no entropy or log-det arithmetic of its own.  ``tests/_known_answers``
+writes closed forms with ``math`` alone.  All are read from source with
+``ast``, so a name that is imported but not yet used fails too.
 """
 
 import ast
@@ -70,3 +72,17 @@ def test_verify_takes_only_the_channel_and_the_model_entry_from_gaussian():
     # A reference formula in verify that called production's helpers would
     # share any error of theirs, which its check would then not see.
     assert _imports("verify")["gaussian"] == {"GaussianMarcParams", "gaussian_regions"}
+
+
+def test_the_known_answers_import_only_math():
+    # The closed forms of tests/_known_answers.py are a reference for the
+    # joint builders and the entropy arithmetic only while they use neither.
+    path = Path(__file__).resolve().parent / "_known_answers.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math"}

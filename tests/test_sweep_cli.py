@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import re
@@ -347,8 +348,9 @@ def test_a_config_holds_its_model_as_the_type_of_its_channel():
         "swept", "grid", "schemes", "channel", "no_relay", "topology", "output"
     ]
     assert [field.name for field in fields(RegionConfig)] == [
-        "schemes", "beta", "channel", "sigma_q2", "no_relay", "topology"
+        "schemes", "channel", "beta", "no_relay", "topology"
     ]
+    assert list(inspect.signature(evaluate).parameters) == ["config"]
     assert type(config_from_dict(_dm_sweep_doc()).channel) is DmChannelSpec
     regions = [region_config_from_dict(doc) for doc in _region_docs()]
     assert {type(config.channel) for config in regions} == {GaussianMarcParams, DmChannelSpec}
@@ -357,11 +359,11 @@ def test_a_config_holds_its_model_as_the_type_of_its_channel():
     neither = "channel must be a GaussianMarcParams or a DmChannelSpec, got"
     for channel in ("dm", None, _gaussian_sweep_doc()["channel"]):
         with pytest.raises(InvalidParams, match=f"{neither} {type(channel).__name__}$"):
-            evaluate(replace(sweep, channel=channel), 0.5)
+            evaluate(replace(sweep, channel=channel))
         with pytest.raises(InvalidParams, match=f"^sweep failed .*: {neither}"):
             run_sweep(replace(sweep, channel=channel))
         with pytest.raises(InvalidParams, match=neither):
-            evaluate(replace(regions[0], channel=channel), 0.5, 1.0)
+            evaluate(replace(regions[0], channel=channel))
     # A sigma_q2 sweep runs at the beta of a Gaussian channel.
     with pytest.raises(InvalidParams, match="channel must be a GaussianMarcParams, got Dm"):
         run_sweep(replace(sweep, swept="sigma_q2"))
@@ -478,9 +480,9 @@ def _swap_sources(config):
 
 def test_swapping_the_sources_swaps_their_rates_on_both_models():
     rng = np.random.default_rng(97)
-    betas = np.linspace(0.1, 0.9, 9)
-    gaussian = config_from_dict(_gaussian_sweep_doc())
-    dm = config_from_dict(_dm_sweep_doc())
+    betas = GridSpec(lo=0.1, hi=0.9, points=9, spacing="linear")
+    gaussian = replace(config_from_dict(_gaussian_sweep_doc()), swept="beta", grid=betas)
+    dm = replace(config_from_dict(_dm_sweep_doc()), grid=betas)
     configs = []
     for _ in range(10):
         gains = dict(zip(("h11", "h21", "h1r", "h2r", "hr1"), rng.uniform(0.1, 5.0, 5)))
@@ -492,8 +494,8 @@ def test_swapping_the_sources_swaps_their_rates_on_both_models():
             configs.append(replace(dm, channel=spec, topology=topology))
     feasible = set()
     for config in configs:
-        original = evaluate(config, betas)
-        swapped = evaluate(_swap_sources(config), betas)
+        original = evaluate(config)
+        swapped = evaluate(_swap_sources(config))
         for scheme in config.schemes:
             one, two = original[scheme], swapped[scheme]
             np.testing.assert_allclose(two.r1, one.r2, rtol=0.0, atol=1e-12)
@@ -1032,6 +1034,16 @@ def test_every_entry_refuses_a_repeated_scheme():
             call()
 
 
+def test_a_sweep_refuses_a_set_of_schemes():
+    # The CSV groups its rows by scheme in config order; a set's order
+    # changes with the hash seed.
+    for doc in (_gaussian_sweep_doc(), _dm_sweep_doc()):
+        config = replace(config_from_dict(doc), schemes=set(SchemeId))
+        for call in (run_sweep, evaluate):
+            with pytest.raises(InvalidParams, match="^schemes must be in order, got a set$"):
+                call(config)
+
+
 def test_run_sweep_refuses_an_empty_scheme_list():
     for doc in (_gaussian_sweep_doc(), _dm_sweep_doc()):
         config = config_from_dict(doc)
@@ -1047,7 +1059,7 @@ def test_a_gaussian_channel_has_the_marc_topology_only(topology):
     with pytest.raises(InvalidParams, match=match):
         run_sweep(replace(sweep, topology=topology))
     with pytest.raises(InvalidParams, match=match):
-        evaluate(replace(region, topology=topology), region.beta, region.sigma_q2)
+        evaluate(replace(region, topology=topology))
 
 
 def test_a_dm_channel_takes_no_no_relay_powers():
@@ -1057,26 +1069,26 @@ def test_a_dm_channel_takes_no_no_relay_powers():
     with pytest.raises(InvalidParams, match=match):
         run_sweep(replace(sweep, no_relay=(1.0, 1.0)))
     with pytest.raises(InvalidParams, match=match):
-        evaluate(replace(region, no_relay=(1.0, 1.0)), region.beta)
+        evaluate(replace(region, no_relay=(1.0, 1.0)))
 
 
 def test_a_gaussian_region_is_evaluated_at_its_channel_point_only():
     region = region_config_from_dict(next(_region_docs()))
-    assert (region.beta, region.sigma_q2) == (region.channel.beta, region.channel.sigma_q2)
-    evaluate(region, region.beta, region.sigma_q2)
-    match = r"^a region's beta and sigma_q2 must be its channel's \(0\.5, 3\.0\), got "
-    for beta, sigma in ((0.3, 7.0), (0.3, 3.0), (0.5, 7.0), (0.5, None), (math.nan, 3.0)):
+    channel = region.channel
+    assert region.beta is None and (channel.beta, channel.sigma_q2) == (0.5, 3.0)
+    want = gaussian_regions(
+        channel, region.schemes, channel.beta, channel.sigma_q2, region.no_relay
+    )
+    got = evaluate(region)
+    assert list(got) == list(want)
+    for scheme, bounds in got.items():
+        assert_same_bits(bounds, want[scheme])
+    # The point is the channel's alone: a beta of the config's own is
+    # refused, even one equal to the channel's.
+    match = r"^a Gaussian region's beta is its channel's, not the config's$"
+    for beta in (0.3, 0.5, math.nan, np.array([0.5, 0.5])):
         with pytest.raises(InvalidParams, match=match):
-            evaluate(replace(region, beta=beta, sigma_q2=sigma), beta, sigma)
-    with pytest.raises(InvalidParams, match=match):
-        evaluate(replace(region, beta=np.array([0.5, 0.5])), 0.5, 3.0)
-
-
-def test_a_dm_region_takes_no_sigma_q2():
-    region = region_config_from_dict(next(doc for doc in _region_docs() if doc["model"] == "dm"))
-    assert region.sigma_q2 is None
-    with pytest.raises(InvalidParams, match="^sigma_q2 applies to a Gaussian channel only$"):
-        evaluate(replace(region, sigma_q2=5.0), region.beta, 5.0)
+            evaluate(replace(region, beta=beta))
 
 
 def _bad_results(result):
@@ -1324,7 +1336,7 @@ def test_cli_region_prints_the_one_point_evaluation(tmp_path, capsys):
         config = region_config_from_dict(doc)
         expected = {
             scheme.value: rate_region(bounds)
-            for scheme, bounds in evaluate(config, config.beta, config.sigma_q2).items()
+            for scheme, bounds in evaluate(config).items()
         }
         assert main(["region", "--config", _write_json(tmp_path / "r.json", doc)]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
