@@ -23,9 +23,7 @@ import math
 
 
 def h(p: float) -> float:
-    """Binary entropy of ``p`` in bits."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
+    """Binary entropy of ``p``, strictly inside (0, 1), in bits."""
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
