@@ -326,10 +326,12 @@ def clamp_region(
     A negative information bound just means the achievable point is rate 0,
     and a sum bound above ``r1 + r2`` is slack, so values are clamped to
     ``r1, r2 >= 0`` and ``0 <= sum <= r1 + r2``.  The raw values stay
-    available through ``terms``.
+    available through ``terms``.  The floats are those of
+    :func:`clamp_bounds`, from plain comparisons.
     """
-    r1c, r2c, sumc = (float(v) for v in clamp_bounds(float(r1), float(r2), float(rsum)))
-    return RateRegion(r1c, r2c, sumc, bool(feasible), dict(terms or {}))
+    # NaN and -0.0 fail "> 0.0", so both clamp to 0.0.
+    r1, r2, rsum = (v if v > 0.0 else 0.0 for v in (float(r1), float(r2), float(rsum)))
+    return RateRegion(r1, r2, min(rsum, r1 + r2), bool(feasible), dict(terms or {}))
 
 
 def clamp_bounds(r1, r2, rsum):

@@ -29,6 +29,7 @@ from .core import (
     UnknownVariable,
     document,
     instance_of,
+    one_of,
     read_names,
     real_array,
 )
@@ -77,8 +78,10 @@ ZERO_EPS = 1e-15
 #: Dense-tensor cap (number of cells).  Brute force is the point; scale is not.
 MAX_CELLS = 2**18
 
-#: Variable order of the slot-1 joint built by :func:`build_slot1_joint`.
-SLOT1_VARS = ("X11", "X21", "YR", "Y11", "Y21", "YhR")
+#: Variable order of destination k's slot-1 joint, built by
+#: :func:`build_slot1_joint`: the sources, the relay's observation and its
+#: quantization, and ``Yk1``, by destination index.
+SLOT1_VARS_BY_DESTINATION = {k: ("X11", "X21", "YR", f"Y{k}1", "YhR") for k in (1, 2)}
 
 #: Variable order of the slot-2 joint built by :func:`build_slot2_joint`.
 SLOT2_VARS = ("X12", "X22", "XR", "Y12", "Y22")
@@ -235,9 +238,9 @@ class DmChannelSpec:
     consistency across tables.
 
     The tables are read-only, so a spec's joints never change:
-    :attr:`joints` builds them on first use and keeps them with the
-    spec.  A spec made by :func:`dataclasses.replace` is a new spec and
-    builds its own.
+    :meth:`joints` builds each on first use and keeps it with the spec.  A
+    spec made by :func:`dataclasses.replace` is a new spec and builds its
+    own.
     """
 
     px11: np.ndarray
@@ -291,35 +294,49 @@ class DmChannelSpec:
                 raise DimensionMismatch(
                     f"{where} has size {got} but {other} has size {want}"
                 )
+        object.__setattr__(self, "_slot1_joints", {})
+
+    def joints(self, k: int) -> tuple[JointPmf, JointPmf]:
+        """Destination ``k``'s slot-1 joint and the slot-2 joint
+        (:func:`build_slot1_joint`, then :func:`build_slot2_joint`), each
+        built on first use.  Every information term of destination ``k``
+        reads them, so each joint is built once and each marginal entropy
+        is summed out once (:meth:`JointPmf.entropy`).  ``k`` must be the
+        integer 1 or 2."""
+        k = one_of(k, "destination index", (1, 2))
+        slot1 = self._slot1_joints
+        if k not in slot1:
+            slot1[k] = build_slot1_joint(self, k)
+        return slot1[k], self._slot2_joint
 
     @cached_property
-    def joints(self) -> tuple[JointPmf, JointPmf]:
-        """This spec's slot-1 and slot-2 joints (:func:`build_slot1_joint`,
-        then :func:`build_slot2_joint`), built on first use.  Every
-        information term of the spec reads them, so each joint is built
-        once and each marginal entropy is summed out once
-        (:meth:`JointPmf.entropy`)."""
-        return build_slot1_joint(self), build_slot2_joint(self)
+    def _slot2_joint(self) -> JointPmf:
+        return build_slot2_joint(self)
 
 
-def build_slot1_joint(spec: DmChannelSpec) -> JointPmf:
-    """Joint pmf of ``(X11, X21, YR, Y11, Y21, YhR)`` for slot 1.
+def build_slot1_joint(spec: DmChannelSpec, k: int) -> JointPmf:
+    """Destination ``k``'s joint pmf of ``(X11, X21, YR, Yk1, YhR)`` for
+    slot 1 (:data:`SLOT1_VARS_BY_DESTINATION`).
 
-    Assembled as p(x11) p(x21) p(yR, y11, y21 | x11, x21) p(yhR | yR); the
-    relay quantizes based on YR alone, which is exactly the test-channel
-    factorization above.
+    Assembled as p(x11) p(x21) p(yR, yk1 | x11, x21) p(yhR | yR), where
+    p(yR, yk1 | x11, x21) is ``slot1`` summed over the other destination's
+    output; the relay quantizes based on YR alone, which is exactly the
+    test-channel factorization above.  ``k`` must be the integer 1 or 2.
     """
-    cells = instance_of(spec, DmChannelSpec, "spec").slot1.size * spec.test_channel.shape[1]
+    instance_of(spec, DmChannelSpec, "spec")
+    k = one_of(k, "destination index", (1, 2))
+    # Yk1 is axis 2 + k of slot1, so the other destination's is 5 - k.
+    slot1 = spec.slot1.sum(axis=5 - k)
+    cells = slot1.size * spec.test_channel.shape[1]
     if cells > MAX_CELLS:
         raise TensorTooLarge(
-            f"slot-1 joint would hold {cells} cells; the cap is {MAX_CELLS}"
+            f"slot-1 joint of destination {k} would hold {cells} cells; "
+            f"the cap is {MAX_CELLS}"
         )
     # One product per cell, no path search; the operand order is the one
     # np.einsum(..., optimize=True) settles on, so the bits are the same.
-    tensor = np.einsum(
-        "rh,abruv,b,a->abruvh", spec.test_channel, spec.slot1, spec.px21, spec.px11
-    )
-    return JointPmf(SLOT1_VARS, tensor)
+    tensor = np.einsum("rh,abru,b,a->abruh", spec.test_channel, slot1, spec.px21, spec.px11)
+    return JointPmf(SLOT1_VARS_BY_DESTINATION[k], tensor)
 
 
 def build_slot2_joint(spec: DmChannelSpec) -> JointPmf:

@@ -20,13 +20,14 @@ and slot-2 outputs both have singleton alphabets observes nothing and is
 treated as absent from the compound.
 
 Every bound, and both sides of the binning constraint, has the form
-beta * S1 + (1 - beta) * S2, where S1 is an information term of the slot-1
-joint and S2 one of the slot-2 joint.  :func:`slot_terms` computes the
-(S1, S2) pairs of a spec once, and :func:`dm_regions` evaluates every
-scheme at every beta from them into a :class:`~hdmarc.core.Bounds` per
-scheme, like the Gaussian closed forms, for one topology or both from the
-same pairs.  A whole sweep thus builds each joint once per spec (plus once
-for the relay-silenced spec, when that is needed).
+beta * S1 + (1 - beta) * S2, where S1 is an information term of the
+destination's slot-1 joint and S2 one of the slot-2 joint.
+:func:`slot_terms` computes the (S1, S2) pairs of a spec once, and
+:func:`dm_regions` evaluates every scheme at every beta from them into a
+:class:`~hdmarc.core.Bounds` per scheme, like the Gaussian closed forms,
+for one topology or both from the same pairs.  A whole sweep thus builds
+one slot-1 joint per destination and one slot-2 joint per spec (and as
+many for the relay-silenced spec, when that is needed).
 """
 
 from __future__ import annotations
@@ -66,8 +67,10 @@ def slot_terms(
     spec: DmChannelSpec, ks: tuple[int, ...]
 ) -> dict[str, tuple[float, float]]:
     """Split every bound into its slot-1 and slot-2 terms (S1, S2), read
-    from the joints of ``spec`` (:attr:`DmChannelSpec.joints`): the bound
-    is beta * S1 + (1-beta) * S2.
+    from the joints of ``spec`` (:meth:`DmChannelSpec.joints`): the bound
+    is beta * S1 + (1-beta) * S2.  Destination ``k``'s pairs read its own
+    joints only, so they do not depend on which other destinations ``ks``
+    lists.
 
     Keys are the names of :class:`~hdmarc.core.RateRegion` terms:
     ``a_k(i)``/``b_k(i)`` are the two decoding branches bounding source
@@ -77,11 +80,11 @@ def slot_terms(
     I(YR; YhR) - I(Yk1; YhR) and the slot-2 pipe I(XR; Yk2).
     """
     ks = read_collection(ks, "destination indices", lambda k: one_of(k, "destination index", (1, 2)))
-    joints = instance_of(spec, DmChannelSpec, "spec").joints
-    mi1, mi2 = (joint.mutual_information for joint in joints)
-    quant_rate = mi1({"YR"}, {"YhR"})
+    instance_of(spec, DmChannelSpec, "spec")
     terms = {}
     for k in ks:
+        mi1, mi2 = (joint.mutual_information for joint in spec.joints(k))
+        quant_rate = mi1({"YR"}, {"YhR"})
         yk1, yk2 = f"Y{k}1", f"Y{k}2"  # its slot-1 and slot-2 outputs
         for i, j in ((1, 2), (2, 1)):
             xi1, xj1 = f"X{i}1", f"X{j}1"

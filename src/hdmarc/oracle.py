@@ -12,9 +12,9 @@ model entry against is computed here.  Two checkers are provided:
   :func:`closed_forms_via_log_dets` evaluates the table below with it, for
   many channels at once; and
 * an evaluator of the raw joint-decoding inequality system of both
-  topologies, from the joints of one spec, in which the codebook
-  rate appears explicitly and is eliminated at its minimum ``R_U = beta *
-  I(YR; YhR)`` (:func:`gqf_region_via_ru_sweep`), with the single-source
+  topologies, from the per-destination joints of one spec, in which the
+  codebook rate appears explicitly and is eliminated at its minimum ``R_U =
+  beta * I(YR; YhR)`` (:func:`gqf_region_via_ru_sweep`), with the single-source
   forms of the GQF branches beside it (:func:`single_source_gqf_branches`).
 
 :func:`crossing_offset` gives how far a quantization variance sits from the
@@ -441,8 +441,8 @@ def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateR
     which the quantization-codebook rate ``R_U`` appears additively on the
     left of three of them; the covering lemma pins ``R_U = beta * I(YR;
     YhR)``.  This helper evaluates all six right-hand sides at each
-    destination, from the joints of the spec
-    (:attr:`~hdmarc.dminfo.DmChannelSpec.joints`), and subtracts ``R_U``
+    destination k, from the spec's joints of k
+    (:meth:`~hdmarc.dminfo.DmChannelSpec.joints`), and subtracts ``R_U``
     where it belongs, instead of using the algebraically simplified bounds of
     :mod:`hdmarc.dmregions` — so agreement between the two is a real
     consistency check of that simplification.  "marc" is destination 1, its
@@ -451,20 +451,19 @@ def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateR
     :class:`InvalidParams` if none does), their quantities suffixed ``_k``.
     """
     b = validate_beta(beta, allow_array=False)
-    joints = instance_of(spec, DmChannelSpec, "spec").joints
-    sizes = [dict(zip(joint.names(), joint.probs.shape)) for joint in joints]
-    hearing = [k for k in (1, 2) if sizes[0][f"Y{k}1"] > 1 or sizes[1][f"Y{k}2"] > 1]
+    instance_of(spec, DmChannelSpec, "spec")
+    # Yk1 and Yk2 are axis 2 + k of slot1 and of slot2.
+    hearing = [k for k in (1, 2) if spec.slot1.shape[2 + k] > 1 or spec.slot2.shape[2 + k] > 1]
     if not hearing:
         raise InvalidParams("no destination output has more than one letter")
-    mi1, mi2 = (joint.mutual_information for joint in joints)
     comp = 1.0 - b
-    r_u = b * mi1({"YR"}, {"YhR"})
 
     def raw_terms(k: int) -> dict[str, float]:
         """R_U and the right-hand sides at destination k: source i (or both)
         with the quantization index as known noise, and with it decoded."""
+        mi1, mi2 = (joint.mutual_information for joint in spec.joints(k))
         yk1, yk2 = f"Y{k}1", f"Y{k}2"
-        terms = {"R_U": r_u}
+        terms = {"R_U": b * mi1({"YR"}, {"YhR"})}
         for i, j in ((1, 2), (2, 1)):
             xi1, xj1, xi2, xj2 = f"X{i}1", f"X{j}1", f"X{i}2", f"X{j}2"
             terms[f"r{i}_plain"] = b * mi1({xi1}, {xj1, yk1, "YhR"}) + comp * mi2(
@@ -483,7 +482,7 @@ def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateR
 
     raw = {k: raw_terms(k) for k in sorted({1, *hearing})}
     bounds = {  # (r1, r2, sum) per destination, R_U eliminated
-        k: [min(t[f"{n}_plain"], t[f"{n}_with_index"] - r_u) for n in ("r1", "r2", "sum")]
+        k: [min(t[f"{n}_plain"], t[f"{n}_with_index"] - t["R_U"]) for n in ("r1", "r2", "sum")]
         for k, t in raw.items()
     }
     worst = [min(column) for column in zip(*(bounds[k] for k in hearing))]
@@ -499,10 +498,10 @@ def single_source_gqf_branches(spec: DmChannelSpec, beta: float) -> tuple[float,
     source 2 is degenerate, in their single-source forms: ``(plain,
     with_index)``, the quantization index as noise and decoded,
     ``b*I(X11; Y11,YhR) + (1-b)*I(X12; Y12 | XR)`` and ``b*[I(X11; Y11) -
-    I(YhR; YR | X11,Y11)] + (1-b)*I(X12,XR; Y12)``, from the joints of the
-    spec."""
+    I(YhR; YR | X11,Y11)] + (1-b)*I(X12,XR; Y12)``, from the spec's joints
+    of destination 1."""
     b = validate_beta(beta, allow_array=False)
-    joints = instance_of(spec, DmChannelSpec, "spec").joints
+    joints = instance_of(spec, DmChannelSpec, "spec").joints(1)
     mi1, mi2 = (joint.mutual_information for joint in joints)
     plain = b * mi1({"X11"}, {"Y11", "YhR"}) + (1.0 - b) * mi2({"X12"}, {"Y12"}, {"XR"})
     with_index = b * (

@@ -19,6 +19,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -87,6 +88,12 @@ class GridSpec:
             raise ConfigError("log-spaced grid needs min > 0")
 
     def values(self) -> tuple[float, ...]:
+        """The grid points, computed on first use and kept: the grid is
+        frozen."""
+        return self._values
+
+    @cached_property
+    def _values(self) -> tuple[float, ...]:
         if self.spacing == "log":
             grid = np.geomspace(self.lo, self.hi, self.points)
         else:

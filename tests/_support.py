@@ -131,18 +131,19 @@ def assert_same_bits(got, want):
         assert a.dtype == np.float64 and a.tobytes() == b.tobytes(), name
 
 
-def count_calls(monkeypatch, source, names, *modules):
+def count_calls(monkeypatch, source, names, *modules, arguments=1):
     """Record every call that ``modules`` make to the functions ``names`` of
     the module ``source``: the returned ``{name: [...]}`` lists the first
-    argument of each call, in order, as the calls happen.  A module that
+    argument of each call (a tuple of the first ``arguments`` positional
+    ones, if more than 1), in order, as the calls happen.  A module that
     does not import a function makes no call to it."""
     calls = {name: [] for name in names}
     for name, args in calls.items():
         function = getattr(source, name)
 
-        def counting(first, *rest, args=args, function=function, **kwargs):
-            args.append(first)
-            return function(first, *rest, **kwargs)
+        def counting(*positional, args=args, function=function, **kwargs):
+            args.append(positional[0] if arguments == 1 else positional[:arguments])
+            return function(*positional, **kwargs)
 
         for module in modules:
             if hasattr(module, name):
@@ -154,8 +155,10 @@ def count_joint_builds(monkeypatch):
     """Record every slot-joint build that the program makes (a spec's
     joints in ``dminfo``, or any other module that would import a
     builder): the returned ``{"build_slot1_joint": [...],
-    "build_slot2_joint": [...]}`` lists the spec of each call, in order, as
-    the calls happen."""
-    names = ("build_slot1_joint", "build_slot2_joint")
+    "build_slot2_joint": [...]}`` lists the ``(spec, destination)`` of each
+    slot-1 build and the spec of each slot-2 build, in order, as the calls
+    happen."""
     modules = (hdmarc.dminfo, hdmarc.dmregions, hdmarc.oracle, hdmarc.verify)
-    return count_calls(monkeypatch, hdmarc.dminfo, names, *modules)
+    calls = count_calls(monkeypatch, hdmarc.dminfo, ("build_slot1_joint",), *modules, arguments=2)
+    calls.update(count_calls(monkeypatch, hdmarc.dminfo, ("build_slot2_joint",), *modules))
+    return calls

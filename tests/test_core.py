@@ -20,6 +20,7 @@ from hdmarc import (
     rate_region,
 )
 from hdmarc.core import (
+    clamp_bounds,
     clamp_region,
     instance_of,
     integer,
@@ -132,6 +133,23 @@ def test_clamp_region_is_idempotent_under_fuzz():
         assert 0.0 <= region.sum_max <= region.r1_max + region.r2_max
 
 
+def test_clamp_region_has_the_bits_of_the_array_clamp():
+    # The scalar clamp and clamp_bounds, on every triple of edge values: NaN
+    # and -0.0 clamp to +0.0, infinities stay or drop, a slack sum is cut.
+    edges = [math.nan, 0.0, -0.0, math.inf, -math.inf, -1.5, 5e-324, 0.25, 0.7, 2.0]
+    for r1 in edges:
+        for r2 in edges:
+            for rsum in edges:
+                region = clamp_region(r1, r2, rsum)
+                got = (region.r1_max, region.r2_max, region.sum_max)
+                want = tuple(float(v) for v in clamp_bounds(r1, r2, rsum))
+                assert repr(got) == repr(want), (r1, r2, rsum)
+                assert all(type(v) is float for v in got)
+    region = clamp_region(-0.0, math.nan, 0.5)
+    assert repr((region.r1_max, region.r2_max, region.sum_max)) == "(0.0, 0.0, 0.0)"
+    assert clamp_region(0.25, 0.7, 2.0).sum_max == 0.25 + 0.7
+
+
 # ---------------------------------------------------------------------------
 # The gates of fixed choices and counts
 
@@ -242,7 +260,7 @@ _MODEL_ENTRIES = {
     "slot_terms": lambda model: slot_terms(model, (1,)),
     "active_destinations": active_destinations,
     "degenerate_relay_spec": hdmarc.dmregions.degenerate_relay_spec,
-    "build_slot1_joint": hdmarc.dminfo.build_slot1_joint,
+    "build_slot1_joint": lambda model: hdmarc.dminfo.build_slot1_joint(model, 1),
     "build_slot2_joint": hdmarc.dminfo.build_slot2_joint,
     "entropy": lambda model: hdmarc.dminfo.entropy(model, ("X11",)),
     "marginalize": lambda model: hdmarc.dminfo.marginalize(model, ("X11",)),

@@ -27,7 +27,7 @@ from hdmarc import (
 from hdmarc.cli import _load_json
 from hdmarc.dminfo import (
     MAX_CELLS,
-    SLOT1_VARS,
+    SLOT1_VARS_BY_DESTINATION,
     SLOT2_VARS,
     ZERO_EPS,
     JointPmf,
@@ -202,7 +202,7 @@ def test_mutual_information_rejects_overlapping_sets():
 
 
 def test_the_methods_refuse_what_the_functions_refuse():
-    joint = build_slot1_joint(_random_spec(np.random.default_rng(5)))
+    joint = build_slot1_joint(_random_spec(np.random.default_rng(5)), 1)
     overlapping = [(["X11"], ["X11"], []), ({"X11"}, {"X11"}, set()), ({"X11"}, {"Y11"}, {"Y11"})]
     for a, b, c in overlapping:
         with pytest.raises(OverlappingSets):
@@ -230,7 +230,7 @@ def test_a_set_of_names_of_the_pmf_is_not_read_name_by_name(monkeypatch):
         reads.append(label)
         return read_names(values, label, *args)
 
-    joint = build_slot1_joint(_random_spec(np.random.default_rng(12)))
+    joint = build_slot1_joint(_random_spec(np.random.default_rng(12)), 1)
     read_names = hdmarc.dminfo.read_names
     monkeypatch.setattr(hdmarc.dminfo, "read_names", recording)
     first = joint.mutual_information({"X11"}, {"Y11"}, {"X21"})
@@ -250,7 +250,7 @@ def test_mutual_information_properties_under_fuzz():
     rng = np.random.default_rng(11)
     for _ in range(25):
         spec = _random_spec(rng)
-        joint = build_slot1_joint(spec)
+        joint = build_slot1_joint(spec, 1)
         sym_ab = mutual_information(joint, ("X11",), ("YR", "Y11"))
         sym_ba = mutual_information(joint, ("YR", "Y11"), ("X11",))
         assert sym_ab == sym_ba  # identical entropy terms, exact equality
@@ -274,7 +274,7 @@ def test_repeated_mutual_informations_on_one_pmf_sum_each_marginal_once(monkeypa
 
     marginal = hdmarc.dminfo._marginal
     monkeypatch.setattr(hdmarc.dminfo, "_marginal", recording)
-    joint = build_slot1_joint(_random_spec(np.random.default_rng(12)))
+    joint = build_slot1_joint(_random_spec(np.random.default_rng(12)), 1)
     # The first two need 8 distinct entropies; I(X11, X21; Y11) reads only
     # sets they summed: H(X11, X21), H(Y11), H() and H(X11, X21, Y11).
     triples = [
@@ -322,21 +322,23 @@ def _exact_entropies(pmf, mpmath):
 
 
 def test_every_marginal_entropy_is_within_1e_14_bits_of_the_exact_entropy():
-    # The absolute accuracy contract of the DM entropies, on both joints of
-    # eight drawn channels and of one with its relay silenced, whose slot-2
-    # joint holds exact zeros.
+    # The absolute accuracy contract of the DM entropies, on the three joints
+    # (a slot-1 joint per destination and the slot-2 joint) of eight drawn
+    # channels and of one with its relay silenced, whose slot-2 joint holds
+    # exact zeros.
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2014)
     specs = [draw_dm_spec(rng) for _ in range(8)]
     specs.append(degenerate_relay_spec(specs[0]))
     checked = 0
     for spec in specs:
-        for joint in spec.joints:
+        slot1 = [spec.joints(k)[0] for k in (1, 2)]
+        for joint in (*slot1, spec.joints(1)[1]):
             for names, (value, _) in _exact_entropies(joint, mpmath).items():
                 error = abs(joint.entropy(names) - value)
                 assert error <= 1e-14, (sorted(names), float(error))
                 checked += 1
-    assert checked == len(specs) * (2**6 + 2**5)  # every subset of 6 and of 5 names
+    assert checked == len(specs) * 3 * 2**5  # every subset of each joint's 5 names
 
 
 def test_each_cell_dropped_at_zero_eps_costs_at_most_5e_14_bits():
@@ -344,13 +346,13 @@ def test_each_cell_dropped_at_zero_eps_costs_at_most_5e_14_bits():
     # -ZERO_EPS * log2(ZERO_EPS), under 5e-14 bits.  Tiny cells of several
     # sizes are moved off the largest cell of a drawn slot-1 joint.
     mpmath = pytest.importorskip("mpmath")
-    probs = draw_dm_spec(np.random.default_rng(2015)).joints[0].probs.copy()
+    probs = draw_dm_spec(np.random.default_rng(2015)).joints(1)[0].probs.copy()
     flat = probs.reshape(-1)
     tiny = [ZERO_EPS, 7e-16, 1e-16, 3e-18, 1e-30]
     smallest = np.argsort(flat)[: len(tiny)]
     flat[np.argmax(flat)] += flat[smallest].sum() - sum(tiny)
     flat[smallest] = tiny
-    joint = JointPmf(SLOT1_VARS, probs)
+    joint = JointPmf(SLOT1_VARS_BY_DESTINATION[1], probs)
     worst = 0.0
     for names, (value, dropped) in _exact_entropies(joint, mpmath).items():
         error = value - joint.entropy(names)  # a dropped cell lowers the entropy
@@ -363,16 +365,17 @@ def test_quantizer_output_is_a_degraded_view_of_the_relay_input():
     rng = np.random.default_rng(12)
     for _ in range(25):
         spec = _random_spec(rng)
-        joint = build_slot1_joint(spec)
-        # Data processing: the quantizer output cannot say more about the
-        # sources than the relay observation it was computed from.
-        assert mutual_information(joint, ("X11",), ("YhR",)) <= (
-            mutual_information(joint, ("X11",), ("YR",)) + 1e-10
-        )
-        # Quantization acts on YR alone, so conditioned on YR the output is
-        # independent of everything else in the slot.
-        leak = mutual_information(joint, ("YhR",), ("X11", "X21", "Y11", "Y21"), ("YR",))
-        assert abs(leak) <= 1e-10
+        for k in (1, 2):
+            joint = build_slot1_joint(spec, k)
+            # Data processing: the quantizer output cannot say more about the
+            # sources than the relay observation it was computed from.
+            assert mutual_information(joint, ("X11",), ("YhR",)) <= (
+                mutual_information(joint, ("X11",), ("YR",)) + 1e-10
+            )
+            # Quantization acts on YR alone, so conditioned on YR the output
+            # is independent of everything else the destination's joint holds.
+            leak = mutual_information(joint, ("YhR",), ("X11", "X21", f"Y{k}1"), ("YR",))
+            assert abs(leak) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +385,21 @@ def test_quantizer_output_is_a_degraded_view_of_the_relay_input():
 def test_slot1_joint_matches_nested_loop_oracle():
     rng = np.random.default_rng(21)
     spec = _random_spec(rng, {"yr": 3, "yhr": 3, "y21": 3})
-    joint = build_slot1_joint(spec)
-    assert joint.names() == SLOT1_VARS
-    shape = spec.slot1.shape + spec.test_channel.shape[1:]
-    oracle = np.zeros(shape)
-    for a, b, r, u, v, h in np.ndindex(shape):
-        oracle[a, b, r, u, v, h] = (
-            spec.px11[a]
-            * spec.px21[b]
-            * spec.slot1[a, b, r, u, v]
-            * spec.test_channel[r, h]
-        )
-    np.testing.assert_allclose(joint.probs, oracle, rtol=1e-13, atol=1e-300)
-    assert joint.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    for k in (1, 2):
+        joint = build_slot1_joint(spec, k)
+        assert joint.names() == SLOT1_VARS_BY_DESTINATION[k]
+        shape = spec.slot1.shape + spec.test_channel.shape[1:]
+        oracle = np.zeros(shape[:3] + (shape[2 + k], shape[5]))
+        for a, b, r, u, v, h in np.ndindex(shape):
+            # Destination k hears u (k = 1) or v (k = 2); the other is summed.
+            oracle[a, b, r, (u, v)[k - 1], h] += (
+                spec.px11[a]
+                * spec.px21[b]
+                * spec.slot1[a, b, r, u, v]
+                * spec.test_channel[r, h]
+            )
+        np.testing.assert_allclose(joint.probs, oracle, rtol=1e-13, atol=1e-300)
+        assert joint.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_slot2_joint_matches_nested_loop_oracle():
@@ -412,12 +417,13 @@ def test_slot2_joint_matches_nested_loop_oracle():
     assert joint.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def _joints_by_optimized_einsum(spec):
-    """Both slot joints the way the builders computed them when they still
-    asked np.einsum for a contraction path: the reference for their bits."""
+def _joints_by_optimized_einsum(spec, k):
+    """Destination k's slot-1 joint and the slot-2 joint the way the
+    builders would compute them if they asked np.einsum for a contraction
+    path: the reference for their bits."""
     slot1 = np.einsum(
-        "a,b,abruv,rh->abruvh",
-        spec.px11, spec.px21, spec.slot1, spec.test_channel, optimize=True,
+        "a,b,abru,rh->abruh",
+        spec.px11, spec.px21, spec.slot1.sum(axis=5 - k), spec.test_channel, optimize=True,
     )
     slot2 = np.einsum(
         "a,b,c,abcuv->abcuv",
@@ -432,24 +438,32 @@ def test_joint_builders_equal_the_optimized_einsum_bit_for_bit():
     # Every alphabet size 1-6 on every axis, then mixed sizes.
     draws = [dict.fromkeys(names, size) for size in range(1, 7)]
     draws += [{name: int(rng.integers(1, 7)) for name in names} for _ in range(200)]
-    # The large dm-sweep channels: a slot-1 joint of 65536 cells.
+    # The large dm-sweep channels: slot-1 joints of 4096 and 2048 cells.
     draws.append(dict(x11=2, x21=2, yr=16, y11=32, y21=16, yhr=2,
                       x12=2, x22=2, xr=2, y12=16, y22=16))
     for sizes in draws:
         spec = _random_spec(rng, sizes)
-        slot1, slot2 = _joints_by_optimized_einsum(spec)
-        assert_same_bits(build_slot1_joint(spec).probs, slot1)
-        assert_same_bits(build_slot2_joint(spec).probs, slot2)
-    assert slot1.size == 65536
+        cells = []
+        for k in (1, 2):
+            slot1, slot2 = _joints_by_optimized_einsum(spec, k)
+            assert_same_bits(build_slot1_joint(spec, k).probs, slot1)
+            assert_same_bits(build_slot2_joint(spec).probs, slot2)
+            cells.append(slot1.size)
+    assert cells == [4096, 2048]
 
 
 def test_slot_joint_builders_reject_oversized_results():
-    # Tables are individually modest but their product exceeds the cap.
-    n = {"x11": 4, "x21": 4, "yr": 16, "y11": 16, "y21": 4, "yhr": 32}
+    # Tables are individually modest but their product exceeds the cap:
+    # destination 1's slot-1 joint holds 4*4*16*64*32 = 2**19 cells, and
+    # destination 2's, with a 4-letter Y21, 2**15.
+    n = {"x11": 4, "x21": 4, "yr": 16, "y11": 64, "y21": 4, "yhr": 32}
     rng = np.random.default_rng(23)
     spec = _random_spec(rng, n)
+    with pytest.raises(TensorTooLarge, match="^slot-1 joint of destination 1 would hold 524288"):
+        build_slot1_joint(spec, 1)
     with pytest.raises(TensorTooLarge):
-        build_slot1_joint(spec)
+        spec.joints(1)
+    assert build_slot1_joint(spec, 2).probs.size == 2**15 < MAX_CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +653,8 @@ def test_garbling_the_test_channel_never_raises_the_quantizer_information():
         spec = _random_spec(rng, {"yr": yr, "yhr": yhr})
         garble = rng.dirichlet(np.ones(garbled_yhr), size=yhr)  # row-stochastic
         garbled = replace(spec, test_channel=spec.test_channel @ garble)
-        before = mutual_information(build_slot1_joint(spec), {"YR"}, {"YhR"})
-        after = mutual_information(build_slot1_joint(garbled), {"YR"}, {"YhR"})
+        before = mutual_information(build_slot1_joint(spec, 1), {"YR"}, {"YhR"})
+        after = mutual_information(build_slot1_joint(garbled, 1), {"YR"}, {"YhR"})
         assert after <= before + 1e-12
 
 
@@ -649,7 +663,7 @@ def test_garbling_the_test_channel_never_raises_the_quantizer_information():
 
 
 def _name_set_calls():
-    joint = build_slot1_joint(_random_spec(np.random.default_rng(5)))
+    joint = build_slot1_joint(_random_spec(np.random.default_rng(5)), 1)
     model = build_covariance(benchmark_params(), slot=2)
     return {
         "mutual_information a": (lambda v: mutual_information(joint, v, {"Y11"}), "set A"),

@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 
 from hdmarc import DmChannelSpec, InvalidParams, SchemeId
-from hdmarc.core import clamp_bounds, validate_beta
-from hdmarc.dminfo import ZERO_EPS, JointPmf, build_slot1_joint, build_slot2_joint, entropy
+from hdmarc.core import clamp_bounds, rate_region, validate_beta
+from hdmarc.dminfo import (
+    MAX_CELLS,
+    SLOT2_VARS,
+    ZERO_EPS,
+    JointPmf,
+    build_slot1_joint,
+    build_slot2_joint,
+    entropy,
+)
 from hdmarc.dmregions import (
     CF_MARGIN,
     TOPOLOGIES,
@@ -41,7 +49,7 @@ from _support import (
 
 def _local_terms(spec, beta, k):
     """Recompute the four raw bounds with the independent MI evaluator."""
-    joint1 = build_slot1_joint(spec)
+    joint1 = build_slot1_joint(spec, k)
     joint2 = build_slot2_joint(spec)
     y1, y2 = ("Y11", "Y12") if k == 1 else ("Y21", "Y22")
     comp = 1.0 - beta
@@ -69,18 +77,17 @@ def _local_terms(spec, beta, k):
 
 def _cf_sides(spec, beta, ks):
     """Binning constraint sides, recomputed independently."""
-    joint1 = build_slot1_joint(spec)
     joint2 = build_slot2_joint(spec)
-    quant_rate = mi_ratio(joint1, ["YR"], ["YhR"])
-    lhs = max(
-        beta * (quant_rate - mi_ratio(joint1, ["Y11" if k == 1 else "Y21"], ["YhR"]))
-        for k in ks
-    )
+    lhs = []
+    for k in ks:
+        joint1 = build_slot1_joint(spec, k)
+        quant_rate = mi_ratio(joint1, ["YR"], ["YhR"])
+        lhs.append(beta * (quant_rate - mi_ratio(joint1, [f"Y{k}1"], ["YhR"])))
     rhs = min(
         (1.0 - beta) * mi_ratio(joint2, ["XR"], ["Y12" if k == 1 else "Y22"])
         for k in ks
     )
-    return lhs, rhs
+    return max(lhs), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +171,133 @@ def test_entropy_memo_matches_public_entropy_bit_for_bit(monkeypatch):
     for pmf, names, value in seen:
         want = repr(_entropy_as_summed_before_the_memo(pmf, names))
         assert repr(value) == repr(entropy(pmf, names)) == want, sorted(names)
+
+
+def _exact_integers(table):
+    """``table`` as integers over one denominator, ``(numerators, d)``: each
+    float64 is an integer over a power of two, so this is exact."""
+    ratios = [value.as_integer_ratio() for value in table.ravel().tolist()]
+    denominator = max(d for _, d in ratios)
+    numerators = [n * (denominator // d) for n, d in ratios]
+    return np.array(numerators, dtype=object).reshape(table.shape), denominator
+
+
+class _ExactJoint:
+    """A joint pmf held as Python integers over one denominator, with its
+    measures in bits in 50-digit mpmath arithmetic."""
+
+    def __init__(self, mpmath, names, counts, denominator):
+        self.mpmath, self.names, self.counts, self.denominator = mpmath, names, counts, denominator
+
+    def entropy(self, keep):
+        drop = tuple(i for i, name in enumerate(self.names) if name not in keep)
+        marginal = np.ravel(self.counts.sum(axis=drop) if drop else self.counts).tolist()
+        log, total = self.mpmath.log, self.denominator
+        return sum(n * (log(total) - log(n)) for n in marginal if n) / total / log(2)
+
+    def mi(self, a, b, c=frozenset()):
+        h = self.entropy
+        return h(a | c) + h(b | c) - h(c) - h(a | b | c)
+
+
+def _exact_slot_terms(spec, mpmath):
+    """Every (S1, S2) pair of :func:`slot_terms` at destinations 1 and 2,
+    as written in its docstring, from destination k's joint and the slot-2
+    joint summed exactly from the spec's own tables."""
+    (n11, d11), (n21, d21), (n12, d12), (n22, d22), (nr, dr), (nt, dt), (s1, d1), (s2, d2) = (
+        _exact_integers(getattr(spec, name))
+        for name in ("px11", "px21", "px12", "px22", "pxr", "test_channel", "slot1", "slot2")
+    )
+    slot2 = n12[:, None, None, None, None] * n22[None, :, None, None, None] * (
+        nr[None, None, :, None, None] * s2
+    )
+    mi2 = _ExactJoint(mpmath, SLOT2_VARS, slot2, d12 * d22 * dr * d2).mi
+    terms = {}
+    for k in (1, 2):
+        heard = s1.sum(axis=5 - k)  # p(yR, yk1 | x11, x21), exactly
+        slot1 = n11[:, None, None, None, None] * n21[None, :, None, None, None] * (
+            heard[..., None] * nt[None, None, :, None, :]
+        )
+        names = ("X11", "X21", "YR", f"Y{k}1", "YhR")
+        mi1 = _ExactJoint(mpmath, names, slot1, d11 * d21 * d1 * dt).mi
+        yk1, yk2 = frozenset({f"Y{k}1"}), frozenset({f"Y{k}2"})
+        yr, yhr, xr = frozenset({"YR"}), frozenset({"YhR"}), frozenset({"XR"})
+        x1, x2 = frozenset({"X11", "X21"}), frozenset({"X12", "X22"})
+        for i, j in ((1, 2), (2, 1)):
+            xi1, xj1 = frozenset({f"X{i}1"}), frozenset({f"X{j}1"})
+            xi2, xj2 = frozenset({f"X{i}2"}), frozenset({f"X{j}2"})
+            terms[f"a_{k}({i})"] = (mi1(xi1, xj1 | yk1 | yhr), mi2(xi2, xj2 | xr | yk2))
+            terms[f"b_{k}({i})"] = (
+                mi1(xi1, xj1 | yk1) - mi1(yhr, yr, xi1 | xj1 | yk1),
+                mi2(xi2 | xr, xj2 | yk2),
+            )
+        terms[f"c_{k}"] = (mi1(x1, yk1 | yhr), mi2(x2, xr | yk2))
+        terms[f"d_{k}"] = (
+            mi1(x1 | yhr, yk1) + mi1(x1, yhr) - mi1(yr, yhr),
+            mi2(x2 | xr, yk2),
+        )
+        terms[f"cf_lhs_{k}"] = (mi1(yr, yhr) - mi1(yk1, yhr), 0)
+        terms[f"cf_rhs_{k}"] = (0, mi2(xr, yk2))
+    return terms
+
+
+def test_every_slot_term_is_within_1e_14_bits_of_the_exact_channel():
+    # The pair-level accuracy contract: each half of each pair, against the
+    # same term summed in integers from the spec's tables and evaluated in
+    # 50-digit arithmetic.  Six drawn channels, one with its relay silenced
+    # (exact zeros in its slot-2 joint), and one with |Y11| != |Y21|.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2032)
+    specs = [draw_dm_spec(rng) for _ in range(6)]
+    specs += [degenerate_relay_spec(specs[0]), draw_dm_spec(rng, {"y11": 4, "y21": 2})]
+    halves = 0
+    with mpmath.workdps(50):
+        for spec in specs:
+            exact = _exact_slot_terms(spec, mpmath)
+            got = slot_terms(spec, (1, 2))
+            assert list(got) == list(exact)
+            for name, pair in got.items():
+                for half, value in enumerate(pair):
+                    error = abs(value - exact[name][half])
+                    assert error <= 1e-14, (name, half, float(error))
+                    halves += 1
+    assert halves == len(specs) * 16 * 2
+
+
+def test_a_destination_s_pairs_do_not_depend_on_the_other_destination():
+    rng = np.random.default_rng(59)
+    specs = [draw_dm_spec(rng) for _ in range(4)]
+    specs += [draw_dm_spec(rng, {"y11": 4, "y21": 2}), make_random_spec(rng, {"y21": 1, "y22": 1})]
+    for spec in specs:
+        both = slot_terms(spec, (1, 2))
+        for k in (1, 2):
+            # A fresh spec of the same tables builds destination k's joints anew.
+            alone = slot_terms(replace(spec), (k,))
+            mine = {name: pair for name, pair in both.items() if f"_{k}" in name}
+            assert list(alone) == list(mine) and len(mine) == 8
+            assert_same_bits(np.array(list(alone.values())), np.array(list(mine.values())))
+
+
+def test_a_channel_whose_joint_over_both_destinations_exceeds_the_cap_is_evaluated():
+    # |YR| = 16, |Y11| = |Y21| = 64, |YhR| = 4: one slot-1 table over both
+    # destinations' outputs would hold 2**20 cells, each destination's 2**14.
+    sizes = dict(x11=2, x21=2, yr=16, y11=64, y21=64, yhr=4)
+    spec = make_random_spec(np.random.default_rng(60), sizes)
+    assert spec.slot1.size * spec.test_channel.shape[1] == 1048576 > MAX_CELLS
+    beta = 0.4
+    evaluated = dm_regions(spec, TOPOLOGIES, tuple(SchemeId), beta)
+    assert [spec.joints(k)[0].probs.size for k in (1, 2)] == [16384, 16384]
+    for topology in TOPOLOGIES:
+        for scheme in SchemeId:
+            region = rate_region(evaluated[topology][scheme])
+            assert 0.0 <= region.sum_max <= region.r1_max + region.r2_max
+    # The GQF terms agree with the independent log-ratio evaluator.
+    terms = evaluated["cmacr"][SchemeId.GQF].terms
+    for k in (1, 2):
+        local = _local_terms(spec, beta, k)
+        for name in ("a(1)", "b(1)", "a(2)", "b(2)", "c", "d"):
+            indexed = f"{name[0]}_{k}{name[1:]}"
+            assert terms[indexed] == pytest.approx(local[name], abs=1e-10), indexed
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +562,15 @@ def test_one_call_for_both_topologies_builds_each_joint_once(monkeypatch):
         for specs in calls.values():
             specs.clear()
         dm_regions(fresh, ("marc", "cmacr"), schemes, betas)
-        for name, specs in calls.items():
+        slot1 = calls["build_slot1_joint"]
+        # One slot-1 build per (spec, destination), one slot-2 build per spec.
+        assert len({(id(s), d) for s, d in slot1}) == len(slot1)
+        builds = {
+            f"build_slot1_joint, destination {k}": [s for s, d in slot1 if d == k]
+            for k in (1, 2)
+        }
+        builds["build_slot2_joint"] = calls["build_slot2_joint"]
+        for name, specs in builds.items():
             assert len(specs) == 1 + silenced_builds, (name, schemes)
             assert specs[0] is fresh
             for other in specs[1:]:
@@ -461,8 +603,9 @@ def test_a_spec_made_from_another_reads_only_its_own_tables():
             for scheme in schemes:
                 assert_same_bits(got[topology][scheme], want[topology][scheme])
         assert gqf_region_via_ru_sweep(child, 0.3) == gqf_region_via_ru_sweep(fresh, 0.3)
-        for mine, parents in zip(child.joints, spec.joints):
-            assert mine is not parents
+        for k in (1, 2):
+            for mine, parents in zip(child.joints(k), spec.joints(k)):
+                assert mine is not parents
     again = dm_regions(spec, TOPOLOGIES, schemes, betas)
     for topology in TOPOLOGIES:
         for scheme in schemes:
@@ -490,7 +633,7 @@ def test_constant_quantizer_drops_all_index_terms():
     spec = make_random_spec(rng, {"yhr": 1})
     beta = 0.6
     terms = gqf_region_marc(spec, validate_beta(beta)).terms
-    joint1 = build_slot1_joint(spec)
+    joint1 = build_slot1_joint(spec, 1)
     joint2 = build_slot2_joint(spec)
     comp = 1.0 - beta
     # With a single-letter quantizer output the index carries nothing:
@@ -525,7 +668,7 @@ def test_identity_quantizer_forwards_the_full_observation():
     )
     beta = 0.5
     terms = gqf_region_marc(spec, validate_beta(beta)).terms
-    joint1 = build_slot1_joint(spec)
+    joint1 = build_slot1_joint(spec, 1)
     joint2 = build_slot2_joint(spec)
     # The index-decoded branch now sees YR itself.
     a1 = beta * mi_ratio(joint1, ["X11"], ["X21", "Y11", "YR"]) + (

@@ -263,9 +263,11 @@ def _module_calls() -> dict[str, tuple]:
     module, by ``module.name``, as the entry and its arguments; the
     ``JointPmf`` methods are bound to the seeded joint."""
     spec = make_random_spec(np.random.default_rng(3))
-    joint = dminfo.build_slot1_joint(spec)
+    joint = dminfo.build_slot1_joint(spec, 1)
     mi_sets = (("X11",), ("Y11", "YhR"), ("X21",))
     return {
+        "dminfo.build_slot1_joint": (dminfo.build_slot1_joint, (spec, 2)),
+        "DmChannelSpec.joints": (spec.joints, (2,)),
         "dmregions.slot_terms": (dmregions.slot_terms, (spec, (1, 2))),
         "gaussian.no_relay_rates": (gaussian.no_relay_rates, (1.0, 1.0, 1.5, 1.5)),
         "dminfo.mutual_information": (dminfo.mutual_information, (joint, *mi_sets)),

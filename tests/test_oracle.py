@@ -591,7 +591,7 @@ def test_ru_sweep_index_rate_for_degenerate_quantizers():
         slot1=base.slot1,
         slot2=base.slot2,
     )
-    joint1 = build_slot1_joint(identity)
+    joint1 = build_slot1_joint(identity, 1)
     expected = 0.6 * entropy(joint1, {"YR"})
     assert gqf_region_via_ru_sweep(identity, beta)["marc"].terms["R_U"] == pytest.approx(
         expected, abs=1e-12
@@ -637,12 +637,15 @@ def test_dm_regions_draw_builds_each_slot_joint_once(monkeypatch):
     marginal = hdmarc.dminfo._marginal
     monkeypatch.setattr(hdmarc.dminfo, "_marginal", recording)
     # One production call for both topologies and one oracle call, both
-    # reading the spec's joints.
+    # reading the spec's joints: one slot-1 joint per destination, one
+    # slot-2 joint.
     assert run_subject("dm-regions", seed=0, draws=1).passed
     assert {name: len(specs) for name, specs in calls.items()} == {
-        "build_slot1_joint": 1,
+        "build_slot1_joint": 2,
         "build_slot2_joint": 1,
     }
+    (spec, destination), other = calls["build_slot1_joint"]
+    assert (destination, other) == (1, (spec, 2)) and calls["build_slot2_joint"] == [spec]
     # Each marginal entropy of the draw is summed out once.
     assert len(summed) == len(set(summed)) > 40
 
@@ -713,7 +716,7 @@ def _closed_forms_as_verify_assembled(params, sigma_min):
 
 
 def _single_source_as_verify_assembled(spec, b):
-    mi1 = build_slot1_joint(spec).mutual_information
+    mi1 = build_slot1_joint(spec, 1).mutual_information
     mi2 = build_slot2_joint(spec).mutual_information
     plain = b * mi1({"X11"}, {"Y11", "YhR"}) + (1.0 - b) * mi2(
         {"X12"}, {"Y12"}, {"XR"}

@@ -89,8 +89,8 @@ SHIPPED_GP_SHA256 = {
 VERIFY_REPORT_SHA256 = {
     ("closed-forms", 0): "1675720a3430921cb4a97cb6a8811fc5d7ded21641c11881e64f7188e8661a4a",
     ("closed-forms", 2007): "14c283741cbed9397d0e015eec679f496aad9893a4633d2cebfae4c62c170963",
-    ("dm-regions", 0): "c4e005eba842534c838edc81d3fc569fd40ad557cffcf189477380ad6803e48e",
-    ("dm-regions", 2007): "9b315fab30cb5b0242fc6d5402bc181fcae995c035fc057539e6813089d742cc",
+    ("dm-regions", 0): "0b4c7f19dcefb5c44bcee0ed0de55a4d5970e4d94c762ddbca17fc6c4f2c75f1",
+    ("dm-regions", 2007): "6550f73a20b552b9d5830bb2adbd89b28033a282531258a40a313716601be4ac",
     ("reductions", 0): "51bf6a9f5de8657ac9ef7681a75ea876464b1911480110f7c9d2d24db8ac4318",
     ("reductions", 2007): "a9cb783fc6b141d664783570546cf0533078f55eca5123f818e48015f83a8828",
 }
@@ -101,12 +101,12 @@ REGION_SHA256 = (
     "0f07296fbb92689cdd9674bff255efa23517fcde829575c838405ecd924794dd",
     "2ca4608f671b0a8e4ff5b6b6ac5e8c1eafd4d1d9028b11b79e02444758a7e2f6",
     "340b5e401925993dd7cdc519a994793f682e03b9413c50808a86b252ee3e4a95",
-    "06300fc1a2fe7b10b96660961b3453fa8b27ba41de50e24fa3dc4481fbe30e3f",
-    "726682e09eb7ec13f5e6d1dc2425ca5c3f75368d4f41f04738b252c854ae352f",
-    "a6599d48744e5a722460a9b8e4798c4176d4bec820d302c01ec6c592abf50c53",
-    "c5fc1e1352a608a79da00d0209f10332ef0d0c2e0df349d5a4368bc4c7167004",
-    "82f45b7f27e450ecb1fa88ee51446368a643f8d4ebdc523d52cd7e534c117b9e",
-    "7ff4ca874342cfd0ce011df95d83a5d5770182fd8a16a3c356bcde6a132c81ad",
+    "50b54dc9550c98e43c3aed94961f2188fd585071ec2c9c111ee5dcac0ef09041",
+    "7b98f87eff67ccc0f0514696e0a02d3a0c09f180af3e2d76bf20722405e33acd",
+    "b00744c6812521277338526b93eddab4221b3f3139a8ec487a78aa97da1618d6",
+    "ebbf49af38de577fc8c983168d17cf337f03d7fe659b37baf4051c77947b1823",
+    "49731cc2686685d0112f23c7efa45f7cb96a4e189704887a37e790a7444a02ea",
+    "7f8091c66eeb41d09a73c4423fc7c4bdf2c0c3c80a066a5b044873a0ed12da03",
 )
 
 #: The public single-point DM region functions, by topology and scheme.
@@ -162,6 +162,24 @@ def _dm_sweep_doc():
 
 # ---------------------------------------------------------------------------
 # Grid and config validation
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CSV_SHA256))
+def test_a_sweep_computes_its_grid_once(monkeypatch, name):
+    spaced = {"geomspace": [], "linspace": []}
+    for function, calls in spaced.items():
+
+        def counting(*args, calls=calls, original=getattr(np, function), **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, function, counting)
+    config = config_from_dict(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    result = run_sweep(config)
+    want = {"geomspace": 0, "linspace": 0}
+    want["geomspace" if config.grid.spacing == "log" else "linspace"] = 1
+    assert {function: len(calls) for function, calls in spaced.items()} == want
+    assert result.values == config.grid.values()
 
 
 def test_grid_values_linear_and_log():
@@ -703,22 +721,31 @@ def test_dm_sweep_and_region_build_each_joint_once_per_spec(
 ):
     calls = count_joint_builds(monkeypatch)["build_slot1_joint"]
     channel = _dm_sweep_doc()["channel"]
-    for topology in ("marc", "cmacr"):
+
+    def built_specs(destinations):
+        """The specs built, each with one slot-1 joint per destination."""
+        specs = [spec for spec, k in calls if k == destinations[0]]
+        assert [(id(spec), k) for spec, k in calls] == [
+            (id(spec), k) for spec in specs for k in destinations
+        ]
+        return specs
+
+    for topology, destinations in (("marc", (1,)), ("cmacr", (1, 2))):
         doc = dict(_dm_sweep_doc(), topology=topology, schemes=list(schemes))
         doc["grid"] = {"min": 0.1, "max": 0.9, "points": points}
         calls.clear()
         run_sweep(config_from_dict(doc))
         # The relay spec, plus the silenced spec for NO_RELAY or failed CF.
-        assert 1 <= len(calls) <= 2
+        assert 1 <= len(built_specs(destinations)) <= 2
         if schemes == ("GQF",):
-            assert len(calls) == 1
+            assert len(built_specs(destinations)) == 1
 
         region = {"model": "dm", "beta": 0.5, "topology": topology,
                   "schemes": list(schemes), "channel": channel}
         calls.clear()
         config_path = _write_json(tmp_path / "region.json", region)
         assert main(["region", "--config", config_path]) == EXIT_OK
-        assert 1 <= len(calls) <= 2
+        assert 1 <= len(built_specs(destinations)) <= 2
 
 
 def test_shipped_configs_write_the_pinned_csv_bytes(tmp_path, capsys):
