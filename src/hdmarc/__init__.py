@@ -46,7 +46,7 @@ from .sweep import (
 )
 from .verify import Report, run_subject
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "BetaOptimum",

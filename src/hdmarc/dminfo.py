@@ -1,10 +1,13 @@
 """Exact information measures over finite-alphabet joint distributions.
 
 Joint pmfs are dense numpy tensors with one axis per named variable.
-Entropies and mutual informations are evaluated by brute-force
-marginalization; this module is meant to be an exact reference for small
-alphabets, not an estimator, so tensors are capped at :data:`MAX_CELLS`
-cells and anything larger is rejected with a clear error.
+On first use a pmf computes the entropy of every one of its marginals in
+one vectorized pass (:meth:`JointPmf.entropy`); every entropy and mutual
+information is then a lookup in that table.  This module is meant to be an
+exact reference for small alphabets, not an estimator, so tensors are
+capped at :data:`MAX_CELLS` cells, their entropy tables at
+:data:`MAX_TABLE_CELLS`, and anything larger is rejected with a clear
+error.
 
 The variable names are fixed: two sources transmit ``X11, X21`` in slot 1
 and ``X12, X22`` in slot 2, the relay hears ``YR`` in slot 1, quantizes it
@@ -14,6 +17,7 @@ into ``YhR`` and transmits ``XR`` in slot 2, and destination k observes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
@@ -78,6 +82,13 @@ ZERO_EPS = 1e-15
 #: Dense-tensor cap (number of cells).  Brute force is the point; scale is not.
 MAX_CELLS = 2**18
 
+#: Cap on the cells of the pass behind a pmf's entropy table, the product
+#: of (alphabet size + 1) over its axes of more than one letter.  A
+#: five-axis joint under :data:`MAX_CELLS`, as every slot joint is, needs
+#: at most 3**4 * 16385 = 1327185; an eleven-axis pmf near
+#: :data:`MAX_CELLS` could need 15.2 million.
+MAX_TABLE_CELLS = 2**21
+
 #: Variable order of destination k's slot-1 joint, built by
 #: :func:`build_slot1_joint`: the sources, the relay's observation and its
 #: quantization, and ``Yk1``, by destination index.
@@ -93,6 +104,10 @@ class JointPmf:
     ``probs`` has one axis per name, whose length is that variable's
     alphabet size; its entries are non-negative and sum to 1 within
     :data:`NORM_TOL`.  The stored array is a read-only copy of the input.
+    The entropy of every marginal (:func:`_entropy_table`) is computed on
+    first use and kept: the array is read-only, so the table cannot go
+    stale.  A pmf whose table pass would exceed :data:`MAX_TABLE_CELLS`
+    cells is refused.
     """
 
     def __init__(self, names: Iterable[str], probs) -> None:
@@ -107,11 +122,21 @@ class JointPmf:
                 f"tensor shape {probs.shape} has {probs.ndim} axes for {len(names)} "
                 f"variables {list(names)}"
             )
+        cells = math.prod(size + 1 for size in probs.shape if size > 1)
+        if cells > MAX_TABLE_CELLS:
+            raise TensorTooLarge(
+                f"the entropy table of a joint pmf of shape {probs.shape} would take "
+                f"{cells} cells; the cap is {MAX_TABLE_CELLS}"
+            )
         _check_stochastic("joint pmf", probs)
         self._names = names
         self._probs = probs.copy()
         self._probs.flags.writeable = False
-        self._entropies: dict[frozenset, float] = {}
+        # The bit of each name in a set's table index, the first axis of
+        # more than one letter highest; a one-letter axis has none.
+        kept = [name for name, size in zip(names, probs.shape) if size > 1]
+        self._bits = dict.fromkeys(names, 0)
+        self._bits.update((name, 1 << bit) for bit, name in enumerate(reversed(kept)))
 
     def names(self) -> tuple[str, ...]:
         """Variable names in axis order."""
@@ -122,57 +147,75 @@ class JointPmf:
         """The read-only probability array; it cannot be rebound either."""
         return self._probs
 
+    @cached_property
+    def _table(self) -> list[float]:
+        return _entropy_table(self._probs)
+
+    def _mask(self, names) -> int:
+        """The table index of the set ``names``; a name the pmf lacks is
+        refused (:class:`UnknownVariable`, or :class:`InvalidParams` if it
+        is not a str)."""
+        try:
+            return sum(map(self._bits.__getitem__, names))
+        except KeyError:
+            unknown = set(names).difference(self._names)
+        read_names(unknown, "names")  # a name that is not a str is refused as such
+        raise UnknownVariable(
+            f"variables {sorted(unknown)} are not part of this pmf over {self._names}"
+        )
+
     def entropy(self, names: Iterable[str]) -> float:
         """Entropy in bits of the marginal on ``names`` (0 * log 0 = 0;
-        probabilities at or below :data:`ZERO_EPS` count as zeros).  Each set
-        is summed out once: the table is read-only, so the memo cannot go
-        stale.  ``names`` is read by :func:`~hdmarc.core.read_names`, a set's
-        only if it holds a name the pmf lacks (every name of the pmf is a
-        str); a str name not in the pmf raises :class:`UnknownVariable`."""
-        plain = isinstance(names, (set, frozenset))
-        key = frozenset(names if plain else read_names(names, "names"))
-        value = self._entropies.get(key)
-        if value is None:
-            flat = _marginal(self, key).ravel()
-            positive = flat[flat > ZERO_EPS]
-            # 0.0 - s: a lone positive cell sums to 0.0, which -s makes -0.0.
-            value = float(0.0 - (positive * np.log2(positive)).sum()) if positive.size else 0.0
-            self._entropies[key] = value
-        return value
+        probabilities at or below :data:`ZERO_EPS` count as zeros), read
+        from the pmf's entropy table.  ``names`` is read by
+        :func:`~hdmarc.core.read_names`, a set's only if it holds a name the
+        pmf lacks (every name of the pmf is a str); a str name not in the
+        pmf raises :class:`UnknownVariable`."""
+        if not isinstance(names, (set, frozenset)):
+            names = read_names(names, "names")
+        return self._table[self._mask(names)]
 
     def mutual_information(
         self, a: Iterable[str], b: Iterable[str], c: Iterable[str] = frozenset()
     ) -> float:
-        """I(A; B | C) = H(A,C) + H(B,C) - H(C) - H(A,B,C) in bits, from
-        :meth:`entropy`.  ``a``, ``b`` and ``c`` must be pairwise disjoint
-        (:class:`OverlappingSets` otherwise); an empty ``c`` gives the
-        unconditional I(A; B).  Sets are tested for overlap as they are;
-        any other collection is read by :func:`disjoint_sets`.  The value is
-        non-negative up to float round-off (no clamping is applied here)."""
+        """I(A; B | C) = H(A,C) + H(B,C) - H(C) - H(A,B,C) in bits, read
+        from the entropy table.  ``a``, ``b`` and ``c`` must be pairwise
+        disjoint (:class:`OverlappingSets` otherwise); an empty ``c`` gives
+        the unconditional I(A; B).  Sets are tested for overlap as they
+        are; any other collection is read by :func:`disjoint_sets`.  The
+        value is non-negative up to float round-off (no clamping is applied
+        here)."""
         sets = (set, frozenset)
         plain = isinstance(a, sets) and isinstance(b, sets) and isinstance(c, sets)
         if not plain or a & b or a & c or b & c:
             a, b, c = disjoint_sets(a, b, c)
-        return (
-            self.entropy(a | c)
-            + self.entropy(b | c)
-            - self.entropy(c)
-            - self.entropy(a | b | c)
-        )
+        h, mask = self._table, self._mask
+        ac, bc = mask(a | c), mask(b | c)
+        return h[ac] + h[bc] - h[mask(c)] - h[ac | bc]
 
 
-def _marginal(pmf: JointPmf, keep: set) -> np.ndarray:
-    """The probabilities of ``pmf`` with every variable not in ``keep``
-    summed out, surviving axes in their original order."""
-    names = pmf.names()
-    unknown = keep.difference(names)
-    if unknown:
-        read_names(unknown, "names")  # a name that is not a str is refused as such
-        raise UnknownVariable(
-            f"variables {sorted(unknown)} are not part of this pmf over {names}"
-        )
-    drop = tuple(i for i, name in enumerate(names) if name not in keep)
-    return pmf.probs.sum(axis=drop) if drop else pmf.probs
+def _entropy_table(probs: np.ndarray) -> list[float]:
+    """H(S) in bits for every subset S of the axes of ``probs``, indexed by
+    :meth:`JointPmf._mask`, from one vectorized pass.
+
+    Each axis of more than one letter gets one more slot that holds the
+    table summed over it, axis by axis, so the extended table holds every
+    marginal; a one-letter axis gets none, since summing it out changes
+    nothing.  p * log2 p is taken on every cell (0 at or below
+    :data:`ZERO_EPS`), then each axis' letters are summed into one "kept"
+    entry beside its slot.  0.0 - that sum is the entropy of each subset:
+    the 0.0 makes the entropy of a lone positive cell +0.0, not -0.0.
+    """
+    ext = probs.reshape([size for size in probs.shape if size > 1])
+    for axis in range(ext.ndim):
+        ext = np.concatenate((ext, ext.sum(axis=axis, keepdims=True)), axis=axis)
+    plogp = np.log2(ext, where=ext > ZERO_EPS, out=np.zeros_like(ext))
+    plogp *= ext
+    for axis, size in enumerate(ext.shape):
+        # Index 0 is then the letters summed (kept), 1 the slot (summed out).
+        plogp = np.add.reduceat(plogp, [0, size - 1], axis=axis)
+    # Reversed, the index of a set has the bit of each axis it keeps.
+    return (0.0 - plogp).ravel()[::-1].tolist()
 
 
 def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
@@ -182,8 +225,11 @@ def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
     that are not part of ``pmf`` raise :class:`UnknownVariable`.
     """
     keep = read_names(keep, "keep")
-    probs = _marginal(instance_of(pmf, JointPmf, "pmf"), keep)
-    return JointPmf(tuple(name for name in pmf.names() if name in keep), probs)
+    instance_of(pmf, JointPmf, "pmf")._mask(keep)  # refuses a name the pmf lacks
+    names = pmf.names()
+    drop = tuple(i for i, name in enumerate(names) if name not in keep)
+    probs = pmf.probs.sum(axis=drop) if drop else pmf.probs
+    return JointPmf(tuple(name for name in names if name in keep), probs)
 
 
 def entropy(pmf: JointPmf, names: Iterable[str]) -> float:
@@ -219,7 +265,7 @@ def _check_stochastic(name: str, table: np.ndarray, cond_axes: int = 0) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DmChannelSpec:
     """A finite-alphabet two-slot channel with a quantizing relay.
 
@@ -240,7 +286,7 @@ class DmChannelSpec:
     The tables are read-only, so a spec's joints never change:
     :meth:`joints` builds each on first use and keeps it with the spec.  A
     spec made by :func:`dataclasses.replace` is a new spec and builds its
-    own.
+    own; a spec equals, and hashes as, only itself.
     """
 
     px11: np.ndarray
@@ -300,9 +346,9 @@ class DmChannelSpec:
         """Destination ``k``'s slot-1 joint and the slot-2 joint
         (:func:`build_slot1_joint`, then :func:`build_slot2_joint`), each
         built on first use.  Every information term of destination ``k``
-        reads them, so each joint is built once and each marginal entropy
-        is summed out once (:meth:`JointPmf.entropy`).  ``k`` must be the
-        integer 1 or 2."""
+        reads them, so each joint is built once and computes the entropies
+        of all its marginals once (:meth:`JointPmf.entropy`).  ``k`` must
+        be the integer 1 or 2."""
         k = one_of(k, "destination index", (1, 2))
         slot1 = self._slot1_joints
         if k not in slot1:

@@ -46,6 +46,17 @@ def make_random_spec(rng, sizes=None):
     )
 
 
+def entropy_as_summed_per_set(pmf, names):
+    """The entropy of one marginal as ``JointPmf.entropy`` summed it before
+    its entropy table: numpy's sum over the dropped axes, the entries above
+    ZERO_EPS, 0.0 - (p * log2 p).sum() (the 0.0 makes the entropy of a lone
+    positive cell +0.0, not -0.0)."""
+    drop = tuple(i for i, name in enumerate(pmf.names()) if name not in names)
+    flat = (pmf.probs.sum(axis=drop) if drop else pmf.probs).ravel()
+    positive = flat[flat > hdmarc.dminfo.ZERO_EPS]
+    return float(0.0 - (positive * np.log2(positive)).sum()) if positive.size else 0.0
+
+
 def mi_ratio(pmf, a, b, c=()):
     """I(A; B | C) in bits via sum of p * log(p ratio), not entropies."""
     names = pmf.names()

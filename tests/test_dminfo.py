@@ -27,8 +27,10 @@ from hdmarc import (
 from hdmarc.cli import _load_json
 from hdmarc.dminfo import (
     MAX_CELLS,
+    MAX_TABLE_CELLS,
     SLOT1_VARS_BY_DESTINATION,
     SLOT2_VARS,
+    VAR_NAMES,
     ZERO_EPS,
     JointPmf,
     build_slot1_joint,
@@ -41,7 +43,12 @@ from hdmarc.dmregions import degenerate_relay_spec
 from hdmarc.oracle import build_covariance, gaussian_mi
 from hdmarc.verify import draw_dm_spec
 
-from _support import assert_same_bits, benchmark_params, make_random_spec as _random_spec
+from _support import (
+    assert_same_bits,
+    benchmark_params,
+    entropy_as_summed_per_set,
+    make_random_spec as _random_spec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -265,32 +272,130 @@ def test_mutual_information_properties_under_fuzz():
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_repeated_mutual_informations_on_one_pmf_sum_each_marginal_once(monkeypatch):
-    summed = []
+def test_repeated_mutual_informations_on_one_pmf_build_its_table_once(monkeypatch):
+    built = []
 
-    def recording(pmf, keep):
-        summed.append(frozenset(keep))
-        return marginal(pmf, keep)
+    def recording(probs):
+        built.append(probs)
+        return table(probs)
 
-    marginal = hdmarc.dminfo._marginal
-    monkeypatch.setattr(hdmarc.dminfo, "_marginal", recording)
+    table = hdmarc.dminfo._entropy_table
+    monkeypatch.setattr(hdmarc.dminfo, "_entropy_table", recording)
     joint = build_slot1_joint(_random_spec(np.random.default_rng(12)), 1)
-    # The first two need 8 distinct entropies; I(X11, X21; Y11) reads only
-    # sets they summed: H(X11, X21), H(Y11), H() and H(X11, X21, Y11).
+    assert built == []  # nothing is computed before the first lookup
     triples = [
         (("X11",), ("Y11",), ()),
         (("X11",), ("Y11",), ("X21",)),
         (("X11", "X21"), ("Y11",), ()),
     ]
     first = [mutual_information(joint, *triple) for triple in triples]
-    once = len(summed)
     again = [mutual_information(joint, *triple) for triple in triples]
     assert_same_bits(again, first)
-    assert len(summed) == once == len(set(summed)) == 8
-    # A fresh pmf of the same table sums its own marginals, to the same bits.
+    assert len(built) == 1 and built[0] is joint.probs
+    # Each is the four entropies of its sets, read from the same table.
+    h = joint.entropy
+    assert_same_bits(
+        [h({*a, *c}) + h({*b, *c}) - h(set(c)) - h({*a, *b, *c}) for a, b, c in triples], first
+    )
+    assert len(built) == 1
+    # A fresh pmf of the same table builds its own, to the same bits.
     fresh = JointPmf(joint.names(), joint.probs)
     assert_same_bits([mutual_information(fresh, *triple) for triple in triples], first)
-    assert len(summed) == 2 * once
+    assert len(built) == 2
+
+
+def _assert_every_subset_matches_the_per_set_sums(pmf):
+    """Each subset's entropy, read from the table, lies within 1e-14 bits of
+    the same marginal summed on its own; an entropy of 0 is +0.0 on both."""
+    names = pmf.names()
+    for size in range(len(names) + 1):
+        for subset in combinations(names, size):
+            value, want = pmf.entropy(set(subset)), entropy_as_summed_per_set(pmf, subset)
+            assert abs(value - want) <= 1e-14, (subset, value, want)
+            assert value != 0.0 or math.copysign(1.0, value) == 1.0, subset
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [{"yhr": 1}, {"x21": 1, "y21": 1, "x22": 1}, {"yr": 1, "y11": 1, "xr": 1, "y12": 1},
+     {"x11": 3, "yr": 4, "y11": 1, "y22": 1}],
+)
+def test_the_table_of_a_slot_joint_with_one_letter_axes_holds_every_subset(sizes):
+    spec = _random_spec(np.random.default_rng(61), sizes)
+    joints = (*spec.joints(1), spec.joints(2)[0])
+    assert any(1 in joint.probs.shape for joint in joints)
+    for joint in joints:
+        _assert_every_subset_matches_the_per_set_sums(joint)
+
+
+def test_the_table_drops_cells_and_marginals_at_zero_eps_and_keeps_those_above():
+    above = np.nextafter(ZERO_EPS, 1.0)
+    probs = np.zeros((2, 2, 2))
+    # Row x = 1 holds tiny cells: two halves of ZERO_EPS, whose marginal over
+    # YR is ZERO_EPS exactly, and a cell just above ZERO_EPS beside one at it.
+    probs[1] = [[ZERO_EPS / 2, ZERO_EPS / 2], [above, ZERO_EPS]]
+    probs[0] = np.random.default_rng(62).dirichlet(np.ones(4)).reshape(2, 2) * (1 - probs[1].sum())
+    pmf = JointPmf(("X11", "Y11", "YR"), probs)
+    _assert_every_subset_matches_the_per_set_sums(pmf)
+    # What is dropped shows: the cell above ZERO_EPS counts, the one at it not.
+    kept = probs[0].ravel().tolist() + [above]
+    assert pmf.entropy({"X11", "Y11", "YR"}) == pytest.approx(
+        -sum(p * math.log2(p) for p in kept), abs=1e-15
+    )
+
+
+def test_the_table_of_a_lone_positive_cell_is_positive_zero_on_every_subset():
+    probs = np.zeros((2, 3, 1, 2))
+    probs[1, 2, 0, 0] = 1.0
+    pmf = JointPmf(("X11", "YR", "YhR", "Y11"), probs)
+    _assert_every_subset_matches_the_per_set_sums(pmf)
+    values = [pmf.entropy(set(s)) for n in range(5) for s in combinations(pmf.names(), n)]
+    values.append(pmf.mutual_information({"X11"}, {"YR"}, {"Y11"}))
+    assert [math.copysign(1.0, value) for value in values] == [1.0] * 17
+    assert values == [0.0] * 17
+
+
+def test_the_table_of_one_axis_and_of_all_eleven_axes():
+    _assert_every_subset_matches_the_per_set_sums(JointPmf(("XR",), [0.2, 0.3, 0.5]))
+    _assert_every_subset_matches_the_per_set_sums(JointPmf(("XR",), [1.0]))
+    shape = (2, 3, 1, 2, 2, 2, 1, 2, 3, 2, 2)
+    probs = np.random.default_rng(63).dirichlet(np.ones(math.prod(shape))).reshape(shape)
+    pmf = JointPmf(sorted(VAR_NAMES), probs)
+    _assert_every_subset_matches_the_per_set_sums(pmf)
+
+
+def test_a_pmf_whose_entropy_table_would_pass_the_cap_is_refused():
+    # prod(size + 1) over the axes of more than one letter: 4**9 * 8 is the
+    # cap itself, 4**9 * 9 is past it; both hold far fewer than MAX_CELLS.
+    names = sorted(VAR_NAMES)[:10]
+    at_cap = (3,) * 9 + (7,)
+    assert math.prod(size + 1 for size in at_cap) == MAX_TABLE_CELLS
+    JointPmf(names, np.full(at_cap, 1.0 / math.prod(at_cap)))
+    past = (3,) * 9 + (8,)
+    with pytest.raises(TensorTooLarge, match="entropy table .* the cap is 2097152$"):
+        JointPmf(names, np.full(past, 1.0 / math.prod(past)))
+    # Eleven axes at MAX_CELLS would take 3**10 * 257 = 15.2 million cells.
+    near = (2,) * 10 + (256,)
+    assert math.prod(near) == MAX_CELLS
+    with pytest.raises(TensorTooLarge, match="entropy table"):
+        JointPmf(sorted(VAR_NAMES), np.full(near, 1.0 / MAX_CELLS))
+
+
+def test_the_largest_slot_joint_under_the_cell_cap_builds_its_table():
+    # Four binary axes and a 16384-letter quantizer: 2**18 cells, and the
+    # most table cells a five-axis joint under MAX_CELLS can need.
+    spec = _random_spec(np.random.default_rng(64), {"yr": 2, "y21": 1, "yhr": 16384})
+    joint = spec.joints(1)[0]
+    assert joint.probs.shape == (2, 2, 2, 2, 16384) and joint.probs.size == MAX_CELLS
+    assert math.prod(size + 1 for size in joint.probs.shape) == 1327185 <= MAX_TABLE_CELLS
+    _assert_every_subset_matches_the_per_set_sums(joint)
+
+
+def test_a_spec_equals_and_hashes_as_itself_only():
+    spec = _random_spec(np.random.default_rng(65))
+    twin = replace(spec)
+    assert spec == spec and spec != twin
+    assert len({spec, twin, spec}) == 2 and hash(spec) == hash(spec)
 
 
 def _exact_entropies(pmf, mpmath):

@@ -15,7 +15,6 @@ from hdmarc.core import clamp_bounds, rate_region, validate_beta
 from hdmarc.dminfo import (
     MAX_CELLS,
     SLOT2_VARS,
-    ZERO_EPS,
     JointPmf,
     build_slot1_joint,
     build_slot2_joint,
@@ -42,6 +41,7 @@ from _support import (
     MIXED_CF_SEED,
     assert_same_bits,
     count_joint_builds,
+    entropy_as_summed_per_set,
     make_random_spec,
     mi_ratio,
 )
@@ -140,26 +140,16 @@ def test_region_terms_destinations():
     assert destinations(gqf_region_marc(spec, validate_beta(0.5))) == (1,)
 
 
-def _entropy_as_summed_before_the_memo(pmf, names):
-    """The entropy arithmetic the memo replaced: numpy's sum over the
-    dropped axes, the entries above ZERO_EPS, 0.0 - (p * log2 p).sum()
-    (the 0.0 makes the entropy of a lone positive cell +0.0, not -0.0)."""
-    drop = tuple(i for i, name in enumerate(pmf.names()) if name not in names)
-    flat = (pmf.probs.sum(axis=drop) if drop else pmf.probs).ravel()
-    positive = flat[flat > ZERO_EPS]
-    return float(0.0 - (positive * np.log2(positive)).sum()) if positive.size else 0.0
-
-
-def test_entropy_memo_matches_public_entropy_bit_for_bit(monkeypatch):
+def test_entropy_table_matches_public_entropy_and_the_per_set_sums(monkeypatch):
     seen = []
-    memoized = JointPmf.entropy
+    tabled = JointPmf.mutual_information
 
-    def recording(pmf, names):
-        value = memoized(pmf, names)
-        seen.append((pmf, frozenset(names), value))
+    def recording(pmf, a, b, c=frozenset()):
+        value = tabled(pmf, a, b, c)
+        seen.append((pmf, frozenset(a), frozenset(b), frozenset(c), value))
         return value
 
-    monkeypatch.setattr(JointPmf, "entropy", recording)
+    monkeypatch.setattr(JointPmf, "mutual_information", recording)
     rng = np.random.default_rng(53)
     for sizes in ({}, {"yhr": 1}, {"y21": 1, "y22": 1}, {"yr": 4, "y12": 1}):
         spec = make_random_spec(rng, sizes)
@@ -167,10 +157,16 @@ def test_entropy_memo_matches_public_entropy_bit_for_bit(monkeypatch):
             slot_terms(source, (1, 2))
     monkeypatch.undo()
     # Every variable set the slot terms use, on both joints of every spec.
-    assert len({(id(pmf), names) for pmf, names, _ in seen}) > 8 * 20
-    for pmf, names, value in seen:
-        want = repr(_entropy_as_summed_before_the_memo(pmf, names))
-        assert repr(value) == repr(entropy(pmf, names)) == want, sorted(names)
+    sets = {(pmf, names) for pmf, a, b, c, _ in seen for names in (a | c, b | c, c, a | b | c)}
+    assert len(sets) > 8 * 20
+    for pmf, names in sets:
+        value = pmf.entropy(names)
+        assert repr(value) == repr(entropy(pmf, names)), sorted(names)
+        assert abs(value - entropy_as_summed_per_set(pmf, names)) <= 1e-14, sorted(names)
+    # Each mutual information is its four entropies, bit for bit.
+    for pmf, a, b, c, value in seen:
+        h = pmf.entropy
+        assert repr(value) == repr(h(a | c) + h(b | c) - h(c) - h(a | b | c))
 
 
 def _exact_integers(table):

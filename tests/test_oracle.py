@@ -628,14 +628,14 @@ def test_ru_sweep_refuses_a_channel_where_no_destination_hears():
 
 def test_dm_regions_draw_builds_each_slot_joint_once(monkeypatch):
     calls = count_joint_builds(monkeypatch)
-    summed = []
+    built = []
 
-    def recording(pmf, keep):
-        summed.append((id(pmf), frozenset(keep)))
-        return marginal(pmf, keep)
+    def recording(probs):
+        built.append(probs)
+        return table(probs)
 
-    marginal = hdmarc.dminfo._marginal
-    monkeypatch.setattr(hdmarc.dminfo, "_marginal", recording)
+    table = hdmarc.dminfo._entropy_table
+    monkeypatch.setattr(hdmarc.dminfo, "_entropy_table", recording)
     # One production call for both topologies and one oracle call, both
     # reading the spec's joints: one slot-1 joint per destination, one
     # slot-2 joint.
@@ -646,8 +646,9 @@ def test_dm_regions_draw_builds_each_slot_joint_once(monkeypatch):
     }
     (spec, destination), other = calls["build_slot1_joint"]
     assert (destination, other) == (1, (spec, 2)) and calls["build_slot2_joint"] == [spec]
-    # Each marginal entropy of the draw is summed out once.
-    assert len(summed) == len(set(summed)) > 40
+    # Each joint of the draw builds its entropy table once.
+    joints = (*spec.joints(1), spec.joints(2)[0])
+    assert sorted(map(id, built)) == sorted(id(joint.probs) for joint in joints)
 
 
 _INDEXED = {

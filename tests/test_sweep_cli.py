@@ -89,9 +89,9 @@ SHIPPED_GP_SHA256 = {
 VERIFY_REPORT_SHA256 = {
     ("closed-forms", 0): "1675720a3430921cb4a97cb6a8811fc5d7ded21641c11881e64f7188e8661a4a",
     ("closed-forms", 2007): "14c283741cbed9397d0e015eec679f496aad9893a4633d2cebfae4c62c170963",
-    ("dm-regions", 0): "0b4c7f19dcefb5c44bcee0ed0de55a4d5970e4d94c762ddbca17fc6c4f2c75f1",
-    ("dm-regions", 2007): "6550f73a20b552b9d5830bb2adbd89b28033a282531258a40a313716601be4ac",
-    ("reductions", 0): "51bf6a9f5de8657ac9ef7681a75ea876464b1911480110f7c9d2d24db8ac4318",
+    ("dm-regions", 0): "14a4b2f61b3c9d1aee045440667385836d59a16e641415260978865eeab91082",
+    ("dm-regions", 2007): "dcb02543807f5dd174d6d9d2667efa4ea5b8855def78ae30c8438ee13fa1db70",
+    ("reductions", 0): "2f99f979f60339ace67e0d0756277cc54831c8acaaff36a42b12829b5969f3b1",
     ("reductions", 2007): "a9cb783fc6b141d664783570546cf0533078f55eca5123f818e48015f83a8828",
 }
 
@@ -101,12 +101,12 @@ REGION_SHA256 = (
     "0f07296fbb92689cdd9674bff255efa23517fcde829575c838405ecd924794dd",
     "2ca4608f671b0a8e4ff5b6b6ac5e8c1eafd4d1d9028b11b79e02444758a7e2f6",
     "340b5e401925993dd7cdc519a994793f682e03b9413c50808a86b252ee3e4a95",
-    "50b54dc9550c98e43c3aed94961f2188fd585071ec2c9c111ee5dcac0ef09041",
-    "7b98f87eff67ccc0f0514696e0a02d3a0c09f180af3e2d76bf20722405e33acd",
-    "b00744c6812521277338526b93eddab4221b3f3139a8ec487a78aa97da1618d6",
-    "ebbf49af38de577fc8c983168d17cf337f03d7fe659b37baf4051c77947b1823",
-    "49731cc2686685d0112f23c7efa45f7cb96a4e189704887a37e790a7444a02ea",
-    "7f8091c66eeb41d09a73c4423fc7c4bdf2c0c3c80a066a5b044873a0ed12da03",
+    "a631b1982d8e03280f939ebd9f838900f5e27662d5dc00d1f11597aa15abf864",
+    "520623d31e7769bb5423f79d1b1af06977433a96e9f00c55ebefd873eb08e858",
+    "7166ac54bf6a2f6b1cce42a2d25d8871be73b61c22c78df5145dd6680c28ba58",
+    "a0935ec11ba6ad18494d34c8bbfbf4d214eeb175cfd9f8d5ec07da3f44387d2e",
+    "9fe055f8201c3d4d5dcb7a9df13b155c87873f442ff9bba0a995767b4e4d6ac2",
+    "ab13e744ad357d5851113f74d622449a0d213e0e5f89844e44ade14ac147803a",
 )
 
 #: The public single-point DM region functions, by topology and scheme.
