@@ -1,7 +1,8 @@
 """Shared domain types and input checks: errors, slot fractions, scheme tags,
 rate regions, and the gates for numbers, numeric arrays, open intervals,
 config documents, fixed choices, counts, collections, model objects and
-file paths, and the one writer of an output file.
+file paths, the one writer of an output file, and the two rules both
+models build their bounds by: :func:`two_slot` and :func:`gqf_bounds`.
 
 Every quantity in this package is a rate in bits per channel use.  A
 "region" here is the triple of single-user bounds plus the sum bound that
@@ -15,9 +16,11 @@ from __future__ import annotations
 import enum
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
-from typing import Any, Callable, Mapping, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -200,10 +203,12 @@ def validate_beta(beta, allow_array: bool = True):
 def read_collection(values, label: str, check: Callable, kind: type = tuple):
     """``values`` read once, as a ``kind`` of what the gate ``check``
     returns for each element, so a generator works.  One that is not
-    iterable, and a set read into an ordered ``kind`` (a tuple or list:
-    a set's order changes with the hash seed), raise :class:`InvalidParams`
-    naming the argument ``label``; ``check`` raises for an element it
-    refuses."""
+    iterable, a mapping (which iterates over its keys, not its values), and
+    a set read into an ordered ``kind`` (a tuple or list: a set's order
+    changes with the hash seed), raise :class:`InvalidParams` naming the
+    argument ``label``; ``check`` raises for an element it refuses."""
+    if isinstance(values, Mapping):
+        raise InvalidParams(f"{label} must not be a mapping, got a {type(values).__name__}")
     if kind is not set and isinstance(values, (set, frozenset)):
         raise InvalidParams(f"{label} must be in order, got a {type(values).__name__}")
     try:
@@ -360,6 +365,16 @@ class Bounds(NamedTuple):
     feasible: Any
     sigma: Any
     terms: dict
+
+
+def gqf_bounds(terms: dict, branches: tuple, sigma=None) -> Bounds:
+    """The GQF bounds, always feasible, at variance(s) ``sigma`` (trusted
+    inputs): r1, r2 and the sum are each the smallest of the ``terms``
+    (floats or arrays) named in its entry of ``branches``, both decoding
+    branches at every destination; ``terms`` keeps the named ones, in order."""
+    named = set(chain.from_iterable(branches))
+    r1, r2, rsum = (reduce(np.minimum, map(terms.__getitem__, names)) for names in branches)
+    return Bounds(r1, r2, rsum, True, sigma, {n: v for n, v in terms.items() if n in named})
 
 
 def _scalar(value):

@@ -25,15 +25,18 @@ destination's slot-1 joint and S2 one of the slot-2 joint.
 :func:`slot_terms` computes the (S1, S2) pairs of a spec once, and
 :func:`dm_regions` evaluates every scheme at every beta from them into a
 :class:`~hdmarc.core.Bounds` per scheme, like the Gaussian closed forms,
-for one topology or both from the same pairs.  A whole sweep thus builds
-one slot-1 joint per destination and one slot-2 joint per spec (and as
-many for the relay-silenced spec, when that is needed).
+for one topology or both from the same pairs.
+:func:`~hdmarc.core.gqf_bounds` reduces the GQF terms that
+:func:`branches` names, as it does the Gaussian ones; CF reads the same
+table.  A whole sweep thus builds one slot-1 joint per destination and one
+slot-2 joint per spec (and as many for the relay-silenced spec, when that
+is needed).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +46,7 @@ from .core import (
     InvalidParams,
     RateRegion,
     SchemeId,
+    gqf_bounds,
     instance_of,
     one_of,
     rate_region,
@@ -135,31 +139,13 @@ def active_destinations(spec: DmChannelSpec) -> tuple[int, ...]:
     return ks
 
 
-def _worst(terms: dict, ks: tuple[int, ...], *names: str):
-    """The smallest of the named terms (``{k}`` filled in) over ``ks``."""
-    return reduce(np.minimum, (terms[name.format(k=k)] for k in ks for name in names))
-
-
-#: The bound terms of destination ``{k}``, in the order :func:`slot_terms`
-#: makes them; the binning-test sides are not bounds.
-_BOUND_TERMS = ("a_{k}(1)", "b_{k}(1)", "a_{k}(2)", "b_{k}(2)", "c_{k}", "d_{k}")
-
-
-def _bound_terms(terms: dict, ks: tuple[int, ...]) -> dict:
-    """The bound terms of the destinations ``ks``."""
-    names = [name.format(k=k) for k in ks for name in _BOUND_TERMS]
-    return {name: terms[name] for name in names}
-
-
-def _gqf_bounds(terms: dict, ks: tuple[int, ...]) -> Bounds:
-    return Bounds(
-        _worst(terms, ks, "a_{k}(1)", "b_{k}(1)"),
-        _worst(terms, ks, "a_{k}(2)", "b_{k}(2)"),
-        _worst(terms, ks, "c_{k}", "d_{k}"),
-        True,
-        None,
-        _bound_terms(terms, ks),
-    )
+@cache
+def branches(ks: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
+    """The :func:`slot_terms` bounding r1, r2 and the sum at the destinations
+    ``ks`` (:func:`~hdmarc.core.gqf_bounds`), built once per ``ks``: at each
+    in turn the quantization index decoded, then treated as noise."""
+    pairs = (("a_{k}(1)", "b_{k}(1)"), ("a_{k}(2)", "b_{k}(2)"), ("c_{k}", "d_{k}"))
+    return tuple(tuple(name.format(k=k) for k in ks for name in pair) for pair in pairs)
 
 
 def dm_regions(
@@ -209,26 +195,27 @@ def dm_regions(
         return built[silenced]
 
     def cf(ks: tuple[int, ...]) -> Bounds:
-        relay = terms(False)
+        relay, table = terms(False), branches(ks)
         # Worst cases over the destinations of both sides of the binning test.
         lhs = reduce(np.maximum, (relay[f"cf_lhs_{k}"] for k in ks))
-        rhs = _worst(relay, ks, "cf_rhs_{k}")
+        rhs = reduce(np.minimum, (relay[f"cf_rhs_{k}"] for k in ks))
         feasible = (rhs - lhs) > CF_MARGIN
-        out = dict(_bound_terms(relay, ks), cf_lhs=lhs, cf_rhs=rhs)
-        bounds = [_worst(relay, ks, name) for name in ("a_{k}(1)", "a_{k}(2)", "c_{k}")]
+        out = dict(gqf_bounds(relay, table).terms, cf_lhs=lhs, cf_rhs=rhs)
+        # The worst over the destinations of each bound's index-decoded branch.
+        bounds = gqf_bounds(relay, tuple(names[::2] for names in table))[:3]
         if not np.all(feasible):
             # Binning fails: the destinations cannot recover the quantization
             # index, so the relay is silenced and the plain two-slot region
             # is reported there.
-            silenced = _gqf_bounds(terms(True), ks)
+            silenced = gqf_bounds(terms(True), table)
             bounds = [np.where(feasible, *pair) for pair in zip(bounds, silenced[:3])]
             out.update({f"no_relay_{name}": v for name, v in silenced.terms.items()})
         return Bounds(*bounds, feasible, None, out)
 
     table = {
-        SchemeId.GQF: lambda ks: _gqf_bounds(terms(False), ks),
+        SchemeId.GQF: lambda ks: gqf_bounds(terms(False), branches(ks)),
         SchemeId.CF: cf,
-        SchemeId.NO_RELAY: lambda ks: _gqf_bounds(terms(True), ks),
+        SchemeId.NO_RELAY: lambda ks: gqf_bounds(terms(True), branches(ks)),
     }
     return {
         topology: {scheme: table[scheme](ks) for scheme in schemes}

@@ -18,6 +18,8 @@ All rates are in bits per channel use.  Formula shape notes:
 
 The formulas are written once, in the private ``_rate_terms`` and
 ``_sigma_threshold``, over floats or numpy arrays of (beta, sigma_q2).
+:func:`~hdmarc.core.gqf_bounds` reduces the GQF terms that :data:`BRANCHES`
+names, as it does the finite-alphabet ones; CF reads the same table.
 :func:`gaussian_regions` is the one array entry: it checks ``beta`` and
 ``sigma_q2`` once and the helpers behind it trust them.  The single-point
 entries reach the same formulas, so they and whole-grid sweeps agree bit
@@ -41,6 +43,7 @@ from .core import (
     RateRegion,
     SchemeId,
     clamp_bounds,
+    gqf_bounds,
     instance_of,
     one_of,
     open_interval,
@@ -72,6 +75,10 @@ DEAD_LINK_SIGMA = 1e30
 
 #: Smallest positive normal float64; a threshold below it has lost digits.
 _TINY = float(np.finfo(np.float64).tiny)
+
+#: The terms bounding r1, r2 and the sum (:func:`~hdmarc.core.gqf_bounds`):
+#: in each pair the quantization index decoded, then treated as noise.
+BRANCHES = (("a(1)", "b(1)"), ("a(2)", "b(2)"), ("I1", "I2"))
 
 
 @dataclass(frozen=True)
@@ -261,21 +268,13 @@ def _gqf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
             sigma_q2 = _sigma_threshold(params, beta)
         else:
             sigma_q2 = np.full(np.shape(beta), DEAD_LINK_SIGMA)
-    terms = _rate_terms(params, beta, sigma_q2)
-    return Bounds(
-        np.minimum(terms["a(1)"], terms["b(1)"]),
-        np.minimum(terms["a(2)"], terms["b(2)"]),
-        np.minimum(terms["I1"], terms["I2"]),
-        True,
-        sigma_q2,
-        terms,
-    )
+    return gqf_bounds(_rate_terms(params, beta, sigma_q2), BRANCHES, sigma_q2)
 
 
 def _cf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
-    """CF bounds at each checked ``(beta, sigma_q2)``.  The dead-link
-    fallback is the index-as-noise branches b(1), b(2), I2 in the limit
-    sigma_q2 -> infinity."""
+    """CF bounds at each checked ``(beta, sigma_q2)``: the index-decoded
+    branches of :data:`BRANCHES`.  The dead-link fallback is their
+    index-as-noise branches in the limit sigma_q2 -> infinity."""
     try:
         sigma_min = _sigma_threshold(params, beta)
     except DegenerateRelayLink:
@@ -283,15 +282,15 @@ def _cf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
             sigma_q2 = np.ones(np.shape(beta))
         t = _rate_terms(params, beta, DEAD_LINK_SIGMA)
         terms = {"sigma_min": math.inf, "degenerate_relay_link": 1.0}
-        return Bounds(t["b(1)"], t["b(2)"], t["I2"], False, sigma_q2, terms)
+        return Bounds(*(t[noise] for _, noise in BRANCHES), False, sigma_q2, terms)
     if sigma_q2 is None:
         sigma_q2 = sigma_min * (1.0 + CF_SIGMA_NUDGE)
     feasible = sigma_q2 > sigma_min
     used = np.where(feasible, sigma_q2, sigma_min)
     t = _rate_terms(params, beta, used)
-    terms = {"a(1)": t["a(1)"], "a(2)": t["a(2)"], "I1": t["I1"]}
-    terms.update(sigma_min=sigma_min, sigma_used=used)
-    return Bounds(t["a(1)"], t["a(2)"], t["I1"], feasible, sigma_q2, terms)
+    decoded = {name: t[name] for name, _ in BRANCHES}
+    terms = dict(decoded, sigma_min=sigma_min, sigma_used=used)
+    return Bounds(*decoded.values(), feasible, sigma_q2, terms)
 
 
 def _point(params: GaussianMarcParams, scheme: SchemeId) -> RateRegion:

@@ -299,11 +299,16 @@ def evaluate(config: Union[SweepConfig, RegionConfig]) -> dict[SchemeId, Bounds]
     is evaluated at its one point: a Gaussian channel's ``beta`` and
     ``sigma_q2`` (None: each scheme's own choice), or a finite-alphabet
     channel at the config's ``beta``.  The channel's type picks the model
-    entry.  A channel of neither type, a Gaussian one with a ``topology``
-    other than "marc" or in a region with its own ``beta``, and a
-    finite-alphabet one with ``no_relay`` powers raise ``InvalidParams``.
+    entry.  A config that lists no scheme, a channel of neither type, a
+    Gaussian one with a ``topology`` other than "marc" or in a region with
+    its own ``beta``, and a finite-alphabet one with ``no_relay`` powers
+    raise ``InvalidParams``.
     """
     instance_of(config, (SweepConfig, RegionConfig), "config")
+    schemes = read_schemes(config.schemes)
+    if not schemes:
+        kind = "sweep" if isinstance(config, SweepConfig) else "region"
+        raise InvalidParams(f"a {kind} needs at least one scheme")
     channel = instance_of(config.channel, (GaussianMarcParams, DmChannelSpec), "channel")
     if isinstance(config, SweepConfig):
         grid = np.asarray(instance_of(config.grid, GridSpec, "grid").values())
@@ -321,9 +326,9 @@ def evaluate(config: Union[SweepConfig, RegionConfig]) -> dict[SchemeId, Bounds]
     if isinstance(channel, DmChannelSpec):
         if config.no_relay is not None:
             raise InvalidParams("no_relay powers apply to a Gaussian channel only")
-        return dm_regions(channel, (config.topology,), config.schemes, beta)[config.topology]
+        return dm_regions(channel, (config.topology,), schemes, beta)[config.topology]
     one_of(config.topology, "the topology of a Gaussian channel", ("marc",))
-    return gaussian_regions(channel, config.schemes, beta, sigma_q2, config.no_relay)
+    return gaussian_regions(channel, schemes, beta, sigma_q2, config.no_relay)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Tests for shared domain types: slot fractions, scheme tags, region
-clamping, and the gates for fixed choices, counts and model objects."""
+clamping, the GQF reduction, and the gates for fixed choices, counts,
+collections and model objects."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hdmarc import (
 from hdmarc.core import (
     clamp_bounds,
     clamp_region,
+    gqf_bounds,
     instance_of,
     integer,
     one_of,
@@ -30,8 +33,8 @@ from hdmarc.core import (
     validate_beta,
 )
 from hdmarc.dminfo import JointPmf
-from hdmarc.dmregions import active_destinations, dm_regions, slot_terms
-from hdmarc.gaussian import cf_operating_point, gaussian_regions
+from hdmarc.dmregions import active_destinations, branches, dm_regions, slot_terms
+from hdmarc.gaussian import BRANCHES, cf_operating_point, gaussian_regions
 from hdmarc.oracle import closed_forms_via_log_dets, single_source_gqf_branches
 
 from _support import benchmark_params, make_random_spec
@@ -394,3 +397,89 @@ def test_a_read_into_an_ordered_collection_refuses_a_set():
     assert read_collection([2, 1], "values", int, list) == [2, 1]
     assert read_collection({2, 1}, "values", int, set) == {1, 2}
     assert read_names(frozenset({"X11"}), "names") == {"X11"}
+
+
+def test_a_read_refuses_a_mapping():
+    # Iterating over a mapping yields its keys, so no mapping is read, with
+    # or without an order: {1.0: 5.0, 2.0: 7.0} as the baseline powers gave
+    # the MAC bounds at powers (1, 2), not (5, 7).
+    params = benchmark_params(sigma_q2=1.0)
+    spec = make_random_spec(np.random.default_rng(5))
+    joint = spec.joints(1)[0]
+    calls = {
+        "the NO_RELAY baseline powers": lambda: gaussian_regions(
+            params, (SchemeId.NO_RELAY,), 0.4, no_relay={1.0: 5.0, 2.0: 7.0}
+        ),
+        "schemes": lambda: gaussian_regions(params, {SchemeId.GQF: 1}, 0.5),
+        "topologies": lambda: dm_regions(spec, {"marc": 1}, (SchemeId.GQF,), 0.5),
+        "destination indices": lambda: slot_terms(spec, {1: 1, 2: 2}),
+        "names": lambda: joint.entropy({"X11": 1}),
+        "set A": lambda: joint.mutual_information({"X11": 1}, {"Y11"}),
+    }
+    for label, call in calls.items():
+        with pytest.raises(InvalidParams, match=f"^{label} must not be a mapping, got a dict$"):
+            call()
+    proxy = types.MappingProxyType({1: 2})
+    for kind in (tuple, list, set):
+        with pytest.raises(InvalidParams, match="^values must not be a mapping, got a mappingproxy"):
+            read_collection(proxy, "values", int, kind)
+
+
+#: Each reduction table, by name, and the terms its model builds, in order
+#: (the DM terms of both destinations, as for both topologies at once).
+_DM_TERMS = tuple(slot_terms(make_random_spec(np.random.default_rng(1)), (1, 2)))
+_TABLES = {
+    "gaussian": (BRANCHES, ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2")),
+    "dm (1,)": (branches((1,)), _DM_TERMS),
+    "dm (1, 2)": (branches((1, 2)), _DM_TERMS),
+}
+
+
+def _minimum_chain(terms: dict, names: tuple):
+    bound = terms[names[0]]
+    for name in names[1:]:
+        bound = np.minimum(bound, terms[name])
+    return bound
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+@pytest.mark.parametrize("shape", [None, (), (3,), (2, 3)], ids=["float", "0-d", "grid", "2-d grid"])
+def test_gqf_bounds_is_the_minimum_chain_of_each_bound_s_branches(table, shape):
+    names_per_bound, built = _TABLES[table]
+    rng = np.random.default_rng(7)
+    terms = {name: rng.normal(size=shape) for name in built}
+    if shape is None:
+        terms = {name: float(value) for name, value in terms.items()}
+    sigma = np.full(shape or (), 2.0)
+    bounds = gqf_bounds(terms, names_per_bound, sigma)
+    for got, names in zip(bounds[:3], names_per_bound):
+        want = _minimum_chain(terms, names)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert bounds.feasible is True and bounds.sigma is sigma
+    named = {name for names in names_per_bound for name in names}
+    assert list(bounds.terms) == [name for name in built if name in named]
+    assert all(bounds.terms[name] is terms[name] for name in named)
+
+
+def test_the_reduction_tables_name_each_destination_s_two_branches():
+    assert branches((1,)) == (("a_1(1)", "b_1(1)"), ("a_1(2)", "b_1(2)"), ("c_1", "d_1"))
+    assert branches((1, 2))[2] == ("c_1", "d_1", "c_2", "d_2")
+    assert branches((1, 2)) is branches((1, 2))  # built once per destinations
+    assert gqf_bounds({"x": 0.5}, (("x",),) * 3) == Bounds(0.5, 0.5, 0.5, True, None, {"x": 0.5})
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_a_nan_branch_gives_a_nan_bound_that_rate_region_refuses(table):
+    # A NaN term is a fault upstream: the bound it reaches must stay NaN,
+    # where a clamp would make it rate 0, so rate_region refuses it.
+    names_per_bound, built = _TABLES[table]
+    for bound, names in enumerate(names_per_bound):
+        for name in names:
+            terms = dict.fromkeys(built, 0.25)
+            terms[name] = math.nan
+            bounds = gqf_bounds(terms, names_per_bound)
+            assert [math.isnan(value) for value in bounds[:3]] == [i == bound for i in range(3)]
+            field = bounds._fields[bound]
+            with pytest.raises(InvalidParams, match=f"^bounds {field} must be finite, got nan$"):
+                rate_region(bounds)

@@ -6,7 +6,8 @@ against, independently of the formula code it checks.  ``verify`` draws
 channels, asks a model entry and the oracle, and records deviations; it
 holds no entropy or log-det arithmetic of its own.  ``tests/_known_answers``
 writes closed forms with ``math`` alone.  All are read from source with
-``ast``, so a name that is imported but not yet used fails too.
+``ast``, so a name that is imported but not yet used fails too.  Every
+other module of the package must use each name it imports.
 """
 
 import ast
@@ -52,6 +53,35 @@ def test_oracle_imports_only_the_channel_parameters_from_the_formula_layers():
     assert imports["gaussian"] == {"GaussianMarcParams"}
     for module in ("dmregions", "sweep", "verify", "cli", "hdmarc"):
         assert module not in imports, module
+
+
+def test_oracle_takes_no_bound_rule_from_core():
+    # The oracle's own minimum, worst case and slot mix are what verify
+    # checks the models' shared reduction and two_slot against.
+    imports = _imports("oracle")["core"]
+    assert not imports & {"gqf_bounds", "two_slot", "*"}, sorted(imports)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports (other than from ``__future__``) that it
+    never reads: ``a`` of ``import a.b``, the alias of ``import a as b``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_every_module_uses_every_name_it_imports():
+    # __init__.py imports to re-export.
+    modules = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+    assert len(modules) >= 8
+    unused = {path.name: names for path in modules if (names := _unused_imports(path))}
+    assert not unused
 
 
 def test_verify_imports_no_information_measure():

@@ -216,6 +216,7 @@ def _wrong_values() -> dict[str, object]:
         "'0.5'": "0.5",
         "[]": [],
         "{}": {},
+        "{1.5: 1.5, 2.0: 2.0}": {1.5: 1.5, 2.0: 2.0},
         "nan": math.nan,
         "inf": math.inf,
         "10**400": 10**400,

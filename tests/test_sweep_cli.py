@@ -1078,6 +1078,19 @@ def test_run_sweep_refuses_an_empty_scheme_list():
             run_sweep(replace(config, schemes=()))
 
 
+def test_evaluate_refuses_a_config_with_no_scheme():
+    # The parsers refuse an empty scheme list; a hand-built config gets the
+    # same answer from evaluate, not an empty dict.
+    for doc in (_gaussian_sweep_doc(), _dm_sweep_doc()):
+        config = replace(config_from_dict(doc), schemes=())
+        with pytest.raises(InvalidParams, match="^a sweep needs at least one scheme$"):
+            evaluate(config)
+    for doc in _region_docs():
+        config = replace(region_config_from_dict(doc), schemes=())
+        with pytest.raises(InvalidParams, match="^a region needs at least one scheme$"):
+            evaluate(config)
+
+
 @pytest.mark.parametrize("topology", ["cmacr", "bogus", None])
 def test_a_gaussian_channel_has_the_marc_topology_only(topology):
     sweep = config_from_dict(_gaussian_sweep_doc())
