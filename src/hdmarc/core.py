@@ -1,7 +1,8 @@
 """Shared domain types and input checks: errors, slot fractions, scheme tags,
 rate regions, and the gates for numbers, numeric arrays, open intervals,
 config documents, fixed choices, counts, collections, model objects and
-file paths, the one writer of an output file, and the two rules both
+file paths, the one writer of an output file, the one fallback of a
+chunk of draws that fails (:func:`run_chunk`), and the two rules both
 models build their bounds by: :func:`two_slot` and :func:`gqf_bounds`.
 
 Every quantity in this package is a rate in bits per channel use.  A
@@ -290,6 +291,20 @@ def read_schemes(schemes) -> tuple:
     if repeated:
         raise InvalidParams(f"schemes lists {', '.join(repeated)} more than once")
     return schemes
+
+
+def run_chunk(chunk: list, run: Callable[[list], Any]):
+    """``run(chunk)``, one run over a chunk of draws.  If it raises an
+    :class:`HdmarcError`, the draws before the last run alone first, in
+    order, so that the first draw that fails alone raises its own error,
+    as when each draw ran alone; if none does, the last draw is the only
+    one that fails, and this is its error."""
+    try:
+        return run(chunk)
+    except HdmarcError:
+        for draw in chunk[:-1]:
+            run([draw])
+        raise
 
 
 def two_slot(beta, s1, s2):

@@ -1,11 +1,18 @@
 """Exact information measures over finite-alphabet joint distributions.
 
-Joint pmfs are dense numpy tensors with one axis per named variable.
-On first use a pmf computes the entropy of every one of its marginals in
-one vectorized pass (:meth:`JointPmf.entropy`); every entropy and mutual
-information is then a lookup in that table.  This module is meant to be an
-exact reference for small alphabets, not an estimator, so tensors are
-capped at :data:`MAX_CELLS` cells, their entropy tables at
+Joint pmfs are dense numpy tensors with one axis per named variable.  The
+slot joints of a channel are built for many specs at once, stacked on a
+leading axis (:func:`build_slot1_joints`, :func:`build_slot2_joints`), and
+:func:`_entropy_tables` computes the entropy of every marginal of every
+joint of a stack in one vectorized pass; every entropy and mutual
+information is then a lookup in that table.  One spec is the stack of one:
+:class:`JointPmf` keeps its table on first use (:meth:`JointPmf.entropy`),
+and :func:`build_slot1_joint`, :func:`build_slot2_joint` and
+:meth:`DmChannelSpec.joints` give one spec's joints as pmfs.  Specs of
+different shapes share a stack by zero padding only where that leaves
+every bit as it is alone (:func:`_stack_positions`).  This module is meant
+to be an exact reference for small alphabets, not an estimator, so each
+joint is capped at :data:`MAX_CELLS` cells, its entropy table at
 :data:`MAX_TABLE_CELLS`, and anything larger is rejected with a clear
 error.
 
@@ -34,6 +41,7 @@ from .core import (
     document,
     instance_of,
     one_of,
+    read_collection,
     read_names,
     real_array,
 )
@@ -195,27 +203,8 @@ class JointPmf:
 
 
 def _entropy_table(probs: np.ndarray) -> list[float]:
-    """H(S) in bits for every subset S of the axes of ``probs``, indexed by
-    :meth:`JointPmf._mask`, from one vectorized pass.
-
-    Each axis of more than one letter gets one more slot that holds the
-    table summed over it, axis by axis, so the extended table holds every
-    marginal; a one-letter axis gets none, since summing it out changes
-    nothing.  p * log2 p is taken on every cell (0 at or below
-    :data:`ZERO_EPS`), then each axis' letters are summed into one "kept"
-    entry beside its slot.  0.0 - that sum is the entropy of each subset:
-    the 0.0 makes the entropy of a lone positive cell +0.0, not -0.0.
-    """
-    ext = probs.reshape([size for size in probs.shape if size > 1])
-    for axis in range(ext.ndim):
-        ext = np.concatenate((ext, ext.sum(axis=axis, keepdims=True)), axis=axis)
-    plogp = np.log2(ext, where=ext > ZERO_EPS, out=np.zeros_like(ext))
-    plogp *= ext
-    for axis, size in enumerate(ext.shape):
-        # Index 0 is then the letters summed (kept), 1 the slot (summed out).
-        plogp = np.add.reduceat(plogp, [0, size - 1], axis=axis)
-    # Reversed, the index of a set has the bit of each axis it keeps.
-    return (0.0 - plogp).ravel()[::-1].tolist()
+    """The :func:`_entropy_tables` row of one pmf, as floats."""
+    return _entropy_tables(probs[None])[0].tolist()
 
 
 def marginalize(pmf: JointPmf, keep: Iterable[str]) -> JointPmf:
@@ -362,43 +351,216 @@ class DmChannelSpec:
 
 def build_slot1_joint(spec: DmChannelSpec, k: int) -> JointPmf:
     """Destination ``k``'s joint pmf of ``(X11, X21, YR, Yk1, YhR)`` for
-    slot 1 (:data:`SLOT1_VARS_BY_DESTINATION`).
-
-    Assembled as p(x11) p(x21) p(yR, yk1 | x11, x21) p(yhR | yR), where
-    p(yR, yk1 | x11, x21) is ``slot1`` summed over the other destination's
-    output; the relay quantizes based on YR alone, which is exactly the
-    test-channel factorization above.  ``k`` must be the integer 1 or 2.
-    """
+    slot 1 (:data:`SLOT1_VARS_BY_DESTINATION`): the one-spec case of
+    :func:`build_slot1_joints`.  ``k`` must be the integer 1 or 2."""
     instance_of(spec, DmChannelSpec, "spec")
     k = one_of(k, "destination index", (1, 2))
-    # Yk1 is axis 2 + k of slot1, so the other destination's is 5 - k.
-    slot1 = spec.slot1.sum(axis=5 - k)
-    cells = slot1.size * spec.test_channel.shape[1]
-    if cells > MAX_CELLS:
-        raise TensorTooLarge(
-            f"slot-1 joint of destination {k} would hold {cells} cells; "
-            f"the cap is {MAX_CELLS}"
-        )
-    # One product per cell, no path search; the operand order is the one
-    # np.einsum(..., optimize=True) settles on, so the bits are the same.
-    tensor = np.einsum("rh,abru,b,a->abruh", spec.test_channel, slot1, spec.px21, spec.px11)
-    return JointPmf(SLOT1_VARS_BY_DESTINATION[k], tensor)
+    ((_, stack),) = build_slot1_joints((spec,), k)
+    return JointPmf(SLOT1_VARS_BY_DESTINATION[k], stack[0])
 
 
 def build_slot2_joint(spec: DmChannelSpec) -> JointPmf:
-    """Joint pmf of ``(X12, X22, XR, Y12, Y22)`` for slot 2.
+    """Joint pmf of ``(X12, X22, XR, Y12, Y22)`` for slot 2: the one-spec
+    case of :func:`build_slot2_joints`."""
+    ((_, stack),) = build_slot2_joints((instance_of(spec, DmChannelSpec, "spec"),))
+    return JointPmf(SLOT2_VARS, stack[0])
 
-    Assembled as p(x12) p(x22) p(xR) p(y12, y22 | x12, x22, xR); in slot 2
-    the relay input XR is an independent codebook symbol.
+
+#: Joints are zero-padded to share a stack only while every axis is shorter
+#: than this.  Below 8 letters numpy sums an axis in order, wherever the axis
+#: lies, so zeros appended to it leave every bit; from 8 on it sums in blocks
+#: whose layout depends on the axes after it, which padding a one-letter
+#: axis changes.
+PAD_BELOW = 8
+
+
+def build_slot1_joints(specs, k: int, silenced: bool = False) -> list:
+    """Destination ``k``'s slot-1 joints of ``specs``, over
+    :data:`SLOT1_VARS_BY_DESTINATION`, as stacks: a list of ``(positions in
+    specs, joints)``, the joints stacked on a leading axis
+    (:func:`_stack_positions`).
+
+    Each joint is p(x11) p(x21) p(yR, yk1 | x11, x21) p(yhR | yR), where
+    p(yR, yk1 | x11, x21) is ``slot1`` summed over the other destination's
+    output; the relay quantizes based on YR alone, which is exactly the
+    test-channel factorization of :class:`DmChannelSpec`.  ``silenced``
+    collapses the quantizer to one output (a test channel that is a column
+    of ones), as in the relay-silenced channel.  Each joint is checked on
+    its own (:func:`_joint_stacks`).  ``k`` must be the integer 1 or 2.
     """
-    cells = instance_of(spec, DmChannelSpec, "spec").slot2.size
-    if cells > MAX_CELLS:
-        raise TensorTooLarge(
-            f"slot-2 joint would hold {cells} cells; the cap is {MAX_CELLS}"
+    specs = _read_specs(specs)
+    k = one_of(k, "destination index", (1, 2))
+    instance_of(silenced, bool, "silenced")
+    # Yk1 is axis 2 + k of slot1, so the other destination's is 5 - k.
+    slot1 = [spec.slot1.sum(axis=5 - k) for spec in specs]
+    shapes = [
+        table.shape + (1 if silenced else spec.test_channel.shape[1],)
+        for table, spec in zip(slot1, specs)
+    ]
+
+    def build(positions, shape):
+        if silenced:
+            quantizer = np.ones((len(positions), shape[2], 1))
+        else:
+            quantizer = _padded([specs[i].test_channel for i in positions], (shape[2], shape[4]))
+        return _slot1_product(
+            quantizer,
+            _padded([slot1[i] for i in positions], shape[:4]),
+            _padded([specs[i].px21 for i in positions], shape[1:2]),
+            _padded([specs[i].px11 for i in positions], shape[:1]),
         )
-    # As in build_slot1_joint: the optimizer's operand order, no path search.
-    tensor = np.einsum("abcuv,c,b,a->abcuv", spec.slot2, spec.pxr, spec.px22, spec.px12)
-    return JointPmf(SLOT2_VARS, tensor)
+
+    return _joint_stacks(f"slot-1 joint of destination {k}", shapes, build)
+
+
+def build_slot2_joints(specs, silenced: bool = False) -> list:
+    """The slot-2 joints of ``specs``, over :data:`SLOT2_VARS`, as stacks
+    like :func:`build_slot1_joints`.
+
+    Each joint is p(x12) p(x22) p(xR) p(y12, y22 | x12, x22, xR); in slot 2
+    the relay input XR is an independent codebook symbol.  ``silenced``
+    pins XR to the first letter of its alphabet (a point mass), as in the
+    relay-silenced channel.
+    """
+    specs = _read_specs(specs)
+    instance_of(silenced, bool, "silenced")
+    shapes = [spec.slot2.shape for spec in specs]
+
+    def build(positions, shape):
+        pxr = _padded([specs[i].pxr for i in positions], shape[2:3])
+        if silenced:
+            pxr = np.zeros_like(pxr)
+            pxr[:, 0] = 1.0
+        return _slot2_product(
+            _padded([specs[i].slot2 for i in positions], shape),
+            pxr,
+            _padded([specs[i].px22 for i in positions], shape[1:2]),
+            _padded([specs[i].px12 for i in positions], shape[:1]),
+        )
+
+    return _joint_stacks("slot-2 joint", shapes, build)
+
+
+def _slot1_product(test_channel, slot1, px21, px11) -> np.ndarray:
+    """Slot-1 joints of a stack, one product per cell in the operand order
+    np.einsum(..., optimize=True) settles on, so the bits are the same:
+    ((p(yhR | yR) * p(yR, yk1 | x11, x21)) * p(x21)) * p(x11)."""
+    joint = test_channel[:, None, None, :, None, :] * slot1[..., None]
+    joint *= px21[:, None, :, None, None, None]
+    joint *= px11[:, :, None, None, None, None]
+    return joint
+
+
+def _slot2_product(slot2, pxr, px22, px12) -> np.ndarray:
+    """Slot-2 joints of a stack, as :func:`_slot1_product`:
+    ((p(y12, y22 | x12, x22, xR) * p(xR)) * p(x22)) * p(x12)."""
+    joint = slot2 * pxr[:, None, None, :, None, None]
+    joint *= px22[:, None, :, None, None, None]
+    joint *= px12[:, :, None, None, None, None]
+    return joint
+
+
+def _read_specs(specs) -> tuple:
+    """``specs``, read once, if each is a :class:`DmChannelSpec`."""
+    return read_collection(specs, "specs", lambda spec: instance_of(spec, DmChannelSpec, "spec"))
+
+
+def _padded(arrays: list, shape: tuple) -> np.ndarray:
+    """``arrays`` zero-padded to ``shape`` and stacked on a leading axis."""
+    if all(array.shape == shape for array in arrays):
+        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    stack = np.zeros((len(arrays), *shape))
+    for row, array in zip(stack, arrays):
+        row[tuple(map(slice, array.shape))] = array
+    return stack
+
+
+def _stack_positions(shapes) -> list[list[int]]:
+    """The positions of ``shapes``, the shapes of joints over the same
+    variables, grouped into stacks in order of first appearance.  A joint
+    with an axis of :data:`PAD_BELOW` letters or more shares a stack only
+    with joints of its own shape; all others share stacks, zero-padded to
+    the stack's longest alphabet on each axis.  A stack's entropy tables
+    take at most :data:`MAX_TABLE_CELLS` cells in all, unless it holds one
+    joint."""
+    groups: dict[tuple, list[int]] = {}
+    for position, shape in enumerate(shapes):
+        groups.setdefault(tuple(shape) if max(shape) >= PAD_BELOW else (), []).append(position)
+    stacks = []
+    for positions in groups.values():
+        longest = _longest(shapes, positions)
+        count = max(1, MAX_TABLE_CELLS // math.prod(size + 1 for size in longest if size > 1))
+        stacks += [positions[start : start + count] for start in range(0, len(positions), count)]
+    return stacks
+
+
+def _longest(shapes: list, positions: list[int]) -> tuple[int, ...]:
+    """The longest alphabet on each axis of the ``shapes`` at ``positions``."""
+    return tuple(map(max, *(shapes[i] for i in positions))) if len(positions) > 1 else shapes[positions[0]]
+
+
+def _joint_stacks(where: str, shapes: list, build) -> list:
+    """``[(positions, build(positions, shape))]`` for each of
+    :func:`_stack_positions`, ``shape`` the stack's longest alphabets.  First
+    each joint's ``shapes`` must pass :data:`MAX_CELLS` and
+    :data:`MAX_TABLE_CELLS` (:class:`TensorTooLarge`), then each built joint
+    must be a pmf (:class:`InvalidParams`), as a :class:`JointPmf` must; a
+    failure of one of several specs names its position in ``specs``."""
+
+    def label(position: int) -> str:
+        return where if len(shapes) == 1 else f"{where} of specs[{position}]"
+
+    for position, shape in enumerate(shapes):
+        cells = math.prod(shape)
+        if cells > MAX_CELLS:
+            raise TensorTooLarge(
+                f"{label(position)} would hold {cells} cells; the cap is {MAX_CELLS}"
+            )
+        cells = math.prod(size + 1 for size in shape if size > 1)
+        if cells > MAX_TABLE_CELLS:
+            raise TensorTooLarge(
+                f"the entropy table of {label(position)} would take {cells} cells; "
+                f"the cap is {MAX_TABLE_CELLS}"
+            )
+    stacks = []
+    for positions in _stack_positions(shapes):
+        joints = build(positions, _longest(shapes, positions))
+        flat = joints.reshape(len(positions), -1)
+        # Written so that NaN fails, as in _check_stochastic.
+        good = (flat.min(axis=1) >= 0.0) & (np.abs(flat.sum(axis=1) - 1.0) <= NORM_TOL)
+        if not good.all():
+            row = int(np.argmin(good))
+            _check_stochastic(label(positions[row]), joints[row])
+        stacks.append((positions, joints))
+    return stacks
+
+
+def _entropy_tables(stack: np.ndarray) -> np.ndarray:
+    """H(S) in bits for every subset S of the variable axes of each pmf of
+    ``stack`` (a leading axis over pmfs), one row per pmf, indexed like
+    :meth:`JointPmf._mask`, from one vectorized pass over the stack.
+
+    Each axis of more than one letter gets one more slot that holds the
+    table summed over it, axis by axis, so the extended table holds every
+    marginal; a one-letter axis gets none, since summing it out changes
+    nothing.  p * log2 p is taken on every cell (0 at or below
+    :data:`ZERO_EPS`), then each axis' letters are summed into one "kept"
+    entry beside its slot.  0.0 - that sum is the entropy of each subset:
+    the 0.0 makes the entropy of a lone positive cell +0.0, not -0.0.  On
+    a stack of :func:`_stack_positions` each row has the bits of its pmf
+    alone, zero-padded letters included.
+    """
+    count = len(stack)
+    ext = stack.reshape([count] + [size for size in stack.shape[1:] if size > 1])
+    for axis in range(1, ext.ndim):
+        ext = np.concatenate((ext, ext.sum(axis=axis, keepdims=True)), axis=axis)
+    plogp = np.log2(ext, where=ext > ZERO_EPS, out=np.zeros_like(ext))
+    plogp *= ext
+    for axis in range(1, ext.ndim):
+        # Index 0 is then the letters summed (kept), 1 the slot (summed out).
+        plogp = np.add.reduceat(plogp, [0, ext.shape[axis] - 1], axis=axis)
+    # Reversed, the index of a set has the bit of each axis it keeps.
+    return (0.0 - plogp).reshape(count, -1)[:, ::-1]
 
 
 #: JSON keys of a channel document, mapped to constructor fields.

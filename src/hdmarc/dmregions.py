@@ -21,20 +21,29 @@ treated as absent from the compound.
 
 Every bound, and both sides of the binning constraint, has the form
 beta * S1 + (1 - beta) * S2, where S1 is an information term of the
-destination's slot-1 joint and S2 one of the slot-2 joint.
-:func:`slot_terms` computes the (S1, S2) pairs of a spec once, and
-:func:`dm_regions` evaluates every scheme at every beta from them into a
-:class:`~hdmarc.core.Bounds` per scheme, like the Gaussian closed forms,
-for one topology or both from the same pairs.
+destination's slot-1 joint and S2 one of the slot-2 joint.  Each term is
+written once, as a formula in mutual informations (:func:`_formulas`),
+and compiled once per destination and pattern of one-letter axes into a
+plan of entropy-table indices (:func:`_plan`).  :func:`dm_regions_stack`
+evaluates many specs at one beta each: per slot joint one stacked build
+and one stacked entropy-table pass (:mod:`hdmarc.dminfo`), then every
+(S1, S2) pair of every spec is read with a few gathers, in the operation
+order of one float lookup, so each spec's bounds have the bits of its
+own.  :func:`dm_regions` is the one-spec case, at one beta or a grid, and
+:func:`slot_terms` gives one spec's pairs.  Both evaluate every scheme
+into a :class:`~hdmarc.core.Bounds` per scheme, like the Gaussian closed
+forms, for one topology or both from the same pairs.
 :func:`~hdmarc.core.gqf_bounds` reduces the GQF terms that
 :func:`branches` names, as it does the Gaussian ones; CF reads the same
-table.  A whole sweep thus builds one slot-1 joint per destination and one
-slot-2 joint per spec (and as many for the relay-silenced spec, when that
-is needed).
+table.  The relay-silenced channel (:func:`degenerate_relay_spec`) is
+read from the same tables, with XR pinned and the quantizer collapsed,
+and only where NO_RELAY is asked for or a CF point fails its binning
+constraint.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from functools import cache, reduce
 from typing import Sequence
@@ -56,7 +65,14 @@ from .core import (
     two_slot,
     validate_beta,
 )
-from .dminfo import DmChannelSpec
+from .dminfo import (
+    SLOT1_VARS_BY_DESTINATION,
+    SLOT2_VARS,
+    DmChannelSpec,
+    build_slot1_joints,
+    build_slot2_joints,
+    _entropy_tables,
+)
 
 #: The binning constraint is a strict inequality; a margin this close to
 #: equality (or worse) counts as infeasible.
@@ -67,56 +83,129 @@ CF_MARGIN = 1e-12
 TOPOLOGIES = ("marc", "cmacr")
 
 
+@cache
+def _formulas(k: int) -> dict[str, tuple[str, str]]:
+    """Each slot term at destination ``k``, in order: its slot-1 and slot-2
+    parts, each "0" or up to three mutual informations of that slot's
+    joint, evaluated left to right (see :func:`slot_terms`)."""
+    y1, y2 = f"Y{k}1", f"Y{k}2"  # the destination's slot-1 and slot-2 outputs
+    formulas = {}
+    for i, j in ((1, 2), (2, 1)):
+        formulas[f"a_{k}({i})"] = (f"I(X{i}1; X{j}1,{y1},YhR)", f"I(X{i}2; X{j}2,XR,{y2})")
+        formulas[f"b_{k}({i})"] = (
+            f"I(X{i}1; X{j}1,{y1}) - I(YhR; YR | X{i}1,X{j}1,{y1})",
+            f"I(X{i}2,XR; X{j}2,{y2})",
+        )
+    formulas[f"c_{k}"] = (f"I(X11,X21; {y1},YhR)", f"I(X12,X22; XR,{y2})")
+    formulas[f"d_{k}"] = (
+        f"I(X11,X21,YhR; {y1}) + I(X11,X21; YhR) - I(YR; YhR)",
+        f"I(X12,X22,XR; {y2})",
+    )
+    # Binning feasibility: the quantization-index description rate left
+    # after side-information gains must fit through the relay's slot-2
+    # pipe, at every destination.
+    formulas[f"cf_lhs_{k}"] = (f"I(YR; YhR) - I({y1}; YhR)", "0")
+    formulas[f"cf_rhs_{k}"] = ("0", f"I(XR; {y2})")
+    return formulas
+
+
+#: I(; ) of no variables, which is 0.0: what a part lacks.
+_NOTHING = ((), (), ())
+
+
+def _parts(formula: str) -> tuple[tuple, tuple, tuple]:
+    """The mutual informations ``(first, added, subtracted)`` of a formula of
+    :func:`_formulas`, each a triple (A, B, C) of name tuples for I(A; B |
+    C); the formula is (first + added) - subtracted."""
+    parts = {"": _NOTHING, "+": _NOTHING, "-": _NOTHING}
+    for sign, body in re.findall(r"([+-]?) *I\(([^)]*)\)", formula):
+        left, _, given = body.partition("|")
+        a, b = left.split(";")
+        parts[sign] = tuple(tuple(n for n in s.replace(" ", "").split(",") if n) for s in (a, b, given))
+    return parts[""], parts["+"], parts["-"]
+
+
+@cache
+def _plan(slot: int, k: int, kept: tuple[bool, ...]):
+    """Where :func:`slot_terms` reads destination ``k``'s parts in ``slot``
+    from an :func:`~hdmarc.dminfo._entropy_tables` row of a joint whose axes
+    of more than one letter are ``kept``: the table indices (A,C), (B,C), C
+    and (A,B,C) of each mutual information, and which ones each term's
+    (first, added, subtracted) are.  Built once per plan."""
+    names = SLOT1_VARS_BY_DESTINATION[k] if slot == 1 else SLOT2_VARS
+    live = [name for name, keep in zip(names, kept) if keep]
+    bits = {name: 1 << bit for bit, name in enumerate(reversed(live))}
+
+    def mask(*sets):
+        return sum(bits.get(name, 0) for name in set().union(*sets))
+
+    mis = {_NOTHING: 0}
+    terms = [
+        [mis.setdefault(mi, len(mis)) for mi in _parts(pair[slot - 1])]
+        for pair in _formulas(k).values()
+    ]
+    quads = [(mask(a, c), mask(b, c), mask(c), mask(a, b, c)) for a, b, c in mis]
+    return np.array(quads).T, np.array(terms).T
+
+
+def _tabled(stacks: list) -> list:
+    """``(positions, kept axes, entropy tables)`` of each stack of the joint
+    builders: one table pass per stack."""
+    return [
+        (positions, tuple(size > 1 for size in joints.shape[1:]), _entropy_tables(joints))
+        for positions, joints in stacks
+    ]
+
+
+def _parts_of(tabled: list, slot: int, k: int, count: int) -> np.ndarray:
+    """Destination ``k``'s parts in ``slot`` of every slot term, one row per
+    spec of ``tabled`` (:func:`_tabled`; ``count`` specs), one column per
+    term, read from the tables: every mutual information as h[ac] + h[bc] -
+    h[c] - h[abc], then each part as (first + added) - subtracted, the
+    order a lone float lookup takes."""
+    rows = np.empty((count, len(_formulas(k))))
+    for positions, kept, h in tabled:
+        (ac, bc, c, abc), (first, added, subtracted) = _plan(slot, k, kept)
+        mi = h[:, ac] + h[:, bc] - h[:, c] - h[:, abc]
+        rows[positions] = mi[:, first] + mi[:, added] - mi[:, subtracted]
+    return rows
+
+
+def _stacked_terms(specs: list, ks: tuple, silenced: bool = False) -> dict:
+    """:func:`slot_terms` of each of ``specs`` (of the relay-silenced
+    channel, when ``silenced``), each S1 and S2 an array over the specs:
+    one stacked build and table pass per slot-1 joint of each of ``ks`` and
+    one for the slot-2 joint."""
+    slot2, terms = None, {}
+    for k in ks:
+        s1 = _parts_of(_tabled(build_slot1_joints(specs, k, silenced)), 1, k, len(specs))
+        slot2 = slot2 or _tabled(build_slot2_joints(specs, silenced))
+        s2 = _parts_of(slot2, 2, k, len(specs))
+        for column, name in enumerate(_formulas(k)):
+            terms[name] = (s1[:, column], s2[:, column])
+    return terms
+
+
 def slot_terms(
     spec: DmChannelSpec, ks: tuple[int, ...]
 ) -> dict[str, tuple[float, float]]:
     """Split every bound into its slot-1 and slot-2 terms (S1, S2), read
-    from the joints of ``spec`` (:meth:`DmChannelSpec.joints`): the bound
-    is beta * S1 + (1-beta) * S2.  Destination ``k``'s pairs read its own
-    joints only, so they do not depend on which other destinations ``ks``
-    lists.
+    from the entropy tables of ``spec``'s joints: the bound is beta * S1 +
+    (1-beta) * S2.  Destination ``k``'s pairs read its own joints only, so
+    they do not depend on which other destinations ``ks`` lists.
 
     Keys are the names of :class:`~hdmarc.core.RateRegion` terms:
     ``a_k(i)``/``b_k(i)`` are the two decoding branches bounding source
     ``i``'s rate at destination ``k``, ``c_k``/``d_k`` the two branches
     bounding the sum rate.  ``cf_lhs_k`` and ``cf_rhs_k`` are the two sides
     of the binning constraint at ``k``: the slot-1 description excess
-    I(YR; YhR) - I(Yk1; YhR) and the slot-2 pipe I(XR; Yk2).
+    I(YR; YhR) - I(Yk1; YhR) and the slot-2 pipe I(XR; Yk2).  This is the
+    one-spec case of the stacked terms :func:`dm_regions_stack` reads.
     """
     ks = read_collection(ks, "destination indices", lambda k: one_of(k, "destination index", (1, 2)))
     instance_of(spec, DmChannelSpec, "spec")
-    terms = {}
-    for k in ks:
-        mi1, mi2 = (joint.mutual_information for joint in spec.joints(k))
-        quant_rate = mi1({"YR"}, {"YhR"})
-        yk1, yk2 = f"Y{k}1", f"Y{k}2"  # its slot-1 and slot-2 outputs
-        for i, j in ((1, 2), (2, 1)):
-            xi1, xj1 = f"X{i}1", f"X{j}1"
-            xi2, xj2 = f"X{i}2", f"X{j}2"
-            terms[f"a_{k}({i})"] = (
-                mi1({xi1}, {xj1, yk1, "YhR"}),
-                mi2({xi2}, {xj2, "XR", yk2}),
-            )
-            terms[f"b_{k}({i})"] = (
-                mi1({xi1}, {xj1, yk1}) - mi1({"YhR"}, {"YR"}, {xi1, xj1, yk1}),
-                mi2({xi2, "XR"}, {xj2, yk2}),
-            )
-        terms[f"c_{k}"] = (
-            mi1({"X11", "X21"}, {yk1, "YhR"}),
-            mi2({"X12", "X22"}, {"XR", yk2}),
-        )
-        terms[f"d_{k}"] = (
-            mi1({"X11", "X21", "YhR"}, {yk1})
-            + mi1({"X11", "X21"}, {"YhR"})
-            - mi1({"YR"}, {"YhR"}),
-            mi2({"X12", "X22", "XR"}, {yk2}),
-        )
-        # Binning feasibility: the quantization-index description rate left
-        # after side-information gains must fit through the relay's slot-2
-        # pipe, at every destination.
-        terms[f"cf_lhs_{k}"] = (quant_rate - mi1({yk1}, {"YhR"}), 0.0)
-        terms[f"cf_rhs_{k}"] = (0.0, mi2({"XR"}, {yk2}))
-    return terms
+    pairs = _stacked_terms([spec], ks)
+    return {name: (float(s1[0]), float(s2[0])) for name, (s1, s2) in pairs.items()}
 
 
 def active_destinations(spec: DmChannelSpec) -> tuple[int, ...]:
@@ -148,49 +237,42 @@ def branches(ks: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(name.format(k=k) for k in ks for name in pair) for pair in pairs)
 
 
-def dm_regions(
-    spec: DmChannelSpec,
-    topologies: Sequence[str],
-    schemes: Sequence[SchemeId],
-    beta,
-) -> dict[str, dict[SchemeId, Bounds]]:
-    """Every requested scheme's bounds at slot fraction(s) ``beta``, for
-    each of ``topologies``: ``{topology: {scheme: Bounds}}``.
+def _reach(spec: DmChannelSpec, topologies: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
+    """The destinations each topology takes the worst case over."""
+    return {
+        topology: (1,) if topology == "marc" else active_destinations(spec)
+        for topology in topologies
+    }
 
-    ``beta`` is a float or an array of floats in (0, 1), checked by
-    :func:`~hdmarc.core.validate_beta`.  A topology is "marc" (destination
-    1) or "cmacr" (worst case over the active destinations).  Both reduce
-    the same slot terms, built once for the destinations the topologies
-    need; those of the relay-silenced spec are built at most once, and only
-    when NO_RELAY is requested or some CF point fails its binning
-    constraint.  Each topology's ``terms`` name its own destinations only.
-    ``topologies`` (:func:`~hdmarc.core.read_names`, so a lone str or a
-    set is refused, as is a repeated topology) and ``schemes`` are read
-    once.
-    """
-    instance_of(spec, DmChannelSpec, "spec")
-    beta = validate_beta(beta)
+
+def _read_topologies(topologies) -> tuple[str, ...]:
+    """``topologies`` read by :func:`~hdmarc.core.read_names`, so a lone str
+    or a set is refused, as is a repeated topology."""
     topologies = read_names(
         topologies, "topologies", tuple, lambda topology: one_of(topology, "topology", TOPOLOGIES)
     )
     repeated = [topology for topology in TOPOLOGIES if topologies.count(topology) > 1]
     if repeated:
         raise InvalidParams(f"topologies lists {', '.join(repeated)} more than once")
-    # The destinations each topology takes the worst case over.
-    reach = {
-        topology: (1,) if topology == "marc" else active_destinations(spec)
-        for topology in topologies
-    }
-    schemes = read_schemes(schemes)
+    return topologies
+
+
+def _evaluate(specs: list, reach: dict, schemes: tuple, beta, one: bool) -> dict:
+    """``{topology: {scheme: Bounds}}`` of ``specs``, which share their
+    ``reach``: with ``one`` of the one spec at ``beta`` (a float or a grid),
+    otherwise each value an array over the specs, each at its own ``beta``.
+    The slot terms are built once for the destinations the topologies need;
+    those of the relay-silenced channel at most once, and only when NO_RELAY
+    is requested or some CF point fails its binning constraint."""
     needed = tuple(sorted({k for ks in reach.values() for k in ks}))
     built: dict[bool, dict] = {}  # keyed by "relay silenced"; this call only
 
     def terms(silenced: bool) -> dict:
         if silenced not in built:
-            source = degenerate_relay_spec(spec) if silenced else spec
-            pairs = slot_terms(source, needed)
+            pairs = _stacked_terms(specs, needed, silenced)
             built[silenced] = {
-                name: two_slot(beta, s1, s2) for name, (s1, s2) in pairs.items()
+                name: two_slot(beta, s1[0], s2[0]) if one else two_slot(beta, s1, s2)
+                for name, (s1, s2) in pairs.items()
             }
         return built[silenced]
 
@@ -221,6 +303,95 @@ def dm_regions(
         topology: {scheme: table[scheme](ks) for scheme in schemes}
         for topology, ks in reach.items()
     }
+
+
+def dm_regions(
+    spec: DmChannelSpec,
+    topologies: Sequence[str],
+    schemes: Sequence[SchemeId],
+    beta,
+) -> dict[str, dict[SchemeId, Bounds]]:
+    """Every requested scheme's bounds at slot fraction(s) ``beta``, for
+    each of ``topologies``: ``{topology: {scheme: Bounds}}``, the one-spec
+    case of :func:`dm_regions_stack` with a grid of betas.
+
+    ``beta`` is a float or an array of floats in (0, 1), checked by
+    :func:`~hdmarc.core.validate_beta`.  A topology is "marc" (destination
+    1) or "cmacr" (worst case over the active destinations).  Both reduce
+    the same slot terms, built once for the destinations the topologies
+    need; those of the relay-silenced channel are built at most once, and
+    only when NO_RELAY is requested or some CF point fails its binning
+    constraint.  Each topology's ``terms`` name its own destinations only.
+    ``topologies`` (:func:`~hdmarc.core.read_names`, so a lone str or a
+    set is refused, as is a repeated topology) and ``schemes`` are read
+    once.
+    """
+    instance_of(spec, DmChannelSpec, "spec")
+    beta = validate_beta(beta)
+    reach = _reach(spec, _read_topologies(topologies))
+    return _evaluate([spec], reach, read_schemes(schemes), beta, one=True)
+
+
+def dm_regions_stack(
+    specs: Sequence[DmChannelSpec],
+    topologies: Sequence[str],
+    schemes: Sequence[SchemeId],
+    betas: Sequence[float],
+) -> list[dict[str, dict[SchemeId, Bounds]]]:
+    """:func:`dm_regions` of each of ``specs`` at its own slot fraction, the
+    float of ``betas`` at its position, with the same bits.
+
+    The specs that reach the same destinations are evaluated together:
+    their joints are built and their entropy tables computed in stacks, one
+    per slot joint where their shapes allow it
+    (:func:`~hdmarc.dminfo._stack_positions`), and every slot term is a
+    gather from those tables.  cMACr takes each spec's worst case over its
+    own active destinations, and a spec's CF ``terms`` hold the
+    ``no_relay_*`` fallback terms only if its own point failed the binning
+    constraint.  Every bound is a float.
+    """
+    specs = read_collection(specs, "specs", lambda spec: instance_of(spec, DmChannelSpec, "spec"))
+    betas = read_collection(
+        betas, "slot fractions", lambda beta: validate_beta(beta, allow_array=False)
+    )
+    if len(betas) != len(specs):
+        raise InvalidParams(f"{len(specs)} specs need as many slot fractions, got {len(betas)}")
+    topologies = _read_topologies(topologies)
+    reaches = [_reach(spec, topologies) for spec in specs]
+    schemes = read_schemes(schemes)
+    groups: dict[tuple, list[int]] = {}
+    for position, reach in enumerate(reaches):
+        groups.setdefault(tuple(reach.values()), []).append(position)
+    regions: list = [{topology: {} for topology in topologies} for _ in specs]
+    for positions in groups.values():
+        evaluated = _evaluate(
+            [specs[i] for i in positions],
+            reaches[positions[0]],
+            schemes,
+            np.array([betas[i] for i in positions]),
+            one=False,
+        )
+        for topology, values in evaluated.items():
+            for scheme, bounds in values.items():
+                for position, row in zip(positions, _rows(bounds, len(positions))):
+                    regions[position][topology][scheme] = row
+    return regions
+
+
+def _rows(bounds: Bounds, count: int) -> list[Bounds]:
+    """The :class:`Bounds` of each of ``count`` specs, from bounds whose
+    values are arrays over them; the ``no_relay_*`` terms go only to a spec
+    whose point is infeasible."""
+    r1, r2, rsum, feasible = (np.broadcast_to(value, (count,)).tolist() for value in bounds[:4])
+    columns = {name: value.tolist() for name, value in bounds.terms.items()}
+    return [
+        Bounds(r1[j], r2[j], rsum[j], feasible[j], None, {
+            name: column[j]
+            for name, column in columns.items()
+            if not (feasible[j] and name.startswith("no_relay_"))
+        })
+        for j in range(count)
+    ]
 
 
 def _one_region(

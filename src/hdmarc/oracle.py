@@ -12,10 +12,16 @@ model entry against is computed here.  Two checkers are provided:
   :func:`closed_forms_via_log_dets` evaluates the table below with it, for
   many channels at once; and
 * an evaluator of the raw joint-decoding inequality system of both
-  topologies, from the per-destination joints of one spec, in which the
-  codebook rate appears explicitly and is eliminated at its minimum ``R_U =
-  beta * I(YR; YhR)`` (:func:`gqf_region_via_ru_sweep`), with the single-source
-  forms of the GQF branches beside it (:func:`single_source_gqf_branches`).
+  topologies, in which the codebook rate appears explicitly and is
+  eliminated at its minimum ``R_U = beta * I(YR; YhR)``
+  (:func:`gqf_regions_via_ru_sweep`), with the single-source forms of the
+  GQF branches beside it (:func:`single_source_gqf_branch_pairs`).  Both
+  take a chunk of ``(spec, beta)`` draws and build each destination's
+  joints themselves, as broadcast products of the spec's tables, stacked
+  over the chunk; each marginal's entropy is its own sum, kept once per
+  stack.  From :mod:`hdmarc.dminfo` they take the channel and nothing that
+  builds or measures a joint, so production's joints and entropy tables
+  are checked, not shared; each value has the bits of its draw alone.
 
 :func:`crossing_offset` gives how far a quantization variance sits from the
 crossing of the two GQF sum branches, from the channel's gains and powers.
@@ -49,10 +55,10 @@ import numpy as np
 
 from .core import (
     DimensionMismatch,
-    HdmarcError,
     InvalidParams,
     RateRegion,
     SingularCovariance,
+    TensorTooLarge,
     UnknownVariable,
     clamp_region,
     instance_of,
@@ -60,6 +66,7 @@ from .core import (
     read_collection,
     real_array,
     real_number,
+    run_chunk,
     validate_beta,
 )
 from .dminfo import DmChannelSpec, check_names, disjoint_sets
@@ -401,17 +408,9 @@ def closed_forms_via_log_dets(
     draws = read_collection(draws, "draws", _draw, list)
     evaluated = []
     for start in range(0, len(draws), BATCH_DRAWS):
-        chunk = draws[start : start + BATCH_DRAWS]
-        try:
-            evaluated += _closed_forms(chunk)
-        except HdmarcError:
-            # The checks ran stage by stage over the chunk, so this may be a
-            # later draw's error: the first draw that fails alone raises its
-            # own.  If none before the last does, the last draw is the only
-            # one that fails, and this is its error.
-            for draw in chunk[:-1]:
-                _closed_forms([draw])
-            raise
+        # The checks run stage by stage over the chunk, so its first error
+        # may be a later draw's: run_chunk raises the first failing draw's.
+        evaluated += run_chunk(draws[start : start + BATCH_DRAWS], _closed_forms)
     return evaluated
 
 
@@ -434,77 +433,239 @@ def crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
     return gap / slope
 
 
-def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateRegion]:
-    """GQF regions ``{"marc": ..., "cmacr": ...}`` from the raw inequalities.
+#: Most cells one joint of the finite-alphabet checks may hold, per spec: as
+#: many as a joint of :mod:`hdmarc.dminfo` may, so a channel the production
+#: entry takes is never refused here.
+MAX_JOINT_CELLS = 2**18
+
+#: The finite-alphabet checks stack specs whose joints differ in shape by
+#: zero-padding each axis to the stack's longest, while every axis is
+#: shorter than this; a spec with a longer axis stacks only with specs of its
+#: own shapes.  Every sum runs over one axis at a time, and below 8 letters
+#: numpy adds an axis in order, so padded zeros leave each value the bits of
+#: its spec alone.
+_PAD_BELOW = 8
+
+#: Most cells of one stack of padded joints, unless it holds one spec.
+_STACK_CELLS = 2**21
+
+
+def _dm_draw(value) -> tuple:
+    """``value`` if it is a pair ``(spec, beta)``."""
+    if isinstance(value, tuple) and len(value) == 2:
+        return value
+    raise InvalidParams(f"a draw must be a pair (spec, beta), got {type(value).__name__}")
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """``arrays`` zero-padded to their longest length on each axis and
+    stacked on a new first axis."""
+    stack = np.zeros((len(arrays), *np.max([array.shape for array in arrays], axis=0)))
+    for row, array in zip(stack, arrays):
+        row[tuple(slice(size) for size in array.shape)] = array
+    return stack
+
+
+def _joints(specs: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Destination ``k``'s joints of ``specs``, stacked and zero-padded:
+    p(x11) p(x21) p(yR, yk1 | x11, x21) p(yhR | yR) over (X11, X21, YR, Yk1,
+    YhR) and p(x12) p(x22) p(xR) p(yk2 | x12, x22, xR) over (X12, X22, XR,
+    Yk2), products of the spec's tables, the other destination's output
+    summed out of each slot's transition."""
+    # Yk1 and Yk2 are axis 2 + k of slot1 and of slot2; the other's is 5 - k.
+    px11, px21, px12, px22, pxr = (
+        _stack([getattr(spec, name) for spec in specs])
+        for name in ("px11", "px21", "px12", "px22", "pxr")
+    )
+    slot1 = _stack([spec.slot1.sum(axis=5 - k) for spec in specs])
+    slot2 = _stack([spec.slot2.sum(axis=5 - k) for spec in specs])
+    quantizer = _stack([spec.test_channel for spec in specs])
+    slot1_joint = (
+        px11[:, :, None, None, None, None]
+        * px21[:, None, :, None, None, None]
+        * slot1[..., None]
+        * quantizer[:, None, None, :, None, :]
+    )
+    slot2_joint = (
+        px12[:, :, None, None, None] * px22[:, None, :, None, None] * pxr[:, None, None, :, None]
+    ) * slot2
+    return slot1_joint, slot2_joint
+
+
+def _information(names: tuple[str, ...], joints: np.ndarray):
+    """I(A; B | C) in bits of each joint of the stack ``joints`` (one axis
+    per name after the first), as [H(A,C) - H(C)] - [H(A,B,C) - H(B,C)]:
+    each marginal's entropy -sum(p log2 p) over its positive cells is summed
+    on its own, from the joint, one axis at a time, and kept for the
+    stack."""
+    entropies: dict[frozenset, np.ndarray] = {}
+
+    def entropy(kept: frozenset) -> np.ndarray:
+        if kept not in entropies:
+            marginal = joints
+            for axis in range(len(names), 0, -1):
+                if names[axis - 1] not in kept:
+                    marginal = marginal.sum(axis=axis)
+            plogp = marginal * np.log2(marginal, where=marginal > 0.0, out=np.zeros_like(marginal))
+            for axis in range(plogp.ndim - 1, 0, -1):
+                plogp = plogp.sum(axis=axis)
+            entropies[kept] = -plogp
+        return entropies[kept]
+
+    def mi(a: set, b: set, c: set = frozenset()) -> np.ndarray:
+        return (entropy(frozenset(a | c)) - entropy(frozenset(c))) - (
+            entropy(frozenset(a | b | c)) - entropy(frozenset(b | c))
+        )
+
+    return mi
+
+
+def _destination_terms(specs: list, betas: list, k: int, terms) -> list[dict[str, float]]:
+    """``terms(mi1, mi2, k, b)`` at destination ``k`` of each of ``specs``:
+    ``mi1`` and ``mi2`` give the mutual informations of its slot-1 and
+    slot-2 joints (:func:`_joints`, :func:`_information`) and ``b`` its
+    slot fraction in ``betas``, each an array over a stack of specs.  A
+    spec whose joint would pass :data:`MAX_JOINT_CELLS` raises
+    :class:`TensorTooLarge`."""
+    shapes = []
+    for spec in specs:
+        yr, yhr = spec.test_channel.shape
+        slot1 = spec.slot1.shape[:2] + (yr, spec.slot1.shape[2 + k], yhr)
+        slot2 = spec.slot2.shape[:3] + (spec.slot2.shape[2 + k],)
+        for slot, shape in ((1, slot1), (2, slot2)):
+            if math.prod(shape) > MAX_JOINT_CELLS:
+                raise TensorTooLarge(
+                    f"the slot-{slot} joint of destination {k} would hold "
+                    f"{math.prod(shape)} cells; the cap is {MAX_JOINT_CELLS}"
+                )
+        shapes.append(slot1 + slot2)
+    groups: dict[tuple, list[int]] = {}
+    for position, shape in enumerate(shapes):
+        groups.setdefault(shape if max(shape) >= _PAD_BELOW else (), []).append(position)
+    names1 = ("X11", "X21", "YR", f"Y{k}1", "YhR")
+    names2 = ("X12", "X22", "XR", f"Y{k}2")
+    evaluated: list = [None] * len(specs)
+    for positions in groups.values():
+        longest = np.max([shapes[i] for i in positions], axis=0)
+        cells = max(math.prod(longest[:5].tolist()), math.prod(longest[5:].tolist()))
+        count = max(1, _STACK_CELLS // cells)
+        for start in range(0, len(positions), count):
+            stack = positions[start : start + count]
+            joint1, joint2 = _joints([specs[i] for i in stack], k)
+            b = np.array([betas[i] for i in stack])
+            values = terms(_information(names1, joint1), _information(names2, joint2), k, b)
+            columns = {name: value.tolist() for name, value in values.items()}
+            for row, position in enumerate(stack):
+                evaluated[position] = {name: column[row] for name, column in columns.items()}
+    return evaluated
+
+
+def _raw_terms(mi1, mi2, k: int, b) -> dict:
+    """R_U and the right-hand sides at destination k: source i (or both)
+    with the quantization index as known noise, and with it decoded."""
+    comp = 1.0 - b
+    yk1, yk2 = f"Y{k}1", f"Y{k}2"
+    terms = {"R_U": b * mi1({"YR"}, {"YhR"})}
+    for i, j in ((1, 2), (2, 1)):
+        xi1, xj1, xi2, xj2 = f"X{i}1", f"X{j}1", f"X{i}2", f"X{j}2"
+        terms[f"r{i}_plain"] = b * mi1({xi1}, {xj1, yk1, "YhR"}) + comp * mi2(
+            {xi2}, {xj2, "XR", yk2}
+        )
+        terms[f"r{i}_with_index"] = b * (
+            mi1({xi1, "YhR"}, {xj1, yk1}) + mi1({xi1}, {"YhR"})
+        ) + comp * mi2({xi2, "XR"}, {xj2, yk2})
+    terms["sum_plain"] = b * mi1({"X11", "X21"}, {yk1, "YhR"}) + comp * mi2(
+        {"X12", "X22"}, {"XR", yk2}
+    )
+    terms["sum_with_index"] = b * (
+        mi1({"X11", "X21", "YhR"}, {yk1}) + mi1({"X11", "X21"}, {"YhR"})
+    ) + comp * mi2({"X12", "X22", "XR"}, {yk2})
+    return terms
+
+
+def gqf_regions_via_ru_sweep(
+    draws: Iterable[tuple[DmChannelSpec, float]],
+) -> list[dict[str, RateRegion]]:
+    """For each draw ``(spec, beta)``: the GQF regions ``{"marc": ...,
+    "cmacr": ...}`` from the raw inequalities.
 
     The joint-decoding analysis yields six inequalities per destination in
     which the quantization-codebook rate ``R_U`` appears additively on the
     left of three of them; the covering lemma pins ``R_U = beta * I(YR;
-    YhR)``.  This helper evaluates all six right-hand sides at each
-    destination k, from the spec's joints of k
-    (:meth:`~hdmarc.dminfo.DmChannelSpec.joints`), and subtracts ``R_U``
-    where it belongs, instead of using the algebraically simplified bounds of
-    :mod:`hdmarc.dmregions` — so agreement between the two is a real
-    consistency check of that simplification.  "marc" is destination 1, its
-    raw quantities kept as ``terms``.  "cmacr" clamps the worst raw bounds
-    over the destinations that hear anything (not both outputs one-letter;
-    :class:`InvalidParams` if none does), their quantities suffixed ``_k``.
+    YhR)``.  This evaluates all six right-hand sides at each destination k,
+    from joints and entropies of its own (:func:`_destination_terms`), and
+    subtracts ``R_U`` where it belongs, instead of using the algebraically
+    simplified bounds of :mod:`hdmarc.dmregions` — so agreement between the
+    two is a real consistency check of that simplification.  "marc" is
+    destination 1, its raw quantities kept as ``terms``.  "cmacr" clamps
+    the worst raw bounds over the destinations that hear anything (not both
+    outputs one-letter; :class:`InvalidParams` if none does), their
+    quantities suffixed ``_k``.  The draws are read first, each beta then
+    spec, in order, and evaluated in stacks.
     """
-    b = validate_beta(beta, allow_array=False)
-    instance_of(spec, DmChannelSpec, "spec")
-    # Yk1 and Yk2 are axis 2 + k of slot1 and of slot2.
-    hearing = [k for k in (1, 2) if spec.slot1.shape[2 + k] > 1 or spec.slot2.shape[2 + k] > 1]
-    if not hearing:
-        raise InvalidParams("no destination output has more than one letter")
+    specs, betas, hearing = [], [], []
+    for spec, beta in read_collection(draws, "draws", _dm_draw, list):
+        betas.append(validate_beta(beta, allow_array=False))
+        specs.append(instance_of(spec, DmChannelSpec, "spec"))
+        # Yk1 and Yk2 are axis 2 + k of slot1 and of slot2.
+        heard = [k for k in (1, 2) if spec.slot1.shape[2 + k] > 1 or spec.slot2.shape[2 + k] > 1]
+        if not heard:
+            raise InvalidParams("no destination output has more than one letter")
+        hearing.append(heard)
+    raw = {1: _destination_terms(specs, betas, 1, _raw_terms)}
+    second = [i for i, heard in enumerate(hearing) if 2 in heard]
+    terms2 = _destination_terms([specs[i] for i in second], [betas[i] for i in second], 2, _raw_terms)
+    raw[2] = dict(zip(second, terms2))
+    regions = []
+    for i, heard in enumerate(hearing):
+        terms = {k: raw[k][i] for k in (1, *heard)}
+        bounds = {  # (r1, r2, sum) per destination, R_U eliminated
+            k: [min(t[f"{n}_plain"], t[f"{n}_with_index"] - t["R_U"]) for n in ("r1", "r2", "sum")]
+            for k, t in terms.items()
+        }
+        worst = [min(column) for column in zip(*(bounds[k] for k in heard))]
+        suffixed = {f"{name}_{k}": terms[k][name] for k in heard for name in terms[k]}
+        regions.append({
+            "marc": clamp_region(*bounds[1], feasible=True, terms=terms[1]),
+            "cmacr": clamp_region(*worst, feasible=True, terms=suffixed),
+        })
+    return regions
+
+
+def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateRegion]:
+    """The GQF regions of one spec from the raw inequalities: the one-draw
+    case of :func:`gqf_regions_via_ru_sweep`."""
+    return gqf_regions_via_ru_sweep([(spec, beta)])[0]
+
+
+def _single_source_terms(mi1, mi2, k: int, b) -> dict:
+    """Source 1's two GQF branches in their single-source forms."""
     comp = 1.0 - b
-
-    def raw_terms(k: int) -> dict[str, float]:
-        """R_U and the right-hand sides at destination k: source i (or both)
-        with the quantization index as known noise, and with it decoded."""
-        mi1, mi2 = (joint.mutual_information for joint in spec.joints(k))
-        yk1, yk2 = f"Y{k}1", f"Y{k}2"
-        terms = {"R_U": b * mi1({"YR"}, {"YhR"})}
-        for i, j in ((1, 2), (2, 1)):
-            xi1, xj1, xi2, xj2 = f"X{i}1", f"X{j}1", f"X{i}2", f"X{j}2"
-            terms[f"r{i}_plain"] = b * mi1({xi1}, {xj1, yk1, "YhR"}) + comp * mi2(
-                {xi2}, {xj2, "XR", yk2}
-            )
-            terms[f"r{i}_with_index"] = b * (
-                mi1({xi1, "YhR"}, {xj1, yk1}) + mi1({xi1}, {"YhR"})
-            ) + comp * mi2({xi2, "XR"}, {xj2, yk2})
-        terms["sum_plain"] = b * mi1({"X11", "X21"}, {yk1, "YhR"}) + comp * mi2(
-            {"X12", "X22"}, {"XR", yk2}
-        )
-        terms["sum_with_index"] = b * (
-            mi1({"X11", "X21", "YhR"}, {yk1}) + mi1({"X11", "X21"}, {"YhR"})
-        ) + comp * mi2({"X12", "X22", "XR"}, {yk2})
-        return terms
-
-    raw = {k: raw_terms(k) for k in sorted({1, *hearing})}
-    bounds = {  # (r1, r2, sum) per destination, R_U eliminated
-        k: [min(t[f"{n}_plain"], t[f"{n}_with_index"] - t["R_U"]) for n in ("r1", "r2", "sum")]
-        for k, t in raw.items()
-    }
-    worst = [min(column) for column in zip(*(bounds[k] for k in hearing))]
-    suffixed = {f"{name}_{k}": raw[k][name] for k in hearing for name in raw[k]}
     return {
-        "marc": clamp_region(*bounds[1], feasible=True, terms=raw[1]),
-        "cmacr": clamp_region(*worst, feasible=True, terms=suffixed),
+        "plain": b * mi1({"X11"}, {"Y11", "YhR"}) + comp * mi2({"X12"}, {"Y12"}, {"XR"}),
+        "with_index": b * (mi1({"X11"}, {"Y11"}) - mi1({"YhR"}, {"YR"}, {"X11", "Y11"}))
+        + comp * mi2({"X12", "XR"}, {"Y12"}),
     }
+
+
+def single_source_gqf_branch_pairs(
+    draws: Iterable[tuple[DmChannelSpec, float]],
+) -> list[tuple[float, float]]:
+    """For each draw ``(spec, beta)`` of a channel whose source 2 is
+    degenerate: source 1's two GQF branches at destination 1 in their
+    single-source forms, ``(plain, with_index)``, the quantization index as
+    noise and decoded, ``b*I(X11; Y11,YhR) + (1-b)*I(X12; Y12 | XR)`` and
+    ``b*[I(X11; Y11) - I(YhR; YR | X11,Y11)] + (1-b)*I(X12,XR; Y12)``, from
+    joints and entropies of its own (:func:`_destination_terms`)."""
+    specs, betas = [], []
+    for spec, beta in read_collection(draws, "draws", _dm_draw, list):
+        betas.append(validate_beta(beta, allow_array=False))
+        specs.append(instance_of(spec, DmChannelSpec, "spec"))
+    terms = _destination_terms(specs, betas, 1, _single_source_terms)
+    return [(t["plain"], t["with_index"]) for t in terms]
 
 
 def single_source_gqf_branches(spec: DmChannelSpec, beta: float) -> tuple[float, float]:
-    """Source 1's two GQF branches at destination 1 of a channel whose
-    source 2 is degenerate, in their single-source forms: ``(plain,
-    with_index)``, the quantization index as noise and decoded,
-    ``b*I(X11; Y11,YhR) + (1-b)*I(X12; Y12 | XR)`` and ``b*[I(X11; Y11) -
-    I(YhR; YR | X11,Y11)] + (1-b)*I(X12,XR; Y12)``, from the spec's joints
-    of destination 1."""
-    b = validate_beta(beta, allow_array=False)
-    joints = instance_of(spec, DmChannelSpec, "spec").joints(1)
-    mi1, mi2 = (joint.mutual_information for joint in joints)
-    plain = b * mi1({"X11"}, {"Y11", "YhR"}) + (1.0 - b) * mi2({"X12"}, {"Y12"}, {"XR"})
-    with_index = b * (
-        mi1({"X11"}, {"Y11"}) - mi1({"YhR"}, {"YR"}, {"X11", "Y11"})
-    ) + (1.0 - b) * mi2({"X12", "XR"}, {"Y12"})
-    return plain, with_index
+    """Source 1's two single-source GQF branches of one spec: the one-draw
+    case of :func:`single_source_gqf_branch_pairs`."""
+    return single_source_gqf_branch_pairs([(spec, beta)])[0]

@@ -355,12 +355,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     one_of(config.swept, "swept", ("sigma_q2", "beta"))
     values = instance_of(config.grid, GridSpec, "grid").values()
     schemes = read_schemes(config.schemes)
-    if not schemes:
-        raise InvalidParams("a sweep needs at least one scheme")
     grid = np.asarray(values)
     try:
         evaluated = evaluate(config)
     except HdmarcError as exc:
+        if not schemes:  # evaluate's own refusal: there is no scheme to name
+            raise
         label = ", ".join(scheme.value for scheme in schemes)
         raise type(exc)(f"sweep failed for schemes {label}: {exc}") from exc
     columns = {}

@@ -1,11 +1,14 @@
 """Seeded self-verification suites.
 
-Each subject is a check of a run of draws: it draws random instances,
-evaluates each with a production entry and with the reference values of
+Each subject is a check of a chunk of draws: it draws random instances,
+evaluates them with a production entry and with the reference values of
 :mod:`hdmarc.oracle`, and records the deviations.  :func:`run_subject`
 drives one over chunks of at most :data:`~hdmarc.oracle.BATCH_DRAWS`
 draws and reports the worst deviation per check, deterministically for a
-given (seed, draws).
+given (seed, draws).  The finite-alphabet subjects draw a whole chunk
+first, in the order one draw at a time would, then ask the oracle and the
+production entry once each on all of it; a chunk that fails runs again
+draw by draw, so the first failing draw raises its own error.
 
 Subjects:
 
@@ -26,16 +29,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import RateRegion, SchemeId, integer, one_of, rate_region
+from .core import SchemeId, integer, one_of, rate_region, run_chunk
 from .dminfo import DmChannelSpec
-from .dmregions import TOPOLOGIES, dm_regions
+from .dmregions import TOPOLOGIES, dm_regions_stack
 from .gaussian import GaussianMarcParams, gaussian_regions
 from .oracle import (
     BATCH_DRAWS,
     closed_forms_via_log_dets,
     crossing_offset,
-    gqf_region_via_ru_sweep,
-    single_source_gqf_branches,
+    gqf_regions_via_ru_sweep,
+    single_source_gqf_branch_pairs,
 )
 
 #: Absolute tolerance for the Gaussian closed-form checks.
@@ -258,91 +261,101 @@ def closed_forms_draws(rng: np.random.Generator, count: int, worst: _Worst) -> N
         )
 
 
-def dm_regions_draw(rng: np.random.Generator, worst: _Worst) -> None:
-    """Simplified finite-alphabet bounds vs the raw inequality system."""
-    spec = draw_dm_spec(rng)
-    beta = float(rng.uniform(0.1, 0.9))
-    oracle = gqf_region_via_ru_sweep(spec, beta)
-    production = dm_regions(spec, TOPOLOGIES, (SchemeId.GQF,), beta)
-    for topology, bounds in production.items():
-        region, raw = rate_region(bounds[SchemeId.GQF]), oracle[topology]
-        worst.record(f"{topology}_r1", region.r1_max - raw.r1_max, DM_TOL)
-        worst.record(f"{topology}_r2", region.r2_max - raw.r2_max, DM_TOL)
-        worst.record(f"{topology}_sum", region.sum_max - raw.sum_max, DM_TOL)
+def _dm_regions_answers(drawn: list) -> list:
+    """The oracle's regions, then production's GQF bounds, of each
+    ``(spec, beta)`` of ``drawn``."""
+    specs, betas = zip(*drawn)
+    oracle = gqf_regions_via_ru_sweep(drawn)
+    return list(zip(oracle, dm_regions_stack(specs, TOPOLOGIES, (SchemeId.GQF,), betas)))
 
 
-def _rate_regions(
-    spec: DmChannelSpec, topologies: tuple[str, ...], beta: float
-) -> dict[str, dict[SchemeId, RateRegion]]:
-    """The GQF and CF regions of ``spec`` at ``beta`` on each of
-    ``topologies``, from one evaluation."""
-    evaluated = dm_regions(spec, topologies, (SchemeId.GQF, SchemeId.CF), beta)
-    return {
-        topology: {scheme: rate_region(value) for scheme, value in bounds.items()}
-        for topology, bounds in evaluated.items()
-    }
+def dm_regions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> None:
+    """Simplified finite-alphabet bounds vs the raw inequality system, on
+    ``count`` draws: all drawn first, then the oracle and the production
+    entry each once on all of them."""
+    drawn = [(draw_dm_spec(rng), float(rng.uniform(0.1, 0.9))) for _ in range(count)]
+    for oracle, production in run_chunk(drawn, _dm_regions_answers):
+        for topology, bounds in production.items():
+            region, raw = rate_region(bounds[SchemeId.GQF]), oracle[topology]
+            worst.record(f"{topology}_r1", region.r1_max - raw.r1_max, DM_TOL)
+            worst.record(f"{topology}_r2", region.r2_max - raw.r2_max, DM_TOL)
+            worst.record(f"{topology}_sum", region.sum_max - raw.sum_max, DM_TOL)
 
 
-def reductions_draw(rng: np.random.Generator, worst: _Worst) -> None:
-    """Degenerate channels collapse to the expected smaller models."""
-    spec, b = draw_single_source_spec(rng)
-    plain, with_index = single_source_gqf_branches(spec, b)
-    regions = _rate_regions(spec, ("marc",), b)["marc"]
+def _rate_regions(drawn: list, topologies: tuple[str, ...]) -> list[dict]:
+    """The GQF and CF regions of each ``(spec, beta)`` of ``drawn`` on each
+    of ``topologies``, from one evaluation."""
+    specs, betas = zip(*drawn)
+    evaluated = dm_regions_stack(specs, topologies, (SchemeId.GQF, SchemeId.CF), betas)
+    return [
+        {
+            topology: {scheme: rate_region(value) for scheme, value in bounds.items()}
+            for topology, bounds in regions.items()
+        }
+        for regions in evaluated
+    ]
 
-    # With source 2 degenerate the single-user and sum bounds coincide,
-    # and each GQF branch collapses to its single-source form.
-    region = regions[SchemeId.GQF]
-    worst.record("gqf_r1_eq_sum", region.r1_max - region.sum_max, DM_TOL)
-    worst.record("gqf_branch_plain", region.terms["a_1(1)"] - plain, DM_TOL)
-    worst.record("gqf_branch_with_index", region.terms["b_1(1)"] - with_index, DM_TOL)
-    worst.record(
-        "gqf_r1_eq_min_branches", region.r1_max - max(0.0, min(plain, with_index)), DM_TOL
-    )
 
-    # CF with one source: rate bound collapses to the classic
-    # compress-and-forward expression, and the strong relay pipe of the
-    # generator keeps every draw feasible.
-    cf = regions[SchemeId.CF]
-    worst.record("cf_feasible", 0.0 if cf.feasible else 1.0, 0.0)
-    worst.record("cf_r1_eq_sum", cf.r1_max - cf.sum_max, DM_TOL)
-    worst.record("cf_r1_eq_formula", cf.r1_max - max(0.0, plain), DM_TOL)
+def _reductions_answers(drawn: list) -> list:
+    """For each draw of ``drawn``, a single-source ``(spec, beta)`` and a
+    silent-destination one: the oracle's single-source branches, then
+    production's regions of both."""
+    single, silent = zip(*drawn)
+    branches = single_source_gqf_branch_pairs(single)
+    regions = _rate_regions(single, ("marc",))
+    return list(zip(branches, regions, _rate_regions(silent, ("cmacr", "marc"))))
 
-    # A destination that observes nothing drops out of the compound
-    # region entirely: same code path, identical floats.
-    silent = draw_silent_dest2_spec(rng)
-    silent_beta = float(rng.uniform(0.1, 0.9))
-    regions = _rate_regions(silent, ("cmacr", "marc"), silent_beta)
-    compound, single = regions["cmacr"], regions["marc"]
-    for name, scheme in (
-        ("gqf_silent_dest2_exact", SchemeId.GQF),
-        ("cf_silent_dest2_exact", SchemeId.CF),
-    ):
-        both, alone = compound[scheme], single[scheme]
-        dev = max(
-            abs(both.r1_max - alone.r1_max),
-            abs(both.r2_max - alone.r2_max),
-            abs(both.sum_max - alone.sum_max),
-            0.0 if both.feasible == alone.feasible else 1.0,
+
+def reductions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> None:
+    """Degenerate channels collapse to the expected smaller models, on
+    ``count`` draws: all drawn first, then the oracle and the production
+    entry each once on all of them."""
+    drawn = [
+        (draw_single_source_spec(rng), (draw_silent_dest2_spec(rng), float(rng.uniform(0.1, 0.9))))
+        for _ in range(count)
+    ]
+    for (plain, with_index), regions, silent in run_chunk(drawn, _reductions_answers):
+        # With source 2 degenerate the single-user and sum bounds coincide,
+        # and each GQF branch collapses to its single-source form.
+        region = regions["marc"][SchemeId.GQF]
+        worst.record("gqf_r1_eq_sum", region.r1_max - region.sum_max, DM_TOL)
+        worst.record("gqf_branch_plain", region.terms["a_1(1)"] - plain, DM_TOL)
+        worst.record("gqf_branch_with_index", region.terms["b_1(1)"] - with_index, DM_TOL)
+        worst.record(
+            "gqf_r1_eq_min_branches", region.r1_max - max(0.0, min(plain, with_index)), DM_TOL
         )
-        worst.record(name, dev, 0.0)
 
+        # CF with one source: rate bound collapses to the classic
+        # compress-and-forward expression, and the strong relay pipe of the
+        # generator keeps every draw feasible.
+        cf = regions["marc"][SchemeId.CF]
+        worst.record("cf_feasible", 0.0 if cf.feasible else 1.0, 0.0)
+        worst.record("cf_r1_eq_sum", cf.r1_max - cf.sum_max, DM_TOL)
+        worst.record("cf_r1_eq_formula", cf.r1_max - max(0.0, plain), DM_TOL)
 
-def _each_draw(check: Callable[[np.random.Generator, _Worst], None]):
-    """The check of ``count`` draws that runs the one-draw ``check`` on each."""
-
-    def run(rng: np.random.Generator, count: int, worst: _Worst) -> None:
-        for _ in range(count):
-            check(rng, worst)
-
-    return run
+        # A destination that observes nothing drops out of the compound
+        # region entirely: same code path, identical floats.
+        compound, single = silent["cmacr"], silent["marc"]
+        for name, scheme in (
+            ("gqf_silent_dest2_exact", SchemeId.GQF),
+            ("cf_silent_dest2_exact", SchemeId.CF),
+        ):
+            both, alone = compound[scheme], single[scheme]
+            dev = max(
+                abs(both.r1_max - alone.r1_max),
+                abs(both.r2_max - alone.r2_max),
+                abs(both.sum_max - alone.sum_max),
+                0.0 if both.feasible == alone.feasible else 1.0,
+            )
+            worst.record(name, dev, 0.0)
 
 
 #: Each subject's check and default draw count, in the order the CLI lists
 #: them.
 _SUBJECT_TABLE: dict[str, tuple[Callable[[np.random.Generator, int, _Worst], None], int]] = {
     "closed-forms": (closed_forms_draws, 100),
-    "dm-regions": (_each_draw(dm_regions_draw), 50),
-    "reductions": (_each_draw(reductions_draw), 50),
+    "dm-regions": (dm_regions_draws, 50),
+    "reductions": (reductions_draws, 50),
 }
 
 SUBJECTS = tuple(_SUBJECT_TABLE)

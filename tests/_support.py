@@ -163,13 +163,31 @@ def count_calls(monkeypatch, source, names, *modules, arguments=1):
 
 
 def count_joint_builds(monkeypatch):
-    """Record every slot-joint build that the program makes (a spec's
-    joints in ``dminfo``, or any other module that would import a
-    builder): the returned ``{"build_slot1_joint": [...],
-    "build_slot2_joint": [...]}`` lists the ``(spec, destination)`` of each
-    slot-1 build and the spec of each slot-2 build, in order, as the calls
-    happen."""
+    """Record every stacked slot-joint build that the program makes (a
+    spec's joints and the model entries in ``dminfo`` and ``dmregions``, or
+    any other module that would import a builder): the returned
+    ``{"build_slot1_joints": [...], "build_slot2_joints": [...]}`` lists
+    the ``(specs, destination, silenced)`` of each slot-1 build and the
+    ``(specs, silenced)`` of each slot-2 build, ``specs`` a tuple, in
+    order, as the calls happen."""
     modules = (hdmarc.dminfo, hdmarc.dmregions, hdmarc.oracle, hdmarc.verify)
-    calls = count_calls(monkeypatch, hdmarc.dminfo, ("build_slot1_joint",), *modules, arguments=2)
-    calls.update(count_calls(monkeypatch, hdmarc.dminfo, ("build_slot2_joint",), *modules))
+    calls = {"build_slot1_joints": [], "build_slot2_joints": []}
+    slot1, slot2 = hdmarc.dminfo.build_slot1_joints, hdmarc.dminfo.build_slot2_joints
+
+    def counting_slot1(specs, k, silenced=False):
+        specs = tuple(specs)
+        calls["build_slot1_joints"].append((specs, k, silenced))
+        return slot1(specs, k, silenced)
+
+    def counting_slot2(specs, silenced=False):
+        specs = tuple(specs)
+        calls["build_slot2_joints"].append((specs, silenced))
+        return slot2(specs, silenced)
+
+    for module in modules:
+        for name, counting in (
+            ("build_slot1_joints", counting_slot1), ("build_slot2_joints", counting_slot2)
+        ):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
     return calls

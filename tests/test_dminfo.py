@@ -827,3 +827,22 @@ def test_a_joint_pmf_refuses_a_set_of_names():
     assert entropy(pmf, frozenset({"X11"})) == pmf.entropy(("X11",))
     assert mutual_information(pmf, {"X11"}, {"Y11"}) == pmf.mutual_information(["X11"], ["Y11"])
     assert marginalize(pmf, {"Y11"}).names() == ("Y11",)
+
+
+def test_a_stacked_joint_that_is_no_pmf_is_refused_naming_its_spec(monkeypatch):
+    # Built from checked tables a joint is always a pmf; the check of each
+    # joint of a stack still runs, and names the spec whose joint fails.
+    rng = np.random.default_rng(25)
+    specs = [_random_spec(rng) for _ in range(3)]
+    product = hdmarc.dminfo._slot1_product
+
+    def scaled(*tables):
+        joints = product(*tables)
+        joints[-1] *= 1.5
+        return joints
+
+    monkeypatch.setattr(hdmarc.dminfo, "_slot1_product", scaled)
+    with pytest.raises(InvalidParams, match=r"^slot-1 joint of destination 2 of specs\[2\] must sum"):
+        hdmarc.dminfo.build_slot1_joints(specs, 2)
+    with pytest.raises(InvalidParams, match="^slot-1 joint of destination 1 must sum"):
+        build_slot1_joint(specs[0], 1)

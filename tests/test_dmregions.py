@@ -10,12 +10,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hdmarc import DmChannelSpec, InvalidParams, SchemeId
+import hdmarc.dminfo
+import hdmarc.dmregions
+from hdmarc import DmChannelSpec, InvalidParams, OutOfRange, SchemeId, TensorTooLarge
 from hdmarc.core import clamp_bounds, rate_region, validate_beta
 from hdmarc.dminfo import (
     MAX_CELLS,
     SLOT2_VARS,
-    JointPmf,
     build_slot1_joint,
     build_slot2_joint,
     entropy,
@@ -28,6 +29,7 @@ from hdmarc.dmregions import (
     cf_region_marc,
     degenerate_relay_spec,
     dm_regions,
+    dm_regions_stack,
     gqf_region_cmacr,
     gqf_region_marc,
     no_relay_region_cmacr,
@@ -35,7 +37,7 @@ from hdmarc.dmregions import (
     slot_terms,
 )
 from hdmarc.oracle import gqf_region_via_ru_sweep
-from hdmarc.verify import draw_dm_spec
+from hdmarc.verify import draw_dm_spec, draw_silent_dest2_spec, draw_single_source_spec
 
 from _support import (
     MIXED_CF_SEED,
@@ -140,33 +142,39 @@ def test_region_terms_destinations():
     assert destinations(gqf_region_marc(spec, validate_beta(0.5))) == (1,)
 
 
-def test_entropy_table_matches_public_entropy_and_the_per_set_sums(monkeypatch):
-    seen = []
-    tabled = JointPmf.mutual_information
-
-    def recording(pmf, a, b, c=frozenset()):
-        value = tabled(pmf, a, b, c)
-        seen.append((pmf, frozenset(a), frozenset(b), frozenset(c), value))
-        return value
-
-    monkeypatch.setattr(JointPmf, "mutual_information", recording)
+def test_entropy_table_matches_public_entropy_and_the_per_set_sums():
+    # Every slot term is read from the stacked tables by its plan; each
+    # variable set a plan reads must have, in the spec's own joints, the
+    # entropy that the public functions and the per-set sums give.
     rng = np.random.default_rng(53)
+    sets, mis = set(), 0
     for sizes in ({}, {"yhr": 1}, {"y21": 1, "y22": 1}, {"yr": 4, "y12": 1}):
         spec = make_random_spec(rng, sizes)
         for source in (spec, degenerate_relay_spec(spec)):
-            slot_terms(source, (1, 2))
-    monkeypatch.undo()
+            terms = slot_terms(source, (1, 2))
+            for k in (1, 2):
+                joints = source.joints(k)
+                for name, formulas in hdmarc.dmregions._formulas(k).items():
+                    for slot, (joint, formula) in enumerate(zip(joints, formulas)):
+                        parts = hdmarc.dmregions._parts(formula)
+                        h = joint.entropy
+                        values = []
+                        for a, b, c in map(lambda part: map(frozenset, part), parts):
+                            sets.update((joint, names) for names in (a | c, b | c, c, a | b | c))
+                            # Each mutual information is its four entropies,
+                            # bit for bit.
+                            value = joint.mutual_information(a, b, c)
+                            assert repr(value) == repr(h(a | c) + h(b | c) - h(c) - h(a | b | c))
+                            values.append(value)
+                            mis += 1
+                        first, added, subtracted = values
+                        assert repr(terms[name][slot]) == repr(first + added - subtracted), name
     # Every variable set the slot terms use, on both joints of every spec.
-    sets = {(pmf, names) for pmf, a, b, c, _ in seen for names in (a | c, b | c, c, a | b | c)}
-    assert len(sets) > 8 * 20
+    assert len(sets) > 8 * 20 and mis > 8 * 20
     for pmf, names in sets:
         value = pmf.entropy(names)
         assert repr(value) == repr(entropy(pmf, names)), sorted(names)
         assert abs(value - entropy_as_summed_per_set(pmf, names)) <= 1e-14, sorted(names)
-    # Each mutual information is its four entropies, bit for bit.
-    for pmf, a, b, c, value in seen:
-        h = pmf.entropy
-        assert repr(value) == repr(h(a | c) + h(b | c) - h(c) - h(a | b | c))
 
 
 def _exact_integers(table):
@@ -545,33 +553,54 @@ def test_both_topologies_equal_each_topology_alone_bit_for_bit():
 def test_one_call_for_both_topologies_builds_each_joint_once(monkeypatch):
     calls = count_joint_builds(monkeypatch)
     spec = make_random_spec(np.random.default_rng(MIXED_CF_SEED))
-    silenced = degenerate_relay_spec(spec)
     betas = np.linspace(0.1, 0.9, 9)
-    # Silenced spec: none for GQF; one for NO_RELAY, and for CF, which fails
-    # its binning test at some of these betas on both topologies.
+    # Silenced channel: none for GQF; one for NO_RELAY, and for CF, which
+    # fails its binning test at some of these betas on both topologies.
     for schemes, silenced_builds in (
         ((SchemeId.GQF,), 0),
         ((SchemeId.CF,), 1),
         (tuple(SchemeId), 1),
     ):
         fresh = replace(spec)  # the same channel, with no table built yet
-        for specs in calls.values():
-            specs.clear()
+        for made in calls.values():
+            made.clear()
         dm_regions(fresh, ("marc", "cmacr"), schemes, betas)
-        slot1 = calls["build_slot1_joint"]
-        # One slot-1 build per (spec, destination), one slot-2 build per spec.
-        assert len({(id(s), d) for s, d in slot1}) == len(slot1)
+        slot1 = calls["build_slot1_joints"]
+        # One slot-1 build per (channel, destination), one slot-2 build per
+        # channel: the spec's, then the relay-silenced one's.
+        assert len({(d, silenced) for _, d, silenced in slot1}) == len(slot1)
         builds = {
-            f"build_slot1_joint, destination {k}": [s for s, d in slot1 if d == k]
+            f"build_slot1_joints, destination {k}": [
+                (specs, silenced) for specs, d, silenced in slot1 if d == k
+            ]
             for k in (1, 2)
         }
-        builds["build_slot2_joint"] = calls["build_slot2_joint"]
-        for name, specs in builds.items():
-            assert len(specs) == 1 + silenced_builds, (name, schemes)
-            assert specs[0] is fresh
-            for other in specs[1:]:
-                assert np.array_equal(other.pxr, silenced.pxr)
-                assert np.array_equal(other.test_channel, silenced.test_channel)
+        builds["build_slot2_joints"] = calls["build_slot2_joints"]
+        for name, made in builds.items():
+            assert len(made) == 1 + silenced_builds, (name, schemes)
+            assert made[0] == ((fresh,), False)
+            for other in made[1:]:
+                assert other == ((fresh,), True)
+
+
+def test_the_silenced_rows_are_those_of_the_relay_silenced_spec():
+    # The relay-silenced joints are built from the spec's own tables, with
+    # the arrays degenerate_relay_spec sets: their bits are those of the
+    # joints of the spec it makes.
+    rng = np.random.default_rng(54)
+    specs = [make_random_spec(rng, sizes) for sizes in ({}, {"xr": 3, "yhr": 3}, {"yr": 4})]
+    for spec in specs:
+        silenced = degenerate_relay_spec(spec)
+        for k in (1, 2):
+            ((_, stack),) = hdmarc.dminfo.build_slot1_joints([spec], k, True)
+            assert_same_bits(stack[0], build_slot1_joint(silenced, k).probs)
+        ((_, stack),) = hdmarc.dminfo.build_slot2_joints([spec], True)
+        assert_same_bits(stack[0], build_slot2_joint(silenced).probs)
+        want = slot_terms(silenced, (1, 2))
+        got = hdmarc.dmregions._stacked_terms([spec], (1, 2), silenced=True)
+        assert list(got) == list(want)
+        for name, pair in want.items():
+            assert_same_bits([value[0] for value in got[name]], list(pair))
 
 
 def test_a_spec_made_from_another_reads_only_its_own_tables():
@@ -888,3 +917,115 @@ def test_dm_regions_refuses_a_repeated_topology():
     for topologies, named in ((("marc", "marc"), "marc"), (["cmacr", "marc", "cmacr"], "cmacr")):
         with pytest.raises(InvalidParams, match=f"^topologies lists {named} more than once$"):
             dm_regions(spec, topologies, (SchemeId.GQF,), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Stacks of specs
+
+
+def _assert_stack_gives_the_one_spec_bits(specs, betas, topologies=TOPOLOGIES):
+    """Each spec's bounds from one stack equal its one-spec dm_regions bit
+    for bit, terms included, for every scheme on ``topologies``."""
+    schemes = tuple(SchemeId)
+    stacked = dm_regions_stack(specs, topologies, schemes, betas)
+    assert len(stacked) == len(specs)
+    for spec, beta, got in zip(specs, betas, stacked):
+        want = dm_regions(spec, topologies, schemes, beta)
+        assert list(got) == list(want)
+        for topology in topologies:
+            assert list(got[topology]) == list(schemes)
+            for scheme in schemes:
+                assert list(got[topology][scheme].terms) == list(want[topology][scheme].terms)
+                assert_same_bits(got[topology][scheme], want[topology][scheme])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2007])
+def test_a_stack_of_the_verify_families_gives_the_one_spec_bits(seed):
+    # Channels of the dm, single-source and silent-destination-2 draws, of
+    # mixed shapes, in one stack: cMACr reaches one or two destinations, and
+    # CF fails its binning test at some points and not at others.
+    rng = np.random.default_rng(seed)
+    specs, betas = [], []
+    for _ in range(12):
+        specs.append(draw_dm_spec(rng))
+        betas.append(float(rng.uniform(0.1, 0.9)))
+        spec, beta = draw_single_source_spec(rng)
+        specs.append(spec)
+        betas.append(beta)
+        specs.append(draw_silent_dest2_spec(rng))
+        betas.append(float(rng.uniform(0.1, 0.9)))
+    assert len({spec.slot1.shape for spec in specs}) > 10
+    for topologies in (TOPOLOGIES, ("cmacr",), ("marc",)):
+        _assert_stack_gives_the_one_spec_bits(specs, betas, topologies)
+    feasible = {
+        region["cmacr"][SchemeId.CF].feasible
+        for region in dm_regions_stack(specs, TOPOLOGIES, (SchemeId.CF,), betas)
+    }
+    assert feasible == {True, False}
+
+
+def test_specs_with_a_long_axis_stack_only_with_their_own_shape(monkeypatch):
+    # Y11 of 8 letters and more is never padded, and nor is a one-letter
+    # quantizer behind it: numpy sums a long axis in blocks laid out by the
+    # axes after it.
+    rng = np.random.default_rng(57)
+    twins = {"x11": 2, "x21": 3, "yr": 3, "y11": 16, "yhr": 2}
+    specs = [
+        draw_dm_spec(rng, {"y11": 8}),
+        draw_dm_spec(rng, {"y11": 9}),
+        draw_dm_spec(rng, {"y11": 16, "yhr": 1}),
+        draw_dm_spec(rng, twins),
+        draw_dm_spec(rng, twins),
+        draw_dm_spec(rng, {"y11": 3, "x11": 2, "yr": 3}),
+        draw_dm_spec(rng, {"y11": 7, "x11": 3, "yr": 2}),
+    ]
+    stacks = []
+    builder = hdmarc.dmregions.build_slot1_joints
+
+    def recording(specs, k, silenced=False):
+        built = builder(specs, k, silenced)
+        stacks.extend((k, positions, joints.shape[1:]) for positions, joints in built)
+        return built
+
+    monkeypatch.setattr(hdmarc.dmregions, "build_slot1_joints", recording)
+    betas = [float(beta) for beta in rng.uniform(0.1, 0.9, len(specs))]
+    dm_regions_stack(specs, ("marc",), (SchemeId.GQF,), betas)
+    shapes = [spec.slot1.shape[:4] + spec.test_channel.shape[1:] for spec in specs]
+    assert [positions for _, positions, _ in stacks] == [[0], [1], [2], [3, 4], [5, 6]]
+    assert [shape for _, _, shape in stacks[:4]] == shapes[:4]
+    assert stacks[4][2] == tuple(map(max, shapes[5], shapes[6]))
+    assert stacks[4][2][:4] == (3, stacks[4][2][1], 3, 7)  # padded X11, YR and Y11
+    monkeypatch.undo()
+    _assert_stack_gives_the_one_spec_bits(specs, betas)
+
+
+def test_a_stack_reads_its_arguments_once_and_refuses_what_the_one_spec_call_refuses():
+    rng = np.random.default_rng(58)
+    specs = [draw_dm_spec(rng) for _ in range(3)]
+    with pytest.raises(InvalidParams, match="^3 specs need as many slot fractions, got 2$"):
+        dm_regions_stack(specs, TOPOLOGIES, (SchemeId.GQF,), [0.3, 0.4])
+    with pytest.raises(InvalidParams, match="^spec must be a DmChannelSpec"):
+        dm_regions_stack([specs[0], "spec"], TOPOLOGIES, (SchemeId.GQF,), [0.3, 0.4])
+    with pytest.raises(OutOfRange):
+        dm_regions_stack(specs, TOPOLOGIES, (SchemeId.GQF,), [0.3, 1.0, 0.4])
+    with pytest.raises(OutOfRange, match="^slot fraction must be a real number"):
+        dm_regions_stack(specs, TOPOLOGIES, (SchemeId.GQF,), np.array([[0.3, 0.2, 0.4]]))
+    blind = draw_dm_spec(rng, {"y11": 1, "y12": 1, "y21": 1, "y22": 1})
+    with pytest.raises(InvalidParams, match="no destination can decode"):
+        dm_regions_stack([specs[0], blind], ("cmacr",), (SchemeId.GQF,), [0.3, 0.4])
+    # A generator is read once; an empty stack gives no regions.
+    got = dm_regions_stack(iter(specs), TOPOLOGIES, (SchemeId.GQF,), iter([0.3, 0.4, 0.5]))
+    assert len(got) == 3
+    assert dm_regions_stack([], TOPOLOGIES, (SchemeId.GQF,), []) == []
+
+
+def test_a_failing_joint_of_a_stack_names_its_spec():
+    rng = np.random.default_rng(59)
+    big = {"x11": 4, "x21": 4, "yr": 16, "y11": 64, "y21": 4, "yhr": 32}
+    specs = [make_random_spec(rng), make_random_spec(rng, big)]
+    with pytest.raises(
+        TensorTooLarge, match=r"^slot-1 joint of destination 1 of specs\[1\] would hold 524288"
+    ):
+        dm_regions_stack(specs, ("marc",), (SchemeId.GQF,), [0.3, 0.4])
+    with pytest.raises(TensorTooLarge, match="^slot-1 joint of destination 1 would hold 524288"):
+        dm_regions(specs[1], ("marc",), (SchemeId.GQF,), 0.4)

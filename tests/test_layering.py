@@ -2,7 +2,8 @@
 import.
 
 ``oracle`` computes every reference value that ``hdmarc verify`` compares
-against, independently of the formula code it checks.  ``verify`` draws
+against, independently of the formula code it checks, from joints and
+entropies of its own.  ``verify`` draws
 channels, asks a model entry and the oracle, and records deviations; it
 holds no entropy or log-det arithmetic of its own.  ``tests/_known_answers``
 writes closed forms with ``math`` alone.  All are read from source with
@@ -53,6 +54,17 @@ def test_oracle_imports_only_the_channel_parameters_from_the_formula_layers():
     assert imports["gaussian"] == {"GaussianMarcParams"}
     for module in ("dmregions", "sweep", "verify", "cli", "hdmarc"):
         assert module not in imports, module
+
+
+def test_oracle_builds_its_own_joints_and_entropies():
+    # The finite-alphabet reference values are checked against production's
+    # joints and entropy tables, so the oracle reads neither: from dminfo it
+    # takes the channel and the name checks only, and it reads no spec's
+    # joints and no pmf's entropy or mutual information.
+    assert _imports("oracle")["dminfo"] == {"DmChannelSpec", "check_names", "disjoint_sets"}
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not attributes & {"joints", "mutual_information", "entropy"}
 
 
 def test_oracle_takes_no_bound_rule_from_core():

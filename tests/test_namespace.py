@@ -14,7 +14,7 @@ import pytest
 
 import hdmarc
 from hdmarc import DmChannelSpec, GaussianMarcParams, HdmarcError, SchemeId
-from hdmarc import dminfo, dmregions, gaussian
+from hdmarc import dminfo, dmregions, gaussian, oracle
 
 from _support import make_random_spec
 
@@ -60,7 +60,9 @@ MODULE_NAMES = {
     "dminfo": (
         "JointPmf",
         "build_slot1_joint",
+        "build_slot1_joints",
         "build_slot2_joint",
+        "build_slot2_joints",
         "entropy",
         "marginalize",
         "mutual_information",
@@ -69,6 +71,7 @@ MODULE_NAMES = {
         "cf_region_cmacr",
         "cf_region_marc",
         "degenerate_relay_spec",
+        "dm_regions_stack",
         "gqf_region_cmacr",
         "gqf_region_marc",
         "no_relay_region_cmacr",
@@ -82,7 +85,14 @@ MODULE_NAMES = {
         "gqf_rates",
         "no_relay_rates",
     ),
-    "oracle": ("GaussianVectorModel", "build_covariance", "gaussian_mi", "gqf_region_via_ru_sweep"),
+    "oracle": (
+        "GaussianVectorModel",
+        "build_covariance",
+        "gaussian_mi",
+        "gqf_region_via_ru_sweep",
+        "gqf_regions_via_ru_sweep",
+        "single_source_gqf_branch_pairs",
+    ),
 }
 
 
@@ -270,6 +280,15 @@ def _module_calls() -> dict[str, tuple]:
         "dminfo.build_slot1_joint": (dminfo.build_slot1_joint, (spec, 2)),
         "DmChannelSpec.joints": (spec.joints, (2,)),
         "dmregions.slot_terms": (dmregions.slot_terms, (spec, (1, 2))),
+        "dmregions.dm_regions_stack": (
+            dmregions.dm_regions_stack, ([spec, spec], ("marc", "cmacr"), (SchemeId.CF,), [0.3, 0.6])
+        ),
+        "dminfo.build_slot1_joints": (dminfo.build_slot1_joints, ([spec, spec], 2, True)),
+        "dminfo.build_slot2_joints": (dminfo.build_slot2_joints, ([spec], False)),
+        "oracle.gqf_regions_via_ru_sweep": (oracle.gqf_regions_via_ru_sweep, ([(spec, 0.4)],)),
+        "oracle.single_source_gqf_branch_pairs": (
+            oracle.single_source_gqf_branch_pairs, ([(spec, 0.4), (spec, 0.5)],)
+        ),
         "gaussian.no_relay_rates": (gaussian.no_relay_rates, (1.0, 1.0, 1.5, 1.5)),
         "dminfo.mutual_information": (dminfo.mutual_information, (joint, *mi_sets)),
         "JointPmf.entropy": (joint.entropy, (("X11", "Y11"),)),

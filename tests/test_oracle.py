@@ -13,6 +13,9 @@ import numpy as np
 import pytest
 
 import hdmarc
+import hdmarc.dminfo
+import hdmarc.dmregions
+import hdmarc.verify
 from hdmarc import (
     DegenerateRelayLink,
     DimensionMismatch,
@@ -20,9 +23,11 @@ from hdmarc import (
     GaussianMarcParams,
     HdmarcError,
     InvalidParams,
+    OutOfRange,
     OverlappingSets,
     SchemeId,
     SingularCovariance,
+    TensorTooLarge,
     UnknownVariable,
     run_subject,
 )
@@ -41,6 +46,8 @@ from hdmarc.oracle import (
     crossing_offset,
     gaussian_mi,
     gqf_region_via_ru_sweep,
+    gqf_regions_via_ru_sweep,
+    single_source_gqf_branch_pairs,
     single_source_gqf_branches,
 )
 from hdmarc.verify import (
@@ -628,27 +635,47 @@ def test_ru_sweep_refuses_a_channel_where_no_destination_hears():
 
 def test_dm_regions_draw_builds_each_slot_joint_once(monkeypatch):
     calls = count_joint_builds(monkeypatch)
-    built = []
+    built, tabled = [], []
 
     def recording(probs):
         built.append(probs)
         return table(probs)
 
-    table = hdmarc.dminfo._entropy_table
+    def recording_stack(stack):
+        tabled.append(stack)
+        return tables(stack)
+
+    table, tables = hdmarc.dminfo._entropy_table, hdmarc.dminfo._entropy_tables
     monkeypatch.setattr(hdmarc.dminfo, "_entropy_table", recording)
-    # One production call for both topologies and one oracle call, both
-    # reading the spec's joints: one slot-1 joint per destination, one
-    # slot-2 joint.
-    assert run_subject("dm-regions", seed=0, draws=1).passed
-    assert {name: len(specs) for name, specs in calls.items()} == {
-        "build_slot1_joint": 2,
-        "build_slot2_joint": 1,
+    monkeypatch.setattr(hdmarc.dmregions, "_entropy_tables", recording_stack)
+    # A chunk: one production call for both topologies on all its draws,
+    # one stacked build per slot-1 joint of each destination and one of the
+    # slot-2 joint, each with every spec of the chunk.
+    drawn = []
+    draw = hdmarc.verify.draw_dm_spec
+    monkeypatch.setattr(hdmarc.verify, "draw_dm_spec", lambda rng: drawn.append(draw(rng)) or drawn[-1])
+    assert run_subject("dm-regions", seed=0, draws=7).passed
+    assert calls == {
+        "build_slot1_joints": [(tuple(drawn), 1, False), (tuple(drawn), 2, False)],
+        "build_slot2_joints": [(tuple(drawn), False)],
     }
-    (spec, destination), other = calls["build_slot1_joint"]
-    assert (destination, other) == (1, (spec, 2)) and calls["build_slot2_joint"] == [spec]
-    # Each joint of the draw builds its entropy table once.
-    joints = (*spec.joints(1), spec.joints(2)[0])
-    assert sorted(map(id, built)) == sorted(id(joint.probs) for joint in joints)
+    # Each stacked joint builds its entropy table once, and no JointPmf is
+    # made or read.
+    assert len(tabled) == 3 and built == []
+
+
+def test_the_dm_oracle_builds_no_joint_through_dminfo(monkeypatch):
+    calls = count_joint_builds(monkeypatch)
+    made = []
+    monkeypatch.setattr(hdmarc.dminfo.JointPmf, "__init__", lambda *args: made.append(args))
+    monkeypatch.setattr(hdmarc.dminfo, "_entropy_tables", lambda stack: made.append(stack))
+    rng = np.random.default_rng(0)
+    dm = [(draw_dm_spec(rng), float(rng.uniform(0.1, 0.9))) for _ in range(5)]
+    single = [draw_single_source_spec(rng) for _ in range(5)]
+    assert len(gqf_regions_via_ru_sweep(dm)) == len(single_source_gqf_branch_pairs(single)) == 5
+    gqf_region_via_ru_sweep(*dm[0])
+    single_source_gqf_branches(*single[0])
+    assert calls == {"build_slot1_joints": [], "build_slot2_joints": []} and made == []
 
 
 _INDEXED = {
@@ -741,13 +768,16 @@ def test_closed_forms_oracle_keeps_the_bits_of_the_old_assembly(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 2007])
-def test_single_source_oracle_keeps_the_bits_of_the_old_assembly(seed):
+def test_single_source_oracle_agrees_with_the_old_assembly(seed):
+    # The oracle sums each marginal's entropy on its own from joints of its
+    # own, so its bits are its own; the assembly from the spec's joints,
+    # which production's entropy tables give, agrees to a few ulps.
     rng = np.random.default_rng(seed)
-    for _ in range(20):
-        spec, b = draw_single_source_spec(rng)
-        assert_same_bits(
-            single_source_gqf_branches(spec, b), _single_source_as_verify_assembled(spec, b)
-        )
+    draws = [draw_single_source_spec(rng) for _ in range(20)]
+    for (spec, b), got in zip(draws, single_source_gqf_branch_pairs(draws)):
+        want = _single_source_as_verify_assembled(spec, b)
+        assert single_source_gqf_branches(spec, b) == got
+        assert all(abs(x - y) <= 1e-14 for x, y in zip(got, want)), (got, want)
 
 
 def test_a_single_source_draw_checks_one_channel(monkeypatch):
@@ -836,3 +866,110 @@ def test_crossing_offset_is_zero_at_the_reference_threshold_and_signed_off_it():
     threshold = 55.5 / 27  # the reference channel's sum-optimal variance
     assert abs(crossing_offset(params, threshold)) < 1e-15
     assert crossing_offset(params, 2 * threshold) > 0.0 > crossing_offset(params, threshold / 2)
+
+
+# ---------------------------------------------------------------------------
+# The finite-alphabet oracle: chunks, and independence from production
+
+
+def test_a_dm_oracle_chunk_gives_each_draw_its_one_draw_bits():
+    # Mixed shapes share padded stacks; a long axis stacks only with its own
+    # shape.  Every value keeps the bits of its draw alone.
+    rng = np.random.default_rng(81)
+    dm, single = [], []
+    for sizes in ({}, {"y11": 9}, {"y11": 9, "yhr": 1}, {"y21": 1, "y22": 1}, {"yr": 7}):
+        for _ in range(4):
+            dm.append((draw_dm_spec(rng, sizes), float(rng.uniform(0.1, 0.9))))
+            single.append(draw_single_source_spec(rng))
+    for (spec, beta), regions in zip(dm, gqf_regions_via_ru_sweep(dm)):
+        assert regions == gqf_region_via_ru_sweep(spec, beta)
+    for (spec, beta), pair in zip(single, single_source_gqf_branch_pairs(single)):
+        assert_same_bits(pair, single_source_gqf_branches(spec, beta))
+
+
+def test_the_dm_oracle_reads_its_draws_as_pairs_and_caps_its_joints():
+    spec = make_random_spec(np.random.default_rng(82))
+    for draws in ([spec], [(spec, 0.3, 1)], {(spec, 0.3)}):
+        with pytest.raises(InvalidParams):
+            gqf_regions_via_ru_sweep(draws)
+        with pytest.raises(InvalidParams):
+            single_source_gqf_branch_pairs(draws)
+    with pytest.raises(OutOfRange):
+        gqf_regions_via_ru_sweep([(spec, 0.3), (spec, 1.5)])
+    big = make_random_spec(
+        np.random.default_rng(83), {"x11": 4, "x21": 4, "yr": 16, "y11": 64, "y21": 4, "yhr": 32}
+    )
+    with pytest.raises(TensorTooLarge, match="slot-1 joint of destination 1 would hold 524288"):
+        gqf_region_via_ru_sweep(big, 0.3)
+
+
+@pytest.mark.parametrize("subject", ["dm-regions", "reductions"])
+def test_an_entropy_table_in_nats_fails_the_dm_subjects(monkeypatch, subject):
+    # The oracle computes its entropies itself: production's tables in nats
+    # move every production term and no oracle value, so the check fails.
+    assert run_subject(subject, seed=0, draws=20).passed
+    tables = hdmarc.dminfo._entropy_tables
+    monkeypatch.setattr(hdmarc.dmregions, "_entropy_tables", lambda stack: tables(stack) * math.log(2))
+    assert not run_subject(subject, seed=0, draws=20).passed
+
+
+def test_a_slot1_product_with_the_source_pmfs_swapped_fails_dm_regions(monkeypatch):
+    # The oracle builds its joints itself: production's slot-1 joints with
+    # p(x11) and p(x21) on each other's axes fail the check.  Both sources
+    # have two letters, so the swapped joints are still pmfs.
+    draw = hdmarc.verify.draw_dm_spec
+    monkeypatch.setattr(hdmarc.verify, "draw_dm_spec", lambda rng: draw(rng, {"x11": 2, "x21": 2}))
+    assert run_subject("dm-regions", seed=0, draws=20).passed
+    product = hdmarc.dminfo._slot1_product
+    monkeypatch.setattr(
+        hdmarc.dminfo, "_slot1_product", lambda tc, slot1, px21, px11: product(tc, slot1, px11, px21)
+    )
+    assert not run_subject("dm-regions", seed=0, draws=20).passed
+
+
+_DM_FAULTS = {
+    # A fault of the oracle or of production, by draw.  Run on the whole
+    # chunk, the oracle's comes first; draw by draw, the first draw's.
+    "oracle first": (8, {3: "oracle", 6: "production"}),
+    "production first": (8, {2: "production", 5: "oracle"}),
+    "two of one kind": (8, {5: "production", 6: "production"}),
+    "last draw": (8, {7: "oracle"}),
+    "second chunk": (BATCH_DRAWS + 3, {BATCH_DRAWS + 1: "production", BATCH_DRAWS + 2: "oracle"}),
+}
+
+
+@pytest.mark.parametrize("subject", ["dm-regions", "reductions"])
+@pytest.mark.parametrize("case", sorted(_DM_FAULTS))
+def test_a_failing_dm_draw_raises_what_it_raises_draw_by_draw(monkeypatch, subject, case):
+    count, faults = _DM_FAULTS[case]
+    drawn = []
+    draw_name, oracle_name = {
+        "dm-regions": ("draw_dm_spec", "gqf_regions_via_ru_sweep"),
+        "reductions": ("draw_single_source_spec", "single_source_gqf_branch_pairs"),
+    }[subject]
+    draw = getattr(hdmarc.verify, draw_name)
+
+    def recording(rng):
+        value = draw(rng)
+        drawn.append(value[0] if isinstance(value, tuple) else value)
+        return value
+
+    def faulty(function, kind):
+        def call(values, *args):
+            for value in values:
+                spec = value[0] if isinstance(value, tuple) else value
+                index = next((i for i, other in enumerate(drawn) if other is spec), None)
+                if faults.get(index) == kind:
+                    raise DegenerateRelayLink(f"{kind} fault at draw {index}")
+            return function(values, *args)
+
+        return call
+
+    monkeypatch.setattr(hdmarc.verify, draw_name, recording)
+    oracle = getattr(hdmarc.verify, oracle_name)
+    monkeypatch.setattr(hdmarc.verify, oracle_name, faulty(oracle, "oracle"))
+    production = hdmarc.verify.dm_regions_stack
+    monkeypatch.setattr(hdmarc.verify, "dm_regions_stack", faulty(production, "production"))
+    first = min(faults)
+    with pytest.raises(DegenerateRelayLink, match=f"^{faults[first]} fault at draw {first}$"):
+        run_subject(subject, seed=0, draws=count)

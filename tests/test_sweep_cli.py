@@ -89,10 +89,10 @@ SHIPPED_GP_SHA256 = {
 VERIFY_REPORT_SHA256 = {
     ("closed-forms", 0): "1675720a3430921cb4a97cb6a8811fc5d7ded21641c11881e64f7188e8661a4a",
     ("closed-forms", 2007): "14c283741cbed9397d0e015eec679f496aad9893a4633d2cebfae4c62c170963",
-    ("dm-regions", 0): "14a4b2f61b3c9d1aee045440667385836d59a16e641415260978865eeab91082",
-    ("dm-regions", 2007): "dcb02543807f5dd174d6d9d2667efa4ea5b8855def78ae30c8438ee13fa1db70",
-    ("reductions", 0): "2f99f979f60339ace67e0d0756277cc54831c8acaaff36a42b12829b5969f3b1",
-    ("reductions", 2007): "a9cb783fc6b141d664783570546cf0533078f55eca5123f818e48015f83a8828",
+    ("dm-regions", 0): "355e3145b8f042d75cf9b25b282e898d9d22dd0daa2037fd0bf461c01f09d43a",
+    ("dm-regions", 2007): "455e56241eec529503c9527d311d7e6a4cba8a4f4afbe5eb2b8f09f4bd42229c",
+    ("reductions", 0): "e6216fe4c58b952ab8d13e80fdac7a13b81b6332317f5f146884658394047229",
+    ("reductions", 2007): "19366d832f79a1f763ace33168a19ed5e818ece8114c02bfc1682873a1ab5f34",
 }
 
 #: SHA-256 of ``hdmarc region`` on each of ``_region_docs()``, in order
@@ -719,15 +719,20 @@ def test_dm_sweep_rows_equal_scalar_regions_bit_for_bit():
 def test_dm_sweep_and_region_build_each_joint_once_per_spec(
     monkeypatch, tmp_path, points, schemes
 ):
-    calls = count_joint_builds(monkeypatch)["build_slot1_joint"]
+    calls = count_joint_builds(monkeypatch)["build_slot1_joints"]
     channel = _dm_sweep_doc()["channel"]
 
     def built_specs(destinations):
-        """The specs built, each with one slot-1 joint per destination."""
-        specs = [spec for spec, k in calls if k == destinations[0]]
-        assert [(id(spec), k) for spec, k in calls] == [
-            (id(spec), k) for spec in specs for k in destinations
+        """The channels built (the spec, then the relay-silenced one), each
+        a stack of the one spec with one slot-1 joint per destination."""
+        specs = [(specs, silenced) for specs, k, silenced in calls if k == destinations[0]]
+        assert [(specs, silenced) for specs, _, silenced in calls] == [
+            built for built in specs for _ in destinations
         ]
+        assert [k for _, k, _ in calls] == [k for _ in specs for k in destinations]
+        flags = [silenced for _, silenced in specs]
+        assert flags == sorted(set(flags))  # each channel once, the spec first
+        assert all(len(stack) == 1 and stack[0] is specs[0][0][0] for stack, _ in specs)
         return specs
 
     for topology, destinations in (("marc", (1,)), ("cmacr", (1, 2))):
