@@ -254,6 +254,63 @@ def _check_stochastic(name: str, table: np.ndarray, cond_axes: int = 0) -> None:
         )
 
 
+#: The number of axes of each table of a :class:`DmChannelSpec`, and how
+#: many of them lead its rows: at each index of those the table sums to 1
+#: over the others (a pmf, with none, sums to 1 over all of its axes).
+_TABLE_AXES = {
+    "px11": (1, 0),
+    "px21": (1, 0),
+    "px12": (1, 0),
+    "px22": (1, 0),
+    "pxr": (1, 0),
+    "test_channel": (2, 1),
+    "slot1": (5, 2),
+    "slot2": (5, 3),
+}
+
+
+def _tables_pass(arrays: dict) -> bool:
+    """Whether the tables ``arrays`` of a spec pass every check of
+    :func:`_check_tables`, in one pass: one minimum over all entries, and
+    one sum per conditional row, each the sum :func:`_check_stochastic`
+    takes, so this accepts exactly what those checks accept."""
+    if any(arrays[name].ndim != ndim for name, (ndim, _) in _TABLE_AXES.items()):
+        return False
+    if not all(arrays[name].size for name, (_, lead) in _TABLE_AXES.items() if not lead):
+        return False
+    entries = np.concatenate([table.ravel() for table in arrays.values()])
+    totals = np.concatenate([
+        np.add.reduce(arrays[name], axis=tuple(range(lead, ndim))).ravel()
+        for name, (ndim, lead) in _TABLE_AXES.items()
+    ])
+    # Written so that NaN fails, as in _check_stochastic.
+    return bool(entries.min() >= 0.0 and np.abs(totals - 1.0).max() <= NORM_TOL)
+
+
+def _check_tables(arrays: dict) -> None:
+    """Check the tables ``arrays`` of a spec one by one, raising the first
+    refusal: each input pmf's shape and sums, the shapes of the test
+    channel and the slot transitions, then their rows' sums."""
+    for name in ("px11", "px21", "px12", "px22", "pxr"):
+        if arrays[name].ndim != 1 or arrays[name].size < 1:
+            raise DimensionMismatch(
+                f"{name} must be a non-empty 1-D probability vector"
+            )
+        _check_stochastic(name, arrays[name])
+    if arrays["test_channel"].ndim != 2:
+        raise DimensionMismatch("test_channel must be a 2-D table [yR, yhR]")
+    if arrays["slot1"].ndim != 5:
+        raise DimensionMismatch(
+            "slot1 must be a 5-D table [x11, x21, yR, y11, y21]"
+        )
+    if arrays["slot2"].ndim != 5:
+        raise DimensionMismatch(
+            "slot2 must be a 5-D table [x12, x22, xR, y12, y22]"
+        )
+    for name in ("test_channel", "slot1", "slot2"):
+        _check_stochastic(name, arrays[name], _TABLE_AXES[name][1])
+
+
 @dataclass(frozen=True, eq=False)
 class DmChannelSpec:
     """A finite-alphabet two-slot channel with a quantizing relay.
@@ -294,26 +351,8 @@ class DmChannelSpec:
             arr.flags.writeable = False
             arrays[field.name] = arr
             object.__setattr__(self, field.name, arr)
-
-        for name in ("px11", "px21", "px12", "px22", "pxr"):
-            if arrays[name].ndim != 1 or arrays[name].size < 1:
-                raise DimensionMismatch(
-                    f"{name} must be a non-empty 1-D probability vector"
-                )
-            _check_stochastic(name, arrays[name])
-        if arrays["test_channel"].ndim != 2:
-            raise DimensionMismatch("test_channel must be a 2-D table [yR, yhR]")
-        if arrays["slot1"].ndim != 5:
-            raise DimensionMismatch(
-                "slot1 must be a 5-D table [x11, x21, yR, y11, y21]"
-            )
-        if arrays["slot2"].ndim != 5:
-            raise DimensionMismatch(
-                "slot2 must be a 5-D table [x12, x22, xR, y12, y22]"
-            )
-        _check_stochastic("test_channel", arrays["test_channel"], 1)
-        _check_stochastic("slot1", arrays["slot1"], 2)
-        _check_stochastic("slot2", arrays["slot2"], 3)
+        if not _tables_pass(arrays):
+            _check_tables(arrays)
 
         slot1, slot2 = arrays["slot1"], arrays["slot2"]
         checks = (

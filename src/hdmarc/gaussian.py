@@ -17,20 +17,23 @@ All rates are in bits per channel use.  Formula shape notes:
   received power.
 
 The formulas are written once, in the private ``_rate_terms`` and
-``_sigma_threshold``, over floats or numpy arrays of (beta, sigma_q2).
-:func:`~hdmarc.core.gqf_bounds` reduces the GQF terms that :data:`BRANCHES`
-names, as it does the finite-alphabet ones; CF reads the same table.
-:func:`gaussian_regions` is the one array entry: it checks ``beta`` and
-``sigma_q2`` once and the helpers behind it trust them.  The single-point
-entries reach the same formulas, so they and whole-grid sweeps agree bit
-for bit.
+``_sigma_threshold``, over floats or numpy arrays of (beta, sigma_q2) and
+of a channel's received powers (``_Powers``): floats for one channel,
+arrays for a stack of channels.  :func:`~hdmarc.core.gqf_bounds` reduces
+the GQF terms that :data:`BRANCHES` names, as it does the finite-alphabet
+ones; CF reads the same table.  There are two array entries, and each
+checks its inputs once for the helpers behind it to trust:
+:func:`gaussian_regions` evaluates one channel over a grid of points, and
+:func:`gaussian_regions_stack` many channels, each at its own point.  The
+single-point entries reach the same formulas, so they, whole-grid sweeps
+and stacks agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +54,7 @@ from .core import (
     read_collection,
     read_schemes,
     real_number,
+    run_chunk,
     two_slot,
     validate_beta,
 )
@@ -182,35 +186,66 @@ def relay_link(params: GaussianMarcParams) -> float:
     return params.hr1**2 * params.pr
 
 
-def _rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
-    """The six unclamped GQF branches at checked slot fraction(s) ``beta``
-    and quantization variance(s) ``sigma_q2`` (floats or arrays that
-    broadcast): ``a(i)``/``b(i)`` bound source i with the quantization index
-    recovered / jointly explained, ``I1``/``I2`` the sum.  Only the gains and
-    powers of ``params`` are used.  A point where a value leaves the float64
-    range raises :class:`OutOfRange` naming the first such
-    ``(beta, sigma_q2)``."""
-    beta, sigma_q2 = np.float64(beta), np.float64(sigma_q2)  # obey the errstate below
-    s1, s2, link = slot1_signal(params), slot2_signal(params), relay_link(params)
-    sources = (
-        (1, params.h11, params.h1r, params.p11, params.p12),
-        (2, params.h21, params.h2r, params.p21, params.p22),
+class _Powers(NamedTuple):
+    """What the closed forms read of a channel: its received powers, each
+    worked out in Python floats by the helpers above.  Floats for one
+    channel (:func:`_powers`), or float64 arrays with one entry per channel
+    for a stack of channels (:func:`_stack`), so :func:`_rate_terms` and
+    :func:`_sigma_threshold` are written once for both."""
+
+    s1: Any  # slot1_signal
+    s2: Any  # slot2_signal
+    link: Any  # relay_link
+    view: Any  # relay_view
+    direct: tuple  # per source i: 1 + h_i1**2 * p_i1, slot 1 at the destination
+    relay: tuple  # per source i: h_iR**2 * p_i1, slot 1 at the relay
+    alone: tuple  # per source i: 1 + h_i1**2 * p_i2, slot 2 at the destination
+    live: bool  # whether the relay link carries anything (every link of a stack)
+
+
+def _powers(params: GaussianMarcParams) -> _Powers:
+    """The received powers of one channel, as floats."""
+    p, link = params, relay_link(params)
+    return _Powers(
+        slot1_signal(p),
+        slot2_signal(p),
+        link,
+        relay_view(p),
+        (1.0 + p.h11**2 * p.p11, 1.0 + p.h21**2 * p.p21),
+        (p.h1r**2 * p.p11, p.h2r**2 * p.p21),
+        (1.0 + p.h11**2 * p.p12, 1.0 + p.h21**2 * p.p22),
+        link > 0.0,
     )
+
+
+def _stack(powers: list) -> _Powers:
+    """The float ``powers`` of channels whose relay links are all live or
+    all dead, as arrays over them."""
+    s1, s2, link, view, direct, relay, alone, live = zip(*powers)
+    return _Powers(
+        *map(np.array, (s1, s2, link, view)),
+        *(tuple(map(np.array, zip(*pairs))) for pairs in (direct, relay, alone)),
+        all(live),
+    )
+
+
+def _rate_terms(powers: _Powers, beta, sigma_q2) -> dict[str, Any]:
+    """The six unclamped GQF branches of the channel(s) ``powers`` at
+    checked slot fraction(s) ``beta`` and quantization variance(s)
+    ``sigma_q2`` (floats or arrays that broadcast): ``a(i)``/``b(i)`` bound
+    source i with the quantization index recovered / jointly explained,
+    ``I1``/``I2`` the sum.  A point where a value leaves the float64 range
+    raises :class:`OutOfRange` naming the first such ``(beta, sigma_q2)``."""
+    beta, sigma_q2 = np.float64(beta), np.float64(sigma_q2)  # obey the errstate below
+    w = powers
     with np.errstate(all="ignore"):  # an inf or NaN anywhere reaches the terms
         shrink = 1.0 + sigma_q2
         logs = {}  # each term's slot-1 and slot-2 arguments of 0.5 * log2
-        for i, h_direct, h_relay, p_slot1, p_slot2 in sources:
-            direct = 1.0 + h_direct**2 * p_slot1
-            logs[f"a({i})"] = (
-                direct + h_relay**2 * p_slot1 / shrink,
-                1.0 + h_direct**2 * p_slot2,
-            )
-            logs[f"b({i})"] = (
-                direct * sigma_q2 / shrink,
-                1.0 + h_direct**2 * p_slot2 + link,
-            )
-        logs["I1"] = (s1 + relay_view(params) / shrink, s2)
-        logs["I2"] = (s1 * sigma_q2 / shrink, s2 + link)
+        for i, direct, relay, alone in zip((1, 2), w.direct, w.relay, w.alone):
+            logs[f"a({i})"] = (direct + relay / shrink, alone)
+            logs[f"b({i})"] = (direct * sigma_q2 / shrink, alone + w.link)
+        logs["I1"] = (w.s1 + w.view / shrink, w.s2)
+        logs["I2"] = (w.s1 * sigma_q2 / shrink, w.s2 + w.link)
         terms = {
             name: two_slot(beta, 0.5 * np.log2(x1), 0.5 * np.log2(x2))
             for name, (x1, x2) in logs.items()
@@ -230,15 +265,15 @@ def _rate_terms(params: GaussianMarcParams, beta, sigma_q2) -> dict[str, Any]:
     return terms
 
 
-def _sigma_threshold(params: GaussianMarcParams, beta):
-    """CF binning threshold at checked slot fraction(s) ``beta`` (float or
-    array).  Raises :class:`DegenerateRelayLink` for a dead relay link, and
+def _sigma_threshold(powers: _Powers, beta):
+    """CF binning threshold of the channel(s) ``powers`` at checked slot
+    fraction(s) ``beta`` (float or array).  Raises
+    :class:`DegenerateRelayLink` for a dead relay link, and
     :class:`OutOfRange` naming the first ``beta`` whose threshold leaves the
     normal float64 range (small ``beta`` on a strong link, where the pipe
     ``(1 + link/S2)**((1-beta)/beta)`` overflows)."""
-    beta = np.float64(beta)
-    link = relay_link(params)
-    if link <= 0.0:
+    beta, w = np.float64(beta), powers
+    if not w.live:
         raise DegenerateRelayLink(
             "relay-to-destination link carries nothing (hr1**2 * pr == 0)"
         )
@@ -246,8 +281,8 @@ def _sigma_threshold(params: GaussianMarcParams, beta):
         # (1 + link/S2)**((1-b)/b) - 1, via expm1/log1p: the plain pow loses
         # the trailing digits that decide the threshold when the
         # exponentiated base is close to 1, and thresholds grow like 1/pipe.
-        pipe = np.expm1((1.0 - beta) / beta * np.log1p(link / slot2_signal(params)))
-        sigma = (1.0 + relay_view(params) / slot1_signal(params)) / pipe
+        pipe = np.expm1((1.0 - beta) / beta * np.log1p(w.link / w.s2))
+        sigma = (1.0 + w.view / w.s1) / pipe
     bad = ~((sigma >= _TINY) & (sigma < math.inf))
     if np.any(bad):
         first = np.flatnonzero(bad)[0]
@@ -260,37 +295,41 @@ def _sigma_threshold(params: GaussianMarcParams, beta):
     return sigma
 
 
-def _gqf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
+def _gqf_bounds(powers: _Powers, beta, sigma_q2=None) -> Bounds:
     """GQF bounds at each checked ``(beta, sigma_q2)``; always feasible.
     ``sigma_q2=None`` is the sum-optimal variance (see :func:`gaussian_regions`)."""
     if sigma_q2 is None:
-        if relay_link(params) > 0.0:
-            sigma_q2 = _sigma_threshold(params, beta)
+        if powers.live:
+            sigma_q2 = _sigma_threshold(powers, beta)
         else:
             sigma_q2 = np.full(np.shape(beta), DEAD_LINK_SIGMA)
-    return gqf_bounds(_rate_terms(params, beta, sigma_q2), BRANCHES, sigma_q2)
+    return gqf_bounds(_rate_terms(powers, beta, sigma_q2), BRANCHES, sigma_q2)
 
 
-def _cf_bounds(params: GaussianMarcParams, beta, sigma_q2=None) -> Bounds:
+def _cf_bounds(powers: _Powers, beta, sigma_q2=None) -> Bounds:
     """CF bounds at each checked ``(beta, sigma_q2)``: the index-decoded
     branches of :data:`BRANCHES`.  The dead-link fallback is their
     index-as-noise branches in the limit sigma_q2 -> infinity."""
     try:
-        sigma_min = _sigma_threshold(params, beta)
+        sigma_min = _sigma_threshold(powers, beta)
     except DegenerateRelayLink:
         if sigma_q2 is None:
             sigma_q2 = np.ones(np.shape(beta))
-        t = _rate_terms(params, beta, DEAD_LINK_SIGMA)
+        t = _rate_terms(powers, beta, DEAD_LINK_SIGMA)
         terms = {"sigma_min": math.inf, "degenerate_relay_link": 1.0}
         return Bounds(*(t[noise] for _, noise in BRANCHES), False, sigma_q2, terms)
     if sigma_q2 is None:
         sigma_q2 = sigma_min * (1.0 + CF_SIGMA_NUDGE)
     feasible = sigma_q2 > sigma_min
     used = np.where(feasible, sigma_q2, sigma_min)
-    t = _rate_terms(params, beta, used)
+    t = _rate_terms(powers, beta, used)
     decoded = {name: t[name] for name, _ in BRANCHES}
     terms = dict(decoded, sigma_min=sigma_min, sigma_used=used)
     return Bounds(*decoded.values(), feasible, sigma_q2, terms)
+
+
+#: The bounds of each scheme with a relay, from a channel's powers.
+_RELAYED = {SchemeId.GQF: _gqf_bounds, SchemeId.CF: _cf_bounds}
 
 
 def _point(params: GaussianMarcParams, scheme: SchemeId) -> RateRegion:
@@ -320,9 +359,9 @@ class SigmaOptimum:
     crossing: bool
 
 
-def _gqf_sum_rate(params: GaussianMarcParams, bounds: Bounds):
+def _gqf_sum_rate(powers: _Powers, bounds: Bounds):
     """The sum rate at the optimum: I1 at the crossing, else the I2 limit."""
-    return bounds.terms["I1" if relay_link(params) > 0.0 else "I2"]
+    return bounds.terms["I1" if powers.live else "I2"]
 
 
 def gqf_optimize_sigma(params: GaussianMarcParams) -> SigmaOptimum:
@@ -332,11 +371,12 @@ def gqf_optimize_sigma(params: GaussianMarcParams) -> SigmaOptimum:
     cross, and by the paper's threshold identity that is exactly the CF
     binning threshold :func:`cf_sigma_min`: a closed form, no search.
     """
-    bounds = _gqf_bounds(params, instance_of(params, GaussianMarcParams, "params").beta)
+    powers = _powers(instance_of(params, GaussianMarcParams, "params"))
+    bounds = _gqf_bounds(powers, params.beta)
     return SigmaOptimum(
         sigma_q2=float(bounds.sigma),
-        sum_rate=float(_gqf_sum_rate(params, bounds)),
-        crossing=relay_link(params) > 0.0,
+        sum_rate=float(_gqf_sum_rate(powers, bounds)),
+        crossing=powers.live,
     )
 
 
@@ -348,7 +388,7 @@ def cf_sigma_min(params: GaussianMarcParams) -> float:
     otherwise the pipe has zero capacity and no variance is small enough.
     """
     beta = instance_of(params, GaussianMarcParams, "params").beta
-    return float(_sigma_threshold(params, beta))
+    return float(_sigma_threshold(_powers(params), beta))
 
 
 def cf_rates(params: GaussianMarcParams) -> RateRegion:
@@ -383,6 +423,16 @@ def no_relay_rates(h11: float, h21: float, p1: float, p2: float) -> RateRegion:
     return rate_region(_no_relay_bounds(h11, h21, p1, p2))
 
 
+def _baseline(params: GaussianMarcParams, no_relay) -> Bounds:
+    """NO_RELAY's bounds on the direct gains of ``params`` with the baseline
+    powers ``no_relay = (P1, P2)``."""
+    powers = () if no_relay is None else no_relay
+    powers = read_collection(powers, "the NO_RELAY baseline powers", lambda p: p)
+    if len(powers) != 2:
+        raise InvalidParams(f"NO_RELAY needs the baseline powers (P1, P2), got {no_relay!r}")
+    return _no_relay_bounds(params.h11, params.h21, *powers)
+
+
 def gaussian_regions(
     params: GaussianMarcParams,
     schemes: Sequence[SchemeId],
@@ -391,7 +441,7 @@ def gaussian_regions(
     no_relay: Optional[tuple[float, float]] = None,
 ) -> dict[SchemeId, Bounds]:
     """Every requested scheme's bounds at each ``(beta, sigma_q2)``, floats
-    or arrays that broadcast: the Gaussian model's one array entry.
+    or arrays that broadcast: the Gaussian model's entry for one channel.
 
     ``sigma_q2=None`` gives GQF the sum-optimal variance at each ``beta``
     (the CF threshold, or :data:`DEAD_LINK_SIGMA` on a dead relay link) and
@@ -408,22 +458,94 @@ def gaussian_regions(
     beta = validate_beta(beta)
     if sigma_q2 is not None:
         sigma_q2 = _variances(sigma_q2, beta)
-
-    def baseline() -> Bounds:
-        powers = () if no_relay is None else no_relay
-        powers = read_collection(powers, "the NO_RELAY baseline powers", lambda p: p)
-        if len(powers) != 2:
-            raise InvalidParams(
-                f"NO_RELAY needs the baseline powers (P1, P2), got {no_relay!r}"
-            )
-        return _no_relay_bounds(params.h11, params.h21, *powers)
-
-    table = {
-        SchemeId.GQF: lambda: _gqf_bounds(params, beta, sigma_q2),
-        SchemeId.CF: lambda: _cf_bounds(params, beta, sigma_q2),
-        SchemeId.NO_RELAY: baseline,
+    powers = _powers(params)
+    return {
+        scheme: _baseline(params, no_relay)
+        if scheme is SchemeId.NO_RELAY
+        else _RELAYED[scheme](powers, beta, sigma_q2)
+        for scheme in read_schemes(schemes)
     }
-    return {scheme: table[scheme]() for scheme in read_schemes(schemes)}
+
+
+def gaussian_regions_stack(
+    channels: Sequence[GaussianMarcParams],
+    schemes: Sequence[SchemeId],
+    betas: Sequence[float],
+    sigma_q2s: Optional[Sequence[float]] = None,
+    no_relay: Optional[tuple[float, float]] = None,
+) -> list[dict[SchemeId, Bounds]]:
+    """:func:`gaussian_regions` of each of ``channels`` at its own slot
+    fraction and its own quantization variance, the floats of ``betas`` and
+    ``sigma_q2s`` at its position (``sigma_q2s=None``: each channel's
+    sum-optimal one), with the same bits.  Every bound is a float.
+
+    The channels whose relay links are live are evaluated together, and so
+    are those whose links are dead, each formula once over the arrays of
+    their powers.  ``no_relay`` is every channel's baseline powers.  A
+    channel, a slot fraction or a variance that its own call refuses is
+    refused; so is a mismatch in number.  A channel whose evaluation fails
+    raises its own call's error, the first such channel in order.
+    """
+    channels = read_collection(channels, "channels", lambda params: params, list)
+    betas = read_collection(betas, "slot fractions", lambda beta: beta, list)
+    if sigma_q2s is None:
+        sigmas = [None] * len(channels)
+    else:
+        sigmas = read_collection(sigma_q2s, "quantization variances", lambda sigma: sigma, list)
+    if not len(channels) == len(betas) == len(sigmas):
+        raise InvalidParams(
+            f"{len(channels)} channels need as many slot fractions and quantization "
+            f"variances, got {len(betas)} and {len(sigmas)}"
+        )
+    points = []
+    for params, beta, sigma in zip(channels, betas, sigmas):
+        instance_of(params, GaussianMarcParams, "channel")
+        beta = validate_beta(beta, allow_array=False)
+        if sigma_q2s is not None:
+            sigma = open_interval(sigma, "quantization variance", math.inf, InvalidParams, False)
+        points.append((params, beta, sigma))
+    schemes = read_schemes(schemes)
+    return run_chunk(points, lambda chunk: _stack_regions(chunk, schemes, no_relay))
+
+
+def _stack_regions(points: list, schemes: tuple, no_relay) -> list[dict[SchemeId, Bounds]]:
+    """The regions of checked ``(params, beta, sigma_q2)`` points, grouped
+    by live or dead relay link."""
+    each = [_powers(params) for params, _, _ in points]
+    groups: dict[bool, list[int]] = {}
+    for position, powers in enumerate(each):
+        groups.setdefault(powers.live, []).append(position)
+    stacks = []
+    for positions in groups.values():
+        _, beta, sigma = zip(*(points[i] for i in positions))
+        given = None if sigma[0] is None else np.array(sigma)
+        stacks.append((positions, _stack([each[i] for i in positions]), np.array(beta), given))
+    regions: list[dict[SchemeId, Bounds]] = [{} for _ in points]
+    for scheme in schemes:
+        if scheme is SchemeId.NO_RELAY:
+            for region, (params, _, _) in zip(regions, points):
+                region[scheme] = _baseline(params, no_relay)
+            continue
+        for positions, powers, beta, sigma in stacks:
+            bounds = _RELAYED[scheme](powers, beta, sigma)
+            for position, row in zip(positions, _rows(bounds, len(positions))):
+                regions[position][scheme] = row
+    return regions
+
+
+def _rows(bounds: Bounds, count: int) -> list[Bounds]:
+    """The float :class:`Bounds` of each of ``count`` channels, from bounds
+    whose values are arrays over them or one value for all."""
+
+    def column(value) -> list:
+        return [None] * count if value is None else np.broadcast_to(value, (count,)).tolist()
+
+    r1, r2, rsum, feasible, sigma = map(column, bounds[:5])
+    terms = {name: column(value) for name, value in bounds.terms.items()}
+    return [
+        Bounds(r1[j], r2[j], rsum[j], feasible[j], sigma[j], {n: v[j] for n, v in terms.items()})
+        for j in range(count)
+    ]
 
 
 @dataclass(frozen=True)
@@ -438,7 +560,7 @@ def cf_operating_point(params: GaussianMarcParams) -> GaussianMarcParams:
     """CF parameters with sigma_q2 pinned just above the binning threshold
     (at 1 with a dead relay link, where :func:`cf_rates` falls back)."""
     beta = instance_of(params, GaussianMarcParams, "params").beta
-    return replace(params, sigma_q2=float(_cf_bounds(params, beta).sigma))
+    return replace(params, sigma_q2=float(_cf_bounds(_powers(params), beta).sigma))
 
 
 def _smallest_beta(params: GaussianMarcParams) -> float:
@@ -470,12 +592,12 @@ def optimize_beta(
     """
     scheme = one_of(scheme, "slot-fraction search scheme", (SchemeId.GQF, SchemeId.CF))
     objective = one_of(objective, "objective", ("sum", "r1", "r2"))
-    instance_of(params, GaussianMarcParams, "params")
+    powers = _powers(instance_of(params, GaussianMarcParams, "params"))
 
     def value(beta):
         bounds = gaussian_regions(params, (scheme,), beta)[scheme]
         if scheme is SchemeId.GQF and objective == "sum":
-            return _gqf_sum_rate(params, bounds)
+            return _gqf_sum_rate(powers, bounds)
         r1, r2, rsum = clamp_bounds(bounds.r1, bounds.r2, bounds.rsum)
         return {"sum": rsum, "r1": r1, "r2": r2}[objective]
 

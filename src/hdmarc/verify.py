@@ -5,10 +5,12 @@ evaluates them with a production entry and with the reference values of
 :mod:`hdmarc.oracle`, and records the deviations.  :func:`run_subject`
 drives one over chunks of at most :data:`~hdmarc.oracle.BATCH_DRAWS`
 draws and reports the worst deviation per check, deterministically for a
-given (seed, draws).  The finite-alphabet subjects draw a whole chunk
-first, in the order one draw at a time would, then ask the oracle and the
-production entry once each on all of it; a chunk that fails runs again
-draw by draw, so the first failing draw raises its own error.
+given (seed, draws).  A subject draws a whole chunk first, in the order
+one draw at a time would, then asks the oracle and each production entry
+once per question on all of it (``gaussian_regions_stack``,
+``dm_regions_stack``), and records each check once, with an array of the
+chunk's deviations.  A chunk that fails runs again draw by draw, so the
+first failing draw raises its own error.
 
 Subjects:
 
@@ -29,10 +31,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import SchemeId, integer, one_of, rate_region, run_chunk
+from .core import HdmarcError, SchemeId, clamp_bounds, integer, one_of, rate_region, run_chunk
 from .dminfo import DmChannelSpec
 from .dmregions import TOPOLOGIES, dm_regions_stack
-from .gaussian import GaussianMarcParams, gaussian_regions
+from .gaussian import GaussianMarcParams, gaussian_regions_stack
 from .oracle import (
     BATCH_DRAWS,
     closed_forms_via_log_dets,
@@ -105,15 +107,20 @@ class Report:
 
 
 class _Worst:
-    """Accumulates the worst deviation per named check, preserving order."""
+    """Accumulates the worst deviation per named check, in the order the
+    checks are first recorded.  A subject records each check once per
+    chunk, with the deviations of all its draws."""
 
     def __init__(self) -> None:
         self._checks: dict[str, Check] = {}
 
-    def record(self, name: str, dev: float, tol: float) -> None:
+    def record(self, name: str, devs, tol: float) -> None:
+        """Fold ``devs``, a float or an array over a chunk's draws, into
+        check ``name``: it keeps the largest |dev|, and a NaN anywhere makes
+        the worst NaN, which fails the check (np.max keeps a NaN that
+        max() would drop)."""
         previous = self._checks.get(name)
-        # np.maximum keeps a NaN, which then fails the check; max(x, nan) is x.
-        worst = np.maximum(previous.max_dev if previous else 0.0, abs(float(dev)))
+        worst = np.max(np.abs(devs), initial=previous.max_dev if previous else 0.0)
         self._checks[name] = Check(name, float(worst), tol)
 
     def checks(self) -> tuple[Check, ...]:
@@ -211,54 +218,88 @@ def draw_silent_dest2_spec(rng: np.random.Generator) -> DmChannelSpec:
 # ---------------------------------------------------------------------------
 # Checks, one per subject: (rng, count, worst) -> None.
 
-def _closed_forms_production(params: GaussianMarcParams) -> tuple:
-    """The GQF terms at the drawn variance, the sum-optimal GQF bounds
-    (the optimum found by the GQF entry), and CF asked for a variance below
-    its binning threshold, which it finds itself and takes the bounds at."""
-    beta = params.beta
-    gqf, cf = (SchemeId.GQF,), (SchemeId.CF,)
-    terms = gaussian_regions(params, gqf, beta, params.sigma_q2)[SchemeId.GQF].terms
-    optimum = gaussian_regions(params, gqf, beta)[SchemeId.GQF]
-    cf_at_threshold = gaussian_regions(params, cf, beta, _BELOW_EVERY_THRESHOLD)[SchemeId.CF]
-    return terms, optimum, cf_at_threshold
+def _clamped(rows: list) -> tuple:
+    """The clamped r1, r2 and sum bounds of ``rows``, single-point
+    :class:`~hdmarc.core.Bounds`, as arrays over them: the floats
+    :func:`~hdmarc.core.rate_region` gives each row
+    (:func:`~hdmarc.core.clamp_bounds`).  The first row with a bound that is
+    not finite goes to :func:`~hdmarc.core.rate_region`, which refuses it
+    naming the field."""
+    r1, r2, rsum = (np.array([row[i] for row in rows]) for i in range(3))
+    finite = np.isfinite(r1) & np.isfinite(r2) & np.isfinite(rsum)
+    if not finite.all():
+        rate_region(rows[int(np.argmin(finite))])
+    return clamp_bounds(r1, r2, rsum)
+
+
+def _column(rows: list, key: Callable) -> np.ndarray:
+    """``key`` of each of ``rows``, as an array over them."""
+    return np.array([key(row) for row in rows])
+
+
+_GQF_TERMS = ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2")
+
+
+def _production_answers(drawn: list) -> tuple:
+    """Production's three answers for the channels ``drawn``, each asked
+    once for all of them: the GQF bounds at the drawn variance, the
+    sum-optimal GQF bounds (the optimum found by the GQF entry), and CF
+    asked for a variance below its binning threshold, which it finds itself
+    and takes the bounds at."""
+    betas = [params.beta for params in drawn]
+    asked = (
+        (SchemeId.GQF, [params.sigma_q2 for params in drawn]),
+        (SchemeId.GQF, None),
+        (SchemeId.CF, [_BELOW_EVERY_THRESHOLD] * len(drawn)),
+    )
+    return tuple(
+        [row[scheme] for row in gaussian_regions_stack(drawn, (scheme,), betas, sigmas)]
+        for scheme, sigmas in asked
+    )
+
+
+def _references(drawn: list, at_threshold: list) -> list:
+    """The oracle's terms of the channels ``drawn``, and its CF binning
+    balance at the thresholds production found (at sigma_q2 = sigma_min
+    the index description rate exactly fills the relay pipe), in one
+    batch."""
+    thresholds = [float(bounds.terms["sigma_min"]) for bounds in at_threshold]
+    return closed_forms_via_log_dets(list(zip(drawn, thresholds)))
 
 
 def closed_forms_draws(rng: np.random.Generator, count: int, worst: _Worst) -> None:
     """Gaussian closed forms vs log-det oracle, plus the threshold identity,
-    on ``count`` draws: the production entry draw by draw, then the oracle
-    on all of them in one batch."""
+    on ``count`` draws: all drawn first, then the production entry and the
+    oracle each asked once on all of them."""
     drawn = [draw_gaussian_params(rng) for _ in range(count)]
-    answers = []
     try:
-        for params in drawn:
-            answers.append(_closed_forms_production(params))
-    finally:
-        # CF feasibility threshold: at sigma_q2 = sigma_min the index
-        # description rate exactly fills the relay pipe.  The oracle takes
-        # the draws answered so far, so that an error of one of them comes
-        # before a production error of a later draw, as draw by draw.
-        references = closed_forms_via_log_dets(
-            [(params, float(cf.terms["sigma_min"])) for params, (_, _, cf) in zip(drawn, answers)]
+        terms, optimum, at_threshold = _production_answers(drawn)
+    except HdmarcError:
+        # The draws before the last run alone, production then oracle, so
+        # that an oracle error of one comes before a production error of a
+        # later draw, as draw by draw (see core.run_chunk).
+        for params in drawn[:-1]:
+            _references([params], _production_answers([params])[2])
+        raise
+    # The oracle raises its own first failing draw's error.
+    references = _references(drawn, at_threshold)
+    for name in _GQF_TERMS:
+        devs = _column(terms, lambda bounds: bounds.terms[name]) - _column(
+            references, lambda reference: reference[0][name]
         )
-    for params, (terms, optimum, cf_at_threshold), (oracle, excess) in zip(
-        drawn, answers, references
-    ):
-        for name in ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"):
-            worst.record(f"gqf_term_{name}", terms[name] - oracle[name], GAUSSIAN_TOL)
-        worst.record("cf_threshold_balance", excess, GAUSSIAN_TOL)
+        worst.record(f"gqf_term_{name}", devs, GAUSSIAN_TOL)
+    worst.record("cf_threshold_balance", _column(references, lambda reference: reference[1]), GAUSSIAN_TOL)
 
-        # Threshold identity: the sum-optimal GQF quantizer sits exactly where
-        # the two sum branches cross, and there both schemes meet at the same
-        # sum rate.  A drawn relay link is live, so the optimum is a crossing
-        # and its sum rate is I1.
-        worst.record(
-            "threshold_sigma", crossing_offset(params, float(optimum.sigma)), SIGMA_REL_TOL
-        )
-        worst.record(
-            "threshold_sum_rate",
-            float(optimum.terms["I1"]) - rate_region(cf_at_threshold).sum_max,
-            GAUSSIAN_TOL,
-        )
+    # Threshold identity: the sum-optimal GQF quantizer sits exactly where
+    # the two sum branches cross, and there both schemes meet at the same
+    # sum rate.  A drawn relay link is live, so the optimum is a crossing
+    # and its sum rate is I1.
+    offsets = [crossing_offset(params, bounds.sigma) for params, bounds in zip(drawn, optimum)]
+    worst.record("threshold_sigma", np.array(offsets), SIGMA_REL_TOL)
+    _, _, cf_sum = _clamped(at_threshold)
+    worst.record(
+        "threshold_sum_rate", _column(optimum, lambda bounds: bounds.terms["I1"]) - cf_sum, GAUSSIAN_TOL
+    )
 
 
 def _dm_regions_answers(drawn: list) -> list:
@@ -274,36 +315,30 @@ def dm_regions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> Non
     ``count`` draws: all drawn first, then the oracle and the production
     entry each once on all of them."""
     drawn = [(draw_dm_spec(rng), float(rng.uniform(0.1, 0.9))) for _ in range(count)]
-    for oracle, production in run_chunk(drawn, _dm_regions_answers):
-        for topology, bounds in production.items():
-            region, raw = rate_region(bounds[SchemeId.GQF]), oracle[topology]
-            worst.record(f"{topology}_r1", region.r1_max - raw.r1_max, DM_TOL)
-            worst.record(f"{topology}_r2", region.r2_max - raw.r2_max, DM_TOL)
-            worst.record(f"{topology}_sum", region.sum_max - raw.sum_max, DM_TOL)
+    answers = run_chunk(drawn, _dm_regions_answers)
+    for topology in TOPOLOGIES:
+        clamped = _clamped([production[topology][SchemeId.GQF] for _, production in answers])
+        raw = [oracle[topology] for oracle, _ in answers]
+        for suffix, bound, field in zip(("r1", "r2", "sum"), clamped, ("r1_max", "r2_max", "sum_max")):
+            devs = bound - _column(raw, lambda region: getattr(region, field))
+            worst.record(f"{topology}_{suffix}", devs, DM_TOL)
 
 
-def _rate_regions(drawn: list, topologies: tuple[str, ...]) -> list[dict]:
-    """The GQF and CF regions of each ``(spec, beta)`` of ``drawn`` on each
+def _regions(drawn: list, topologies: tuple[str, ...]) -> list[dict]:
+    """The GQF and CF bounds of each ``(spec, beta)`` of ``drawn`` on each
     of ``topologies``, from one evaluation."""
     specs, betas = zip(*drawn)
-    evaluated = dm_regions_stack(specs, topologies, (SchemeId.GQF, SchemeId.CF), betas)
-    return [
-        {
-            topology: {scheme: rate_region(value) for scheme, value in bounds.items()}
-            for topology, bounds in regions.items()
-        }
-        for regions in evaluated
-    ]
+    return dm_regions_stack(specs, topologies, (SchemeId.GQF, SchemeId.CF), betas)
 
 
 def _reductions_answers(drawn: list) -> list:
     """For each draw of ``drawn``, a single-source ``(spec, beta)`` and a
     silent-destination one: the oracle's single-source branches, then
-    production's regions of both."""
+    production's bounds of both."""
     single, silent = zip(*drawn)
     branches = single_source_gqf_branch_pairs(single)
-    regions = _rate_regions(single, ("marc",))
-    return list(zip(branches, regions, _rate_regions(silent, ("cmacr", "marc"))))
+    regions = _regions(single, ("marc",))
+    return list(zip(branches, regions, _regions(silent, ("cmacr", "marc"))))
 
 
 def reductions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> None:
@@ -314,40 +349,39 @@ def reductions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> Non
         (draw_single_source_spec(rng), (draw_silent_dest2_spec(rng), float(rng.uniform(0.1, 0.9))))
         for _ in range(count)
     ]
-    for (plain, with_index), regions, silent in run_chunk(drawn, _reductions_answers):
-        # With source 2 degenerate the single-user and sum bounds coincide,
-        # and each GQF branch collapses to its single-source form.
-        region = regions["marc"][SchemeId.GQF]
-        worst.record("gqf_r1_eq_sum", region.r1_max - region.sum_max, DM_TOL)
-        worst.record("gqf_branch_plain", region.terms["a_1(1)"] - plain, DM_TOL)
-        worst.record("gqf_branch_with_index", region.terms["b_1(1)"] - with_index, DM_TOL)
-        worst.record(
-            "gqf_r1_eq_min_branches", region.r1_max - max(0.0, min(plain, with_index)), DM_TOL
-        )
+    branches, regions, silent = zip(*run_chunk(drawn, _reductions_answers))
+    plain, with_index = np.array(branches).T
 
-        # CF with one source: rate bound collapses to the classic
-        # compress-and-forward expression, and the strong relay pipe of the
-        # generator keeps every draw feasible.
-        cf = regions["marc"][SchemeId.CF]
-        worst.record("cf_feasible", 0.0 if cf.feasible else 1.0, 0.0)
-        worst.record("cf_r1_eq_sum", cf.r1_max - cf.sum_max, DM_TOL)
-        worst.record("cf_r1_eq_formula", cf.r1_max - max(0.0, plain), DM_TOL)
+    # With source 2 degenerate the single-user and sum bounds coincide,
+    # and each GQF branch collapses to its single-source form.
+    gqf = [region["marc"][SchemeId.GQF] for region in regions]
+    r1, _, rsum = _clamped(gqf)
+    worst.record("gqf_r1_eq_sum", r1 - rsum, DM_TOL)
+    worst.record("gqf_branch_plain", _column(gqf, lambda b: b.terms["a_1(1)"]) - plain, DM_TOL)
+    worst.record("gqf_branch_with_index", _column(gqf, lambda b: b.terms["b_1(1)"]) - with_index, DM_TOL)
+    worst.record(
+        "gqf_r1_eq_min_branches", r1 - np.maximum(0.0, np.minimum(plain, with_index)), DM_TOL
+    )
 
-        # A destination that observes nothing drops out of the compound
-        # region entirely: same code path, identical floats.
-        compound, single = silent["cmacr"], silent["marc"]
-        for name, scheme in (
-            ("gqf_silent_dest2_exact", SchemeId.GQF),
-            ("cf_silent_dest2_exact", SchemeId.CF),
-        ):
-            both, alone = compound[scheme], single[scheme]
-            dev = max(
-                abs(both.r1_max - alone.r1_max),
-                abs(both.r2_max - alone.r2_max),
-                abs(both.sum_max - alone.sum_max),
-                0.0 if both.feasible == alone.feasible else 1.0,
-            )
-            worst.record(name, dev, 0.0)
+    # CF with one source: rate bound collapses to the classic
+    # compress-and-forward expression, and the strong relay pipe of the
+    # generator keeps every draw feasible.
+    cf = [region["marc"][SchemeId.CF] for region in regions]
+    r1, _, rsum = _clamped(cf)
+    worst.record("cf_feasible", np.where(_column(cf, lambda b: b.feasible), 0.0, 1.0), 0.0)
+    worst.record("cf_r1_eq_sum", r1 - rsum, DM_TOL)
+    worst.record("cf_r1_eq_formula", r1 - np.maximum(0.0, plain), DM_TOL)
+
+    # A destination that observes nothing drops out of the compound
+    # region entirely: same code path, identical floats.
+    for name, scheme in (
+        ("gqf_silent_dest2_exact", SchemeId.GQF),
+        ("cf_silent_dest2_exact", SchemeId.CF),
+    ):
+        both, alone = ([region[topology][scheme] for region in silent] for topology in ("cmacr", "marc"))
+        bounds = (np.abs(x - y) for x, y in zip(_clamped(both), _clamped(alone)))
+        feasible = _column(both, lambda b: b.feasible) == _column(alone, lambda b: b.feasible)
+        worst.record(name, np.maximum.reduce([*bounds, np.where(feasible, 0.0, 1.0)]), 0.0)
 
 
 #: Each subject's check and default draw count, in the order the CLI lists

@@ -28,11 +28,14 @@ from hdmarc.cli import _load_json
 from hdmarc.dminfo import (
     MAX_CELLS,
     MAX_TABLE_CELLS,
+    NORM_TOL,
     SLOT1_VARS_BY_DESTINATION,
     SLOT2_VARS,
     VAR_NAMES,
     ZERO_EPS,
     JointPmf,
+    _check_tables,
+    _tables_pass,
     build_slot1_joint,
     build_slot2_joint,
     entropy,
@@ -627,6 +630,66 @@ def test_spec_rejects_nan_tables(table):
     one_nan.flat[0] = np.nan
     with pytest.raises(InvalidParams):
         replace(spec, **{table: one_nan})
+
+
+_TABLES = ("px11", "px21", "px12", "px22", "pxr", "test_channel", "slot1", "slot2")
+
+#: A defect of one table entry, and the refusal it must meet (None: the
+#: table is accepted).
+_ENTRY_DEFECTS = {
+    "negative": (lambda value: -0.1, "has negative or NaN entries"),
+    "nan": (lambda value: math.nan, "has negative or NaN entries"),
+    "row off by 2 NORM_TOL": (lambda value: value + 2 * NORM_TOL, "must sum to 1 within 1e-12"),
+    "row off by NORM_TOL / 2": (lambda value: value + NORM_TOL / 2, None),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_ENTRY_DEFECTS))
+@pytest.mark.parametrize("table", _TABLES)
+def test_spec_meets_a_defect_of_one_table_entry_with_its_own_refusal(table, defect):
+    # The tables are checked in one pass; a defect re-runs the table by
+    # table checks, so the refusal names the table that has it.
+    spec = _random_spec(np.random.default_rng(34))
+    change, refusal = _ENTRY_DEFECTS[defect]
+    tables = {name: getattr(spec, name).copy() for name in _TABLES}
+    # The last entry of the table is in its last row.
+    tables[table].flat[-1] = change(tables[table].flat[-1])
+    if refusal is None:
+        assert np.array_equal(getattr(DmChannelSpec(**tables), table), tables[table])
+    else:
+        with pytest.raises(InvalidParams, match=f"^{table} {refusal}"):
+            DmChannelSpec(**tables)
+
+
+def test_spec_refuses_the_first_of_two_defects_in_table_order():
+    # px11 is checked before slot1's shape, in one pass or table by table.
+    spec = _random_spec(np.random.default_rng(35))
+    px11 = spec.px11 * 1.5
+    with pytest.raises(InvalidParams, match="^px11 must sum to 1 within"):
+        replace(spec, px11=px11, slot1=spec.slot1[..., 0])
+    with pytest.raises(DimensionMismatch, match="^slot1 must be a 5-D table"):
+        replace(spec, slot1=spec.slot1[..., 0])
+
+
+def test_the_one_pass_check_accepts_exactly_what_the_table_checks_accept():
+    # Rows off by NORM_TOL give or take a few ulps of 1: the one pass sums
+    # each row as the table check does, so both decide alike.
+    rng = np.random.default_rng(37)
+    decided = {True: 0, False: 0}
+    for trial in range(200):
+        spec = draw_dm_spec(rng)
+        tables = {name: getattr(spec, name).copy() for name in _TABLES}
+        table = _TABLES[trial % len(_TABLES)]
+        tables[table].flat[0] += NORM_TOL + float(rng.integers(-4, 5)) * 2.0**-52
+        try:
+            _check_tables(tables)
+        except InvalidParams:
+            accepted = False
+        else:
+            accepted = True
+        assert _tables_pass(tables) == accepted
+        decided[accepted] += 1
+    assert min(decided.values()) > 20
 
 
 def test_joint_pmf_rejects_nan_and_infinite_entries():

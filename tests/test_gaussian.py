@@ -34,6 +34,7 @@ from hdmarc.gaussian import (
     cf_rates,
     cf_sigma_min,
     gaussian_regions,
+    gaussian_regions_stack,
     gqf_optimize_sigma,
     gqf_rates,
     no_relay_rates,
@@ -45,6 +46,7 @@ from hdmarc.gaussian import (
 
 from _support import assert_same_bits, benchmark_params
 from _support import random_gaussian_params as _random_params
+from hdmarc.verify import draw_gaussian_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -794,3 +796,83 @@ def test_rate_region_takes_a_single_point():
     assert rate_region(point) == gqf_rates(
         replace(params, beta=0.3, sigma_q2=1.0)
     )
+
+
+# ---------------------------------------------------------------------------
+# Many channels, each at its own point
+
+
+def _closed_forms_channels(seed: int) -> list:
+    """The 100 channels of a closed-forms run at ``seed``, every seventh
+    with its relay link cut."""
+    rng = np.random.default_rng(seed)
+    drawn = [draw_gaussian_params(rng) for _ in range(100)]
+    return [replace(params, hr1=0.0) if i % 7 == 3 else params for i, params in enumerate(drawn)]
+
+
+_VARIANCES = ("drawn", "optimal", "below every threshold")
+
+
+@pytest.mark.parametrize("variances", _VARIANCES)
+def test_a_stack_gives_each_channel_the_bits_of_its_own_call(variances):
+    # Together the three cases cover the closed-forms draws at seeds 0-49.
+    tiny = float(np.finfo(np.float64).tiny)
+    for seed in range(_VARIANCES.index(variances), 50, len(_VARIANCES)):
+        channels = _closed_forms_channels(seed)
+        sigmas = {
+            "drawn": [params.sigma_q2 for params in channels],
+            "optimal": None,
+            "below every threshold": [tiny] * len(channels),
+        }[variances]
+        betas = [params.beta for params in channels]
+        stack = gaussian_regions_stack(channels, tuple(SchemeId), betas, sigmas, (1.5, 2.0))
+        assert len(stack) == len(channels)
+        for j, (params, regions) in enumerate(zip(channels, stack)):
+            sigma = None if sigmas is None else sigmas[j]
+            alone = gaussian_regions(params, tuple(SchemeId), params.beta, sigma, (1.5, 2.0))
+            assert list(regions) == list(alone)
+            for scheme, bounds in alone.items():
+                assert_same_bits(regions[scheme], bounds)
+                assert all(type(value) is float for value in regions[scheme][:3])
+
+
+def test_a_stack_of_one_and_an_empty_stack():
+    params = benchmark_params(beta=0.4)
+    (regions,) = gaussian_regions_stack([params], (SchemeId.CF,), np.array([0.4]), [0.5])
+    assert_same_bits(regions[SchemeId.CF], gaussian_regions(params, (SchemeId.CF,), 0.4, 0.5)[SchemeId.CF])
+    assert gaussian_regions_stack([], (SchemeId.GQF,), []) == []
+
+
+def test_a_stack_refuses_what_a_channel_s_own_call_refuses():
+    params, schemes = benchmark_params(), (SchemeId.GQF,)
+    with pytest.raises(InvalidParams, match="2 channels need as many .* got 1 and 2"):
+        gaussian_regions_stack([params, params], schemes, [0.5])
+    with pytest.raises(InvalidParams, match="got 2 and 3"):
+        gaussian_regions_stack([params, params], schemes, [0.5, 0.6], [1.0, 1.0, 1.0])
+    with pytest.raises(InvalidParams, match="channels must be in order, got a set"):
+        gaussian_regions_stack({params}, schemes, [0.5])
+    with pytest.raises(InvalidParams, match="slot fractions must be in order, got a frozenset"):
+        gaussian_regions_stack([params], schemes, frozenset({0.5}))
+    with pytest.raises(InvalidParams, match="quantization variances must be in order"):
+        gaussian_regions_stack([params], schemes, [0.5], {1.0})
+    with pytest.raises(InvalidParams, match="channel must be a GaussianMarcParams, got dict"):
+        gaussian_regions_stack([params, {}], schemes, [0.5, 0.5])
+    with pytest.raises(OutOfRange, match="slot fraction must lie strictly inside"):
+        gaussian_regions_stack([params, params], schemes, [0.5, 1.5])
+    with pytest.raises(InvalidParams, match="quantization variance must be a real number, got None"):
+        gaussian_regions_stack([params], schemes, [0.5], [None])
+    with pytest.raises(OutOfRange, match="got -1.0"):
+        gaussian_regions_stack([params], schemes, [0.5], [-1.0])
+
+
+def test_a_failing_channel_of_a_stack_raises_its_own_call_s_error():
+    # On this strong relay link the CF threshold at beta = 0.001 or 0.002
+    # underflows; the dead link and beta = 0.5 evaluate.
+    live, dead = benchmark_params(), benchmark_params(hr1=0.0)
+    channels, betas = [live, dead, live, live], [0.5, 0.001, 0.001, 0.002]
+    with pytest.raises(OutOfRange) as alone:
+        gaussian_regions(live, (SchemeId.GQF,), 0.001)
+    with pytest.raises(OutOfRange) as stacked:
+        gaussian_regions_stack(channels, (SchemeId.GQF,), betas)
+    assert str(stacked.value) == str(alone.value)
+    assert "beta=0.001 " in str(alone.value)

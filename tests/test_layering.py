@@ -113,7 +113,7 @@ def test_verify_does_no_log_det_or_entropy_arithmetic():
 def test_verify_takes_only_the_channel_and_the_model_entry_from_gaussian():
     # A reference formula in verify that called production's helpers would
     # share any error of theirs, which its check would then not see.
-    assert _imports("verify")["gaussian"] == {"GaussianMarcParams", "gaussian_regions"}
+    assert _imports("verify")["gaussian"] == {"GaussianMarcParams", "gaussian_regions_stack"}
 
 
 def test_the_known_answers_import_only_math():

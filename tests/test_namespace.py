@@ -81,6 +81,7 @@ MODULE_NAMES = {
         "SigmaOptimum",
         "cf_rates",
         "cf_sigma_min",
+        "gaussian_regions_stack",
         "gqf_optimize_sigma",
         "gqf_rates",
         "no_relay_rates",
@@ -274,6 +275,8 @@ def _module_calls() -> dict[str, tuple]:
     module, by ``module.name``, as the entry and its arguments; the
     ``JointPmf`` methods are bound to the seeded joint."""
     spec = make_random_spec(np.random.default_rng(3))
+    params = GaussianMarcParams(*_GAINS_POWERS, 0.5, 1.0)
+    dead = GaussianMarcParams(*_GAINS_POWERS[:4], 0.0, *_GAINS_POWERS[5:], 0.5, 1.0)
     joint = dminfo.build_slot1_joint(spec, 1)
     mi_sets = (("X11",), ("Y11", "YhR"), ("X21",))
     return {
@@ -290,6 +293,10 @@ def _module_calls() -> dict[str, tuple]:
             oracle.single_source_gqf_branch_pairs, ([(spec, 0.4), (spec, 0.5)],)
         ),
         "gaussian.no_relay_rates": (gaussian.no_relay_rates, (1.0, 1.0, 1.5, 1.5)),
+        "gaussian.gaussian_regions_stack": (
+            gaussian.gaussian_regions_stack,
+            ([params, dead], tuple(SchemeId), [0.3, 0.6], [1.0, 2.0], (1.5, 1.5)),
+        ),
         "dminfo.mutual_information": (dminfo.mutual_information, (joint, *mi_sets)),
         "JointPmf.entropy": (joint.entropy, (("X11", "Y11"),)),
         "JointPmf.mutual_information": (joint.mutual_information, mi_sets),

@@ -502,6 +502,20 @@ def _check(report, name):
     return next(check for check in report.checks if check.name == name)
 
 
+def _per_channel(production):
+    """A stand-in for ``gaussian_regions_stack`` that asks ``production``,
+    called as ``gaussian_regions`` is, about each channel in order."""
+
+    def stack(channels, schemes, betas, sigma_q2s=None):
+        sigmas = [None] * len(channels) if sigma_q2s is None else sigma_q2s
+        return [
+            production(params, schemes, beta, sigma)
+            for params, beta, sigma in zip(channels, betas, sigmas)
+        ]
+
+    return stack
+
+
 def test_threshold_sigma_check_is_relative_at_large_thresholds():
     # Draw 9 of seed 108004 has its crossing near 4e6, where an absolute
     # 1e-9 tolerance on sigma is two float64 ulps.
@@ -517,7 +531,7 @@ def test_threshold_sigma_check_catches_a_misplaced_optimum(monkeypatch):
             evaluated[SchemeId.GQF] = optimum._replace(sigma=optimum.sigma * (1.0 + 1e-6))
         return evaluated
 
-    monkeypatch.setattr("hdmarc.verify.gaussian_regions", off_by_a_millionth)
+    monkeypatch.setattr("hdmarc.verify.gaussian_regions_stack", _per_channel(off_by_a_millionth))
     report = run_subject("closed-forms", seed=0, draws=5)
     check = _check(report, "threshold_sigma")
     assert not check.ok
@@ -534,7 +548,7 @@ def test_threshold_checks_catch_an_optimum_evaluated_off_the_crossing(monkeypatc
             sigma_q2 = sigma * (1.0 + 1e-3)
         return gaussian_regions(params, schemes, beta, sigma_q2)
 
-    monkeypatch.setattr("hdmarc.verify.gaussian_regions", off_by_a_thousandth)
+    monkeypatch.setattr("hdmarc.verify.gaussian_regions_stack", _per_channel(off_by_a_thousandth))
     report = run_subject("closed-forms", seed=0, draws=5)
     sigma_check = _check(report, "threshold_sigma")
     assert not sigma_check.ok
@@ -855,7 +869,7 @@ def test_a_failing_closed_forms_draw_raises_what_it_raises_draw_by_draw(monkeypa
     want = first_error_draw_by_draw()
     draws = iter(drawn)
     monkeypatch.setattr("hdmarc.verify.draw_gaussian_params", lambda rng: next(draws))
-    monkeypatch.setattr("hdmarc.verify.gaussian_regions", production)
+    monkeypatch.setattr("hdmarc.verify.gaussian_regions_stack", _per_channel(production))
     with pytest.raises(HdmarcError) as got:
         run_subject("closed-forms", seed=0, draws=count)
     assert (type(got.value), str(got.value)) == (type(want), str(want))
