@@ -7,8 +7,8 @@ leading axis (:func:`build_slot1_joints`, :func:`build_slot2_joints`), and
 joint of a stack in one vectorized pass; every entropy and mutual
 information is then a lookup in that table.  One spec is the stack of one:
 :class:`JointPmf` keeps its table on first use (:meth:`JointPmf.entropy`),
-and :func:`build_slot1_joint`, :func:`build_slot2_joint` and
-:meth:`DmChannelSpec.joints` give one spec's joints as pmfs.  Specs of
+and :func:`build_slot1_joint` and :func:`build_slot2_joint` give one
+spec's joints as pmfs.  Specs of
 different shapes share a stack by zero padding only where that leaves
 every bit as it is alone (:func:`_stack_positions`).  This module is meant
 to be an exact reference for small alphabets, not an estimator, so each
@@ -329,10 +329,7 @@ class DmChannelSpec:
     within :data:`NORM_TOL` (rejected, not renormalized), and size
     consistency across tables.
 
-    The tables are read-only, so a spec's joints never change:
-    :meth:`joints` builds each on first use and keeps it with the spec.  A
-    spec made by :func:`dataclasses.replace` is a new spec and builds its
-    own; a spec equals, and hashes as, only itself.
+    The tables are read-only; a spec equals, and hashes as, only itself.
     """
 
     px11: np.ndarray
@@ -368,24 +365,6 @@ class DmChannelSpec:
                 raise DimensionMismatch(
                     f"{where} has size {got} but {other} has size {want}"
                 )
-        object.__setattr__(self, "_slot1_joints", {})
-
-    def joints(self, k: int) -> tuple[JointPmf, JointPmf]:
-        """Destination ``k``'s slot-1 joint and the slot-2 joint
-        (:func:`build_slot1_joint`, then :func:`build_slot2_joint`), each
-        built on first use.  Every information term of destination ``k``
-        reads them, so each joint is built once and computes the entropies
-        of all its marginals once (:meth:`JointPmf.entropy`).  ``k`` must
-        be the integer 1 or 2."""
-        k = one_of(k, "destination index", (1, 2))
-        slot1 = self._slot1_joints
-        if k not in slot1:
-            slot1[k] = build_slot1_joint(self, k)
-        return slot1[k], self._slot2_joint
-
-    @cached_property
-    def _slot2_joint(self) -> JointPmf:
-        return build_slot2_joint(self)
 
 
 def build_slot1_joint(spec: DmChannelSpec, k: int) -> JointPmf:

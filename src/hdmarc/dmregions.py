@@ -28,11 +28,12 @@ plan of entropy-table indices (:func:`_plan`).  :func:`dm_regions_stack`
 evaluates many specs at one beta each: per slot joint one stacked build
 and one stacked entropy-table pass (:mod:`hdmarc.dminfo`), then every
 (S1, S2) pair of every spec is read with a few gathers, in the operation
-order of one float lookup, so each spec's bounds have the bits of its
-own.  :func:`dm_regions` is the one-spec case, at one beta or a grid, and
-:func:`slot_terms` gives one spec's pairs.  Both evaluate every scheme
-into a :class:`~hdmarc.core.Bounds` per scheme, like the Gaussian closed
-forms, for one topology or both from the same pairs.
+order of one float lookup, so each spec's entry of the arrays it answers
+with has the bits of its own.  :func:`dm_regions` is the one-spec case,
+at one beta or a grid, and :func:`slot_terms` gives one spec's pairs.
+Both evaluate every scheme into a :class:`~hdmarc.core.Bounds` per
+scheme, like the Gaussian closed forms, for one topology or both from the
+same pairs.
 :func:`~hdmarc.core.gqf_bounds` reduces the GQF terms that
 :func:`branches` names, as it does the Gaussian ones; CF reads the same
 table.  The relay-silenced channel (:func:`degenerate_relay_spec`) is
@@ -337,18 +338,21 @@ def dm_regions_stack(
     topologies: Sequence[str],
     schemes: Sequence[SchemeId],
     betas: Sequence[float],
-) -> list[dict[str, dict[SchemeId, Bounds]]]:
+) -> dict[str, dict[SchemeId, Bounds]]:
     """:func:`dm_regions` of each of ``specs`` at its own slot fraction, the
-    float of ``betas`` at its position, with the same bits.
+    float of ``betas`` at its position: ``{topology: {scheme: Bounds}}`` as
+    over a grid, with every value an array over the specs (or one value for
+    all of them), each entry with the bits of that spec's own call.
 
-    The specs that reach the same destinations are evaluated together:
-    their joints are built and their entropy tables computed in stacks, one
-    per slot joint where their shapes allow it
+    The joints of the specs are built and their entropy tables computed in
+    stacks, one per slot joint where their shapes allow it
     (:func:`~hdmarc.dminfo._stack_positions`), and every slot term is a
-    gather from those tables.  cMACr takes each spec's worst case over its
-    own active destinations, and a spec's CF ``terms`` hold the
-    ``no_relay_*`` fallback terms only if its own point failed the binning
-    constraint.  Every bound is a float.
+    gather from those tables; a joint that is refused names its spec's
+    position in ``specs``.  As over a grid, the CF ``terms`` hold the
+    ``no_relay_*`` fallback terms of every spec once any point fails the
+    binning constraint.  A spec or a slot fraction that its own call
+    refuses is refused; so are a mismatch in number, an empty stack and
+    specs whose cMACr reaches different destinations.
     """
     specs = read_collection(specs, "specs", lambda spec: instance_of(spec, DmChannelSpec, "spec"))
     betas = read_collection(
@@ -356,42 +360,17 @@ def dm_regions_stack(
     )
     if len(betas) != len(specs):
         raise InvalidParams(f"{len(specs)} specs need as many slot fractions, got {len(betas)}")
+    if not specs:
+        raise InvalidParams("a stack needs at least one spec")
     topologies = _read_topologies(topologies)
     reaches = [_reach(spec, topologies) for spec in specs]
-    schemes = read_schemes(schemes)
-    groups: dict[tuple, list[int]] = {}
     for position, reach in enumerate(reaches):
-        groups.setdefault(tuple(reach.values()), []).append(position)
-    regions: list = [{topology: {} for topology in topologies} for _ in specs]
-    for positions in groups.values():
-        evaluated = _evaluate(
-            [specs[i] for i in positions],
-            reaches[positions[0]],
-            schemes,
-            np.array([betas[i] for i in positions]),
-            one=False,
-        )
-        for topology, values in evaluated.items():
-            for scheme, bounds in values.items():
-                for position, row in zip(positions, _rows(bounds, len(positions))):
-                    regions[position][topology][scheme] = row
-    return regions
-
-
-def _rows(bounds: Bounds, count: int) -> list[Bounds]:
-    """The :class:`Bounds` of each of ``count`` specs, from bounds whose
-    values are arrays over them; the ``no_relay_*`` terms go only to a spec
-    whose point is infeasible."""
-    r1, r2, rsum, feasible = (np.broadcast_to(value, (count,)).tolist() for value in bounds[:4])
-    columns = {name: value.tolist() for name, value in bounds.terms.items()}
-    return [
-        Bounds(r1[j], r2[j], rsum[j], feasible[j], None, {
-            name: column[j]
-            for name, column in columns.items()
-            if not (feasible[j] and name.startswith("no_relay_"))
-        })
-        for j in range(count)
-    ]
+        if reach != reaches[0]:
+            raise InvalidParams(
+                f"the specs of a stack must reach the same destinations; cmacr reaches "
+                f"{reaches[0]['cmacr']} for specs[0] and {reach['cmacr']} for specs[{position}]"
+            )
+    return _evaluate(specs, reaches[0], read_schemes(schemes), np.array(betas), one=False)
 
 
 def _one_region(

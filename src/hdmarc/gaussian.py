@@ -24,9 +24,9 @@ the GQF terms that :data:`BRANCHES` names, as it does the finite-alphabet
 ones; CF reads the same table.  There are two array entries, and each
 checks its inputs once for the helpers behind it to trust:
 :func:`gaussian_regions` evaluates one channel over a grid of points, and
-:func:`gaussian_regions_stack` many channels, each at its own point.  The
-single-point entries reach the same formulas, so they, whole-grid sweeps
-and stacks agree bit for bit.
+:func:`gaussian_regions_stack` many channels, each at its own point; both
+answer with arrays over the points.  The single-point entries reach the
+same formulas, so they, whole-grid sweeps and stacks agree bit for bit.
 """
 
 from __future__ import annotations
@@ -218,10 +218,10 @@ def _powers(params: GaussianMarcParams) -> _Powers:
     )
 
 
-def _stack(powers: list) -> _Powers:
-    """The float ``powers`` of channels whose relay links are all live or
-    all dead, as arrays over them."""
-    s1, s2, link, view, direct, relay, alone, live = zip(*powers)
+def _stack(channels: tuple) -> _Powers:
+    """The powers of ``channels``, whose relay links are all live or all
+    dead, as arrays over them."""
+    s1, s2, link, view, direct, relay, alone, live = zip(*map(_powers, channels))
     return _Powers(
         *map(np.array, (s1, s2, link, view)),
         *(tuple(map(np.array, zip(*pairs))) for pairs in (direct, relay, alone)),
@@ -472,19 +472,20 @@ def gaussian_regions_stack(
     schemes: Sequence[SchemeId],
     betas: Sequence[float],
     sigma_q2s: Optional[Sequence[float]] = None,
-    no_relay: Optional[tuple[float, float]] = None,
-) -> list[dict[SchemeId, Bounds]]:
+) -> dict[SchemeId, Bounds]:
     """:func:`gaussian_regions` of each of ``channels`` at its own slot
     fraction and its own quantization variance, the floats of ``betas`` and
     ``sigma_q2s`` at its position (``sigma_q2s=None``: each channel's
-    sum-optimal one), with the same bits.  Every bound is a float.
+    sum-optimal one): the bounds of each scheme, as over a grid, with every
+    value an array over the channels (or one value for all of them), each
+    entry with the bits of that channel's own call.
 
-    The channels whose relay links are live are evaluated together, and so
-    are those whose links are dead, each formula once over the arrays of
-    their powers.  ``no_relay`` is every channel's baseline powers.  A
+    Each formula runs once over the arrays of the channels' powers.  A
     channel, a slot fraction or a variance that its own call refuses is
-    refused; so is a mismatch in number.  A channel whose evaluation fails
-    raises its own call's error, the first such channel in order.
+    refused; so are a mismatch in number, an empty stack, NO_RELAY (whose
+    baseline is no channel's own) and relay links both live and dead.  A
+    channel whose evaluation fails raises its own call's error, the first
+    such channel in order.
     """
     channels = read_collection(channels, "channels", lambda params: params, list)
     betas = read_collection(betas, "slot fractions", lambda beta: beta, list)
@@ -497,6 +498,8 @@ def gaussian_regions_stack(
             f"{len(channels)} channels need as many slot fractions and quantization "
             f"variances, got {len(betas)} and {len(sigmas)}"
         )
+    if not channels:
+        raise InvalidParams("a stack needs at least one channel")
     points = []
     for params, beta, sigma in zip(channels, betas, sigmas):
         instance_of(params, GaussianMarcParams, "channel")
@@ -505,47 +508,17 @@ def gaussian_regions_stack(
             sigma = open_interval(sigma, "quantization variance", math.inf, InvalidParams, False)
         points.append((params, beta, sigma))
     schemes = read_schemes(schemes)
-    return run_chunk(points, lambda chunk: _stack_regions(chunk, schemes, no_relay))
+    if SchemeId.NO_RELAY in schemes:
+        raise InvalidParams("a stack evaluates GQF and CF; ask gaussian_regions for NO_RELAY")
+    if len({relay_link(params) > 0.0 for params in channels}) > 1:
+        raise InvalidParams("a stack's relay links must be all live or all dead")
 
+    def evaluate(chunk: list) -> dict[SchemeId, Bounds]:
+        params, beta, sigma = zip(*chunk)
+        powers, given = _stack(params), None if sigma_q2s is None else np.array(sigma)
+        return {scheme: _RELAYED[scheme](powers, np.array(beta), given) for scheme in schemes}
 
-def _stack_regions(points: list, schemes: tuple, no_relay) -> list[dict[SchemeId, Bounds]]:
-    """The regions of checked ``(params, beta, sigma_q2)`` points, grouped
-    by live or dead relay link."""
-    each = [_powers(params) for params, _, _ in points]
-    groups: dict[bool, list[int]] = {}
-    for position, powers in enumerate(each):
-        groups.setdefault(powers.live, []).append(position)
-    stacks = []
-    for positions in groups.values():
-        _, beta, sigma = zip(*(points[i] for i in positions))
-        given = None if sigma[0] is None else np.array(sigma)
-        stacks.append((positions, _stack([each[i] for i in positions]), np.array(beta), given))
-    regions: list[dict[SchemeId, Bounds]] = [{} for _ in points]
-    for scheme in schemes:
-        if scheme is SchemeId.NO_RELAY:
-            for region, (params, _, _) in zip(regions, points):
-                region[scheme] = _baseline(params, no_relay)
-            continue
-        for positions, powers, beta, sigma in stacks:
-            bounds = _RELAYED[scheme](powers, beta, sigma)
-            for position, row in zip(positions, _rows(bounds, len(positions))):
-                regions[position][scheme] = row
-    return regions
-
-
-def _rows(bounds: Bounds, count: int) -> list[Bounds]:
-    """The float :class:`Bounds` of each of ``count`` channels, from bounds
-    whose values are arrays over them or one value for all."""
-
-    def column(value) -> list:
-        return [None] * count if value is None else np.broadcast_to(value, (count,)).tolist()
-
-    r1, r2, rsum, feasible, sigma = map(column, bounds[:5])
-    terms = {name: column(value) for name, value in bounds.terms.items()}
-    return [
-        Bounds(r1[j], r2[j], rsum[j], feasible[j], sigma[j], {n: v[j] for n, v in terms.items()})
-        for j in range(count)
-    ]
+    return run_chunk(points, evaluate)
 
 
 @dataclass(frozen=True)

@@ -664,8 +664,3 @@ def single_source_gqf_branch_pairs(
     terms = _destination_terms(specs, betas, 1, _single_source_terms)
     return [(t["plain"], t["with_index"]) for t in terms]
 
-
-def single_source_gqf_branches(spec: DmChannelSpec, beta: float) -> tuple[float, float]:
-    """Source 1's two single-source GQF branches of one spec: the one-draw
-    case of :func:`single_source_gqf_branch_pairs`."""
-    return single_source_gqf_branch_pairs([(spec, beta)])[0]

@@ -31,7 +31,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import HdmarcError, SchemeId, clamp_bounds, integer, one_of, rate_region, run_chunk
+from .core import (
+    Bounds,
+    HdmarcError,
+    SchemeId,
+    clamp_bounds,
+    integer,
+    one_of,
+    rate_region,
+    run_chunk,
+)
 from .dminfo import DmChannelSpec
 from .dmregions import TOPOLOGIES, dm_regions_stack
 from .gaussian import GaussianMarcParams, gaussian_regions_stack
@@ -218,22 +227,22 @@ def draw_silent_dest2_spec(rng: np.random.Generator) -> DmChannelSpec:
 # ---------------------------------------------------------------------------
 # Checks, one per subject: (rng, count, worst) -> None.
 
-def _clamped(rows: list) -> tuple:
-    """The clamped r1, r2 and sum bounds of ``rows``, single-point
-    :class:`~hdmarc.core.Bounds`, as arrays over them: the floats
-    :func:`~hdmarc.core.rate_region` gives each row
-    (:func:`~hdmarc.core.clamp_bounds`).  The first row with a bound that is
-    not finite goes to :func:`~hdmarc.core.rate_region`, which refuses it
-    naming the field."""
-    r1, r2, rsum = (np.array([row[i] for row in rows]) for i in range(3))
+def _clamped(bounds: Bounds) -> tuple:
+    """The clamped r1, r2 and sum bounds of ``bounds``, whose values are
+    arrays over a chunk's draws: the floats :func:`~hdmarc.core.rate_region`
+    gives each draw (:func:`~hdmarc.core.clamp_bounds`).  The first draw
+    with a bound that is not finite goes to
+    :func:`~hdmarc.core.rate_region`, which refuses it naming the field."""
+    r1, r2, rsum = bounds[:3]
     finite = np.isfinite(r1) & np.isfinite(r2) & np.isfinite(rsum)
     if not finite.all():
-        rate_region(rows[int(np.argmin(finite))])
+        first = int(np.argmin(finite))
+        rate_region(Bounds(r1[first], r2[first], rsum[first], True, None, {}))
     return clamp_bounds(r1, r2, rsum)
 
 
 def _column(rows: list, key: Callable) -> np.ndarray:
-    """``key`` of each of ``rows``, as an array over them."""
+    """``key`` of each of the oracle's ``rows``, as an array over them."""
     return np.array([key(row) for row in rows])
 
 
@@ -253,18 +262,16 @@ def _production_answers(drawn: list) -> tuple:
         (SchemeId.CF, [_BELOW_EVERY_THRESHOLD] * len(drawn)),
     )
     return tuple(
-        [row[scheme] for row in gaussian_regions_stack(drawn, (scheme,), betas, sigmas)]
-        for scheme, sigmas in asked
+        gaussian_regions_stack(drawn, (scheme,), betas, sigmas)[scheme] for scheme, sigmas in asked
     )
 
 
-def _references(drawn: list, at_threshold: list) -> list:
+def _references(drawn: list, at_threshold: Bounds) -> list:
     """The oracle's terms of the channels ``drawn``, and its CF binning
     balance at the thresholds production found (at sigma_q2 = sigma_min
     the index description rate exactly fills the relay pipe), in one
     batch."""
-    thresholds = [float(bounds.terms["sigma_min"]) for bounds in at_threshold]
-    return closed_forms_via_log_dets(list(zip(drawn, thresholds)))
+    return closed_forms_via_log_dets(list(zip(drawn, at_threshold.terms["sigma_min"].tolist())))
 
 
 def closed_forms_draws(rng: np.random.Generator, count: int, worst: _Worst) -> None:
@@ -273,7 +280,7 @@ def closed_forms_draws(rng: np.random.Generator, count: int, worst: _Worst) -> N
     oracle each asked once on all of them."""
     drawn = [draw_gaussian_params(rng) for _ in range(count)]
     try:
-        terms, optimum, at_threshold = _production_answers(drawn)
+        at_drawn, optimum, at_threshold = _production_answers(drawn)
     except HdmarcError:
         # The draws before the last run alone, production then oracle, so
         # that an oracle error of one comes before a production error of a
@@ -284,9 +291,7 @@ def closed_forms_draws(rng: np.random.Generator, count: int, worst: _Worst) -> N
     # The oracle raises its own first failing draw's error.
     references = _references(drawn, at_threshold)
     for name in _GQF_TERMS:
-        devs = _column(terms, lambda bounds: bounds.terms[name]) - _column(
-            references, lambda reference: reference[0][name]
-        )
+        devs = at_drawn.terms[name] - _column(references, lambda reference: reference[0][name])
         worst.record(f"gqf_term_{name}", devs, GAUSSIAN_TOL)
     worst.record("cf_threshold_balance", _column(references, lambda reference: reference[1]), GAUSSIAN_TOL)
 
@@ -294,20 +299,18 @@ def closed_forms_draws(rng: np.random.Generator, count: int, worst: _Worst) -> N
     # the two sum branches cross, and there both schemes meet at the same
     # sum rate.  A drawn relay link is live, so the optimum is a crossing
     # and its sum rate is I1.
-    offsets = [crossing_offset(params, bounds.sigma) for params, bounds in zip(drawn, optimum)]
+    offsets = [crossing_offset(params, sigma) for params, sigma in zip(drawn, optimum.sigma.tolist())]
     worst.record("threshold_sigma", np.array(offsets), SIGMA_REL_TOL)
     _, _, cf_sum = _clamped(at_threshold)
-    worst.record(
-        "threshold_sum_rate", _column(optimum, lambda bounds: bounds.terms["I1"]) - cf_sum, GAUSSIAN_TOL
-    )
+    worst.record("threshold_sum_rate", optimum.terms["I1"] - cf_sum, GAUSSIAN_TOL)
 
 
-def _dm_regions_answers(drawn: list) -> list:
-    """The oracle's regions, then production's GQF bounds, of each
-    ``(spec, beta)`` of ``drawn``."""
+def _dm_regions_answers(drawn: list) -> tuple:
+    """The oracle's regions of each ``(spec, beta)`` of ``drawn``, then
+    production's GQF bounds of all of them."""
     specs, betas = zip(*drawn)
     oracle = gqf_regions_via_ru_sweep(drawn)
-    return list(zip(oracle, dm_regions_stack(specs, TOPOLOGIES, (SchemeId.GQF,), betas)))
+    return oracle, dm_regions_stack(specs, TOPOLOGIES, (SchemeId.GQF,), betas)
 
 
 def dm_regions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> None:
@@ -315,30 +318,28 @@ def dm_regions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> Non
     ``count`` draws: all drawn first, then the oracle and the production
     entry each once on all of them."""
     drawn = [(draw_dm_spec(rng), float(rng.uniform(0.1, 0.9))) for _ in range(count)]
-    answers = run_chunk(drawn, _dm_regions_answers)
+    oracle, production = run_chunk(drawn, _dm_regions_answers)
     for topology in TOPOLOGIES:
-        clamped = _clamped([production[topology][SchemeId.GQF] for _, production in answers])
-        raw = [oracle[topology] for oracle, _ in answers]
+        clamped = _clamped(production[topology][SchemeId.GQF])
         for suffix, bound, field in zip(("r1", "r2", "sum"), clamped, ("r1_max", "r2_max", "sum_max")):
-            devs = bound - _column(raw, lambda region: getattr(region, field))
+            devs = bound - _column(oracle, lambda regions: getattr(regions[topology], field))
             worst.record(f"{topology}_{suffix}", devs, DM_TOL)
 
 
-def _regions(drawn: list, topologies: tuple[str, ...]) -> list[dict]:
-    """The GQF and CF bounds of each ``(spec, beta)`` of ``drawn`` on each
+def _regions(drawn: list, topologies: tuple[str, ...]) -> dict:
+    """The GQF and CF bounds of the ``(spec, beta)`` of ``drawn`` on each
     of ``topologies``, from one evaluation."""
     specs, betas = zip(*drawn)
     return dm_regions_stack(specs, topologies, (SchemeId.GQF, SchemeId.CF), betas)
 
 
-def _reductions_answers(drawn: list) -> list:
-    """For each draw of ``drawn``, a single-source ``(spec, beta)`` and a
+def _reductions_answers(drawn: list) -> tuple:
+    """For the draws ``drawn``, each a single-source ``(spec, beta)`` and a
     silent-destination one: the oracle's single-source branches, then
-    production's bounds of both."""
+    production's bounds of each kind."""
     single, silent = zip(*drawn)
-    branches = single_source_gqf_branch_pairs(single)
-    regions = _regions(single, ("marc",))
-    return list(zip(branches, regions, _regions(silent, ("cmacr", "marc"))))
+    branches = np.array(single_source_gqf_branch_pairs(single)).T
+    return branches, _regions(single, ("marc",)), _regions(silent, ("cmacr", "marc"))
 
 
 def reductions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> None:
@@ -349,16 +350,15 @@ def reductions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> Non
         (draw_single_source_spec(rng), (draw_silent_dest2_spec(rng), float(rng.uniform(0.1, 0.9))))
         for _ in range(count)
     ]
-    branches, regions, silent = zip(*run_chunk(drawn, _reductions_answers))
-    plain, with_index = np.array(branches).T
+    (plain, with_index), regions, silent = run_chunk(drawn, _reductions_answers)
 
     # With source 2 degenerate the single-user and sum bounds coincide,
     # and each GQF branch collapses to its single-source form.
-    gqf = [region["marc"][SchemeId.GQF] for region in regions]
+    gqf = regions["marc"][SchemeId.GQF]
     r1, _, rsum = _clamped(gqf)
     worst.record("gqf_r1_eq_sum", r1 - rsum, DM_TOL)
-    worst.record("gqf_branch_plain", _column(gqf, lambda b: b.terms["a_1(1)"]) - plain, DM_TOL)
-    worst.record("gqf_branch_with_index", _column(gqf, lambda b: b.terms["b_1(1)"]) - with_index, DM_TOL)
+    worst.record("gqf_branch_plain", gqf.terms["a_1(1)"] - plain, DM_TOL)
+    worst.record("gqf_branch_with_index", gqf.terms["b_1(1)"] - with_index, DM_TOL)
     worst.record(
         "gqf_r1_eq_min_branches", r1 - np.maximum(0.0, np.minimum(plain, with_index)), DM_TOL
     )
@@ -366,9 +366,9 @@ def reductions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> Non
     # CF with one source: rate bound collapses to the classic
     # compress-and-forward expression, and the strong relay pipe of the
     # generator keeps every draw feasible.
-    cf = [region["marc"][SchemeId.CF] for region in regions]
+    cf = regions["marc"][SchemeId.CF]
     r1, _, rsum = _clamped(cf)
-    worst.record("cf_feasible", np.where(_column(cf, lambda b: b.feasible), 0.0, 1.0), 0.0)
+    worst.record("cf_feasible", np.where(cf.feasible, 0.0, 1.0), 0.0)
     worst.record("cf_r1_eq_sum", r1 - rsum, DM_TOL)
     worst.record("cf_r1_eq_formula", r1 - np.maximum(0.0, plain), DM_TOL)
 
@@ -378,10 +378,10 @@ def reductions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> Non
         ("gqf_silent_dest2_exact", SchemeId.GQF),
         ("cf_silent_dest2_exact", SchemeId.CF),
     ):
-        both, alone = ([region[topology][scheme] for region in silent] for topology in ("cmacr", "marc"))
+        both, alone = (silent[topology][scheme] for topology in ("cmacr", "marc"))
         bounds = (np.abs(x - y) for x, y in zip(_clamped(both), _clamped(alone)))
-        feasible = _column(both, lambda b: b.feasible) == _column(alone, lambda b: b.feasible)
-        worst.record(name, np.maximum.reduce([*bounds, np.where(feasible, 0.0, 1.0)]), 0.0)
+        feasible = np.where(both.feasible == alone.feasible, 0.0, 1.0)
+        worst.record(name, np.maximum.reduce(np.broadcast_arrays(*bounds, feasible)), 0.0)
 
 
 #: Each subject's check and default draw count, in the order the CLI lists

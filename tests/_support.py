@@ -142,6 +142,34 @@ def assert_same_bits(got, want):
         assert a.dtype == np.float64 and a.tobytes() == b.tobytes(), name
 
 
+def entry(bounds, j):
+    """Entry ``j`` of ``bounds`` whose values are arrays over a stack (or
+    one value for all of it), as the :class:`hdmarc.Bounds` of one point."""
+    shape = np.shape(bounds.rsum)
+
+    def at(value):
+        return None if value is None else np.broadcast_to(value, shape)[j]
+
+    return Bounds(*map(at, bounds[:5]), {name: at(value) for name, value in bounds.terms.items()})
+
+
+def stacked(regions):
+    """The ``{scheme: Bounds}`` of each point of ``regions`` as one
+    ``{scheme: Bounds}`` whose values are arrays over the points, as a
+    stack entry answers."""
+
+    def column(values):
+        return None if values[0] is None else np.array(values)
+
+    return {
+        scheme: Bounds(
+            *(column([region[scheme][i] for region in regions]) for i in range(5)),
+            {name: column([region[scheme].terms[name] for region in regions]) for name in bounds.terms},
+        )
+        for scheme, bounds in regions[0].items()
+    }
+
+
 def count_calls(monkeypatch, source, names, *modules, arguments=1):
     """Record every call that ``modules`` make to the functions ``names`` of
     the module ``source``: the returned ``{name: [...]}`` lists the first

@@ -35,7 +35,7 @@ from hdmarc.core import (
 from hdmarc.dminfo import JointPmf
 from hdmarc.dmregions import active_destinations, branches, dm_regions, slot_terms
 from hdmarc.gaussian import BRANCHES, cf_operating_point, gaussian_regions
-from hdmarc.oracle import closed_forms_via_log_dets, single_source_gqf_branches
+from hdmarc.oracle import closed_forms_via_log_dets, single_source_gqf_branch_pairs
 
 from _support import benchmark_params, make_random_spec
 
@@ -272,7 +272,7 @@ _MODEL_ENTRIES = {
     "gaussian_mi": lambda model: hdmarc.oracle.gaussian_mi(model, ("XR",), ("Y12",)),
     "gqf_region_via_ru_sweep": lambda model: hdmarc.oracle.gqf_region_via_ru_sweep(model, 0.5),
     "closed_forms_via_log_dets": lambda model: closed_forms_via_log_dets([(model, 1.0)]),
-    "single_source_gqf_branches": lambda model: single_source_gqf_branches(model, 0.3),
+    "single_source_gqf_branch_pairs": lambda model: single_source_gqf_branch_pairs([(model, 0.3)])[0],
 }
 
 #: Wrong model objects: none, a huge array, and each right object in the
@@ -405,7 +405,7 @@ def test_a_read_refuses_a_mapping():
     # the MAC bounds at powers (1, 2), not (5, 7).
     params = benchmark_params(sigma_q2=1.0)
     spec = make_random_spec(np.random.default_rng(5))
-    joint = spec.joints(1)[0]
+    joint = hdmarc.dminfo.build_slot1_joint(spec, 1)
     calls = {
         "the NO_RELAY baseline powers": lambda: gaussian_regions(
             params, (SchemeId.NO_RELAY,), 0.4, no_relay={1.0: 5.0, 2.0: 7.0}

@@ -325,7 +325,7 @@ def _assert_every_subset_matches_the_per_set_sums(pmf):
 )
 def test_the_table_of_a_slot_joint_with_one_letter_axes_holds_every_subset(sizes):
     spec = _random_spec(np.random.default_rng(61), sizes)
-    joints = (*spec.joints(1), spec.joints(2)[0])
+    joints = (build_slot1_joint(spec, 1), build_slot2_joint(spec), build_slot1_joint(spec, 2))
     assert any(1 in joint.probs.shape for joint in joints)
     for joint in joints:
         _assert_every_subset_matches_the_per_set_sums(joint)
@@ -388,7 +388,7 @@ def test_the_largest_slot_joint_under_the_cell_cap_builds_its_table():
     # Four binary axes and a 16384-letter quantizer: 2**18 cells, and the
     # most table cells a five-axis joint under MAX_CELLS can need.
     spec = _random_spec(np.random.default_rng(64), {"yr": 2, "y21": 1, "yhr": 16384})
-    joint = spec.joints(1)[0]
+    joint = build_slot1_joint(spec, 1)
     assert joint.probs.shape == (2, 2, 2, 2, 16384) and joint.probs.size == MAX_CELLS
     assert math.prod(size + 1 for size in joint.probs.shape) == 1327185 <= MAX_TABLE_CELLS
     _assert_every_subset_matches_the_per_set_sums(joint)
@@ -440,8 +440,8 @@ def test_every_marginal_entropy_is_within_1e_14_bits_of_the_exact_entropy():
     specs.append(degenerate_relay_spec(specs[0]))
     checked = 0
     for spec in specs:
-        slot1 = [spec.joints(k)[0] for k in (1, 2)]
-        for joint in (*slot1, spec.joints(1)[1]):
+        slot1 = [build_slot1_joint(spec, k) for k in (1, 2)]
+        for joint in (*slot1, build_slot2_joint(spec)):
             for names, (value, _) in _exact_entropies(joint, mpmath).items():
                 error = abs(joint.entropy(names) - value)
                 assert error <= 1e-14, (sorted(names), float(error))
@@ -454,7 +454,7 @@ def test_each_cell_dropped_at_zero_eps_costs_at_most_5e_14_bits():
     # -ZERO_EPS * log2(ZERO_EPS), under 5e-14 bits.  Tiny cells of several
     # sizes are moved off the largest cell of a drawn slot-1 joint.
     mpmath = pytest.importorskip("mpmath")
-    probs = draw_dm_spec(np.random.default_rng(2015)).joints(1)[0].probs.copy()
+    probs = build_slot1_joint(draw_dm_spec(np.random.default_rng(2015)), 1).probs.copy()
     flat = probs.reshape(-1)
     tiny = [ZERO_EPS, 7e-16, 1e-16, 3e-18, 1e-30]
     smallest = np.argsort(flat)[: len(tiny)]
@@ -569,8 +569,8 @@ def test_slot_joint_builders_reject_oversized_results():
     spec = _random_spec(rng, n)
     with pytest.raises(TensorTooLarge, match="^slot-1 joint of destination 1 would hold 524288"):
         build_slot1_joint(spec, 1)
-    with pytest.raises(TensorTooLarge):
-        spec.joints(1)
+    with pytest.raises(TensorTooLarge, match="^slot-1 joint of destination 1 would hold 524288"):
+        hdmarc.dminfo.build_slot1_joints([spec], 1)
     assert build_slot1_joint(spec, 2).probs.size == 2**15 < MAX_CELLS
 
 

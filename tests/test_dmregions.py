@@ -43,6 +43,7 @@ from _support import (
     MIXED_CF_SEED,
     assert_same_bits,
     count_joint_builds,
+    entry,
     entropy_as_summed_per_set,
     make_random_spec,
     mi_ratio,
@@ -153,7 +154,7 @@ def test_entropy_table_matches_public_entropy_and_the_per_set_sums():
         for source in (spec, degenerate_relay_spec(spec)):
             terms = slot_terms(source, (1, 2))
             for k in (1, 2):
-                joints = source.joints(k)
+                joints = (build_slot1_joint(source, k), build_slot2_joint(source))
                 for name, formulas in hdmarc.dmregions._formulas(k).items():
                     for slot, (joint, formula) in enumerate(zip(joints, formulas)):
                         parts = hdmarc.dmregions._parts(formula)
@@ -290,7 +291,7 @@ def test_a_channel_whose_joint_over_both_destinations_exceeds_the_cap_is_evaluat
     assert spec.slot1.size * spec.test_channel.shape[1] == 1048576 > MAX_CELLS
     beta = 0.4
     evaluated = dm_regions(spec, TOPOLOGIES, tuple(SchemeId), beta)
-    assert [spec.joints(k)[0].probs.size for k in (1, 2)] == [16384, 16384]
+    assert [build_slot1_joint(spec, k).probs.size for k in (1, 2)] == [16384, 16384]
     for topology in TOPOLOGIES:
         for scheme in SchemeId:
             region = rate_region(evaluated[topology][scheme])
@@ -604,9 +605,8 @@ def test_the_silenced_rows_are_those_of_the_relay_silenced_spec():
 
 
 def test_a_spec_made_from_another_reads_only_its_own_tables():
-    # A spec keeps its joints and their entropies.  One made by replace or
-    # degenerate_relay_spec is a new channel: it must build its own joints,
-    # never read those its parent filled.
+    # A spec made by replace or degenerate_relay_spec is a new channel: its
+    # regions are those of a fresh spec of its tables, never its parent's.
     rng = np.random.default_rng(MIXED_CF_SEED)
     spec, other = make_random_spec(rng), make_random_spec(rng)
     betas = np.linspace(0.1, 0.9, 9)
@@ -628,9 +628,6 @@ def test_a_spec_made_from_another_reads_only_its_own_tables():
             for scheme in schemes:
                 assert_same_bits(got[topology][scheme], want[topology][scheme])
         assert gqf_region_via_ru_sweep(child, 0.3) == gqf_region_via_ru_sweep(fresh, 0.3)
-        for k in (1, 2):
-            for mine, parents in zip(child.joints(k), spec.joints(k)):
-                assert mine is not parents
     again = dm_regions(spec, TOPOLOGIES, schemes, betas)
     for topology in TOPOLOGIES:
         for scheme in schemes:
@@ -924,43 +921,51 @@ def test_dm_regions_refuses_a_repeated_topology():
 
 
 def _assert_stack_gives_the_one_spec_bits(specs, betas, topologies=TOPOLOGIES):
-    """Each spec's bounds from one stack equal its one-spec dm_regions bit
-    for bit, terms included, for every scheme on ``topologies``."""
+    """Each spec's entry of one stack equals its one-spec dm_regions bit for
+    bit, terms included, for every scheme on ``topologies``.  As over a
+    grid, once a CF point of the stack fails its binning test, every entry
+    of CF also holds the NO_RELAY terms of its spec as ``no_relay_*``."""
     schemes = tuple(SchemeId)
     stacked = dm_regions_stack(specs, topologies, schemes, betas)
-    assert len(stacked) == len(specs)
-    for spec, beta, got in zip(specs, betas, stacked):
+    assert list(stacked) == list(topologies)
+    for j, (spec, beta) in enumerate(zip(specs, betas)):
         want = dm_regions(spec, topologies, schemes, beta)
-        assert list(got) == list(want)
         for topology in topologies:
-            assert list(got[topology]) == list(schemes)
+            assert list(stacked[topology]) == list(schemes)
             for scheme in schemes:
-                assert list(got[topology][scheme].terms) == list(want[topology][scheme].terms)
-                assert_same_bits(got[topology][scheme], want[topology][scheme])
+                expected = want[topology][scheme]
+                if scheme is SchemeId.CF and not np.all(stacked[topology][scheme].feasible):
+                    silenced = want[topology][SchemeId.NO_RELAY].terms.items()
+                    terms = expected.terms | {f"no_relay_{name}": v for name, v in silenced}
+                    expected = expected._replace(terms=terms)
+                got = entry(stacked[topology][scheme], j)
+                assert list(got.terms) == list(expected.terms)
+                assert_same_bits(got, expected)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2007])
 def test_a_stack_of_the_verify_families_gives_the_one_spec_bits(seed):
     # Channels of the dm, single-source and silent-destination-2 draws, of
-    # mixed shapes, in one stack: cMACr reaches one or two destinations, and
-    # CF fails its binning test at some points and not at others.
+    # mixed shapes, one stack per family: cMACr reaches two destinations or
+    # one, and CF fails its binning test at some points and not at others.
     rng = np.random.default_rng(seed)
-    specs, betas = [], []
+    families = {"dm": ([], []), "single source": ([], []), "silent destination 2": ([], [])}
     for _ in range(12):
-        specs.append(draw_dm_spec(rng))
-        betas.append(float(rng.uniform(0.1, 0.9)))
-        spec, beta = draw_single_source_spec(rng)
-        specs.append(spec)
-        betas.append(beta)
-        specs.append(draw_silent_dest2_spec(rng))
-        betas.append(float(rng.uniform(0.1, 0.9)))
-    assert len({spec.slot1.shape for spec in specs}) > 10
-    for topologies in (TOPOLOGIES, ("cmacr",), ("marc",)):
-        _assert_stack_gives_the_one_spec_bits(specs, betas, topologies)
-    feasible = {
-        region["cmacr"][SchemeId.CF].feasible
-        for region in dm_regions_stack(specs, TOPOLOGIES, (SchemeId.CF,), betas)
-    }
+        for family, (specs, betas) in families.items():
+            if family == "single source":
+                spec, beta = draw_single_source_spec(rng)
+            else:
+                spec = draw_dm_spec(rng) if family == "dm" else draw_silent_dest2_spec(rng)
+                beta = float(rng.uniform(0.1, 0.9))
+            specs.append(spec)
+            betas.append(beta)
+    feasible = set()
+    for specs, betas in families.values():
+        assert len({spec.slot1.shape for spec in specs}) > 3
+        for topologies in (TOPOLOGIES, ("cmacr",), ("marc",)):
+            _assert_stack_gives_the_one_spec_bits(specs, betas, topologies)
+        cf = dm_regions_stack(specs, TOPOLOGIES, (SchemeId.CF,), betas)["cmacr"][SchemeId.CF]
+        feasible.update(cf.feasible.tolist())
     assert feasible == {True, False}
 
 
@@ -1013,19 +1018,46 @@ def test_a_stack_reads_its_arguments_once_and_refuses_what_the_one_spec_call_ref
     blind = draw_dm_spec(rng, {"y11": 1, "y12": 1, "y21": 1, "y22": 1})
     with pytest.raises(InvalidParams, match="no destination can decode"):
         dm_regions_stack([specs[0], blind], ("cmacr",), (SchemeId.GQF,), [0.3, 0.4])
-    # A generator is read once; an empty stack gives no regions.
+    # A generator is read once.
     got = dm_regions_stack(iter(specs), TOPOLOGIES, (SchemeId.GQF,), iter([0.3, 0.4, 0.5]))
-    assert len(got) == 3
-    assert dm_regions_stack([], TOPOLOGIES, (SchemeId.GQF,), []) == []
+    assert got["cmacr"][SchemeId.GQF].rsum.shape == (3,)
+
+
+def test_a_stack_refuses_what_no_caller_sends():
+    rng = np.random.default_rng(58)
+    spec, silent = draw_dm_spec(rng), draw_silent_dest2_spec(rng)
+    with pytest.raises(InvalidParams, match="^a stack needs at least one spec$"):
+        dm_regions_stack([], TOPOLOGIES, (SchemeId.GQF,), [])
+    with pytest.raises(
+        InvalidParams,
+        match=r"^the specs of a stack must reach the same destinations; cmacr reaches "
+        r"\(1, 2\) for specs\[0\] and \(1,\) for specs\[2\]$",
+    ):
+        dm_regions_stack([spec, spec, silent], ("cmacr",), (SchemeId.GQF,), [0.3, 0.4, 0.5])
+    # On MARC alone every spec reaches destination 1.
+    marc = dm_regions_stack([spec, silent], ("marc",), (SchemeId.GQF,), [0.3, 0.4])
+    assert marc["marc"][SchemeId.GQF].rsum.shape == (2,)
 
 
 def test_a_failing_joint_of_a_stack_names_its_spec():
     rng = np.random.default_rng(59)
     big = {"x11": 4, "x21": 4, "yr": 16, "y11": 64, "y21": 4, "yhr": 32}
-    specs = [make_random_spec(rng), make_random_spec(rng, big)]
+    a, a2, silent = make_random_spec(rng), make_random_spec(rng), draw_silent_dest2_spec(rng)
+    c = make_random_spec(rng, big)
     with pytest.raises(
         TensorTooLarge, match=r"^slot-1 joint of destination 1 of specs\[1\] would hold 524288"
     ):
-        dm_regions_stack(specs, ("marc",), (SchemeId.GQF,), [0.3, 0.4])
+        dm_regions_stack([a, c], ("marc",), (SchemeId.GQF,), [0.3, 0.4])
     with pytest.raises(TensorTooLarge, match="^slot-1 joint of destination 1 would hold 524288"):
-        dm_regions(specs[1], ("marc",), (SchemeId.GQF,), 0.4)
+        dm_regions(c, ("marc",), (SchemeId.GQF,), 0.4)
+    # The joint builders see the caller's list, so the position is the
+    # caller's; a spec that reaches other destinations is refused first.
+    with pytest.raises(
+        TensorTooLarge, match=r"^slot-1 joint of destination 1 of specs\[2\] would hold 524288"
+    ):
+        dm_regions_stack([a, a2, c], ("cmacr",), (SchemeId.GQF,), [0.3, 0.4, 0.5])
+    with pytest.raises(InvalidParams, match=r"reach the same destinations; .* for specs\[1\]$"):
+        dm_regions_stack([a, silent, c], ("cmacr",), (SchemeId.GQF,), [0.3, 0.4, 0.5])
+    big_silent = make_random_spec(rng, dict(big, y21=1, y22=1))
+    with pytest.raises(InvalidParams, match=r"reach the same destinations; .* for specs\[1\]$"):
+        dm_regions_stack([a, big_silent], ("cmacr",), (SchemeId.GQF,), [0.3, 0.4])

@@ -44,7 +44,7 @@ from hdmarc.gaussian import (
     slot2_signal,
 )
 
-from _support import assert_same_bits, benchmark_params
+from _support import assert_same_bits, benchmark_params, entry
 from _support import random_gaussian_params as _random_params
 from hdmarc.verify import draw_gaussian_params
 
@@ -802,45 +802,51 @@ def test_rate_region_takes_a_single_point():
 # Many channels, each at its own point
 
 
-def _closed_forms_channels(seed: int) -> list:
+def _closed_forms_channels(seed: int) -> tuple[list, list]:
     """The 100 channels of a closed-forms run at ``seed``, every seventh
-    with its relay link cut."""
+    with its relay link cut: the live ones and the dead ones."""
     rng = np.random.default_rng(seed)
     drawn = [draw_gaussian_params(rng) for _ in range(100)]
-    return [replace(params, hr1=0.0) if i % 7 == 3 else params for i, params in enumerate(drawn)]
+    dead = [replace(params, hr1=0.0) for i, params in enumerate(drawn) if i % 7 == 3]
+    return [params for i, params in enumerate(drawn) if i % 7 != 3], dead
 
 
 _VARIANCES = ("drawn", "optimal", "below every threshold")
+_RELAYED = (SchemeId.GQF, SchemeId.CF)
 
 
 @pytest.mark.parametrize("variances", _VARIANCES)
 def test_a_stack_gives_each_channel_the_bits_of_its_own_call(variances):
-    # Together the three cases cover the closed-forms draws at seeds 0-49.
+    # Together the three cases cover the closed-forms draws at seeds 0-49,
+    # in a stack of the live links and one of the dead links.
     tiny = float(np.finfo(np.float64).tiny)
     for seed in range(_VARIANCES.index(variances), 50, len(_VARIANCES)):
-        channels = _closed_forms_channels(seed)
-        sigmas = {
-            "drawn": [params.sigma_q2 for params in channels],
-            "optimal": None,
-            "below every threshold": [tiny] * len(channels),
-        }[variances]
-        betas = [params.beta for params in channels]
-        stack = gaussian_regions_stack(channels, tuple(SchemeId), betas, sigmas, (1.5, 2.0))
-        assert len(stack) == len(channels)
-        for j, (params, regions) in enumerate(zip(channels, stack)):
-            sigma = None if sigmas is None else sigmas[j]
-            alone = gaussian_regions(params, tuple(SchemeId), params.beta, sigma, (1.5, 2.0))
-            assert list(regions) == list(alone)
-            for scheme, bounds in alone.items():
-                assert_same_bits(regions[scheme], bounds)
-                assert all(type(value) is float for value in regions[scheme][:3])
+        for channels in _closed_forms_channels(seed):
+            sigmas = {
+                "drawn": [params.sigma_q2 for params in channels],
+                "optimal": None,
+                "below every threshold": [tiny] * len(channels),
+            }[variances]
+            betas = [params.beta for params in channels]
+            stack = gaussian_regions_stack(channels, _RELAYED, betas, sigmas)
+            assert list(stack) == list(_RELAYED)
+            for bounds in stack.values():
+                assert all(value.shape == (len(channels),) for value in bounds[:3])
+            for j, params in enumerate(channels):
+                sigma = None if sigmas is None else sigmas[j]
+                alone = gaussian_regions(params, _RELAYED, params.beta, sigma)
+                for scheme, bounds in alone.items():
+                    assert_same_bits(entry(stack[scheme], j), bounds)
 
 
 def test_a_stack_of_one_and_an_empty_stack():
     params = benchmark_params(beta=0.4)
-    (regions,) = gaussian_regions_stack([params], (SchemeId.CF,), np.array([0.4]), [0.5])
-    assert_same_bits(regions[SchemeId.CF], gaussian_regions(params, (SchemeId.CF,), 0.4, 0.5)[SchemeId.CF])
-    assert gaussian_regions_stack([], (SchemeId.GQF,), []) == []
+    stack = gaussian_regions_stack([params], (SchemeId.CF,), np.array([0.4]), [0.5])
+    alone = gaussian_regions(params, (SchemeId.CF,), 0.4, 0.5)[SchemeId.CF]
+    assert stack[SchemeId.CF].rsum.shape == (1,)
+    assert_same_bits(entry(stack[SchemeId.CF], 0), alone)
+    with pytest.raises(InvalidParams, match="^a stack needs at least one channel$"):
+        gaussian_regions_stack([], (SchemeId.GQF,), [])
 
 
 def test_a_stack_refuses_what_a_channel_s_own_call_refuses():
@@ -865,11 +871,19 @@ def test_a_stack_refuses_what_a_channel_s_own_call_refuses():
         gaussian_regions_stack([params], schemes, [0.5], [-1.0])
 
 
+def test_a_stack_refuses_what_no_caller_sends():
+    live, dead = benchmark_params(), benchmark_params(hr1=0.0)
+    with pytest.raises(InvalidParams, match="^a stack evaluates GQF and CF; ask gaussian_regions for NO_RELAY$"):
+        gaussian_regions_stack([live], (SchemeId.GQF, SchemeId.NO_RELAY), [0.5])
+    with pytest.raises(InvalidParams, match="^a stack's relay links must be all live or all dead$"):
+        gaussian_regions_stack([live, dead, live], (SchemeId.CF,), [0.5, 0.5, 0.5])
+
+
 def test_a_failing_channel_of_a_stack_raises_its_own_call_s_error():
     # On this strong relay link the CF threshold at beta = 0.001 or 0.002
-    # underflows; the dead link and beta = 0.5 evaluate.
-    live, dead = benchmark_params(), benchmark_params(hr1=0.0)
-    channels, betas = [live, dead, live, live], [0.5, 0.001, 0.001, 0.002]
+    # underflows; beta = 0.5 evaluates.
+    live = benchmark_params()
+    channels, betas = [live, live, live, live], [0.5, 0.6, 0.001, 0.002]
     with pytest.raises(OutOfRange) as alone:
         gaussian_regions(live, (SchemeId.GQF,), 0.001)
     with pytest.raises(OutOfRange) as stacked:

@@ -276,12 +276,10 @@ def _module_calls() -> dict[str, tuple]:
     ``JointPmf`` methods are bound to the seeded joint."""
     spec = make_random_spec(np.random.default_rng(3))
     params = GaussianMarcParams(*_GAINS_POWERS, 0.5, 1.0)
-    dead = GaussianMarcParams(*_GAINS_POWERS[:4], 0.0, *_GAINS_POWERS[5:], 0.5, 1.0)
     joint = dminfo.build_slot1_joint(spec, 1)
     mi_sets = (("X11",), ("Y11", "YhR"), ("X21",))
     return {
         "dminfo.build_slot1_joint": (dminfo.build_slot1_joint, (spec, 2)),
-        "DmChannelSpec.joints": (spec.joints, (2,)),
         "dmregions.slot_terms": (dmregions.slot_terms, (spec, (1, 2))),
         "dmregions.dm_regions_stack": (
             dmregions.dm_regions_stack, ([spec, spec], ("marc", "cmacr"), (SchemeId.CF,), [0.3, 0.6])
@@ -295,7 +293,7 @@ def _module_calls() -> dict[str, tuple]:
         "gaussian.no_relay_rates": (gaussian.no_relay_rates, (1.0, 1.0, 1.5, 1.5)),
         "gaussian.gaussian_regions_stack": (
             gaussian.gaussian_regions_stack,
-            ([params, dead], tuple(SchemeId), [0.3, 0.6], [1.0, 2.0], (1.5, 1.5)),
+            ([params, params], (SchemeId.GQF, SchemeId.CF), [0.3, 0.6], [1.0, 2.0]),
         ),
         "dminfo.mutual_information": (dminfo.mutual_information, (joint, *mi_sets)),
         "JointPmf.entropy": (joint.entropy, (("X11", "Y11"),)),

@@ -48,7 +48,6 @@ from hdmarc.oracle import (
     gqf_region_via_ru_sweep,
     gqf_regions_via_ru_sweep,
     single_source_gqf_branch_pairs,
-    single_source_gqf_branches,
 )
 from hdmarc.verify import (
     DM_TOL,
@@ -64,6 +63,7 @@ from _support import (
     count_joint_builds,
     make_random_spec,
     random_gaussian_params as _random_params,
+    stacked,
 )
 
 
@@ -504,14 +504,15 @@ def _check(report, name):
 
 def _per_channel(production):
     """A stand-in for ``gaussian_regions_stack`` that asks ``production``,
-    called as ``gaussian_regions`` is, about each channel in order."""
+    called as ``gaussian_regions`` is, about each channel in order, and
+    answers with its bounds stacked into arrays."""
 
     def stack(channels, schemes, betas, sigma_q2s=None):
         sigmas = [None] * len(channels) if sigma_q2s is None else sigma_q2s
-        return [
+        return stacked([
             production(params, schemes, beta, sigma)
             for params, beta, sigma in zip(channels, betas, sigmas)
-        ]
+        ])
 
     return stack
 
@@ -688,7 +689,7 @@ def test_the_dm_oracle_builds_no_joint_through_dminfo(monkeypatch):
     single = [draw_single_source_spec(rng) for _ in range(5)]
     assert len(gqf_regions_via_ru_sweep(dm)) == len(single_source_gqf_branch_pairs(single)) == 5
     gqf_region_via_ru_sweep(*dm[0])
-    single_source_gqf_branches(*single[0])
+    single_source_gqf_branch_pairs(single[:1])
     assert calls == {"build_slot1_joints": [], "build_slot2_joints": []} and made == []
 
 
@@ -790,7 +791,7 @@ def test_single_source_oracle_agrees_with_the_old_assembly(seed):
     draws = [draw_single_source_spec(rng) for _ in range(20)]
     for (spec, b), got in zip(draws, single_source_gqf_branch_pairs(draws)):
         want = _single_source_as_verify_assembled(spec, b)
-        assert single_source_gqf_branches(spec, b) == got
+        assert single_source_gqf_branch_pairs([(spec, b)]) == [got]
         assert all(abs(x - y) <= 1e-14 for x, y in zip(got, want)), (got, want)
 
 
@@ -898,7 +899,7 @@ def test_a_dm_oracle_chunk_gives_each_draw_its_one_draw_bits():
     for (spec, beta), regions in zip(dm, gqf_regions_via_ru_sweep(dm)):
         assert regions == gqf_region_via_ru_sweep(spec, beta)
     for (spec, beta), pair in zip(single, single_source_gqf_branch_pairs(single)):
-        assert_same_bits(pair, single_source_gqf_branches(spec, beta))
+        assert_same_bits(pair, single_source_gqf_branch_pairs([(spec, beta)])[0])
 
 
 def test_the_dm_oracle_reads_its_draws_as_pairs_and_caps_its_joints():

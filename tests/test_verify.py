@@ -114,11 +114,13 @@ def test_a_non_finite_production_bound_raises_rate_region_s_error(monkeypatch, s
     entry = getattr(hdmarc.verify, name)
 
     def broken(*args, **kwargs):
-        rows = entry(*args, **kwargs)
-        regions = rows[-1] if subject == "closed-forms" else next(iter(rows[-1].values()))
+        answer = entry(*args, **kwargs)
+        regions = answer if subject == "closed-forms" else next(iter(answer.values()))
         scheme = next(iter(regions))
-        regions[scheme] = regions[scheme]._replace(**{field: math.inf})
-        return rows
+        values = getattr(regions[scheme], field).copy()
+        values[-1] = math.inf  # the chunk's last draw
+        regions[scheme] = regions[scheme]._replace(**{field: values})
+        return answer
 
     monkeypatch.setattr(hdmarc.verify, name, broken)
     with pytest.raises(InvalidParams, match=f"^bounds {field} must be finite, got inf$"):
