@@ -35,7 +35,7 @@ Both evaluate every scheme into a :class:`~hdmarc.core.Bounds` per
 scheme, like the Gaussian closed forms, for one topology or both from the
 same pairs.
 :func:`~hdmarc.core.gqf_bounds` reduces the GQF terms that
-:func:`branches` names, as it does the Gaussian ones; CF reads the same
+:func:`_branches` names, as it does the Gaussian ones; CF reads the same
 table.  The relay-silenced channel (:func:`degenerate_relay_spec`) is
 read from the same tables, with XR pinned and the quantizer collapsed,
 and only where NO_RELAY is asked for or a CF point fails its binning
@@ -230,7 +230,7 @@ def active_destinations(spec: DmChannelSpec) -> tuple[int, ...]:
 
 
 @cache
-def branches(ks: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
+def _branches(ks: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
     """The :func:`slot_terms` bounding r1, r2 and the sum at the destinations
     ``ks`` (:func:`~hdmarc.core.gqf_bounds`), built once per ``ks``: at each
     in turn the quantization index decoded, then treated as noise."""
@@ -278,7 +278,7 @@ def _evaluate(specs: list, reach: dict, schemes: tuple, beta, one: bool) -> dict
         return built[silenced]
 
     def cf(ks: tuple[int, ...]) -> Bounds:
-        relay, table = terms(False), branches(ks)
+        relay, table = terms(False), _branches(ks)
         # Worst cases over the destinations of both sides of the binning test.
         lhs = reduce(np.maximum, (relay[f"cf_lhs_{k}"] for k in ks))
         rhs = reduce(np.minimum, (relay[f"cf_rhs_{k}"] for k in ks))
@@ -296,9 +296,9 @@ def _evaluate(specs: list, reach: dict, schemes: tuple, beta, one: bool) -> dict
         return Bounds(*bounds, feasible, None, out)
 
     table = {
-        SchemeId.GQF: lambda ks: gqf_bounds(terms(False), branches(ks)),
+        SchemeId.GQF: lambda ks: gqf_bounds(terms(False), _branches(ks)),
         SchemeId.CF: cf,
-        SchemeId.NO_RELAY: lambda ks: gqf_bounds(terms(True), branches(ks)),
+        SchemeId.NO_RELAY: lambda ks: gqf_bounds(terms(True), _branches(ks)),
     }
     return {
         topology: {scheme: table[scheme](ks) for scheme in schemes}

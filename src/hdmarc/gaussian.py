@@ -12,9 +12,9 @@ All rates are in bits per channel use.  Formula shape notes:
 * every slot contributes ``(slot fraction) / 2 * log2(1 + SNR-like term)``;
 * the "quantization index treated as noise" branches pick up the factor
   ``sigma_q2 / (1 + sigma_q2)``, the price of not recovering the index;
-* ``relay_view`` below is the determinant-like quantity coupling the two
-  source-to-relay paths, and ``relay_link`` is the relay-to-destination
-  received power.
+* the received power ``view`` of ``_Powers`` is the determinant-like
+  quantity coupling the two source-to-relay paths, and ``link`` is the
+  relay-to-destination received power.
 
 The formulas are written once, in the private ``_rate_terms`` and
 ``_sigma_threshold``, over floats or numpy arrays of (beta, sigma_q2) and
@@ -118,9 +118,12 @@ class GaussianMarcParams:
             object.__setattr__(self, name, power)
         # Every closed form takes logs of parts of these two sums of
         # non-negative powers, so finite sums keep every rate finite.
-        if _overflows(lambda: slot1_signal(self) + relay_view(self)) or _overflows(
-            lambda: slot2_signal(self) + relay_link(self)
-        ):
+        try:
+            p = _powers(self)
+            overflows = not (math.isfinite(p.s1 + p.view) and math.isfinite(p.s2 + p.link))
+        except OverflowError:  # float ** raises it where float * gives inf
+            overflows = True
+        if overflows:
             gains = ("h11", "h21", "h1r", "h2r", "hr1")
             gain = max(gains, key=lambda name: abs(getattr(self, name)))
             raise InvalidParams(
@@ -161,42 +164,17 @@ def _overflows(power: Callable[[], float]) -> bool:
         return True
 
 
-def slot1_signal(params: GaussianMarcParams) -> float:
-    """Received power at the destination in slot 1 (incl. unit noise)."""
-    return 1.0 + params.h11**2 * params.p11 + params.h21**2 * params.p21
-
-
-def slot2_signal(params: GaussianMarcParams) -> float:
-    """Received power at the destination in slot 2, relay excluded (incl. unit noise)."""
-    return 1.0 + params.h11**2 * params.p12 + params.h21**2 * params.p22
-
-
-def relay_view(params: GaussianMarcParams) -> float:
-    """Joint source-pair power as seen through the relay's slot-1 observation."""
-    cross = (params.h11 * params.h2r - params.h1r * params.h21) ** 2
-    return (
-        cross * params.p11 * params.p21
-        + params.h1r**2 * params.p11
-        + params.h2r**2 * params.p21
-    )
-
-
-def relay_link(params: GaussianMarcParams) -> float:
-    """Relay-to-destination received power in slot 2."""
-    return params.hr1**2 * params.pr
-
-
 class _Powers(NamedTuple):
-    """What the closed forms read of a channel: its received powers, each
-    worked out in Python floats by the helpers above.  Floats for one
-    channel (:func:`_powers`), or float64 arrays with one entry per channel
-    for a stack of channels (:func:`_stack`), so :func:`_rate_terms` and
-    :func:`_sigma_threshold` are written once for both."""
+    """What the closed forms read of a channel: its received powers, worked
+    out in Python floats by :func:`_powers`.  Floats for one channel, or
+    float64 arrays with one entry per channel for a stack of channels
+    (:func:`_stack`), so :func:`_rate_terms` and :func:`_sigma_threshold`
+    are written once for both."""
 
-    s1: Any  # slot1_signal
-    s2: Any  # slot2_signal
-    link: Any  # relay_link
-    view: Any  # relay_view
+    s1: Any  # at the destination in slot 1, with its unit noise
+    s2: Any  # at the destination in slot 2, relay excluded, with its unit noise
+    link: Any  # from the relay at the destination in slot 2
+    view: Any  # of the source pair, as the relay's slot-1 observation sees it
     direct: tuple  # per source i: 1 + h_i1**2 * p_i1, slot 1 at the destination
     relay: tuple  # per source i: h_iR**2 * p_i1, slot 1 at the relay
     alone: tuple  # per source i: 1 + h_i1**2 * p_i2, slot 2 at the destination
@@ -205,12 +183,13 @@ class _Powers(NamedTuple):
 
 def _powers(params: GaussianMarcParams) -> _Powers:
     """The received powers of one channel, as floats."""
-    p, link = params, relay_link(params)
+    p = params
+    link, cross = p.hr1**2 * p.pr, (p.h11 * p.h2r - p.h1r * p.h21) ** 2
     return _Powers(
-        slot1_signal(p),
-        slot2_signal(p),
+        1.0 + p.h11**2 * p.p11 + p.h21**2 * p.p21,
+        1.0 + p.h11**2 * p.p12 + p.h21**2 * p.p22,
         link,
-        relay_view(p),
+        cross * p.p11 * p.p21 + p.h1r**2 * p.p11 + p.h2r**2 * p.p21,
         (1.0 + p.h11**2 * p.p11, 1.0 + p.h21**2 * p.p21),
         (p.h1r**2 * p.p11, p.h2r**2 * p.p21),
         (1.0 + p.h11**2 * p.p12, 1.0 + p.h21**2 * p.p22),
@@ -218,10 +197,10 @@ def _powers(params: GaussianMarcParams) -> _Powers:
     )
 
 
-def _stack(channels: tuple) -> _Powers:
-    """The powers of ``channels``, whose relay links are all live or all
-    dead, as arrays over them."""
-    s1, s2, link, view, direct, relay, alone, live = zip(*map(_powers, channels))
+def _stack(powers: list) -> _Powers:
+    """The :func:`_powers` of channels whose relay links are all live or
+    all dead, as arrays over them."""
+    s1, s2, link, view, direct, relay, alone, live = zip(*powers)
     return _Powers(
         *map(np.array, (s1, s2, link, view)),
         *(tuple(map(np.array, zip(*pairs))) for pairs in (direct, relay, alone)),
@@ -506,17 +485,17 @@ def gaussian_regions_stack(
         beta = validate_beta(beta, allow_array=False)
         if sigma_q2s is not None:
             sigma = open_interval(sigma, "quantization variance", math.inf, InvalidParams, False)
-        points.append((params, beta, sigma))
+        points.append((_powers(params), beta, sigma))
     schemes = read_schemes(schemes)
     if SchemeId.NO_RELAY in schemes:
         raise InvalidParams("a stack evaluates GQF and CF; ask gaussian_regions for NO_RELAY")
-    if len({relay_link(params) > 0.0 for params in channels}) > 1:
+    if len({powers.live for powers, _, _ in points}) > 1:
         raise InvalidParams("a stack's relay links must be all live or all dead")
 
     def evaluate(chunk: list) -> dict[SchemeId, Bounds]:
-        params, beta, sigma = zip(*chunk)
-        powers, given = _stack(params), None if sigma_q2s is None else np.array(sigma)
-        return {scheme: _RELAYED[scheme](powers, np.array(beta), given) for scheme in schemes}
+        powers, beta, sigma = zip(*chunk)
+        stacked, given = _stack(powers), None if sigma_q2s is None else np.array(sigma)
+        return {scheme: _RELAYED[scheme](stacked, np.array(beta), given) for scheme in schemes}
 
     return run_chunk(points, evaluate)
 
@@ -536,11 +515,11 @@ def cf_operating_point(params: GaussianMarcParams) -> GaussianMarcParams:
     return replace(params, sigma_q2=float(_cf_bounds(_powers(params), beta).sigma))
 
 
-def _smallest_beta(params: GaussianMarcParams) -> float:
+def _smallest_beta(powers: _Powers) -> float:
     """Slot fraction where the CF threshold A / expm1((1-beta)/beta * L) is
     2**-1000, with L = log1p(link/S2), A = 1 + view/S1 (0 for a dead link)."""
-    pipe = math.log1p(relay_link(params) / slot2_signal(params))
-    reach = math.log1p(relay_view(params) / slot1_signal(params)) + 1000 * math.log(2.0)
+    pipe = math.log1p(powers.link / powers.s2)
+    reach = math.log1p(powers.view / powers.s1) + 1000 * math.log(2.0)
     return pipe / (pipe + reach)
 
 
@@ -574,7 +553,7 @@ def optimize_beta(
         r1, r2, rsum = clamp_bounds(bounds.r1, bounds.r2, bounds.rsum)
         return {"sum": rsum, "r1": r1, "r2": r2}[objective]
 
-    lo, hi = max(BETA_RANGE[0], _smallest_beta(params)), BETA_RANGE[1]
+    lo, hi = max(BETA_RANGE[0], _smallest_beta(powers)), BETA_RANGE[1]
     while True:
         grid = np.linspace(lo, hi, BETA_SEEDS)
         rates = value(grid)

@@ -21,10 +21,14 @@ model entry against is computed here.  Two checkers are provided:
   over the chunk; each marginal's entropy is its own sum, kept once per
   stack.  From :mod:`hdmarc.dminfo` they take the channel and nothing that
   builds or measures a joint, so production's joints and entropy tables
-  are checked, not shared; each value has the bits of its draw alone.
+  are checked, not shared.
 
+The three chunk entries answer as the model entries do, with arrays over
+their draws (the GQF bounds as :class:`~hdmarc.core.Bounds`, unclamped),
+each entry with the bits of its draw alone; each refuses an empty chunk.
 :func:`crossing_offset` gives how far a quantization variance sits from the
-crossing of the two GQF sum branches, from the channel's gains and powers.
+crossing of the two GQF sum branches, from the channel's gains and powers,
+for one draw.
 
 Mapping between the closed-form terms of :mod:`hdmarc.gaussian` and the
 log-det expressions used here (slot-1 model over ``X11, X21, YR, YhR,
@@ -54,15 +58,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
+    Bounds,
     DimensionMismatch,
     InvalidParams,
     RateRegion,
     SingularCovariance,
     TensorTooLarge,
     UnknownVariable,
-    clamp_region,
     instance_of,
     one_of,
+    rate_region,
     read_collection,
     real_array,
     real_number,
@@ -352,7 +357,7 @@ _THRESHOLD_TRIPLES = _read_triples(
 )
 
 
-def _closed_forms(draws: list[tuple]) -> list[tuple[dict[str, float], float]]:
+def _closed_forms(draws: list[tuple]) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """:func:`closed_forms_via_log_dets` on one chunk, one stacked QR per
     model.  Its checks run in the order one draw's would (the channel, the
     slot-1 and slot-2 factors, their QRs, the threshold, its factors and
@@ -377,11 +382,7 @@ def _closed_forms(draws: list[tuple]) -> list[tuple[dict[str, float], float]]:
     for name, (slot1_triples, _) in _TERM_TRIPLES.items():
         s1 = next(mi1) if len(slot1_triples) == 1 else next(mi1) - next(mi1)
         terms[name] = b * s1 + comp * next(mi2)
-    excess = b * (quant - side) - comp * next(mi2)
-    return [
-        (dict(zip(terms, row)), value)
-        for row, value in zip(np.array(list(terms.values())).T.tolist(), excess.tolist())
-    ]
+    return terms, b * (quant - side) - comp * next(mi2)
 
 
 def _draw(value) -> tuple:
@@ -393,25 +394,31 @@ def _draw(value) -> tuple:
 
 def closed_forms_via_log_dets(
     draws: Iterable[tuple[GaussianMarcParams, float]],
-) -> list[tuple[dict[str, float], float]]:
-    """For each draw ``(params, sigma_min)``: the six GQF terms of the table
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """For the draws ``(params, sigma_min)``: the six GQF terms of the table
     above at ``params.sigma_q2``, and the CF binning excess ``b*[I(YR; YhR)
     - I(Y11; YhR)] - (1-b)*I(XR; Y12)`` at ``sigma_q2 = sigma_min`` (zero at
-    the threshold), by log-dets, as ``(terms, excess)``.
+    the threshold), by log-dets, as ``(terms, excess)``: each value an array
+    over the draws.
 
     The draws are evaluated in chunks of at most :data:`BATCH_DRAWS`, each
     with three stacked QRs (slot 1 at ``sigma_q2``, slot 2, slot 1 at
-    ``sigma_min``), and every value has the same bits as a chunk of one
-    draw.  A draw that fails raises the error it raises alone, and the
-    first such draw in order is the one reported.
+    ``sigma_min``), and every entry has the same bits as a chunk of its
+    draw alone.  A draw that fails raises the error it raises alone, and
+    the first such draw in order is the one reported; no draws at all raise
+    :class:`InvalidParams`.
     """
     draws = read_collection(draws, "draws", _draw, list)
-    evaluated = []
-    for start in range(0, len(draws), BATCH_DRAWS):
-        # The checks run stage by stage over the chunk, so its first error
-        # may be a later draw's: run_chunk raises the first failing draw's.
-        evaluated += run_chunk(draws[start : start + BATCH_DRAWS], _closed_forms)
-    return evaluated
+    if not draws:
+        raise InvalidParams("draws must hold at least one (params, sigma_min) pair")
+    # The checks run stage by stage over a chunk, so its first error may be
+    # a later draw's: run_chunk raises the first failing draw's.
+    chunks = [
+        run_chunk(draws[start : start + BATCH_DRAWS], _closed_forms)
+        for start in range(0, len(draws), BATCH_DRAWS)
+    ]
+    terms = {name: np.concatenate([t[name] for t, _ in chunks]) for name in _TERM_TRIPLES}
+    return terms, np.concatenate([excess for _, excess in chunks])
 
 
 def crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
@@ -420,8 +427,11 @@ def crossing_offset(params: GaussianMarcParams, sigma: float) -> float:
     I1 - I2, written as b*log1p(q) - (1-b)*log1p(link/S2) with q = (S1 +
     view) / (S1 * sigma), from the gains and powers of ``params``.  It
     shares no code with the expm1 closed form of the threshold and stays
-    accurate to a few ulps at any scale of sigma."""
-    p, b = params, params.beta
+    accurate to a few ulps at any scale of sigma.  ``params`` must be a
+    channel and ``sigma`` finite and positive (:class:`InvalidParams`)."""
+    p = instance_of(params, GaussianMarcParams, "params")
+    sigma = real_number(sigma, "quantization variance", rule="finite and positive")
+    b = p.beta
     s1 = 1.0 + p.h11**2 * p.p11 + p.h21**2 * p.p21  # slot-1 destination power
     s2 = 1.0 + p.h11**2 * p.p12 + p.h21**2 * p.p22  # slot 2, relay excluded
     # The source pair's power as the relay's slot-1 observation sees it.
@@ -455,6 +465,19 @@ def _dm_draw(value) -> tuple:
     if isinstance(value, tuple) and len(value) == 2:
         return value
     raise InvalidParams(f"a draw must be a pair (spec, beta), got {type(value).__name__}")
+
+
+def _dm_draws(draws) -> tuple[list, np.ndarray]:
+    """The specs and slot fractions of ``draws``, pairs ``(spec, beta)``
+    read in order, each beta then spec; no draws raise
+    :class:`InvalidParams`."""
+    specs, betas = [], []
+    for spec, beta in read_collection(draws, "draws", _dm_draw, list):
+        betas.append(validate_beta(beta, allow_array=False))
+        specs.append(instance_of(spec, DmChannelSpec, "spec"))
+    if not specs:
+        raise InvalidParams("draws must hold at least one (spec, beta) pair")
+    return specs, np.array(betas)
 
 
 def _stack(arrays: list) -> np.ndarray:
@@ -520,13 +543,13 @@ def _information(names: tuple[str, ...], joints: np.ndarray):
     return mi
 
 
-def _destination_terms(specs: list, betas: list, k: int, terms) -> list[dict[str, float]]:
-    """``terms(mi1, mi2, k, b)`` at destination ``k`` of each of ``specs``:
-    ``mi1`` and ``mi2`` give the mutual informations of its slot-1 and
-    slot-2 joints (:func:`_joints`, :func:`_information`) and ``b`` its
-    slot fraction in ``betas``, each an array over a stack of specs.  A
-    spec whose joint would pass :data:`MAX_JOINT_CELLS` raises
-    :class:`TensorTooLarge`."""
+def _destination_terms(specs: list, betas: np.ndarray, k: int, terms) -> dict[str, np.ndarray]:
+    """``terms(mi1, mi2, k, b)`` at destination ``k`` of ``specs``, each
+    value an array over them: ``mi1`` and ``mi2`` give the mutual
+    informations of its slot-1 and slot-2 joints (:func:`_joints`,
+    :func:`_information`) and ``b`` its slot fractions in ``betas``, each
+    an array over a stack of specs.  A spec whose joint would pass
+    :data:`MAX_JOINT_CELLS` raises :class:`TensorTooLarge`."""
     shapes = []
     for spec in specs:
         yr, yhr = spec.test_channel.shape
@@ -544,7 +567,7 @@ def _destination_terms(specs: list, betas: list, k: int, terms) -> list[dict[str
         groups.setdefault(shape if max(shape) >= _PAD_BELOW else (), []).append(position)
     names1 = ("X11", "X21", "YR", f"Y{k}1", "YhR")
     names2 = ("X12", "X22", "XR", f"Y{k}2")
-    evaluated: list = [None] * len(specs)
+    columns: dict[str, np.ndarray] = {}
     for positions in groups.values():
         longest = np.max([shapes[i] for i in positions], axis=0)
         cells = max(math.prod(longest[:5].tolist()), math.prod(longest[5:].tolist()))
@@ -552,12 +575,10 @@ def _destination_terms(specs: list, betas: list, k: int, terms) -> list[dict[str
         for start in range(0, len(positions), count):
             stack = positions[start : start + count]
             joint1, joint2 = _joints([specs[i] for i in stack], k)
-            b = np.array([betas[i] for i in stack])
-            values = terms(_information(names1, joint1), _information(names2, joint2), k, b)
-            columns = {name: value.tolist() for name, value in values.items()}
-            for row, position in enumerate(stack):
-                evaluated[position] = {name: column[row] for name, column in columns.items()}
-    return evaluated
+            mi1, mi2 = _information(names1, joint1), _information(names2, joint2)
+            for name, value in terms(mi1, mi2, k, betas[stack]).items():
+                columns.setdefault(name, np.empty(len(specs)))[stack] = value
+    return columns
 
 
 def _raw_terms(mi1, mi2, k: int, b) -> dict:
@@ -585,9 +606,10 @@ def _raw_terms(mi1, mi2, k: int, b) -> dict:
 
 def gqf_regions_via_ru_sweep(
     draws: Iterable[tuple[DmChannelSpec, float]],
-) -> list[dict[str, RateRegion]]:
-    """For each draw ``(spec, beta)``: the GQF regions ``{"marc": ...,
-    "cmacr": ...}`` from the raw inequalities.
+) -> dict[str, Bounds]:
+    """The GQF bounds ``{"marc": ..., "cmacr": ...}`` of the draws ``(spec,
+    beta)`` from the raw inequalities, unclamped, each value an array over
+    the draws.
 
     The joint-decoding analysis yields six inequalities per destination in
     which the quantization-codebook rate ``R_U`` appears additively on the
@@ -597,45 +619,53 @@ def gqf_regions_via_ru_sweep(
     subtracts ``R_U`` where it belongs, instead of using the algebraically
     simplified bounds of :mod:`hdmarc.dmregions` — so agreement between the
     two is a real consistency check of that simplification.  "marc" is
-    destination 1, its raw quantities kept as ``terms``.  "cmacr" clamps
-    the worst raw bounds over the destinations that hear anything (not both
+    destination 1, its raw quantities kept as ``terms``.  "cmacr" takes the
+    worst raw bounds over the destinations that hear anything (not both
     outputs one-letter; :class:`InvalidParams` if none does), their
-    quantities suffixed ``_k``.  The draws are read first, each beta then
-    spec, in order, and evaluated in stacks.
+    quantities suffixed ``_k``.  Both are feasible and carry no ``sigma``.
+    The draws are read first, each beta then spec, in order; no draws, and
+    draws that hear different destinations, raise :class:`InvalidParams`.
     """
-    specs, betas, hearing = [], [], []
-    for spec, beta in read_collection(draws, "draws", _dm_draw, list):
-        betas.append(validate_beta(beta, allow_array=False))
-        specs.append(instance_of(spec, DmChannelSpec, "spec"))
-        # Yk1 and Yk2 are axis 2 + k of slot1 and of slot2.
-        heard = [k for k in (1, 2) if spec.slot1.shape[2 + k] > 1 or spec.slot2.shape[2 + k] > 1]
+    specs, betas = _dm_draws(draws)
+    # Yk1 and Yk2 are axis 2 + k of slot1 and of slot2.
+    hearing = [
+        tuple(k for k in (1, 2) if spec.slot1.shape[2 + k] > 1 or spec.slot2.shape[2 + k] > 1)
+        for spec in specs
+    ]
+    for position, heard in enumerate(hearing):
         if not heard:
             raise InvalidParams("no destination output has more than one letter")
-        hearing.append(heard)
-    raw = {1: _destination_terms(specs, betas, 1, _raw_terms)}
-    second = [i for i, heard in enumerate(hearing) if 2 in heard]
-    terms2 = _destination_terms([specs[i] for i in second], [betas[i] for i in second], 2, _raw_terms)
-    raw[2] = dict(zip(second, terms2))
-    regions = []
-    for i, heard in enumerate(hearing):
-        terms = {k: raw[k][i] for k in (1, *heard)}
-        bounds = {  # (r1, r2, sum) per destination, R_U eliminated
-            k: [min(t[f"{n}_plain"], t[f"{n}_with_index"] - t["R_U"]) for n in ("r1", "r2", "sum")]
-            for k, t in terms.items()
-        }
-        worst = [min(column) for column in zip(*(bounds[k] for k in heard))]
-        suffixed = {f"{name}_{k}": terms[k][name] for k in heard for name in terms[k]}
-        regions.append({
-            "marc": clamp_region(*bounds[1], feasible=True, terms=terms[1]),
-            "cmacr": clamp_region(*worst, feasible=True, terms=suffixed),
-        })
-    return regions
+        if heard != hearing[0]:
+            raise InvalidParams(
+                f"the draws must hear the same destinations; draws[0] hears {hearing[0]} "
+                f"and draws[{position}] hears {heard}"
+            )
+    heard = hearing[0]
+    raw = {k: _destination_terms(specs, betas, k, _raw_terms) for k in sorted({1, *heard})}
+    bounds = {  # (r1, r2, sum) per destination, R_U eliminated
+        k: [
+            np.minimum(t[f"{n}_plain"], t[f"{n}_with_index"] - t["R_U"])
+            for n in ("r1", "r2", "sum")
+        ]
+        for k, t in raw.items()
+    }
+    worst = [np.min(column, axis=0) for column in zip(*(bounds[k] for k in heard))]
+    suffixed = {f"{name}_{k}": raw[k][name] for k in heard for name in raw[k]}
+    return {
+        "marc": Bounds(*bounds[1], True, None, raw[1]),
+        "cmacr": Bounds(*worst, True, None, suffixed),
+    }
 
 
 def gqf_region_via_ru_sweep(spec: DmChannelSpec, beta: float) -> dict[str, RateRegion]:
-    """The GQF regions of one spec from the raw inequalities: the one-draw
-    case of :func:`gqf_regions_via_ru_sweep`."""
-    return gqf_regions_via_ru_sweep([(spec, beta)])[0]
+    """The GQF regions of one spec from the raw inequalities: draw 0 of
+    :func:`gqf_regions_via_ru_sweep`, clamped by
+    :func:`~hdmarc.core.rate_region`."""
+    regions = {}
+    for topology, (r1, r2, rsum, _, _, terms) in gqf_regions_via_ru_sweep([(spec, beta)]).items():
+        raw = {name: value[0] for name, value in terms.items()}
+        regions[topology] = rate_region(Bounds(r1[0], r2[0], rsum[0], True, None, raw))
+    return regions
 
 
 def _single_source_terms(mi1, mi2, k: int, b) -> dict:
@@ -650,17 +680,13 @@ def _single_source_terms(mi1, mi2, k: int, b) -> dict:
 
 def single_source_gqf_branch_pairs(
     draws: Iterable[tuple[DmChannelSpec, float]],
-) -> list[tuple[float, float]]:
-    """For each draw ``(spec, beta)`` of a channel whose source 2 is
+) -> tuple[np.ndarray, np.ndarray]:
+    """For the draws ``(spec, beta)`` of channels whose source 2 is
     degenerate: source 1's two GQF branches at destination 1 in their
-    single-source forms, ``(plain, with_index)``, the quantization index as
-    noise and decoded, ``b*I(X11; Y11,YhR) + (1-b)*I(X12; Y12 | XR)`` and
-    ``b*[I(X11; Y11) - I(YhR; YR | X11,Y11)] + (1-b)*I(X12,XR; Y12)``, from
-    joints and entropies of its own (:func:`_destination_terms`)."""
-    specs, betas = [], []
-    for spec, beta in read_collection(draws, "draws", _dm_draw, list):
-        betas.append(validate_beta(beta, allow_array=False))
-        specs.append(instance_of(spec, DmChannelSpec, "spec"))
-    terms = _destination_terms(specs, betas, 1, _single_source_terms)
-    return [(t["plain"], t["with_index"]) for t in terms]
-
+    single-source forms, ``(plain, with_index)``, each an array over the
+    draws, the quantization index as noise and decoded, ``b*I(X11;
+    Y11,YhR) + (1-b)*I(X12; Y12 | XR)`` and ``b*[I(X11; Y11) - I(YhR; YR |
+    X11,Y11)] + (1-b)*I(X12,XR; Y12)``, from joints and entropies of its own
+    (:func:`_destination_terms`).  No draws raise :class:`InvalidParams`."""
+    terms = _destination_terms(*_dm_draws(draws), 1, _single_source_terms)
+    return terms["plain"], terms["with_index"]

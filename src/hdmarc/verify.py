@@ -9,8 +9,10 @@ given (seed, draws).  A subject draws a whole chunk first, in the order
 one draw at a time would, then asks the oracle and each production entry
 once per question on all of it (``gaussian_regions_stack``,
 ``dm_regions_stack``), and records each check once, with an array of the
-chunk's deviations.  A chunk that fails runs again draw by draw, so the
-first failing draw raises its own error.
+chunk's deviations.  The oracle answers in arrays over the chunk, as the
+production entries do, so each check compares array with array.  A chunk
+that fails runs again draw by draw (:func:`~hdmarc.core.run_chunk`), so
+the first failing draw raises its own error.
 
 Subjects:
 
@@ -33,7 +35,6 @@ import numpy as np
 
 from .core import (
     Bounds,
-    HdmarcError,
     SchemeId,
     clamp_bounds,
     integer,
@@ -228,11 +229,12 @@ def draw_silent_dest2_spec(rng: np.random.Generator) -> DmChannelSpec:
 # Checks, one per subject: (rng, count, worst) -> None.
 
 def _clamped(bounds: Bounds) -> tuple:
-    """The clamped r1, r2 and sum bounds of ``bounds``, whose values are
-    arrays over a chunk's draws: the floats :func:`~hdmarc.core.rate_region`
-    gives each draw (:func:`~hdmarc.core.clamp_bounds`).  The first draw
-    with a bound that is not finite goes to
-    :func:`~hdmarc.core.rate_region`, which refuses it naming the field."""
+    """The clamped r1, r2 and sum bounds of ``bounds``, production's or the
+    oracle's, whose values are arrays over a chunk's draws: the floats
+    :func:`~hdmarc.core.rate_region` gives each draw
+    (:func:`~hdmarc.core.clamp_bounds`).  The first draw with a bound that
+    is not finite goes to :func:`~hdmarc.core.rate_region`, which refuses
+    it naming the field."""
     r1, r2, rsum = bounds[:3]
     finite = np.isfinite(r1) & np.isfinite(r2) & np.isfinite(rsum)
     if not finite.all():
@@ -241,37 +243,25 @@ def _clamped(bounds: Bounds) -> tuple:
     return clamp_bounds(r1, r2, rsum)
 
 
-def _column(rows: list, key: Callable) -> np.ndarray:
-    """``key`` of each of the oracle's ``rows``, as an array over them."""
-    return np.array([key(row) for row in rows])
-
-
-_GQF_TERMS = ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2")
-
-
-def _production_answers(drawn: list) -> tuple:
+def _closed_forms_answers(drawn: list) -> tuple:
     """Production's three answers for the channels ``drawn``, each asked
     once for all of them: the GQF bounds at the drawn variance, the
     sum-optimal GQF bounds (the optimum found by the GQF entry), and CF
     asked for a variance below its binning threshold, which it finds itself
-    and takes the bounds at."""
+    and takes the bounds at; then the oracle's terms and its CF binning
+    balance at the thresholds production found (at sigma_q2 = sigma_min
+    the index description rate exactly fills the relay pipe)."""
     betas = [params.beta for params in drawn]
     asked = (
         (SchemeId.GQF, [params.sigma_q2 for params in drawn]),
         (SchemeId.GQF, None),
         (SchemeId.CF, [_BELOW_EVERY_THRESHOLD] * len(drawn)),
     )
-    return tuple(
+    at_drawn, optimum, at_threshold = (
         gaussian_regions_stack(drawn, (scheme,), betas, sigmas)[scheme] for scheme, sigmas in asked
     )
-
-
-def _references(drawn: list, at_threshold: Bounds) -> list:
-    """The oracle's terms of the channels ``drawn``, and its CF binning
-    balance at the thresholds production found (at sigma_q2 = sigma_min
-    the index description rate exactly fills the relay pipe), in one
-    batch."""
-    return closed_forms_via_log_dets(list(zip(drawn, at_threshold.terms["sigma_min"].tolist())))
+    thresholds = at_threshold.terms["sigma_min"].tolist()
+    return at_drawn, optimum, at_threshold, closed_forms_via_log_dets(list(zip(drawn, thresholds)))
 
 
 def closed_forms_draws(rng: np.random.Generator, count: int, worst: _Worst) -> None:
@@ -279,21 +269,10 @@ def closed_forms_draws(rng: np.random.Generator, count: int, worst: _Worst) -> N
     on ``count`` draws: all drawn first, then the production entry and the
     oracle each asked once on all of them."""
     drawn = [draw_gaussian_params(rng) for _ in range(count)]
-    try:
-        at_drawn, optimum, at_threshold = _production_answers(drawn)
-    except HdmarcError:
-        # The draws before the last run alone, production then oracle, so
-        # that an oracle error of one comes before a production error of a
-        # later draw, as draw by draw (see core.run_chunk).
-        for params in drawn[:-1]:
-            _references([params], _production_answers([params])[2])
-        raise
-    # The oracle raises its own first failing draw's error.
-    references = _references(drawn, at_threshold)
-    for name in _GQF_TERMS:
-        devs = at_drawn.terms[name] - _column(references, lambda reference: reference[0][name])
-        worst.record(f"gqf_term_{name}", devs, GAUSSIAN_TOL)
-    worst.record("cf_threshold_balance", _column(references, lambda reference: reference[1]), GAUSSIAN_TOL)
+    at_drawn, optimum, at_threshold, (terms, excess) = run_chunk(drawn, _closed_forms_answers)
+    for name, reference in terms.items():
+        worst.record(f"gqf_term_{name}", at_drawn.terms[name] - reference, GAUSSIAN_TOL)
+    worst.record("cf_threshold_balance", excess, GAUSSIAN_TOL)
 
     # Threshold identity: the sum-optimal GQF quantizer sits exactly where
     # the two sum branches cross, and there both schemes meet at the same
@@ -306,8 +285,8 @@ def closed_forms_draws(rng: np.random.Generator, count: int, worst: _Worst) -> N
 
 
 def _dm_regions_answers(drawn: list) -> tuple:
-    """The oracle's regions of each ``(spec, beta)`` of ``drawn``, then
-    production's GQF bounds of all of them."""
+    """The oracle's GQF bounds of the ``(spec, beta)`` of ``drawn``, then
+    production's."""
     specs, betas = zip(*drawn)
     oracle = gqf_regions_via_ru_sweep(drawn)
     return oracle, dm_regions_stack(specs, TOPOLOGIES, (SchemeId.GQF,), betas)
@@ -316,14 +295,13 @@ def _dm_regions_answers(drawn: list) -> tuple:
 def dm_regions_draws(rng: np.random.Generator, count: int, worst: _Worst) -> None:
     """Simplified finite-alphabet bounds vs the raw inequality system, on
     ``count`` draws: all drawn first, then the oracle and the production
-    entry each once on all of them."""
+    entry each once on all of them, both sides clamped alike."""
     drawn = [(draw_dm_spec(rng), float(rng.uniform(0.1, 0.9))) for _ in range(count)]
     oracle, production = run_chunk(drawn, _dm_regions_answers)
     for topology in TOPOLOGIES:
-        clamped = _clamped(production[topology][SchemeId.GQF])
-        for suffix, bound, field in zip(("r1", "r2", "sum"), clamped, ("r1_max", "r2_max", "sum_max")):
-            devs = bound - _column(oracle, lambda regions: getattr(regions[topology], field))
-            worst.record(f"{topology}_{suffix}", devs, DM_TOL)
+        pairs = zip(_clamped(production[topology][SchemeId.GQF]), _clamped(oracle[topology]))
+        for suffix, (bound, reference) in zip(("r1", "r2", "sum"), pairs):
+            worst.record(f"{topology}_{suffix}", bound - reference, DM_TOL)
 
 
 def _regions(drawn: list, topologies: tuple[str, ...]) -> dict:
@@ -338,7 +316,7 @@ def _reductions_answers(drawn: list) -> tuple:
     silent-destination one: the oracle's single-source branches, then
     production's bounds of each kind."""
     single, silent = zip(*drawn)
-    branches = np.array(single_source_gqf_branch_pairs(single)).T
+    branches = single_source_gqf_branch_pairs(single)
     return branches, _regions(single, ("marc",)), _regions(silent, ("cmacr", "marc"))
 
 

@@ -33,7 +33,7 @@ from hdmarc.core import (
     validate_beta,
 )
 from hdmarc.dminfo import JointPmf
-from hdmarc.dmregions import active_destinations, branches, dm_regions, slot_terms
+from hdmarc.dmregions import _branches, active_destinations, dm_regions, slot_terms
 from hdmarc.gaussian import BRANCHES, cf_operating_point, gaussian_regions
 from hdmarc.oracle import closed_forms_via_log_dets, single_source_gqf_branch_pairs
 
@@ -430,8 +430,8 @@ def test_a_read_refuses_a_mapping():
 _DM_TERMS = tuple(slot_terms(make_random_spec(np.random.default_rng(1)), (1, 2)))
 _TABLES = {
     "gaussian": (BRANCHES, ("a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2")),
-    "dm (1,)": (branches((1,)), _DM_TERMS),
-    "dm (1, 2)": (branches((1, 2)), _DM_TERMS),
+    "dm (1,)": (_branches((1,)), _DM_TERMS),
+    "dm (1, 2)": (_branches((1, 2)), _DM_TERMS),
 }
 
 
@@ -463,9 +463,9 @@ def test_gqf_bounds_is_the_minimum_chain_of_each_bound_s_branches(table, shape):
 
 
 def test_the_reduction_tables_name_each_destination_s_two_branches():
-    assert branches((1,)) == (("a_1(1)", "b_1(1)"), ("a_1(2)", "b_1(2)"), ("c_1", "d_1"))
-    assert branches((1, 2))[2] == ("c_1", "d_1", "c_2", "d_2")
-    assert branches((1, 2)) is branches((1, 2))  # built once per destinations
+    assert _branches((1,)) == (("a_1(1)", "b_1(1)"), ("a_1(2)", "b_1(2)"), ("c_1", "d_1"))
+    assert _branches((1, 2))[2] == ("c_1", "d_1", "c_2", "d_2")
+    assert _branches((1, 2)) is _branches((1, 2))  # built once per destinations
     assert gqf_bounds({"x": 0.5}, (("x",),) * 3) == Bounds(0.5, 0.5, 0.5, True, None, {"x": 0.5})
 
 

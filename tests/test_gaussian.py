@@ -29,6 +29,7 @@ from hdmarc import (
 from hdmarc.core import clamp_bounds, rate_region, validate_beta
 from hdmarc.gaussian import (
     BETA_RANGE,
+    _powers,
     _smallest_beta,
     cf_operating_point,
     cf_rates,
@@ -38,10 +39,6 @@ from hdmarc.gaussian import (
     gqf_optimize_sigma,
     gqf_rates,
     no_relay_rates,
-    relay_link,
-    relay_view,
-    slot1_signal,
-    slot2_signal,
 )
 
 from _support import assert_same_bits, benchmark_params, entry
@@ -145,15 +142,15 @@ def test_params_coerce_beta_to_slot_fraction():
 
 
 def test_derived_powers_on_benchmark_channel():
-    params = benchmark_params()
-    assert slot1_signal(params) == pytest.approx(3.0, abs=1e-15)
-    assert slot2_signal(params) == pytest.approx(3.0, abs=1e-15)
+    powers = _powers(benchmark_params())
+    assert powers.s1 == pytest.approx(3.0, abs=1e-15)
+    assert powers.s2 == pytest.approx(3.0, abs=1e-15)
     # (h11*h2r - h1r*h21)^2 * p11 * p21 + h1r^2 * p11 + h2r^2 * p21
-    assert relay_view(params) == pytest.approx(
+    assert powers.view == pytest.approx(
         (1.0 * 0.5 - 3.0 * 1.0) ** 2 + 9.0 + 0.25, abs=1e-15
     )
-    assert relay_view(params) == pytest.approx(15.5, abs=1e-15)
-    assert relay_link(params) == pytest.approx(9.0, abs=1e-15)
+    assert powers.view == pytest.approx(15.5, abs=1e-15)
+    assert powers.link == pytest.approx(9.0, abs=1e-15)
 
 
 def test_rate_evaluation_requires_sigma():
@@ -647,7 +644,8 @@ def _beta_searches(seed, draws=40):
     rng = np.random.default_rng(seed)
     for _ in range(draws):
         params = _random_params(rng)
-        dense = np.linspace(max(BETA_RANGE[0], _smallest_beta(params)), BETA_RANGE[1], 2001)
+        lo = max(BETA_RANGE[0], _smallest_beta(_powers(params)))
+        dense = np.linspace(lo, BETA_RANGE[1], 2001)
         for scheme in (SchemeId.GQF, SchemeId.CF):
             for objective in ("sum", "r1", "r2"):
                 optimum = optimize_beta(params, scheme, objective)

@@ -278,7 +278,35 @@ def _module_calls() -> dict[str, tuple]:
     params = GaussianMarcParams(*_GAINS_POWERS, 0.5, 1.0)
     joint = dminfo.build_slot1_joint(spec, 1)
     mi_sets = (("X11",), ("Y11", "YhR"), ("X21",))
-    return {
+    model = oracle.build_covariance(params, 2)
+    one_channel = {
+        f"gaussian.{name}": (getattr(gaussian, name), (params,))
+        for name in (
+            "gqf_rates", "gqf_optimize_sigma", "cf_sigma_min", "cf_rates", "cf_operating_point"
+        )
+    }
+    one_spec = {
+        f"dmregions.{scheme}_region_{topology}": (
+            getattr(dmregions, f"{scheme}_region_{topology}"), (spec, 0.4)
+        )
+        for scheme in ("gqf", "cf", "no_relay")
+        for topology in ("marc", "cmacr")
+    }
+    return one_channel | one_spec | {
+        "dmregions.active_destinations": (dmregions.active_destinations, (spec,)),
+        "dmregions.degenerate_relay_spec": (dmregions.degenerate_relay_spec, (spec,)),
+        "dminfo.check_names": (dminfo.check_names, (("X11", "YR"), "model")),
+        "dminfo.disjoint_sets": (dminfo.disjoint_sets, mi_sets),
+        "dminfo.JointPmf": (dminfo.JointPmf, (("X11", "Y11"), np.full((2, 2), 0.25))),
+        "dminfo.marginalize": (dminfo.marginalize, (joint, ("X11", "YR"))),
+        "dminfo.entropy": (dminfo.entropy, (joint, ("X11", "Y11"))),
+        "dminfo.build_slot2_joint": (dminfo.build_slot2_joint, (spec,)),
+        "oracle.GaussianVectorModel": (oracle.GaussianVectorModel, (model.names, model.factor)),
+        "oracle.build_covariance": (oracle.build_covariance, (params, 1)),
+        "oracle.gaussian_mi": (oracle.gaussian_mi, (model, ("X12",), ("Y12",), ("XR",))),
+        "oracle.closed_forms_via_log_dets": (oracle.closed_forms_via_log_dets, ([(params, 1.0)],)),
+        "oracle.crossing_offset": (oracle.crossing_offset, (params, 1.0)),
+        "oracle.gqf_region_via_ru_sweep": (oracle.gqf_region_via_ru_sweep, (spec, 0.4)),
         "dminfo.build_slot1_joint": (dminfo.build_slot1_joint, (spec, 2)),
         "dmregions.slot_terms": (dmregions.slot_terms, (spec, (1, 2))),
         "dmregions.dm_regions_stack": (
@@ -299,6 +327,25 @@ def _module_calls() -> dict[str, tuple]:
         "JointPmf.entropy": (joint.entropy, (("X11", "Y11"),)),
         "JointPmf.mutual_information": (joint.mutual_information, mi_sets),
     }
+
+
+#: Public callables of the model modules that only hold values, with why.
+UNCHECKED = {
+    "gaussian.SigmaOptimum": "the result of gqf_optimize_sigma: it holds values and checks none",
+    "gaussian.BetaOptimum": "the result of optimize_beta: it holds values and checks none",
+}
+
+
+def test_every_public_callable_of_the_model_modules_is_in_a_harness_table():
+    exported, covered = set(_valid_calls()), set(_module_calls()) | set(UNCHECKED)
+    missing = [
+        f"{module}.{name}"
+        for module in ("gaussian", "dmregions", "dminfo", "oracle")
+        for name, value in vars(getattr(hdmarc, module)).items()
+        if not name.startswith("_") and callable(value) and value.__module__ == f"hdmarc.{module}"
+        if name not in exported and f"{module}.{name}" not in covered
+    ]
+    assert not missing
 
 
 @pytest.mark.parametrize("name", sorted(_module_calls()))

@@ -29,6 +29,7 @@ from hdmarc import (
     SingularCovariance,
     TensorTooLarge,
     UnknownVariable,
+    rate_region,
     run_subject,
 )
 from hdmarc.core import validate_beta
@@ -61,6 +62,7 @@ from _support import (
     benchmark_params,
     count_calls,
     count_joint_builds,
+    entry,
     make_random_spec,
     random_gaussian_params as _random_params,
     stacked,
@@ -427,22 +429,24 @@ def _extreme_channels():
 
 def test_closed_forms_match_log_det_oracle_at_extreme_channels():
     channels = _extreme_channels()
-    evaluated = closed_forms_via_log_dets([(params, params.sigma_q2) for params in channels])
-    for params, (oracle, _) in zip(channels, evaluated):
+    oracle, _ = closed_forms_via_log_dets([(params, params.sigma_q2) for params in channels])
+    assert len(oracle) == 6
+    for row, params in enumerate(channels):
         closed = gqf_rates(params).terms
-        assert len(oracle) == 6
-        for key, value in oracle.items():
-            assert closed[key] == pytest.approx(value, abs=1e-8), (key, params)
+        for key, values in oracle.items():
+            assert closed[key] == pytest.approx(values[row], abs=1e-8), (key, params)
 
 
 def _assert_each_draw_alone_gives_the_same_bits(draws):
-    evaluated = closed_forms_via_log_dets(draws)
-    assert len(evaluated) == len(draws)
-    for draw, (terms, excess) in zip(draws, evaluated):
-        [(want_terms, want_excess)] = closed_forms_via_log_dets([draw])
-        assert list(terms) == list(want_terms) == ["a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"]
-        assert_same_bits(list(terms.values()), list(want_terms.values()))
-        assert_same_bits(excess, want_excess)
+    terms, excess = closed_forms_via_log_dets(draws)
+    assert list(terms) == ["a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"]
+    assert {values.shape for values in terms.values()} == {excess.shape} == {(len(draws),)}
+    for row, draw in enumerate(draws):
+        want_terms, want_excess = closed_forms_via_log_dets([draw])
+        assert list(want_terms) == list(terms)
+        got = [values[row : row + 1] for values in terms.values()]
+        assert_same_bits(got, list(want_terms.values()))
+        assert_same_bits(excess[row : row + 1], want_excess)
 
 
 @pytest.mark.parametrize(
@@ -453,7 +457,8 @@ def _assert_each_draw_alone_gives_the_same_bits(draws):
 def test_closed_forms_oracle_refuses_draws_that_are_not_pairs(draws):
     with pytest.raises(InvalidParams):
         closed_forms_via_log_dets(draws)
-    assert closed_forms_via_log_dets([]) == []
+    with pytest.raises(InvalidParams, match="at least one"):
+        closed_forms_via_log_dets([])
 
 
 def test_batched_closed_forms_equal_one_draw_batches_at_extreme_channels():
@@ -687,7 +692,8 @@ def test_the_dm_oracle_builds_no_joint_through_dminfo(monkeypatch):
     rng = np.random.default_rng(0)
     dm = [(draw_dm_spec(rng), float(rng.uniform(0.1, 0.9))) for _ in range(5)]
     single = [draw_single_source_spec(rng) for _ in range(5)]
-    assert len(gqf_regions_via_ru_sweep(dm)) == len(single_source_gqf_branch_pairs(single)) == 5
+    assert gqf_regions_via_ru_sweep(dm)["cmacr"].r1.shape == (5,)
+    assert [branches.shape for branches in single_source_gqf_branch_pairs(single)] == [(5,), (5,)]
     gqf_region_via_ru_sweep(*dm[0])
     single_source_gqf_branch_pairs(single[:1])
     assert calls == {"build_slot1_joints": [], "build_slot2_joints": []} and made == []
@@ -775,11 +781,12 @@ def test_closed_forms_oracle_keeps_the_bits_of_the_old_assembly(seed):
     rng = np.random.default_rng(seed)
     channels = [draw_gaussian_params(rng) for _ in range(50)]
     draws = [(params, cf_sigma_min(params)) for params in channels]
-    for (params, sigma_min), (terms, excess) in zip(draws, closed_forms_via_log_dets(draws)):
+    terms, excess = closed_forms_via_log_dets(draws)
+    for row, (params, sigma_min) in enumerate(draws):
         want_terms, want_excess = _closed_forms_as_verify_assembled(params, sigma_min)
         assert list(terms) == list(want_terms) == ["a(1)", "b(1)", "a(2)", "b(2)", "I1", "I2"]
-        assert_same_bits(list(terms.values()), list(want_terms.values()))
-        assert_same_bits(excess, want_excess)
+        assert_same_bits([values[row] for values in terms.values()], list(want_terms.values()))
+        assert_same_bits(excess[row], want_excess)
 
 
 @pytest.mark.parametrize("seed", [0, 2007])
@@ -789,9 +796,10 @@ def test_single_source_oracle_agrees_with_the_old_assembly(seed):
     # which production's entropy tables give, agrees to a few ulps.
     rng = np.random.default_rng(seed)
     draws = [draw_single_source_spec(rng) for _ in range(20)]
-    for (spec, b), got in zip(draws, single_source_gqf_branch_pairs(draws)):
+    pairs = np.transpose(single_source_gqf_branch_pairs(draws))
+    for (spec, b), got in zip(draws, pairs):
         want = _single_source_as_verify_assembled(spec, b)
-        assert single_source_gqf_branch_pairs([(spec, b)]) == [got]
+        assert_same_bits(got, np.concatenate(single_source_gqf_branch_pairs([(spec, b)])))
         assert all(abs(x - y) <= 1e-14 for x, y in zip(got, want)), (got, want)
 
 
@@ -896,10 +904,40 @@ def test_a_dm_oracle_chunk_gives_each_draw_its_one_draw_bits():
         for _ in range(4):
             dm.append((draw_dm_spec(rng, sizes), float(rng.uniform(0.1, 0.9))))
             single.append(draw_single_source_spec(rng))
-    for (spec, beta), regions in zip(dm, gqf_regions_via_ru_sweep(dm)):
-        assert regions == gqf_region_via_ru_sweep(spec, beta)
-    for (spec, beta), pair in zip(single, single_source_gqf_branch_pairs(single)):
-        assert_same_bits(pair, single_source_gqf_branch_pairs([(spec, beta)])[0])
+    # Draws that hear different destinations are asked in separate chunks.
+    for hearing in (dm[:12] + dm[16:], dm[12:16]):
+        regions = gqf_regions_via_ru_sweep(hearing)
+        for row, (spec, beta) in enumerate(hearing):
+            alone = gqf_regions_via_ru_sweep([(spec, beta)])
+            for topology, bounds in regions.items():
+                assert_same_bits(entry(bounds, row), entry(alone[topology], 0))
+    pairs = np.transpose(single_source_gqf_branch_pairs(single))
+    for (spec, beta), pair in zip(single, pairs):
+        assert_same_bits(pair, np.concatenate(single_source_gqf_branch_pairs([(spec, beta)])))
+
+
+def test_the_dm_oracle_refuses_draws_that_hear_different_destinations():
+    # As a production stack refuses specs whose cMACr reaches different
+    # destinations; the single-source branches read destination 1 alone.
+    rng = np.random.default_rng(84)
+    both = (draw_dm_spec(rng), 0.3)
+    first_only = (draw_dm_spec(rng, {"y21": 1, "y22": 1}), 0.4)
+    message = r"same destinations; draws\[0\] hears \(1, 2\) and draws\[2\] hears \(1,\)$"
+    with pytest.raises(InvalidParams, match=message):
+        gqf_regions_via_ru_sweep([both, both, first_only])
+    deaf = draw_dm_spec(rng, dict.fromkeys(("y11", "y12", "y21", "y22"), 1))
+    with pytest.raises(InvalidParams, match="no destination"):
+        gqf_regions_via_ru_sweep([both, (deaf, 0.3)])
+
+
+def test_the_one_draw_ru_sweep_is_draw_0_clamped():
+    rng = np.random.default_rng(85)
+    for silent in ((), ("y11", "y12"), ("y21", "y22")):
+        spec, beta = draw_dm_spec(rng, dict.fromkeys(silent, 1)), float(rng.uniform(0.1, 0.9))
+        regions = gqf_regions_via_ru_sweep([(spec, beta)])
+        assert {bounds.sigma for bounds in regions.values()} == {None}
+        for topology, region in gqf_region_via_ru_sweep(spec, beta).items():
+            assert region == rate_region(entry(regions[topology], 0))
 
 
 def test_the_dm_oracle_reads_its_draws_as_pairs_and_caps_its_joints():
@@ -911,6 +949,9 @@ def test_the_dm_oracle_reads_its_draws_as_pairs_and_caps_its_joints():
             single_source_gqf_branch_pairs(draws)
     with pytest.raises(OutOfRange):
         gqf_regions_via_ru_sweep([(spec, 0.3), (spec, 1.5)])
+    for entry_point in (gqf_regions_via_ru_sweep, single_source_gqf_branch_pairs):
+        with pytest.raises(InvalidParams, match="at least one"):
+            entry_point([])
     big = make_random_spec(
         np.random.default_rng(83), {"x11": 4, "x21": 4, "yr": 16, "y11": 64, "y21": 4, "yhr": 32}
     )

@@ -94,10 +94,10 @@ def test_a_nan_branch_fails_the_min_branches_check(monkeypatch):
     pairs = hdmarc.verify.single_source_gqf_branch_pairs
 
     def with_a_nan(draws):
-        found = pairs(draws)
-        if len(found) > 2:
-            found[2] = (found[2][0], math.nan)
-        return found
+        plain, with_index = pairs(draws)
+        if len(with_index) > 2:
+            with_index[2] = math.nan
+        return plain, with_index
 
     monkeypatch.setattr(hdmarc.verify, "single_source_gqf_branch_pairs", with_a_nan)
     report = run_subject("reductions", seed=0, draws=5)
@@ -125,6 +125,24 @@ def test_a_non_finite_production_bound_raises_rate_region_s_error(monkeypatch, s
     monkeypatch.setattr(hdmarc.verify, name, broken)
     with pytest.raises(InvalidParams, match=f"^bounds {field} must be finite, got inf$"):
         run_subject(subject, seed=0, draws=4)
+
+
+@pytest.mark.parametrize("topology", ["marc", "cmacr"])
+def test_a_nan_oracle_bound_raises_rate_region_s_error(monkeypatch, topology):
+    # Both sides of dm-regions are clamped alike, so a NaN in the oracle's
+    # bound is refused as a production NaN is, not clamped to 0.0.
+    oracle = hdmarc.verify.gqf_regions_via_ru_sweep
+
+    def with_a_nan(draws):
+        regions = oracle(draws)
+        values = regions[topology].r1.copy()
+        values[1] = math.nan
+        regions[topology] = regions[topology]._replace(r1=values)
+        return regions
+
+    monkeypatch.setattr(hdmarc.verify, "gqf_regions_via_ru_sweep", with_a_nan)
+    with pytest.raises(InvalidParams, match="^bounds r1 must be finite, got nan$"):
+        run_subject("dm-regions", seed=0, draws=4)
 
 
 def test_rows_in_another_channel_s_order_fail_closed_forms(monkeypatch):
